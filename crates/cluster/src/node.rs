@@ -25,7 +25,7 @@ use greengpu_hw::{
     FreqActuator, GpuSpec, Platform, SensorSource,
 };
 use greengpu_runtime::Controller as _;
-use greengpu_sim::{Fnv64, SimDuration, SimTime, SplitMix64};
+use greengpu_sim::{Fnv64, JsonWriter, SimDuration, SimTime, SplitMix64};
 use std::collections::BTreeMap;
 
 /// Static description of one node.
@@ -432,14 +432,22 @@ impl Node {
 
     /// Snapshots the controller's learner state as the node's current
     /// checkpoint (the fleet calls this every checkpoint period).
+    ///
+    /// The text is streamed into the node's own buffer, reused from the
+    /// previous period, then fitted to its exact length: a fleet holds
+    /// one checkpoint per node, so growth slack would cost memory on
+    /// every node.
     pub fn take_checkpoint(&mut self) {
         // A continuously-parked node's learner state is bit-frozen, so
         // the checkpoint taken last period is still byte-identical —
-        // skip the (comparatively expensive) JSON re-serialization.
+        // skip the re-serialization.
         if self.parked_cap.is_some() && self.parked_checkpoint_fresh {
             return;
         }
-        self.checkpoint = Some(self.ctl.snapshot());
+        let text = self.checkpoint.get_or_insert_with(String::new);
+        text.clear();
+        self.ctl.snapshot(&mut JsonWriter::new(text));
+        text.shrink_to_fit();
         self.parked_checkpoint_fresh = self.parked_cap.is_some();
     }
 
@@ -893,12 +901,13 @@ impl Node {
             return None;
         }
         let ctl_fp = self.ctl.decision_fingerprint()?;
+        // Compared only with the previous tick's, so fields fold as words.
         let mut h = Fnv64::new();
-        h.push_u64(ctl_fp);
+        h.push_word(ctl_fp);
         let (c, m) = self.current_pair();
-        h.push_usize(c);
-        h.push_usize(m);
-        h.push_usize(self.platform.cpu().domain().current_level());
+        h.push_word(c as u64);
+        h.push_word(m as u64);
+        h.push_word(self.platform.cpu().domain().current_level() as u64);
         Some(h.finish())
     }
 

@@ -151,9 +151,14 @@ fn aggregate<'a>(demands: impl Iterator<Item = &'a NodeDemand>) -> NodeDemand {
 /// [`apportion`] call, so Σ child caps ≤ parent cap at *every* interior
 /// node by construction, and Σ leaf caps ≤ budget transitively. The first
 /// tick bootstraps the lagged reports from the current aggregates.
+///
+/// A tick costs O(nodes + racks): each rack splits over its own member
+/// list instead of scanning the fleet for its leaves.
 #[derive(Debug, Clone)]
 pub struct BudgetTree {
     rack_of: Vec<usize>,
+    /// Rack id → its node ids, ascending (the index's `rack_nodes`).
+    rack_nodes: Vec<Vec<usize>>,
     zone_racks: Vec<Vec<usize>>,
     region_zones: Vec<Vec<usize>>,
     /// Rack aggregates as of the previous tick (what the zones reported
@@ -177,6 +182,7 @@ impl BudgetTree {
     pub fn new(idx: &crate::topology::TopologyIndex) -> Self {
         BudgetTree {
             rack_of: idx.rack_of.clone(),
+            rack_nodes: idx.rack_nodes.clone(),
             zone_racks: idx.zone_racks.clone(),
             region_zones: idx.region_zones.clone(),
             prev_rack: None,
@@ -254,8 +260,7 @@ impl BudgetTree {
             }
         }
         let mut leaf_caps = vec![0; demands.len()];
-        for (r, &rack_cap) in self.rack_caps.iter().enumerate() {
-            let members: Vec<usize> = (0..demands.len()).filter(|&i| self.rack_of[i] == r).collect();
+        for (members, &rack_cap) in self.rack_nodes.iter().zip(&self.rack_caps) {
             let wants: Vec<NodeDemand> = members.iter().map(|&i| demands[i]).collect();
             let caps = apportion(rack_cap, &wants);
             for (&i, cap) in members.iter().zip(caps) {

@@ -2,6 +2,8 @@
 //!
 //! * The interior cap invariant: Σ child caps ≤ parent cap at every node
 //!   of the budget tree, for random shapes, demands, and budgets.
+//! * Reference equivalence: the O(nodes) cascade matches an in-test copy
+//!   of the original O(racks × nodes) one at every level, tick by tick.
 //! * The reclamation schedule: freed budget crosses exactly one tree
 //!   edge per control interval on its way up.
 //! * The correlated-failure audit (the PR's acceptance criterion): a
@@ -13,10 +15,10 @@
 //!   arithmetic.
 
 use greengpu_cluster::job::JobSpec;
-use greengpu_cluster::power::NodeDemand;
+use greengpu_cluster::power::{apportion, NodeDemand};
 use greengpu_cluster::{
     run_fleet, BreakerState, BudgetTree, CircuitBreaker, FleetConfig, LifecycleParams, NodeConfig, Policy, RetryQueue,
-    Topology,
+    Topology, TopologyIndex,
 };
 use greengpu_hw::ChaosPlan;
 use greengpu_sim::{SimDuration, SimTime};
@@ -161,8 +163,191 @@ fn random_demands(n: usize, seed: u64) -> Vec<NodeDemand> {
         .collect()
 }
 
+/// A random irregular tree: 1–3 regions of 1–3 zones of 1–4 racks, each
+/// rack holding 1–9 nodes.
+fn random_topology(seed: u64) -> Topology {
+    let mut s = seed;
+    let mut pick = |lo: u64, hi: u64| (lo + splitmix(&mut s) % (hi - lo + 1)) as usize;
+    let regions = (0..pick(1, 3))
+        .map(|_| {
+            (0..pick(1, 3))
+                .map(|_| (0..pick(1, 4)).map(|_| pick(1, 9)).collect())
+                .collect()
+        })
+        .collect();
+    Topology { regions }
+}
+
+/// The budget cascade as first written — every rack scans every node for
+/// its members (O(racks × nodes) per tick) — kept as the oracle the
+/// production [`BudgetTree`] must match cap for cap.
+struct ReferenceTree {
+    rack_of: Vec<usize>,
+    zone_racks: Vec<Vec<usize>>,
+    region_zones: Vec<Vec<usize>>,
+    prev_rack: Option<Vec<NodeDemand>>,
+    prev_zone: Option<Vec<NodeDemand>>,
+    rack_caps: Vec<u64>,
+    zone_caps: Vec<u64>,
+    region_caps: Vec<u64>,
+    rack_desired: Vec<u64>,
+    zone_desired: Vec<u64>,
+    region_desired: Vec<u64>,
+}
+
+fn reference_aggregate<'a>(demands: impl Iterator<Item = &'a NodeDemand>) -> NodeDemand {
+    let mut agg = NodeDemand {
+        floor_mw: 0,
+        desired_mw: 0,
+        peak_mw: 0,
+        busy: false,
+    };
+    for d in demands {
+        agg.floor_mw = agg.floor_mw.saturating_add(d.floor_mw);
+        agg.desired_mw = agg.desired_mw.saturating_add(d.desired_mw);
+        agg.peak_mw = agg.peak_mw.saturating_add(d.peak_mw);
+        agg.busy |= d.busy;
+    }
+    agg
+}
+
+impl ReferenceTree {
+    fn new(idx: &TopologyIndex) -> Self {
+        ReferenceTree {
+            rack_of: idx.rack_of.clone(),
+            zone_racks: idx.zone_racks.clone(),
+            region_zones: idx.region_zones.clone(),
+            prev_rack: None,
+            prev_zone: None,
+            rack_caps: vec![0; idx.n_racks()],
+            zone_caps: vec![0; idx.n_zones()],
+            region_caps: vec![0; idx.n_regions()],
+            rack_desired: vec![0; idx.n_racks()],
+            zone_desired: vec![0; idx.n_zones()],
+            region_desired: vec![0; idx.n_regions()],
+        }
+    }
+
+    fn tick(&mut self, budget_mw: u64, demands: &[NodeDemand]) -> Vec<u64> {
+        let n_racks = self.rack_caps.len();
+        let mut cur_rack = vec![
+            NodeDemand {
+                floor_mw: 0,
+                desired_mw: 0,
+                peak_mw: 0,
+                busy: false,
+            };
+            n_racks
+        ];
+        for (d, &r) in demands.iter().zip(&self.rack_of) {
+            cur_rack[r].floor_mw = cur_rack[r].floor_mw.saturating_add(d.floor_mw);
+            cur_rack[r].desired_mw = cur_rack[r].desired_mw.saturating_add(d.desired_mw);
+            cur_rack[r].peak_mw = cur_rack[r].peak_mw.saturating_add(d.peak_mw);
+            cur_rack[r].busy |= d.busy;
+        }
+        let rack_report = self.prev_rack.as_deref().unwrap_or(&cur_rack);
+        let zone_report: Vec<NodeDemand> = self
+            .zone_racks
+            .iter()
+            .map(|racks| reference_aggregate(racks.iter().map(|&r| &rack_report[r])))
+            .collect();
+        let region_input = self.prev_zone.as_deref().unwrap_or(&zone_report);
+        let region_report: Vec<NodeDemand> = self
+            .region_zones
+            .iter()
+            .map(|zones| reference_aggregate(zones.iter().map(|&z| &region_input[z])))
+            .collect();
+        self.region_caps = apportion(budget_mw, &region_report);
+        for (g, zones) in self.region_zones.iter().enumerate() {
+            let wants: Vec<NodeDemand> = zones.iter().map(|&z| zone_report[z]).collect();
+            let caps = apportion(self.region_caps[g], &wants);
+            for (&z, cap) in zones.iter().zip(caps) {
+                self.zone_caps[z] = cap;
+            }
+        }
+        for (z, racks) in self.zone_racks.iter().enumerate() {
+            let wants: Vec<NodeDemand> = racks.iter().map(|&r| cur_rack[r]).collect();
+            let caps = apportion(self.zone_caps[z], &wants);
+            for (&r, cap) in racks.iter().zip(caps) {
+                self.rack_caps[r] = cap;
+            }
+        }
+        let mut leaf_caps = vec![0; demands.len()];
+        for (r, &rack_cap) in self.rack_caps.iter().enumerate() {
+            let members: Vec<usize> = (0..demands.len()).filter(|&i| self.rack_of[i] == r).collect();
+            let wants: Vec<NodeDemand> = members.iter().map(|&i| demands[i]).collect();
+            let caps = apportion(rack_cap, &wants);
+            for (&i, cap) in members.iter().zip(caps) {
+                leaf_caps[i] = cap;
+            }
+        }
+        self.rack_desired = cur_rack.iter().map(|d| d.desired_mw).collect();
+        self.zone_desired = zone_report.iter().map(|d| d.desired_mw).collect();
+        self.region_desired = region_report.iter().map(|d| d.desired_mw).collect();
+        self.prev_rack = Some(cur_rack);
+        self.prev_zone = Some(zone_report);
+        leaf_caps
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The O(nodes) cascade is the reference cascade: on random irregular
+    /// trees, over several ticks of demand churn with whole racks going
+    /// dark and coming back, every leaf, rack, zone and region cap — and
+    /// every level's desired report — equals the reference's, under
+    /// scarce, contended and abundant budgets alike.
+    #[test]
+    fn cascade_matches_the_reference_tree(
+        shape_seed in any::<u64>(),
+        seed in any::<u64>(),
+        budget_kind in 0u8..3,
+        budget_raw in any::<u64>(),
+        ticks in 1usize..7,
+        churn_pct in 0u64..100,
+        dark_pct in 0u64..40,
+    ) {
+        // Scarce (floors go uncovered), contended, or unlimited.
+        let budget = match budget_kind {
+            0 => budget_raw % 200_000,
+            1 => budget_raw % 20_000_000,
+            _ => u64::MAX,
+        };
+        let topo = random_topology(shape_seed);
+        let idx = topo.index();
+        let n = topo.n_nodes();
+        let mut tree = BudgetTree::new(&idx);
+        let mut reference = ReferenceTree::new(&idx);
+        let mut s = seed;
+        let mut demands = random_demands(n, splitmix(&mut s));
+        for k in 0..ticks {
+            let fresh = random_demands(n, splitmix(&mut s));
+            for (d, f) in demands.iter_mut().zip(fresh) {
+                if splitmix(&mut s) % 100 < churn_pct {
+                    *d = f;
+                }
+            }
+            let mut live = demands.clone();
+            for members in &idx.rack_nodes {
+                if splitmix(&mut s) % 100 < dark_pct {
+                    for &i in members {
+                        live[i] = NodeDemand { floor_mw: 0, desired_mw: 0, peak_mw: 0, busy: false };
+                    }
+                }
+            }
+            let caps = tree.tick(budget, &live);
+            let want = reference.tick(budget, &live);
+            prop_assert_eq!(&caps, &want, "leaf caps, tick {}", k);
+            prop_assert_eq!(tree.rack_caps(), &reference.rack_caps[..], "rack caps, tick {}", k);
+            prop_assert_eq!(tree.zone_caps(), &reference.zone_caps[..], "zone caps, tick {}", k);
+            prop_assert_eq!(tree.region_caps(), &reference.region_caps[..], "region caps, tick {}", k);
+            prop_assert_eq!(tree.rack_desired(), &reference.rack_desired[..]);
+            prop_assert_eq!(tree.zone_desired(), &reference.zone_desired[..]);
+            prop_assert_eq!(tree.region_desired(), &reference.region_desired[..]);
+            prop_assert_eq!(tree.cap_violations(budget, &caps), 0);
+        }
+    }
 
     /// Σ child caps ≤ parent cap at every interior node, for any tree
     /// shape, budget, and demand sequence — and on the bootstrap tick

@@ -16,7 +16,7 @@ use greengpu_hw::{
 };
 use greengpu_policy::{FreqPolicy, PolicyTelemetry};
 use greengpu_runtime::{Controller, IterationInfo};
-use greengpu_sim::{SimDuration, SimTime};
+use greengpu_sim::{JsonWriter, SimDuration, SimTime};
 
 /// Format version written into every controller checkpoint; restores
 /// reject any other version (bump on incompatible schema changes).
@@ -149,6 +149,51 @@ impl GreenGpuConfig {
             division: false,
             initial_share: 0.0,
             ..GreenGpuConfig::default()
+        }
+    }
+}
+
+/// A cap's feasible set over the pair grid, with the power model
+/// evaluated once per pair per tick: the policy's masked argmax and its
+/// empty-set check then read bits. Grids of up to 128 pairs are held in
+/// one word; a larger grid (no modeled card has one) re-evaluates the
+/// pure predicate on each query.
+struct PairMask<F: Fn(usize, usize) -> bool> {
+    n_mem: usize,
+    /// Bit `i · n_mem + j` is pair `(i, j)`'s feasibility.
+    bits: Option<u128>,
+    /// Whether every pair is feasible (the cap masks nothing).
+    full: bool,
+    feasible: F,
+}
+
+impl<F: Fn(usize, usize) -> bool> PairMask<F> {
+    fn new(n_core: usize, n_mem: usize, feasible: F) -> Self {
+        let mut pairs = (0..n_core).flat_map(|i| (0..n_mem).map(move |j| (i, j)));
+        let (bits, full) = if n_core * n_mem <= 128 {
+            let bits = pairs
+                .enumerate()
+                .filter(|&(_, (i, j))| feasible(i, j))
+                .fold(0u128, |bits, (k, _)| bits | 1 << k);
+            (Some(bits), bits.count_ones() as usize == n_core * n_mem)
+        } else {
+            (None, pairs.all(|(i, j)| feasible(i, j)))
+        };
+        PairMask {
+            n_mem,
+            bits,
+            full,
+            feasible,
+        }
+    }
+
+    fn contains(&self, i: usize, j: usize) -> bool {
+        match self.bits {
+            Some(bits) => {
+                let k = i * self.n_mem + j;
+                j < self.n_mem && k < 128 && bits >> k & 1 == 1
+            }
+            None => (self.feasible)(i, j),
         }
     }
 }
@@ -355,29 +400,30 @@ impl GreenGpuController {
         &self.governor
     }
 
-    /// Serializes the controller's learner state — the Tier-2 policy's
-    /// warm state plus the Tier-1 division ratio — as a versioned JSON
-    /// checkpoint string. Sensor/actuator state, hardening counters, and
+    /// Streams the controller's learner state — the Tier-2 policy's warm
+    /// state plus the Tier-1 division ratio — as a versioned JSON
+    /// checkpoint. Sensor/actuator state, hardening counters, and
     /// telemetry are *not* checkpointed: a restarted node gets fresh
     /// providers and fresh counters, only the learned knowledge survives.
-    pub fn snapshot(&self) -> String {
-        use greengpu_sim::JsonValue;
-        let division = match &self.division {
-            DivisionImpl::Stepwise(c) => c.snapshot(),
-            // The model-based jump recalibrates from its first iteration;
-            // there is no warm state worth carrying across a restart.
-            DivisionImpl::ModelBased(_) => JsonValue::Null,
-        };
-        JsonValue::Obj(vec![
-            ("version".to_string(), JsonValue::u64(CHECKPOINT_VERSION)),
-            ("policy".to_string(), JsonValue::str(self.policy.name())),
-            ("state".to_string(), self.policy.snapshot()),
-            ("division".to_string(), division),
-        ])
-        .to_string()
+    pub fn snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.key("version").u64(CHECKPOINT_VERSION);
+            w.key("policy").str(self.policy.name());
+            self.policy.snapshot(w.key("state"));
+            let division = w.key("division");
+            match &self.division {
+                DivisionImpl::Stepwise(c) => c.snapshot(division),
+                // The model-based jump recalibrates from its first
+                // iteration; there is no warm state worth carrying
+                // across a restart.
+                DivisionImpl::ModelBased(_) => {
+                    division.null();
+                }
+            }
+        });
     }
 
-    /// Restores a checkpoint produced by [`GreenGpuController::snapshot`].
+    /// Restores a checkpoint written by [`GreenGpuController::snapshot`].
     ///
     /// Rejects (with a field-naming error) anything unparsable, any
     /// version other than [`CHECKPOINT_VERSION`], and a policy name that
@@ -548,15 +594,14 @@ impl GreenGpuController {
     fn decide_actuate_gpu(&mut self, platform: &mut Platform, now: SimTime, u_core: f64, u_mem: f64) {
         let (core_lvl, mem_lvl) = match self.power_cap_w {
             Some(cap) => {
-                let spec = platform.gpu().spec().clone();
-                let n_core = spec.core_levels_mhz.len();
-                let n_mem = spec.mem_levels_mhz.len();
-                let feasible = |i: usize, j: usize| spec.power_at_levels_w(i, j, 1.0, 1.0) <= cap;
-                let masked = (0..n_core).any(|i| (0..n_mem).any(|j| !feasible(i, j)));
-                if masked {
+                let spec = platform.gpu().spec();
+                let mask = PairMask::new(spec.core_levels_mhz.len(), spec.mem_levels_mhz.len(), |i, j| {
+                    spec.power_at_levels_w(i, j, 1.0, 1.0) <= cap
+                });
+                if !mask.full {
                     self.cap_masked_intervals += 1;
                 }
-                self.policy.decide(u_core, u_mem, &feasible)
+                self.policy.decide(u_core, u_mem, &|i, j| mask.contains(i, j))
             }
             None => self.policy.decide(u_core, u_mem, &|_, _| true),
         };
@@ -642,30 +687,31 @@ impl GreenGpuController {
             return None;
         }
         let policy_fp = self.policy.decision_fingerprint()?;
+        // Compared only with itself, so every field folds as one word.
         let mut h = greengpu_sim::Fnv64::new();
-        h.push_u64(policy_fp);
+        h.push_word(policy_fp);
         match self.last_good_gpu {
             Some((c, m)) => {
-                h.push_bool(true);
-                h.push_f64(c);
-                h.push_f64(m);
+                h.push_word(1);
+                h.push_word(c.to_bits());
+                h.push_word(m.to_bits());
             }
-            None => h.push_bool(false),
+            None => h.push_word(0),
         }
         match self.last_good_cpu {
             Some(u) => {
-                h.push_bool(true);
-                h.push_f64(u);
+                h.push_word(1);
+                h.push_word(u.to_bits());
             }
-            None => h.push_bool(false),
+            None => h.push_word(0),
         }
-        h.push_u64(u64::from(self.consecutive_failures));
+        h.push_word(u64::from(self.consecutive_failures));
         match self.power_cap_w {
             Some(cap) => {
-                h.push_bool(true);
-                h.push_f64(cap);
+                h.push_word(1);
+                h.push_word(cap.to_bits());
             }
-            None => h.push_bool(false),
+            None => h.push_word(0),
         }
         Some(h.finish())
     }
@@ -681,7 +727,7 @@ impl Controller for GreenGpuController {
     }
 
     fn checkpoint(&self) -> Option<String> {
-        Some(self.snapshot())
+        Some(JsonWriter::render(|w| self.snapshot(w)))
     }
 
     fn restore_checkpoint(&mut self, checkpoint: &str) -> Result<(), String> {
@@ -806,6 +852,39 @@ mod tests {
         ctl.on_dvfs_tick(&mut platform, SimTime::from_secs(30));
         assert_eq!(platform.gpu().core().current_level(), 5);
         assert_eq!(platform.gpu().mem().current_level(), 5);
+    }
+
+    #[test]
+    fn power_cap_masks_grids_too_large_for_the_bit_mask() {
+        // 12×12 = 144 pairs: the mask re-evaluates the power model per
+        // query instead of caching bits, and must still bind the pair.
+        let mut spec = greengpu_hw::calib::geforce_8800_gtx();
+        let stretch = |levels: &[f64]| -> Vec<f64> {
+            let (lo, hi) = (levels[0], levels[levels.len() - 1]);
+            (0..12).map(|k| lo + (hi - lo) * k as f64 / 11.0).collect()
+        };
+        spec.core_levels_mhz = stretch(&spec.core_levels_mhz);
+        spec.mem_levels_mhz = stretch(&spec.mem_levels_mhz);
+        let cpu = greengpu_hw::calib::phenom_ii_x2();
+        let cpu_peak = cpu.levels_mhz.len() - 1;
+        let mut platform = Platform::new(spec.clone(), cpu, 11, 11, cpu_peak);
+        let mut ctl = GreenGpuController::new(GreenGpuConfig::scaling_only(), 12, 12);
+        let cap = 0.7 * spec.power_at_levels_w(11, 11, 1.0, 1.0);
+        ctl.set_power_cap_w(Some(cap));
+        platform.set_gpu_activity(SimTime::ZERO, 1.0, 1.0);
+        for k in 1..=5 {
+            ctl.on_dvfs_tick(&mut platform, SimTime::from_secs(3 * k));
+        }
+        let (i, j) = (
+            platform.gpu().core().current_level(),
+            platform.gpu().mem().current_level(),
+        );
+        assert!(
+            spec.power_at_levels_w(i, j, 1.0, 1.0) <= cap,
+            "({i},{j}) exceeds the cap"
+        );
+        assert!((i, j) != (11, 11), "cap had no effect");
+        assert_eq!(ctl.cap_masked_intervals(), 5);
     }
 
     #[test]

@@ -113,19 +113,23 @@ impl DivisionController {
         self.moves
     }
 
-    /// Serializes the Tier-1 warm state: the grid position `k` (the
+    /// Streams the Tier-1 warm state: the grid position `k` (the
     /// division ratio is `k · step`), the hold/move counters, and the
     /// last observed per-share rates the `r = 0` extrapolation needs.
-    pub fn snapshot(&self) -> greengpu_sim::JsonValue {
-        use greengpu_sim::JsonValue;
-        let rate = |r: Option<f64>| r.map_or(JsonValue::Null, JsonValue::f64);
-        JsonValue::Obj(vec![
-            ("k".to_string(), JsonValue::i64(self.k)),
-            ("held".to_string(), JsonValue::u64(self.held)),
-            ("moves".to_string(), JsonValue::u64(self.moves)),
-            ("tc_rate".to_string(), rate(self.tc_rate)),
-            ("tg_rate".to_string(), rate(self.tg_rate)),
-        ])
+    pub fn snapshot(&self, w: &mut greengpu_sim::JsonWriter<'_>) {
+        let rate = |w: &mut greengpu_sim::JsonWriter<'_>, r: Option<f64>| {
+            match r {
+                Some(r) => w.f64(r),
+                None => w.null(),
+            };
+        };
+        w.obj(|w| {
+            w.key("k").i64(self.k);
+            w.key("held").u64(self.held);
+            w.key("moves").u64(self.moves);
+            rate(w.key("tc_rate"), self.tc_rate);
+            rate(w.key("tg_rate"), self.tg_rate);
+        });
     }
 
     /// Restores state captured by [`DivisionController::snapshot`].

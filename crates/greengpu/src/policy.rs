@@ -67,9 +67,13 @@ impl FreqPolicy for WmaPolicy {
     fn decide(&mut self, u_core: f64, u_mem: f64, feasible: &dyn Fn(usize, usize) -> bool) -> (usize, usize) {
         // Delegate with identical inputs — the scaler owns the NaN
         // rejection and the empty-mask degradation; the adapter only
-        // mirrors them into the shared telemetry.
+        // mirrors them into the shared telemetry. The scaler counts an
+        // empty feasible set exactly when its masked argmax finds no
+        // pair, so the adapter reads that count instead of re-scanning
+        // the mask.
+        let fallbacks = self.scaler.empty_mask_fallbacks();
         let pair = self.scaler.observe_masked(u_core, u_mem, feasible);
-        let empty = !(0..self.n_core).any(|i| (0..self.n_mem).any(|j| feasible(i, j)));
+        let empty = self.scaler.empty_mask_fallbacks() != fallbacks;
         if empty {
             self.tracker.note_empty_mask();
         } else if !(u_core.is_finite() && u_mem.is_finite()) {
@@ -93,8 +97,8 @@ impl FreqPolicy for WmaPolicy {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> greengpu_sim::JsonValue {
-        self.scaler.snapshot()
+    fn snapshot(&self, w: &mut greengpu_sim::JsonWriter<'_>) {
+        self.scaler.snapshot(w);
     }
 
     fn restore(&mut self, state: &greengpu_sim::JsonValue) -> Result<(), String> {
@@ -106,10 +110,12 @@ impl FreqPolicy for WmaPolicy {
         // (ucmean/ummean are static; the interval counter is telemetry),
         // so the weights' exact bit patterns are the whole fingerprint.
         // The tracker mirrors decisions into telemetry and is excluded.
+        // The fingerprint is only compared with itself, so the weights
+        // fold a word at a time.
         let mut h = greengpu_sim::Fnv64::new();
         for i in 0..self.n_core {
             for j in 0..self.n_mem {
-                h.push_f64(self.scaler.weight(i, j));
+                h.push_word(self.scaler.weight(i, j).to_bits());
             }
         }
         Some(h.finish())

@@ -22,6 +22,8 @@
 //! renormalized by the maximum each interval to prevent underflow, which
 //! cannot change the argmax.
 
+use greengpu_policy::LevelTerms;
+
 /// Tuning constants of the scaler (paper's fitted values as defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WmaParams {
@@ -106,6 +108,13 @@ pub fn table1_loss(u: f64, umean: f64) -> (f64, f64) {
     }
 }
 
+/// One domain's level loss (Eqs. 1–2): Table I's two losses folded with
+/// the domain's `α`.
+fn level_loss(alpha: f64, u: f64, umean: f64) -> f64 {
+    let (le, lp) = table1_loss(u, umean);
+    alpha * le + (1.0 - alpha) * lp
+}
+
 /// The online WMA frequency scaler over an `N×M` core/memory pair table.
 ///
 /// ```
@@ -186,15 +195,13 @@ impl WmaScaler {
     /// The loss charged to core level `i` under utilization `u_core`
     /// (Eq. 1).
     pub fn core_loss(&self, i: usize, u_core: f64) -> f64 {
-        let (le, lp) = table1_loss(u_core, self.ucmean[i]);
-        self.params.alpha_core * le + (1.0 - self.params.alpha_core) * lp
+        level_loss(self.params.alpha_core, u_core, self.ucmean[i])
     }
 
     /// The loss charged to memory level `j` under utilization `u_mem`
     /// (Eq. 2).
     pub fn mem_loss(&self, j: usize, u_mem: f64) -> f64 {
-        let (le, lp) = table1_loss(u_mem, self.ummean[j]);
-        self.params.alpha_mem * le + (1.0 - self.params.alpha_mem) * lp
+        level_loss(self.params.alpha_mem, u_mem, self.ummean[j])
     }
 
     /// The combined loss of pair `(i, j)` (Eq. 3).
@@ -235,12 +242,23 @@ impl WmaScaler {
         let u_core = u_core.clamp(0.0, 1.0);
         let u_mem = u_mem.clamp(0.0, 1.0);
         let one_minus_beta = 1.0 - self.params.beta;
+        // Eq. 3 is separable: each level's weighted domain loss is taken
+        // once, and pair (i, j) adds the two terms as `total_loss` does.
+        let WmaParams {
+            alpha_core,
+            alpha_mem,
+            phi,
+            ..
+        } = self.params;
+        let (ucmean, ummean) = (&self.ucmean, &self.ummean);
+        let core = LevelTerms::new(self.n_core, |i| phi * level_loss(alpha_core, u_core, ucmean[i]));
+        let mem = LevelTerms::new(self.n_mem, |j| (1.0 - phi) * level_loss(alpha_mem, u_mem, ummean[j]));
         let mut max_w = 0.0f64;
-        for i in 0..self.n_core {
-            for j in 0..self.n_mem {
-                let loss = self.total_loss(i, j, u_core, u_mem);
+        for (i, row) in self.weights.chunks_exact_mut(self.n_mem).enumerate() {
+            let core_term = core.get(i);
+            for (j, w) in row.iter_mut().enumerate() {
+                let loss = core_term + mem.get(j);
                 debug_assert!((0.0..=1.0 + 1e-12).contains(&loss), "loss out of [0,1]");
-                let w = &mut self.weights[i * self.n_mem + j];
                 *w = w.powf(self.params.history) * (1.0 - one_minus_beta * loss);
                 max_w = max_w.max(*w);
             }
@@ -307,19 +325,15 @@ impl WmaScaler {
         self.empty_mask_fallbacks = 0;
     }
 
-    /// Serializes the learner's warm state for checkpointing: the weight
+    /// Streams the learner's warm state for checkpointing: the weight
     /// table plus the interval counters. The `umean` maps are derived
     /// from the grid shape at construction and are not stored.
-    pub fn snapshot(&self) -> greengpu_sim::JsonValue {
-        use greengpu_sim::JsonValue;
-        JsonValue::Obj(vec![
-            ("weights".to_string(), JsonValue::f64_array(&self.weights)),
-            ("intervals".to_string(), JsonValue::u64(self.intervals)),
-            (
-                "empty_mask_fallbacks".to_string(),
-                JsonValue::u64(self.empty_mask_fallbacks),
-            ),
-        ])
+    pub fn snapshot(&self, w: &mut greengpu_sim::JsonWriter<'_>) {
+        w.obj(|w| {
+            w.key("weights").f64s(&self.weights);
+            w.key("intervals").u64(self.intervals);
+            w.key("empty_mask_fallbacks").u64(self.empty_mask_fallbacks);
+        });
     }
 
     /// Restores state captured by [`WmaScaler::snapshot`]. Validates the

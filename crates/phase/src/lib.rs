@@ -29,7 +29,7 @@
 
 #![forbid(unsafe_code)]
 
-use greengpu_sim::JsonValue;
+use greengpu_sim::{JsonValue, JsonWriter};
 
 /// A small discrete phase label. Ids are dense (`0, 1, 2, …`) in order
 /// of first appearance, so they index per-phase state tables directly.
@@ -317,16 +317,22 @@ impl PhaseDetector {
     /// current phase, dwell). Counters are telemetry and excluded — a
     /// restored detector classifies identically but reports fresh
     /// counts.
-    pub fn snapshot(&self) -> JsonValue {
-        let flat = |pts: &[(f64, f64)]| -> Vec<f64> { pts.iter().flat_map(|&(a, b)| [a, b]).collect() };
-        JsonValue::Obj(vec![
-            ("buf".to_string(), JsonValue::f64_array(&flat(&self.buf))),
-            ("filled".to_string(), JsonValue::usize(self.filled)),
-            ("pos".to_string(), JsonValue::usize(self.pos)),
-            ("centroids".to_string(), JsonValue::f64_array(&flat(&self.centroids))),
-            ("current".to_string(), JsonValue::usize(self.current)),
-            ("dwell".to_string(), JsonValue::usize(self.dwell)),
-        ])
+    pub fn snapshot(&self, w: &mut JsonWriter<'_>) {
+        let flat = |w: &mut JsonWriter<'_>, pts: &[(f64, f64)]| {
+            w.arr(|w| {
+                for &(a, b) in pts {
+                    w.f64(a).f64(b);
+                }
+            });
+        };
+        w.obj(|w| {
+            flat(w.key("buf"), &self.buf);
+            w.key("filled").usize(self.filled);
+            w.key("pos").usize(self.pos);
+            flat(w.key("centroids"), &self.centroids);
+            w.key("current").usize(self.current);
+            w.key("dwell").usize(self.dwell);
+        });
     }
 
     /// Restores a [`PhaseDetector::snapshot`]. Validates fully before
@@ -507,6 +513,11 @@ mod tests {
         PhaseDetector::new(PhaseDetectorParams::default()).expect("valid default params")
     }
 
+    /// A detector's snapshot as streamed text.
+    fn text(d: &PhaseDetector) -> String {
+        JsonWriter::render(|w| d.snapshot(w))
+    }
+
     /// A synthetic step trace: `reps` ticks at each signature, cycling.
     fn step_trace(signatures: &[(f64, f64)], reps: usize, cycles: usize) -> Vec<(f64, f64)> {
         let mut out = Vec::new();
@@ -610,7 +621,7 @@ mod tests {
         assert_eq!(a.n_phases(), b.n_phases());
         assert_eq!(a.changes(), b.changes());
         assert_eq!(b.invalid_held(), 16);
-        assert_eq!(a.snapshot().to_string(), b.snapshot().to_string());
+        assert_eq!(text(&a), text(&b));
     }
 
     #[test]
@@ -643,10 +654,11 @@ mod tests {
         for &(uc, um) in &trace[..30] {
             a.observe(uc, um);
         }
-        let snap = a.snapshot();
+        let snap = text(&a);
         let mut b = detector();
-        b.restore(&snap).expect("restore own snapshot");
-        assert_eq!(snap.to_string(), b.snapshot().to_string(), "round trip must be exact");
+        b.restore(&JsonValue::parse(&snap).expect("streamed snapshot parses"))
+            .expect("restore own snapshot");
+        assert_eq!(snap, text(&b), "round trip must be exact");
         for &(uc, um) in &trace[30..] {
             assert_eq!(a.observe(uc, um), b.observe(uc, um), "futures must agree");
         }
@@ -659,7 +671,7 @@ mod tests {
         assert!(err.contains("buf"), "{err}");
         let mut bad = detector();
         bad.observe(0.5, 0.5);
-        let mut tampered = bad.snapshot();
+        let mut tampered = JsonValue::parse(&text(&bad)).expect("streamed snapshot parses");
         if let JsonValue::Obj(fields) = &mut tampered {
             for (k, v) in fields.iter_mut() {
                 if k == "pos" {
@@ -682,7 +694,7 @@ mod tests {
         assert_eq!(d.n_phases(), 0);
         assert_eq!(d.ticks(), 0);
         let fresh = detector();
-        assert_eq!(d.snapshot().to_string(), fresh.snapshot().to_string());
+        assert_eq!(text(&d), text(&fresh));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! snapshot round trips are bit-exact at any split point.
 
 use greengpu_phase::{PhaseDetector, PhaseDetectorParams, PhaseTracker};
+use greengpu_sim::{JsonValue, JsonWriter};
 use proptest::prelude::*;
 
 /// Well-separated utilization signatures (pairwise L1 ≥ 0.75, far above
@@ -28,6 +29,11 @@ fn step_trace(n_sigs: usize, reps: usize, cycles: usize, amp: f64) -> Vec<(f64, 
     out
 }
 
+/// A detector's snapshot as streamed text.
+fn text(d: &PhaseDetector) -> String {
+    JsonWriter::render(|w| d.snapshot(w))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -46,7 +52,7 @@ proptest! {
         }
         prop_assert_eq!(a.changes(), b.changes());
         prop_assert_eq!(a.invalid_held(), b.invalid_held());
-        prop_assert_eq!(a.snapshot().to_string(), b.snapshot().to_string());
+        prop_assert_eq!(text(&a), text(&b));
     }
 
     /// On a clean step trace every announced change is detected within
@@ -89,13 +95,13 @@ proptest! {
         for &(uc, um) in &obs[..split] {
             a.observe(uc, um);
         }
-        let snap = a.snapshot();
+        let snap = text(&a);
         let mut b = PhaseDetector::new(PhaseDetectorParams::default()).expect("valid default params");
-        b.restore(&snap).expect("restore own snapshot");
-        prop_assert_eq!(snap.to_string(), b.snapshot().to_string());
+        b.restore(&JsonValue::parse(&snap).expect("streamed snapshot parses")).expect("restore own snapshot");
+        prop_assert_eq!(snap, text(&b));
         for &(uc, um) in &obs[split..] {
             prop_assert_eq!(a.observe(uc, um), b.observe(uc, um));
         }
-        prop_assert_eq!(a.snapshot().to_string(), b.snapshot().to_string());
+        prop_assert_eq!(text(&a), text(&b));
     }
 }

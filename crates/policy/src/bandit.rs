@@ -33,7 +33,7 @@
 use crate::loss::{LossModel, LossParams};
 use crate::telemetry::{DecisionTracker, PolicyTelemetry};
 use crate::{hold_masked, snap, FreqPolicy};
-use greengpu_sim::{JsonValue, Pcg32};
+use greengpu_sim::{JsonValue, JsonWriter, Pcg32};
 
 /// Switching-cost shaping shared by both bandits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,14 +280,14 @@ impl FreqPolicy for Exp3Policy {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> JsonValue {
+    fn snapshot(&self, w: &mut JsonWriter<'_>) {
         let (rng_state, rng_inc) = self.rng.state();
-        JsonValue::Obj(vec![
-            ("weights".to_string(), JsonValue::f64_array(&self.weights)),
-            ("rng_state".to_string(), JsonValue::u64(rng_state)),
-            ("rng_inc".to_string(), JsonValue::u64(rng_inc)),
-            ("current".to_string(), snap::pair(self.current)),
-        ])
+        w.obj(|w| {
+            w.key("weights").f64s(&self.weights);
+            w.key("rng_state").u64(rng_state);
+            w.key("rng_inc").u64(rng_inc);
+            snap::pair(w.key("current"), self.current);
+        });
     }
 
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
@@ -500,13 +500,13 @@ impl FreqPolicy for UcbPolicy {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("counts".to_string(), JsonValue::u64_array(&self.counts)),
-            ("mean_loss".to_string(), JsonValue::f64_array(&self.mean_loss)),
-            ("t".to_string(), JsonValue::u64(self.t)),
-            ("current".to_string(), snap::pair(self.current)),
-        ])
+    fn snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.key("counts").u64s(&self.counts);
+            w.key("mean_loss").f64s(&self.mean_loss);
+            w.key("t").u64(self.t);
+            snap::pair(w.key("current"), self.current);
+        });
     }
 
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {

@@ -28,7 +28,7 @@ use crate::loss::{LossModel, LossParams};
 use crate::telemetry::{DecisionTracker, PolicyTelemetry};
 use crate::{hold_masked, snap, FreqPolicy};
 use greengpu_phase::{PhaseDetector, PhaseDetectorParams};
-use greengpu_sim::JsonValue;
+use greengpu_sim::{JsonValue, JsonWriter};
 
 /// One inner policy per detected phase, with shared switching-penalty
 /// accounting. `P` is typically [`Exp3Policy`] or [`UcbPolicy`];
@@ -232,15 +232,16 @@ impl<P: FreqPolicy + Clone + 'static> FreqPolicy for Contextual<P> {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("detector".to_string(), self.detector.snapshot()),
-            (
-                "inners".to_string(),
-                JsonValue::Arr(self.inners.iter().map(|p| p.snapshot()).collect()),
-            ),
-            ("current".to_string(), snap::pair(self.current)),
-        ])
+    fn snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            self.detector.snapshot(w.key("detector"));
+            w.key("inners").arr(|w| {
+                for p in &self.inners {
+                    p.snapshot(w);
+                }
+            });
+            snap::pair(w.key("current"), self.current);
+        });
     }
 
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
@@ -312,6 +313,11 @@ mod tests {
         .expect("valid contextual params")
     }
 
+    /// A policy's snapshot as streamed text.
+    fn text(p: &dyn FreqPolicy) -> String {
+        JsonWriter::render(|w| p.snapshot(w))
+    }
+
     /// A two-phase utilization square wave: `reps` intervals per phase.
     fn square_wave(k: usize, reps: usize) -> (f64, f64) {
         if (k / reps).is_multiple_of(2) {
@@ -335,7 +341,7 @@ mod tests {
             let (uc, um) = square_wave(k, 10);
             assert_eq!(a.decide(uc, um, &ALL), b.decide(uc, um, &ALL));
         }
-        assert_eq!(a.snapshot().to_string(), b.snapshot().to_string());
+        assert_eq!(text(&a), text(&b));
     }
 
     #[test]
@@ -484,7 +490,7 @@ mod tests {
                 assert_eq!(held, b.preferred());
             }
         }
-        assert_eq!(a.snapshot().to_string(), b.snapshot().to_string());
+        assert_eq!(text(&a), text(&b));
         assert_eq!(b.telemetry().invalid_inputs, 8);
     }
 
@@ -495,15 +501,16 @@ mod tests {
             let (uc, um) = square_wave(k, 9);
             a.decide(uc, um, &ALL);
         }
-        let snap_a = a.snapshot();
+        let snap_a = text(&a);
         let mut b = ctx_exp3(11);
-        b.restore(&snap_a).expect("restore own snapshot");
-        assert_eq!(snap_a.to_string(), b.snapshot().to_string());
+        b.restore(&JsonValue::parse(&snap_a).expect("streamed snapshot parses"))
+            .expect("restore own snapshot");
+        assert_eq!(snap_a, text(&b));
         for k in 90..240 {
             let (uc, um) = square_wave(k, 9);
             assert_eq!(a.decide(uc, um, &ALL), b.decide(uc, um, &ALL), "interval {k}");
         }
-        assert_eq!(a.snapshot().to_string(), b.snapshot().to_string());
+        assert_eq!(text(&a), text(&b));
     }
 
     #[test]
@@ -513,10 +520,10 @@ mod tests {
             let (uc, um) = square_wave(k, 10);
             p.decide(uc, um, &ALL);
         }
-        let before = p.snapshot();
+        let before = text(&p);
         // Tamper with one inner's counts so its own restore fails, after
         // the detector already validated — nothing may change.
-        let mut bad = before.clone();
+        let mut bad = JsonValue::parse(&before).expect("streamed snapshot parses");
         if let JsonValue::Obj(fields) = &mut bad {
             for (k, v) in fields.iter_mut() {
                 if k == "inners" {
@@ -534,7 +541,7 @@ mod tests {
         }
         let err = p.restore(&bad).unwrap_err();
         assert!(err.contains("inner 1"), "{err}");
-        assert_eq!(p.snapshot().to_string(), before.to_string());
+        assert_eq!(text(&p), before);
     }
 
     #[test]

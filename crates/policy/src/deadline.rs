@@ -20,7 +20,7 @@ use crate::telemetry::{DecisionTracker, PolicyTelemetry};
 use crate::{hold_masked, snap, FreqPolicy};
 use greengpu_hw::gpu::GpuSpec;
 use greengpu_hw::perf::{gpu_timing, WorkUnits};
-use greengpu_sim::JsonValue;
+use greengpu_sim::{JsonValue, JsonWriter};
 
 /// Predicted per-pair execution time and energy of a representative work
 /// unit over the `N×M` frequency-pair grid.
@@ -297,13 +297,13 @@ impl FreqPolicy for DeadlinePolicy {
         self.tracker.reset();
     }
 
-    fn snapshot(&self) -> JsonValue {
+    fn snapshot(&self, w: &mut JsonWriter<'_>) {
         // The selection is a pure function of the (static) model, so the
         // incumbent pair plus the miss counter is the whole warm state.
-        JsonValue::Obj(vec![
-            ("current".to_string(), snap::pair(self.current)),
-            ("deadline_misses".to_string(), JsonValue::u64(self.deadline_misses)),
-        ])
+        w.obj(|w| {
+            snap::pair(w.key("current"), self.current);
+            w.key("deadline_misses").u64(self.deadline_misses);
+        });
     }
 
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
@@ -320,16 +320,17 @@ impl FreqPolicy for DeadlinePolicy {
         // so the incumbent pair plus the miss counter is the entire
         // decision-relevant state — the same field set the snapshot
         // carries. The tracker is telemetry and deliberately excluded.
+        // The park check compares it only with itself: fold words.
         let mut h = greengpu_sim::Fnv64::new();
         match self.current {
             Some((i, j)) => {
-                h.push_bool(true);
-                h.push_usize(i);
-                h.push_usize(j);
+                h.push_word(1);
+                h.push_word(i as u64);
+                h.push_word(j as u64);
             }
-            None => h.push_bool(false),
+            None => h.push_word(0),
         }
-        h.push_u64(self.deadline_misses);
+        h.push_word(self.deadline_misses);
         Some(h.finish())
     }
 

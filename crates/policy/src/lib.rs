@@ -43,8 +43,8 @@ pub use bandit::{Exp3Params, Exp3Policy, SwitchingParams, UcbParams, UcbPolicy};
 pub use contextual::Contextual;
 pub use deadline::{DeadlineParams, DeadlinePolicy, PairModel};
 pub use greengpu_phase::{PhaseDetector, PhaseDetectorParams, PhaseId, PhaseTracker};
-pub use greengpu_sim::JsonValue;
-pub use loss::{LossModel, LossParams};
+pub use greengpu_sim::{JsonValue, JsonWriter};
+pub use loss::{LevelTerms, LossModel, LossParams};
 pub use telemetry::{DecisionTracker, PolicyTelemetry};
 
 /// An online frequency-selection policy over the `N×M` pair grid — the
@@ -88,19 +88,19 @@ pub trait FreqPolicy: Send {
     /// Resets all learner state and telemetry to the initial state.
     fn reset(&mut self);
 
-    /// Serializes the learner's warm state (weights, counts, RNG
-    /// position, current pair) for checkpointing. Telemetry is *not*
-    /// included — a restored policy reports fresh counters. The default
-    /// (for stateless or test policies) is an empty object.
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::Obj(Vec::new())
+    /// Streams the learner's warm state (weights, counts, RNG position,
+    /// current pair) as one JSON value for checkpointing. Telemetry is
+    /// *not* included — a restored policy reports fresh counters. The
+    /// default (for stateless or test policies) is an empty object.
+    fn snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|_| {});
     }
 
-    /// Restores learner state captured by [`FreqPolicy::snapshot`].
-    /// Implementations validate the whole value *before* mutating any
-    /// state, so a failed restore leaves the policy unchanged and the
-    /// caller can fall back to a cold start. The default accepts
-    /// anything and restores nothing.
+    /// Restores learner state written by [`FreqPolicy::snapshot`] and
+    /// parsed back into a [`JsonValue`]. Implementations validate the
+    /// whole value *before* mutating any state, so a failed restore
+    /// leaves the policy unchanged and the caller can fall back to a cold
+    /// start. The default accepts anything and restores nothing.
     fn restore(&mut self, state: &JsonValue) -> Result<(), String> {
         let _ = state;
         Ok(())
@@ -136,13 +136,19 @@ pub trait FreqPolicy: Send {
 /// controller). All parsers validate *fully* before the caller mutates
 /// anything, and every error names the offending field.
 pub mod snap {
-    use greengpu_sim::JsonValue;
+    use greengpu_sim::{JsonValue, JsonWriter};
 
-    /// Encodes an optional `(i, j)` pair as `[i, j]` or `null`.
-    pub fn pair(current: Option<(usize, usize)>) -> JsonValue {
+    /// Writes an optional `(i, j)` pair as `[i, j]` or `null`.
+    pub fn pair(w: &mut JsonWriter<'_>, current: Option<(usize, usize)>) {
         match current {
-            Some((i, j)) => JsonValue::Arr(vec![JsonValue::usize(i), JsonValue::usize(j)]),
-            None => JsonValue::Null,
+            Some((i, j)) => {
+                w.arr(|w| {
+                    w.usize(i).usize(j);
+                });
+            }
+            None => {
+                w.null();
+            }
         }
     }
 

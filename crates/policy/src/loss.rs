@@ -123,14 +123,57 @@ impl LossModel {
         }
     }
 
+    /// Core level `i`'s weighted share of Eq. 3, `φ · L_core(i)`, under
+    /// the clamped utilization.
+    pub fn core_term(&self, i: usize, u_core: f64) -> f64 {
+        self.params.phi * Self::domain_loss(u_core.clamp(0.0, 1.0), self.ucmean[i], self.params.alpha_core)
+    }
+
+    /// Memory level `j`'s weighted share of Eq. 3, `(1 − φ) · L_mem(j)`,
+    /// under the clamped utilization.
+    pub fn mem_term(&self, j: usize, u_mem: f64) -> f64 {
+        (1.0 - self.params.phi) * Self::domain_loss(u_mem.clamp(0.0, 1.0), self.ummean[j], self.params.alpha_mem)
+    }
+
     /// The combined Eq. 3 loss of pair `(i, j)` under clamped
-    /// utilizations — always in `[0, 1]`.
+    /// utilizations — always in `[0, 1]`. Eq. 3 is separable: this is
+    /// exactly `core_term(i) + mem_term(j)`.
     pub fn loss(&self, i: usize, j: usize, u_core: f64, u_mem: f64) -> f64 {
-        let u_core = u_core.clamp(0.0, 1.0);
-        let u_mem = u_mem.clamp(0.0, 1.0);
-        let lc = Self::domain_loss(u_core, self.ucmean[i], self.params.alpha_core);
-        let lm = Self::domain_loss(u_mem, self.ummean[j], self.params.alpha_mem);
-        self.params.phi * lc + (1.0 - self.params.phi) * lm
+        self.core_term(i, u_core) + self.mem_term(j, u_mem)
+    }
+}
+
+/// Levels per domain whose terms [`LevelTerms`] keeps on the stack.
+const INLINE_LEVELS: usize = 16;
+
+/// One domain's per-level loss terms for a single interval, computed
+/// once and then read for every pair: Eq. 3 is separable, so a sweep of
+/// the `N×M` grid needs `N + M` domain losses instead of `2·N·M`. A pair
+/// still adds its two terms in the order [`LossModel::loss`] does, so
+/// every sum keeps its bits. The first 16 levels are held on the stack;
+/// a longer table (no modeled card has one) recomputes the rest on each
+/// read, which gives the same values.
+pub struct LevelTerms<F: Fn(usize) -> f64> {
+    inline: [f64; INLINE_LEVELS],
+    term: F,
+}
+
+impl<F: Fn(usize) -> f64> LevelTerms<F> {
+    /// Evaluates `term` for levels `0..n` (up to the inline capacity).
+    pub fn new(n: usize, term: F) -> Self {
+        let mut inline = [0.0; INLINE_LEVELS];
+        for (k, v) in inline.iter_mut().enumerate().take(n) {
+            *v = term(k);
+        }
+        LevelTerms { inline, term }
+    }
+
+    /// Level `k`'s term (`k` below the `n` it was built for).
+    pub fn get(&self, k: usize) -> f64 {
+        match self.inline.get(k) {
+            Some(&v) => v,
+            None => (self.term)(k),
+        }
     }
 }
 
@@ -155,6 +198,22 @@ mod tests {
                 for u in [0.0, 0.3, 0.7, 1.0, -2.0, 5.0] {
                     let l = m.loss(i, j, u, 1.0 - u);
                     assert!((0.0..=1.0).contains(&l), "loss {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_level_terms_sum_to_the_pair_loss_bit_for_bit() {
+        // 20 memory levels also exercises the recomputed tail past the
+        // inline capacity.
+        let m = LossModel::new(7, 20, LossParams::default());
+        for &(uc, um) in &[(0.0, 1.0), (0.37, 0.61), (1.3, -0.2), (0.5, 0.5)] {
+            let core = LevelTerms::new(7, |i| m.core_term(i, uc));
+            let mem = LevelTerms::new(20, |j| m.mem_term(j, um));
+            for i in 0..7 {
+                for j in 0..20 {
+                    assert_eq!((core.get(i) + mem.get(j)).to_bits(), m.loss(i, j, uc, um).to_bits());
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! *charged* loss (base + switching penalties actually incurred) to the
 //! comparator's pure base loss.
 
-use crate::loss::LossModel;
+use crate::loss::{LevelTerms, LossModel};
 
 /// Snapshot of a policy's accumulated telemetry.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -76,12 +76,15 @@ impl DecisionTracker {
     pub fn record(&mut self, u_core: f64, u_mem: f64, pair: (usize, usize), switching_penalty: f64) {
         let (n_core, n_mem) = self.model.shape();
         debug_assert!(pair.0 < n_core && pair.1 < n_mem, "pair out of range");
-        for i in 0..n_core {
-            for j in 0..n_mem {
-                self.static_loss[i * n_mem + j] += self.model.loss(i, j, u_core, u_mem);
+        let core = LevelTerms::new(n_core, |i| self.model.core_term(i, u_core));
+        let mem = LevelTerms::new(n_mem, |j| self.model.mem_term(j, u_mem));
+        let loss = |(i, j): (usize, usize)| core.get(i) + mem.get(j);
+        for (i, row) in self.static_loss.chunks_exact_mut(n_mem).enumerate() {
+            for (j, l) in row.iter_mut().enumerate() {
+                *l += loss((i, j));
             }
         }
-        let base = self.model.loss(pair.0, pair.1, u_core, u_mem);
+        let base = loss(pair);
         if let Some(last) = self.last {
             if last != pair {
                 self.telemetry.switches += 1;
@@ -94,8 +97,7 @@ impl DecisionTracker {
         let best = self.static_loss.iter().copied().fold(f64::INFINITY, f64::min);
         self.telemetry.best_static_loss = best;
         self.telemetry.regret = self.telemetry.cumulative_loss - best;
-        let sweet = self.model.sweet_spot(u_core, u_mem);
-        self.telemetry.oracle_loss += self.model.loss(sweet.0, sweet.1, u_core, u_mem);
+        self.telemetry.oracle_loss += loss(self.model.sweet_spot(u_core, u_mem));
         self.telemetry.oracle_regret = self.telemetry.cumulative_loss - self.telemetry.oracle_loss;
     }
 

@@ -6,7 +6,7 @@ use greengpu_policy::{
     Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, LossParams, PairModel,
     PhaseDetectorParams, SwitchingParams, UcbParams, UcbPolicy,
 };
-use greengpu_sim::SplitMix64;
+use greengpu_sim::{JsonValue, JsonWriter, SplitMix64};
 use proptest::prelude::*;
 
 /// The phase-conditioned exp3 wrapper, seeded one inner per potential
@@ -175,9 +175,9 @@ proptest! {
                 let (uc, um) = wave(k);
                 a.decide(uc, um, &|_, _| true);
             }
-            let snap = a.snapshot();
-            b.restore(&snap).expect("restore own snapshot");
-            prop_assert_eq!(snap.to_string(), b.snapshot().to_string(), "{} restore not exact", a.name());
+            let snap = JsonWriter::render(|w| a.snapshot(w));
+            b.restore(&JsonValue::parse(&snap).expect("streamed snapshot parses")).expect("restore own snapshot");
+            prop_assert_eq!(snap, JsonWriter::render(|w| b.snapshot(w)), "{} restore not exact", a.name());
             for k in split..total {
                 let (uc, um) = wave(k);
                 prop_assert_eq!(
@@ -186,7 +186,12 @@ proptest! {
                     "{} diverged at interval {}", a.name(), k
                 );
             }
-            prop_assert_eq!(a.snapshot().to_string(), b.snapshot().to_string(), "{} end state", a.name());
+            prop_assert_eq!(
+                JsonWriter::render(|w| a.snapshot(w)),
+                JsonWriter::render(|w| b.snapshot(w)),
+                "{} end state",
+                a.name()
+            );
         }
     }
 

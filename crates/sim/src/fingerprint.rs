@@ -72,6 +72,18 @@ impl Fnv64 {
         self.push_byte(v as u8);
     }
 
+    /// Folds a whole 64-bit word in one xor-multiply step — FNV-1a over
+    /// words instead of bytes, eight times fewer multiplies than
+    /// [`Fnv64::push_u64`]. It yields a *different* digest than the
+    /// byte-wise methods, so use it only where the fingerprint is
+    /// compared with itself (the park checks), never in a pinned digest.
+    /// Each step is a bijection of the state for a fixed word, so two
+    /// word sequences that differ in exactly one word never collide.
+    pub fn push_word(&mut self, v: u64) {
+        self.state ^= v;
+        self.state = self.state.wrapping_mul(FNV_PRIME);
+    }
+
     /// The digest so far.
     pub fn finish(&self) -> u64 {
         self.state
@@ -106,6 +118,30 @@ mod tests {
         };
         assert_ne!(digest(&[1, 2]), digest(&[2, 1]));
         assert_ne!(digest(&[1]), digest(&[1, 0]));
+    }
+
+    #[test]
+    fn word_fold_is_one_step_and_leaves_byte_digests_alone() {
+        let mut w = Fnv64::new();
+        w.push_word(0x0102_0304_0506_0708);
+        assert_eq!(w.finish(), (FNV_OFFSET ^ 0x0102_0304_0506_0708).wrapping_mul(FNV_PRIME));
+        let mut b = Fnv64::new();
+        b.push_u64(0x0102_0304_0506_0708);
+        assert_ne!(w.finish(), b.finish(), "a word fold is not the byte-wise digest");
+        // A single changed word always changes the digest.
+        let digest = |words: &[u64]| {
+            let mut h = Fnv64::new();
+            for &v in words {
+                h.push_word(v);
+            }
+            h.finish()
+        };
+        let base = [1.0f64.to_bits(), 0.5f64.to_bits(), 0.25f64.to_bits()];
+        for k in 0..base.len() {
+            let mut other = base;
+            other[k] ^= 1;
+            assert_ne!(digest(&base), digest(&other), "word {k}");
+        }
     }
 
     #[test]

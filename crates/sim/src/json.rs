@@ -14,8 +14,13 @@
 //!   position-annotated errors, so a truncated or corrupted checkpoint is
 //!   *rejected* — the caller falls back to a cold start instead of
 //!   resuming from garbage.
+//!
+//! Checkpoints are *written* without a tree: [`JsonWriter`] streams the
+//! same bytes a [`JsonValue`] would print straight into a caller's
+//! `String`, so a fleet node re-serializes its learner into one reused
+//! buffer with no per-number allocation.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One JSON value. Numbers keep their source text (see module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -51,11 +56,6 @@ impl JsonValue {
         JsonValue::Num(v.to_string())
     }
 
-    /// An `i64` as an exact decimal number.
-    pub fn i64(v: i64) -> JsonValue {
-        JsonValue::Num(v.to_string())
-    }
-
     /// A `usize` as an exact decimal number.
     pub fn usize(v: usize) -> JsonValue {
         JsonValue::Num(v.to_string())
@@ -64,16 +64,6 @@ impl JsonValue {
     /// A string value.
     pub fn str(v: impl Into<String>) -> JsonValue {
         JsonValue::Str(v.into())
-    }
-
-    /// An array of finite `f64`s.
-    pub fn f64_array(vs: &[f64]) -> JsonValue {
-        JsonValue::Arr(vs.iter().map(|&v| JsonValue::f64(v)).collect())
-    }
-
-    /// An array of `u64`s.
-    pub fn u64_array(vs: &[u64]) -> JsonValue {
-        JsonValue::Arr(vs.iter().map(|&v| JsonValue::u64(v)).collect())
     }
 
     /// Object field lookup (first match; `None` on non-objects).
@@ -195,7 +185,145 @@ impl fmt::Display for JsonValue {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+/// Streams JSON text into a `String`, byte for byte what printing the
+/// equivalent [`JsonValue`] produces: the same number text (shortest
+/// round-trip `f64`s, `null` for non-finite ones, exact integers), the
+/// same string escapes, no whitespace.
+///
+/// Containers take a closure for their contents, so every `{` and `[`
+/// is closed; commas between siblings are inserted automatically.
+///
+/// ```
+/// use greengpu_sim::{JsonValue, JsonWriter};
+///
+/// let mut out = String::new();
+/// JsonWriter::new(&mut out).obj(|w| {
+///     w.key("weights").f64s(&[1.0, 0.5]);
+///     w.key("current").null();
+/// });
+/// assert_eq!(out, r#"{"weights":[1,0.5],"current":null}"#);
+/// assert_eq!(JsonValue::parse(&out).unwrap().to_string(), out);
+/// ```
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Whether the next key or value follows a sibling (needs a comma).
+    comma: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending one JSON value to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        JsonWriter { out, comma: false }
+    }
+
+    /// The text `write` streams, as a fresh `String`.
+    pub fn render(write: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+        let mut out = String::new();
+        write(&mut JsonWriter::new(&mut out));
+        out
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// Appends a scalar's text (writing into a `String` cannot fail).
+    fn scalar(&mut self, v: impl fmt::Display) -> &mut Self {
+        self.separate();
+        let _ = write!(self.out, "{v}");
+        self.comma = true;
+        self
+    }
+
+    /// An object; `body` writes its `key(..)`/value pairs.
+    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('{', '}', body)
+    }
+
+    /// An array; `body` writes its elements.
+    pub fn arr(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('[', ']', body)
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.separate();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+
+    /// An object key; the next value written is its value.
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.separate();
+        let _ = write_escaped(self.out, k);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.scalar("null")
+    }
+
+    /// A finite `f64` as its shortest round-trip text; `null` otherwise
+    /// (as [`JsonValue::f64`]).
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        if v.is_finite() {
+            self.scalar(v)
+        } else {
+            self.null()
+        }
+    }
+
+    /// A `u64`, exact.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.scalar(v)
+    }
+
+    /// An `i64`, exact.
+    pub fn i64(&mut self, v: i64) -> &mut Self {
+        self.scalar(v)
+    }
+
+    /// A `usize`, exact.
+    pub fn usize(&mut self, v: usize) -> &mut Self {
+        self.scalar(v)
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        self.separate();
+        let _ = write_escaped(self.out, v);
+        self.comma = true;
+        self
+    }
+
+    /// An array of `f64`s (each as [`JsonWriter::f64`]).
+    pub fn f64s(&mut self, vs: &[f64]) -> &mut Self {
+        self.arr(|w| {
+            for &v in vs {
+                w.f64(v);
+            }
+        })
+    }
+
+    /// An array of `u64`s.
+    pub fn u64s(&mut self, vs: &[u64]) -> &mut Self {
+        self.arr(|w| {
+            for &v in vs {
+                w.u64(v);
+            }
+        })
+    }
+}
+
+fn write_escaped(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
         match c {
@@ -433,7 +561,10 @@ mod tests {
     fn objects_and_arrays_round_trip() {
         let v = JsonValue::Obj(vec![
             ("name".to_string(), JsonValue::str("exp3")),
-            ("weights".to_string(), JsonValue::f64_array(&[1.0, 0.5, 0.25])),
+            (
+                "weights".to_string(),
+                JsonValue::Arr(vec![JsonValue::f64(1.0), JsonValue::f64(0.5), JsonValue::f64(0.25)]),
+            ),
             ("current".to_string(), JsonValue::Null),
             ("ok".to_string(), JsonValue::Bool(true)),
             (
@@ -452,6 +583,49 @@ mod tests {
             v.get("weights").and_then(JsonValue::as_arr).map(<[JsonValue]>::len),
             Some(3)
         );
+    }
+
+    #[test]
+    fn writer_streams_what_the_tree_prints() {
+        let tree = JsonValue::Obj(vec![
+            ("n\"a\tme".to_string(), JsonValue::str("ctx-exp3 — π\u{1}")),
+            (
+                "xs".to_string(),
+                JsonValue::Arr(vec![
+                    JsonValue::f64(0.1),
+                    JsonValue::f64(-2.5e-300),
+                    JsonValue::f64(f64::NAN),
+                    JsonValue::f64(1e21),
+                ]),
+            ),
+            ("empty".to_string(), JsonValue::Arr(vec![])),
+            (
+                "nested".to_string(),
+                JsonValue::Arr(vec![
+                    JsonValue::Obj(vec![]),
+                    JsonValue::Obj(vec![("k".to_string(), JsonValue::Num("-3".to_string()))]),
+                ]),
+            ),
+            ("u".to_string(), JsonValue::u64(u64::MAX)),
+            ("z".to_string(), JsonValue::usize(0)),
+            ("none".to_string(), JsonValue::Null),
+        ]);
+        let mut out = String::from("kept:");
+        JsonWriter::new(&mut out).obj(|w| {
+            w.key("n\"a\tme").str("ctx-exp3 — π\u{1}");
+            w.key("xs").f64s(&[0.1, -2.5e-300, f64::NAN, 1e21]);
+            w.key("empty").u64s(&[]);
+            w.key("nested").arr(|w| {
+                w.obj(|_| {});
+                w.obj(|w| {
+                    w.key("k").i64(-3);
+                });
+            });
+            w.key("u").u64(u64::MAX);
+            w.key("z").usize(0);
+            w.key("none").null();
+        });
+        assert_eq!(out, format!("kept:{tree}"), "the writer appends after existing text");
     }
 
     #[test]
