@@ -1,27 +1,34 @@
-//! The fleet execution engines: one event spine, three drivers.
+//! The fleet execution engines: one event spine, two schedules.
 //!
 //! [`crate::run_fleet`] builds the simulation state (nodes, arrival and
 //! chaos schedules, scheduler, breakers, retry queue) and hands it to
-//! one of three engines selected by [`FleetConfig::engine`]:
+//! `drive`, which runs a single spine loop to the horizon. The loop owns
+//! every fleet-level step exactly once — arrivals, chaos and domain
+//! events, breaker clocks, caps, the crash audit, dispatch, checkpoints
+//! and telemetry rows. A private per-engine *schedule* decides only which
+//! nodes each per-node batch touches (advance, lifecycle, demands, control
+//! ticks). [`FleetConfig::engine`] picks the schedule:
 //!
-//! * [`EngineKind::Serial`] — the reference implementation: every node
-//!   advances at every spine event and takes a full control tick every
-//!   interval. Simple, obviously correct, `O(nodes)` work per event.
-//! * [`EngineKind::EventDriven`] — the same spine, but idle nodes cost
-//!   (nearly) nothing: job service advances over a **busy list** instead
-//!   of the whole fleet, dead (`Crashed`/`Restarting`) nodes sleep on a
-//!   min-heap **wake agenda** keyed by `(state_until, node_id)` until
-//!   their next lifecycle transition is actually due, and idle healthy
-//!   nodes whose controller state is provably a fixed point are
-//!   **parked** ([`crate::Node::park_fingerprint`]) so their control
-//!   ticks degrade to a sense-only quiescent check.
-//! * [`EngineKind::Parallel`] — the event-driven engine plus
-//!   deterministic data-parallelism on the two per-tick fan-outs (job
-//!   advance, control ticks): a single-threaded sequencer assigns
-//!   monotonic tickets with SplitMix64-derived per-ticket seeds, the
-//!   workers of `greengpu_runtime::parallel::run_ticketed_mut` each own
-//!   a disjoint contiguous slice of nodes, and a single-threaded
-//!   committer folds the results back in strict ticket order.
+//! * [`EngineKind::Serial`] — the reference: every node advances at every
+//!   spine event, every live node takes a full control tick every
+//!   interval, and the flat apportionment reruns every interval. Simple,
+//!   obviously correct, `O(nodes)` work per event.
+//! * [`EngineKind::EventDriven`] — idle nodes cost (nearly) nothing: job
+//!   service advances over a **busy list** instead of the whole fleet,
+//!   dead (`Crashed`/`Restarting`) nodes sleep on a min-heap **wake
+//!   agenda** keyed by `(state_until, node_id)` until their next
+//!   lifecycle transition is actually due, and idle healthy nodes whose
+//!   controller state is provably a fixed point are **parked**
+//!   ([`crate::Node::park_fingerprint`]) so their control ticks degrade to
+//!   a sense-only quiescent check.
+//! * [`EngineKind::Parallel`] — the event-driven schedule with its control
+//!   ticks fanned out over `workers` scoped threads once the fleet has
+//!   `PAR_MIN_BATCH` nodes. Each thread owns one contiguous slice of
+//!   nodes and the results come back in node order, so the overage folds
+//!   exactly as inline; every node owns its seeded random streams, so node
+//!   order is the only guarantee the fan-out needs. Job advance stays on
+//!   the calling thread: handing the fleet to threads at every spine event
+//!   cost more than it saved on every busy fleet measured (DESIGN.md §12).
 //!
 //! **Equivalence contract.** All three engines produce byte-identical
 //! telemetry (trace CSV, [`crate::FleetReport`] counters,
@@ -73,8 +80,7 @@ use crate::scheduler::Scheduler;
 use crate::telemetry::{GeoTraceRow, TraceRow};
 use crate::topology::TopologyIndex;
 use greengpu_hw::{ChaosEvent, ChaosKind, DomainChaosEvent, DomainChaosKind};
-use greengpu_runtime::parallel::{run_ticketed_mut, SplitTelemetry};
-use greengpu_sim::{EventQueue, SimDuration, SimTime, SplitMix64};
+use greengpu_sim::{EventQueue, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -90,8 +96,8 @@ pub enum EngineKind {
     /// Discrete-event engine: busy-list advance, wake agenda for dead
     /// nodes, quiescent parking for idle fixed-point nodes.
     EventDriven,
-    /// The event-driven engine with deterministic ticketed fan-out of
-    /// the per-tick node batches across worker threads.
+    /// The event-driven engine with the per-interval control ticks
+    /// fanned out across worker threads in contiguous node slices.
     Parallel {
         /// Worker thread count (>= 1; 1 behaves like `EventDriven`).
         workers: usize,
@@ -144,7 +150,7 @@ pub(crate) enum Event {
 /// per-level circuit breakers, the correlated-failure schedule, and the
 /// audit/telemetry it produces. `run_fleet` builds one when the config
 /// has a topology and keeps ownership, so report assembly reads the
-/// fields straight out after the drive returns; the engines see it as
+/// fields straight out after the drive returns; the spine sees it as
 /// `Option<&mut GeoState>` (flat runs pass `None` and keep their exact
 /// pre-hierarchy behavior, byte for byte).
 pub(crate) struct GeoState<'a> {
@@ -207,12 +213,10 @@ pub(crate) struct DriveInputs<'a> {
     pub jobs: &'a [JobSpec],
     pub chaos_events: &'a [ChaosEvent],
     pub budget_mw: MilliWatts,
-    /// Root for the parallel engine's per-fan-out ticket seed streams.
-    pub ticket_root: u64,
 }
 
-/// Smallest batch worth fanning out to worker threads; below this the
-/// scoped-thread setup costs more than the work.
+/// Smallest fleet worth fanning the control ticks out to worker threads;
+/// below this the scoped-thread setup costs more than the work.
 const PAR_MIN_BATCH: usize = 32;
 
 /// Runs the configured engine over the spine to the horizon.
@@ -227,46 +231,321 @@ pub(crate) fn drive(
     dispatcher: &mut TenantDispatcher,
     geo: Option<&mut GeoState>,
 ) -> DriveOutcome {
-    match inp.cfg.engine {
-        EngineKind::Serial => drive_serial(inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo),
-        EngineKind::EventDriven => drive_event(inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo, 1),
-        EngineKind::Parallel { workers } => {
-            drive_event(inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo, workers)
+    let workers = match inp.cfg.engine {
+        EngineKind::Serial => return run_spine(Serial, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo),
+        EngineKind::EventDriven => 1,
+        EngineKind::Parallel { workers } => workers,
+    };
+    let engine = EventDriven::new(nodes.len(), workers);
+    run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo)
+}
+
+/// The completion stream, in the node-id order every engine reproduces.
+#[derive(Default)]
+struct Completions {
+    records: Vec<JobRecord>,
+    deadline_misses: u64,
+}
+
+impl Completions {
+    fn record(&mut self, finished: Option<JobRecord>) {
+        if let Some(record) = finished {
+            if record.missed_deadline {
+                self.deadline_misses += 1;
+            }
+            self.records.push(record);
         }
     }
 }
 
-/// Mutable per-run bookkeeping shared by the engines' chaos handlers.
-struct ChaosSideEffects<'a> {
-    retry: &'a mut RetryQueue,
-    breakers: &'a mut [CircuitBreaker],
-    crash_records: &'a mut Vec<CrashRecord>,
-    last_caps: &'a [MilliWatts],
-    /// Node → rack map (empty on flat runs) — lost jobs remember the
-    /// rack they died in so the retry soft-avoids it.
-    rack_of: &'a [usize],
-    jobs_lost: &'a mut u64,
-    stray_blackout_events: &'a mut u64,
+/// Which nodes each per-node batch of the spine touches — the only
+/// thing the engines differ in. Everything fleet-level lives once in
+/// [`run_spine`].
+trait Schedule {
+    /// Advances job service from `from` to `to`, recording completions
+    /// in node-id order.
+    fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions);
+    /// The nodes in `ids` just crashed.
+    fn went_dark(&mut self, nodes: &[Node], ids: &[usize]);
+    /// Failure FSMs: a cleared probation closes the node's breaker.
+    fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime);
+    /// Refreshes `demands` (one entry per node) in place; true when any
+    /// entry moved.
+    fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool;
+    /// Control ticks on live nodes under `caps`; returns the largest
+    /// pair-over-cap overage (watts), folded in node order from 0.0.
+    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64;
+    /// Dispatch may have put jobs on idle nodes.
+    fn dispatched(&mut self, nodes: &[Node]);
 }
 
-/// Applies one spine chaos event. Returns the id of a node that just
-/// crashed (entered `Crashed`), for the event engine's wake agenda.
-fn apply_chaos(nodes: &mut [Node], ev: &ChaosEvent, t: SimTime, fx: &mut ChaosSideEffects) -> Option<usize> {
+/// One node's failure-FSM step; a cleared probation closes its breaker.
+fn lifecycle_step(node: &mut Node, breaker: &mut CircuitBreaker, t: SimTime) {
+    for ev in node.lifecycle_tick(t) {
+        if ev == LifecycleEvent::ProbationCleared {
+            breaker.record_success();
+        }
+    }
+}
+
+/// The reference schedule: every batch touches every node.
+struct Serial;
+
+impl Schedule for Serial {
+    fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions) {
+        for node in nodes.iter_mut() {
+            done.record(node.advance(from, to));
+        }
+    }
+
+    fn went_dark(&mut self, _nodes: &[Node], _ids: &[usize]) {}
+
+    fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
+        for (node, breaker) in nodes.iter_mut().zip(breakers.iter_mut()) {
+            lifecycle_step(node, breaker, t);
+        }
+    }
+
+    fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool {
+        demands.clear();
+        demands.extend(nodes.iter().map(Node::demand));
+        true
+    }
+
+    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64 {
+        nodes
+            .iter_mut()
+            .zip(caps)
+            .filter(|(node, _)| node.is_alive())
+            .map(|(node, &cap)| node.control_tick(t, cap))
+            .fold(0.0, f64::max)
+    }
+
+    fn dispatched(&mut self, _nodes: &[Node]) {}
+}
+
+/// The event-driven schedule (and, with `workers > 1`, the parallel
+/// one). See the module docs for the equivalence argument behind each
+/// skipped batch of work.
+struct EventDriven {
+    /// Threads for the control-tick fan-out (1 runs it inline).
+    workers: usize,
+    /// Ids of nodes with a job in service, ascending — the only nodes
+    /// `advance` can do anything to. Rebuilt in id order after every
+    /// dispatch; completions drop out as they land.
+    busy: Vec<usize>,
+    /// Wake agenda for dead nodes: `lifecycle_tick` is an identity on a
+    /// `Crashed`/`Restarting` node before its `state_until`, so such
+    /// nodes sleep here and are woken at the first tick at/after it.
+    agenda: BinaryHeap<Reverse<(SimTime, usize)>>,
+    dormant: Vec<bool>,
+}
+
+impl EventDriven {
+    fn new(n: usize, workers: usize) -> Self {
+        EventDriven {
+            workers,
+            busy: Vec::new(),
+            agenda: BinaryHeap::new(),
+            dormant: vec![false; n],
+        }
+    }
+
+    /// Sleeps a dark node until its next lifecycle transition is due.
+    fn sleep(&mut self, node: &Node, id: usize) {
+        self.dormant[id] = true;
+        self.agenda.push(Reverse((node.state_until(), id)));
+    }
+}
+
+impl Schedule for EventDriven {
+    fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions) {
+        // `busy` is ascending, so completions stream out in node-id
+        // order exactly as the advance-everyone loop would emit them.
+        self.busy.retain(|&i| {
+            done.record(nodes[i].advance(from, to));
+            !nodes[i].is_idle()
+        });
+    }
+
+    fn went_dark(&mut self, nodes: &[Node], ids: &[usize]) {
+        // A crashed node's stale busy-list entry (job already taken)
+        // drops out on the next advance.
+        for &id in ids {
+            self.sleep(&nodes[id], id);
+        }
+    }
+
+    fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
+        while let Some(&Reverse((wake_at, id))) = self.agenda.peek() {
+            if wake_at > t {
+                break;
+            }
+            self.agenda.pop();
+            self.dormant[id] = false;
+        }
+        for i in 0..nodes.len() {
+            if self.dormant[i] {
+                continue;
+            }
+            lifecycle_step(&mut nodes[i], &mut breakers[i], t);
+            if matches!(nodes[i].state(), NodeState::Crashed | NodeState::Restarting) {
+                // Still (or newly) dark: back to sleep.
+                self.sleep(&nodes[i], i);
+            }
+        }
+    }
+
+    fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool {
+        if demands.len() != nodes.len() {
+            demands.clear();
+            demands.extend(nodes.iter().map(Node::demand));
+            return true;
+        }
+        // A parked node's demand is frozen by the park fingerprint, so
+        // its entry from last tick is still exact.
+        let mut moved = false;
+        for (entry, node) in demands.iter_mut().zip(nodes) {
+            if !node.is_parked() {
+                let fresh = node.demand();
+                moved |= fresh != *entry;
+                *entry = fresh;
+            }
+        }
+        moved
+    }
+
+    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64 {
+        // A node parked under exactly the cap it is handed is skipped
+        // outright (deep park): the fast path would only re-read
+        // constant-zero idle utilizations and rewrite every field with
+        // the same bits, and returns 0.0 overage by the park invariant.
+        let tick = |node: &mut Node, cap: MilliWatts| {
+            (node.is_alive() && node.parked_under() != Some(cap)).then(|| node.control_tick_parkable(t, cap))
+        };
+        if self.workers > 1 && nodes.len() >= PAR_MIN_BATCH {
+            fan_out(self.workers, nodes, |i, node| tick(node, caps[i]))
+                .into_iter()
+                .flatten()
+                .fold(0.0, f64::max)
+        } else {
+            nodes
+                .iter_mut()
+                .zip(caps)
+                .filter_map(|(node, &cap)| tick(node, cap))
+                .fold(0.0, f64::max)
+        }
+    }
+
+    fn dispatched(&mut self, nodes: &[Node]) {
+        self.busy.clear();
+        self.busy.extend(
+            nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, node)| !node.is_idle())
+                .map(|(i, _)| i),
+        );
+    }
+}
+
+/// Runs `f(i, &mut items[i])` for every item on up to `workers` scoped
+/// threads, each owning one contiguous chunk (the calling thread takes
+/// the first), and returns the results in item order.
+fn fan_out<T: Send, R: Send>(workers: usize, items: &mut [T], f: impl Fn(usize, &mut T) -> R + Sync) -> Vec<R> {
+    let chunk = items.len().div_ceil(workers.max(1)).max(1);
+    let run_part = |start: usize, part: &mut [T]| -> Vec<R> {
+        part.iter_mut()
+            .enumerate()
+            .map(|(j, item)| f(start + j, item))
+            .collect()
+    };
+    std::thread::scope(|scope| {
+        let mut parts = items.chunks_mut(chunk);
+        let first = parts.next();
+        let lanes: Vec<_> = parts
+            .enumerate()
+            .map(|(k, part)| scope.spawn(move || run_part((k + 1) * chunk, part)))
+            .collect();
+        let mut out = first.map_or_else(Vec::new, |part| run_part(0, part));
+        for lane in lanes {
+            match lane.join() {
+                Ok(part) => out.extend(part),
+                // Re-raise the worker's own panic payload instead of
+                // replacing it with a second panic message.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
+}
+
+/// Per-run bookkeeping the chaos handlers and the cap step share.
+struct Books {
+    /// Node → rack map (empty on flat runs — dispatch and the retry
+    /// queue treat that as "no topology").
+    rack_of: Vec<usize>,
+    /// Each node's cap from the latest tick.
+    last_caps: Vec<MilliWatts>,
+    crash_records: Vec<CrashRecord>,
+    jobs_lost: u64,
+    stray_blackout_events: u64,
+    /// Nodes the latest chaos event crashed.
+    crashed: Vec<usize>,
+}
+
+impl Books {
+    /// Fills the pending crash-audit halves from the first post-crash
+    /// caps and remembers `caps` for the next crash.
+    fn settle(&mut self, caps: &[MilliWatts]) {
+        for rec in self.crash_records.iter_mut().filter(|r| r.cap_after_mw.is_none()) {
+            rec.cap_after_mw = Some(caps[rec.node]);
+        }
+        self.last_caps.copy_from_slice(caps);
+    }
+
+    /// Node `id` crashes: it loses its job to the retry queue (which
+    /// remembers the rack it died in, to soft-avoid it), trips its
+    /// breaker, and opens a crash-audit record.
+    fn crash(
+        &mut self,
+        nodes: &mut [Node],
+        breakers: &mut [CircuitBreaker],
+        id: usize,
+        t: SimTime,
+        outage_s: f64,
+        retry: &mut RetryQueue,
+    ) {
+        if let Some(job) = nodes[id].crash(t, outage_s) {
+            self.jobs_lost += 1;
+            retry.job_lost(job, t, self.rack_of.get(id).copied());
+        }
+        breakers[id].record_failure(t);
+        self.crash_records.push(CrashRecord {
+            node: id,
+            at_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),
+            cap_before_mw: self.last_caps[id],
+            cap_after_mw: None,
+        });
+        self.crashed.push(id);
+    }
+}
+
+/// Applies one spine chaos event; a node it crashes lands in
+/// `books.crashed`.
+fn apply_chaos(
+    nodes: &mut [Node],
+    ev: &ChaosEvent,
+    t: SimTime,
+    books: &mut Books,
+    retry: &mut RetryQueue,
+    breakers: &mut [CircuitBreaker],
+) {
+    books.crashed.clear();
     match ev.kind {
         ChaosKind::Crash { outage_s } => {
             if nodes[ev.node].is_alive() {
-                if let Some(job) = nodes[ev.node].crash(t, outage_s) {
-                    *fx.jobs_lost += 1;
-                    fx.retry.job_lost(job, t, fx.rack_of.get(ev.node).copied());
-                }
-                fx.breakers[ev.node].record_failure(t);
-                fx.crash_records.push(CrashRecord {
-                    node: ev.node,
-                    at_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),
-                    cap_before_mw: fx.last_caps[ev.node],
-                    cap_after_mw: None,
-                });
-                return Some(ev.node);
+                books.crash(nodes, breakers, ev.node, t, outage_s, retry);
             }
         }
         ChaosKind::ThermalEmergency { duration_s } => {
@@ -278,49 +557,38 @@ fn apply_chaos(nodes: &mut [Node], ev: &ChaosEvent, t: SimTime, fx: &mut ChaosSi
             // Blackouts are installed into the sensor stacks at setup; a
             // stray runtime one is a schedule bug, not a reason to lose
             // the whole fleet run — count it and carry on.
-            *fx.stray_blackout_events += 1;
+            books.stray_blackout_events += 1;
         }
     }
-    None
 }
 
-/// Applies one correlated domain event, pushing any node that crashed
-/// into `crashed` (for the event engine's wake agenda). Shared verbatim
-/// by all engines so the hierarchy's side effects cannot drift.
+/// Applies one correlated domain event; nodes it crashes land in
+/// `books.crashed`.
 fn apply_domain_event(
     nodes: &mut [Node],
     i: usize,
     t: SimTime,
     g: &mut GeoState,
-    fx: &mut ChaosSideEffects,
-    crashed: &mut Vec<usize>,
+    books: &mut Books,
+    retry: &mut RetryQueue,
+    breakers: &mut [CircuitBreaker],
 ) {
+    books.crashed.clear();
     let ev = g.domain_events[i];
     match ev.kind {
         DomainChaosKind::RackPowerLoss { outage_s } => {
             let rack = ev.domain;
             let zone = g.index.zone_of_rack[rack];
             let at_s = t.saturating_since(SimTime::ZERO).as_secs_f64();
-            let rack_cap_before: MilliWatts = g.index.rack_nodes[rack].iter().map(|&n| fx.last_caps[n]).sum();
+            let rack_cap_before: MilliWatts = g.index.rack_nodes[rack].iter().map(|&n| books.last_caps[n]).sum();
             let sibling_before: MilliWatts = g.index.zone_nodes[zone]
                 .iter()
                 .filter(|&&n| g.index.rack_of[n] != rack)
-                .map(|&n| fx.last_caps[n])
+                .map(|&n| books.last_caps[n])
                 .sum();
             for &n in &g.index.rack_nodes[rack] {
                 if nodes[n].is_alive() {
-                    if let Some(job) = nodes[n].crash(t, outage_s) {
-                        *fx.jobs_lost += 1;
-                        fx.retry.job_lost(job, t, Some(rack));
-                    }
-                    fx.breakers[n].record_failure(t);
-                    fx.crash_records.push(CrashRecord {
-                        node: n,
-                        at_s,
-                        cap_before_mw: fx.last_caps[n],
-                        cap_after_mw: None,
-                    });
-                    crashed.push(n);
+                    books.crash(nodes, breakers, n, t, outage_s, retry);
                 } else {
                     // A node already down (independent crash, or an
                     // earlier loss of the same rack) loses its restart
@@ -449,10 +717,12 @@ fn mask_domains(allowed: &mut [bool], g: &GeoState) {
     }
 }
 
-/// The reference engine: the original fleet loop, verbatim. Every node
-/// advances at every event; every live node takes a full control tick.
+/// The fleet loop every engine runs: pops the spine to the horizon and
+/// performs each fleet-level step once, leaving to `engine` only which
+/// nodes each per-node batch touches.
 #[allow(clippy::too_many_arguments)]
-fn drive_serial(
+fn run_spine<S: Schedule>(
+    mut engine: S,
     inp: &DriveInputs,
     mut spine: EventQueue<Event>,
     nodes: &mut [Node],
@@ -463,74 +733,47 @@ fn drive_serial(
     mut geo: Option<&mut GeoState>,
 ) -> DriveOutcome {
     let cfg = inp.cfg;
-    let end = SimTime::ZERO + cfg.horizon;
-    // Owned copy so the chaos handlers can hold it alongside a mutable
-    // borrow of the geo state (empty on flat runs — dispatch and the
-    // retry queue treat that as "no topology").
-    let rack_of: Vec<usize> = geo.as_deref().map_or_else(Vec::new, |g| g.index.rack_of.clone());
-    let mut last_completed: Vec<u64> = vec![0; nodes.len()];
-    let mut last_caps: Vec<MilliWatts> = vec![0; nodes.len()];
-    let mut crash_records: Vec<CrashRecord> = Vec::new();
-    let mut jobs_lost = 0u64;
-    let mut stray_blackout_events = 0u64;
-    let mut completed: Vec<JobRecord> = Vec::new();
-    let mut deadline_misses = 0u64;
+    let n = nodes.len();
+    let mut books = Books {
+        rack_of: geo.as_deref().map_or_else(Vec::new, |g| g.index.rack_of.clone()),
+        last_caps: vec![0; n],
+        crash_records: Vec::new(),
+        jobs_lost: 0,
+        stray_blackout_events: 0,
+        crashed: Vec::new(),
+    };
+    let mut done = Completions::default();
+    let mut last_completed: Vec<u64> = vec![0; n];
+    let mut demands: Vec<NodeDemand> = Vec::with_capacity(n);
+    let mut caps: Vec<MilliWatts> = Vec::new();
+    let mut allowed: Vec<bool> = Vec::with_capacity(n);
     let mut rows = Vec::new();
     let mut t = SimTime::ZERO;
     let mut interval = 0u64;
     let mut tick_no = 0u64;
 
     while let Some((at, event)) = spine.pop() {
-        for node in nodes.iter_mut() {
-            if let Some(record) = node.advance(t, at) {
-                if record.missed_deadline {
-                    deadline_misses += 1;
-                }
-                completed.push(record);
-            }
-        }
+        engine.advance(nodes, t, at, &mut done);
         t = at;
         match event {
             Event::Arrival(i) => {
                 dispatcher.on_arrival(inp.jobs[i].clone(), scheduler, t);
             }
             Event::Chaos(i) => {
-                let mut fx = ChaosSideEffects {
-                    retry,
-                    breakers,
-                    crash_records: &mut crash_records,
-                    last_caps: &last_caps,
-                    rack_of: &rack_of,
-                    jobs_lost: &mut jobs_lost,
-                    stray_blackout_events: &mut stray_blackout_events,
-                };
-                apply_chaos(nodes, &inp.chaos_events[i], t, &mut fx);
+                apply_chaos(nodes, &inp.chaos_events[i], t, &mut books, retry, breakers);
+                engine.went_dark(nodes, &books.crashed);
             }
             Event::Domain(i) => {
                 if let Some(g) = geo.as_deref_mut() {
-                    let mut fx = ChaosSideEffects {
-                        retry,
-                        breakers,
-                        crash_records: &mut crash_records,
-                        last_caps: &last_caps,
-                        rack_of: &rack_of,
-                        jobs_lost: &mut jobs_lost,
-                        stray_blackout_events: &mut stray_blackout_events,
-                    };
-                    apply_domain_event(nodes, i, t, g, &mut fx, &mut Vec::new());
+                    apply_domain_event(nodes, i, t, g, &mut books, retry, breakers);
+                    engine.went_dark(nodes, &books.crashed);
                 }
             }
             Event::Tick => {
                 // 1. Failure FSMs and breaker clocks. A cleared probation
                 // or a completion since the last tick closes the breaker
                 // (and, on hierarchical runs, its rack's and zone's).
-                for i in 0..nodes.len() {
-                    for ev in nodes[i].lifecycle_tick(t) {
-                        if ev == LifecycleEvent::ProbationCleared {
-                            breakers[i].record_success();
-                        }
-                    }
-                }
+                engine.lifecycle(nodes, breakers, t);
                 for b in breakers.iter_mut() {
                     b.tick(t);
                 }
@@ -553,28 +796,21 @@ fn drive_serial(
                 // the last tick demands nothing, so its budget is already
                 // back in the pool here — at the rack level on
                 // hierarchical runs (the zone and region splits lag one
-                // report each; see `BudgetTree`).
-                let demands: Vec<_> = nodes.iter().map(Node::demand).collect();
-                let caps = match geo.as_deref_mut() {
-                    Some(g) => {
-                        let caps = g.tree.tick(inp.budget_mw, &demands);
-                        g.interior_cap_violations += g.tree.cap_violations(inp.budget_mw, &caps);
-                        fill_domain_records(g, &caps);
-                        caps
-                    }
-                    None => apportion(inp.budget_mw, &demands),
-                };
-                for rec in crash_records.iter_mut().filter(|r| r.cap_after_mw.is_none()) {
-                    rec.cap_after_mw = Some(caps[rec.node]);
+                // report each; see `BudgetTree`). The tree ticks every
+                // interval: its lagged upward reports advance even when
+                // no demand moved. The flat `apportion` is a pure function
+                // of budget and demands, so it reruns only when one moved.
+                let moved = engine.demands(nodes, &mut demands);
+                if let Some(g) = geo.as_deref_mut() {
+                    caps = g.tree.tick(inp.budget_mw, &demands);
+                    g.interior_cap_violations += g.tree.cap_violations(inp.budget_mw, &caps);
+                    fill_domain_records(g, &caps);
+                } else if moved || caps.is_empty() {
+                    caps = apportion(inp.budget_mw, &demands);
                 }
-                last_caps.copy_from_slice(&caps);
-                // 3. Control ticks on live nodes only.
-                let mut max_over_w = 0.0f64;
-                for (node, &cap) in nodes.iter_mut().zip(&caps) {
-                    if node.is_alive() {
-                        max_over_w = max_over_w.max(node.control_tick(t, cap));
-                    }
-                }
+                books.settle(&caps);
+                // 3. Control ticks on live nodes.
+                let max_over_w = engine.control(nodes, &caps, t);
                 // 4. Deferred best-effort jobs whose green window (or
                 // horizon) arrived re-enter first, then retries re-enter
                 // ahead of fresh arrivals (reversed so the earliest-ready
@@ -584,11 +820,13 @@ fn drive_serial(
                 for r in retry.drain_ready(t).into_iter().rev() {
                     scheduler.requeue_front(r.job, r.avoid_rack);
                 }
-                let mut allowed: Vec<bool> = breakers.iter().map(CircuitBreaker::allows_dispatch).collect();
+                allowed.clear();
+                allowed.extend(breakers.iter().map(CircuitBreaker::allows_dispatch));
                 if let Some(g) = geo.as_deref() {
                     mask_domains(&mut allowed, g);
                 }
-                scheduler.dispatch(nodes, &allowed, &rack_of, t);
+                scheduler.dispatch(nodes, &allowed, &books.rack_of, t);
+                engine.dispatched(nodes);
                 // 5. Periodic learner checkpoints on fully-Up nodes.
                 if let Some(k) = cfg.lifecycle.checkpoint_period {
                     if tick_no > 0 && tick_no.is_multiple_of(k) {
@@ -603,17 +841,7 @@ fn drive_serial(
                 if t > SimTime::ZERO {
                     interval += 1;
                     rows.push(trace_row(
-                        cfg,
-                        nodes,
-                        scheduler,
-                        breakers,
-                        retry,
-                        &caps,
-                        t,
-                        interval,
-                        &completed,
-                        deadline_misses,
-                        max_over_w,
+                        cfg, nodes, scheduler, breakers, retry, &caps, t, interval, &done, max_over_w,
                     ));
                     if let Some(g) = geo.as_deref_mut() {
                         push_geo_rows(g, nodes, t, interval);
@@ -624,354 +852,20 @@ fn drive_serial(
         }
     }
     // Account service up to the horizon.
-    for node in nodes.iter_mut() {
-        if let Some(record) = node.advance(t, end) {
-            if record.missed_deadline {
-                deadline_misses += 1;
-            }
-            completed.push(record);
-        }
-    }
+    engine.advance(nodes, t, SimTime::ZERO + cfg.horizon, &mut done);
 
     DriveOutcome {
-        completed,
-        deadline_misses,
+        completed: done.records,
+        deadline_misses: done.deadline_misses,
         rows,
-        crash_records,
-        jobs_lost,
-        stray_blackout_events,
+        crash_records: books.crash_records,
+        jobs_lost: books.jobs_lost,
+        stray_blackout_events: books.stray_blackout_events,
     }
 }
 
-/// The discrete-event engine (and, with `workers > 1`, the parallel
-/// engine). See the module docs for the equivalence argument behind
-/// each skipped batch of work.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn drive_event(
-    inp: &DriveInputs,
-    mut spine: EventQueue<Event>,
-    nodes: &mut [Node],
-    scheduler: &mut Scheduler,
-    breakers: &mut [CircuitBreaker],
-    retry: &mut RetryQueue,
-    dispatcher: &mut TenantDispatcher,
-    mut geo: Option<&mut GeoState>,
-    workers: usize,
-) -> DriveOutcome {
-    let cfg = inp.cfg;
-    let end = SimTime::ZERO + cfg.horizon;
-    let n = nodes.len();
-    let rack_of: Vec<usize> = geo.as_deref().map_or_else(Vec::new, |g| g.index.rack_of.clone());
-    let mut last_completed: Vec<u64> = vec![0; n];
-    let mut last_caps: Vec<MilliWatts> = vec![0; n];
-    let mut crash_records: Vec<CrashRecord> = Vec::new();
-    let mut jobs_lost = 0u64;
-    let mut stray_blackout_events = 0u64;
-    let mut completed: Vec<JobRecord> = Vec::new();
-    let mut deadline_misses = 0u64;
-    let mut rows = Vec::new();
-    let mut t = SimTime::ZERO;
-    let mut interval = 0u64;
-    let mut tick_no = 0u64;
-
-    // Busy list: ids of nodes with a job in service, ascending — the
-    // only nodes `advance` can do anything to. Rebuilt in id order
-    // after every dispatch; completions drop out as they land.
-    let mut busy: Vec<usize> = Vec::new();
-    // Wake agenda for dead nodes: `lifecycle_tick` is an identity on a
-    // `Crashed`/`Restarting` node before its `state_until`, so such
-    // nodes sleep here and are woken at the first tick at/after it.
-    let mut agenda: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
-    let mut dormant: Vec<bool> = vec![false; n];
-    // Ticketed fan-out plumbing (only exercised with `workers > 1`).
-    let telemetry = SplitTelemetry::new();
-    let mut fanout_roots = SplitMix64::new(inp.ticket_root);
-    // Deep-park caches: a parked node's demand is a pure function of
-    // state the park fingerprint freezes, so last tick's value is
-    // bit-reusable; and when no demand moved, `apportion` (a pure
-    // function of budget + demands) would reproduce last tick's caps.
-    let mut prev_demands: Vec<NodeDemand> = Vec::new();
-    let mut caps: Vec<MilliWatts> = Vec::new();
-
-    // Advances service on the busy list from `from` to `to`, streaming
-    // completions out in node-id order (busy is ascending), exactly as
-    // the serial engine's advance-everyone loop would.
-    let advance_busy = |nodes: &mut [Node],
-                        busy: &mut Vec<usize>,
-                        from: SimTime,
-                        to: SimTime,
-                        completed: &mut Vec<JobRecord>,
-                        deadline_misses: &mut u64,
-                        fanout_roots: &mut SplitMix64| {
-        if busy.is_empty() {
-            return;
-        }
-        if workers > 1 && busy.len() >= PAR_MIN_BATCH {
-            // Fan the whole fleet out (contiguous disjoint slices per
-            // worker); idle nodes are no-ops. The committer replays the
-            // results in ticket (= node-id) order.
-            let out = run_ticketed_mut(&telemetry, workers, fanout_roots.next_u64(), nodes, |_, node| {
-                let record = node.advance(from, to);
-                let still_busy = !node.is_idle();
-                (record, still_busy)
-            });
-            busy.clear();
-            for (i, (record, still_busy)) in out.into_iter().enumerate() {
-                if let Some(record) = record {
-                    if record.missed_deadline {
-                        *deadline_misses += 1;
-                    }
-                    completed.push(record);
-                }
-                if still_busy {
-                    busy.push(i);
-                }
-            }
-        } else {
-            let mut still = Vec::with_capacity(busy.len());
-            for &i in busy.iter() {
-                if let Some(record) = nodes[i].advance(from, to) {
-                    if record.missed_deadline {
-                        *deadline_misses += 1;
-                    }
-                    completed.push(record);
-                }
-                if !nodes[i].is_idle() {
-                    still.push(i);
-                }
-            }
-            *busy = still;
-        }
-    };
-
-    while let Some((at, event)) = spine.pop() {
-        advance_busy(
-            nodes,
-            &mut busy,
-            t,
-            at,
-            &mut completed,
-            &mut deadline_misses,
-            &mut fanout_roots,
-        );
-        t = at;
-        match event {
-            Event::Arrival(i) => {
-                dispatcher.on_arrival(inp.jobs[i].clone(), scheduler, t);
-            }
-            Event::Chaos(i) => {
-                let mut fx = ChaosSideEffects {
-                    retry,
-                    breakers,
-                    crash_records: &mut crash_records,
-                    last_caps: &last_caps,
-                    rack_of: &rack_of,
-                    jobs_lost: &mut jobs_lost,
-                    stray_blackout_events: &mut stray_blackout_events,
-                };
-                if let Some(crashed) = apply_chaos(nodes, &inp.chaos_events[i], t, &mut fx) {
-                    // The node just went dark; sleep it until its next
-                    // lifecycle transition is due. Its stale busy-list
-                    // entry (job already taken) drops out on the next
-                    // advance.
-                    dormant[crashed] = true;
-                    agenda.push(Reverse((nodes[crashed].state_until(), crashed)));
-                }
-            }
-            Event::Domain(i) => {
-                if let Some(g) = geo.as_deref_mut() {
-                    let mut fx = ChaosSideEffects {
-                        retry,
-                        breakers,
-                        crash_records: &mut crash_records,
-                        last_caps: &last_caps,
-                        rack_of: &rack_of,
-                        jobs_lost: &mut jobs_lost,
-                        stray_blackout_events: &mut stray_blackout_events,
-                    };
-                    let mut crashed = Vec::new();
-                    apply_domain_event(nodes, i, t, g, &mut fx, &mut crashed);
-                    for id in crashed {
-                        dormant[id] = true;
-                        agenda.push(Reverse((nodes[id].state_until(), id)));
-                    }
-                }
-            }
-            Event::Tick => {
-                // 1. Failure FSMs and breaker clocks — skipping dormant
-                // nodes, waking the ones whose transition is due.
-                while let Some(&Reverse((wake_at, id))) = agenda.peek() {
-                    if wake_at > t {
-                        break;
-                    }
-                    agenda.pop();
-                    dormant[id] = false;
-                }
-                for i in 0..n {
-                    if dormant[i] {
-                        continue;
-                    }
-                    for ev in nodes[i].lifecycle_tick(t) {
-                        if ev == LifecycleEvent::ProbationCleared {
-                            breakers[i].record_success();
-                        }
-                    }
-                    if matches!(nodes[i].state(), NodeState::Crashed | NodeState::Restarting) {
-                        // Still (or newly) dark: back to sleep until the
-                        // next transition instant.
-                        dormant[i] = true;
-                        agenda.push(Reverse((nodes[i].state_until(), i)));
-                    }
-                }
-                for b in breakers.iter_mut() {
-                    b.tick(t);
-                }
-                if let Some(g) = geo.as_deref_mut() {
-                    for b in g.rack_breakers.iter_mut().chain(g.zone_breakers.iter_mut()) {
-                        b.tick(t);
-                    }
-                }
-                for (i, node) in nodes.iter().enumerate() {
-                    if node.completed() > last_completed[i] {
-                        breakers[i].record_success();
-                        if let Some(g) = geo.as_deref_mut() {
-                            g.rack_breakers[g.index.rack_of[i]].record_success();
-                            g.zone_breakers[g.index.zone_of[i]].record_success();
-                        }
-                        last_completed[i] = node.completed();
-                    }
-                }
-                // 2. Caps from the current demands (identical to serial).
-                // A parked node's demand is frozen by the park
-                // fingerprint, so reuse last tick's value; and when no
-                // demand moved at all, `apportion` would reproduce last
-                // tick's caps bit-for-bit, so skip it too. The budget
-                // *tree* ticks unconditionally — its lagged upward
-                // reports advance every interval even when no demand
-                // moved, so the skip would freeze the cascade mid-flight.
-                let demands: Vec<NodeDemand> = nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, node)| {
-                        if node.is_parked() && i < prev_demands.len() {
-                            prev_demands[i]
-                        } else {
-                            node.demand()
-                        }
-                    })
-                    .collect();
-                if let Some(g) = geo.as_deref_mut() {
-                    caps = g.tree.tick(inp.budget_mw, &demands);
-                    g.interior_cap_violations += g.tree.cap_violations(inp.budget_mw, &caps);
-                    fill_domain_records(g, &caps);
-                } else if caps.is_empty() || demands != prev_demands {
-                    caps = apportion(inp.budget_mw, &demands);
-                }
-                prev_demands = demands;
-                for rec in crash_records.iter_mut().filter(|r| r.cap_after_mw.is_none()) {
-                    rec.cap_after_mw = Some(caps[rec.node]);
-                }
-                last_caps.copy_from_slice(&caps);
-                // 3. Control ticks on live nodes — through the parking
-                // protocol, and fanned out when the fleet is big enough.
-                // A node parked under exactly the cap it is being handed
-                // is skipped outright (deep park): the fast path would
-                // only re-read constant-zero idle utilizations and
-                // rewrite every field with the same bits, and returns
-                // 0.0 overage by the park invariant.
-                let mut max_over_w = 0.0f64;
-                if workers > 1 && n >= PAR_MIN_BATCH {
-                    let caps_ref: &[MilliWatts] = &caps;
-                    let overs = run_ticketed_mut(&telemetry, workers, fanout_roots.next_u64(), nodes, |tk, node| {
-                        let cap = caps_ref[tk.index];
-                        if node.is_alive() && node.parked_under() != Some(cap) {
-                            node.control_tick_parkable(t, cap)
-                        } else {
-                            0.0
-                        }
-                    });
-                    for over in overs {
-                        max_over_w = max_over_w.max(over);
-                    }
-                } else {
-                    for (node, &cap) in nodes.iter_mut().zip(&caps) {
-                        if node.is_alive() && node.parked_under() != Some(cap) {
-                            max_over_w = max_over_w.max(node.control_tick_parkable(t, cap));
-                        }
-                    }
-                }
-                // 4. Deferral releases, then retries, then dispatch
-                // behind the breaker mask (identical to serial).
-                dispatcher.release_due(scheduler, t);
-                for r in retry.drain_ready(t).into_iter().rev() {
-                    scheduler.requeue_front(r.job, r.avoid_rack);
-                }
-                let mut allowed: Vec<bool> = breakers.iter().map(CircuitBreaker::allows_dispatch).collect();
-                if let Some(g) = geo.as_deref() {
-                    mask_domains(&mut allowed, g);
-                }
-                scheduler.dispatch(nodes, &allowed, &rack_of, t);
-                // Dispatch may have put jobs on idle nodes; rebuild the
-                // busy list in id order.
-                busy.clear();
-                busy.extend(nodes.iter().enumerate().filter(|(_, n)| !n.is_idle()).map(|(i, _)| i));
-                // 5. Periodic learner checkpoints on fully-Up nodes.
-                if let Some(k) = cfg.lifecycle.checkpoint_period {
-                    if tick_no > 0 && tick_no.is_multiple_of(k) {
-                        for node in nodes.iter_mut() {
-                            if node.state() == NodeState::Up {
-                                node.take_checkpoint();
-                            }
-                        }
-                    }
-                }
-                tick_no += 1;
-                if t > SimTime::ZERO {
-                    interval += 1;
-                    rows.push(trace_row(
-                        cfg,
-                        nodes,
-                        scheduler,
-                        breakers,
-                        retry,
-                        &caps,
-                        t,
-                        interval,
-                        &completed,
-                        deadline_misses,
-                        max_over_w,
-                    ));
-                    if let Some(g) = geo.as_deref_mut() {
-                        push_geo_rows(g, nodes, t, interval);
-                    }
-                    dispatcher.note_interval(t, interval);
-                }
-            }
-        }
-    }
-    // Account service up to the horizon.
-    advance_busy(
-        nodes,
-        &mut busy,
-        t,
-        end,
-        &mut completed,
-        &mut deadline_misses,
-        &mut fanout_roots,
-    );
-
-    DriveOutcome {
-        completed,
-        deadline_misses,
-        rows,
-        crash_records,
-        jobs_lost,
-        stray_blackout_events,
-    }
-}
-
-/// One per-interval telemetry row — shared verbatim by all engines so
-/// the CSV bytes cannot drift between them.
+/// One per-interval telemetry row — built once by the spine, so the CSV
+/// bytes cannot drift between engines.
 #[allow(clippy::too_many_arguments)]
 fn trace_row(
     cfg: &FleetConfig,
@@ -982,8 +876,7 @@ fn trace_row(
     caps: &[MilliWatts],
     t: SimTime,
     interval: u64,
-    completed: &[JobRecord],
-    deadline_misses: u64,
+    done: &Completions,
     max_over_w: f64,
 ) -> TraceRow {
     let window_start = SimTime::ZERO + cfg.control_period.mul_f64((interval - 1) as f64);
@@ -1008,9 +901,9 @@ fn trace_row(
         total_power_w,
         fleet_cap_w: caps.iter().sum::<u64>() as f64 / 1000.0,
         budget_w: cfg.budget_w,
-        completed: completed.len() as u64,
+        completed: done.records.len() as u64,
         rejected: scheduler.rejected(),
-        deadline_misses,
+        deadline_misses: done.deadline_misses,
         cap_violations: nodes.iter().map(Node::cap_violations).sum(),
         max_pair_over_cap_w: max_over_w,
         up_nodes: nodes.iter().filter(|n| n.is_alive()).count(),
@@ -1076,7 +969,6 @@ mod tests {
                 jobs: &[],
                 chaos_events: &chaos_events,
                 budget_mw: 1_000_000,
-                ticket_root: 5,
             };
             let outcome = drive(
                 &inputs,
@@ -1090,6 +982,32 @@ mod tests {
             );
             assert_eq!(outcome.stray_blackout_events, 1, "engine {engine:?}");
             assert_eq!(outcome.rows.len(), 3, "engine {engine:?} still ran to the horizon");
+        }
+    }
+
+    /// The control-tick fan-out must touch every node exactly once and
+    /// hand the results back in node order, whatever the worker count —
+    /// including more workers than nodes, and node counts on both sides
+    /// of `PAR_MIN_BATCH`.
+    #[test]
+    fn fan_out_visits_each_item_once_and_returns_in_order() {
+        for n in [0usize, 1, 31, 32, 33, 100] {
+            for workers in 1..=8 {
+                let mut items: Vec<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
+                let out = fan_out(workers, &mut items, |i, item| {
+                    item.1 += 1;
+                    (i, item.0 * 3)
+                });
+                let want: Vec<(usize, usize)> = (0..n).map(|i| (i, i * 3)).collect();
+                assert_eq!(out, want, "results in node order (n={n}, workers={workers})");
+                assert!(
+                    items
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &(id, visits))| id == i && visits == 1),
+                    "every item mutated exactly once (n={n}, workers={workers})"
+                );
+            }
         }
     }
 

@@ -468,9 +468,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let mut root = SplitMix64::new(cfg.seed);
     let profile_seed = root.next_u64();
     let arrival_seed = root.next_u64();
-    // Drawn unconditionally so engine choice cannot shift any other
-    // stream; only the parallel engine's ticket sequencer consumes it.
-    let ticket_root = root.next_u64();
 
     // Profiling a workload mix is the expensive part of node
     // construction; nodes sharing a GPU spec share one profile table.
@@ -632,7 +629,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         jobs: &jobs,
         chaos_events: &chaos_events,
         budget_mw,
-        ticket_root,
     };
     let outcome = drive(
         &inputs,

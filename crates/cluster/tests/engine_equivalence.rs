@@ -1,13 +1,13 @@
 //! Differential harness for the fleet engines: serial ≡ event-driven ≡
 //! parallel (1/2/4/8 workers), byte-for-byte.
 //!
-//! The serial engine is the oracle — the original advance-everything
-//! loop, untouched. The event-driven engine skips work (idle advance,
+//! The serial engine is the oracle — the advance-everything schedule
+//! on the shared spine. The event-driven engine skips work (idle advance,
 //! dormant lifecycle ticks, quiescent control ticks) only where the
-//! skip is provably an identity, and the parallel engine adds ticketed
-//! worker fan-out on top; if any of those arguments is wrong, the trace
-//! CSV, the completion stream, the crash audit, or a conservation
-//! counter diverges and these tests catch it.
+//! skip is provably an identity, and the parallel engine fans its
+//! control ticks out over worker threads on top; if any of those
+//! arguments is wrong, the trace CSV, the completion stream, the crash
+//! audit, or a conservation counter diverges and these tests catch it.
 
 use greengpu::{DeadlineParams, Exp3Params, UcbParams};
 use greengpu_cluster::{run_fleet, EngineKind, FleetConfig, FleetReport, NodeConfig, Policy, PolicySpec, Topology};
@@ -177,9 +177,10 @@ fn tight_deadlines_agree_and_actually_miss() {
 #[test]
 fn big_fleet_exercises_the_threaded_fanout() {
     // 40 nodes crosses the engine's fan-out threshold (32), so the
-    // parallel engines actually spawn worker lanes here; doubling the
-    // arrival rate pushes the busy count over the threshold too, making
-    // the advance fan-out fire, not just the control-tick one.
+    // parallel engine actually spawns worker threads for its control
+    // ticks here; doubling the arrival rate keeps most nodes busy, so
+    // the fanned-out ticks run full controller decisions, not just
+    // deep-park skips.
     let mut cfg = fleet_cfg(40, &PolicySpec::default(), true, 12, 4242);
     cfg.arrivals.rate_per_s *= 2.0;
     let oracle = digest(&run_fleet(&cfg.clone().with_engine(EngineKind::Serial)));
@@ -212,6 +213,29 @@ fn geo_hierarchy_engines_agree_under_correlated_chaos() {
             "rack power losses must leave audit records"
         );
         assert_engines_agree(&cfg);
+    }
+}
+
+#[test]
+fn big_geo_fleet_exercises_the_threaded_fanout() {
+    // Every other geo shape here stays under the fan-out threshold (32
+    // nodes); 1×2×4×5 = 40 nodes runs the parallel engines' threaded
+    // control ticks under the budget tree and correlated chaos.
+    let cfg = geo_cfg((1, 2, 4, 5), &PolicySpec::default(), 20, 0x6E0_0040);
+    let oracle = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
+    assert!(
+        oracle.rack_losses > 0,
+        "the big geo scenario must lose a rack (rack_losses={})",
+        oracle.rack_losses
+    );
+    let oracle = digest(&oracle);
+    for engine in [
+        EngineKind::EventDriven,
+        EngineKind::Parallel { workers: 2 },
+        EngineKind::Parallel { workers: 4 },
+    ] {
+        let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
+        assert_eq!(got, oracle, "engine {engine:?} diverged on the big geo fleet");
     }
 }
 

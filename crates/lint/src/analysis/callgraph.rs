@@ -7,7 +7,7 @@
 //! mid-experiment; a panic only reachable from constructors fires at
 //! setup, where loud failure is the contract (DESIGN.md §11).
 
-use super::parse::ParsedFile;
+use super::parse::{FnItem, ParsedFile};
 use super::symbols::{FnId, Symbols};
 use crate::source::SourceFile;
 
@@ -20,6 +20,15 @@ pub enum RootMatch {
     /// A function by `(self type, name)`; `None` matches free
     /// functions.
     Named(Option<&'static str>, &'static str),
+}
+
+impl RootMatch {
+    fn hits(&self, item: &FnItem) -> bool {
+        match *self {
+            RootMatch::TraitImpl(tr) => item.trait_impl.as_deref() == Some(tr),
+            RootMatch::Named(ty, name) => item.name == name && item.self_ty.as_deref() == ty,
+        }
+    }
 }
 
 /// One registered control-path root.
@@ -64,15 +73,7 @@ pub const ROOTS: &[RootSpec] = &[
     },
     RootSpec {
         matcher: RootMatch::Named(None, "drive"),
-        why: "parallel engine step loop",
-    },
-    RootSpec {
-        matcher: RootMatch::Named(None, "drive_serial"),
-        why: "serial engine step loop",
-    },
-    RootSpec {
-        matcher: RootMatch::Named(None, "drive_event"),
-        why: "discrete-event engine step loop",
+        why: "fleet engine step loop",
     },
 ];
 
@@ -199,15 +200,8 @@ impl CallGraph {
         }
         for id in 0..n {
             let item = sym.item(parsed, id);
-            for spec in ROOTS {
-                let hit = match spec.matcher {
-                    RootMatch::TraitImpl(tr) => item.trait_impl.as_deref() == Some(tr),
-                    RootMatch::Named(ty, name) => item.name == name && item.self_ty.as_deref() == ty,
-                };
-                if hit {
-                    g.roots.push((id, spec.why));
-                    break;
-                }
+            if let Some(spec) = ROOTS.iter().find(|spec| spec.matcher.hits(item)) {
+                g.roots.push((id, spec.why));
             }
         }
         g.roots.sort_by(|a, b| sym.keys[a.0].cmp(&sym.keys[b.0]));
@@ -440,6 +434,27 @@ mod tests {
         );
     }
 
+    /// Every registered root must match a real workspace function, so a
+    /// rename cannot silently orphan a root and drop its hot path out of
+    /// the reachability passes.
+    #[test]
+    fn every_root_matches_a_workspace_function() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crates/lint sits two levels below the workspace root");
+        let files = crate::workspace::load_workspace(root).expect("workspace loads");
+        let analysis = crate::analysis::Analysis::build(&files);
+        for spec in ROOTS {
+            assert!(
+                (0..analysis.symbols.len()).any(|id| spec.matcher.hits(analysis.item(id))),
+                "root {:?} ({}) matches no workspace function",
+                spec.matcher,
+                spec.why
+            );
+        }
+    }
+
     #[test]
     fn trait_impl_methods_are_roots() {
         let (_f, _p, _s, g) = build(&[(
@@ -453,15 +468,15 @@ mod tests {
     fn witness_runs_root_to_target_with_call_sites() {
         let (files, parsed, sym, g) = build(&[(
             "crates/cluster/src/engine.rs",
-            "pub fn drive_serial() { step(); }\npub fn step() { inner(); }\npub fn inner() {}\n",
+            "pub fn drive() { step(); }\npub fn step() { inner(); }\npub fn inner() {}\n",
         )]);
         let reach = g.from_roots(&parsed, &sym);
         let inner = id_of(&sym, "inner");
         let trace = g.witness_from_root(&reach, inner, &files, &parsed, &sym);
         let symbols: Vec<&str> = trace.iter().map(|h| h.symbol.as_str()).collect();
-        assert_eq!(symbols, ["drive_serial", "step", "inner"]);
+        assert_eq!(symbols, ["drive", "step", "inner"]);
         assert_eq!(trace[0].line, 1);
-        assert_eq!(trace[1].line, 1, "step is entered at drive_serial's call site");
+        assert_eq!(trace[1].line, 1, "step is entered at drive's call site");
         assert_eq!(trace[2].line, 2, "inner is entered at step's call site");
     }
 

@@ -180,7 +180,7 @@ mod tests {
         );
         f.trace = vec![
             Hop {
-                symbol: "drive_serial".into(),
+                symbol: "run_spine".into(),
                 path: "crates/cluster/src/engine.rs".into(),
                 line: 455,
             },
@@ -192,7 +192,7 @@ mod tests {
         ];
         let j = to_sarif(&[f], 0, &[]);
         assert!(j.contains("codeFlows"));
-        assert!(j.contains("drive_serial"));
+        assert!(j.contains("run_spine"));
         assert!(j.contains("\"startLine\": 455"));
     }
 

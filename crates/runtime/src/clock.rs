@@ -2,11 +2,10 @@
 //!
 //! Every simulated path in the workspace takes time from [`SimTime`]
 //! bookkeeping; nothing in a seeded crate may read the wall clock
-//! directly (`greengpu-lint`'s `determinism` rule enforces this). The
-//! few places that genuinely measure host execution — the pthread-analog
-//! in [`crate::parallel`] — go through the [`Clock`] seam instead, so
-//! tests and replays can substitute a [`ManualClock`] and get
-//! byte-identical telemetry.
+//! directly (`greengpu-lint`'s `determinism` rule enforces this). Code
+//! that genuinely measures host execution goes through the [`Clock`]
+//! seam instead, so tests and replays can substitute a [`ManualClock`]
+//! and get byte-identical telemetry.
 //!
 //! [`SimTime`]: greengpu_sim::SimTime
 
@@ -14,8 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonic time source, seconds from an arbitrary epoch.
 ///
-/// `Sync` because the pthread-analog shares one clock across both worker
-/// threads.
+/// `Sync` so one clock can be shared across worker threads.
 pub trait Clock: Sync {
     /// Seconds elapsed since this clock's epoch.
     fn now_s(&self) -> f64;
@@ -52,9 +50,9 @@ impl Clock for WallClock {
     }
 }
 
-/// A deterministic clock that only moves when told to. Thread-safe so the
-/// worker closures in [`crate::parallel::run_split_with`] can advance it
-/// mid-run; stores the reading as `f64` bits in an atomic.
+/// A deterministic clock that only moves when told to. Thread-safe so
+/// worker threads can advance it mid-run; stores the reading as `f64`
+/// bits in an atomic.
 #[derive(Debug, Default)]
 pub struct ManualClock {
     bits: AtomicU64,
@@ -105,6 +103,17 @@ mod tests {
         assert_eq!(c.now_s(), 12.5);
         c.advance_s(-1.0); // clamped
         assert_eq!(c.now_s(), 12.5);
+    }
+
+    #[test]
+    fn manual_clock_advances_are_lossless_across_threads() {
+        let c = ManualClock::new(0.0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| (0..1000).for_each(|_| c.advance_s(0.5)));
+            }
+        });
+        assert_eq!(c.now_s(), 2000.0);
     }
 
     #[test]

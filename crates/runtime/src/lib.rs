@@ -20,11 +20,9 @@
 //! * the functional kernel actually executes with the same split, so the
 //!   numerical results are real.
 //!
-//! [`parallel`] contains the literal pthread-analog (std scoped
-//! threads + a shared telemetry sink) used by examples and tests to run
-//! real CPU-side chunks concurrently. [`multi`] extends the division tier
-//! across several (possibly heterogeneous) GPUs — the "one pthread for
-//! one GPU" structure §VI anticipates.
+//! [`multi`] extends the division tier across several (possibly
+//! heterogeneous) GPUs — the "one pthread for one GPU" structure §VI
+//! anticipates. [`clock`] is the one sanctioned wall-clock seam.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +31,6 @@ pub mod config;
 pub mod controller;
 pub mod engine;
 pub mod multi;
-pub mod parallel;
 pub mod report;
 
 pub use clock::{Clock, ManualClock, WallClock};
