@@ -19,8 +19,8 @@
 //!   agenda** keyed by `(state_until, node_id)` until their next
 //!   lifecycle transition is actually due, and idle healthy nodes whose
 //!   controller state is provably a fixed point are **parked**
-//!   ([`crate::Node::park_fingerprint`]) so their control ticks degrade to
-//!   a sense-only quiescent check.
+//!   ([`crate::Node::park_fingerprint`]) so their control ticks are
+//!   skipped while their cap holds.
 //! * [`EngineKind::Parallel`] — the event-driven schedule with its control
 //!   ticks fanned out over `workers` scoped threads once the fleet has
 //!   `PAR_MIN_BATCH` nodes. Each thread owns one contiguous slice of
@@ -44,22 +44,20 @@
 //! * a dead node's [`crate::Node::lifecycle_tick`] is an identity before
 //!   `state_until` (the only divergence, a stale thermal flag, is
 //!   unreadable in those states and refreshed on wake);
-//! * a parked node's quiescent tick senses in full (sensor windows and
-//!   reject counters advance exactly as a real tick's would) and skips
-//!   only a decide/actuate half that would re-derive the already
-//!   enforced levels from an unchanged observation;
 //! * a node parked under *exactly* the cap it is being handed skips the
-//!   whole control tick (**deep park**): an idle node's utilization
-//!   traces are constant zero, so the sense the skip drops would read
-//!   bitwise `0.0` over any window — the only state left behind is the
-//!   sensors' poll cursor, which [`crate::Node::dispatch`] catches up
-//!   (while the traces are still flat) before a job can move them;
+//!   whole control tick (**deep park**); handed any other cap it
+//!   un-parks and takes a full tick. The skip is exact: an idle node's
+//!   utilization traces are constant zero, so the sense the skip drops
+//!   would read bitwise `0.0` over any window — the only state left
+//!   behind is the sensors' poll cursor, which [`crate::Node::dispatch`]
+//!   catches up (while the traces are still flat) before a job can move
+//!   them;
 //! * a parked node's power demand, and the whole `apportion` call when
 //!   no demand moved, reuse last tick's values — both are pure functions
 //!   of state the park fingerprint freezes;
-//! * a continuously-parked node's periodic checkpoint skips the JSON
-//!   re-serialization: the learner state it would snapshot is bit-frozen
-//!   while parked, so the stored bytes are already identical.
+//! * a continuously-parked node's periodic checkpoint skips the
+//!   re-recording: the learner state it would snapshot is bit-frozen
+//!   while parked, so the stored checkpoint is already identical.
 //!
 //! The skipped work that is *not* bit-preserved is confined to
 //! unobservable telemetry: per-policy decision-tracker counters, the

@@ -40,7 +40,7 @@ use crate::lifecycle::LifecycleParams;
 use crate::node::{Node, NodeConfig, RecoveryRecord};
 use crate::policy::Policy;
 use crate::power::{mw_floor, MilliWatts};
-use crate::profile::ServiceProfile;
+use crate::profile::{ProfileTable, ServiceProfile};
 use crate::retry::RetryQueue;
 use crate::scheduler::Scheduler;
 use crate::telemetry::{FleetTrace, GeoTrace, ServingTrace};
@@ -49,6 +49,7 @@ use greengpu_hw::{ChaosEvent, ChaosKind, ChaosPlan, DomainChaosEvent, DomainChao
 use greengpu_sim::{EventQueue, SimDuration, SimTime, SplitMix64};
 use greengpu_tenancy::{generate_tenant_arrivals, mix_union};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Full description of one fleet run.
 #[derive(Debug, Clone)]
@@ -456,6 +457,27 @@ impl FleetReport {
     }
 }
 
+/// Builds the fleet's nodes. Profiling a workload mix is the expensive
+/// part of node construction, so each distinct GPU spec's mix is
+/// profiled once into one table, which all of that spec's nodes share.
+fn build_nodes(cfg: &FleetConfig, mix_names: &[String], profile_seed: u64) -> Vec<Node> {
+    let mut tables: BTreeMap<String, Arc<ProfileTable>> = BTreeMap::new();
+    let mut nodes: Vec<Node> = Vec::with_capacity(cfg.nodes.len());
+    for (i, nc) in cfg.nodes.iter().enumerate() {
+        let built = tables.entry(format!("{:?}", nc.gpu)).or_insert_with(|| {
+            match ProfileTable::build(mix_names, profile_seed, &nc.gpu) {
+                Ok(table) => Arc::new(table),
+                Err(msg) => panic!("node {i}: {msg}"),
+            }
+        });
+        match Node::try_with_profiles(i, nc, Arc::clone(built), profile_seed) {
+            Ok(node) => nodes.push(node),
+            Err(msg) => panic!("node {i}: {msg}"),
+        }
+    }
+    nodes
+}
+
 /// Runs one fleet to its horizon.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     if let Err(msg) = cfg.try_validate() {
@@ -469,22 +491,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let profile_seed = root.next_u64();
     let arrival_seed = root.next_u64();
 
-    // Profiling a workload mix is the expensive part of node
-    // construction; nodes sharing a GPU spec share one profile table.
-    let mut profile_cache: BTreeMap<String, BTreeMap<String, ServiceProfile>> = BTreeMap::new();
-    let mut nodes: Vec<Node> = Vec::with_capacity(cfg.nodes.len());
-    for (i, nc) in cfg.nodes.iter().enumerate() {
-        let key = format!("{:?}", nc.gpu);
-        let node = match profile_cache.get(&key) {
-            Some(profiles) => Node::new_with_profiles(i, nc, profiles.clone(), profile_seed),
-            None => {
-                let node = Node::new(i, nc, &mix_names, profile_seed);
-                profile_cache.insert(key, node.profile_table().clone());
-                node
-            }
-        };
-        nodes.push(node);
-    }
+    let mut nodes = build_nodes(cfg, &mix_names, profile_seed);
     for node in &mut nodes {
         node.set_lifecycle(cfg.lifecycle.restart_s, cfg.lifecycle.probation_intervals);
     }
@@ -703,5 +710,43 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             .map_or(0, |g| g.zone_breakers.iter().map(CircuitBreaker::trips).sum()),
         interior_cap_violations: geo.as_ref().map_or(0, |g| g.interior_cap_violations),
         completed: outcome.completed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn built(nodes: Vec<NodeConfig>) -> (Vec<Node>, Vec<String>) {
+        let cfg = FleetConfig::from_nodes(nodes, 0.8, Policy::LeastLoaded, SimDuration::from_secs(10), 7);
+        let mix: Vec<String> = cfg.arrivals.mix.iter().map(|(name, _)| name.clone()).collect();
+        (build_nodes(&cfg, &mix, 1), mix)
+    }
+
+    #[test]
+    fn nodes_share_one_profile_table_per_gpu_spec() {
+        let (nodes, _) = built(vec![NodeConfig::default_node(); 4]);
+        let first = nodes[0].profile_table();
+        assert!(nodes.iter().all(|node| Arc::ptr_eq(node.profile_table(), first)));
+        assert_eq!(Arc::strong_count(first), 4, "one table, held once per node");
+
+        let (down, default) = (NodeConfig::downclocked(), NodeConfig::default_node());
+        let (nodes, mix) = built(vec![default.clone(), down.clone(), default, down.clone(), down.clone()]);
+        let mut tables: Vec<&Arc<ProfileTable>> = Vec::new();
+        for node in &nodes {
+            if !tables.iter().any(|t| Arc::ptr_eq(t, node.profile_table())) {
+                tables.push(node.profile_table());
+            }
+        }
+        assert_eq!(tables.len(), 2, "a two-spec fleet holds exactly two tables");
+        assert!(Arc::ptr_eq(nodes[0].profile_table(), nodes[2].profile_table()));
+        assert!(!Arc::ptr_eq(nodes[0].profile_table(), nodes[1].profile_table()));
+        // Sharing changes no profile: each spec's table matches a node
+        // that profiled the mix on its own.
+        let alone = Node::new(4, &down, &mix, 1);
+        for name in &mix {
+            let (shared, own) = (nodes[4].profile(name).unwrap(), alone.profile(name).unwrap());
+            assert_eq!(shared.peak_time_s().to_bits(), own.peak_time_s().to_bits(), "{name}");
+        }
     }
 }

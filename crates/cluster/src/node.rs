@@ -17,16 +17,16 @@
 use crate::job::{JobRecord, JobSpec};
 use crate::lifecycle::NodeState;
 use crate::power::{mw, MilliWatts, NodeDemand};
-use crate::profile::ServiceProfile;
-use crate::telemetry::NameTable;
+use crate::profile::{ProfileTable, ServiceProfile};
 use greengpu::{GreenGpuConfig, GreenGpuController, PairModel, PolicySpec};
 use greengpu_hw::{
     calib, BlackoutSensors, CleanSensors, CpuSpec, DirectActuator, FaultPlan, FaultyActuator, FaultySensor,
     FreqActuator, GpuSpec, Platform, SensorSource,
 };
 use greengpu_runtime::Controller as _;
-use greengpu_sim::{Fnv64, JsonWriter, SimDuration, SimTime, SplitMix64};
+use greengpu_sim::{Fnv64, JsonTape, SimDuration, SimTime, SplitMix64};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Static description of one node.
 #[derive(Debug, Clone)]
@@ -86,7 +86,7 @@ impl NodeConfig {
 /// profiled workloads gives the node one budget surface for a mixed
 /// stream; a single-workload mix degenerates to that workload's exact
 /// profile.
-fn mix_pair_model(gpu: &GpuSpec, profiles: &BTreeMap<String, ServiceProfile>) -> Result<PairModel, String> {
+fn mix_pair_model(gpu: &GpuSpec, profiles: &[ServiceProfile]) -> Result<PairModel, String> {
     if profiles.is_empty() {
         return Err("deadline policy needs a non-empty workload mix".to_string());
     }
@@ -95,7 +95,7 @@ fn mix_pair_model(gpu: &GpuSpec, profiles: &BTreeMap<String, ServiceProfile>) ->
     let k = profiles.len() as f64;
     let mut time_s = vec![0.0; n_core * n_mem];
     let mut energy_j = vec![0.0; n_core * n_mem];
-    for prof in profiles.values() {
+    for prof in profiles {
         for i in 0..n_core {
             for j in 0..n_mem {
                 time_s[i * n_mem + j] += prof.time_s(i, j) / k;
@@ -116,9 +116,9 @@ struct RunningJob {
     /// GPU energy attributed so far, joules (pair energy prorated by
     /// per-window progress, so DVFS changes mid-job are accounted).
     energy_j: f64,
-    /// Interned profile id (index into `Node::profile_seq`), resolved
-    /// once at dispatch so the per-window hot path never re-keys the
-    /// profile map by workload `String`.
+    /// Interned profile id (see [`ProfileTable`]), resolved once at
+    /// dispatch so the per-window hot path never re-keys the profiles by
+    /// workload `String`.
     profile: u32,
 }
 
@@ -146,17 +146,33 @@ pub struct RecoveryRecord {
     pub intervals: u64,
 }
 
+/// A node's last learner checkpoint.
+enum Checkpoint {
+    /// Recorded by [`Node::take_checkpoint`]; printed only when read.
+    Tape(JsonTape),
+    /// Installed verbatim by [`Node::load_checkpoint`].
+    Text(String),
+}
+
+impl Checkpoint {
+    fn text(&self) -> String {
+        match self {
+            Checkpoint::Tape(tape) => tape.print(),
+            Checkpoint::Text(text) => text.clone(),
+        }
+    }
+}
+
 /// One live node.
 pub struct Node {
     id: usize,
     platform: Platform,
     ctl: GreenGpuController,
-    profiles: BTreeMap<String, ServiceProfile>,
-    /// Workload names interned in sorted order; ids index `profile_seq`.
-    profile_names: NameTable,
-    /// Profiles in interned-id order — the per-window hot path resolves
-    /// a job's profile by `u32` id, never by `String` key.
-    profile_seq: Vec<ServiceProfile>,
+    /// Shared with every fleet node of the same GPU spec.
+    profiles: Arc<ProfileTable>,
+    /// Modeled worst-case board power of the floor and the peak pair
+    /// (fixed by the card, so computed once).
+    floor_peak: (MilliWatts, MilliWatts),
     cap_w: f64,
     job: Option<RunningJob>,
     busy_s: f64,
@@ -175,21 +191,20 @@ pub struct Node {
     probation_left: u64,
     restart_s: f64,
     probation_intervals: u64,
-    checkpoint: Option<String>,
+    checkpoint: Option<Checkpoint>,
     thermal_until: SimTime,
     thermal_active: bool,
     /// The cap this node was *parked* under by the event-driven engine,
     /// if any: the node proved two consecutive control ticks identical
-    /// (see [`Node::park_fingerprint`]) and subsequent ticks take the
-    /// quiescent fast path until anything observable changes.
+    /// (see [`Node::park_fingerprint`]), and the engine skips its control
+    /// ticks for as long as it keeps handing the node this cap.
     parked_cap: Option<MilliWatts>,
     /// Whether the stored checkpoint was taken while this node was parked
-    /// *and* the node has stayed parked since. While that holds the
-    /// controller's learner state is bit-frozen (the quiescent path only
-    /// re-reads constant-zero idle utilizations; the deep-skip path runs
-    /// nothing at all), so [`Node::take_checkpoint`] can skip the JSON
-    /// re-serialization — the stored bytes are already identical. Cleared
-    /// on every `parked_cap` transition.
+    /// *and* the node has stayed parked since. While that holds no control
+    /// tick has run, so the controller's learner state is bit-frozen and
+    /// [`Node::take_checkpoint`] can skip the re-recording — the stored
+    /// checkpoint is already identical. Cleared on every `parked_cap`
+    /// transition.
     parked_checkpoint_fresh: bool,
     /// Pre-crash desired pair, pending recovery measurement.
     pending_target: Option<(usize, usize)>,
@@ -236,26 +251,30 @@ impl Node {
     /// energy-aware placement estimates use; randomized policies draw
     /// per-node streams derived from `(profile_seed, id)`.
     pub fn try_new(id: usize, cfg: &NodeConfig, workloads: &[String], profile_seed: u64) -> Result<Self, String> {
-        let profiles: BTreeMap<String, ServiceProfile> = workloads
-            .iter()
-            .map(|name| {
-                ServiceProfile::build(name, profile_seed, &cfg.gpu)
-                    .map(|p| (name.clone(), p))
-                    .ok_or_else(|| format!("unknown workload {name:?} in mix"))
-            })
-            .collect::<Result<_, String>>()?;
-        Node::try_new_with_profiles(id, cfg, profiles, profile_seed)
+        let profiles = ProfileTable::build(workloads, profile_seed, &cfg.gpu)?;
+        Node::try_with_profiles(id, cfg, Arc::new(profiles), profile_seed)
     }
 
     /// Like [`Node::try_new`], but takes a prebuilt profile table. The
     /// caller guarantees the profiles were built for `cfg.gpu` with this
-    /// fleet's `profile_seed` — the fleet constructor builds one table
-    /// per distinct GPU spec and shares it across that spec's nodes, so
-    /// an N-node homogeneous fleet profiles its mix once, not N times.
+    /// fleet's `profile_seed`.
     pub fn try_new_with_profiles(
         id: usize,
         cfg: &NodeConfig,
         profiles: BTreeMap<String, ServiceProfile>,
+        profile_seed: u64,
+    ) -> Result<Self, String> {
+        Node::try_with_profiles(id, cfg, Arc::new(ProfileTable::from(profiles)), profile_seed)
+    }
+
+    /// Like [`Node::try_new_with_profiles`], but shares `profiles`: the
+    /// fleet constructor builds one table per distinct GPU spec and hands
+    /// it to every node with that spec, so an N-node homogeneous fleet
+    /// profiles its mix once and holds it once.
+    pub(crate) fn try_with_profiles(
+        id: usize,
+        cfg: &NodeConfig,
+        profiles: Arc<ProfileTable>,
         profile_seed: u64,
     ) -> Result<Self, String> {
         cfg.freq_policy.try_validate()?;
@@ -269,18 +288,10 @@ impl Node {
             cfg.cpu.levels_mhz.len() - 1,
         );
         let model = match &cfg.freq_policy {
-            PolicySpec::Deadline(_) => Some(mix_pair_model(&cfg.gpu, &profiles)?),
+            PolicySpec::Deadline(_) => Some(mix_pair_model(&cfg.gpu, profiles.profiles())?),
             _ => None,
         };
         let policy_seed = SplitMix64::new(profile_seed.wrapping_add(id as u64)).next_u64();
-        // Intern the workload names once (sorted map order, so ids are
-        // deterministic) — jobs carry the `u32` id from dispatch on.
-        let mut profile_names = NameTable::new();
-        let mut profile_seq = Vec::with_capacity(profiles.len());
-        for (name, prof) in &profiles {
-            profile_names.intern(name);
-            profile_seq.push(prof.clone());
-        }
         let mut node = Node {
             id,
             platform,
@@ -291,8 +302,10 @@ impl Node {
                 cfg.freq_policy.build(n_core, n_mem, policy_seed, model.as_ref())?,
             ),
             profiles,
-            profile_names,
-            profile_seq,
+            floor_peak: (
+                mw(cfg.gpu.power_at_levels_w(0, 0, 1.0, 1.0)),
+                mw(cfg.gpu.power_at_levels_w(n_core - 1, n_mem - 1, 1.0, 1.0)),
+            ),
             cap_w: f64::INFINITY,
             job: None,
             busy_s: 0.0,
@@ -387,17 +400,17 @@ impl Node {
         self.state_until
     }
 
-    /// Whether the node is currently parked on the control quiescent
-    /// fast path (see [`Node::control_tick_parkable`]).
+    /// Whether the node is currently parked (see
+    /// [`Node::control_tick_parkable`]).
     pub fn is_parked(&self) -> bool {
         self.parked_cap.is_some()
     }
 
     /// The cap this node is parked under, if parked. While this equals
     /// the cap the apportioner would hand the node this interval, the
-    /// entire control tick is an identity (the parked fast path would
-    /// re-read constant-zero idle utilizations and rewrite every field
-    /// with the same bits), so the event engine skips it outright.
+    /// entire control tick is an identity (it would re-read
+    /// constant-zero idle utilizations and rewrite every field with the
+    /// same bits), so the event engine skips it outright.
     pub fn parked_under(&self) -> Option<MilliWatts> {
         self.parked_cap
     }
@@ -433,21 +446,25 @@ impl Node {
     /// Snapshots the controller's learner state as the node's current
     /// checkpoint (the fleet calls this every checkpoint period).
     ///
-    /// The text is streamed into the node's own buffer, reused from the
-    /// previous period, then fitted to its exact length: a fleet holds
-    /// one checkpoint per node, so growth slack would cost memory on
-    /// every node.
+    /// The snapshot is recorded as a [`JsonTape`], re-recorded in place
+    /// from the previous period and fitted to its exact size: a fleet
+    /// holds one checkpoint per node, so growth slack would cost memory
+    /// on every node. Its size does not depend on the learner's values,
+    /// so after the first period this allocates nothing. The text is
+    /// printed only when a restart or [`Node::checkpoint_data`] reads it.
     pub fn take_checkpoint(&mut self) {
         // A continuously-parked node's learner state is bit-frozen, so
-        // the checkpoint taken last period is still byte-identical —
-        // skip the re-serialization.
+        // the checkpoint taken last period is still identical — skip
+        // the re-recording.
         if self.parked_cap.is_some() && self.parked_checkpoint_fresh {
             return;
         }
-        let text = self.checkpoint.get_or_insert_with(String::new);
-        text.clear();
-        self.ctl.snapshot(&mut JsonWriter::new(text));
-        text.shrink_to_fit();
+        let mut tape = match self.checkpoint.take() {
+            Some(Checkpoint::Tape(tape)) => tape,
+            _ => JsonTape::new(),
+        };
+        tape.record(|w| self.ctl.snapshot(w));
+        self.checkpoint = Some(Checkpoint::Tape(tape));
         self.parked_checkpoint_fresh = self.parked_cap.is_some();
     }
 
@@ -455,12 +472,12 @@ impl Node {
     /// seam for tests; a garbage string is rejected at restore time and
     /// the restart falls back to a cold start (counted).
     pub fn load_checkpoint(&mut self, checkpoint: String) {
-        self.checkpoint = Some(checkpoint);
+        self.checkpoint = Some(Checkpoint::Text(checkpoint));
     }
 
-    /// The stored checkpoint, if any.
-    pub fn checkpoint_data(&self) -> Option<&str> {
-        self.checkpoint.as_deref()
+    /// The stored checkpoint's text, if any.
+    pub fn checkpoint_data(&self) -> Option<String> {
+        self.checkpoint.as_ref().map(Checkpoint::text)
     }
 
     /// Crashes the node at `now`: the in-flight job (returned for retry)
@@ -561,8 +578,8 @@ impl Node {
             self.cold_restarts += 1;
             return false;
         };
-        let warm = match &self.checkpoint {
-            Some(cp) => match ctl.restore(cp) {
+        let warm = match self.checkpoint.as_ref().map(Checkpoint::text) {
+            Some(text) => match ctl.restore(&text) {
                 Ok(()) => {
                     self.warm_restarts += 1;
                     true
@@ -642,9 +659,10 @@ impl Node {
         self.cap_violations
     }
 
-    /// The node's whole profile table (the fleet shares it across nodes
-    /// with the same GPU spec).
-    pub(crate) fn profile_table(&self) -> &BTreeMap<String, ServiceProfile> {
+    /// The node's profile table, shared with the fleet's other nodes of
+    /// the same GPU spec.
+    #[cfg(test)]
+    pub(crate) fn profile_table(&self) -> &Arc<ProfileTable> {
         &self.profiles
     }
 
@@ -677,15 +695,6 @@ impl Node {
         )
     }
 
-    fn spec_powers(&self) -> (f64, f64) {
-        let spec = self.platform.gpu().spec();
-        let (nc, nm) = (spec.core_levels_mhz.len(), spec.mem_levels_mhz.len());
-        (
-            spec.power_at_levels_w(0, 0, 1.0, 1.0),
-            spec.power_at_levels_w(nc - 1, nm - 1, 1.0, 1.0),
-        )
-    }
-
     /// What this node asks of the apportioner right now. A crashed node
     /// demands *nothing* — its milliwatts flow back to the live nodes the
     /// same interval the crash lands (the reclamation criterion). A
@@ -693,7 +702,7 @@ impl Node {
     /// desires its floor but keeps its real peak (the throttle could lift
     /// mid-interval).
     pub fn demand(&self) -> NodeDemand {
-        let (floor_w, peak_w) = self.spec_powers();
+        let (floor_mw, peak_mw) = self.floor_peak;
         match self.state {
             NodeState::Crashed => {
                 return NodeDemand {
@@ -705,9 +714,9 @@ impl Node {
             }
             NodeState::Restarting => {
                 return NodeDemand {
-                    floor_mw: mw(floor_w),
-                    desired_mw: mw(floor_w),
-                    peak_mw: mw(floor_w),
+                    floor_mw,
+                    desired_mw: floor_mw,
+                    peak_mw: floor_mw,
                     busy: false,
                 };
             }
@@ -715,23 +724,23 @@ impl Node {
         }
         if self.thermal_active {
             return NodeDemand {
-                floor_mw: mw(floor_w),
-                desired_mw: mw(floor_w),
-                peak_mw: mw(peak_w),
+                floor_mw,
+                desired_mw: floor_mw,
+                peak_mw,
                 busy: self.job.is_some(),
             };
         }
-        let desired_w = if self.ctl.fallback_engaged() {
+        let desired_mw = if self.ctl.fallback_engaged() {
             // Fallback pins peak clocks; budget accordingly.
-            peak_w
+            peak_mw
         } else {
             let (c, m) = self.ctl.desired_pair();
-            self.platform.gpu().spec().power_at_levels_w(c, m, 1.0, 1.0)
+            mw(self.platform.gpu().spec().power_at_levels_w(c, m, 1.0, 1.0))
         };
         NodeDemand {
-            floor_mw: mw(floor_w),
-            desired_mw: mw(desired_w),
-            peak_mw: mw(peak_w),
+            floor_mw,
+            desired_mw,
+            peak_mw,
             busy: self.job.is_some(),
         }
     }
@@ -744,8 +753,8 @@ impl Node {
             Some(run) => {
                 let (c, m) = self.current_pair();
                 let (uc, um) = self
-                    .profile_seq
-                    .get(run.profile as usize)
+                    .profiles
+                    .by_id(run.profile)
                     .map_or((0.0, 0.0), |prof| (prof.u_core(c, m), prof.u_mem(c, m)));
                 self.platform.set_gpu_activity(at, uc, um);
                 self.platform.set_cpu_activity(at, 1.0, n_cores);
@@ -774,7 +783,7 @@ impl Node {
         self.parked_checkpoint_fresh = false;
         // Resolve the interned profile id once; `advance` and
         // `refresh_activity` index by it from here on.
-        let profile = self.profile_names.get(&job.workload).unwrap_or(u32::MAX);
+        let profile = self.profiles.id(&job.workload).unwrap_or(u32::MAX);
         self.job = Some(RunningJob {
             spec: job,
             started: now,
@@ -798,7 +807,7 @@ impl Node {
             self.platform.gpu().core().current_level(),
             self.platform.gpu().mem().current_level(),
         );
-        let prof = self.profile_seq.get(run.profile as usize)?;
+        let prof = self.profiles.by_id(run.profile)?;
         let full_s = prof.time_s(c, m) * run.spec.size;
         // The whole-run energy at this window's pair; progress made here
         // attributes a proportional slice of it to the job.
@@ -912,53 +921,20 @@ impl Node {
     }
 
     /// [`Node::control_tick`] with the event-driven engine's parking
-    /// protocol layered on. Behaviorally identical to `control_tick` on
-    /// every externally observable output (enforced levels, cap
-    /// violations, sensor windows, learner state); the only skipped work
-    /// is decide/actuate halves that are provably identities.
-    ///
-    /// * **Parked** (same cap, still idle/`Up`/cool): run the quiescent
-    ///   tick — sensing happens in full so the sensor windows advance
-    ///   exactly as a normal tick's would; decide/actuate is skipped
-    ///   while each domain re-observes its previous utilization. Any
-    ///   divergence un-parks and finishes the tick normally.
-    /// * **Not parked**: run `control_tick`, then park when the node is
-    ///   compliant and this tick's fingerprint matches the previous
-    ///   tick's (two-consecutive-identical-ticks criterion — the first
-    ///   idle tick after activity never parks because the learner state
-    ///   still moved).
+    /// protocol layered on: run the full tick, then park when the node is
+    /// compliant and this tick's fingerprint matches the previous tick's
+    /// (two-consecutive-identical-ticks criterion — the first idle tick
+    /// after activity never parks because the learner state still
+    /// moved). The engine skips a node parked under exactly the cap it
+    /// is handed, so a parked node reaches this only with a new cap: it
+    /// un-parks and ticks in full.
     pub fn control_tick_parkable(&mut self, now: SimTime, cap: MilliWatts) -> f64 {
-        if let Some(parked) = self.parked_cap {
-            if parked == cap && self.job.is_none() && self.state == NodeState::Up && !self.thermal_active {
-                // Cap unchanged, so these two writes are identities.
-                self.cap_w = cap as f64 / 1000.0;
-                self.ctl.set_power_cap_w(Some(self.cap_w));
-                if self.ctl.on_dvfs_tick_quiescent(&mut self.platform, now) {
-                    // Fully quiescent: levels unchanged, cap was met at
-                    // park time, so the overage is exactly 0.0.
-                    return 0.0;
-                }
-                // A domain diverged (and already ran its full half);
-                // finish the tick tail exactly as control_tick would.
-                // `recovering` is None while parked (park_fingerprint
-                // requires it), so no recovery bookkeeping is due.
-                self.parked_cap = None;
-                self.parked_checkpoint_fresh = false;
-                self.refresh_activity(now);
-                let over = (self.enforced_pair_power_w() - self.cap_w).max(0.0);
-                if over > 1e-9 {
-                    self.cap_violations += 1;
-                }
-                return over;
-            }
-            self.parked_cap = None;
-            self.parked_checkpoint_fresh = false;
-        }
+        self.parked_cap = None;
+        self.parked_checkpoint_fresh = false;
         let before = self.park_fingerprint();
         let over = self.control_tick(now, cap);
         if before.is_some() && over <= 0.0 && before == self.park_fingerprint() {
             self.parked_cap = Some(cap);
-            self.parked_checkpoint_fresh = false;
         }
         over
     }
@@ -1177,12 +1153,28 @@ mod tests {
     }
 
     #[test]
+    fn a_recorded_checkpoint_is_no_larger_than_its_text() {
+        let mut node = Node::new(0, &NodeConfig::default_node(), &mix(), 1);
+        warm_up(&mut node, 20);
+        node.take_checkpoint();
+        let Some(Checkpoint::Tape(tape)) = &node.checkpoint else {
+            panic!("take_checkpoint records a tape");
+        };
+        let text = node.checkpoint_data().unwrap();
+        assert!(tape.len() <= text.len(), "tape {} B, text {} B", tape.len(), text.len());
+        let mut twin = Node::new(0, &NodeConfig::default_node(), &mix(), 1);
+        assert_eq!(twin.controller().policy().name(), "wma");
+        twin.load_checkpoint(text.clone());
+        assert_eq!(twin.checkpoint_data(), Some(text), "loaded text reads back verbatim");
+    }
+
+    #[test]
     fn corrupted_checkpoint_falls_back_to_cold_start() {
         let mut node = Node::new(0, &NodeConfig::default_node(), &mix(), 1);
         node.set_lifecycle(1.0, 1);
         let t = warm_up(&mut node, 5);
         node.take_checkpoint();
-        let cp = node.checkpoint_data().unwrap().to_string();
+        let cp = node.checkpoint_data().unwrap();
         // Truncation makes the JSON unparseable.
         node.load_checkpoint(cp[..cp.len() / 2].to_string());
         node.crash(t, 1.0);

@@ -5,12 +5,14 @@
 //! frequency pair* — the same exhaustive pair enumeration the single-node
 //! frequency oracle performs, evaluated through the engine's phase cost
 //! model ([`greengpu_workloads::phase_gpu_timing`]). A profile is built
-//! once per (workload, GPU spec) and shared by every job of that
-//! workload on that node.
+//! once per (workload, GPU spec): a fleet keeps one `ProfileTable` per
+//! distinct GPU spec, shared by every node with that spec.
 
+use crate::telemetry::NameTable;
 use greengpu_hw::GpuSpec;
 use greengpu_workloads::phase_gpu_timing;
 use greengpu_workloads::registry::by_name_small;
+use std::collections::BTreeMap;
 
 /// Service time and utilization signature of one workload on one card,
 /// tabulated over every (core, mem) frequency pair.
@@ -112,6 +114,68 @@ impl ServiceProfile {
             }
         }
         best.unwrap_or((self.time_s(0, 0) * size, self.energy_j(spec, 0, 0, size)))
+    }
+}
+
+/// One GPU spec's service profiles for a workload mix, in sorted name
+/// order. Nodes hold it behind an `Arc`, so a fleet keeps one table per
+/// distinct spec instead of one per node.
+#[derive(Debug)]
+pub(crate) struct ProfileTable {
+    /// Workload names interned in sorted order; ids index `profiles`.
+    names: NameTable,
+    /// Profiles in interned-id order: the per-window hot path resolves a
+    /// job's profile by `u32` id, never by `String` key.
+    profiles: Vec<ServiceProfile>,
+}
+
+impl ProfileTable {
+    /// Profiles every workload of `mix` on `gpu`; an unknown name is an
+    /// error naming it.
+    pub(crate) fn build(mix: &[String], seed: u64, gpu: &GpuSpec) -> Result<Self, String> {
+        let profiles: BTreeMap<String, ServiceProfile> = mix
+            .iter()
+            .map(|name| {
+                ServiceProfile::build(name, seed, gpu)
+                    .map(|p| (name.clone(), p))
+                    .ok_or_else(|| format!("unknown workload {name:?} in mix"))
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(ProfileTable::from(profiles))
+    }
+
+    /// The interned id of a mix workload.
+    pub(crate) fn id(&self, workload: &str) -> Option<u32> {
+        self.names.get(workload)
+    }
+
+    /// The profile behind an interned id.
+    pub(crate) fn by_id(&self, id: u32) -> Option<&ServiceProfile> {
+        self.profiles.get(id as usize)
+    }
+
+    /// The profile of a mix workload.
+    pub(crate) fn get(&self, workload: &str) -> Option<&ServiceProfile> {
+        self.by_id(self.id(workload)?)
+    }
+
+    /// Every profile, in sorted name order.
+    pub(crate) fn profiles(&self) -> &[ServiceProfile] {
+        &self.profiles
+    }
+}
+
+impl From<BTreeMap<String, ServiceProfile>> for ProfileTable {
+    fn from(map: BTreeMap<String, ServiceProfile>) -> Self {
+        let mut names = NameTable::new();
+        let profiles = map
+            .into_iter()
+            .map(|(name, profile)| {
+                names.intern(&name);
+                profile
+            })
+            .collect();
+        ProfileTable { names, profiles }
     }
 }
 

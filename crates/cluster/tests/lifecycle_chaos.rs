@@ -160,6 +160,85 @@ fn warm_restart_recovers_strictly_faster_than_cold() {
     }
 }
 
+/// A node restarts from the checkpoint it recorded exactly as a twin
+/// restarts from that checkpoint's text installed verbatim: recording
+/// and printing later is invisible to the learner.
+#[test]
+fn a_recorded_checkpoint_restores_as_its_text() {
+    use greengpu::{Exp3Params, PolicySpec};
+    let job = |id: u64| JobSpec {
+        id,
+        workload: "kmeans".to_string(),
+        arrival: SimTime::ZERO,
+        size: 50.0,
+        deadline: None,
+        tenant: 0,
+    };
+    for spec in [PolicySpec::default(), PolicySpec::Exp3(Exp3Params::default())] {
+        let mk = || {
+            let cfg = NodeConfig::default_node().with_freq_policy(spec.clone());
+            let mut n = Node::new(0, &cfg, &["kmeans".to_string()], 1);
+            n.set_lifecycle(1.0, 1);
+            n
+        };
+        let (mut recorded, mut loaded) = (mk(), mk());
+        let cap = mw(0.8 * recorded.platform().gpu().spec().peak_power_w());
+        let mut t = SimTime::ZERO;
+        for node in [&mut recorded, &mut loaded] {
+            node.dispatch(job(0), t);
+        }
+        for k in 1..=30u64 {
+            let next = SimTime::from_secs(k);
+            for node in [&mut recorded, &mut loaded] {
+                node.advance(t, next);
+                node.control_tick(next, cap);
+            }
+            t = next;
+        }
+        recorded.take_checkpoint();
+        let text = recorded.checkpoint_data().expect("a checkpoint was taken");
+        loaded.load_checkpoint(text);
+        for node in [&mut recorded, &mut loaded] {
+            node.crash(t, 2.0);
+        }
+        while recorded.state() != NodeState::Up || loaded.state() != NodeState::Up {
+            t += SimDuration::from_secs_f64(1.0);
+            for node in [&mut recorded, &mut loaded] {
+                node.lifecycle_tick(t);
+            }
+        }
+        for node in [&mut recorded, &mut loaded] {
+            node.dispatch(job(1), t);
+        }
+        for _ in 0..40u64 {
+            let next = t + SimDuration::from_secs_f64(1.0);
+            for node in [&mut recorded, &mut loaded] {
+                node.lifecycle_tick(next);
+                node.advance(t, next);
+                node.control_tick(next, cap);
+            }
+            t = next;
+            assert_eq!(
+                recorded.controller().desired_pair(),
+                loaded.controller().desired_pair(),
+                "{} at {t:?}",
+                spec.kind()
+            );
+        }
+        assert_eq!(
+            (recorded.warm_restarts(), loaded.warm_restarts()),
+            (1, 1),
+            "{}",
+            spec.kind()
+        );
+        assert_eq!(recorded.recoveries(), loaded.recoveries(), "{}", spec.kind());
+        for node in [&mut recorded, &mut loaded] {
+            node.take_checkpoint();
+        }
+        assert_eq!(recorded.checkpoint_data(), loaded.checkpoint_data(), "{}", spec.kind());
+    }
+}
+
 /// Acceptance: same seed, same config ⇒ byte-identical trace CSVs, even
 /// under chaos; a different seed moves the failures.
 #[test]

@@ -153,48 +153,38 @@ impl GreenGpuConfig {
     }
 }
 
-/// A cap's feasible set over the pair grid, with the power model
-/// evaluated once per pair per tick: the policy's masked argmax and its
-/// empty-set check then read bits. Grids of up to 128 pairs are held in
-/// one word; a larger grid (no modeled card has one) re-evaluates the
-/// pure predicate on each query.
-struct PairMask<F: Fn(usize, usize) -> bool> {
+/// A cap's feasible set over a grid of up to 128 pairs, one bit per
+/// pair: the policy's masked argmax and its empty-set check read bits,
+/// and the controller keeps the mask until the cap moves.
+#[derive(Debug, Clone, Copy)]
+struct CapMask {
+    /// The cap it was built for, as `f64` bits.
+    cap: u64,
     n_mem: usize,
     /// Bit `i · n_mem + j` is pair `(i, j)`'s feasibility.
-    bits: Option<u128>,
+    bits: u128,
     /// Whether every pair is feasible (the cap masks nothing).
     full: bool,
-    feasible: F,
 }
 
-impl<F: Fn(usize, usize) -> bool> PairMask<F> {
-    fn new(n_core: usize, n_mem: usize, feasible: F) -> Self {
-        let mut pairs = (0..n_core).flat_map(|i| (0..n_mem).map(move |j| (i, j)));
-        let (bits, full) = if n_core * n_mem <= 128 {
-            let bits = pairs
-                .enumerate()
-                .filter(|&(_, (i, j))| feasible(i, j))
-                .fold(0u128, |bits, (k, _)| bits | 1 << k);
-            (Some(bits), bits.count_ones() as usize == n_core * n_mem)
-        } else {
-            (None, pairs.all(|(i, j)| feasible(i, j)))
-        };
-        PairMask {
+impl CapMask {
+    fn new(cap: f64, n_core: usize, n_mem: usize, feasible: impl Fn(usize, usize) -> bool) -> Self {
+        let bits = (0..n_core)
+            .flat_map(|i| (0..n_mem).map(move |j| (i, j)))
+            .enumerate()
+            .filter(|&(_, (i, j))| feasible(i, j))
+            .fold(0u128, |bits, (k, _)| bits | 1 << k);
+        CapMask {
+            cap: cap.to_bits(),
             n_mem,
             bits,
-            full,
-            feasible,
+            full: bits.count_ones() as usize == n_core * n_mem,
         }
     }
 
     fn contains(&self, i: usize, j: usize) -> bool {
-        match self.bits {
-            Some(bits) => {
-                let k = i * self.n_mem + j;
-                j < self.n_mem && k < 128 && bits >> k & 1 == 1
-            }
-            None => (self.feasible)(i, j),
-        }
+        let k = i * self.n_mem + j;
+        j < self.n_mem && k < 128 && self.bits >> k & 1 == 1
     }
 }
 
@@ -245,6 +235,10 @@ pub struct GreenGpuController {
     sensors: Box<dyn SensorSource>,
     actuator: Box<dyn FreqActuator>,
     power_cap_w: Option<f64>,
+    /// The last cap's feasible set, rebuilt only when the cap moves. The
+    /// cap alone keys it: a controller drives exactly one platform (its
+    /// sensor windows assume it), so the power model never changes.
+    cap_mask: Option<CapMask>,
     cap_masked_intervals: u64,
     last_good_gpu: Option<(f64, f64)>,
     last_good_cpu: Option<f64>,
@@ -307,6 +301,7 @@ impl GreenGpuController {
             sensors,
             actuator,
             power_cap_w: None,
+            cap_mask: None,
             cap_masked_intervals: 0,
             last_good_gpu: None,
             last_good_cpu: None,
@@ -589,19 +584,32 @@ impl GreenGpuController {
         }
     }
 
-    /// Decide/actuate half of the GPU tick: build the cap mask, consult
-    /// the policy, and enforce the chosen pair.
+    /// Decide/actuate half of the GPU tick: mask the grid by the cap,
+    /// consult the policy, and enforce the chosen pair. Grids of up to
+    /// 128 pairs reuse the last cap's mask while the cap is unchanged; a
+    /// larger grid (no modeled card has one) evaluates the power model on
+    /// each query.
     fn decide_actuate_gpu(&mut self, platform: &mut Platform, now: SimTime, u_core: f64, u_mem: f64) {
         let (core_lvl, mem_lvl) = match self.power_cap_w {
             Some(cap) => {
                 let spec = platform.gpu().spec();
-                let mask = PairMask::new(spec.core_levels_mhz.len(), spec.mem_levels_mhz.len(), |i, j| {
-                    spec.power_at_levels_w(i, j, 1.0, 1.0) <= cap
-                });
-                if !mask.full {
-                    self.cap_masked_intervals += 1;
+                let (n_core, n_mem) = (spec.core_levels_mhz.len(), spec.mem_levels_mhz.len());
+                let fits = |i, j| spec.power_at_levels_w(i, j, 1.0, 1.0) <= cap;
+                if n_core * n_mem <= 128 {
+                    let mask = match self.cap_mask {
+                        Some(mask) if mask.cap == cap.to_bits() => mask,
+                        _ => *self.cap_mask.insert(CapMask::new(cap, n_core, n_mem, fits)),
+                    };
+                    if !mask.full {
+                        self.cap_masked_intervals += 1;
+                    }
+                    self.policy.decide(u_core, u_mem, &|i, j| mask.contains(i, j))
+                } else {
+                    if !(0..n_core).all(|i| (0..n_mem).all(|j| fits(i, j))) {
+                        self.cap_masked_intervals += 1;
+                    }
+                    self.policy.decide(u_core, u_mem, &fits)
                 }
-                self.policy.decide(u_core, u_mem, &|i, j| mask.contains(i, j))
             }
             None => self.policy.decide(u_core, u_mem, &|_, _| true),
         };
@@ -630,34 +638,28 @@ impl GreenGpuController {
         }
     }
 
-    /// One DVFS tick on the event-driven fleet engine's *parked* fast
-    /// path. Sensing always runs in full — the sensor windows (and
-    /// reject counters) must advance exactly as on
-    /// [`Controller::on_dvfs_tick`] — but the decide/actuate half of
-    /// each domain is skipped when the freshly resolved utilization is
-    /// bit-equal to the previous tick's. With the policy at a decision
-    /// fixed point (certified by the caller via
+    /// One DVFS tick that skips decisions it can prove are identities:
+    /// the fleet's sensor catch-up for a parked node. Sensing always runs
+    /// in full — the sensor windows (and reject counters) must advance
+    /// exactly as on [`Controller::on_dvfs_tick`] — but the
+    /// decide/actuate half of each domain is skipped when the freshly
+    /// resolved utilization is bit-equal to the previous tick's. With the
+    /// policy at a decision fixed point (certified by the caller via
     /// [`Self::decision_fingerprint`]) and an unchanged cap, the same
     /// observation reproduces the same weights and the same (already
-    /// enforced) levels, so the skip is an identity. The moment either
-    /// domain resolves anything else, its full half runs and `false`
-    /// comes back so the caller un-parks the node.
-    ///
-    /// Returns `true` when both domains skipped (the node may stay
-    /// parked).
-    pub fn on_dvfs_tick_quiescent(&mut self, platform: &mut Platform, now: SimTime) -> bool {
+    /// enforced) levels, so the skip is an identity. A domain that
+    /// resolves anything else runs its full half.
+    pub fn on_dvfs_tick_quiescent(&mut self, platform: &mut Platform, now: SimTime) {
         if self.fallback {
             // Fallback re-pins peak clocks every tick; never quiescent.
             self.on_dvfs_tick(platform, now);
-            return false;
+            return;
         }
-        let mut quiet = true;
         if self.config.gpu_scaling {
             let prev = self.last_good_gpu;
             let utils = self.sense_gpu(platform, now);
             if let Some((u_core, u_mem)) = utils {
                 if prev != utils {
-                    quiet = false;
                     self.decide_actuate_gpu(platform, now, u_core, u_mem);
                 }
             }
@@ -667,12 +669,10 @@ impl GreenGpuController {
             let util = self.sense_cpu(platform, now);
             if let Some(util) = util {
                 if prev != Some(util) {
-                    quiet = false;
                     self.govern_cpu(platform, now, util);
                 }
             }
         }
-        quiet
     }
 
     /// A bit-exact fingerprint of every piece of controller state that
@@ -680,8 +680,7 @@ impl GreenGpuController {
     /// can be certified (fallback engaged, or the policy declines — see
     /// [`FreqPolicy::decision_fingerprint`]). The fleet's event-driven
     /// engine parks a node only after two consecutive identical
-    /// fingerprints, then drives it with
-    /// [`Self::on_dvfs_tick_quiescent`].
+    /// fingerprints.
     pub fn decision_fingerprint(&self) -> Option<u64> {
         if self.fallback {
             return None;
@@ -724,14 +723,6 @@ impl Controller for GreenGpuController {
         } else {
             0.0
         }
-    }
-
-    fn checkpoint(&self) -> Option<String> {
-        Some(JsonWriter::render(|w| self.snapshot(w)))
-    }
-
-    fn restore_checkpoint(&mut self, checkpoint: &str) -> Result<(), String> {
-        self.restore(checkpoint)
     }
 
     fn dvfs_period(&self) -> Option<SimDuration> {
@@ -899,6 +890,69 @@ mod tests {
         };
         let next = ctl.on_iteration_end(&info, &mut platform, SimTime::from_secs(10));
         assert_eq!(next, 0.25, "slower CPU sheds one step");
+    }
+}
+
+#[cfg(test)]
+mod cap_mask_tests {
+    use super::*;
+    use crate::policy::WmaPolicy;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The controller keeps the last cap's mask; a twin policy fed the
+        /// same utilizations decides over a mask built fresh from the power
+        /// model every tick. Caps come from a pool holding no cap, every
+        /// pair's exact power, points between them, and points beyond the
+        /// floor and the peak; a tick may repeat the previous cap.
+        #[test]
+        fn a_kept_cap_mask_decides_as_a_fresh_one(
+            ticks in proptest::collection::vec((0usize..1000, any::<bool>(), 0u8..4), 1..60),
+        ) {
+            let mut platform = Platform::default_testbed();
+            let spec = platform.gpu().spec().clone();
+            let mut powers: Vec<f64> = (0..6)
+                .flat_map(|i| (0..6).map(move |j| (i, j)))
+                .map(|(i, j)| spec.power_at_levels_w(i, j, 1.0, 1.0))
+                .collect();
+            powers.sort_by(f64::total_cmp);
+            let mut pool: Vec<Option<f64>> = vec![None, Some(0.5 * powers[0]), Some(2.0 * powers[35])];
+            pool.extend(powers.iter().map(|&p| Some(p)));
+            pool.extend(powers.windows(2).map(|w| Some(0.5 * (w[0] + w[1]))));
+
+            let config = GreenGpuConfig::scaling_only();
+            let mut ctl = GreenGpuController::for_testbed(config);
+            let mut twin = WmaPolicy::new(6, 6, config.wma_params);
+            let mut masked = 0u64;
+            let mut cap = None;
+            for (k, &(pick, repeat, activity)) in ticks.iter().enumerate() {
+                if !repeat {
+                    cap = pool[pick % pool.len()];
+                }
+                let u = f64::from(activity) / 3.0;
+                platform.set_gpu_activity(SimTime::from_secs(3 * k as u64), u, 1.0 - u);
+                ctl.set_power_cap_w(cap);
+                ctl.on_dvfs_tick(&mut platform, SimTime::from_secs(3 * k as u64 + 3));
+                let Some((u_core, u_mem)) = ctl.last_good_gpu else {
+                    return Err(TestCaseError::fail("clean sensors read every tick"));
+                };
+                let want = match cap {
+                    Some(cap) => {
+                        let fresh = |i, j| spec.power_at_levels_w(i, j, 1.0, 1.0) <= cap;
+                        if !(0..6).all(|i| (0..6).all(|j| fresh(i, j))) {
+                            masked += 1;
+                        }
+                        twin.decide(u_core, u_mem, &fresh)
+                    }
+                    None => twin.decide(u_core, u_mem, &|_, _| true),
+                };
+                let enforced = (platform.gpu().core().current_level(), platform.gpu().mem().current_level());
+                prop_assert_eq!(enforced, want, "tick {} under {:?}", k, cap);
+            }
+            prop_assert_eq!(ctl.cap_masked_intervals(), masked);
+        }
     }
 }
 

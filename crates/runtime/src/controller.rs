@@ -44,21 +44,6 @@ pub trait Controller {
 
     /// Division tick: decide the CPU share for the next iteration.
     fn on_iteration_end(&mut self, info: &IterationInfo, platform: &mut Platform, now: SimTime) -> f64;
-
-    /// Serializes the controller's learner state as an opaque checkpoint
-    /// string, or `None` for controllers with nothing worth saving (the
-    /// default — static baselines restart for free).
-    fn checkpoint(&self) -> Option<String> {
-        None
-    }
-
-    /// Restores state captured by [`Controller::checkpoint`]. The default
-    /// rejects every checkpoint, matching the default `checkpoint()` that
-    /// never produces one.
-    fn restore_checkpoint(&mut self, checkpoint: &str) -> Result<(), String> {
-        let _ = checkpoint;
-        Err("this controller does not support checkpoints".to_string())
-    }
 }
 
 /// A do-nothing policy with a fixed division ratio — the building block of

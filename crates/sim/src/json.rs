@@ -15,10 +15,11 @@
 //!   *rejected* — the caller falls back to a cold start instead of
 //!   resuming from garbage.
 //!
-//! Checkpoints are *written* without a tree: [`JsonWriter`] streams the
-//! same bytes a [`JsonValue`] would print straight into a caller's
-//! `String`, so a fleet node re-serializes its learner into one reused
-//! buffer with no per-number allocation.
+//! Checkpoints are *written* without a tree: [`JsonWriter`] records
+//! tokens into a [`JsonTape`], which prints the same bytes a [`JsonValue`]
+//! would. A fleet node re-records its learner into one reused tape every
+//! checkpoint period, with no allocation and no number formatting, and
+//! prints it only when a restart reads it.
 
 use std::fmt::{self, Write as _};
 
@@ -185,123 +186,269 @@ impl fmt::Display for JsonValue {
     }
 }
 
-/// Streams JSON text into a `String`, byte for byte what printing the
-/// equivalent [`JsonValue`] produces: the same number text (shortest
-/// round-trip `f64`s, `null` for non-finite ones, exact integers), the
-/// same string escapes, no whitespace.
+/// A recorded JSON document: the tokens a [`JsonWriter`] wrote, kept in
+/// one byte buffer and printed to text only when the text is needed.
+///
+/// Each token is a tag byte. Numbers follow as their raw 8 little-endian
+/// bytes (an `f64` as its bits, so even a non-finite one records, and
+/// prints as `null`); keys and strings follow as a LEB128 byte length
+/// and their unescaped UTF-8. The printer adds quotes, escapes, colons
+/// and commas. Each number takes nine bytes however it prints, so a
+/// recording's size depends only on its shape and its strings, never on
+/// its numbers' values.
+///
+/// ```
+/// use greengpu_sim::{JsonTape, JsonValue};
+///
+/// let mut tape = JsonTape::new();
+/// tape.record(|w| {
+///     w.obj(|w| {
+///         w.key("weights").f64s(&[1.0, 0.5]);
+///         w.key("current").null();
+///     });
+/// });
+/// let text = tape.print();
+/// assert_eq!(text, r#"{"weights":[1,0.5],"current":null}"#);
+/// assert_eq!(JsonValue::parse(&text).unwrap().to_string(), text);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct JsonTape {
+    bytes: Vec<u8>,
+}
+
+/// Token tags. The container tags are the brackets they print as.
+const OBJ_OPEN: u8 = b'{';
+const OBJ_CLOSE: u8 = b'}';
+const ARR_OPEN: u8 = b'[';
+const ARR_CLOSE: u8 = b']';
+const KEY: u8 = b':';
+const STR: u8 = b'"';
+const NULL: u8 = b'n';
+const F64: u8 = b'f';
+const U64: u8 = b'u';
+const I64: u8 = b'i';
+
+impl JsonTape {
+    /// An empty tape.
+    pub fn new() -> Self {
+        JsonTape::default()
+    }
+
+    /// Replaces the recording with the one value `write` writes, then
+    /// fits the buffer to it. A re-record of the same size reuses the
+    /// buffer without allocating.
+    pub fn record(&mut self, write: impl FnOnce(&mut JsonWriter<'_>)) {
+        self.bytes.clear();
+        write(&mut JsonWriter::new(self));
+        self.bytes.shrink_to_fit();
+    }
+
+    /// Bytes the recording holds (not the length of its text).
+    pub fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Whether nothing is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The recording as JSON text: byte for byte what printing the
+    /// equivalent [`JsonValue`] produces (shortest round-trip `f64`s,
+    /// `null` for non-finite ones, exact integers, the same string
+    /// escapes, no whitespace).
+    pub fn print(&self) -> String {
+        let mut out = String::with_capacity(2 * self.bytes.len());
+        let tokens = Tokens { bytes: &self.bytes };
+        // Whether the next key or value follows a sibling (needs a comma).
+        let mut comma = false;
+        for token in tokens {
+            if comma && !matches!(token, Token::Close(_)) {
+                out.push(',');
+            }
+            comma = !matches!(token, Token::Open(_) | Token::Key(_));
+            // Writing into a `String` cannot fail.
+            let _ = match token {
+                Token::Open(c) | Token::Close(c) => out.write_char(c),
+                Token::Key(k) => write_escaped(&mut out, k).and_then(|()| out.write_char(':')),
+                Token::Str(s) => write_escaped(&mut out, s),
+                Token::F64(v) if v.is_finite() => write!(out, "{v}"),
+                Token::Null | Token::F64(_) => out.write_str("null"),
+                Token::U64(v) => write!(out, "{v}"),
+                Token::I64(v) => write!(out, "{v}"),
+            };
+        }
+        out
+    }
+}
+
+/// One decoded tape token.
+#[derive(Clone, Copy)]
+enum Token<'a> {
+    Open(char),
+    Close(char),
+    Key(&'a str),
+    Str(&'a str),
+    Null,
+    F64(f64),
+    U64(u64),
+    I64(i64),
+}
+
+/// Decodes a tape front to back. Only [`JsonWriter`] fills a tape, so
+/// every token is whole; a malformed one would end the stream rather
+/// than panic.
+struct Tokens<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let (&tag, rest) = self.bytes.split_first()?;
+        self.bytes = rest;
+        Some(match tag {
+            OBJ_OPEN | ARR_OPEN => Token::Open(char::from(tag)),
+            OBJ_CLOSE | ARR_CLOSE => Token::Close(char::from(tag)),
+            KEY => Token::Key(self.text()?),
+            STR => Token::Str(self.text()?),
+            NULL => Token::Null,
+            F64 => Token::F64(f64::from_bits(self.word()?)),
+            U64 => Token::U64(self.word()?),
+            I64 => Token::I64(self.word()?.cast_signed()),
+            _ => return None,
+        })
+    }
+}
+
+impl<'a> Tokens<'a> {
+    fn word(&mut self) -> Option<u64> {
+        let (word, rest) = self.bytes.split_first_chunk::<8>()?;
+        self.bytes = rest;
+        Some(u64::from_le_bytes(*word))
+    }
+
+    fn text(&mut self) -> Option<&'a str> {
+        let mut len = 0usize;
+        for shift in (0..usize::BITS).step_by(7) {
+            let (&b, rest) = self.bytes.split_first()?;
+            self.bytes = rest;
+            len |= usize::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                let (text, rest) = self.bytes.split_at_checked(len)?;
+                self.bytes = rest;
+                return std::str::from_utf8(text).ok();
+            }
+        }
+        None
+    }
+}
+
+/// Records one JSON value into a [`JsonTape`]; [`JsonTape::print`] then
+/// gives the text printing the equivalent [`JsonValue`] would.
 ///
 /// Containers take a closure for their contents, so every `{` and `[`
-/// is closed; commas between siblings are inserted automatically.
+/// is closed; the printer puts the commas between siblings.
 ///
 /// ```
 /// use greengpu_sim::{JsonValue, JsonWriter};
 ///
-/// let mut out = String::new();
-/// JsonWriter::new(&mut out).obj(|w| {
-///     w.key("weights").f64s(&[1.0, 0.5]);
-///     w.key("current").null();
+/// let out = JsonWriter::render(|w| {
+///     w.obj(|w| {
+///         w.key("weights").f64s(&[1.0, 0.5]);
+///         w.key("current").null();
+///     });
 /// });
 /// assert_eq!(out, r#"{"weights":[1,0.5],"current":null}"#);
 /// assert_eq!(JsonValue::parse(&out).unwrap().to_string(), out);
 /// ```
 pub struct JsonWriter<'a> {
-    out: &'a mut String,
-    /// Whether the next key or value follows a sibling (needs a comma).
-    comma: bool,
+    out: &'a mut Vec<u8>,
 }
 
 impl<'a> JsonWriter<'a> {
-    /// A writer appending one JSON value to `out`.
-    pub fn new(out: &'a mut String) -> Self {
-        JsonWriter { out, comma: false }
+    /// A writer appending tokens to `tape`.
+    fn new(tape: &'a mut JsonTape) -> Self {
+        JsonWriter { out: &mut tape.bytes }
     }
 
-    /// The text `write` streams, as a fresh `String`.
+    /// The text of the value `write` writes: recorded, then printed.
     pub fn render(write: impl FnOnce(&mut JsonWriter<'_>)) -> String {
-        let mut out = String::new();
-        write(&mut JsonWriter::new(&mut out));
-        out
+        let mut tape = JsonTape::new();
+        write(&mut JsonWriter::new(&mut tape));
+        tape.print()
     }
 
-    fn separate(&mut self) {
-        if self.comma {
-            self.out.push(',');
+    fn tag(&mut self, tag: u8) -> &mut Self {
+        self.out.push(tag);
+        self
+    }
+
+    fn word(&mut self, tag: u8, word: u64) -> &mut Self {
+        self.out.push(tag);
+        self.out.extend_from_slice(&word.to_le_bytes());
+        self
+    }
+
+    fn text(&mut self, tag: u8, s: &str) -> &mut Self {
+        self.out.push(tag);
+        let mut len = s.len();
+        while len >= 0x80 {
+            self.out.push(len as u8 | 0x80);
+            len >>= 7;
         }
-    }
-
-    /// Appends a scalar's text (writing into a `String` cannot fail).
-    fn scalar(&mut self, v: impl fmt::Display) -> &mut Self {
-        self.separate();
-        let _ = write!(self.out, "{v}");
-        self.comma = true;
+        self.out.push(len as u8);
+        self.out.extend_from_slice(s.as_bytes());
         self
     }
 
     /// An object; `body` writes its `key(..)`/value pairs.
     pub fn obj(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
-        self.container('{', '}', body)
+        body(self.tag(OBJ_OPEN));
+        self.tag(OBJ_CLOSE)
     }
 
     /// An array; `body` writes its elements.
     pub fn arr(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
-        self.container('[', ']', body)
-    }
-
-    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) -> &mut Self {
-        self.separate();
-        self.out.push(open);
-        self.comma = false;
-        body(self);
-        self.out.push(close);
-        self.comma = true;
-        self
+        body(self.tag(ARR_OPEN));
+        self.tag(ARR_CLOSE)
     }
 
     /// An object key; the next value written is its value.
     pub fn key(&mut self, k: &str) -> &mut Self {
-        self.separate();
-        let _ = write_escaped(self.out, k);
-        self.out.push(':');
-        self.comma = false;
-        self
+        self.text(KEY, k)
     }
 
     /// `null`.
     pub fn null(&mut self) -> &mut Self {
-        self.scalar("null")
+        self.tag(NULL)
     }
 
-    /// A finite `f64` as its shortest round-trip text; `null` otherwise
-    /// (as [`JsonValue::f64`]).
+    /// An `f64`: its shortest round-trip text when finite, `null`
+    /// otherwise (as [`JsonValue::f64`]).
     pub fn f64(&mut self, v: f64) -> &mut Self {
-        if v.is_finite() {
-            self.scalar(v)
-        } else {
-            self.null()
-        }
+        self.word(F64, v.to_bits())
     }
 
     /// A `u64`, exact.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.scalar(v)
+        self.word(U64, v)
     }
 
     /// An `i64`, exact.
     pub fn i64(&mut self, v: i64) -> &mut Self {
-        self.scalar(v)
+        self.word(I64, v.cast_unsigned())
     }
 
     /// A `usize`, exact.
     pub fn usize(&mut self, v: usize) -> &mut Self {
-        self.scalar(v)
+        self.word(U64, v as u64)
     }
 
     /// A string, escaped.
     pub fn str(&mut self, v: &str) -> &mut Self {
-        self.separate();
-        let _ = write_escaped(self.out, v);
-        self.comma = true;
-        self
+        self.text(STR, v)
     }
 
     /// An array of `f64`s (each as [`JsonWriter::f64`]).
@@ -585,47 +732,139 @@ mod tests {
         );
     }
 
+    /// Prints one value recorded on its own.
+    fn printed(write: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+        let mut tape = JsonTape::new();
+        tape.record(write);
+        tape.print()
+    }
+
     #[test]
-    fn writer_streams_what_the_tree_prints() {
+    fn every_token_kind_prints_as_the_tree() {
+        let odd = "a\"\\\n\r\t\u{1}b — π";
+        let floats = [
+            0.1,
+            -2.5e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            1e21,
+        ];
+        let text = printed(|w| {
+            w.obj(|w| {
+                w.key("empty_obj").obj(|_| {});
+                w.key("empty_arr").u64s(&[]);
+                w.key("nested").arr(|w| {
+                    w.arr(|w| {
+                        w.obj(|_| {});
+                    });
+                    w.obj(|w| {
+                        w.key(odd).str(odd);
+                        w.key("k").i64(-3);
+                    });
+                });
+                w.key("").str("");
+                w.key("floats").f64s(&floats);
+                w.key("u").u64(u64::MAX);
+                w.key("i").i64(i64::MIN);
+                w.key("z").usize(0).key("zmax").usize(usize::MAX);
+                w.key("none").null();
+            });
+        });
         let tree = JsonValue::Obj(vec![
-            ("n\"a\tme".to_string(), JsonValue::str("ctx-exp3 — π\u{1}")),
-            (
-                "xs".to_string(),
-                JsonValue::Arr(vec![
-                    JsonValue::f64(0.1),
-                    JsonValue::f64(-2.5e-300),
-                    JsonValue::f64(f64::NAN),
-                    JsonValue::f64(1e21),
-                ]),
-            ),
-            ("empty".to_string(), JsonValue::Arr(vec![])),
+            ("empty_obj".to_string(), JsonValue::Obj(vec![])),
+            ("empty_arr".to_string(), JsonValue::Arr(vec![])),
             (
                 "nested".to_string(),
                 JsonValue::Arr(vec![
-                    JsonValue::Obj(vec![]),
-                    JsonValue::Obj(vec![("k".to_string(), JsonValue::Num("-3".to_string()))]),
+                    JsonValue::Arr(vec![JsonValue::Obj(vec![])]),
+                    JsonValue::Obj(vec![
+                        (odd.to_string(), JsonValue::str(odd)),
+                        ("k".to_string(), JsonValue::Num("-3".to_string())),
+                    ]),
                 ]),
             ),
+            (String::new(), JsonValue::str("")),
+            (
+                "floats".to_string(),
+                JsonValue::Arr(floats.iter().map(|&v| JsonValue::f64(v)).collect()),
+            ),
             ("u".to_string(), JsonValue::u64(u64::MAX)),
+            ("i".to_string(), JsonValue::Num(i64::MIN.to_string())),
             ("z".to_string(), JsonValue::usize(0)),
+            ("zmax".to_string(), JsonValue::usize(usize::MAX)),
             ("none".to_string(), JsonValue::Null),
         ]);
-        let mut out = String::from("kept:");
-        JsonWriter::new(&mut out).obj(|w| {
-            w.key("n\"a\tme").str("ctx-exp3 — π\u{1}");
-            w.key("xs").f64s(&[0.1, -2.5e-300, f64::NAN, 1e21]);
-            w.key("empty").u64s(&[]);
-            w.key("nested").arr(|w| {
-                w.obj(|_| {});
+        assert_eq!(text, tree.to_string());
+        assert_eq!(JsonValue::parse(&text), Ok(tree));
+    }
+
+    #[test]
+    fn long_strings_take_multi_byte_lengths() {
+        for len in [127, 128, 300, 20_000] {
+            let key = "k".repeat(len);
+            let text = printed(|w| {
                 w.obj(|w| {
-                    w.key("k").i64(-3);
+                    w.key(&key).str(&key);
                 });
             });
-            w.key("u").u64(u64::MAX);
-            w.key("z").usize(0);
-            w.key("none").null();
+            assert_eq!(text, format!("{{\"{key}\":\"{key}\"}}"));
+        }
+    }
+
+    #[test]
+    fn a_recording_is_sized_by_its_shape_not_its_numbers() {
+        let record = |x: f64, n: u64| {
+            let mut tape = JsonTape::new();
+            tape.record(|w| {
+                w.obj(|w| {
+                    w.key("x").f64(x);
+                    w.key("n").u64(n);
+                    w.key("k").i64(n.cast_signed());
+                });
+            });
+            tape
+        };
+        let small = record(1.0, 0);
+        for (x, n) in [(0.1, u64::MAX), (f64::NAN, 1 << 40), (-1e-300, 9)] {
+            assert_eq!(record(x, n).len(), small.len());
+        }
+        // Re-recording replaces the old recording.
+        let mut tape = record(0.5, 3);
+        tape.record(|w| {
+            w.null();
         });
-        assert_eq!(out, format!("kept:{tree}"), "the writer appends after existing text");
+        assert_eq!(tape.print(), "null");
+        assert_eq!(tape.len(), 1);
+        assert!(JsonTape::new().is_empty());
+        assert_eq!(JsonTape::new().print(), "");
+    }
+
+    #[test]
+    fn a_cut_tape_prints_a_prefix_without_panicking() {
+        let mut tape = JsonTape::new();
+        tape.record(|w| {
+            w.obj(|w| {
+                w.key("k").str("vé");
+                w.key("xs").f64s(&[0.25, 1.0]);
+                w.key("i").i64(-7);
+            });
+        });
+        let full = tape.print();
+        for cut in 0..tape.len() {
+            let cut_tape = JsonTape {
+                bytes: tape.bytes[..cut].to_vec(),
+            };
+            let text = cut_tape.print();
+            assert!(full.starts_with(&text), "cut at {cut}: {text:?}");
+        }
+        // An unknown tag ends the stream.
+        let garbage = JsonTape {
+            bytes: vec![ARR_OPEN, 0xff, U64, 1],
+        };
+        assert_eq!(garbage.print(), "[");
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * [`fingerprint`] — [`Fnv64`], FNV-1a bit-exact state fingerprinting
 //!   (the fleet engines' park/quiescence checks).
 //! * [`json`] — [`JsonValue`], a hand-rolled JSON writer/parser with exact
-//!   integer round-trips, and [`JsonWriter`], which streams the same
-//!   text without a tree (learner checkpoints).
+//!   integer round-trips, and [`JsonWriter`], which records the same
+//!   text into a compact [`JsonTape`] without a tree (learner
+//!   checkpoints).
 //! * [`rng`] — [`SplitMix64`] and [`Pcg32`] seeded generators plus
 //!   distribution helpers.
 //! * [`trace`] — [`StepTrace`] piecewise-constant signals with exact
@@ -43,7 +44,7 @@ pub mod trace;
 
 pub use event::EventQueue;
 pub use fingerprint::Fnv64;
-pub use json::{JsonValue, JsonWriter};
+pub use json::{JsonTape, JsonValue, JsonWriter};
 pub use rng::{Pcg32, SplitMix64};
 pub use stats::{summarize, OnlineStats, Summary};
 pub use table::Table;

@@ -1,7 +1,81 @@
 //! Property-based tests for the simulation substrate.
 
-use greengpu_sim::{EventQueue, Pcg32, SimDuration, SimTime, SplitMix64, StepTrace};
+use greengpu_sim::{EventQueue, JsonValue, JsonWriter, Pcg32, SimDuration, SimTime, SplitMix64, StepTrace};
 use proptest::prelude::*;
+
+/// A random JSON value with typed numbers, so it can be both built as a
+/// [`JsonValue`] and written through a [`JsonWriter`].
+enum Doc {
+    Null,
+    F64(f64),
+    U64(u64),
+    I64(i64),
+    Usize(usize),
+    Str(String),
+    Arr(Vec<Doc>),
+    Obj(Vec<(String, Doc)>),
+}
+
+/// Odd strings: empty, escapes, control bytes, non-ASCII, and longer
+/// than one length byte.
+fn random_string(rng: &mut SplitMix64) -> String {
+    const PIECES: [&str; 9] = ["", "a", "\"", "\\", "\n\r\t", "\u{1}\u{1f}", "π —", "key", "\u{7f}é"];
+    let n = (rng.next_u64() % 4) as usize;
+    let mut s: String = (0..n).map(|_| PIECES[(rng.next_u64() % 9) as usize]).collect();
+    if rng.next_u64().is_multiple_of(16) {
+        s.push_str(&"x".repeat(200));
+    }
+    s
+}
+
+fn random_doc(rng: &mut SplitMix64, depth: u32) -> Doc {
+    let kinds = if depth == 0 { 6 } else { 8 };
+    match rng.next_u64() % kinds {
+        0 => Doc::Null,
+        1 => Doc::F64(match rng.next_u64() % 6 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => -0.0,
+            _ => f64::from_bits(rng.next_u64()),
+        }),
+        2 => Doc::U64(rng.next_u64()),
+        3 => Doc::I64(rng.next_u64() as i64),
+        4 => Doc::Usize((rng.next_u64() % 1000) as usize),
+        5 => Doc::Str(random_string(rng)),
+        6 => Doc::Arr((0..rng.next_u64() % 5).map(|_| random_doc(rng, depth - 1)).collect()),
+        _ => Doc::Obj(
+            (0..rng.next_u64() % 5)
+                .map(|_| (random_string(rng), random_doc(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+fn to_tree(doc: &Doc) -> JsonValue {
+    match doc {
+        Doc::Null => JsonValue::Null,
+        Doc::F64(v) => JsonValue::f64(*v),
+        Doc::U64(v) => JsonValue::u64(*v),
+        Doc::I64(v) => JsonValue::Num(v.to_string()),
+        Doc::Usize(v) => JsonValue::usize(*v),
+        Doc::Str(s) => JsonValue::str(s.as_str()),
+        Doc::Arr(vs) => JsonValue::Arr(vs.iter().map(to_tree).collect()),
+        Doc::Obj(fields) => JsonValue::Obj(fields.iter().map(|(k, v)| (k.clone(), to_tree(v))).collect()),
+    }
+}
+
+fn write(w: &mut JsonWriter<'_>, doc: &Doc) {
+    let _ = match doc {
+        Doc::Null => w.null(),
+        Doc::F64(v) => w.f64(*v),
+        Doc::U64(v) => w.u64(*v),
+        Doc::I64(v) => w.i64(*v),
+        Doc::Usize(v) => w.usize(*v),
+        Doc::Str(s) => w.str(s),
+        Doc::Arr(vs) => w.arr(|w| vs.iter().for_each(|v| write(w, v))),
+        Doc::Obj(fields) => w.obj(|w| fields.iter().for_each(|(k, v)| write(w.key(k), v))),
+    };
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -147,5 +221,12 @@ proptest! {
     fn duration_secs_round_trip_within_micro(secs in 0.0..100_000.0f64) {
         let d = SimDuration::from_secs_f64(secs);
         prop_assert!((d.as_secs_f64() - secs).abs() <= 5e-7);
+    }
+
+    #[test]
+    fn a_written_tree_prints_as_the_tree(seed in any::<u64>()) {
+        let doc = random_doc(&mut SplitMix64::new(seed), 4);
+        let tree = to_tree(&doc);
+        prop_assert_eq!(JsonWriter::render(|w| write(w, &doc)), tree.to_string());
     }
 }
