@@ -1,30 +1,114 @@
 //! Per-interval fleet telemetry.
 //!
-//! One row per control interval, rendered through [`greengpu_sim::Table`]
-//! so markdown and RFC-4180 CSV come for free and stay byte-deterministic
-//! (fixed decimal formatting, no floats straight through `Display`).
+//! Every trace is a [`Trace`] of one [`TraceRecord`] row type: the fleet
+//! trace ([`TraceRow`]), the serving trace ([`ServingTraceRow`]) and the
+//! geo trace ([`GeoTraceRow`]). Each row type states its CSV columns once
+//! and prints its cells once; [`Trace`] renders them through
+//! [`greengpu_sim::Table`] (markdown and RFC-4180 CSV) or straight into a
+//! CSV buffer or writer, and both paths print the same cells, so they
+//! stay byte-identical (fixed decimal formatting, no floats straight
+//! through `Display`).
 
 use greengpu_sim::Table;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
 
-/// Rows rendered into the scratch buffer between flushes of the batched
-/// [`FleetTrace::write_csv_to`]-family writers: large enough that the
-/// underlying writer sees few, big writes; small enough that the scratch
-/// stays cache-resident.
+/// Rows rendered into the scratch buffer between flushes of
+/// [`Trace::write_csv_to`]: large enough that the underlying writer sees
+/// few, big writes; small enough that the scratch stays cache-resident.
 const CSV_FLUSH_ROWS: usize = 512;
 
-/// Appends a CSV header line (`a,b,c\n`) to `buf` — shared by every
-/// trace's scratch-buffer writers.
-fn push_header(buf: &mut String, columns: &[&str]) {
-    for (k, h) in columns.iter().enumerate() {
-        if k > 0 {
-            buf.push(',');
-        }
-        buf.push_str(h);
+/// One row type of a [`Trace`]: its CSV columns and its cells.
+///
+/// Every cell must print without a comma, quote or line break (numbers
+/// and fixed bare words), so the CSV writers can skip the RFC-4180 escape
+/// path and still match the [`Table`] renderer byte for byte.
+pub trait TraceRecord {
+    /// The CSV header, in cell order.
+    const COLUMNS: &'static [&'static str];
+
+    /// Hands each cell to `cell`, formatted, in [`TraceRecord::COLUMNS`]
+    /// order.
+    fn cells(&self, cell: &mut impl FnMut(fmt::Arguments<'_>));
+}
+
+/// The per-interval trace of one fleet run: rows of one [`TraceRecord`]
+/// type, in emission order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trace<R> {
+    /// Rows in emission order.
+    pub rows: Vec<R>,
+}
+
+// Written by hand: a derived `Default` would require `R: Default`.
+impl<R> Default for Trace<R> {
+    fn default() -> Self {
+        Trace { rows: Vec::new() }
     }
-    buf.push('\n');
+}
+
+impl<R: TraceRecord> Trace<R> {
+    /// Renders the trace as a table titled `title`.
+    pub fn to_table(&self, title: &str) -> Table {
+        let mut t = Table::new(title, R::COLUMNS);
+        let mut cells = Vec::with_capacity(R::COLUMNS.len());
+        for r in &self.rows {
+            cells.clear();
+            r.cells(&mut |c| cells.push(c.to_string()));
+            t.row(&cells);
+        }
+        t
+    }
+
+    /// Appends the header line (`a,b,c\n`) to `buf`.
+    fn push_header(buf: &mut String) {
+        buf.push_str(&R::COLUMNS.join(","));
+        buf.push('\n');
+    }
+
+    /// Appends one row's CSV line to `buf`.
+    fn push_row(buf: &mut String, r: &R) {
+        let mut sep = "";
+        r.cells(&mut |c| {
+            buf.push_str(sep);
+            let _ = buf.write_fmt(c);
+            sep = ",";
+        });
+        buf.push('\n');
+    }
+
+    /// Appends the trace's CSV (header plus one line per row) to `buf` —
+    /// byte-identical to `self.to_table(title).to_csv()` but with no
+    /// allocation per row: the cells are written straight into the
+    /// caller's scratch buffer. Callers reuse one buffer across batched
+    /// writes (`clear()` between traces keeps the capacity).
+    pub fn write_csv_into(&self, buf: &mut String) {
+        Self::push_header(buf);
+        for r in &self.rows {
+            Self::push_row(buf, r);
+        }
+    }
+
+    /// Streams the trace's CSV into `w` in batches: rows render into one
+    /// reused scratch `String`, which is handed to the writer every
+    /// `CSV_FLUSH_ROWS` rows — so the writer sees a few large writes
+    /// instead of one giant accumulated string or thousands of tiny ones,
+    /// and peak memory stays bounded by the flush cadence, not the trace
+    /// length. Bytes are identical to [`Trace::write_csv_into`].
+    pub fn write_csv_to<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut scratch = String::new();
+        Self::push_header(&mut scratch);
+        for (i, r) in self.rows.iter().enumerate() {
+            Self::push_row(&mut scratch, r);
+            if (i + 1).is_multiple_of(CSV_FLUSH_ROWS) {
+                w.write_all(scratch.as_bytes())?;
+                scratch.clear();
+            }
+        }
+        w.write_all(scratch.as_bytes())?;
+        w.flush()
+    }
 }
 
 /// String interner for telemetry: workload and tenant names appear once
@@ -119,127 +203,54 @@ pub struct TraceRow {
 }
 
 /// The full per-interval trace of one fleet run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetTrace {
-    /// Rows in interval order.
-    pub rows: Vec<TraceRow>,
+pub type FleetTrace = Trace<TraceRow>;
+
+impl TraceRecord for TraceRow {
+    // lint:contract(fleet_trace_columns)
+    const COLUMNS: &'static [&'static str] = &[
+        "interval",
+        "time_s",
+        "queue_depth",
+        "busy_nodes",
+        "healthy_nodes",
+        "gpu_power_w",
+        "total_power_w",
+        "fleet_cap_w",
+        "budget_w",
+        "completed",
+        "rejected",
+        "deadline_misses",
+        "cap_violations",
+        "max_pair_over_cap_w",
+        "up_nodes",
+        "open_breakers",
+        "retry_depth",
+        "dead_lettered",
+    ];
+
+    fn cells(&self, cell: &mut impl FnMut(fmt::Arguments<'_>)) {
+        cell(format_args!("{}", self.interval));
+        cell(format_args!("{:.2}", self.time_s));
+        cell(format_args!("{}", self.queue_depth));
+        cell(format_args!("{}", self.busy_nodes));
+        cell(format_args!("{}", self.healthy_nodes));
+        cell(format_args!("{:.3}", self.gpu_power_w));
+        cell(format_args!("{:.3}", self.total_power_w));
+        cell(format_args!("{:.3}", self.fleet_cap_w));
+        cell(format_args!("{:.3}", self.budget_w));
+        cell(format_args!("{}", self.completed));
+        cell(format_args!("{}", self.rejected));
+        cell(format_args!("{}", self.deadline_misses));
+        cell(format_args!("{}", self.cap_violations));
+        cell(format_args!("{:.3}", self.max_pair_over_cap_w));
+        cell(format_args!("{}", self.up_nodes));
+        cell(format_args!("{}", self.open_breakers));
+        cell(format_args!("{}", self.retry_depth));
+        cell(format_args!("{}", self.dead_lettered));
+    }
 }
 
-/// The fleet trace's CSV column contract, shared by the [`Table`]
-/// renderer and the allocation-free writer so the two can never skew.
-// lint:contract(fleet_trace_columns)
-const FLEET_TRACE_COLUMNS: [&str; 18] = [
-    "interval",
-    "time_s",
-    "queue_depth",
-    "busy_nodes",
-    "healthy_nodes",
-    "gpu_power_w",
-    "total_power_w",
-    "fleet_cap_w",
-    "budget_w",
-    "completed",
-    "rejected",
-    "deadline_misses",
-    "cap_violations",
-    "max_pair_over_cap_w",
-    "up_nodes",
-    "open_breakers",
-    "retry_depth",
-    "dead_lettered",
-];
-
 impl FleetTrace {
-    /// Renders the trace as a table titled `title`.
-    pub fn to_table(&self, title: &str) -> Table {
-        let mut t = Table::new(title, &FLEET_TRACE_COLUMNS);
-        for r in &self.rows {
-            t.row(&[
-                r.interval.to_string(),
-                format!("{:.2}", r.time_s),
-                r.queue_depth.to_string(),
-                r.busy_nodes.to_string(),
-                r.healthy_nodes.to_string(),
-                format!("{:.3}", r.gpu_power_w),
-                format!("{:.3}", r.total_power_w),
-                format!("{:.3}", r.fleet_cap_w),
-                format!("{:.3}", r.budget_w),
-                r.completed.to_string(),
-                r.rejected.to_string(),
-                r.deadline_misses.to_string(),
-                r.cap_violations.to_string(),
-                format!("{:.3}", r.max_pair_over_cap_w),
-                r.up_nodes.to_string(),
-                r.open_breakers.to_string(),
-                r.retry_depth.to_string(),
-                r.dead_lettered.to_string(),
-            ]);
-        }
-        t
-    }
-
-    /// Appends one row's CSV line to `buf` — the single formatting
-    /// source both scratch-buffer writers share, so they can never skew.
-    fn push_row(buf: &mut String, r: &TraceRow) {
-        let _ = writeln!(
-            buf,
-            "{},{:.2},{},{},{},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{:.3},{},{},{},{}",
-            r.interval,
-            r.time_s,
-            r.queue_depth,
-            r.busy_nodes,
-            r.healthy_nodes,
-            r.gpu_power_w,
-            r.total_power_w,
-            r.fleet_cap_w,
-            r.budget_w,
-            r.completed,
-            r.rejected,
-            r.deadline_misses,
-            r.cap_violations,
-            r.max_pair_over_cap_w,
-            r.up_nodes,
-            r.open_breakers,
-            r.retry_depth,
-            r.dead_lettered,
-        );
-    }
-
-    /// Appends the trace's CSV (header plus one line per interval) to
-    /// `buf` — byte-identical to `self.to_table(title).to_csv()` but
-    /// with zero allocations per row: every cell is numeric, so the
-    /// RFC-4180 escape path can never trigger and the cells are written
-    /// straight into the caller's scratch buffer. Callers reuse one
-    /// buffer across batched writes (`clear()` between traces keeps the
-    /// capacity).
-    pub fn write_csv_into(&self, buf: &mut String) {
-        push_header(buf, &FLEET_TRACE_COLUMNS);
-        for r in &self.rows {
-            Self::push_row(buf, r);
-        }
-    }
-
-    /// Streams the trace's CSV into `w` in batches: rows render into one
-    /// reused scratch `String` (the PR 8 allocation-free row path) which
-    /// is handed to the writer every `CSV_FLUSH_ROWS` rows — so the
-    /// writer sees a few large writes instead of one giant accumulated
-    /// string or thousands of tiny ones, and peak memory stays bounded
-    /// by the flush cadence, not the trace length. Bytes are identical
-    /// to [`FleetTrace::write_csv_into`].
-    pub fn write_csv_to<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut scratch = String::new();
-        push_header(&mut scratch, &FLEET_TRACE_COLUMNS);
-        for (i, r) in self.rows.iter().enumerate() {
-            Self::push_row(&mut scratch, r);
-            if (i + 1).is_multiple_of(CSV_FLUSH_ROWS) {
-                w.write_all(scratch.as_bytes())?;
-                scratch.clear();
-            }
-        }
-        w.write_all(scratch.as_bytes())?;
-        w.flush()
-    }
-
     /// Time-weighted mean GPU power across the trace, watts.
     pub fn mean_gpu_power_w(&self) -> f64 {
         if self.rows.is_empty() {
@@ -275,83 +286,30 @@ pub struct ServingTraceRow {
     pub jobs_released: u64,
 }
 
-/// The per-interval serving trace of one multi-tenant fleet run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServingTrace {
-    /// Rows in interval order (empty for single-stream runs).
-    pub rows: Vec<ServingTraceRow>,
-}
+/// The per-interval serving trace of one multi-tenant fleet run (empty
+/// for single-stream runs).
+pub type ServingTrace = Trace<ServingTraceRow>;
 
-/// The serving trace's CSV column contract, shared by the [`Table`]
-/// renderer and the allocation-free writer.
-// lint:contract(serving_trace_columns)
-const SERVING_TRACE_COLUMNS: [&str; 7] = [
-    "interval",
-    "time_s",
-    "carbon_intensity",
-    "green",
-    "deferred_pending",
-    "jobs_deferred",
-    "jobs_released",
-];
+impl TraceRecord for ServingTraceRow {
+    // lint:contract(serving_trace_columns)
+    const COLUMNS: &'static [&'static str] = &[
+        "interval",
+        "time_s",
+        "carbon_intensity",
+        "green",
+        "deferred_pending",
+        "jobs_deferred",
+        "jobs_released",
+    ];
 
-impl ServingTrace {
-    /// Renders the trace as a table titled `title`.
-    pub fn to_table(&self, title: &str) -> Table {
-        let mut t = Table::new(title, &SERVING_TRACE_COLUMNS);
-        for r in &self.rows {
-            t.row(&[
-                r.interval.to_string(),
-                format!("{:.2}", r.time_s),
-                format!("{:.4}", r.carbon_intensity),
-                u8::from(r.green).to_string(),
-                r.deferred_pending.to_string(),
-                r.jobs_deferred.to_string(),
-                r.jobs_released.to_string(),
-            ]);
-        }
-        t
-    }
-
-    /// Appends one row's CSV line to `buf`.
-    fn push_row(buf: &mut String, r: &ServingTraceRow) {
-        let _ = writeln!(
-            buf,
-            "{},{:.2},{:.4},{},{},{},{}",
-            r.interval,
-            r.time_s,
-            r.carbon_intensity,
-            u8::from(r.green),
-            r.deferred_pending,
-            r.jobs_deferred,
-            r.jobs_released,
-        );
-    }
-
-    /// Appends the trace's CSV to `buf`, byte-identical to
-    /// `self.to_table(title).to_csv()` with zero per-row allocations —
-    /// the serving counterpart of [`FleetTrace::write_csv_into`].
-    pub fn write_csv_into(&self, buf: &mut String) {
-        push_header(buf, &SERVING_TRACE_COLUMNS);
-        for r in &self.rows {
-            Self::push_row(buf, r);
-        }
-    }
-
-    /// Streams the trace's CSV into `w` in `CSV_FLUSH_ROWS`-row
-    /// batches — the serving counterpart of [`FleetTrace::write_csv_to`].
-    pub fn write_csv_to<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut scratch = String::new();
-        push_header(&mut scratch, &SERVING_TRACE_COLUMNS);
-        for (i, r) in self.rows.iter().enumerate() {
-            Self::push_row(&mut scratch, r);
-            if (i + 1).is_multiple_of(CSV_FLUSH_ROWS) {
-                w.write_all(scratch.as_bytes())?;
-                scratch.clear();
-            }
-        }
-        w.write_all(scratch.as_bytes())?;
-        w.flush()
+    fn cells(&self, cell: &mut impl FnMut(fmt::Arguments<'_>)) {
+        cell(format_args!("{}", self.interval));
+        cell(format_args!("{:.2}", self.time_s));
+        cell(format_args!("{:.4}", self.carbon_intensity));
+        cell(format_args!("{}", u8::from(self.green)));
+        cell(format_args!("{}", self.deferred_pending));
+        cell(format_args!("{}", self.jobs_deferred));
+        cell(format_args!("{}", self.jobs_released));
     }
 }
 
@@ -382,80 +340,34 @@ pub struct GeoTraceRow {
     pub breaker_open: usize,
 }
 
-/// The per-interval interior-node trace of one hierarchical fleet run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GeoTrace {
-    /// Rows grouped by interval, regions → zones → racks within each.
-    pub rows: Vec<GeoTraceRow>,
-}
+/// The per-interval interior-node trace of one hierarchical fleet run:
+/// rows grouped by interval, regions → zones → racks within each.
+pub type GeoTrace = Trace<GeoTraceRow>;
 
-/// The geo trace's CSV column contract, shared by the [`Table`] renderer
-/// and the allocation-free writer.
-// lint:contract(geo_trace_columns)
-const GEO_TRACE_COLUMNS: [&str; 8] = [
-    "interval",
-    "time_s",
-    "level",
-    "domain",
-    "cap_w",
-    "demand_w",
-    "up_nodes",
-    "breaker_open",
-];
+impl TraceRecord for GeoTraceRow {
+    // lint:contract(geo_trace_columns)
+    const COLUMNS: &'static [&'static str] = &[
+        "interval",
+        "time_s",
+        "level",
+        "domain",
+        "cap_w",
+        "demand_w",
+        "up_nodes",
+        "breaker_open",
+    ];
 
-impl GeoTrace {
-    /// Renders the trace as a table titled `title`.
-    pub fn to_table(&self, title: &str) -> Table {
-        let mut t = Table::new(title, &GEO_TRACE_COLUMNS);
-        for r in &self.rows {
-            t.row(&[
-                r.interval.to_string(),
-                format!("{:.2}", r.time_s),
-                r.level.to_string(),
-                r.domain.to_string(),
-                format!("{:.3}", r.cap_w),
-                format!("{:.3}", r.demand_w),
-                r.up_nodes.to_string(),
-                r.breaker_open.to_string(),
-            ]);
-        }
-        t
-    }
-
-    /// Appends one row's CSV line to `buf`. The `level` cell is one of
-    /// three fixed bare words, so the RFC-4180 escape path can never
-    /// trigger and writing it raw matches the [`Table`] renderer.
-    fn push_row(buf: &mut String, r: &GeoTraceRow) {
-        let _ = writeln!(
-            buf,
-            "{},{:.2},{},{},{:.3},{:.3},{},{}",
-            r.interval, r.time_s, r.level, r.domain, r.cap_w, r.demand_w, r.up_nodes, r.breaker_open,
-        );
-    }
-
-    /// Appends the trace's CSV to `buf`, byte-identical to
-    /// `self.to_table(title).to_csv()` with zero per-row allocations.
-    pub fn write_csv_into(&self, buf: &mut String) {
-        push_header(buf, &GEO_TRACE_COLUMNS);
-        for r in &self.rows {
-            Self::push_row(buf, r);
-        }
-    }
-
-    /// Streams the trace's CSV into `w` in `CSV_FLUSH_ROWS`-row
-    /// batches — the geo counterpart of [`FleetTrace::write_csv_to`].
-    pub fn write_csv_to<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut scratch = String::new();
-        push_header(&mut scratch, &GEO_TRACE_COLUMNS);
-        for (i, r) in self.rows.iter().enumerate() {
-            Self::push_row(&mut scratch, r);
-            if (i + 1).is_multiple_of(CSV_FLUSH_ROWS) {
-                w.write_all(scratch.as_bytes())?;
-                scratch.clear();
-            }
-        }
-        w.write_all(scratch.as_bytes())?;
-        w.flush()
+    /// The `level` cell is one of three fixed bare words, so it prints
+    /// raw.
+    fn cells(&self, cell: &mut impl FnMut(fmt::Arguments<'_>)) {
+        cell(format_args!("{}", self.interval));
+        cell(format_args!("{:.2}", self.time_s));
+        cell(format_args!("{}", self.level));
+        cell(format_args!("{}", self.domain));
+        cell(format_args!("{:.3}", self.cap_w));
+        cell(format_args!("{:.3}", self.demand_w));
+        cell(format_args!("{}", self.up_nodes));
+        cell(format_args!("{}", self.breaker_open));
     }
 }
 
@@ -463,183 +375,176 @@ impl GeoTrace {
 mod tests {
     use super::*;
 
-    fn row(k: u64) -> TraceRow {
-        TraceRow {
-            interval: k,
-            time_s: k as f64,
-            queue_depth: k as usize,
-            busy_nodes: 1,
-            healthy_nodes: 2,
-            gpu_power_w: 100.0 + k as f64,
-            total_power_w: 150.0,
-            fleet_cap_w: 400.0,
-            budget_w: 500.0,
-            completed: k,
-            rejected: 0,
-            deadline_misses: 0,
-            cap_violations: 0,
-            max_pair_over_cap_w: 0.0,
-            up_nodes: 2,
-            open_breakers: 0,
-            retry_depth: 0,
-            dead_lettered: 0,
+    /// Values at the edges of the fixed-decimal formats: signed zero,
+    /// exact halves at two, three and four decimals, binary values just
+    /// under a half, and negatives.
+    const EDGES: [f64; 10] = [
+        -0.0, 0.005, 0.0005, 0.00005, 2.675, 1.0005, 0.125, -1.005, 999.9995, 1234.5,
+    ];
+
+    fn edge(k: u64) -> f64 {
+        EDGES[k as usize % EDGES.len()]
+    }
+
+    /// A row of each record type, built from an index.
+    trait Synth: TraceRecord + Sized {
+        fn synth(k: u64) -> Self;
+    }
+
+    impl Synth for TraceRow {
+        fn synth(k: u64) -> Self {
+            TraceRow {
+                interval: k,
+                time_s: edge(k),
+                queue_depth: k as usize,
+                busy_nodes: 1,
+                healthy_nodes: 2,
+                gpu_power_w: 100.0 + k as f64,
+                total_power_w: edge(k + 1),
+                fleet_cap_w: 400.0,
+                budget_w: edge(k + 2),
+                completed: k,
+                rejected: 0,
+                deadline_misses: 0,
+                cap_violations: 0,
+                max_pair_over_cap_w: edge(k + 3),
+                up_nodes: 2,
+                open_breakers: 0,
+                retry_depth: 0,
+                dead_lettered: 0,
+            }
+        }
+    }
+
+    impl Synth for ServingTraceRow {
+        fn synth(k: u64) -> Self {
+            ServingTraceRow {
+                interval: k,
+                time_s: edge(k),
+                carbon_intensity: edge(k + 1),
+                green: k.is_multiple_of(2),
+                deferred_pending: k as usize,
+                jobs_deferred: k * 2,
+                jobs_released: k,
+            }
+        }
+    }
+
+    impl Synth for GeoTraceRow {
+        fn synth(k: u64) -> Self {
+            GeoTraceRow {
+                interval: k,
+                time_s: edge(k),
+                level: ["region", "zone", "rack"][k as usize % 3],
+                domain: k as usize,
+                cap_w: edge(k + 1),
+                demand_w: edge(k + 2),
+                up_nodes: 8,
+                breaker_open: (k % 2) as usize,
+            }
+        }
+    }
+
+    /// A sink that records every write it is handed.
+    #[derive(Default)]
+    struct Sink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl io::Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            self.writes += 1;
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Both CSV writers print what the `Table` renderer prints — golden
+    /// traces pin the Table output, so any skew here is silent
+    /// corruption — for a header-only trace, a short one, one that ends
+    /// on a flush boundary and one that crosses two. The scratch buffer
+    /// is reused across traces the way batched writers hold it.
+    fn writers_match_the_table<R: Synth>() {
+        let mut buf = String::new();
+        for (len, writes) in [(0, 1), (3, 1), (2 * CSV_FLUSH_ROWS, 2), (2 * CSV_FLUSH_ROWS + 7, 3)] {
+            let trace = Trace {
+                rows: (1..=len as u64).map(R::synth).collect(),
+            };
+            let table = trace.to_table("t").to_csv();
+            assert!(table.starts_with(&R::COLUMNS.join(",")));
+            assert_eq!(table.lines().count(), len + 1);
+            buf.clear();
+            trace.write_csv_into(&mut buf);
+            assert_eq!(buf, table, "{len} rows");
+            let mut sink = Sink::default();
+            trace.write_csv_to(&mut sink).unwrap();
+            assert_eq!(sink.bytes, table.as_bytes(), "{len} rows");
+            assert_eq!(sink.writes, writes, "{len} rows: full batches plus the tail");
         }
     }
 
     #[test]
-    fn table_rendering_is_stable() {
-        let trace = FleetTrace {
-            rows: vec![row(1), row(2)],
+    fn every_trace_writer_matches_the_table_renderer() {
+        writers_match_the_table::<TraceRow>();
+        writers_match_the_table::<ServingTraceRow>();
+        writers_match_the_table::<GeoTraceRow>();
+    }
+
+    #[test]
+    fn rows_print_their_pinned_formats() {
+        let one = |csv: String| csv.lines().nth(1).map(str::to_string);
+        let fleet = Trace {
+            rows: vec![TraceRow::synth(10)],
         };
-        let a = trace.to_table("t").to_csv();
-        let b = trace.to_table("t").to_csv();
-        assert_eq!(a, b);
-        assert!(a.starts_with("interval,time_s,queue_depth"));
-        assert_eq!(a.lines().count(), 3);
+        assert_eq!(
+            one(fleet.to_table("f").to_csv()).as_deref(),
+            Some("10,-0.00,10,1,2,110.000,0.005,400.000,0.001,10,0,0,0,0.000,2,0,0,0")
+        );
+        let serving = Trace {
+            rows: vec![ServingTraceRow {
+                interval: 1,
+                time_s: 1.0,
+                carbon_intensity: 1.25,
+                green: false,
+                deferred_pending: 2,
+                jobs_deferred: 3,
+                jobs_released: 1,
+            }],
+        };
+        assert_eq!(
+            one(serving.to_table("s").to_csv()).as_deref(),
+            Some("1,1.00,1.2500,0,2,3,1")
+        );
+        let geo = Trace {
+            rows: vec![GeoTraceRow {
+                interval: 1,
+                time_s: 2.0,
+                level: "region",
+                domain: 0,
+                cap_w: 1234.5,
+                demand_w: 999.125,
+                up_nodes: 8,
+                breaker_open: 0,
+            }],
+        };
+        assert_eq!(
+            one(geo.to_table("g").to_csv()).as_deref(),
+            Some("1,2.00,region,0,1234.500,999.125,8,0")
+        );
     }
 
     #[test]
     fn summaries() {
         let trace = FleetTrace {
-            rows: vec![row(1), row(3)],
+            rows: vec![TraceRow::synth(1), TraceRow::synth(3)],
         };
         assert_eq!(trace.peak_queue_depth(), 3);
         assert!((trace.mean_gpu_power_w() - 102.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scratch_writer_matches_table_csv_byte_for_byte() {
-        // The allocation-free path must be indistinguishable from the
-        // Table renderer — golden traces pin the Table output, so any
-        // skew here is silent corruption. Negative time/power exercise
-        // the sign formatting; the buffer is reused across traces the
-        // way batched writers hold it.
-        let mut r = row(7);
-        r.time_s = -0.0;
-        r.max_pair_over_cap_w = 12.3456;
-        let trace = FleetTrace {
-            rows: vec![row(1), r, row(3)],
-        };
-        let mut buf = String::new();
-        trace.write_csv_into(&mut buf);
-        assert_eq!(buf, trace.to_table("ignored").to_csv());
-        buf.clear();
-        let empty = FleetTrace::default();
-        empty.write_csv_into(&mut buf);
-        assert_eq!(buf, empty.to_table("t").to_csv(), "header-only trace");
-    }
-
-    #[test]
-    fn serving_scratch_writer_matches_table_csv() {
-        let trace = ServingTrace {
-            rows: (0..4)
-                .map(|k| ServingTraceRow {
-                    interval: k,
-                    time_s: k as f64 * 3.0,
-                    carbon_intensity: 0.5 + k as f64 * 0.25,
-                    green: k % 2 == 0,
-                    deferred_pending: k as usize,
-                    jobs_deferred: k * 2,
-                    jobs_released: k,
-                })
-                .collect(),
-        };
-        let mut buf = String::new();
-        trace.write_csv_into(&mut buf);
-        assert_eq!(buf, trace.to_table("ignored").to_csv());
-    }
-
-    #[test]
-    fn streaming_writer_matches_scratch_writer_across_flush_boundaries() {
-        // Long enough to cross the CSV_FLUSH_ROWS batching boundary
-        // twice, so the chunked path's seams are exercised; the sink
-        // records each write so we can also confirm batching happened.
-        struct Sink {
-            bytes: Vec<u8>,
-            writes: usize,
-        }
-        impl io::Write for Sink {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.bytes.extend_from_slice(buf);
-                self.writes += 1;
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let trace = FleetTrace {
-            rows: (1..=CSV_FLUSH_ROWS as u64 * 2 + 7).map(row).collect(),
-        };
-        let mut expect = String::new();
-        trace.write_csv_into(&mut expect);
-        let mut sink = Sink {
-            bytes: Vec::new(),
-            writes: 0,
-        };
-        trace.write_csv_to(&mut sink).unwrap();
-        assert_eq!(sink.bytes, expect.as_bytes());
-        assert_eq!(sink.writes, 3, "two full batches plus the tail");
-
-        let serving = ServingTrace {
-            rows: (0..3)
-                .map(|k| ServingTraceRow {
-                    interval: k,
-                    time_s: k as f64,
-                    carbon_intensity: 1.0,
-                    green: true,
-                    deferred_pending: 0,
-                    jobs_deferred: 0,
-                    jobs_released: 0,
-                })
-                .collect(),
-        };
-        let mut expect = String::new();
-        serving.write_csv_into(&mut expect);
-        let mut sink = Sink {
-            bytes: Vec::new(),
-            writes: 0,
-        };
-        serving.write_csv_to(&mut sink).unwrap();
-        assert_eq!(sink.bytes, expect.as_bytes());
-    }
-
-    #[test]
-    fn geo_trace_writers_match_the_table_renderer() {
-        let trace = GeoTrace {
-            rows: vec![
-                GeoTraceRow {
-                    interval: 1,
-                    time_s: 2.0,
-                    level: "region",
-                    domain: 0,
-                    cap_w: 1234.5,
-                    demand_w: 999.125,
-                    up_nodes: 8,
-                    breaker_open: 0,
-                },
-                GeoTraceRow {
-                    interval: 1,
-                    time_s: 2.0,
-                    level: "rack",
-                    domain: 3,
-                    cap_w: 0.0,
-                    demand_w: 0.0,
-                    up_nodes: 0,
-                    breaker_open: 1,
-                },
-            ],
-        };
-        let csv = trace.to_table("g").to_csv();
-        assert!(csv.starts_with("interval,time_s,level,domain,cap_w"));
-        assert!(csv.contains("1,2.00,region,0,1234.500,999.125,8,0"));
-        assert!(csv.contains("1,2.00,rack,3,0.000,0.000,0,1"));
-        let mut buf = String::new();
-        trace.write_csv_into(&mut buf);
-        assert_eq!(buf, csv);
-        let mut sink: Vec<u8> = Vec::new();
-        trace.write_csv_to(&mut sink).unwrap();
-        assert_eq!(sink, csv.as_bytes());
+        assert_eq!(FleetTrace::default().mean_gpu_power_w(), 0.0);
     }
 
     #[test]
@@ -654,24 +559,5 @@ mod tests {
         assert_eq!(t.resolve(a), "hotspot");
         assert_eq!(t.resolve(b), "kmeans");
         assert_eq!(t.resolve(99), "", "unknown ids resolve to empty, never panic");
-    }
-
-    #[test]
-    fn serving_trace_rendering_is_stable() {
-        let trace = ServingTrace {
-            rows: vec![ServingTraceRow {
-                interval: 1,
-                time_s: 1.0,
-                carbon_intensity: 1.25,
-                green: false,
-                deferred_pending: 2,
-                jobs_deferred: 3,
-                jobs_released: 1,
-            }],
-        };
-        let a = trace.to_table("s").to_csv();
-        assert_eq!(a, trace.to_table("s").to_csv());
-        assert!(a.starts_with("interval,time_s,carbon_intensity,green"));
-        assert!(a.contains("1,1.00,1.2500,0,2,3,1"));
     }
 }

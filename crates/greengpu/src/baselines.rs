@@ -102,7 +102,7 @@ pub struct PolicyOutcome {
 /// Runs a GreenGPU configuration with an arbitrary Tier-2 frequency
 /// policy — the head-to-head entry point of the `policies` experiment.
 /// Platform choice matches [`run_with_config`], so
-/// `run_with_policy(w, cfg, rc, Box::new(WmaPolicy::new(6, 6, cfg.wma_params)))`
+/// `run_with_policy(w, cfg, rc, Box::new(WmaScaler::new(6, 6, cfg.wma_params)))`
 /// reproduces that function byte-for-byte.
 pub fn run_with_policy(
     workload: &mut dyn Workload,

@@ -9,7 +9,6 @@
 
 use crate::division::{DivisionController, DivisionParams, ModelBasedDivision};
 use crate::governors::CpuGovernor;
-use crate::policy::WmaPolicy;
 use crate::wma::{WmaParams, WmaScaler};
 use greengpu_hw::{
     CleanSensors, DirectActuator, FaultPlan, FaultyActuator, FaultySensor, FreqActuator, Platform, SensorSource,
@@ -226,7 +225,7 @@ impl DivisionImpl {
 pub struct GreenGpuController {
     config: GreenGpuConfig,
     /// The pluggable Tier-2 GPU frequency policy. Defaults to the
-    /// paper's WMA scaler (via [`WmaPolicy`]); the policy constructors
+    /// paper's WMA scaler ([`WmaScaler`]); the policy constructors
     /// accept any [`FreqPolicy`] — switching-aware bandits, the
     /// deadline selector, or an external implementation.
     policy: Box<dyn FreqPolicy>,
@@ -271,7 +270,7 @@ impl GreenGpuController {
         sensors: Box<dyn SensorSource>,
         actuator: Box<dyn FreqActuator>,
     ) -> Self {
-        let policy = Box::new(WmaPolicy::new(n_core_levels, n_mem_levels, config.wma_params));
+        let policy = Box::new(WmaScaler::new(n_core_levels, n_mem_levels, config.wma_params));
         GreenGpuController::with_policy_providers(config, policy, sensors, actuator)
     }
 
@@ -337,17 +336,6 @@ impl GreenGpuController {
         )
     }
 
-    /// Builds a controller driving an arbitrary policy behind the seeded
-    /// fault injectors configured by `plan`.
-    pub fn with_policy_faulted(config: GreenGpuConfig, policy: Box<dyn FreqPolicy>, plan: &FaultPlan) -> Self {
-        GreenGpuController::with_policy_providers(
-            config,
-            policy,
-            Box::new(FaultySensor::new(plan)),
-            Box::new(FaultyActuator::new(plan)),
-        )
-    }
-
     /// Builds a controller for the default 6×6 testbed.
     pub fn for_testbed(config: GreenGpuConfig) -> Self {
         GreenGpuController::new(config, 6, 6)
@@ -358,10 +346,10 @@ impl GreenGpuController {
         GreenGpuController::faulted(config, 6, 6, plan)
     }
 
-    /// The WMA scaler, when the active policy is the WMA adapter
-    /// (inspection/tests); `None` under any other [`FreqPolicy`].
+    /// The WMA scaler, when it is the active policy (inspection/tests);
+    /// `None` under any other [`FreqPolicy`].
     pub fn wma(&self) -> Option<&WmaScaler> {
-        self.policy.as_any().downcast_ref::<WmaPolicy>().map(WmaPolicy::scaler)
+        self.policy.as_any().downcast_ref::<WmaScaler>()
     }
 
     /// The active Tier-2 frequency policy.
@@ -896,7 +884,6 @@ mod tests {
 #[cfg(test)]
 mod cap_mask_tests {
     use super::*;
-    use crate::policy::WmaPolicy;
     use proptest::prelude::*;
 
     proptest! {
@@ -924,7 +911,7 @@ mod cap_mask_tests {
 
             let config = GreenGpuConfig::scaling_only();
             let mut ctl = GreenGpuController::for_testbed(config);
-            let mut twin = WmaPolicy::new(6, 6, config.wma_params);
+            let mut twin = WmaScaler::new(6, 6, config.wma_params);
             let mut masked = 0u64;
             let mut cap = None;
             for (k, &(pick, repeat, activity)) in ticks.iter().enumerate() {

@@ -12,7 +12,8 @@
 //! * **Tier 2 — coordinated frequency scaling** ([`wma`]): a Weighted
 //!   Majority Algorithm learner over the N×M table of (GPU-core,
 //!   GPU-memory) frequency pairs, driven by windowed utilizations, with the
-//!   Table I loss function; the CPU is scaled by the Linux `ondemand`
+//!   Table I loss function — a `FreqPolicy` of the `greengpu-policy`
+//!   crate, re-exported here; the CPU is scaled by the Linux `ondemand`
 //!   governor ([`ondemand`]).
 //!
 //! [`coordinator::GreenGpuController`] wires both tiers into a
@@ -57,7 +58,7 @@ pub use coordinator::{
 pub use division::{DivisionController, DivisionParams, ModelBasedDivision};
 pub use governors::CpuGovernor;
 pub use ondemand::OndemandGovernor;
-pub use policy::{pair_model_for, PolicySpec, WmaPolicy};
+pub use policy::{pair_model_for, PolicySpec};
 // Re-export the policy crate's surface so consumers need only `greengpu`.
 pub use greengpu_policy::{
     Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, PairModel, PhaseDetectorParams,

@@ -1,130 +1,15 @@
-//! The [`FreqPolicy`] seam of the `greengpu` crate: the WMA adapter, the
-//! policy registry ([`PolicySpec`]), and the workload→[`PairModel`]
-//! prediction helper.
-//!
-//! [`WmaPolicy`] wraps the paper's [`WmaScaler`] **unchanged** — it
-//! delegates every observation to [`WmaScaler::observe_masked`] with the
-//! same inputs the coordinator used to pass directly, so a controller
-//! built from `PolicySpec::Wma(params)` reproduces the pre-seam
-//! controller decision-for-decision. What the adapter adds is the
-//! cross-policy telemetry (cumulative loss, switches, regret) every
-//! [`FreqPolicy`] carries, so WMA appears in the same head-to-head
-//! tables as the bandits and the deadline selector.
+//! The policy registry of the `greengpu` crate ([`PolicySpec`]) and the
+//! workload→[`PairModel`] prediction helper.
 
 use crate::wma::{WmaParams, WmaScaler};
 use greengpu_hw::GpuSpec;
-use greengpu_policy::telemetry::DecisionTracker;
 use greengpu_policy::{
-    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, LossModel, LossParams, PairModel,
-    PhaseDetectorParams, PolicyTelemetry, UcbParams, UcbPolicy,
+    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, PairModel, PhaseDetectorParams,
+    UcbParams, UcbPolicy,
 };
 use greengpu_sim::SplitMix64;
 use greengpu_workloads::model::phase_gpu_timing;
 use greengpu_workloads::Workload;
-
-/// [`FreqPolicy`] adapter over the paper's WMA scaler.
-pub struct WmaPolicy {
-    scaler: WmaScaler,
-    n_core: usize,
-    n_mem: usize,
-    tracker: DecisionTracker,
-}
-
-impl WmaPolicy {
-    /// Wraps a fresh `n_core × n_mem` scaler. The telemetry loss model
-    /// reuses the WMA's own `α`/`φ` constants so regret is scored on the
-    /// exact loss the scaler optimizes.
-    pub fn new(n_core: usize, n_mem: usize, params: WmaParams) -> Self {
-        let loss = LossParams {
-            alpha_core: params.alpha_core,
-            alpha_mem: params.alpha_mem,
-            phi: params.phi,
-        };
-        WmaPolicy {
-            scaler: WmaScaler::new(n_core, n_mem, params),
-            n_core,
-            n_mem,
-            tracker: DecisionTracker::new(LossModel::new(n_core, n_mem, loss)),
-        }
-    }
-
-    /// The wrapped scaler (inspection/tests — also reachable through
-    /// [`FreqPolicy::as_any`]).
-    pub fn scaler(&self) -> &WmaScaler {
-        &self.scaler
-    }
-}
-
-impl FreqPolicy for WmaPolicy {
-    fn name(&self) -> &str {
-        "wma"
-    }
-
-    fn shape(&self) -> (usize, usize) {
-        (self.n_core, self.n_mem)
-    }
-
-    fn decide(&mut self, u_core: f64, u_mem: f64, feasible: &dyn Fn(usize, usize) -> bool) -> (usize, usize) {
-        // Delegate with identical inputs — the scaler owns the NaN
-        // rejection and the empty-mask degradation; the adapter only
-        // mirrors them into the shared telemetry. The scaler counts an
-        // empty feasible set exactly when its masked argmax finds no
-        // pair, so the adapter reads that count instead of re-scanning
-        // the mask.
-        let fallbacks = self.scaler.empty_mask_fallbacks();
-        let pair = self.scaler.observe_masked(u_core, u_mem, feasible);
-        let empty = self.scaler.empty_mask_fallbacks() != fallbacks;
-        if empty {
-            self.tracker.note_empty_mask();
-        } else if !(u_core.is_finite() && u_mem.is_finite()) {
-            self.tracker.note_invalid();
-        } else {
-            self.tracker.record(u_core, u_mem, pair, 0.0);
-        }
-        pair
-    }
-
-    fn preferred(&self) -> (usize, usize) {
-        self.scaler.argmax()
-    }
-
-    fn telemetry(&self) -> &PolicyTelemetry {
-        self.tracker.telemetry()
-    }
-
-    fn reset(&mut self) {
-        self.scaler.reset();
-        self.tracker.reset();
-    }
-
-    fn snapshot(&self, w: &mut greengpu_sim::JsonWriter<'_>) {
-        self.scaler.snapshot(w);
-    }
-
-    fn restore(&mut self, state: &greengpu_sim::JsonValue) -> Result<(), String> {
-        self.scaler.restore(state)
-    }
-
-    fn decision_fingerprint(&self) -> Option<u64> {
-        // The scaler's decisions are a pure function of its weight table
-        // (ucmean/ummean are static; the interval counter is telemetry),
-        // so the weights' exact bit patterns are the whole fingerprint.
-        // The tracker mirrors decisions into telemetry and is excluded.
-        // The fingerprint is only compared with itself, so the weights
-        // fold a word at a time.
-        let mut h = greengpu_sim::Fnv64::new();
-        for i in 0..self.n_core {
-            for j in 0..self.n_mem {
-                h.push_word(self.scaler.weight(i, j).to_bits());
-            }
-        }
-        Some(h.finish())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
 
 /// Declarative policy selection — what configs (cluster nodes, the repro
 /// CLI) carry instead of a live `Box<dyn FreqPolicy>`.
@@ -217,7 +102,7 @@ impl PolicySpec {
     ) -> Result<Box<dyn FreqPolicy>, String> {
         self.try_validate()?;
         match self {
-            PolicySpec::Wma(p) => Ok(Box::new(WmaPolicy::new(n_core, n_mem, *p))),
+            PolicySpec::Wma(p) => Ok(Box::new(WmaScaler::new(n_core, n_mem, *p))),
             PolicySpec::Exp3(p) => Ok(Box::new(Exp3Policy::new(n_core, n_mem, *p, seed))),
             PolicySpec::Ucb(p) => Ok(Box::new(UcbPolicy::new(n_core, n_mem, *p))),
             PolicySpec::Deadline(p) => {
@@ -302,42 +187,40 @@ pub fn pair_model_for(workload: &dyn Workload, spec: &GpuSpec) -> PairModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::{GreenGpuConfig, GreenGpuController};
     use greengpu_hw::calib::geforce_8800_gtx;
     use greengpu_workloads::kmeans::KMeans;
 
     const ALL: fn(usize, usize) -> bool = |_, _| true;
 
     #[test]
-    fn wma_policy_reproduces_the_bare_scaler() {
-        // The adapter must be byte-identical to driving the scaler
-        // directly — the seed reproduction depends on it.
-        let mut policy = WmaPolicy::new(6, 6, WmaParams::default());
-        let mut bare = WmaScaler::new(6, 6, WmaParams::default());
-        for k in 0..40 {
-            let u = (k % 7) as f64 / 6.0;
-            assert_eq!(policy.decide(u, 1.0 - u, &ALL), bare.observe(u, 1.0 - u));
+    fn wma_spec_builds_the_native_scaler() {
+        let params = WmaParams {
+            history: 0.9,
+            ..WmaParams::default()
+        };
+        let mut built = PolicySpec::Wma(params).build(6, 6, 1, None).expect("buildable");
+        let mut bare = WmaScaler::new(6, 6, params);
+        for k in 0..12 {
+            let u = (k % 5) as f64 / 4.0;
+            assert_eq!(built.decide(u, 1.0 - u, &ALL), bare.observe(u, 1.0 - u));
         }
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(policy.scaler().weight(i, j).to_bits(), bare.weight(i, j).to_bits());
-            }
-        }
-        assert_eq!(policy.preferred(), bare.argmax());
-    }
-
-    #[test]
-    fn wma_policy_telemetry_counts_edge_cases() {
-        let mut policy = WmaPolicy::new(6, 6, WmaParams::default());
-        policy.decide(0.6, 0.6, &ALL);
-        policy.decide(f64::NAN, 0.6, &ALL);
-        policy.decide(0.6, 0.6, &|_, _| false);
-        let t = policy.telemetry();
-        assert_eq!(t.intervals, 1);
-        assert_eq!(t.invalid_inputs, 1);
-        assert_eq!(t.empty_mask_fallbacks, 1);
-        policy.reset();
-        assert_eq!(policy.telemetry(), &PolicyTelemetry::default());
-        assert_eq!(policy.scaler().intervals(), 0);
+        let scaler = built
+            .as_any()
+            .downcast_ref::<WmaScaler>()
+            .expect("PolicySpec::Wma builds a WmaScaler");
+        assert_eq!(built.name(), "wma");
+        assert_eq!(scaler.intervals(), 12);
+        assert_eq!(scaler.argmax(), bare.argmax());
+        // The controller finds the scaler behind its boxed policy, and
+        // only when WMA is the policy.
+        let config = GreenGpuConfig::scaling_only();
+        assert!(GreenGpuController::for_testbed(config).wma().is_some());
+        assert!(GreenGpuController::with_policy(config, built).wma().is_some());
+        let exp3 = PolicySpec::Exp3(Exp3Params::default())
+            .build(6, 6, 1, None)
+            .expect("buildable");
+        assert!(GreenGpuController::with_policy(config, exp3).wma().is_none());
     }
 
     #[test]

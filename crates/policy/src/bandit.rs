@@ -131,7 +131,6 @@ impl Exp3Params {
 pub struct Exp3Policy {
     name: String,
     params: Exp3Params,
-    model: LossModel,
     n_core: usize,
     n_mem: usize,
     /// Row-major exponential weights, renormalized by the max.
@@ -147,7 +146,6 @@ impl Exp3Policy {
     /// derives from `seed`.
     pub fn new(n_core: usize, n_mem: usize, params: Exp3Params, seed: u64) -> Self {
         params.try_validate().expect("valid EXP3 params");
-        let model = LossModel::new(n_core, n_mem, params.loss);
         let name = if params.switching.switch_cost > 0.0 || params.switching.hysteresis > 0.0 {
             "exp3"
         } else {
@@ -156,8 +154,7 @@ impl Exp3Policy {
         Exp3Policy {
             name: name.to_string(),
             params,
-            tracker: DecisionTracker::new(model.clone()),
-            model,
+            tracker: DecisionTracker::new(LossModel::new(n_core, n_mem, params.loss)),
             n_core,
             n_mem,
             weights: vec![1.0; n_core * n_mem],
@@ -247,7 +244,7 @@ impl FreqPolicy for Exp3Policy {
             }
             _ => 0.0,
         };
-        let base = self.model.loss(chosen.0, chosen.1, u_core, u_mem);
+        let base = self.tracker.model().loss(chosen.0, chosen.1, u_core, u_mem);
         let charged = (base + penalty).clamp(0.0, 1.0);
         let l_hat = charged / p_chosen;
         let w = &mut self.weights[chosen.0 * self.n_mem + chosen.1];
@@ -351,7 +348,6 @@ impl UcbParams {
 pub struct UcbPolicy {
     name: String,
     params: UcbParams,
-    model: LossModel,
     n_core: usize,
     n_mem: usize,
     counts: Vec<u64>,
@@ -366,7 +362,6 @@ impl UcbPolicy {
     /// deterministic — no seed needed.
     pub fn new(n_core: usize, n_mem: usize, params: UcbParams) -> Self {
         params.try_validate().expect("valid UCB params");
-        let model = LossModel::new(n_core, n_mem, params.loss);
         let name = if params.switching.switch_cost > 0.0 || params.switching.hysteresis > 0.0 {
             "ucb"
         } else {
@@ -375,8 +370,7 @@ impl UcbPolicy {
         UcbPolicy {
             name: name.to_string(),
             params,
-            tracker: DecisionTracker::new(model.clone()),
-            model,
+            tracker: DecisionTracker::new(LossModel::new(n_core, n_mem, params.loss)),
             n_core,
             n_mem,
             counts: vec![0; n_core * n_mem],
@@ -474,7 +468,7 @@ impl FreqPolicy for UcbPolicy {
         // Learn the pulled arm's base loss (the switching cost shapes
         // selection, not the reward statistics — a pair is not worse
         // because we arrived via a reclock).
-        let base = self.model.loss(chosen.0, chosen.1, u_core, u_mem);
+        let base = self.tracker.model().loss(chosen.0, chosen.1, u_core, u_mem);
         let k = chosen.0 * self.n_mem + chosen.1;
         self.counts[k] += 1;
         self.t += 1;

@@ -1,15 +1,15 @@
 //! # greengpu-policy — pluggable Tier-2 frequency-selection policies
 //!
-//! The paper's Tier-2 learner is a single Weighted-Majority table
-//! (`greengpu::wma`). This crate makes frequency selection *pluggable*:
-//! every online learner over the `N×M` (core level, memory level) pair
+//! Every online learner over the `N×M` (core level, memory level) pair
 //! grid implements one object-safe trait, [`FreqPolicy`], and the
 //! coordinator, the hardened faulted runs, and the cluster nodes all
-//! drive whichever policy they are handed.
+//! drive whichever policy they are handed. All of them learn from, or
+//! are scored on, the one Table-I loss model ([`loss`]).
 //!
-//! Shipped policy families (beyond the WMA adapter, which lives in the
-//! `greengpu` crate next to the scaler it wraps):
+//! Shipped policy families:
 //!
+//! * **The paper's WMA scaler** ([`wma`]): the Weighted-Majority learner
+//!   of §V-A (Algorithm 1, Eqs. 1–4), the default policy.
 //! * **Switching-aware bandits** ([`bandit`]): EXP3- and UCB-style
 //!   learners in the spirit of *Online GPU Energy Optimization with
 //!   Switching-Aware Bandits* (arXiv:2410.11855). Each interval charges
@@ -22,6 +22,8 @@
 //!   Efficient Scheduling on GPUs* (arXiv:2004.08177), over a
 //!   [`deadline::PairModel`] derived from the calibrated
 //!   frequency/performance model in `greengpu-hw`.
+//! * **Phase-conditioned wrappers** ([`contextual`]): one inner bandit
+//!   per workload phase the detector discovers.
 //!
 //! Every policy is deterministic under a fixed seed (randomized policies
 //! draw from [`greengpu_sim::Pcg32`] streams), always returns an
@@ -38,6 +40,7 @@ pub mod contextual;
 pub mod deadline;
 pub mod loss;
 pub mod telemetry;
+pub mod wma;
 
 pub use bandit::{Exp3Params, Exp3Policy, SwitchingParams, UcbParams, UcbPolicy};
 pub use contextual::Contextual;
@@ -46,6 +49,7 @@ pub use greengpu_phase::{PhaseDetector, PhaseDetectorParams, PhaseId, PhaseTrack
 pub use greengpu_sim::{JsonValue, JsonWriter};
 pub use loss::{LevelTerms, LossModel, LossParams};
 pub use telemetry::{DecisionTracker, PolicyTelemetry};
+pub use wma::{WmaParams, WmaScaler};
 
 /// An online frequency-selection policy over the `N×M` pair grid — the
 /// pluggable Tier-2 seam.
@@ -125,16 +129,16 @@ pub trait FreqPolicy: Send {
         None
     }
 
-    /// Downcast hook (e.g. to reach the wrapped `WmaScaler` behind the
-    /// adapter in the `greengpu` crate).
+    /// Downcast hook (e.g. to reach the concrete [`WmaScaler`] behind a
+    /// controller's boxed policy).
     fn as_any(&self) -> &dyn std::any::Any;
 }
 
 /// Shared checkpoint (de)serialization helpers used by every
 /// [`FreqPolicy::snapshot`]/[`FreqPolicy::restore`] implementation (the
-/// `greengpu` crate reuses them for the WMA scaler and the division
-/// controller). All parsers validate *fully* before the caller mutates
-/// anything, and every error names the offending field.
+/// `greengpu` crate reuses them for the division controller). All
+/// parsers validate *fully* before the caller mutates anything, and
+/// every error names the offending field.
 pub mod snap {
     use greengpu_sim::{JsonValue, JsonWriter};
 

@@ -1,14 +1,34 @@
-//! The Table-I loss model shared by every policy's accounting.
+//! The Table-I loss model: the one definition every policy learns from
+//! or is scored on.
 //!
-//! This mirrors the paper's Eqs. 1–3 exactly as `greengpu::wma`
-//! implements them (that scaler keeps its own copy so it stays
-//! byte-identical to the seed reproduction): each level has a *suitable
-//! utilization* `umean` on the Dhiman–Rosing linear map; a level below
-//! the observed utilization is charged performance loss `u − umean`, a
-//! level above it energy loss `umean − u`; `α` folds the two per domain
-//! and `φ` combines the domains. Both bandits charge this loss (plus the
-//! switching penalty), and regret is measured in its units, so WMA,
-//! EXP3, UCB, and the deadline selector are all scored on one scale.
+//! Each level has a *suitable utilization* `umean` on the Dhiman–Rosing
+//! linear map. A level below the observed utilization is charged
+//! performance loss `u − umean`, a level above it energy loss
+//! `umean − u` ([`table1_loss`]); `α` folds the two per domain
+//! ([`level_loss`], Eqs. 1–2) and `φ` combines the domains
+//! ([`LossModel::loss`], Eq. 3). The WMA scaler learns from this loss,
+//! both bandits charge it (plus the switching penalty), and regret is
+//! measured in its units, so WMA, EXP3, UCB and the deadline selector are
+//! all scored on one scale.
+
+/// The per-level loss of Table I.
+///
+/// Returns `(energy_loss, performance_loss)` for observed utilization `u`
+/// against a level's suitable utilization `umean`.
+pub fn table1_loss(u: f64, umean: f64) -> (f64, f64) {
+    if u > umean {
+        (0.0, u - umean)
+    } else {
+        (umean - u, 0.0)
+    }
+}
+
+/// One domain's level loss (Eqs. 1–2): Table I's two losses folded with
+/// the domain's `α`.
+pub fn level_loss(alpha: f64, u: f64, umean: f64) -> f64 {
+    let (le, lp) = table1_loss(u, umean);
+    alpha * le + (1.0 - alpha) * lp
+}
 
 /// Loss-shaping constants (the paper's fitted values as defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,19 +95,6 @@ impl LossModel {
         (self.ucmean.len(), self.ummean.len())
     }
 
-    /// The loss parameters.
-    pub fn params(&self) -> LossParams {
-        self.params
-    }
-
-    fn domain_loss(u: f64, umean: f64, alpha: f64) -> f64 {
-        if u > umean {
-            (1.0 - alpha) * (u - umean) // performance loss
-        } else {
-            alpha * (umean - u) // energy loss
-        }
-    }
-
     /// Closed-form per-domain argmin of the V-shaped level loss.
     ///
     /// Each domain's loss is piecewise linear in `umean` with slope
@@ -114,9 +121,7 @@ impl LossModel {
         let n = means.len();
         let lo = ((u * (n - 1) as f64).floor() as usize).min(n - 1);
         let hi = (lo + 1).min(n - 1);
-        let l_lo = (1.0 - alpha) * (u - means[lo]);
-        let l_hi = alpha * (means[hi] - u);
-        if l_lo <= l_hi {
+        if level_loss(alpha, u, means[lo]) <= level_loss(alpha, u, means[hi]) {
             lo
         } else {
             hi
@@ -126,13 +131,13 @@ impl LossModel {
     /// Core level `i`'s weighted share of Eq. 3, `φ · L_core(i)`, under
     /// the clamped utilization.
     pub fn core_term(&self, i: usize, u_core: f64) -> f64 {
-        self.params.phi * Self::domain_loss(u_core.clamp(0.0, 1.0), self.ucmean[i], self.params.alpha_core)
+        self.params.phi * level_loss(self.params.alpha_core, u_core.clamp(0.0, 1.0), self.ucmean[i])
     }
 
     /// Memory level `j`'s weighted share of Eq. 3, `(1 − φ) · L_mem(j)`,
     /// under the clamped utilization.
     pub fn mem_term(&self, j: usize, u_mem: f64) -> f64 {
-        (1.0 - self.params.phi) * Self::domain_loss(u_mem.clamp(0.0, 1.0), self.ummean[j], self.params.alpha_mem)
+        (1.0 - self.params.phi) * level_loss(self.params.alpha_mem, u_mem.clamp(0.0, 1.0), self.ummean[j])
     }
 
     /// The combined Eq. 3 loss of pair `(i, j)` under clamped
@@ -267,9 +272,19 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_wma_scaler_formulation() {
-        // Spot-check Eqs. 1-3 against hand-computed values (same numbers
-        // the greengpu::wma tests pin).
+    fn table1_loss_matches_the_paper_table() {
+        // u > umean → pure performance loss.
+        let (le, lp) = table1_loss(0.9, 0.6);
+        assert!(le == 0.0 && (lp - 0.3).abs() < 1e-12);
+        // u < umean → pure energy loss.
+        let (le, lp) = table1_loss(0.2, 0.6);
+        assert!((le - 0.4).abs() < 1e-12 && lp == 0.0);
+        // u == umean → no loss.
+        assert_eq!(table1_loss(0.5, 0.5), (0.0, 0.0));
+    }
+
+    #[test]
+    fn pair_loss_matches_hand_computed_eqs_1_to_3() {
         let m = LossModel::new(6, 6, LossParams::default());
         // u_core = 0.9 on umean 0.6: perf loss 0.3, folded by (1-0.15).
         // u_mem = 0.2 on umean 0.6: energy loss 0.4, folded by 0.02.

@@ -65,7 +65,8 @@ impl DecisionTracker {
         }
     }
 
-    /// The loss model decisions are scored against.
+    /// The loss model decisions are scored against — also the one the
+    /// WMA scaler and the bandits learn from, so a policy holds one.
     pub fn model(&self) -> &LossModel {
         &self.model
     }

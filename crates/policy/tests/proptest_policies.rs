@@ -1,10 +1,11 @@
 //! Property tests pinning the [`FreqPolicy`] contract for every shipped
 //! policy: decisions are in range, respect the feasible mask exactly,
-//! and are deterministic under a fixed seed.
+//! and are deterministic under a fixed seed. One more pins the Table-I
+//! loss every policy learns from or is scored on.
 
 use greengpu_policy::{
-    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, LossParams, PairModel,
-    PhaseDetectorParams, SwitchingParams, UcbParams, UcbPolicy,
+    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, LossModel, LossParams, PairModel,
+    PhaseDetectorParams, SwitchingParams, UcbParams, UcbPolicy, WmaParams, WmaScaler,
 };
 use greengpu_sim::{JsonValue, JsonWriter, SplitMix64};
 use proptest::prelude::*;
@@ -47,6 +48,7 @@ fn all_policies(n_core: usize, n_mem: usize, seed: u64) -> Vec<Box<dyn FreqPolic
     let energy_j: Vec<f64> = (0..n_core * n_mem).map(|k| 50.0 + (k % 7) as f64 * 10.0).collect();
     let model = PairModel::from_grids(n_core, n_mem, time_s, energy_j).expect("valid grids");
     vec![
+        Box::new(WmaScaler::new(n_core, n_mem, WmaParams::default())),
         Box::new(Exp3Policy::new(n_core, n_mem, Exp3Params::default(), seed)),
         Box::new(UcbPolicy::new(n_core, n_mem, UcbParams::default())),
         Box::new(DeadlinePolicy::new(
@@ -65,6 +67,38 @@ fn all_policies(n_core: usize, n_mem: usize, seed: u64) -> Vec<Box<dyn FreqPolic
 /// of the (wrapped) word masks pair `k` in row-major order.
 fn mask_from_bits(bits: u32, n_mem: usize) -> impl Fn(usize, usize) -> bool {
     move |i, j| bits & (1 << ((i * n_mem + j) % 32)) != 0
+}
+
+/// Eqs. 1–2 stated as two branches: `(1 − α)·(u − umean)` above the
+/// level, `α·(umean − u)` at or below it. `loss.rs` writes the same loss
+/// as Table I's split folded with `α`; the two must agree bit for bit.
+fn branchy_level_loss(u: f64, umean: f64, alpha: f64) -> f64 {
+    if u > umean {
+        (1.0 - alpha) * (u - umean)
+    } else {
+        alpha * (umean - u)
+    }
+}
+
+/// A constant in `[0, 1]` that hits both endpoints often: `pick` 0 and 1
+/// give 0.0 and 1.0, anything else the free draw `x`.
+fn unit_with_ends((pick, x): (u32, f64)) -> f64 {
+    match pick {
+        0 => 0.0,
+        1 => 1.0,
+        _ => x,
+    }
+}
+
+/// A utilization in `[−0.5, 1.5)` that hits every level mean of an
+/// `n`-level domain often: `pick < n` gives level `pick`'s mean, anything
+/// else the free draw `x`.
+fn u_with_level_means((pick, x): (usize, f64), n: usize) -> f64 {
+    if pick < n {
+        pick as f64 / (n - 1) as f64
+    } else {
+        x
+    }
 }
 
 proptest! {
@@ -128,27 +162,74 @@ proptest! {
 
     /// Contract item 4: interleaved non-finite observations never derail
     /// a policy — replaying the same sequence stays deterministic, the
-    /// rejections are counted, and decisions stay masked.
+    /// rejections are counted, and decisions stay masked. A rejected
+    /// observation under an empty mask counts as both a rejection and an
+    /// empty-mask fallback.
     #[test]
     fn garbage_observations_are_rejected_deterministically(
         seed in any::<u64>(),
-        obs in proptest::collection::vec((0.0f64..1.0, any::<bool>(), any::<u32>()), 1..40),
+        obs in proptest::collection::vec((0.0f64..1.0, any::<bool>(), any::<u32>(), 0u8..4), 1..40),
     ) {
         let lhs = all_policies(6, 6, seed);
         let rhs = all_policies(6, 6, seed);
         for (mut a, mut b) in lhs.into_iter().zip(rhs) {
             let mut bad = 0u64;
-            for &(u, poison, bits) in &obs {
+            let mut empties = 0u64;
+            for &(u, poison, bits, empty) in &obs {
                 let u_core = if poison { f64::NAN } else { u };
                 if poison {
                     bad += 1;
                 }
-                let feasible = mask_from_bits(bits | 1, 6);
+                // One interval in four has no feasible pair at all.
+                let bits = if empty == 0 { 0 } else { bits | 1 };
+                let feasible = mask_from_bits(bits, 6);
                 let pa = a.decide(u_core, u, &feasible);
                 prop_assert_eq!(pa, b.decide(u_core, u, &feasible));
-                prop_assert!(feasible(pa.0, pa.1));
+                if bits == 0 {
+                    prop_assert_eq!(pa, (0, 0));
+                    empties += 1;
+                } else {
+                    prop_assert!(feasible(pa.0, pa.1));
+                }
             }
             prop_assert_eq!(a.telemetry().invalid_inputs, bad, "{}", a.name());
+            prop_assert_eq!(a.telemetry().empty_mask_fallbacks, empties, "{}", a.name());
+        }
+    }
+
+    /// Table I is written once: `LossModel`'s per-level terms equal the
+    /// branch form of Eqs. 1–2 bit for bit, for any `α` and `φ` in
+    /// `[0, 1]` (both endpoints included) and any utilization in
+    /// `[−0.5, 1.5]` (every level mean included; the model clamps).
+    #[test]
+    fn table1_terms_match_the_branch_form_bit_for_bit(
+        n_core in 2usize..9,
+        n_mem in 2usize..9,
+        alpha_core in (0u32..6, 0.0f64..1.0),
+        alpha_mem in (0u32..6, 0.0f64..1.0),
+        phi in (0u32..6, 0.0f64..1.0),
+        us in proptest::collection::vec(((0usize..12, -0.5f64..1.5), (0usize..12, -0.5f64..1.5)), 1..24),
+    ) {
+        let params = LossParams {
+            alpha_core: unit_with_ends(alpha_core),
+            alpha_mem: unit_with_ends(alpha_mem),
+            phi: unit_with_ends(phi),
+        };
+        let model = LossModel::new(n_core, n_mem, params);
+        for &(uc, um) in &us {
+            let (u_core, u_mem) = (u_with_level_means(uc, n_core), u_with_level_means(um, n_mem));
+            for i in 0..n_core {
+                let umean = i as f64 / (n_core - 1) as f64;
+                let want = params.phi * branchy_level_loss(u_core.clamp(0.0, 1.0), umean, params.alpha_core);
+                prop_assert_eq!(model.core_term(i, u_core).to_bits(), want.to_bits(),
+                    "core level {} at u {} under {:?}", i, u_core, params);
+            }
+            for j in 0..n_mem {
+                let umean = j as f64 / (n_mem - 1) as f64;
+                let want = (1.0 - params.phi) * branchy_level_loss(u_mem.clamp(0.0, 1.0), umean, params.alpha_mem);
+                prop_assert_eq!(model.mem_term(j, u_mem).to_bits(), want.to_bits(),
+                    "mem level {} at u {} under {:?}", j, u_mem, params);
+            }
         }
     }
 

@@ -18,6 +18,7 @@ pub mod static_search;
 pub mod tables;
 pub mod training;
 
+use greengpu_cluster::EngineKind;
 use greengpu_sim::Table;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -167,6 +168,31 @@ pub fn run_by_id(id: &str, seed: u64) -> Option<ExperimentOutput> {
     })
 }
 
+/// Runs fleet experiment `id` in its custom (smoke) form: `nodes` nodes
+/// for `seconds` simulated seconds, driven by `engine` — what `repro
+/// --nodes/--seconds/--engine` selects, and what CI byte-compares across
+/// the three engines. A missing size takes the experiment's default:
+/// 30 s, and 3 nodes (4 for `geo`, whose smallest tree is 2 × 2 racks).
+/// `None` for an experiment without a custom form.
+pub fn run_custom(
+    id: &str,
+    seed: u64,
+    nodes: Option<usize>,
+    seconds: Option<u64>,
+    engine: EngineKind,
+) -> Option<ExperimentOutput> {
+    type Run = fn(u64, usize, u64, EngineKind) -> ExperimentOutput;
+    let (run, default_nodes): (Run, usize) = match id {
+        "cluster" => (cluster::run_custom, 3),
+        "chaos" => (chaos::run_custom, 3),
+        "serving" => (serving::run_custom, 3),
+        "training" => (training::run_custom, 3),
+        "geo" => (geo::run_custom, 4),
+        _ => return None,
+    };
+    Some(run(seed, nodes.unwrap_or(default_nodes), seconds.unwrap_or(30), engine))
+}
+
 /// Formats a signed percentage like `+3.21%` / `-4.00%`.
 pub(crate) fn signed_pct(frac: f64) -> String {
     format!("{}{:.2}%", if frac >= 0.0 { "+" } else { "" }, frac * 100.0)
@@ -187,6 +213,21 @@ mod tests {
         // experiments have their own module tests).
         assert!(run_by_id("table1", 1).is_some());
         assert!(run_by_id("nope", 1).is_none());
+    }
+
+    #[test]
+    fn run_custom_covers_exactly_the_fleet_experiments() {
+        for id in ALL_IDS {
+            let fleet = ["cluster", "chaos", "serving", "training", "geo"].contains(&id);
+            let out = run_custom(id, 1, Some(1), Some(1), EngineKind::Serial);
+            assert_eq!(out.map(|o| o.id), fleet.then_some(id), "{id}");
+        }
+        assert!(run_custom("nope", 1, None, None, EngineKind::Serial).is_none());
+        // Missing sizes take the experiment's defaults: 3 nodes, 30 s.
+        let out = run_custom("cluster", 7, None, None, EngineKind::Serial).expect("cluster has a custom form");
+        let pinned = cluster::run_custom(7, 3, 30, EngineKind::Serial);
+        assert_eq!(out.id, "cluster");
+        assert_eq!(out.to_markdown(), pinned.to_markdown());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use super::ExperimentOutput;
 use greengpu::analysis::measure_profile;
 use greengpu::baselines::run_best_performance_with;
-use greengpu::wma::{table1_loss, WmaParams, WmaScaler};
+use greengpu::wma::{level_loss, table1_loss, WmaParams};
 use greengpu_runtime::RunConfig;
 use greengpu_sim::{table::fnum, Table};
 use greengpu_workloads::registry;
@@ -23,7 +23,7 @@ pub fn table1() -> ExperimentOutput {
         "α_c=0.15, α_m=0.02, φ=0.3, β=0.2".into(),
     ]);
 
-    let scaler = WmaScaler::new(6, 6, WmaParams::default());
+    let alpha_core = WmaParams::default().alpha_core;
     let mut demo = Table::new(
         "Core-domain loss per level (α_c = 0.15)",
         &[
@@ -39,7 +39,7 @@ pub fn table1() -> ExperimentOutput {
     for u in [0.0, 0.3, 0.6, 0.9] {
         let mut cells = vec![fnum(u, 1)];
         for i in 0..6 {
-            cells.push(fnum(scaler.core_loss(i, u), 3));
+            cells.push(fnum(level_loss(alpha_core, u, i as f64 / 5.0), 3));
         }
         demo.row(&cells);
     }

@@ -9,14 +9,15 @@
 //! Prints markdown to stdout; `--csv <dir>` additionally writes each table
 //! as CSV for plotting and appends provenance rows to
 //! `<dir>/MANIFEST.csv`. `--nodes`/`--seconds` select a custom
-//! small-fleet configuration for the `cluster` and `chaos` experiments
-//! (the CI smokes); `--engine`/`--workers` select which fleet engine
-//! drives it (all engines are byte-identical per seed — see
-//! `crates/cluster/tests/engine_equivalence.rs` — so this is a seam for
-//! CI to prove exactly that on real experiment output).
+//! small-fleet configuration for the fleet experiments (`cluster`,
+//! `chaos`, `serving`, `training`, `geo`; see
+//! [`greengpu_repro::experiments::run_custom`]); `--engine`/`--workers`
+//! select which fleet engine drives it (all engines are byte-identical
+//! per seed — see `crates/cluster/tests/engine_equivalence.rs` — so this
+//! is a seam for CI to prove exactly that on real experiment output).
 
 use greengpu_cluster::EngineKind;
-use greengpu_repro::experiments::{chaos, cluster, geo, run_by_id, serving, training, ALL_IDS, DEFAULT_SEED};
+use greengpu_repro::experiments::{run_by_id, run_custom, ALL_IDS, DEFAULT_SEED};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -102,14 +103,6 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    let fleet_flag = args.nodes.is_some() || args.seconds.is_some() || args.engine.is_some() || args.workers.is_some();
-    let fleet_experiments = ["cluster", "chaos", "serving", "training", "geo"];
-    if fleet_flag && !fleet_experiments.contains(&args.experiment.as_str()) {
-        return Err(
-            "--nodes/--seconds/--engine/--workers only apply to --experiment cluster, chaos, serving, training, or geo"
-                .to_string(),
-        );
-    }
     if args.nodes == Some(0) {
         return Err("--nodes must be at least 1".to_string());
     }
@@ -151,51 +144,23 @@ fn main() -> ExitCode {
     };
 
     println!("# GreenGPU reproduction — experiment output (seed {})\n", args.seed);
+    // `--workers` only comes with `--engine parallel`, checked above.
+    let custom = args.nodes.is_some() || args.seconds.is_some() || args.engine.is_some();
     for id in ids {
-        let custom = args.nodes.is_some() || args.seconds.is_some() || args.engine.is_some();
-        let output = if custom && id == "cluster" {
-            Some(cluster::run_custom(
-                args.seed,
-                args.nodes.unwrap_or(3),
-                args.seconds.unwrap_or(30),
-                engine,
-            ))
-        } else if custom && id == "chaos" {
-            Some(chaos::run_custom(
-                args.seed,
-                args.nodes.unwrap_or(3),
-                args.seconds.unwrap_or(30),
-                engine,
-            ))
-        } else if custom && id == "serving" {
-            Some(serving::run_custom(
-                args.seed,
-                args.nodes.unwrap_or(3),
-                args.seconds.unwrap_or(30),
-                engine,
-            ))
-        } else if custom && id == "training" {
-            Some(training::run_custom(
-                args.seed,
-                args.nodes.unwrap_or(3),
-                args.seconds.unwrap_or(30),
-                engine,
-            ))
-        } else if custom && id == "geo" {
-            Some(geo::run_custom(
-                args.seed,
-                args.nodes.unwrap_or(4),
-                args.seconds.unwrap_or(30),
-                engine,
-            ))
+        let output = if custom {
+            run_custom(id, args.seed, args.nodes, args.seconds, engine)
         } else {
             run_by_id(id, args.seed)
         };
         let Some(output) = output else {
-            eprintln!(
-                "error: unknown experiment '{id}'\nvalid experiments:\n  {}",
-                ALL_IDS.join("\n  ")
-            );
+            if custom && ALL_IDS.contains(&id) {
+                eprintln!("error: --nodes/--seconds/--engine/--workers only apply to a fleet experiment, not '{id}'");
+            } else {
+                eprintln!(
+                    "error: unknown experiment '{id}'\nvalid experiments:\n  {}",
+                    ALL_IDS.join("\n  ")
+                );
+            }
             return ExitCode::FAILURE;
         };
         print!("{}", output.to_markdown());
