@@ -45,7 +45,7 @@ use crate::retry::RetryQueue;
 use crate::scheduler::Scheduler;
 use crate::telemetry::{FleetTrace, GeoTrace, ServingTrace};
 use crate::topology::Topology;
-use greengpu_hw::{ChaosEvent, ChaosKind, ChaosPlan, DomainChaosEvent, DomainChaosKind};
+use greengpu_hw::{ChaosEvent, ChaosKind, ChaosPlan, DomainChaosEvent, DomainChaosKind, GpuSpec};
 use greengpu_sim::{EventQueue, SimDuration, SimTime, SplitMix64};
 use greengpu_tenancy::{generate_tenant_arrivals, mix_union};
 use std::collections::BTreeMap;
@@ -263,9 +263,7 @@ impl FleetConfig {
             .try_validate()
             .map_err(|msg| format!("lifecycle: {msg}"))?;
         for (i, node) in self.nodes.iter().enumerate() {
-            node.freq_policy
-                .try_validate()
-                .map_err(|msg| format!("node {i}: {msg}"))?;
+            node.try_validate().map_err(|msg| format!("node {i}: {msg}"))?;
         }
         Ok(())
     }
@@ -461,21 +459,71 @@ impl FleetReport {
 /// part of node construction, so each distinct GPU spec's mix is
 /// profiled once into one table, which all of that spec's nodes share.
 fn build_nodes(cfg: &FleetConfig, mix_names: &[String], profile_seed: u64) -> Vec<Node> {
-    let mut tables: BTreeMap<String, Arc<ProfileTable>> = BTreeMap::new();
+    let mut tables: Vec<(&GpuSpec, Arc<ProfileTable>)> = Vec::new();
     let mut nodes: Vec<Node> = Vec::with_capacity(cfg.nodes.len());
     for (i, nc) in cfg.nodes.iter().enumerate() {
-        let built = tables.entry(format!("{:?}", nc.gpu)).or_insert_with(|| {
-            match ProfileTable::build(mix_names, profile_seed, &nc.gpu) {
-                Ok(table) => Arc::new(table),
+        let table = match tables.iter().find(|(spec, _)| same_spec(spec, &nc.gpu)) {
+            Some((_, table)) => Arc::clone(table),
+            None => match ProfileTable::build(mix_names, profile_seed, &nc.gpu) {
+                Ok(table) => {
+                    let table = Arc::new(table);
+                    tables.push((&nc.gpu, Arc::clone(&table)));
+                    table
+                }
                 Err(msg) => panic!("node {i}: {msg}"),
-            }
-        });
-        match Node::try_with_profiles(i, nc, Arc::clone(built), profile_seed) {
+            },
+        };
+        match Node::try_with_profiles(i, nc, table, profile_seed) {
             Ok(node) => nodes.push(node),
             Err(msg) => panic!("node {i}: {msg}"),
         }
     }
     nodes
+}
+
+/// Whether two specs are the same card, field for field and floats by
+/// bits, so two specs that differ anywhere never share a profile table.
+/// The destructuring is exhaustive: a new `GpuSpec` field fails to
+/// compile here until it is compared.
+fn same_spec(a: &GpuSpec, b: &GpuSpec) -> bool {
+    let GpuSpec {
+        name,
+        n_sm,
+        sp_per_sm,
+        ops_per_sp_cycle,
+        mem_bytes_per_cycle,
+        core_levels_mhz,
+        mem_levels_mhz,
+        overlap,
+        p_static_w,
+        p_core_idle_w,
+        p_mem_idle_w,
+        p_core_dyn_w,
+        p_mem_dyn_w,
+        core_volts,
+        mem_volts,
+    } = a;
+    let same = |x: &f64, y: &f64| x.to_bits() == y.to_bits();
+    let same_all = |x: &[f64], y: &[f64]| x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same(p, q));
+    let same_opt = |x: &Option<Vec<f64>>, y: &Option<Vec<f64>>| match (x, y) {
+        (Some(x), Some(y)) => same_all(x, y),
+        (x, y) => x.is_none() && y.is_none(),
+    };
+    *name == b.name
+        && *n_sm == b.n_sm
+        && *sp_per_sm == b.sp_per_sm
+        && same(ops_per_sp_cycle, &b.ops_per_sp_cycle)
+        && same(mem_bytes_per_cycle, &b.mem_bytes_per_cycle)
+        && same_all(core_levels_mhz, &b.core_levels_mhz)
+        && same_all(mem_levels_mhz, &b.mem_levels_mhz)
+        && same(overlap, &b.overlap)
+        && same(p_static_w, &b.p_static_w)
+        && same(p_core_idle_w, &b.p_core_idle_w)
+        && same(p_mem_idle_w, &b.p_mem_idle_w)
+        && same(p_core_dyn_w, &b.p_core_dyn_w)
+        && same(p_mem_dyn_w, &b.p_mem_dyn_w)
+        && same_opt(core_volts, &b.core_volts)
+        && same_opt(mem_volts, &b.mem_volts)
 }
 
 /// Runs one fleet to its horizon.
@@ -747,6 +795,24 @@ mod tests {
         for name in &mix {
             let (shared, own) = (nodes[4].profile(name).unwrap(), alone.profile(name).unwrap());
             assert_eq!(shared.peak_time_s().to_bits(), own.peak_time_s().to_bits(), "{name}");
+        }
+        // Specs that differ in one bit of one field never share a table.
+        let mut nudged = NodeConfig::default_node();
+        nudged.gpu.p_mem_dyn_w = f64::from_bits(nudged.gpu.p_mem_dyn_w.to_bits() + 1);
+        let mut volted = NodeConfig::default_node();
+        volted.gpu.mem_volts = Some(vec![1.8; 6]);
+        let (nodes, _) = built(vec![
+            NodeConfig::default_node(),
+            nudged,
+            volted,
+            NodeConfig::default_node(),
+        ]);
+        assert!(Arc::ptr_eq(nodes[0].profile_table(), nodes[3].profile_table()));
+        for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+            assert!(
+                !Arc::ptr_eq(nodes[a].profile_table(), nodes[b].profile_table()),
+                "{a} vs {b}"
+            );
         }
     }
 }

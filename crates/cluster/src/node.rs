@@ -79,6 +79,14 @@ impl NodeConfig {
         self.freq_policy = spec;
         self
     }
+
+    /// Non-panicking check of the card's and host's level tables and of
+    /// the policy spec, naming the offending field (`gpu.…`, `cpu.…`).
+    pub fn try_validate(&self) -> Result<(), String> {
+        self.gpu.try_validate().map_err(|msg| format!("gpu.{msg}"))?;
+        self.cpu.try_validate().map_err(|msg| format!("cpu.{msg}"))?;
+        self.freq_policy.try_validate()
+    }
 }
 
 /// The mix's mean predicted (time, energy) per frequency pair — the
@@ -163,6 +171,49 @@ impl Checkpoint {
     }
 }
 
+/// What a node's controller is built from, at construction and again on
+/// every crash restart: a restart gets a fresh policy and fresh
+/// providers; only checkpointed learner state survives.
+struct Recipe {
+    policy_spec: PolicySpec,
+    fault: Option<FaultPlan>,
+    blackouts: Vec<(SimTime, SimTime)>,
+    policy_seed: u64,
+    model: Option<PairModel>,
+}
+
+impl Recipe {
+    /// A fresh controller for `gpu`'s grid: the policy from the spec and
+    /// the node's derived seed, the sensor/actuator providers re-wrapping
+    /// the fault injectors and blackout windows.
+    fn build(&self, gpu: &GpuSpec) -> Result<GreenGpuController, String> {
+        let n_core = gpu.core_levels_mhz.len();
+        let n_mem = gpu.mem_levels_mhz.len();
+        let policy = self
+            .policy_spec
+            .build(n_core, n_mem, self.policy_seed, self.model.as_ref())?;
+        let sensors: Box<dyn SensorSource> = match &self.fault {
+            Some(plan) => Box::new(FaultySensor::new(plan)),
+            None => Box::new(CleanSensors::new()),
+        };
+        let sensors: Box<dyn SensorSource> = if self.blackouts.is_empty() {
+            sensors
+        } else {
+            Box::new(BlackoutSensors::new(sensors, self.blackouts.clone()))
+        };
+        let actuator: Box<dyn FreqActuator> = match &self.fault {
+            Some(plan) => Box::new(FaultyActuator::new(plan)),
+            None => Box::new(DirectActuator),
+        };
+        Ok(GreenGpuController::with_policy_providers(
+            GreenGpuConfig::scaling_only(),
+            policy,
+            sensors,
+            actuator,
+        ))
+    }
+}
+
 /// One live node.
 pub struct Node {
     id: usize,
@@ -178,12 +229,7 @@ pub struct Node {
     busy_s: f64,
     completed: u64,
     cap_violations: u64,
-    // --- controller rebuild recipe (crash restarts re-run it) ---
-    policy_spec: PolicySpec,
-    fault: Option<FaultPlan>,
-    blackouts: Vec<(SimTime, SimTime)>,
-    policy_seed: u64,
-    model: Option<PairModel>,
+    recipe: Recipe,
     // --- failure lifecycle ---
     state: NodeState,
     /// When the current `Crashed`/`Restarting` phase ends.
@@ -244,13 +290,15 @@ impl Node {
         }
     }
 
-    /// Non-panicking constructor: validates the policy spec (naming the
-    /// offending field) and the workload mix, then builds the node. The
-    /// deadline policy's [`PairModel`] is derived from the mix's mean
-    /// per-pair service time/energy grids — the same tables the
-    /// energy-aware placement estimates use; randomized policies draw
-    /// per-node streams derived from `(profile_seed, id)`.
+    /// Non-panicking constructor: validates the node config (level
+    /// tables and policy spec, see [`NodeConfig::try_validate`]) and the
+    /// workload mix, then builds the node. The deadline policy's
+    /// [`PairModel`] is derived from the mix's mean per-pair service
+    /// time/energy grids — the same tables the energy-aware placement
+    /// estimates use; randomized policies draw per-node streams derived
+    /// from `(profile_seed, id)`.
     pub fn try_new(id: usize, cfg: &NodeConfig, workloads: &[String], profile_seed: u64) -> Result<Self, String> {
+        cfg.try_validate()?;
         let profiles = ProfileTable::build(workloads, profile_seed, &cfg.gpu)?;
         Node::try_with_profiles(id, cfg, Arc::new(profiles), profile_seed)
     }
@@ -277,30 +325,31 @@ impl Node {
         profiles: Arc<ProfileTable>,
         profile_seed: u64,
     ) -> Result<Self, String> {
-        cfg.freq_policy.try_validate()?;
+        cfg.try_validate()?;
         let n_core = cfg.gpu.core_levels_mhz.len();
         let n_mem = cfg.gpu.mem_levels_mhz.len();
-        let platform = Platform::new(
-            cfg.gpu.clone(),
-            cfg.cpu.clone(),
-            n_core - 1,
-            n_mem - 1,
-            cfg.cpu.levels_mhz.len() - 1,
-        );
         let model = match &cfg.freq_policy {
             PolicySpec::Deadline(_) => Some(mix_pair_model(&cfg.gpu, profiles.profiles())?),
             _ => None,
         };
-        let policy_seed = SplitMix64::new(profile_seed.wrapping_add(id as u64)).next_u64();
-        let mut node = Node {
+        let recipe = Recipe {
+            policy_spec: cfg.freq_policy.clone(),
+            fault: cfg.fault,
+            blackouts: Vec::new(),
+            policy_seed: SplitMix64::new(profile_seed.wrapping_add(id as u64)).next_u64(),
+            model,
+        };
+        let ctl = recipe.build(&cfg.gpu)?;
+        Ok(Node {
             id,
-            platform,
-            // Placeholder until the recipe fields are in place below; the
-            // real controller is installed right after.
-            ctl: GreenGpuController::with_policy(
-                GreenGpuConfig::scaling_only(),
-                cfg.freq_policy.build(n_core, n_mem, policy_seed, model.as_ref())?,
+            platform: Platform::new(
+                cfg.gpu.clone(),
+                cfg.cpu.clone(),
+                n_core - 1,
+                n_mem - 1,
+                cfg.cpu.levels_mhz.len() - 1,
             ),
+            ctl,
             profiles,
             floor_peak: (
                 mw(cfg.gpu.power_at_levels_w(0, 0, 1.0, 1.0)),
@@ -311,11 +360,7 @@ impl Node {
             busy_s: 0.0,
             completed: 0,
             cap_violations: 0,
-            policy_spec: cfg.freq_policy.clone(),
-            fault: cfg.fault,
-            blackouts: Vec::new(),
-            policy_seed,
-            model,
+            recipe,
             state: NodeState::Up,
             state_until: SimTime::ZERO,
             probation_left: 0,
@@ -334,42 +379,7 @@ impl Node {
             cold_restarts: 0,
             restore_failures: 0,
             thermal_events: 0,
-        };
-        node.ctl = node.build_controller()?;
-        Ok(node)
-    }
-
-    /// Rebuilds the controller from the stored recipe: fresh policy (from
-    /// the spec and the node's derived seed), fresh sensor/actuator
-    /// providers (re-wrapping the fault injectors and blackout windows).
-    /// Used at construction and on every crash restart — a restart gets
-    /// fresh providers; only checkpointed learner state survives.
-    fn build_controller(&self) -> Result<GreenGpuController, String> {
-        let spec = self.platform.gpu().spec();
-        let n_core = spec.core_levels_mhz.len();
-        let n_mem = spec.mem_levels_mhz.len();
-        let policy = self
-            .policy_spec
-            .build(n_core, n_mem, self.policy_seed, self.model.as_ref())?;
-        let sensors: Box<dyn SensorSource> = match &self.fault {
-            Some(plan) => Box::new(FaultySensor::new(plan)),
-            None => Box::new(CleanSensors::new()),
-        };
-        let sensors: Box<dyn SensorSource> = if self.blackouts.is_empty() {
-            sensors
-        } else {
-            Box::new(BlackoutSensors::new(sensors, self.blackouts.clone()))
-        };
-        let actuator: Box<dyn FreqActuator> = match &self.fault {
-            Some(plan) => Box::new(FaultyActuator::new(plan)),
-            None => Box::new(DirectActuator),
-        };
-        Ok(GreenGpuController::with_policy_providers(
-            GreenGpuConfig::scaling_only(),
-            policy,
-            sensors,
-            actuator,
-        ))
+        })
     }
 
     /// Node id.
@@ -434,10 +444,10 @@ impl Node {
     /// with [`BlackoutSensors`]-wrapped providers. Call before the first
     /// control tick — the rebuild discards learner state.
     pub fn set_blackouts(&mut self, windows: Vec<(SimTime, SimTime)>) {
-        self.blackouts = windows;
+        self.recipe.blackouts = windows;
         // The recipe was validated at construction; if the rebuild fails
         // anyway, hold the existing controller rather than abort the fleet.
-        match self.build_controller() {
+        match self.recipe.build(self.platform.gpu().spec()) {
             Ok(ctl) => self.ctl = ctl,
             Err(_) => self.restore_failures += 1,
         }
@@ -573,7 +583,7 @@ impl Node {
     fn perform_restart(&mut self, now: SimTime) -> bool {
         // The recipe was validated at construction; if the rebuild fails
         // anyway, keep the pre-crash controller and report a cold restart.
-        let Ok(mut ctl) = self.build_controller() else {
+        let Ok(mut ctl) = self.recipe.build(self.platform.gpu().spec()) else {
             self.restore_failures += 1;
             self.cold_restarts += 1;
             return false;
@@ -899,8 +909,8 @@ impl Node {
     /// ticks under the same cap return the same `Some(..)` — the second
     /// tick *proves* the first one's decision was a fixed point.
     pub fn park_fingerprint(&self) -> Option<u64> {
-        if self.fault.is_some()
-            || !self.blackouts.is_empty()
+        if self.recipe.fault.is_some()
+            || !self.recipe.blackouts.is_empty()
             || self.job.is_some()
             || self.state != NodeState::Up
             || self.thermal_active

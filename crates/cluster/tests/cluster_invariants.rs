@@ -2,7 +2,7 @@
 //! and composition with the PR-1 fault-injection seam.
 
 use greengpu::{DeadlineParams, Exp3Params, UcbParams};
-use greengpu_cluster::{apportion, run_fleet, FleetConfig, NodeConfig, NodeDemand, Policy, PolicySpec};
+use greengpu_cluster::{apportion, run_fleet, FleetConfig, Node, NodeConfig, NodeDemand, Policy, PolicySpec};
 use greengpu_hw::FaultPlan;
 use greengpu_sim::SimDuration;
 use proptest::prelude::*;
@@ -106,6 +106,64 @@ fn fleet_config_validation_names_the_offender() {
     let mut cfg = small_fleet(2, 0.8, Policy::RoundRobin, 1);
     cfg.budget_w = f64::NAN;
     assert!(cfg.try_validate().unwrap_err().contains("budget_w"));
+}
+
+/// Malformed hardware level tables used to pass validation and then
+/// panic in the frequency-domain constructor. Each is now refused, with
+/// the field named, by both entry points, before anything is built.
+#[test]
+fn malformed_level_tables_are_refused_by_both_entry_points() {
+    type Break = fn(&mut NodeConfig);
+    let cases: [(Break, &str); 9] = [
+        (
+            |n| n.gpu.core_levels_mhz = vec![575.0],
+            "gpu.core_levels_mhz: need at least two",
+        ),
+        (
+            |n| n.gpu.core_levels_mhz.clear(),
+            "gpu.core_levels_mhz: need at least two",
+        ),
+        (
+            |n| n.gpu.mem_levels_mhz.reverse(),
+            "gpu.mem_levels_mhz: levels must be strictly ascending",
+        ),
+        (
+            |n| n.gpu.mem_levels_mhz[0] = f64::NAN,
+            "gpu.mem_levels_mhz: levels must be finite",
+        ),
+        (
+            |n| n.gpu.core_levels_mhz[0] = -1.0,
+            "gpu.core_levels_mhz: levels must be finite and positive",
+        ),
+        (
+            |n| n.gpu.core_volts = Some(vec![1.1; 5]),
+            "gpu.core_volts: need one entry per level (6), got 5",
+        ),
+        (
+            |n| n.gpu.mem_volts = Some(vec![1.8; 7]),
+            "gpu.mem_volts: need one entry per level (6), got 7",
+        ),
+        (|n| n.cpu.levels_mhz.truncate(1), "cpu.levels_mhz: need at least two"),
+        (|n| n.cpu.volts.truncate(1), "cpu.volts: need one entry per level"),
+    ];
+    let mix = vec!["hotspot".to_string(), "kmeans".to_string()];
+    for (k, (break_it, want)) in cases.into_iter().enumerate() {
+        let mut cfg = small_fleet(4, 0.8, Policy::RoundRobin, 1);
+        break_it(&mut cfg.nodes[3]);
+        let err = cfg.try_validate().unwrap_err();
+        assert!(err.starts_with(&format!("node 3: {want}")), "case {k}: {err}");
+        let err = Node::try_new(3, &cfg.nodes[3], &mix, 1).err().expect("try_new refuses");
+        assert!(err.starts_with(want), "case {k}: {err}");
+        let err = Node::try_new_with_profiles(3, &cfg.nodes[3], Default::default(), 1)
+            .err()
+            .expect("try_new_with_profiles refuses");
+        assert!(err.starts_with(want), "case {k}: {err}");
+    }
+    // The constructors still accept every well-formed variant.
+    let mut ok = NodeConfig::default_node();
+    ok.gpu.core_volts = Some(vec![1.1; 6]);
+    assert!(ok.try_validate().is_ok());
+    assert!(Node::try_new(0, &ok, &mix, 1).is_ok());
 }
 
 #[test]

@@ -16,9 +16,13 @@
 //! and review the diff like any other code change.
 
 use greengpu::{DeadlineParams, Exp3Params, UcbParams};
-use greengpu_cluster::{run_fleet, EngineKind, FleetConfig, NodeConfig, Policy, PolicySpec, Topology};
+use greengpu_cluster::power::mw;
+use greengpu_cluster::{
+    run_fleet, EngineKind, FleetConfig, JobSpec, Node, NodeConfig, NodeState, Policy, PolicySpec, Topology,
+};
 use greengpu_hw::ChaosPlan;
-use greengpu_sim::SimDuration;
+use greengpu_sim::{SimDuration, SimTime};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The pinned scenario: a 3-node fleet with every failure mechanism
@@ -57,12 +61,15 @@ fn pinned_report(spec: PolicySpec) -> String {
 }
 
 fn check(name: &str, spec: PolicySpec) {
-    let got = pinned_report(spec);
+    check_pin(name, &pinned_report(spec));
+}
+
+fn check_pin(name: &str, got: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(format!("{name}.csv"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).expect("write golden");
+        std::fs::write(&path, got).expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(&path)
@@ -164,4 +171,137 @@ fn deadline_trace_is_pinned() {
             ..DeadlineParams::default()
         }),
     );
+}
+
+/// The long-idle fleet: three WMA nodes at a trickle of arrivals for
+/// 240 s, event-driven. Node 1 idles from the start past the learner's
+/// idle fixed point (154 ticks) and only then takes its first job; node 2 crashes at ~53 s while still idle since the start
+/// and warm-restores the checkpoint recorded at tick 50, mid-way through
+/// the idle transient. The other pins run 30 s and never get that far.
+fn pinned_long_idle_report() -> String {
+    let mut cfg = FleetConfig::homogeneous(3, 0.8, Policy::LeastLoaded, SimDuration::from_secs(240), 31)
+        .with_chaos(ChaosPlan::crashes_only(31 ^ 0xC4A05, 0.0015, (2.0, 6.0)))
+        .with_engine(EngineKind::EventDriven);
+    cfg.arrivals.rate_per_s = 0.008;
+    let report = run_fleet(&cfg);
+    // The scenario this pin exists for; a config edit that loses it
+    // must fail here, not pass vacuously.
+    let first_job = |node: usize| {
+        report
+            .completed
+            .iter()
+            .filter(|r| r.node == node)
+            .map(|r| r.started.as_secs_f64())
+            .fold(f64::INFINITY, f64::min)
+    };
+    assert!(
+        (160.0..240.0).contains(&first_job(1)),
+        "node 1 must idle past the fixed point first"
+    );
+    assert!(
+        report
+            .crash_records
+            .iter()
+            .any(|c| c.node == 2 && c.at_s > 50.0 && c.at_s < first_job(2)),
+        "node 2 must crash while idle since the start, after a checkpoint"
+    );
+    assert_eq!((report.warm_restarts, report.cold_restarts), (1, 0));
+    let mut crashes = String::new();
+    for c in &report.crash_records {
+        writeln!(crashes, "# crash node={} at={:?}", c.node, c.at_s).expect("write to String");
+    }
+    format!(
+        "{}{crashes}# completed={} crashes={} warm={} cold={} gpu_energy_j={:?} total_energy_j={:?}\n",
+        report.trace.to_table("golden").to_csv(),
+        report.completed.len(),
+        report.crashes,
+        report.warm_restarts,
+        report.cold_restarts,
+        report.gpu_energy_j,
+        report.total_energy_j,
+    )
+}
+
+/// The learner state a long idle leaves behind, read where a fleet
+/// report cannot: two WMA nodes driven one second at a time through the
+/// public `Node` API, skipping a node's control tick while it is parked
+/// under the (fixed) cap as the event-driven engine does. Node 0 idles
+/// from the start past the idle fixed point, parks, then serves a job at
+/// tick 200. Node 1 crashes at tick 53 while idle since the start and
+/// warm-restores the checkpoint recorded at tick 50. Pins one row per
+/// tick, the checkpoint node 1 restores, and each node's final
+/// `checkpoint_data()`.
+fn pinned_long_idle_checkpoints() -> String {
+    let mix = ["hotspot".to_string(), "kmeans".to_string()];
+    let cfg = NodeConfig::default_node();
+    let mut nodes: Vec<Node> = (0..2).map(|id| Node::new(id, &cfg, &mix, 0x60_1D)).collect();
+    let cap = mw(0.8 * cfg.gpu.peak_power_w());
+    let mut out = String::from("tick,node,state,core,mem,parked,completed\n");
+    let mut restored = None;
+    let mut t = SimTime::ZERO;
+    for k in 1..=260u64 {
+        let now = SimTime::from_secs(k);
+        for node in &mut nodes {
+            node.advance(t, now);
+            node.lifecycle_tick(now);
+            if node.is_alive() && node.parked_under() != Some(cap) {
+                node.control_tick_parkable(now, cap);
+            }
+            if k % 10 == 0 && node.state() == NodeState::Up {
+                node.take_checkpoint();
+            }
+            let (c, m) = node.current_pair();
+            writeln!(
+                out,
+                "{k},{},{:?},{c},{m},{},{}",
+                node.id(),
+                node.state(),
+                node.is_parked(),
+                node.completed()
+            )
+            .expect("write to String");
+        }
+        if k == 53 {
+            restored = nodes[1].checkpoint_data();
+            assert!(nodes[1].crash(now, 3.0).is_none(), "node 1 is idle");
+        }
+        if k == 200 {
+            assert!(nodes[0].is_parked(), "node 0 parked at the idle fixed point");
+            nodes[0].dispatch(
+                JobSpec {
+                    id: 0,
+                    workload: "kmeans".to_string(),
+                    arrival: now,
+                    size: 0.5,
+                    deadline: None,
+                    tenant: 0,
+                },
+                now,
+            );
+        }
+        t = now;
+    }
+    assert_eq!(nodes[1].warm_restarts(), 1);
+    assert_eq!(nodes[0].completed(), 1);
+    writeln!(out, "# restored node=1 {}", restored.unwrap_or_default()).expect("write to String");
+    for node in &nodes {
+        writeln!(
+            out,
+            "# final node={} {}",
+            node.id(),
+            node.checkpoint_data().unwrap_or_default()
+        )
+        .expect("write to String");
+    }
+    out
+}
+
+#[test]
+fn long_idle_trace_is_pinned() {
+    check_pin("long_idle", &pinned_long_idle_report());
+}
+
+#[test]
+fn long_idle_checkpoints_are_pinned() {
+    check_pin("long_idle_checkpoints", &pinned_long_idle_checkpoints());
 }

@@ -34,6 +34,21 @@ pub struct CpuSpec {
 }
 
 impl CpuSpec {
+    /// Checks the P-state tables a [`CpuModel`] is built from, naming the
+    /// offending field: at least two levels, all finite and positive,
+    /// strictly ascending, and one voltage per level.
+    pub fn try_validate(&self) -> Result<(), String> {
+        crate::freq::check_levels(&self.levels_mhz).map_err(|msg| format!("levels_mhz: {msg}"))?;
+        if self.volts.len() != self.levels_mhz.len() {
+            return Err(format!(
+                "volts: need one entry per level ({}), got {}",
+                self.levels_mhz.len(),
+                self.volts.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Compute throughput of one core at a frequency in MHz.
     pub fn ops_per_core_sec(&self, mhz: f64) -> f64 {
         self.ops_per_core_cycle * mhz * 1e6

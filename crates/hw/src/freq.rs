@@ -10,6 +10,22 @@
 
 use greengpu_sim::{SimTime, StepTrace};
 
+/// Checks a level table the way [`FrequencyDomain::new`] needs it: at
+/// least two levels, all finite and positive, strictly ascending. The
+/// non-panicking form spec validation reports; callers prefix the field.
+pub(crate) fn check_levels(levels_mhz: &[f64]) -> Result<(), String> {
+    if levels_mhz.len() < 2 {
+        return Err(format!("need at least two levels, got {}", levels_mhz.len()));
+    }
+    if let Some(f) = levels_mhz.iter().find(|f| !(f.is_finite() && **f > 0.0)) {
+        return Err(format!("levels must be finite and positive, got {f}"));
+    }
+    if let Some(w) = levels_mhz.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(format!("levels must be strictly ascending, got {} then {}", w[0], w[1]));
+    }
+    Ok(())
+}
+
 /// A clock domain with discrete levels, e.g. the 8800 GTX memory domain at
 /// {500, 580, 660, 740, 820, 900} MHz.
 #[derive(Debug, Clone)]
@@ -145,6 +161,23 @@ mod tests {
 
     fn mem_domain() -> FrequencyDomain {
         FrequencyDomain::new("gpu-mem", MEM_LEVELS, 0)
+    }
+
+    #[test]
+    fn check_levels_accepts_what_new_accepts() {
+        assert_eq!(check_levels(MEM_LEVELS), Ok(()));
+        for (levels, want) in [
+            (&[575.0][..], "at least two"),
+            (&[], "at least two"),
+            (&[500.0, f64::NAN], "finite and positive"),
+            (&[0.0, 500.0], "finite and positive"),
+            (&[500.0, f64::INFINITY], "finite and positive"),
+            (&[900.0, 500.0], "strictly ascending"),
+            (&[500.0, 500.0], "strictly ascending"),
+        ] {
+            let err = check_levels(levels).unwrap_err();
+            assert!(err.contains(want), "{levels:?}: {err}");
+        }
     }
 
     #[test]

@@ -64,6 +64,27 @@ pub struct GpuSpec {
 }
 
 impl GpuSpec {
+    /// Checks the level and voltage tables a [`GpuModel`] is built from,
+    /// naming the offending field: each level table has at least two
+    /// levels, all finite and positive, strictly ascending; a voltage
+    /// table, when set, has one entry per level.
+    pub fn try_validate(&self) -> Result<(), String> {
+        for (domain, levels, volts) in [
+            ("core", &self.core_levels_mhz, &self.core_volts),
+            ("mem", &self.mem_levels_mhz, &self.mem_volts),
+        ] {
+            crate::freq::check_levels(levels).map_err(|msg| format!("{domain}_levels_mhz: {msg}"))?;
+            if let Some(v) = volts.as_ref().filter(|v| v.len() != levels.len()) {
+                return Err(format!(
+                    "{domain}_volts: need one entry per level ({}), got {}",
+                    levels.len(),
+                    v.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Compute throughput (scalar ops/s) at a core frequency in MHz.
     pub fn ops_per_sec(&self, core_mhz: f64) -> f64 {
         self.n_sm as f64 * self.sp_per_sm as f64 * self.ops_per_sp_cycle * core_mhz * 1e6

@@ -19,11 +19,19 @@
 //! multiplicative update — we use 1.0 (still equal); and weights are
 //! renormalized by the maximum each interval to prevent underflow, which
 //! cannot change the argmax.
+//!
+//! An idle node observes exactly-zero utilization every interval, and
+//! from the uniform table every scaler with the same grid and parameters
+//! then walks the same sequence of tables to the same fixed point. That
+//! sequence is computed once per process as an `IdleOrbit` by the
+//! update itself, and a scaler still on it copies its next row instead
+//! of recomputing Eq. 4 (DESIGN.md §4.3).
 
 use crate::loss::{LevelTerms, LossModel, LossParams};
 use crate::telemetry::{DecisionTracker, PolicyTelemetry};
 use crate::{snap, FreqPolicy};
-use greengpu_sim::{JsonValue, JsonWriter};
+use greengpu_sim::{Fnv64, JsonValue, JsonWriter};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Tuning constants of the scaler (paper's fitted values as defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,6 +107,152 @@ impl WmaParams {
     }
 }
 
+/// Rows an [`IdleOrbit`] holds at most. The default 6×6 orbit closes at
+/// 155 rows; a `λ = 1.0` orbit only decays geometrically toward its
+/// fixed point, so it is cut off here and a scaler idling past the cut
+/// takes the computed update.
+const ORBIT_MAX_ROWS: usize = 512;
+
+/// The weight tables a scaler passes through when, starting from the
+/// uniform table, it observes `(+0.0, +0.0)` every interval: row `k` is
+/// the table after `k` such intervals. Built by [`eq4`] itself, so every
+/// row is the computed update's bits. It ends at the first row `eq4`
+/// maps to itself (`closed`), or at [`ORBIT_MAX_ROWS`].
+#[derive(Debug)]
+struct IdleOrbit {
+    /// `n_core × n_mem` weights per row, rows back to back.
+    rows: Vec<f64>,
+    /// Each row's [`weights_fingerprint`].
+    fingerprints: Vec<u64>,
+    /// Whether the last row is a fixed point of the idle update.
+    closed: bool,
+}
+
+/// What an orbit depends on: the grid shape and the bits of every
+/// [`WmaParams`] field.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct OrbitKey {
+    shape: (usize, usize),
+    params: [u64; 5],
+}
+
+/// Every orbit built in this process. Entries are pushed whole and never
+/// written again; a process holds one per distinct key that went idle
+/// from the uniform table.
+static ORBITS: Mutex<Vec<(OrbitKey, Arc<IdleOrbit>)>> = Mutex::new(Vec::new());
+
+impl IdleOrbit {
+    /// The process's orbit for `model`'s grid and `params`, built on
+    /// first use.
+    fn shared(model: &LossModel, params: &WmaParams) -> Arc<IdleOrbit> {
+        let WmaParams {
+            alpha_core,
+            alpha_mem,
+            phi,
+            beta,
+            history,
+        } = *params;
+        let key = OrbitKey {
+            shape: model.shape(),
+            params: [alpha_core, alpha_mem, phi, beta, history].map(f64::to_bits),
+        };
+        // Only whole entries are ever pushed, so a memo whose lock was
+        // poisoned is still valid.
+        let mut memo = ORBITS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, orbit)) = memo.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(orbit);
+        }
+        let orbit = Arc::new(IdleOrbit::build(model, params));
+        memo.push((key, Arc::clone(&orbit)));
+        orbit
+    }
+
+    fn build(model: &LossModel, params: &WmaParams) -> IdleOrbit {
+        let (n_core, n_mem) = model.shape();
+        let mut table = vec![1.0; n_core * n_mem];
+        let mut orbit = IdleOrbit {
+            rows: table.clone(),
+            fingerprints: vec![weights_fingerprint(&table)],
+            closed: false,
+        };
+        while orbit.fingerprints.len() < ORBIT_MAX_ROWS {
+            let prev = orbit.rows.rchunks_exact(table.len()).next().unwrap_or_default();
+            eq4(&mut table, model, params, 0.0, 0.0);
+            if table.iter().zip(prev).all(|(a, b)| a.to_bits() == b.to_bits()) {
+                orbit.closed = true;
+                break;
+            }
+            orbit.rows.extend_from_slice(&table);
+            orbit.fingerprints.push(weights_fingerprint(&table));
+        }
+        orbit
+    }
+
+    /// Number of rows.
+    fn len(&self) -> usize {
+        self.fingerprints.len()
+    }
+
+    /// The row an idle step leads to from `row`: the next one, `row`
+    /// itself at a closed orbit's fixed point, or `None` past the end of
+    /// a cut-off orbit.
+    fn next(&self, row: usize) -> Option<usize> {
+        if row + 1 < self.len() {
+            Some(row + 1)
+        } else if self.closed {
+            Some(row)
+        } else {
+            None
+        }
+    }
+
+    /// Row `row`'s weights.
+    fn row(&self, row: usize) -> &[f64] {
+        let n = self.rows.len() / self.len().max(1);
+        self.rows.get(row * n..(row + 1) * n).unwrap_or_default()
+    }
+}
+
+/// Eq. 4 over the full table for one finite, clamped observation, then
+/// renormalized by the max: the update every step off the idle orbit
+/// takes, and the one the orbit is built with.
+fn eq4(weights: &mut [f64], model: &LossModel, params: &WmaParams, u_core: f64, u_mem: f64) {
+    let one_minus_beta = 1.0 - params.beta;
+    // Eq. 3 is separable: each level's weighted domain loss is taken
+    // once, and pair (i, j) adds the two terms as `LossModel::loss`
+    // does.
+    let (n_core, n_mem) = model.shape();
+    let core = LevelTerms::new(n_core, |i| model.core_term(i, u_core));
+    let mem = LevelTerms::new(n_mem, |j| model.mem_term(j, u_mem));
+    let mut max_w = 0.0f64;
+    for (i, row) in weights.chunks_exact_mut(n_mem).enumerate() {
+        let core_term = core.get(i);
+        for (j, w) in row.iter_mut().enumerate() {
+            let loss = core_term + mem.get(j);
+            debug_assert!((0.0..=1.0 + 1e-12).contains(&loss), "loss out of [0,1]");
+            *w = w.powf(params.history) * (1.0 - one_minus_beta * loss);
+            max_w = max_w.max(*w);
+        }
+    }
+    // Renormalize by the max so weights never underflow; the argmax is
+    // unaffected.
+    if max_w > 0.0 {
+        for w in weights {
+            *w /= max_w;
+        }
+    }
+}
+
+/// The weight table's decision fingerprint: its exact bit patterns,
+/// folded a word at a time (it is only compared with itself).
+fn weights_fingerprint(weights: &[f64]) -> u64 {
+    let mut h = Fnv64::new();
+    for w in weights {
+        h.push_word(w.to_bits());
+    }
+    h.finish()
+}
+
 /// The online WMA frequency scaler over an `N×M` core/memory pair table.
 ///
 /// [`WmaScaler::observe`] and [`WmaScaler::observe_masked`] run
@@ -128,6 +282,12 @@ pub struct WmaScaler {
     empty_mask_fallbacks: u64,
     /// Decision telemetry; its loss model is the one the weights learn.
     tracker: DecisionTracker,
+    /// The shared idle orbit, fetched on the first `(+0.0, +0.0)`
+    /// observation from the uniform table.
+    orbit: Option<Arc<IdleOrbit>>,
+    /// `Some(k)` while the weights are, bit for bit, row `k` of the idle
+    /// orbit (row 0 is the uniform table).
+    orbit_row: Option<usize>,
 }
 
 impl WmaScaler {
@@ -142,6 +302,8 @@ impl WmaScaler {
             intervals: 0,
             empty_mask_fallbacks: 0,
             tracker: DecisionTracker::new(LossModel::new(n_core, n_mem, params.loss())),
+            orbit: None,
+            orbit_row: Some(0),
         }
     }
 
@@ -195,40 +357,38 @@ impl WmaScaler {
 
     /// The weight update of one interval (Eq. 4) over the full table;
     /// `false`, with the table untouched, when a utilization is not
-    /// finite.
+    /// finite. On the idle orbit an exactly-`(+0.0, +0.0)` observation
+    /// copies the orbit's next row; any other leaves the orbit.
     fn learn(&mut self, u_core: f64, u_mem: f64) -> bool {
         if !(u_core.is_finite() && u_mem.is_finite()) {
             return false;
         }
         let u_core = u_core.clamp(0.0, 1.0);
         let u_mem = u_mem.clamp(0.0, 1.0);
-        let one_minus_beta = 1.0 - self.params.beta;
-        // Eq. 3 is separable: each level's weighted domain loss is taken
-        // once, and pair (i, j) adds the two terms as `LossModel::loss`
-        // does.
-        let model = self.tracker.model();
-        let (n_core, n_mem) = model.shape();
-        let core = LevelTerms::new(n_core, |i| model.core_term(i, u_core));
-        let mem = LevelTerms::new(n_mem, |j| model.mem_term(j, u_mem));
-        let mut max_w = 0.0f64;
-        for (i, row) in self.weights.chunks_exact_mut(n_mem).enumerate() {
-            let core_term = core.get(i);
-            for (j, w) in row.iter_mut().enumerate() {
-                let loss = core_term + mem.get(j);
-                debug_assert!((0.0..=1.0 + 1e-12).contains(&loss), "loss out of [0,1]");
-                *w = w.powf(self.params.history) * (1.0 - one_minus_beta * loss);
-                max_w = max_w.max(*w);
-            }
-        }
-        // Renormalize by the max so weights never underflow; the argmax is
-        // unaffected.
-        if max_w > 0.0 {
-            for w in &mut self.weights {
-                *w /= max_w;
-            }
+        let idle = u_core.to_bits() == 0 && u_mem.to_bits() == 0;
+        self.orbit_row = if idle { self.follow_orbit() } else { None };
+        if self.orbit_row.is_none() {
+            eq4(&mut self.weights, self.tracker.model(), &self.params, u_core, u_mem);
         }
         self.intervals += 1;
         true
+    }
+
+    /// One idle step along the orbit: the row the weights now hold, or
+    /// `None` when the scaler is off the orbit or runs past the end of a
+    /// cut-off one (the weights are then untouched).
+    fn follow_orbit(&mut self) -> Option<usize> {
+        let row = self.orbit_row?;
+        let orbit = self
+            .orbit
+            .get_or_insert_with(|| IdleOrbit::shared(self.tracker.model(), &self.params));
+        let next = orbit.next(row)?;
+        if next != row {
+            for (w, &v) in self.weights.iter_mut().zip(orbit.row(next)) {
+                *w = v;
+            }
+        }
+        Some(next)
     }
 
     /// Masked argmax that counts an empty feasible set (the caller
@@ -318,6 +478,7 @@ impl FreqPolicy for WmaScaler {
     /// telemetry.
     fn reset(&mut self) {
         self.weights.iter_mut().for_each(|w| *w = 1.0);
+        self.orbit_row = Some(0);
         self.intervals = 0;
         self.empty_mask_fallbacks = 0;
         self.tracker.reset();
@@ -345,6 +506,7 @@ impl FreqPolicy for WmaScaler {
         let intervals = snap::parse_u64(state, "intervals")?;
         let fallbacks = snap::parse_u64(state, "empty_mask_fallbacks")?;
         self.weights = weights;
+        self.orbit_row = None;
         self.intervals = intervals;
         self.empty_mask_fallbacks = fallbacks;
         Ok(())
@@ -354,13 +516,12 @@ impl FreqPolicy for WmaScaler {
         // Decisions are a pure function of the weight table (the loss
         // model is static; the interval counters and the tracker are
         // telemetry), so the weights' exact bit patterns are the whole
-        // fingerprint. It is only compared with itself, so the weights
-        // fold a word at a time.
-        let mut h = greengpu_sim::Fnv64::new();
-        for w in &self.weights {
-            h.push_word(w.to_bits());
-        }
-        Some(h.finish())
+        // fingerprint. On the idle orbit the orbit hashed the row once;
+        // it is the same value, so fingerprints taken on and off the
+        // orbit compare exactly.
+        let on_orbit = self.orbit.as_ref().zip(self.orbit_row);
+        let known = on_orbit.and_then(|(orbit, row)| orbit.fingerprints.get(row).copied());
+        Some(known.unwrap_or_else(|| weights_fingerprint(&self.weights)))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -769,5 +930,92 @@ mod tests {
             b.decision_fingerprint(),
             "telemetry is excluded"
         );
+    }
+
+    fn bits(weights: &[f64]) -> Vec<u64> {
+        weights.iter().map(|w| w.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_default_idle_orbit_closes_at_a_bit_exact_fixed_point() {
+        let p = WmaParams::default();
+        let model = LossModel::new(6, 6, p.loss());
+        let orbit = IdleOrbit::shared(&model, &p);
+        assert_eq!((orbit.len(), orbit.closed), (155, true));
+        let rows: Vec<&[f64]> = (0..orbit.len()).map(|k| orbit.row(k)).collect();
+        assert!(
+            rows[0].iter().all(|&w| w.to_bits() == 1.0f64.to_bits()),
+            "row 0 is uniform"
+        );
+        for (k, pair) in rows.windows(2).enumerate() {
+            let mut next = pair[0].to_vec();
+            eq4(&mut next, &model, &p, 0.0, 0.0);
+            assert_eq!(bits(&next), bits(pair[1]), "row {} is the update of row {k}", k + 1);
+            assert_ne!(bits(pair[0]), bits(pair[1]), "row {k} is not yet fixed");
+        }
+        let last = rows[orbit.len() - 1];
+        let mut again = last.to_vec();
+        eq4(&mut again, &model, &p, 0.0, 0.0);
+        assert_eq!(bits(&again), bits(last), "the last row maps to itself");
+
+        // A scaler idling past the end parks on the last row, and keeps
+        // counting intervals.
+        let mut s = scaler();
+        for _ in 0..200 {
+            s.observe(0.0, 0.0);
+        }
+        assert_eq!((s.orbit_row, s.intervals()), (Some(154), 200));
+        assert_eq!(bits(&s.weights), bits(last));
+        assert_eq!(s.decision_fingerprint(), Some(weights_fingerprint(last)));
+    }
+
+    #[test]
+    fn a_capped_orbit_hands_over_to_the_computed_update() {
+        // λ = 1.0 only decays geometrically, so its orbit is cut off at
+        // the row cap; idling past it must keep matching Eq. 4.
+        let p = WmaParams {
+            history: 1.0,
+            ..WmaParams::default()
+        };
+        let model = LossModel::new(6, 6, p.loss());
+        let mut s = WmaScaler::new(6, 6, p);
+        let mut reference = vec![1.0; 36];
+        for k in 1..=ORBIT_MAX_ROWS + 100 {
+            s.observe(0.0, 0.0);
+            eq4(&mut reference, &model, &p, 0.0, 0.0);
+            assert_eq!(bits(&s.weights), bits(&reference), "step {k}");
+            assert_eq!(s.decision_fingerprint(), Some(weights_fingerprint(&reference)));
+        }
+        let orbit = s.orbit.as_ref().expect("the scaler idled from the uniform table");
+        assert_eq!((orbit.len(), orbit.closed), (ORBIT_MAX_ROWS, false));
+        assert_eq!(s.orbit_row, None, "off the end of a cut-off orbit");
+        s.reset();
+        assert_eq!(s.orbit_row, Some(0), "reset re-enters the orbit");
+    }
+
+    #[test]
+    fn equal_grids_and_params_share_one_orbit() {
+        let idle = |n_core: usize, params: WmaParams| {
+            let mut s = WmaScaler::new(n_core, 6, params);
+            s.observe(0.0, 0.0);
+            s.orbit
+                .expect("the first idle step from the uniform table fetches the orbit")
+        };
+        let p = WmaParams::default();
+        let a = idle(6, p);
+        assert!(Arc::ptr_eq(&a, &idle(6, p)));
+        assert!(!Arc::ptr_eq(&a, &idle(5, p)), "another grid");
+        assert!(!Arc::ptr_eq(&a, &idle(6, WmaParams { history: 0.7, ..p })), "another λ");
+        assert!(!Arc::ptr_eq(&a, &idle(6, WmaParams { beta: 0.3, ..p })), "another β");
+
+        // A scaler that is busy first never fetches one.
+        let mut busy = scaler();
+        busy.observe(0.6, 0.1);
+        busy.observe(0.0, 0.0);
+        assert!(busy.orbit.is_none() && busy.orbit_row.is_none());
+        // Neither does `-0.0`, which is not exactly `+0.0`.
+        let mut negative = scaler();
+        negative.observe(-0.0, 0.0);
+        assert!(negative.orbit.is_none() && negative.orbit_row.is_none());
     }
 }
