@@ -49,9 +49,21 @@
 //!   un-parks and takes a full tick. The skip is exact: an idle node's
 //!   utilization traces are constant zero, so the sense the skip drops
 //!   would read bitwise `0.0` over any window — the only state left
-//!   behind is the sensors' poll cursor, which [`crate::Node::dispatch`]
-//!   catches up (while the traces are still flat) before a job can move
-//!   them;
+//!   behind is the sensors' poll cursor, which the node catches up to
+//!   the last control interval it saw (its latest lifecycle tick) while
+//!   the traces are still flat, before a job ([`crate::Node::dispatch`])
+//!   or a throttle window ([`crate::Node::thermal_emergency`], inside
+//!   which a job may be dispatched) can move them;
+//! * an idle node whose WMA learner is on its idle orbit at or past the
+//!   orbit's settle row, where one pair is the strict maximum of every
+//!   later row, **coasts** until it parks: its control ticks under the
+//!   cap it settled under only count themselves and return 0.0, and its
+//!   demand is the one cached when coasting began. Every other touch
+//!   first **syncs** it — a new cap, dispatch, a checkpoint, a thermal
+//!   emergency, a crash: the learner jumps the counted steps along the
+//!   orbit (interval counter included) and the sensors catch up to the
+//!   last counted tick. It parks on exactly the tick a full tick would
+//!   have parked it (see [`crate::Node::control_tick_parkable`]);
 //! * a parked node's power demand, and the whole `apportion` call when
 //!   no demand moved, reuse last tick's values — both are pure functions
 //!   of state the park fingerprint freezes;
@@ -60,11 +72,15 @@
 //!   while parked, so the stored checkpoint is already identical.
 //!
 //! The skipped work that is *not* bit-preserved is confined to
-//! unobservable telemetry: per-policy decision-tracker counters, the
-//! WMA scaler's interval count inside checkpoint payloads, CPU-governor
-//! transition tallies, the controller's `cap_masked_intervals`, and the
-//! sensors' last-poll cursor between deep-parked ticks. None of these
-//! reach the trace CSV or the report.
+//! unobservable telemetry. For coasted and parked ticks alike: the
+//! per-policy decision-tracker records, CPU-governor transition tallies,
+//! the controller's `cap_masked_intervals`, and the sensors' last-poll
+//! cursor between skipped ticks. For parked nodes only: the WMA scaler's
+//! interval count inside checkpoint payloads (a sync adds a coasting
+//! node's counted steps). None of these reach the trace CSV or the
+//! report. A coasting node's [`crate::Node::controller`] and
+//! [`crate::Node::park_fingerprint`] show its learner as of its last
+//! sync.
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::dispatch::TenantDispatcher;
@@ -879,16 +895,18 @@ fn trace_row(
 ) -> TraceRow {
     let window_start = SimTime::ZERO + cfg.control_period.mul_f64((interval - 1) as f64);
     let dt = t.saturating_since(window_start).as_secs_f64().max(1e-12);
-    let gpu_power_w: f64 = nodes
-        .iter()
-        .map(|n| n.platform().gpu_energy_j(window_start, t))
-        .sum::<f64>()
-        / dt;
-    let total_power_w: f64 = nodes
-        .iter()
-        .map(|n| n.platform().total_energy_j(window_start, t))
-        .sum::<f64>()
-        / dt;
+    // One pass integrates each GPU meter once for both sums. The terms,
+    // their order and the -0.0 start are `Iterator::sum`'s, and each
+    // total term is `Platform::total_energy_j`'s `gpu + cpu`.
+    let (gpu_j, total_j) = nodes.iter().fold((-0.0, -0.0), |(gpu_j, total_j), n| {
+        let gpu = n.platform().gpu_energy_j(window_start, t);
+        (
+            gpu_j + gpu,
+            total_j + (gpu + n.platform().cpu_energy_j(window_start, t)),
+        )
+    });
+    let gpu_power_w = gpu_j / dt;
+    let total_power_w = total_j / dt;
     TraceRow {
         interval,
         time_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),

@@ -171,6 +171,45 @@ impl Checkpoint {
     }
 }
 
+/// Where a node stands in the event-driven engine's tick-skipping
+/// protocol (see [`Node::control_tick_parkable`]).
+#[derive(Debug, Clone, Copy)]
+enum Rest {
+    /// Every control tick runs in full.
+    Awake,
+    /// Idle with a settled decision: a control tick under `cap` only
+    /// counts itself, and the learner catches up at the next sync.
+    Coasting {
+        cap: MilliWatts,
+        /// The demanded milliwatts when coasting began (the settled
+        /// pair's).
+        desired_mw: MilliWatts,
+        /// Ticks counted since the last sync.
+        skipped: u64,
+        /// Idle steps the learner had left along its orbit at the last
+        /// sync.
+        left: u64,
+        /// Whether the orbit ends at a fixed point, where the node parks.
+        parks: bool,
+        /// The last tick counted (or the full tick that began coasting).
+        last: SimTime,
+    },
+    /// Parked under `cap`: two consecutive full ticks were identical, and
+    /// the engine skips the node's control ticks for as long as it keeps
+    /// handing it this cap.
+    Parked {
+        cap: MilliWatts,
+        /// Whether the stored checkpoint was taken while parked and the
+        /// node has stayed parked since. While that holds no control tick
+        /// has run, so the learner state is bit-frozen and
+        /// [`Node::take_checkpoint`] can skip the re-recording.
+        checkpoint_fresh: bool,
+        /// The last control interval the node saw: its latest
+        /// [`Node::lifecycle_tick`].
+        last: SimTime,
+    },
+}
+
 /// What a node's controller is built from, at construction and again on
 /// every crash restart: a restart gets a fresh policy and fresh
 /// providers; only checkpointed learner state survives.
@@ -240,18 +279,8 @@ pub struct Node {
     checkpoint: Option<Checkpoint>,
     thermal_until: SimTime,
     thermal_active: bool,
-    /// The cap this node was *parked* under by the event-driven engine,
-    /// if any: the node proved two consecutive control ticks identical
-    /// (see [`Node::park_fingerprint`]), and the engine skips its control
-    /// ticks for as long as it keeps handing the node this cap.
-    parked_cap: Option<MilliWatts>,
-    /// Whether the stored checkpoint was taken while this node was parked
-    /// *and* the node has stayed parked since. While that holds no control
-    /// tick has run, so the controller's learner state is bit-frozen and
-    /// [`Node::take_checkpoint`] can skip the re-recording — the stored
-    /// checkpoint is already identical. Cleared on every `parked_cap`
-    /// transition.
-    parked_checkpoint_fresh: bool,
+    /// Coasting or parked by the event-driven engine, or neither.
+    rest: Rest,
     /// Pre-crash desired pair, pending recovery measurement.
     pending_target: Option<(usize, usize)>,
     /// In-flight recovery: (target pair, warm flag, ticks so far).
@@ -369,8 +398,7 @@ impl Node {
             checkpoint: None,
             thermal_until: SimTime::ZERO,
             thermal_active: false,
-            parked_cap: None,
-            parked_checkpoint_fresh: false,
+            rest: Rest::Awake,
             pending_target: None,
             recovering: None,
             recoveries: Vec::new(),
@@ -413,7 +441,7 @@ impl Node {
     /// Whether the node is currently parked (see
     /// [`Node::control_tick_parkable`]).
     pub fn is_parked(&self) -> bool {
-        self.parked_cap.is_some()
+        matches!(self.rest, Rest::Parked { .. })
     }
 
     /// The cap this node is parked under, if parked. While this equals
@@ -422,7 +450,10 @@ impl Node {
     /// constant-zero idle utilizations and rewrite every field with the
     /// same bits), so the event engine skips it outright.
     pub fn parked_under(&self) -> Option<MilliWatts> {
-        self.parked_cap
+        match self.rest {
+            Rest::Parked { cap, .. } => Some(cap),
+            _ => None,
+        }
     }
 
     /// Whether the node is controllable this interval (`Up` or
@@ -454,7 +485,8 @@ impl Node {
     }
 
     /// Snapshots the controller's learner state as the node's current
-    /// checkpoint (the fleet calls this every checkpoint period).
+    /// checkpoint (the fleet calls this every checkpoint period). A
+    /// coasting node syncs first, so the snapshot is the every-tick one.
     ///
     /// The snapshot is recorded as a [`JsonTape`], re-recorded in place
     /// from the previous period and fitted to its exact size: a fleet
@@ -466,16 +498,22 @@ impl Node {
         // A continuously-parked node's learner state is bit-frozen, so
         // the checkpoint taken last period is still identical — skip
         // the re-recording.
-        if self.parked_cap.is_some() && self.parked_checkpoint_fresh {
+        if let Rest::Parked {
+            checkpoint_fresh: true, ..
+        } = self.rest
+        {
             return;
         }
+        self.sync();
         let mut tape = match self.checkpoint.take() {
             Some(Checkpoint::Tape(tape)) => tape,
             _ => JsonTape::new(),
         };
         tape.record(|w| self.ctl.snapshot(w));
         self.checkpoint = Some(Checkpoint::Tape(tape));
-        self.parked_checkpoint_fresh = self.parked_cap.is_some();
+        if let Rest::Parked { checkpoint_fresh, .. } = &mut self.rest {
+            *checkpoint_fresh = true;
+        }
     }
 
     /// Replaces the stored checkpoint verbatim — the corruption-injection
@@ -500,8 +538,7 @@ impl Node {
             return None;
         }
         self.crashes += 1;
-        self.parked_cap = None;
-        self.parked_checkpoint_fresh = false;
+        self.wake();
         // The recovery target is what the learner preferred just before
         // dying — reaching it again is the warm-vs-cold regret metric.
         self.pending_target = Some(self.ctl.desired_pair());
@@ -532,10 +569,13 @@ impl Node {
     /// Enters a thermal emergency: for `duration_s` the node is pinned to
     /// its floor pair by the (modeled) hardware throttle — the controller
     /// is bypassed and the node's power demand collapses to the floor.
+    /// A parked or coasting node first leaves the skipping protocol with
+    /// its sensors caught up to the last control interval it saw: no tick
+    /// senses inside the throttle window, but a job dispatched there
+    /// moves the traces the first tick after it reads.
     pub fn thermal_emergency(&mut self, now: SimTime, duration_s: f64) {
         self.thermal_events += 1;
-        self.parked_cap = None;
-        self.parked_checkpoint_fresh = false;
+        self.wake();
         self.thermal_until = now + SimDuration::from_secs_f64(duration_s);
         self.thermal_active = true;
     }
@@ -550,6 +590,9 @@ impl Node {
     /// intervals) and refreshes the thermal-throttle flag. Returns the
     /// transitions that fired, for the fleet's breaker and counters.
     pub fn lifecycle_tick(&mut self, now: SimTime) -> Vec<LifecycleEvent> {
+        if let Rest::Parked { last, .. } = &mut self.rest {
+            *last = now;
+        }
         self.thermal_active = now < self.thermal_until;
         let mut events = Vec::new();
         match self.state {
@@ -686,7 +729,9 @@ impl Node {
         &self.platform
     }
 
-    /// The controller (inspection/tests).
+    /// The controller (inspection/tests). On a coasting node (see
+    /// [`Node::control_tick_parkable`]) its learner is as of the last
+    /// sync.
     pub fn controller(&self) -> &GreenGpuController {
         &self.ctl
     }
@@ -710,9 +755,19 @@ impl Node {
     /// same interval the crash lands (the reclamation criterion). A
     /// restarting node holds only its floor; a thermally throttled node
     /// desires its floor but keeps its real peak (the throttle could lift
-    /// mid-interval).
+    /// mid-interval). A coasting node returns the demand cached when it
+    /// began coasting: it is idle, `Up` and unthrottled, and its desired
+    /// pair has settled.
     pub fn demand(&self) -> NodeDemand {
         let (floor_mw, peak_mw) = self.floor_peak;
+        if let Rest::Coasting { desired_mw, .. } = self.rest {
+            return NodeDemand {
+                floor_mw,
+                desired_mw,
+                peak_mw,
+                busy: false,
+            };
+        }
         match self.state {
             NodeState::Crashed => {
                 return NodeDemand {
@@ -779,18 +834,9 @@ impl Node {
     /// Starts serving `job` at `now`. Panics if the node is busy.
     pub fn dispatch(&mut self, job: JobSpec, now: SimTime) {
         assert!(self.job.is_none(), "node {} is busy", self.id);
-        if self.parked_cap.is_some() {
-            // A deep-parked node (the event engine skips its control
-            // ticks entirely) may not have sensed for many intervals;
-            // catch the sensor window up to `now` while the utilization
-            // traces are still constant-zero, before the job makes them
-            // move. For a node that was ticked this interval the sensor
-            // window already ends at `now`, so the poll re-reads the
-            // same instantaneous zeros — an exact identity.
-            self.ctl.on_dvfs_tick_quiescent(&mut self.platform, now);
-        }
-        self.parked_cap = None;
-        self.parked_checkpoint_fresh = false;
+        // The job is about to move the utilization traces: a parked or
+        // coasting node catches its sensors up while they are still flat.
+        self.wake();
         // Resolve the interned profile id once; `advance` and
         // `refresh_activity` index by it from here on.
         let profile = self.profiles.id(&job.workload).unwrap_or(u32::MAX);
@@ -907,8 +953,20 @@ impl Node {
     /// fixed point (see [`GreenGpuController::decision_fingerprint`]).
     /// The event-driven engine parks a node only after two consecutive
     /// ticks under the same cap return the same `Some(..)` — the second
-    /// tick *proves* the first one's decision was a fixed point.
+    /// tick *proves* the first one's decision was a fixed point. On a
+    /// coasting node it covers the learner as of its last sync.
     pub fn park_fingerprint(&self) -> Option<u64> {
+        let (policy_fp, rest_fp) = self.fingerprint_parts()?;
+        let mut h = Fnv64::new();
+        h.push_word(policy_fp);
+        h.push_word(rest_fp);
+        Some(h.finish())
+    }
+
+    /// [`Node::park_fingerprint`] in two words: the policy's own
+    /// fingerprint, and one over everything else (the controller state
+    /// around the policy, the enforced GPU pair and the CPU level).
+    fn fingerprint_parts(&self) -> Option<(u64, u64)> {
         if self.recipe.fault.is_some()
             || !self.recipe.blackouts.is_empty()
             || self.job.is_some()
@@ -919,34 +977,134 @@ impl Node {
         {
             return None;
         }
-        let ctl_fp = self.ctl.decision_fingerprint()?;
+        let (policy_fp, loop_fp) = self.ctl.decision_fingerprint_parts()?;
         // Compared only with the previous tick's, so fields fold as words.
         let mut h = Fnv64::new();
-        h.push_word(ctl_fp);
+        h.push_word(loop_fp);
         let (c, m) = self.current_pair();
         h.push_word(c as u64);
         h.push_word(m as u64);
         h.push_word(self.platform.cpu().domain().current_level() as u64);
-        Some(h.finish())
+        Some((policy_fp, h.finish()))
     }
 
-    /// [`Node::control_tick`] with the event-driven engine's parking
-    /// protocol layered on: run the full tick, then park when the node is
-    /// compliant and this tick's fingerprint matches the previous tick's
-    /// (two-consecutive-identical-ticks criterion — the first idle tick
-    /// after activity never parks because the learner state still
-    /// moved). The engine skips a node parked under exactly the cap it
-    /// is handed, so a parked node reaches this only with a new cap: it
-    /// un-parks and ticks in full.
+    /// [`Node::control_tick`] with the event-driven engine's skipping
+    /// protocol layered on. The engine skips a node parked under exactly
+    /// the cap it is handed, so a parked node reaches this only with a
+    /// new cap: it un-parks and ticks in full. Otherwise:
+    ///
+    /// * **Coasting.** A node coasting under `cap` counts the tick and
+    ///   returns 0.0, touching nothing else. Its learner takes the
+    ///   counted idle steps at once at the next sync (a new cap,
+    ///   [`Node::dispatch`], [`Node::take_checkpoint`],
+    ///   [`Node::thermal_emergency`], [`Node::crash`]), which also
+    ///   catches the sensors up to the last counted tick. On the tick
+    ///   that would find the learner at its orbit's fixed point the node
+    ///   syncs and parks, exactly as a full tick would; past the end of
+    ///   an orbit cut off before its fixed point it syncs and ticks in
+    ///   full.
+    /// * **Full tick.** Otherwise the tick runs in full. If it left the
+    ///   fingerprint unchanged (two consecutive identical ticks — the
+    ///   first idle tick after activity never qualifies, because the
+    ///   learner state still moved) and the node is compliant, the node
+    ///   parks. If only the policy's part of the fingerprint moved and
+    ///   the controller reports a settled idle decision
+    ///   ([`GreenGpuController::idle_settled`]), every later tick under
+    ///   this cap would enforce the same pair, so the node starts
+    ///   coasting.
     pub fn control_tick_parkable(&mut self, now: SimTime, cap: MilliWatts) -> f64 {
-        self.parked_cap = None;
-        self.parked_checkpoint_fresh = false;
-        let before = self.park_fingerprint();
+        if let Rest::Coasting {
+            cap: held,
+            skipped,
+            left,
+            parks,
+            last,
+            ..
+        } = &mut self.rest
+        {
+            if *held == cap && (*skipped < *left || *parks) {
+                debug_assert!(self.job.is_none() && self.state == NodeState::Up && !self.thermal_active);
+                *skipped += 1;
+                *last = now;
+                if *skipped > *left {
+                    // The learner already sat at its fixed point, so this
+                    // is the tick that proves it.
+                    self.sync();
+                    self.rest = Rest::Parked {
+                        cap,
+                        checkpoint_fresh: false,
+                        last: now,
+                    };
+                }
+                return 0.0;
+            }
+        }
+        self.sync();
+        self.rest = Rest::Awake;
+        let before = self.fingerprint_parts();
         let over = self.control_tick(now, cap);
-        if before.is_some() && over <= 0.0 && before == self.park_fingerprint() {
-            self.parked_cap = Some(cap);
+        if let Some(before) = before.filter(|_| over <= 0.0) {
+            match self.fingerprint_parts() {
+                Some(after) if after == before => {
+                    self.rest = Rest::Parked {
+                        cap,
+                        checkpoint_fresh: false,
+                        last: now,
+                    };
+                }
+                Some((_, rest_fp)) if rest_fp == before.1 => {
+                    if let Some(settle) = self.ctl.idle_settled(&self.platform) {
+                        if settle.steps_left > 0 || settle.fixed_point {
+                            self.rest = Rest::Coasting {
+                                cap,
+                                desired_mw: self.demand().desired_mw,
+                                skipped: 0,
+                                left: settle.steps_left,
+                                parks: settle.fixed_point,
+                                last: now,
+                            };
+                        }
+                    }
+                }
+                _ => {}
+            }
         }
         over
+    }
+
+    /// Brings a coasting node's controller up to its last counted tick:
+    /// the learner takes the counted idle steps at once, and the sensors
+    /// poll the still-flat traces up to that tick, as its last full tick
+    /// would have. The node keeps coasting with nothing pending.
+    fn sync(&mut self) {
+        if let Rest::Coasting {
+            skipped, left, last, ..
+        } = &mut self.rest
+        {
+            let (steps, at) = (*skipped, *last);
+            if steps == 0 {
+                return;
+            }
+            *left = left.saturating_sub(steps);
+            *skipped = 0;
+            self.ctl.fast_forward_idle(steps);
+            self.ctl.on_dvfs_tick_quiescent(&mut self.platform, at);
+        }
+    }
+
+    /// Leaves the skipping protocol before something can move the
+    /// utilization traces or discard the controller. A coasting node
+    /// syncs; a parked node, which may not have sensed for many
+    /// intervals, polls its still-flat traces up to the last control
+    /// interval it saw (where an every-tick node last polled; a no-op
+    /// for a node ticked at that instant).
+    fn wake(&mut self) {
+        match self.rest {
+            Rest::Awake => return,
+            Rest::Coasting { .. } => self.sync(),
+            Rest::Parked { last, .. } => self.ctl.on_dvfs_tick_quiescent(&mut self.platform, last),
+        }
+        self.rest = Rest::Awake;
     }
 
     /// Oracle-style placement estimate: (service seconds, GPU joules) for
@@ -1197,6 +1355,139 @@ mod tests {
         assert_eq!(node.cold_restarts(), 1);
         assert_eq!(node.warm_restarts(), 0);
         assert!(node.checkpoint_data().is_none(), "garbage checkpoint is discarded");
+    }
+
+    /// The skipping protocol without coasting: a full tick on every call,
+    /// parking on two identical consecutive fingerprints.
+    fn tick_without_coasting(node: &mut Node, now: SimTime, cap: MilliWatts) {
+        node.rest = Rest::Awake;
+        let before = node.park_fingerprint();
+        let over = node.control_tick(now, cap);
+        if before.is_some() && over <= 0.0 && before == node.park_fingerprint() {
+            node.rest = Rest::Parked {
+                cap,
+                checkpoint_fresh: false,
+                last: now,
+            };
+        }
+    }
+
+    /// A touch the twin test applies to both nodes at a tick.
+    #[derive(Clone, Copy)]
+    enum Touch {
+        Checkpoint,
+        /// A thermal emergency half a second after the tick.
+        Thermal(f64),
+        Crash(f64),
+        Dispatch(f64),
+    }
+
+    /// Drives a coasting node and its twin through `ticks` one-second
+    /// intervals as the event-driven engine would (lifecycle, control
+    /// unless parked under the cap, checkpoints every 25 ticks), applies
+    /// `touches`, and compares everything a tick can leave behind.
+    /// Returns how many ticks the coasting node ended coasting, and what
+    /// each touch found it doing (`'c'`oasting, `'p'`arked, `'a'`wake).
+    fn drive_twins(history: f64, ticks: u64, cap_at: impl Fn(u64) -> f64, touches: &[(u64, Touch)]) -> (u64, String) {
+        use greengpu::WmaParams;
+        let cfg = NodeConfig::default_node().with_freq_policy(PolicySpec::Wma(WmaParams {
+            history,
+            ..WmaParams::default()
+        }));
+        let mut coasting = Node::new(0, &cfg, &mix(), 7);
+        let mut twin = Node::new(0, &cfg, &mix(), 7);
+        let peak = cfg.gpu.peak_power_w();
+        let (mut coasted, mut found) = (0, String::new());
+        let mut t = SimTime::ZERO;
+        for k in 1..=ticks {
+            let now = SimTime::from_secs(k);
+            let cap = mw(cap_at(k) * peak);
+            for (node, coasts) in [(&mut coasting, true), (&mut twin, false)] {
+                node.set_lifecycle(2.0, 2);
+                node.advance(t, now);
+                node.lifecycle_tick(now);
+                if node.is_alive() && node.parked_under() != Some(cap) {
+                    if coasts {
+                        node.control_tick_parkable(now, cap);
+                    } else {
+                        tick_without_coasting(node, now, cap);
+                    }
+                }
+                if k % 25 == 0 && node.state() == NodeState::Up {
+                    node.take_checkpoint();
+                }
+                for &(at, touch) in touches.iter().filter(|(at, _)| *at == k) {
+                    if coasts {
+                        found.push(match node.rest {
+                            Rest::Coasting { .. } => 'c',
+                            Rest::Parked { .. } => 'p',
+                            Rest::Awake => 'a',
+                        });
+                    }
+                    let later = now + SimDuration::from_secs_f64(0.5);
+                    match touch {
+                        Touch::Checkpoint => node.take_checkpoint(),
+                        Touch::Thermal(secs) => node.thermal_emergency(later, secs),
+                        Touch::Crash(secs) => assert!(node.crash(now, secs).is_none(), "tick {at}: idle"),
+                        Touch::Dispatch(size) => node.dispatch(job("kmeans", size), now),
+                    }
+                }
+            }
+            coasted += u64::from(matches!(coasting.rest, Rest::Coasting { .. }));
+            let energies = |n: &Node| {
+                let p = n.platform();
+                [p.gpu_energy_j(SimTime::ZERO, now), p.total_energy_j(SimTime::ZERO, now)].map(f64::to_bits)
+            };
+            assert_eq!(coasting.current_pair(), twin.current_pair(), "tick {k}");
+            assert_eq!(energies(&coasting), energies(&twin), "tick {k}");
+            assert_eq!(coasting.is_parked(), twin.is_parked(), "tick {k}");
+            assert_eq!(coasting.demand(), twin.demand(), "tick {k}");
+            assert_eq!(coasting.checkpoint_data(), twin.checkpoint_data(), "tick {k}");
+            assert_eq!(coasting.cap_violations(), twin.cap_violations(), "tick {k}");
+            t = now;
+        }
+        coasting.sync();
+        assert_eq!(coasting.park_fingerprint(), twin.park_fingerprint());
+        for node in [&mut coasting, &mut twin] {
+            node.wake();
+            node.take_checkpoint();
+        }
+        assert_eq!(coasting.checkpoint_data(), twin.checkpoint_data());
+        assert_eq!(coasting.recoveries(), twin.recoveries());
+        (coasted, found)
+    }
+
+    #[test]
+    fn a_coasting_node_agrees_with_an_every_tick_twin_through_each_sync_path() {
+        // A checkpoint, a new cap for ticks 30-31, a thermal emergency
+        // and a crash while coasting; the crash warm-restores the tick-50
+        // checkpoint back onto the orbit, and the node parks at the fixed
+        // point. Then a checkpoint, a thermal emergency, and a job
+        // dispatched inside its throttle window while parked.
+        let touches = [
+            (10, Touch::Checkpoint),
+            (28, Touch::Checkpoint),
+            (45, Touch::Thermal(6.0)),
+            (70, Touch::Crash(3.0)),
+            (210, Touch::Checkpoint),
+            (220, Touch::Thermal(4.0)),
+            (222, Touch::Dispatch(0.2)),
+        ];
+        let cap_at = |k| if (30..32).contains(&k) { 0.7 } else { 0.8 };
+        let (coasted, found) = drive_twins(0.8, 400, cap_at, &touches);
+        assert_eq!(found, "ccccppa");
+        assert!(coasted > 150, "coasted {coasted}");
+        // A job dispatched while coasting.
+        let (_, found) = drive_twins(0.8, 80, |_| 0.8, &[(40, Touch::Dispatch(0.2))]);
+        assert_eq!(found, "c");
+    }
+
+    #[test]
+    fn a_cut_orbit_coasts_only_to_its_last_row() {
+        // λ = 0.95 is cut off at 512 rows: the node coasts to the last
+        // row, then ticks in full on the computed update.
+        let (coasted, _) = drive_twins(0.95, 560, |_| 0.8, &[]);
+        assert!((490..511).contains(&coasted), "coasted {coasted}");
     }
 
     #[test]

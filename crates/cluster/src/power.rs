@@ -74,58 +74,101 @@ fn grant_proportional(caps: &mut [MilliWatts], wants: &[MilliWatts], remaining: 
 /// `budget_mw`; and whenever `budget_mw >= Σ floor_mw`, every node's cap
 /// is at least its floor.
 pub fn apportion(budget_mw: MilliWatts, demands: &[NodeDemand]) -> Vec<MilliWatts> {
-    let mut caps = vec![0; demands.len()];
+    let mut caps = Vec::with_capacity(demands.len());
+    apportion_into(budget_mw, demands, &mut caps, &mut Vec::with_capacity(demands.len()));
+    caps
+}
+
+/// [`apportion`] into `caps`, with `wants` as the scratch for each
+/// pass's per-node wants: neither buffer allocates once it has grown to
+/// `demands.len()`.
+fn apportion_into(
+    budget_mw: MilliWatts,
+    demands: &[NodeDemand],
+    caps: &mut Vec<MilliWatts>,
+    wants: &mut Vec<MilliWatts>,
+) {
     let mut remaining = budget_mw;
 
     // Pass 1: floors.
-    for (cap, d) in caps.iter_mut().zip(demands) {
+    caps.clear();
+    caps.extend(demands.iter().map(|d| {
         let grant = d.floor_mw.min(remaining);
-        *cap = grant;
         remaining -= grant;
-    }
+        grant
+    }));
 
     // Pass 2: busy nodes' demand above the floor.
-    let wants: Vec<MilliWatts> = demands
-        .iter()
-        .zip(&caps)
-        .map(|(d, &cap)| {
-            if d.busy {
-                d.desired_mw.clamp(cap, d.peak_mw.max(cap)) - cap
-            } else {
-                0
-            }
-        })
-        .collect();
-    grant_proportional(&mut caps, &wants, &mut remaining);
+    wants.clear();
+    wants.extend(demands.iter().zip(caps.iter()).map(|(d, &cap)| {
+        if d.busy {
+            d.desired_mw.clamp(cap, d.peak_mw.max(cap)) - cap
+        } else {
+            0
+        }
+    }));
+    grant_proportional(caps, wants, &mut remaining);
 
     // Pass 3: leftover headroom up to peak for busy nodes.
-    let heads: Vec<MilliWatts> = demands
-        .iter()
-        .zip(&caps)
-        .map(|(d, &cap)| if d.busy { d.peak_mw.saturating_sub(cap) } else { 0 })
-        .collect();
-    grant_proportional(&mut caps, &heads, &mut remaining);
+    wants.clear();
+    wants.extend(
+        demands
+            .iter()
+            .zip(caps.iter())
+            .map(|(d, &cap)| if d.busy { d.peak_mw.saturating_sub(cap) } else { 0 }),
+    );
+    grant_proportional(caps, wants, &mut remaining);
+}
 
-    caps
+/// The demand of nothing: the start of every aggregate.
+const NO_DEMAND: NodeDemand = NodeDemand {
+    floor_mw: 0,
+    desired_mw: 0,
+    peak_mw: 0,
+    busy: false,
+};
+
+/// Adds `d` into the aggregate `agg`, saturating; `busy` is any-of.
+fn add_demand(agg: &mut NodeDemand, d: &NodeDemand) {
+    agg.floor_mw = agg.floor_mw.saturating_add(d.floor_mw);
+    agg.desired_mw = agg.desired_mw.saturating_add(d.desired_mw);
+    agg.peak_mw = agg.peak_mw.saturating_add(d.peak_mw);
+    agg.busy |= d.busy;
 }
 
 /// Saturating element-wise sum of a set of demands; `busy` is any-of.
 /// The aggregate a rack/zone/region reports upward is exactly what a
 /// fleet of its children would report flat.
 fn aggregate<'a>(demands: impl Iterator<Item = &'a NodeDemand>) -> NodeDemand {
-    let mut agg = NodeDemand {
-        floor_mw: 0,
-        desired_mw: 0,
-        peak_mw: 0,
-        busy: false,
-    };
+    let mut agg = NO_DEMAND;
     for d in demands {
-        agg.floor_mw = agg.floor_mw.saturating_add(d.floor_mw);
-        agg.desired_mw = agg.desired_mw.saturating_add(d.desired_mw);
-        agg.peak_mw = agg.peak_mw.saturating_add(d.peak_mw);
-        agg.busy |= d.busy;
+        add_demand(&mut agg, d);
     }
     agg
+}
+
+/// Runs `apportion` of `cap` over `children` (ids into `reports`) and
+/// writes each child's grant into `out`, through the tree's scratch.
+fn split(cap: MilliWatts, children: &[usize], reports: &[NodeDemand], out: &mut [MilliWatts], scratch: &mut Scratch) {
+    scratch.wants.clear();
+    scratch.wants.extend(children.iter().map(|&c| reports[c]));
+    apportion_into(cap, &scratch.wants, &mut scratch.caps, &mut scratch.grants);
+    for (&c, &granted) in children.iter().zip(&scratch.caps) {
+        out[c] = granted;
+    }
+}
+
+/// The budget tree's reusable per-tick buffers.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// This tick's live rack aggregates.
+    cur_rack: Vec<NodeDemand>,
+    zone_report: Vec<NodeDemand>,
+    region_report: Vec<NodeDemand>,
+    /// One split's children's demands, caps, and per-pass wants.
+    wants: Vec<NodeDemand>,
+    caps: Vec<MilliWatts>,
+    grants: Vec<MilliWatts>,
 }
 
 /// The cascading hierarchical apportioner: the same floors→demand→headroom
@@ -153,7 +196,9 @@ fn aggregate<'a>(demands: impl Iterator<Item = &'a NodeDemand>) -> NodeDemand {
 /// tick bootstraps the lagged reports from the current aggregates.
 ///
 /// A tick costs O(nodes + racks): each rack splits over its own member
-/// list instead of scanning the fleet for its leaves.
+/// list instead of scanning the fleet for its leaves. Every split runs
+/// in buffers the tree keeps, so after the first tick the only
+/// allocation is the returned leaf caps.
 #[derive(Debug, Clone)]
 pub struct BudgetTree {
     rack_of: Vec<usize>,
@@ -175,6 +220,7 @@ pub struct BudgetTree {
     rack_desired: Vec<MilliWatts>,
     zone_desired: Vec<MilliWatts>,
     region_desired: Vec<MilliWatts>,
+    scratch: Scratch,
 }
 
 impl BudgetTree {
@@ -193,6 +239,7 @@ impl BudgetTree {
             rack_desired: vec![0; idx.n_racks()],
             zone_desired: vec![0; idx.n_zones()],
             region_desired: vec![0; idx.n_regions()],
+            scratch: Scratch::default(),
         }
     }
 
@@ -204,75 +251,80 @@ impl BudgetTree {
             self.rack_of.len(),
             "demand count must match the topology"
         );
-        let n_racks = self.rack_caps.len();
+        let BudgetTree {
+            rack_of,
+            rack_nodes,
+            zone_racks,
+            region_zones,
+            prev_rack,
+            prev_zone,
+            rack_caps,
+            zone_caps,
+            region_caps,
+            rack_desired,
+            zone_desired,
+            region_desired,
+            scratch,
+        } = self;
+        let mut cur_rack = std::mem::take(&mut scratch.cur_rack);
+        let mut zone_report = std::mem::take(&mut scratch.zone_report);
+        let mut region_report = std::mem::take(&mut scratch.region_report);
 
         // Current rack aggregates — the only level that sees the leaves
         // live; everything above runs on last tick's reports.
-        let mut cur_rack = vec![
-            NodeDemand {
-                floor_mw: 0,
-                desired_mw: 0,
-                peak_mw: 0,
-                busy: false,
-            };
-            n_racks
-        ];
-        for (d, &r) in demands.iter().zip(&self.rack_of) {
-            cur_rack[r].floor_mw = cur_rack[r].floor_mw.saturating_add(d.floor_mw);
-            cur_rack[r].desired_mw = cur_rack[r].desired_mw.saturating_add(d.desired_mw);
-            cur_rack[r].peak_mw = cur_rack[r].peak_mw.saturating_add(d.peak_mw);
-            cur_rack[r].busy |= d.busy;
+        cur_rack.clear();
+        cur_rack.resize(rack_caps.len(), NO_DEMAND);
+        for (d, &r) in demands.iter().zip(rack_of.iter()) {
+            add_demand(&mut cur_rack[r], d);
         }
 
         // One-tick-lagged upward reports (bootstrapped from the current
         // aggregates on the first tick).
-        let rack_report = self.prev_rack.as_deref().unwrap_or(&cur_rack);
-        let zone_report: Vec<NodeDemand> = self
-            .zone_racks
-            .iter()
-            .map(|racks| aggregate(racks.iter().map(|&r| &rack_report[r])))
-            .collect();
-        let region_input = self.prev_zone.as_deref().unwrap_or(&zone_report);
-        let region_report: Vec<NodeDemand> = self
-            .region_zones
-            .iter()
-            .map(|zones| aggregate(zones.iter().map(|&z| &region_input[z])))
-            .collect();
+        let rack_report = prev_rack.as_deref().unwrap_or(&cur_rack);
+        zone_report.clear();
+        zone_report.extend(
+            zone_racks
+                .iter()
+                .map(|racks| aggregate(racks.iter().map(|&r| &rack_report[r]))),
+        );
+        let region_input = prev_zone.as_deref().unwrap_or(&zone_report);
+        region_report.clear();
+        region_report.extend(
+            region_zones
+                .iter()
+                .map(|zones| aggregate(zones.iter().map(|&z| &region_input[z]))),
+        );
 
         // Cascade the caps down: root → regions → zones → racks → leaves.
         // Each split uses the freshest report its level has: the root
         // sees region reports (two ticks behind the leaves), a region
         // splits over its zones' one-tick-lagged reports, and a zone
         // splits over its racks' live aggregates.
-        self.region_caps = apportion(budget_mw, &region_report);
-        for (g, zones) in self.region_zones.iter().enumerate() {
-            let wants: Vec<NodeDemand> = zones.iter().map(|&z| zone_report[z]).collect();
-            let caps = apportion(self.region_caps[g], &wants);
-            for (&z, cap) in zones.iter().zip(caps) {
-                self.zone_caps[z] = cap;
-            }
+        apportion_into(budget_mw, &region_report, region_caps, &mut scratch.grants);
+        for (zones, &cap) in region_zones.iter().zip(region_caps.iter()) {
+            split(cap, zones, &zone_report, zone_caps, scratch);
         }
-        for (z, racks) in self.zone_racks.iter().enumerate() {
-            let wants: Vec<NodeDemand> = racks.iter().map(|&r| cur_rack[r]).collect();
-            let caps = apportion(self.zone_caps[z], &wants);
-            for (&r, cap) in racks.iter().zip(caps) {
-                self.rack_caps[r] = cap;
-            }
+        for (racks, &cap) in zone_racks.iter().zip(zone_caps.iter()) {
+            split(cap, racks, &cur_rack, rack_caps, scratch);
         }
         let mut leaf_caps = vec![0; demands.len()];
-        for (members, &rack_cap) in self.rack_nodes.iter().zip(&self.rack_caps) {
-            let wants: Vec<NodeDemand> = members.iter().map(|&i| demands[i]).collect();
-            let caps = apportion(rack_cap, &wants);
-            for (&i, cap) in members.iter().zip(caps) {
-                leaf_caps[i] = cap;
-            }
+        for (members, &cap) in rack_nodes.iter().zip(rack_caps.iter()) {
+            split(cap, members, demands, &mut leaf_caps, scratch);
         }
 
-        self.rack_desired = cur_rack.iter().map(|d| d.desired_mw).collect();
-        self.zone_desired = zone_report.iter().map(|d| d.desired_mw).collect();
-        self.region_desired = region_report.iter().map(|d| d.desired_mw).collect();
-        self.prev_rack = Some(cur_rack);
-        self.prev_zone = Some(zone_report);
+        for (out, levels) in [
+            (rack_desired, &cur_rack),
+            (zone_desired, &zone_report),
+            (region_desired, &region_report),
+        ] {
+            out.clear();
+            out.extend(levels.iter().map(|d| d.desired_mw));
+        }
+        // This tick's reports become the next tick's lagged ones; the
+        // buffers they replace are reused as next tick's scratch.
+        scratch.cur_rack = prev_rack.replace(cur_rack).unwrap_or_default();
+        scratch.zone_report = prev_zone.replace(zone_report).unwrap_or_default();
+        scratch.region_report = region_report;
         leaf_caps
     }
 
@@ -316,12 +368,12 @@ impl BudgetTree {
     /// killing the run.
     pub fn cap_violations(&self, budget_mw: MilliWatts, leaf_caps: &[MilliWatts]) -> u64 {
         let mut violations = 0u64;
-        let mut rack_sum = vec![0u128; self.rack_caps.len()];
-        for (&cap, &r) in leaf_caps.iter().zip(&self.rack_of) {
-            rack_sum[r] += u128::from(cap);
-        }
-        for (sum, &cap) in rack_sum.iter().zip(&self.rack_caps) {
-            if *sum > u128::from(cap) {
+        for (members, &cap) in self.rack_nodes.iter().zip(&self.rack_caps) {
+            let sum: u128 = members
+                .iter()
+                .map(|&i| leaf_caps.get(i).map_or(0, |&c| u128::from(c)))
+                .sum();
+            if sum > u128::from(cap) {
                 violations += 1;
             }
         }

@@ -239,6 +239,69 @@ fn big_geo_fleet_exercises_the_threaded_fanout() {
     }
 }
 
+/// A 400 s flat fleet whose idle WMA nodes settle and park long before
+/// their first job, with thermal emergencies of 10–30 s. A parked node
+/// that a thermal event un-parks must catch its sensors up to the last
+/// control interval it saw before the throttle: a job dispatched inside
+/// the thermal window otherwise makes the first post-throttle tick
+/// average its utilization over a longer window than the serial
+/// oracle's. At these seeds that happens.
+fn thermal_wake_cfg(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::homogeneous(4, 0.8, Policy::LeastLoaded, SimDuration::from_secs(400), seed)
+        .with_chaos(ChaosPlan::crashes_only(seed ^ 0xC4A05, 1e-9, (2.0, 6.0)).with_thermal(0.004, (10.0, 30.0)));
+    cfg.arrivals.rate_per_s = 0.03;
+    cfg
+}
+
+#[test]
+fn thermal_wakes_of_parked_nodes_agree() {
+    for seed in [23, 32, 38] {
+        let cfg = thermal_wake_cfg(seed);
+        let oracle = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
+        assert!(oracle.thermal_events > 0, "seed {seed} must fire a thermal event");
+        assert_engines_agree(&cfg);
+    }
+}
+
+/// A 300 s geo fleet past the idle fixed point: zone thermal events and
+/// rack power losses under light arrivals, and no blackouts or
+/// partitions (their sensor blackouts keep a node from ever parking), so
+/// idle nodes coast, park, and are woken by every kind of touch under
+/// the budget tree.
+fn long_geo_cfg(seed: u64) -> FleetConfig {
+    let topo = Topology::uniform(1, 2, 2, 3);
+    let mut cfg = FleetConfig::homogeneous(
+        topo.n_nodes(),
+        0.8,
+        Policy::LeastLoaded,
+        SimDuration::from_secs(300),
+        seed,
+    )
+    .with_chaos(
+        ChaosPlan::crashes_only(seed ^ 0xC4A05, 0.002, (2.0, 6.0))
+            .with_rack_loss(0.004, (3.0, 8.0))
+            .with_zone_thermal(0.004, (10.0, 30.0)),
+    )
+    .with_topology(topo);
+    cfg.arrivals.rate_per_s = 0.04;
+    cfg
+}
+
+#[test]
+fn long_geo_runs_past_the_idle_fixed_point_agree() {
+    for seed in [0x6E0_0240, 0x6E0_0241] {
+        let cfg = long_geo_cfg(seed);
+        let oracle = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
+        assert!(
+            oracle.zone_thermal_emergencies > 0 && oracle.rack_losses > 0,
+            "seed {seed:#x} must fire zone thermal events ({}) and rack losses ({})",
+            oracle.zone_thermal_emergencies,
+            oracle.rack_losses,
+        );
+        assert_engines_agree(&cfg);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -13,7 +13,7 @@ use crate::wma::{WmaParams, WmaScaler};
 use greengpu_hw::{
     CleanSensors, DirectActuator, FaultPlan, FaultyActuator, FaultySensor, FreqActuator, Platform, SensorSource,
 };
-use greengpu_policy::{FreqPolicy, PolicyTelemetry};
+use greengpu_policy::{FreqPolicy, IdleSettle, PolicyTelemetry};
 use greengpu_runtime::{Controller, IterationInfo};
 use greengpu_sim::{JsonWriter, SimDuration, SimTime};
 
@@ -670,13 +670,24 @@ impl GreenGpuController {
     /// engine parks a node only after two consecutive identical
     /// fingerprints.
     pub fn decision_fingerprint(&self) -> Option<u64> {
+        let (policy_fp, loop_fp) = self.decision_fingerprint_parts()?;
+        let mut h = greengpu_sim::Fnv64::new();
+        h.push_word(policy_fp);
+        h.push_word(loop_fp);
+        Some(h.finish())
+    }
+
+    /// [`Self::decision_fingerprint`] in two words: the policy's own
+    /// fingerprint, and one over the controller state around it (last-good
+    /// readings, actuation failure streak, cap). A tick that moves only
+    /// the first word changed nothing but the learner.
+    pub fn decision_fingerprint_parts(&self) -> Option<(u64, u64)> {
         if self.fallback {
             return None;
         }
         let policy_fp = self.policy.decision_fingerprint()?;
         // Compared only with itself, so every field folds as one word.
         let mut h = greengpu_sim::Fnv64::new();
-        h.push_word(policy_fp);
         match self.last_good_gpu {
             Some((c, m)) => {
                 h.push_word(1);
@@ -700,7 +711,32 @@ impl GreenGpuController {
             }
             None => h.push_word(0),
         }
-        Some(h.finish())
+        Some((policy_fp, h.finish()))
+    }
+
+    /// The policy's settled idle decision ([`FreqPolicy::idle_settled`])
+    /// when the next exactly-idle ticks would enforce it: the GPU tier is
+    /// on, the fallback is not engaged, and the settled pair fits the
+    /// current cap, so the masked argmax of every remaining idle step is
+    /// that pair.
+    pub fn idle_settled(&self, platform: &Platform) -> Option<IdleSettle> {
+        if self.fallback || !self.config.gpu_scaling {
+            return None;
+        }
+        let settle = self.policy.idle_settled()?;
+        let (i, j) = settle.pair;
+        let fits = self
+            .power_cap_w
+            .is_none_or(|cap| platform.gpu().spec().power_at_levels_w(i, j, 1.0, 1.0) <= cap);
+        fits.then_some(settle)
+    }
+
+    /// Applies `steps` exactly-idle observations to the policy at once
+    /// ([`FreqPolicy::fast_forward_idle`]). Sensors, actuators and the
+    /// telemetry (the policy's tracker, `cap_masked_intervals`, governor
+    /// tallies) are untouched.
+    pub fn fast_forward_idle(&mut self, steps: u64) {
+        self.policy.fast_forward_idle(steps);
     }
 }
 
@@ -800,6 +836,36 @@ mod tests {
         ctl.on_dvfs_tick(&mut platform, SimTime::from_secs(3));
         assert_eq!(platform.gpu().core().current_level(), 5);
         assert_eq!(platform.gpu().mem().current_level(), 5);
+    }
+
+    #[test]
+    fn idle_settles_only_on_a_pair_the_cap_admits() {
+        // A card whose lowest core level draws the most (its voltage
+        // table falls as the clock rises): a cap can exclude the settled
+        // idle pair (0, 0) and still admit other pairs, whose order the
+        // remaining idle steps may change.
+        let mut gpu = greengpu_hw::calib::geforce_8800_gtx();
+        gpu.core_volts = Some(vec![2.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        let cpu = greengpu_hw::calib::phenom_ii_x2();
+        let cpu_peak = cpu.levels_mhz.len() - 1;
+        let mut platform = Platform::new(gpu.clone(), cpu, 5, 5, cpu_peak);
+        let mut ctl = GreenGpuController::for_testbed(GreenGpuConfig::scaling_only());
+        for k in 1..=3 {
+            ctl.on_dvfs_tick(&mut platform, SimTime::from_secs(3 * k));
+        }
+        let settled = ctl.idle_settled(&platform).expect("idle past the settle row");
+        assert_eq!(settled.pair, (0, 0));
+        let lowest = gpu.power_at_levels_w(0, 0, 1.0, 1.0);
+        let next = gpu.power_at_levels_w(1, 0, 1.0, 1.0);
+        assert!(next < lowest, "{next} vs {lowest}");
+        ctl.set_power_cap_w(Some((lowest + next) / 2.0));
+        assert_eq!(ctl.idle_settled(&platform), None, "the cap excludes the settled pair");
+        ctl.set_power_cap_w(Some(lowest));
+        assert_eq!(
+            ctl.idle_settled(&platform),
+            Some(settled),
+            "a cap at its power admits it"
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use ondemand::OndemandGovernor;
 pub use policy::{pair_model_for, PolicySpec};
 // Re-export the policy crate's surface so consumers need only `greengpu`.
 pub use greengpu_policy::{
-    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, PairModel, PhaseDetectorParams,
-    PolicyTelemetry, SwitchingParams, UcbParams, UcbPolicy,
+    Contextual, DeadlineParams, DeadlinePolicy, Exp3Params, Exp3Policy, FreqPolicy, IdleSettle, PairModel,
+    PhaseDetectorParams, PolicyTelemetry, SwitchingParams, UcbParams, UcbPolicy,
 };
 pub use wma::{WmaParams, WmaScaler};

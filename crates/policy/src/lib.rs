@@ -129,9 +129,42 @@ pub trait FreqPolicy: Send {
         None
     }
 
+    /// Where the learner stands when every exactly-idle `(+0.0, +0.0)`
+    /// step it can still take along a precomputed path selects one pair,
+    /// or `None` (the default) when it cannot say. The fleet uses it to
+    /// stop ticking an idle node whose decision has settled (see
+    /// [`IdleSettle`]).
+    fn idle_settled(&self) -> Option<IdleSettle> {
+        None
+    }
+
+    /// Applies `steps` exactly-idle observations at once: the learner
+    /// ends where `steps` calls of `decide(+0.0, +0.0, ..)` under a mask
+    /// admitting the settled pair would leave it, without recording
+    /// telemetry. Only called while [`FreqPolicy::idle_settled`] is
+    /// `Some`; the default does nothing.
+    fn fast_forward_idle(&mut self, steps: u64) {
+        let _ = steps;
+    }
+
     /// Downcast hook (e.g. to reach the concrete [`WmaScaler`] behind a
     /// controller's boxed policy).
     fn as_any(&self) -> &dyn std::any::Any;
+}
+
+/// A learner's settled idle decision ([`FreqPolicy::idle_settled`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdleSettle {
+    /// The pair every remaining idle step selects: the strict maximum of
+    /// every table those steps pass through, so any mask that admits it
+    /// selects it too.
+    pub pair: (usize, usize),
+    /// Idle steps left along the precomputed path (0 at its last table).
+    pub steps_left: u64,
+    /// Whether the path ends at a fixed point: a further idle step then
+    /// changes nothing. Otherwise the step after the last one is computed
+    /// and may decide anything.
+    pub fixed_point: bool,
 }
 
 /// Shared checkpoint (de)serialization helpers used by every

@@ -25,11 +25,13 @@
 //! then walks the same sequence of tables to the same fixed point. That
 //! sequence is computed once per process as an `IdleOrbit` by the
 //! update itself, and a scaler still on it copies its next row instead
-//! of recomputing Eq. 4 (DESIGN.md §4.3).
+//! of recomputing Eq. 4. From the orbit's *settle row* on, one pair is
+//! the strict maximum of every later row, so the idle decision no longer
+//! moves and `k` idle steps are one jump of `k` rows (DESIGN.md §4.3).
 
 use crate::loss::{LevelTerms, LossModel, LossParams};
 use crate::telemetry::{DecisionTracker, PolicyTelemetry};
-use crate::{snap, FreqPolicy};
+use crate::{snap, FreqPolicy, IdleSettle};
 use greengpu_sim::{Fnv64, JsonValue, JsonWriter};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -126,6 +128,11 @@ struct IdleOrbit {
     fingerprints: Vec<u64>,
     /// Whether the last row is a fixed point of the idle update.
     closed: bool,
+    /// The settle row and its pair: the first row from which that pair
+    /// is the strict maximum of every later row (the rows a cut-off orbit
+    /// holds, or every row forever on a closed one). `None` when even the
+    /// last row has a tie for its maximum.
+    settle: Option<(usize, (usize, usize))>,
 }
 
 /// What an orbit depends on: the grid shape and the bits of every
@@ -174,6 +181,7 @@ impl IdleOrbit {
             rows: table.clone(),
             fingerprints: vec![weights_fingerprint(&table)],
             closed: false,
+            settle: None,
         };
         while orbit.fingerprints.len() < ORBIT_MAX_ROWS {
             let prev = orbit.rows.rchunks_exact(table.len()).next().unwrap_or_default();
@@ -185,6 +193,15 @@ impl IdleOrbit {
             orbit.rows.extend_from_slice(&table);
             orbit.fingerprints.push(weights_fingerprint(&table));
         }
+        let last = orbit.len() - 1;
+        orbit.settle = strict_argmax(orbit.row(last), n_mem).map(|pair| {
+            let first = (0..last)
+                .rev()
+                .take_while(|&k| strict_argmax(orbit.row(k), n_mem) == Some(pair))
+                .last()
+                .unwrap_or(last);
+            (first, pair)
+        });
         orbit
     }
 
@@ -211,6 +228,22 @@ impl IdleOrbit {
         let n = self.rows.len() / self.len().max(1);
         self.rows.get(row * n..(row + 1) * n).unwrap_or_default()
     }
+}
+
+/// The pair whose weight is strictly greater than every other in a
+/// row-major table `n_mem` wide, or `None` on a tie for the maximum.
+fn strict_argmax(weights: &[f64], n_mem: usize) -> Option<(usize, usize)> {
+    let mut best = None;
+    let mut best_w = f64::NEG_INFINITY;
+    let mut tied = false;
+    for (k, &w) in weights.iter().enumerate() {
+        if w > best_w {
+            (best, best_w, tied) = (Some((k / n_mem, k % n_mem)), w, false);
+        } else if w >= best_w {
+            tied = true;
+        }
+    }
+    best.filter(|_| !tied)
 }
 
 /// Eq. 4 over the full table for one finite, clamped observation, then
@@ -505,8 +538,20 @@ impl FreqPolicy for WmaScaler {
         }
         let intervals = snap::parse_u64(state, "intervals")?;
         let fallbacks = snap::parse_u64(state, "empty_mask_fallbacks")?;
+        // A snapshot taken on the idle orbit resumes there: the weights
+        // are checked, bit for bit, against the row its interval count
+        // reaches (the fixed point past the end of a closed orbit).
+        let orbit = self
+            .orbit
+            .get_or_insert_with(|| IdleOrbit::shared(self.tracker.model(), &self.params));
+        let row = intervals.min((orbit.len() - 1) as u64) as usize;
+        let on_orbit = orbit
+            .row(row)
+            .iter()
+            .zip(&weights)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        self.orbit_row = on_orbit.then_some(row);
         self.weights = weights;
-        self.orbit_row = None;
         self.intervals = intervals;
         self.empty_mask_fallbacks = fallbacks;
         Ok(())
@@ -522,6 +567,53 @@ impl FreqPolicy for WmaScaler {
         let on_orbit = self.orbit.as_ref().zip(self.orbit_row);
         let known = on_orbit.and_then(|(orbit, row)| orbit.fingerprints.get(row).copied());
         Some(known.unwrap_or_else(|| weights_fingerprint(&self.weights)))
+    }
+
+    /// Settled once the scaler is on the idle orbit at or past its settle
+    /// row.
+    fn idle_settled(&self) -> Option<IdleSettle> {
+        let orbit = self.orbit.as_ref()?;
+        let row = self.orbit_row?;
+        let (settle_row, pair) = orbit.settle?;
+        (row >= settle_row).then(|| IdleSettle {
+            pair,
+            steps_left: (orbit.len() - 1 - row) as u64,
+            fixed_point: orbit.closed,
+        })
+    }
+
+    /// Exactly `steps` idle observations: the weights, the interval count
+    /// and the orbit position end where `steps` calls of
+    /// `observe(0.0, 0.0)` leave them, with no telemetry recorded. Along
+    /// the idle orbit the whole jump is one row copy; only steps past the
+    /// end of a cut-off orbit, or taken off the orbit, compute Eq. 4.
+    fn fast_forward_idle(&mut self, steps: u64) {
+        let mut left = steps;
+        while left > 0 {
+            if let Some(row) = self.orbit_row {
+                let orbit = self
+                    .orbit
+                    .get_or_insert_with(|| IdleOrbit::shared(self.tracker.model(), &self.params));
+                let last = orbit.len() - 1;
+                let along = if orbit.closed {
+                    left
+                } else {
+                    left.min((last - row) as u64)
+                };
+                if along > 0 {
+                    let target = (row as u64).saturating_add(along).min(last as u64) as usize;
+                    if target != row {
+                        self.weights.copy_from_slice(orbit.row(target));
+                    }
+                    self.orbit_row = Some(target);
+                    self.intervals += along;
+                    left -= along;
+                    continue;
+                }
+            }
+            self.learn(0.0, 0.0);
+            left -= 1;
+        }
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -991,6 +1083,102 @@ mod tests {
         assert_eq!(s.orbit_row, None, "off the end of a cut-off orbit");
         s.reset();
         assert_eq!(s.orbit_row, Some(0), "reset re-enters the orbit");
+    }
+
+    #[test]
+    fn the_default_orbit_settles_on_the_lowest_pair_at_row_one() {
+        let p = WmaParams::default();
+        let orbit = IdleOrbit::shared(&LossModel::new(6, 6, p.loss()), &p);
+        assert_eq!(orbit.settle, Some((1, (0, 0))));
+        assert_eq!(strict_argmax(orbit.row(0), 6), None, "the uniform row is all ties");
+        for k in 1..orbit.len() {
+            assert_eq!(strict_argmax(orbit.row(k), 6), Some((0, 0)), "row {k}");
+        }
+        // The scaler reports it from the settle row on, with the rows
+        // left to the fixed point.
+        let mut s = scaler();
+        s.observe(0.0, 0.0);
+        let settled = s.idle_settled().expect("row 1 is the settle row");
+        assert_eq!(
+            (settled.pair, settled.steps_left, settled.fixed_point),
+            ((0, 0), 153, true)
+        );
+        for _ in 0..200 {
+            s.observe(0.0, 0.0);
+        }
+        assert_eq!(s.idle_settled().map(|t| t.steps_left), Some(0), "at the fixed point");
+        s.observe(0.6, 0.1);
+        assert_eq!(s.idle_settled(), None, "off the orbit");
+    }
+
+    #[test]
+    fn fast_forward_equals_that_many_idle_observations() {
+        let starts: [(f64, usize); 4] = [(0.8, 0), (0.8, 3), (0.5, 0), (1.0, ORBIT_MAX_ROWS - 4)];
+        for (history, idle_first) in starts {
+            for busy_first in [false, true] {
+                for k in [0u64, 1, 2, 7, 153, 154, 155, 600] {
+                    let p = WmaParams {
+                        history,
+                        ..WmaParams::default()
+                    };
+                    let (mut jumped, mut stepped) = (WmaScaler::new(6, 6, p), WmaScaler::new(6, 6, p));
+                    for s in [&mut jumped, &mut stepped] {
+                        if busy_first {
+                            s.observe(0.6, 0.1);
+                        }
+                        for _ in 0..idle_first {
+                            s.observe(0.0, 0.0);
+                        }
+                    }
+                    jumped.fast_forward_idle(k);
+                    for _ in 0..k {
+                        stepped.observe(0.0, 0.0);
+                    }
+                    let case = format!("λ {history}, idle {idle_first}, busy {busy_first}, k {k}");
+                    assert_eq!(bits(&jumped.weights), bits(&stepped.weights), "{case}");
+                    assert_eq!(jumped.intervals(), stepped.intervals(), "{case}");
+                    assert_eq!(jumped.orbit_row, stepped.orbit_row, "{case}");
+                    assert_eq!(jumped.decision_fingerprint(), stepped.decision_fingerprint(), "{case}");
+                    assert_eq!(jumped.idle_settled(), stepped.idle_settled(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_orbit_never_settles_past_its_last_row() {
+        let p = WmaParams {
+            history: 0.95,
+            ..WmaParams::default()
+        };
+        let mut s = WmaScaler::new(6, 6, p);
+        s.observe(0.0, 0.0);
+        let orbit = Arc::clone(s.orbit.as_ref().expect("fetched on the first idle step"));
+        assert!(!orbit.closed, "λ = 0.95 is cut off at the row cap");
+        let (settle_row, pair) = orbit.settle.expect("the idle decision settles");
+        let last = orbit.len() - 1;
+        for row in 1..=last {
+            let settled = s.idle_settled();
+            if row < settle_row {
+                assert_eq!(settled, None, "row {row}");
+            } else {
+                let settled = settled.expect("settled from the settle row");
+                assert_eq!(settled.pair, pair);
+                assert!(!settled.fixed_point);
+                assert_eq!(settled.steps_left, (last - row) as u64, "row {row}");
+            }
+            s.observe(0.0, 0.0);
+        }
+        assert_eq!(s.orbit_row, None, "the step past the last row is computed");
+        assert_eq!(s.idle_settled(), None);
+        // A fast-forward across the cut computes the same steps.
+        let mut jumped = WmaScaler::new(6, 6, p);
+        jumped.fast_forward_idle(last as u64 + 3);
+        for _ in 0..2 {
+            s.observe(0.0, 0.0);
+        }
+        assert_eq!(bits(&jumped.weights), bits(&s.weights));
+        assert_eq!((jumped.intervals(), jumped.orbit_row), (s.intervals(), None));
     }
 
     #[test]

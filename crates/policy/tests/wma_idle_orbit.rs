@@ -4,11 +4,13 @@
 //! uniform table follows a precomputed orbit of weight tables instead of
 //! computing Eq. 4. Random observation streams mix exact idles with
 //! `-0.0`, NaN, infinities, subnormals, clamped and busy observations,
-//! `reset`s, snapshots and restores of them, and drive the scaler next
-//! to an in-test copy of the Eq. 4 loop. After every step the weights,
-//! the argmax, the masked argmax, the interval count and the snapshot
-//! text agree bit for bit, and the decision fingerprint changes on
-//! exactly the steps the reference's weights change.
+//! `reset`s, idle fast-forwards, snapshots and restores of them, and
+//! drive the scaler next to an in-test copy of the Eq. 4 loop. After
+//! every step the weights, the argmax, the masked argmax, the interval
+//! count and the snapshot text agree bit for bit, and the decision
+//! fingerprint changes on exactly the steps the reference's weights
+//! change. A restored snapshot taken on the orbit resumes on it (its
+//! idle decision can settle again); one taken off it stays off.
 
 use greengpu_policy::{FreqPolicy, LossModel, WmaParams, WmaScaler};
 use greengpu_sim::{JsonValue, JsonWriter};
@@ -135,6 +137,8 @@ enum Op {
     },
     /// `n` exact `(+0.0, +0.0)` observations, unmasked.
     Idle(usize),
+    /// The same `n` observations as one `fast_forward_idle(n)`.
+    FastForward(usize),
     Reset,
     /// Keeps the current `snapshot` (and the reference's state).
     Save,
@@ -169,7 +173,7 @@ fn mask() -> impl Strategy<Value = Mask> {
 
 fn op() -> impl Strategy<Value = Op> {
     (
-        0usize..15,
+        0usize..17,
         utilization(),
         utilization(),
         mask(),
@@ -185,7 +189,8 @@ fn op() -> impl Strategy<Value = Op> {
             8..=11 => Op::Idle(n),
             12 => Op::Reset,
             13 => Op::Save,
-            _ => Op::Restore,
+            14 => Op::Restore,
+            _ => Op::FastForward(n),
         })
 }
 
@@ -271,6 +276,14 @@ proptest! {
                         agree(&s, &r, fp, before != weight_bits(&r))?;
                     }
                 }
+                Op::FastForward(n) => {
+                    let (fp, before) = (s.decision_fingerprint(), weight_bits(&r));
+                    s.fast_forward_idle(n as u64);
+                    for _ in 0..n {
+                        r.observe_masked(0.0, 0.0, |_, _| true);
+                    }
+                    agree(&s, &r, fp, before != weight_bits(&r))?;
+                }
                 Op::Reset => {
                     let (fp, before) = (s.decision_fingerprint(), weight_bits(&r));
                     s.reset();
@@ -295,4 +308,66 @@ proptest! {
             }
         }
     }
+}
+
+/// Restores `text` into a fresh scaler.
+fn restored(params: WmaParams, text: &str) -> WmaScaler {
+    let mut s = WmaScaler::new(6, 6, params);
+    s.restore(&JsonValue::parse(text).expect("a snapshot parses"))
+        .expect("a scaler restores its own snapshot");
+    s
+}
+
+#[test]
+fn a_snapshot_taken_on_the_idle_orbit_resumes_on_it() {
+    let p = WmaParams::default();
+    for idle in [1u64, 2, 40, 154, 300] {
+        let mut s = WmaScaler::new(6, 6, p);
+        s.fast_forward_idle(idle);
+        let text = JsonWriter::render(|w| s.snapshot(w));
+        let mut back = restored(p, &text);
+        assert_eq!(back.idle_settled(), s.idle_settled(), "after {idle} idle steps");
+        assert!(back.idle_settled().is_some(), "the restored learner can settle again");
+        assert_eq!(back.decision_fingerprint(), s.decision_fingerprint());
+        // And keeps matching the computed update from there.
+        let mut r = Reference::new(6, 6, p);
+        for _ in 0..idle {
+            r.learn(0.0, 0.0);
+        }
+        back.fast_forward_idle(200);
+        for _ in 0..200 {
+            r.learn(0.0, 0.0);
+        }
+        assert_eq!(JsonWriter::render(|w| back.snapshot(w)), r.snapshot());
+    }
+}
+
+#[test]
+fn a_snapshot_taken_off_the_idle_orbit_stays_off_it() {
+    let p = WmaParams::default();
+    // Busy first: the idle steps after it compute.
+    let mut busy = WmaScaler::new(6, 6, p);
+    busy.observe(0.6, 0.1);
+    busy.fast_forward_idle(30);
+    let text = JsonWriter::render(|w| busy.snapshot(w));
+    assert_eq!(restored(p, &text).idle_settled(), None);
+    // On-orbit weights under an interval count that names another row.
+    let mut idle = WmaScaler::new(6, 6, p);
+    idle.fast_forward_idle(30);
+    let text = JsonWriter::render(|w| idle.snapshot(w)).replace("\"intervals\":30", "\"intervals\":31");
+    assert!(text.contains("\"intervals\":31"), "{text}");
+    let mut off = restored(p, &text);
+    assert_eq!(off.idle_settled(), None, "row 30's weights are not row 31");
+    assert_eq!(off.decision_fingerprint(), idle.decision_fingerprint());
+    // Both still learn the computed update exactly.
+    let mut r = Reference::new(6, 6, p);
+    for _ in 0..30 {
+        r.learn(0.0, 0.0);
+    }
+    r.intervals = 31;
+    off.fast_forward_idle(5);
+    for _ in 0..5 {
+        r.learn(0.0, 0.0);
+    }
+    assert_eq!(JsonWriter::render(|w| off.snapshot(w)), r.snapshot());
 }
