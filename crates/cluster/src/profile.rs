@@ -10,8 +10,8 @@
 
 use crate::telemetry::NameTable;
 use greengpu_hw::GpuSpec;
-use greengpu_workloads::phase_gpu_timing;
 use greengpu_workloads::registry::by_name_small;
+use greengpu_workloads::{phase_gpu_timing, GpuPhase};
 use std::collections::BTreeMap;
 
 /// Service time and utilization signature of one workload on one card,
@@ -32,6 +32,8 @@ impl ServiceProfile {
     /// Returns `None` for unknown registry names.
     pub fn build(name: &str, seed: u64, spec: &GpuSpec) -> Option<ServiceProfile> {
         let wl = by_name_small(name, seed)?;
+        // Every iteration's phases in run order, built once for all pairs.
+        let phases: Vec<GpuPhase> = (0..wl.iterations()).flat_map(|k| wl.phases(k)).map(|p| p.gpu).collect();
         let n_core = spec.core_levels_mhz.len();
         let n_mem = spec.mem_levels_mhz.len();
         let mut time_s = Vec::with_capacity(n_core * n_mem);
@@ -41,13 +43,11 @@ impl ServiceProfile {
             for j in 0..n_mem {
                 let (core_mhz, mem_mhz) = (spec.core_levels_mhz[i], spec.mem_levels_mhz[j]);
                 let (mut total, mut uc, mut um) = (0.0f64, 0.0f64, 0.0f64);
-                for k in 0..wl.iterations() {
-                    for phase in wl.phases(k) {
-                        let t = phase_gpu_timing(&phase.gpu, spec, core_mhz, mem_mhz);
-                        total += t.wall_s;
-                        uc += t.u_core * t.wall_s;
-                        um += t.u_mem * t.wall_s;
-                    }
+                for phase in &phases {
+                    let t = phase_gpu_timing(phase, spec, core_mhz, mem_mhz);
+                    total += t.wall_s;
+                    uc += t.u_core * t.wall_s;
+                    um += t.u_mem * t.wall_s;
                 }
                 assert!(total > 0.0, "{name} has zero service time");
                 time_s.push(total);

@@ -119,16 +119,6 @@ impl Platform {
         self.refresh_meters(at);
     }
 
-    /// Mutable access to the GPU for controllers that need richer actuation.
-    pub fn gpu_mut(&mut self) -> &mut GpuModel {
-        &mut self.gpu
-    }
-
-    /// Mutable access to the CPU.
-    pub fn cpu_mut(&mut self) -> &mut CpuModel {
-        &mut self.cpu
-    }
-
     /// GPU-side energy (Meter 2) over a window, joules.
     pub fn gpu_energy_j(&self, from: SimTime, to: SimTime) -> f64 {
         self.gpu_meter.energy_j(from, to)

@@ -15,14 +15,16 @@ use crate::model::host_floor_for_gap_fraction;
 use crate::traits::{CpuSlice, GpuPhase, PhaseCost, UtilClass, Workload, WorkloadProfile};
 use greengpu_hw::calib::geforce_8800_gtx;
 use greengpu_sim::Pcg32;
+use std::cell::OnceCell;
 
 /// BFS workload instance over a synthetic undirected graph.
 pub struct Bfs {
     profile: WorkloadProfile,
+    seed: u64,
     n_func: usize,
-    /// CSR adjacency: `adj[offsets[v]..offsets[v+1]]` are v's neighbors.
-    offsets: Vec<u32>,
-    adj: Vec<u32>,
+    degree: usize,
+    /// Generated on first use; the cost model never reads it.
+    graph: OnceCell<Csr>,
     /// Sum of distances from all traversals so far.
     acc: f64,
     cost_nodes: f64,
@@ -30,6 +32,12 @@ pub struct Bfs {
     repeat: f64,
     iters: usize,
     last_dist: Vec<u32>,
+}
+
+/// CSR adjacency: `adj[offsets[v]..offsets[v+1]]` are v's neighbors.
+struct Csr {
+    offsets: Vec<u32>,
+    adj: Vec<u32>,
 }
 
 impl Bfs {
@@ -57,12 +65,6 @@ impl Bfs {
         iters: usize,
     ) -> Self {
         assert!(n_func >= 2 && degree >= 1);
-        let mut rng = Pcg32::new(seed, 0x626673); // "bfs"
-                                                  // R-MAT edges give the power-law degree structure real BFS inputs
-                                                  // have; a ring (added by the CSR builder) guarantees connectivity.
-        let scale = (usize::BITS - (n_func - 1).leading_zeros()).max(1);
-        let pairs = rmat_edges(&mut rng, scale, degree);
-        let (offsets, adj) = edges_to_csr(n_func, &pairs);
         Bfs {
             profile: WorkloadProfile {
                 name: "bfs",
@@ -72,9 +74,10 @@ impl Bfs {
                 mem_class: UtilClass::High,
                 divisible: false,
             },
+            seed,
             n_func,
-            offsets,
-            adj,
+            degree,
+            graph: OnceCell::new(),
             acc: 0.0,
             cost_nodes,
             avg_degree: cost_degree,
@@ -84,9 +87,25 @@ impl Bfs {
         }
     }
 
+    /// Draws the graph from the seeded stream.
+    fn generate(&self) -> Csr {
+        // R-MAT edges give the power-law degree structure real BFS inputs
+        // have; a ring (added by the CSR builder) guarantees connectivity.
+        let mut rng = Pcg32::new(self.seed, 0x626673); // "bfs"
+        let scale = (usize::BITS - (self.n_func - 1).leading_zeros()).max(1);
+        let pairs = rmat_edges(&mut rng, scale, self.degree);
+        let (offsets, adj) = edges_to_csr(self.n_func, &pairs);
+        Csr { offsets, adj }
+    }
+
+    fn csr(&self) -> &Csr {
+        self.graph.get_or_init(|| self.generate())
+    }
+
     /// Level-synchronous BFS from `source`; returns the distance array
     /// (`u32::MAX` marks unreachable — impossible here thanks to the ring).
     fn traverse(&self, source: usize) -> Vec<u32> {
+        let Csr { offsets, adj } = self.csr();
         let mut dist = vec![u32::MAX; self.n_func];
         dist[source] = 0;
         let mut frontier = vec![source as u32];
@@ -95,8 +114,8 @@ impl Bfs {
             level += 1;
             let mut next = Vec::new();
             for &v in &frontier {
-                let (lo, hi) = (self.offsets[v as usize] as usize, self.offsets[v as usize + 1] as usize);
-                for &u in &self.adj[lo..hi] {
+                let (lo, hi) = (offsets[v as usize] as usize, offsets[v as usize + 1] as usize);
+                for &u in &adj[lo..hi] {
                     if dist[u as usize] == u32::MAX {
                         dist[u as usize] = level;
                         next.push(u);
@@ -115,7 +134,8 @@ impl Bfs {
 
     /// CSR view of the graph (for tests).
     pub fn graph(&self) -> (&[u32], &[u32]) {
-        (&self.offsets, &self.adj)
+        let csr = self.csr();
+        (&csr.offsets, &csr.adj)
     }
 }
 
@@ -160,6 +180,7 @@ impl Workload for Bfs {
     }
 
     fn reset(&mut self) {
+        self.graph = OnceCell::new();
         self.acc = 0.0;
         self.last_dist.clear();
     }
@@ -169,7 +190,7 @@ impl Workload for Bfs {
 mod tests {
     use super::*;
     use crate::model::{iteration_utilization, phase_gpu_timing};
-    use crate::traits::check_phase;
+    use crate::traits::{check_phase, sweep_calls};
 
     #[test]
     fn all_nodes_reachable_via_ring() {
@@ -215,6 +236,15 @@ mod tests {
         assert!(b.digest() > 0.0);
         b.reset();
         assert_eq!(b.digest(), 0.0);
+    }
+
+    #[test]
+    fn sweep_calls_never_generate_inputs() {
+        let mut b = Bfs::paper(1);
+        sweep_calls(&b);
+        assert!(b.graph.get().is_none());
+        b.reset();
+        assert!(b.graph.get().is_none());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::model::host_floor_for_gap_fraction;
 use crate::traits::{CpuSlice, GpuPhase, PhaseCost, UtilClass, Workload, WorkloadProfile};
 use greengpu_hw::calib::geforce_8800_gtx;
 use greengpu_sim::Pcg32;
+use std::cell::OnceCell;
 
 /// Rodinia hotspot constants (chip thermal parameters).
 const T_AMB: f64 = 80.0;
@@ -27,18 +28,24 @@ const RZ: f64 = 4.0;
 /// Hotspot workload instance.
 pub struct Hotspot {
     profile: WorkloadProfile,
+    seed: u64,
     rows: usize,
     cols: usize,
-    temp: Vec<f64>,
-    temp_next: Vec<f64>,
-    // lint:allow(unit_safety) Rodinia floorplan dissipation grid in per-cell model units, not a fleet power figure
-    power: Vec<f64>,
-    initial_temp: Vec<f64>,
+    /// Generated on first use; the cost model never reads it.
+    grid: OnceCell<Grid>,
     /// Paper-scale cell count charged to the cost model.
     cost_cells: f64,
     steps_per_iter: usize,
     repeat: f64,
     iters: usize,
+}
+
+/// The temperature field and the floorplan's dissipation map.
+struct Grid {
+    temp: Vec<f64>,
+    temp_next: Vec<f64>,
+    // lint:allow(unit_safety) Rodinia floorplan dissipation grid in per-cell model units, not a fleet power figure
+    power: Vec<f64>,
 }
 
 impl Hotspot {
@@ -64,16 +71,6 @@ impl Hotspot {
         iters: usize,
     ) -> Self {
         assert!(rows >= 4 && cols >= 4, "grid too small");
-        let mut rng = Pcg32::new(seed, 0x68_6f74_7370_6f74); // "hotspot"
-        let n = rows * cols;
-        let mut temp = vec![0.0f64; n];
-        for t in temp.iter_mut() {
-            *t = T_AMB + rng.uniform(0.0, 20.0);
-        }
-        // Floorplan-style dissipation: hot functional-unit blocks over a
-        // leakage floor, like Rodinia's thermal inputs.
-        // lint:allow(unit_safety) per-cell dissipation grid, same model units as the `power` field
-        let power = floorplan_power_map(&mut rng, rows, cols, (rows / 16).max(2));
         Hotspot {
             profile: WorkloadProfile {
                 name: "hotspot",
@@ -83,12 +80,10 @@ impl Hotspot {
                 mem_class: UtilClass::Low,
                 divisible: true,
             },
+            seed,
             rows,
             cols,
-            initial_temp: temp.clone(),
-            temp_next: temp.clone(),
-            temp,
-            power,
+            grid: OnceCell::new(),
             cost_cells,
             steps_per_iter,
             repeat,
@@ -96,29 +91,60 @@ impl Hotspot {
         }
     }
 
+    /// Draws the initial temperatures and the floorplan from the seeded
+    /// stream.
+    fn generate(&self) -> Grid {
+        let (rows, cols) = (self.rows, self.cols);
+        let mut rng = Pcg32::new(self.seed, 0x68_6f74_7370_6f74); // "hotspot"
+        let mut temp = vec![0.0f64; rows * cols];
+        for t in temp.iter_mut() {
+            *t = T_AMB + rng.uniform(0.0, 20.0);
+        }
+        // Floorplan-style dissipation: hot functional-unit blocks over a
+        // leakage floor, like Rodinia's thermal inputs.
+        // lint:allow(unit_safety) per-cell dissipation grid, same model units as the `power` field
+        let power = floorplan_power_map(&mut rng, rows, cols, (rows / 16).max(2));
+        Grid {
+            temp_next: temp.clone(),
+            temp,
+            power,
+        }
+    }
+
+    fn grid(&self) -> &Grid {
+        self.grid.get_or_init(|| self.generate())
+    }
+
+    fn grid_mut(&mut self) -> &mut Grid {
+        self.grid();
+        self.grid.get_mut().expect("generated by grid()")
+    }
+
     /// One explicit-Euler stencil step over rows `[lo, hi)` reading `temp`
     /// and writing `temp_next`. Boundary cells clamp to themselves
     /// (adiabatic edges, Rodinia behaviour).
     fn step_rows(&mut self, lo: usize, hi: usize) {
         let (r, c) = (self.rows, self.cols);
+        let Grid { temp, temp_next, power } = self.grid_mut();
         for i in lo..hi {
             for j in 0..c {
                 let idx = i * c + j;
-                let t = self.temp[idx];
-                let up = if i > 0 { self.temp[idx - c] } else { t };
-                let down = if i + 1 < r { self.temp[idx + c] } else { t };
-                let left = if j > 0 { self.temp[idx - 1] } else { t };
-                let right = if j + 1 < c { self.temp[idx + 1] } else { t };
-                let delta = CAP
-                    * (self.power[idx] + (up + down - 2.0 * t) / RY + (left + right - 2.0 * t) / RX + (T_AMB - t) / RZ);
-                self.temp_next[idx] = t + delta * 0.01;
+                let t = temp[idx];
+                let up = if i > 0 { temp[idx - c] } else { t };
+                let down = if i + 1 < r { temp[idx + c] } else { t };
+                let left = if j > 0 { temp[idx - 1] } else { t };
+                let right = if j + 1 < c { temp[idx + 1] } else { t };
+                let delta =
+                    CAP * (power[idx] + (up + down - 2.0 * t) / RY + (left + right - 2.0 * t) / RX + (T_AMB - t) / RZ);
+                temp_next[idx] = t + delta * 0.01;
             }
         }
     }
 
     /// Mean grid temperature — a physical sanity probe.
     pub fn mean_temp(&self) -> f64 {
-        self.temp.iter().sum::<f64>() / self.temp.len() as f64
+        let temp = &self.grid().temp;
+        temp.iter().sum::<f64>() / temp.len() as f64
     }
 }
 
@@ -162,18 +188,18 @@ impl Workload for Hotspot {
             // result is identical to an undivided step.
             self.step_rows(0, split_row);
             self.step_rows(split_row, self.rows);
-            std::mem::swap(&mut self.temp, &mut self.temp_next);
+            let grid = self.grid_mut();
+            std::mem::swap(&mut grid.temp, &mut grid.temp_next);
         }
         self.digest()
     }
 
     fn digest(&self) -> f64 {
-        self.temp.iter().sum()
+        self.grid().temp.iter().sum()
     }
 
     fn reset(&mut self) {
-        self.temp.copy_from_slice(&self.initial_temp);
-        self.temp_next.copy_from_slice(&self.initial_temp);
+        self.grid = OnceCell::new();
     }
 }
 
@@ -181,7 +207,7 @@ impl Workload for Hotspot {
 mod tests {
     use super::*;
     use crate::model::{iteration_cpu_time_s, iteration_gpu_time_s, iteration_utilization};
-    use crate::traits::check_phase;
+    use crate::traits::{check_phase, sweep_calls};
     use greengpu_hw::calib::phenom_ii_x2;
 
     #[test]
@@ -211,7 +237,7 @@ mod tests {
         for i in 0..hs.iterations() {
             hs.execute(i, 0.5);
         }
-        assert!(hs.temp.iter().all(|t| t.is_finite()));
+        assert!(hs.grid().temp.iter().all(|t| t.is_finite()));
         let mean = hs.mean_temp();
         assert!((T_AMB - 10.0..T_AMB + 60.0).contains(&mean), "mean temp {mean}");
     }
@@ -225,11 +251,11 @@ mod tests {
             let m = t.iter().sum::<f64>() / t.len() as f64;
             t.iter().map(|x| (x - m).powi(2)).sum::<f64>() / t.len() as f64
         };
-        let v0 = var(&hs.temp);
+        let v0 = var(&hs.grid().temp);
         for i in 0..hs.iterations() {
             hs.execute(i, 0.0);
         }
-        let v1 = var(&hs.temp);
+        let v1 = var(&hs.grid().temp);
         assert!(v1 < v0, "variance should shrink: {v0} -> {v1}");
     }
 
@@ -241,6 +267,15 @@ mod tests {
         hs.reset();
         hs.execute(0, 0.3);
         assert_eq!(d, hs.digest());
+    }
+
+    #[test]
+    fn sweep_calls_never_generate_inputs() {
+        let mut hs = Hotspot::paper(1);
+        sweep_calls(&hs);
+        assert!(hs.grid.get().is_none());
+        hs.reset();
+        assert!(hs.grid.get().is_none());
     }
 
     #[test]

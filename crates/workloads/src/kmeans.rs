@@ -17,16 +17,17 @@ use crate::model::host_floor_for_gap_fraction;
 use crate::traits::{CpuSlice, GpuPhase, PhaseCost, UtilClass, Workload, WorkloadProfile};
 use greengpu_hw::calib::geforce_8800_gtx;
 use greengpu_sim::Pcg32;
+use std::cell::OnceCell;
 
 /// K-means workload instance.
 pub struct KMeans {
     profile: WorkloadProfile,
+    seed: u64,
     d: usize,
     k: usize,
     n_func: usize,
-    points: Vec<f64>,
-    centroids: Vec<f64>,
-    initial_centroids: Vec<f64>,
+    /// Generated on first use; the cost model never reads it.
+    data: OnceCell<Data>,
     last_sse: f64,
     /// Paper-scale point count charged to the cost model (the functional
     /// arrays are a deterministic sample of this).
@@ -35,6 +36,12 @@ pub struct KMeans {
     /// power readings).
     repeat: f64,
     iters: usize,
+}
+
+/// The generated points and the centroids seeded from them.
+struct Data {
+    points: Vec<f64>,
+    centroids: Vec<f64>,
 }
 
 impl KMeans {
@@ -61,14 +68,6 @@ impl KMeans {
         iters: usize,
     ) -> Self {
         assert!(n_func >= k && k >= 2, "need at least k points and 2 clusters");
-        let mut rng = Pcg32::new(seed, KMEANS_STREAM);
-        // kdd_cup-style features: well-separated anchors plus a fraction
-        // of uninformative noise dimensions.
-        let noise_dims = d / 8;
-        let (points, _labels) = clustered_features(&mut rng, n_func, d, k, noise_dims);
-        // Initial centroids: the first k points (deterministic, standard
-        // Rodinia-style seeding).
-        let initial_centroids: Vec<f64> = points[..k * d].to_vec();
         KMeans {
             profile: WorkloadProfile {
                 name: "kmeans",
@@ -78,12 +77,11 @@ impl KMeans {
                 mem_class: UtilClass::Low,
                 divisible: true,
             },
+            seed,
             d,
             k,
             n_func,
-            points,
-            centroids: initial_centroids.clone(),
-            initial_centroids,
+            data: OnceCell::new(),
             last_sse: f64::INFINITY,
             cost_points,
             repeat,
@@ -91,19 +89,42 @@ impl KMeans {
         }
     }
 
+    /// Draws the points from the seeded stream.
+    fn generate(&self) -> Data {
+        let mut rng = Pcg32::new(self.seed, KMEANS_STREAM);
+        // kdd_cup-style features: well-separated anchors plus a fraction
+        // of uninformative noise dimensions.
+        let noise_dims = self.d / 8;
+        let (points, _labels) = clustered_features(&mut rng, self.n_func, self.d, self.k, noise_dims);
+        // Initial centroids: the first k points (deterministic, standard
+        // Rodinia-style seeding).
+        let centroids = points[..self.k * self.d].to_vec();
+        Data { points, centroids }
+    }
+
+    fn data(&self) -> &Data {
+        self.data.get_or_init(|| self.generate())
+    }
+
+    fn data_mut(&mut self) -> &mut Data {
+        self.data();
+        self.data.get_mut().expect("generated by data()")
+    }
+
     /// Assigns points in `[lo, hi)` to nearest centroids, returning
     /// per-cluster coordinate sums, counts, and the range's SSE.
     fn assign_range(&self, lo: usize, hi: usize) -> (Vec<f64>, Vec<u64>, f64) {
         let (d, k) = (self.d, self.k);
+        let Data { points, centroids } = self.data();
         let mut sums = vec![0.0f64; k * d];
         let mut counts = vec![0u64; k];
         let mut sse = 0.0;
         for i in lo..hi {
-            let p = &self.points[i * d..(i + 1) * d];
+            let p = &points[i * d..(i + 1) * d];
             let mut best = 0usize;
             let mut best_d2 = f64::INFINITY;
             for c in 0..k {
-                let cen = &self.centroids[c * d..(c + 1) * d];
+                let cen = &centroids[c * d..(c + 1) * d];
                 let mut d2 = 0.0;
                 for j in 0..d {
                     let diff = p[j] - cen[j];
@@ -173,10 +194,12 @@ impl Workload for KMeans {
         for (c, g) in counts.iter_mut().zip(&counts_gpu) {
             *c += g;
         }
-        for c in 0..self.k {
+        let (d, k) = (self.d, self.k);
+        let centroids = &mut self.data_mut().centroids;
+        for c in 0..k {
             if counts[c] > 0 {
-                for j in 0..self.d {
-                    self.centroids[c * self.d + j] = sums[c * self.d + j] / counts[c] as f64;
+                for j in 0..d {
+                    centroids[c * d + j] = sums[c * d + j] / counts[c] as f64;
                 }
             }
             // Empty clusters keep their previous centroid (Rodinia
@@ -187,11 +210,11 @@ impl Workload for KMeans {
     }
 
     fn digest(&self) -> f64 {
-        self.centroids.iter().sum::<f64>() + if self.last_sse.is_finite() { self.last_sse } else { 0.0 }
+        self.data().centroids.iter().sum::<f64>() + if self.last_sse.is_finite() { self.last_sse } else { 0.0 }
     }
 
     fn reset(&mut self) {
-        self.centroids.copy_from_slice(&self.initial_centroids);
+        self.data = OnceCell::new();
         self.last_sse = f64::INFINITY;
     }
 }
@@ -200,7 +223,7 @@ impl Workload for KMeans {
 mod tests {
     use super::*;
     use crate::model::{iteration_cpu_time_s, iteration_gpu_time_s, iteration_utilization};
-    use crate::traits::check_phase;
+    use crate::traits::{check_phase, sweep_calls};
     use greengpu_hw::calib::phenom_ii_x2;
 
     #[test]
@@ -309,18 +332,27 @@ mod tests {
         // Degenerate instance: all points identical — most clusters go
         // empty and must retain their initial centroids without NaN.
         let mut km = KMeans::with_params(5, 16, 2, 4, 16.0, 1.0, 2);
-        for p in km.points.iter_mut() {
-            *p = 1.0;
-        }
-        km.centroids = vec![1.0, 1.0, 5.0, 5.0, 9.0, 9.0, 13.0, 13.0];
+        let data = km.data_mut();
+        data.points.fill(1.0);
+        data.centroids = vec![1.0, 1.0, 5.0, 5.0, 9.0, 9.0, 13.0, 13.0];
         km.execute(0, 0.0);
-        assert!(km.centroids.iter().all(|c| c.is_finite()));
+        let centroids = &km.data().centroids;
+        assert!(centroids.iter().all(|c| c.is_finite()));
         // Cluster 0 captured everything; clusters 2-4 kept their centroids.
-        assert_eq!(&km.centroids[2..4], &[5.0, 5.0]);
+        assert_eq!(&centroids[2..4], &[5.0, 5.0]);
     }
 
     #[test]
     fn profile_is_divisible() {
         assert!(KMeans::small(1).profile().divisible);
+    }
+
+    #[test]
+    fn sweep_calls_never_generate_inputs() {
+        let mut km = KMeans::paper(1);
+        sweep_calls(&km);
+        assert!(km.data.get().is_none());
+        km.reset();
+        assert!(km.data.get().is_none());
     }
 }

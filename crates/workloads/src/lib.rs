@@ -24,7 +24,10 @@
 //! paper's enlargement presets; each module also offers small presets for
 //! fast tests. [`datasets`] provides realistic synthetic input generators
 //! (clustered features, R-MAT graphs, floorplan power maps, speckled
-//! images) standing in for the benchmark datasets the paper uses.
+//! images) standing in for the benchmark datasets the paper uses. A
+//! workload draws its inputs from its seeded stream on the first call
+//! that reads them; [`Workload::phases`] never does, so sweep runs never
+//! build them.
 
 #![forbid(unsafe_code)]
 

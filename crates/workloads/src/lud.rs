@@ -15,14 +15,19 @@ use crate::model::host_floor_for_gap_fraction;
 use crate::traits::{CpuSlice, GpuPhase, PhaseCost, UtilClass, Workload, WorkloadProfile};
 use greengpu_hw::calib::geforce_8800_gtx;
 use greengpu_sim::Pcg32;
+use std::cell::OnceCell;
 
 /// LU decomposition workload instance.
 pub struct Lud {
     profile: WorkloadProfile,
+    seed: u64,
     n: usize,
     block: usize,
-    a: Vec<f64>,
-    original: Vec<f64>,
+    /// The matrix, factored in place; generated on first use, and the
+    /// cost model never reads it.
+    a: OnceCell<Vec<f64>>,
+    /// A second, unfactored draw, made only for [`Lud::original`].
+    original: OnceCell<Vec<f64>>,
     cost_n: f64,
     repeat: f64,
 }
@@ -42,15 +47,6 @@ impl Lud {
     /// Fully parameterized constructor. `n` must be a multiple of `block`.
     pub fn with_params(seed: u64, n: usize, block: usize, cost_n: f64, repeat: f64) -> Self {
         assert!(n.is_multiple_of(block) && block >= 2, "n must be a multiple of block");
-        let mut rng = Pcg32::new(seed, 0x6c7564); // "lud"
-        let mut a = vec![0.0f64; n * n];
-        for x in a.iter_mut() {
-            *x = rng.uniform(-1.0, 1.0);
-        }
-        // Diagonal dominance guarantees pivoting-free LU exists.
-        for i in 0..n {
-            a[i * n + i] = n as f64 + rng.uniform(0.0, 1.0);
-        }
         Lud {
             profile: WorkloadProfile {
                 name: "lud",
@@ -65,13 +61,38 @@ impl Lud {
                 mem_class: UtilClass::Low,
                 divisible: false,
             },
-            original: a.clone(),
-            a,
+            seed,
+            a: OnceCell::new(),
+            original: OnceCell::new(),
             n,
             block,
             cost_n,
             repeat,
         }
+    }
+
+    /// Draws the matrix from the seeded stream.
+    fn generate(&self) -> Vec<f64> {
+        let n = self.n;
+        let mut rng = Pcg32::new(self.seed, 0x6c7564); // "lud"
+        let mut a = vec![0.0f64; n * n];
+        for x in a.iter_mut() {
+            *x = rng.uniform(-1.0, 1.0);
+        }
+        // Diagonal dominance guarantees pivoting-free LU exists.
+        for i in 0..n {
+            a[i * n + i] = n as f64 + rng.uniform(0.0, 1.0);
+        }
+        a
+    }
+
+    fn matrix(&self) -> &[f64] {
+        self.a.get_or_init(|| self.generate())
+    }
+
+    fn matrix_mut(&mut self) -> &mut [f64] {
+        self.matrix();
+        self.a.get_mut().expect("generated by matrix()")
     }
 
     /// Number of block steps (= iterations).
@@ -90,7 +111,7 @@ impl Lud {
 
     /// Reconstructs `L·U` from the in-place factors (tests only; O(n³)).
     pub fn reconstruct(&self) -> Vec<f64> {
-        let n = self.n;
+        let (n, a) = (self.n, self.matrix());
         let mut out = vec![0.0f64; n * n];
         for i in 0..n {
             for j in 0..n {
@@ -98,8 +119,8 @@ impl Lud {
                 // (k ≤ i, diag = 1), U is upper (k ≤ j).
                 out[i * n + j] = (0..=i.min(j))
                     .map(|k| {
-                        let l = if k == i { 1.0 } else { self.a[i * n + k] };
-                        l * self.a[k * n + j]
+                        let l = if k == i { 1.0 } else { a[i * n + k] };
+                        l * a[k * n + j]
                     })
                     .sum();
             }
@@ -109,7 +130,7 @@ impl Lud {
 
     /// The original matrix (tests only).
     pub fn original(&self) -> &[f64] {
-        &self.original
+        self.original.get_or_init(|| self.generate())
     }
 }
 
@@ -145,15 +166,16 @@ impl Workload for Lud {
             return self.digest();
         }
         let k1 = (k0 + self.block).min(n);
+        let a = self.matrix_mut();
         // Right-looking Gaussian elimination over columns [k0, k1).
         for k in k0..k1 {
-            let pivot = self.a[k * n + k];
+            let pivot = a[k * n + k];
             debug_assert!(pivot.abs() > 1e-12, "zero pivot at {k}");
             for i in (k + 1)..n {
-                let m = self.a[i * n + k] / pivot;
-                self.a[i * n + k] = m;
+                let m = a[i * n + k] / pivot;
+                a[i * n + k] = m;
                 for j in (k + 1)..n {
-                    self.a[i * n + j] -= m * self.a[k * n + j];
+                    a[i * n + j] -= m * a[k * n + j];
                 }
             }
         }
@@ -161,11 +183,11 @@ impl Workload for Lud {
     }
 
     fn digest(&self) -> f64 {
-        self.a.iter().map(|x| x.abs()).sum()
+        self.matrix().iter().map(|x| x.abs()).sum()
     }
 
     fn reset(&mut self) {
-        self.a.copy_from_slice(&self.original);
+        self.a = OnceCell::new();
     }
 }
 
@@ -173,7 +195,7 @@ impl Workload for Lud {
 mod tests {
     use super::*;
     use crate::model::{iteration_gpu_time_s, iteration_utilization};
-    use crate::traits::check_phase;
+    use crate::traits::{check_phase, sweep_calls};
 
     #[test]
     fn lu_reconstructs_original_matrix() {
@@ -193,7 +215,7 @@ mod tests {
         for i in 0..lud.iterations() {
             lud.execute(i, 0.0);
         }
-        assert!(lud.a.iter().all(|x| x.is_finite()));
+        assert!(lud.matrix().iter().all(|x| x.is_finite()));
     }
 
     #[test]
@@ -204,6 +226,15 @@ mod tests {
         lud.reset();
         lud.execute(0, 0.0);
         assert_eq!(d, lud.digest());
+    }
+
+    #[test]
+    fn sweep_calls_never_generate_inputs() {
+        let mut lud = Lud::paper(1);
+        sweep_calls(&lud);
+        assert!(lud.a.get().is_none() && lud.original.get().is_none());
+        lud.reset();
+        assert!(lud.a.get().is_none());
     }
 
     #[test]

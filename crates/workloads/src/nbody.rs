@@ -16,6 +16,7 @@ use crate::model::host_floor_for_gap_fraction;
 use crate::traits::{CpuSlice, GpuPhase, PhaseCost, UtilClass, Workload, WorkloadProfile};
 use greengpu_hw::calib::geforce_8800_gtx;
 use greengpu_sim::Pcg32;
+use std::cell::OnceCell;
 
 const SOFTENING2: f64 = 1e-3;
 const DT: f64 = 1e-3;
@@ -23,15 +24,20 @@ const DT: f64 = 1e-3;
 /// N-body workload instance.
 pub struct NBody {
     profile: WorkloadProfile,
+    seed: u64,
     n_func: usize,
-    pos: Vec<[f64; 3]>,
-    vel: Vec<[f64; 3]>,
-    mass: Vec<f64>,
-    initial_pos: Vec<[f64; 3]>,
-    initial_vel: Vec<[f64; 3]>,
+    /// Generated on first use; the cost model never reads it.
+    bodies: OnceCell<Bodies>,
     cost_bodies: f64,
     repeat: f64,
     iters: usize,
+}
+
+/// Positions, velocities and masses of the bodies.
+struct Bodies {
+    pos: Vec<[f64; 3]>,
+    vel: Vec<[f64; 3]>,
+    mass: Vec<f64>,
 }
 
 impl NBody {
@@ -49,15 +55,6 @@ impl NBody {
     /// Fully parameterized constructor.
     pub fn with_params(seed: u64, n_func: usize, cost_bodies: f64, repeat: f64, iters: usize) -> Self {
         assert!(n_func >= 2);
-        let mut rng = Pcg32::new(seed, 0x6e_626f_6479); // "nbody"
-        let mut pos = Vec::with_capacity(n_func);
-        let mut vel = Vec::with_capacity(n_func);
-        let mut mass = Vec::with_capacity(n_func);
-        for _ in 0..n_func {
-            pos.push([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]);
-            vel.push([rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)]);
-            mass.push(rng.uniform(0.5, 1.5) / n_func as f64);
-        }
         NBody {
             profile: WorkloadProfile {
                 name: "nbody",
@@ -67,31 +64,53 @@ impl NBody {
                 mem_class: UtilClass::High,
                 divisible: true,
             },
+            seed,
             n_func,
-            initial_pos: pos.clone(),
-            initial_vel: vel.clone(),
-            pos,
-            vel,
-            mass,
+            bodies: OnceCell::new(),
             cost_bodies,
             repeat,
             iters,
         }
     }
 
+    /// Draws the bodies from the seeded stream.
+    fn generate(&self) -> Bodies {
+        let n_func = self.n_func;
+        let mut rng = Pcg32::new(self.seed, 0x6e_626f_6479); // "nbody"
+        let mut pos = Vec::with_capacity(n_func);
+        let mut vel = Vec::with_capacity(n_func);
+        let mut mass = Vec::with_capacity(n_func);
+        for _ in 0..n_func {
+            pos.push([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]);
+            vel.push([rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)]);
+            mass.push(rng.uniform(0.5, 1.5) / n_func as f64);
+        }
+        Bodies { pos, vel, mass }
+    }
+
+    fn bodies(&self) -> &Bodies {
+        self.bodies.get_or_init(|| self.generate())
+    }
+
+    fn bodies_mut(&mut self) -> &mut Bodies {
+        self.bodies();
+        self.bodies.get_mut().expect("generated by bodies()")
+    }
+
     /// Accelerations for bodies in `[lo, hi)` against all bodies.
     fn accel_range(&self, lo: usize, hi: usize) -> Vec<[f64; 3]> {
+        let Bodies { pos, mass, .. } = self.bodies();
         let mut acc = vec![[0.0f64; 3]; hi - lo];
         for (out, i) in acc.iter_mut().zip(lo..hi) {
-            let pi = self.pos[i];
+            let pi = pos[i];
             for j in 0..self.n_func {
-                let pj = self.pos[j];
+                let pj = pos[j];
                 let dx = pj[0] - pi[0];
                 let dy = pj[1] - pi[1];
                 let dz = pj[2] - pi[2];
                 let r2 = dx * dx + dy * dy + dz * dz + SOFTENING2;
                 let inv_r = 1.0 / r2.sqrt();
-                let f = self.mass[j] * inv_r * inv_r * inv_r;
+                let f = mass[j] * inv_r * inv_r * inv_r;
                 out[0] += f * dx;
                 out[1] += f * dy;
                 out[2] += f * dz;
@@ -102,17 +121,18 @@ impl NBody {
 
     /// Total kinetic + potential energy (physics invariant probe).
     pub fn system_energy(&self) -> f64 {
+        let Bodies { pos, vel, mass } = self.bodies();
         let mut e = 0.0;
         for i in 0..self.n_func {
-            let v = self.vel[i];
-            e += 0.5 * self.mass[i] * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+            let v = vel[i];
+            e += 0.5 * mass[i] * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
             for j in (i + 1)..self.n_func {
-                let (pi, pj) = (self.pos[i], self.pos[j]);
+                let (pi, pj) = (pos[i], pos[j]);
                 let dx = pj[0] - pi[0];
                 let dy = pj[1] - pi[1];
                 let dz = pj[2] - pi[2];
                 let r = (dx * dx + dy * dy + dz * dz + SOFTENING2).sqrt();
-                e -= self.mass[i] * self.mass[j] / r;
+                e -= mass[i] * mass[j] / r;
             }
         }
         e
@@ -151,7 +171,8 @@ impl Workload for NBody {
         let acc_cpu = self.accel_range(0, split);
         let acc_gpu = self.accel_range(split, self.n_func);
         let all = acc_cpu.into_iter().chain(acc_gpu);
-        for ((vel, pos), acc) in self.vel.iter_mut().zip(self.pos.iter_mut()).zip(all) {
+        let Bodies { pos, vel, .. } = self.bodies_mut();
+        for ((vel, pos), acc) in vel.iter_mut().zip(pos.iter_mut()).zip(all) {
             for k in 0..3 {
                 vel[k] += acc[k] * DT;
                 pos[k] += vel[k] * DT;
@@ -161,12 +182,12 @@ impl Workload for NBody {
     }
 
     fn digest(&self) -> f64 {
-        self.pos.iter().flatten().sum::<f64>() + self.vel.iter().flatten().sum::<f64>()
+        let Bodies { pos, vel, .. } = self.bodies();
+        pos.iter().flatten().sum::<f64>() + vel.iter().flatten().sum::<f64>()
     }
 
     fn reset(&mut self) {
-        self.pos.copy_from_slice(&self.initial_pos);
-        self.vel.copy_from_slice(&self.initial_vel);
+        self.bodies = OnceCell::new();
     }
 }
 
@@ -174,7 +195,7 @@ impl Workload for NBody {
 mod tests {
     use super::*;
     use crate::model::{iteration_utilization, phase_gpu_timing};
-    use crate::traits::check_phase;
+    use crate::traits::{check_phase, sweep_calls};
 
     #[test]
     fn split_is_invariant() {
@@ -207,8 +228,9 @@ mod tests {
     fn momentum_changes_are_bounded() {
         let mut nb = NBody::small(4);
         nb.execute(0, 0.5);
-        assert!(nb.pos.iter().flatten().all(|x| x.is_finite()));
-        assert!(nb.vel.iter().flatten().all(|x| x.is_finite()));
+        let Bodies { pos, vel, .. } = nb.bodies();
+        assert!(pos.iter().flatten().all(|x| x.is_finite()));
+        assert!(vel.iter().flatten().all(|x| x.is_finite()));
     }
 
     #[test]
@@ -219,6 +241,15 @@ mod tests {
         nb.reset();
         nb.execute(0, 0.5);
         assert_eq!(d, nb.digest());
+    }
+
+    #[test]
+    fn sweep_calls_never_generate_inputs() {
+        let mut nb = NBody::paper(1);
+        sweep_calls(&nb);
+        assert!(nb.bodies.get().is_none());
+        nb.reset();
+        assert!(nb.bodies.get().is_none());
     }
 
     #[test]

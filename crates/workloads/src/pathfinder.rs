@@ -14,18 +14,25 @@ use crate::model::host_floor_for_gap_fraction;
 use crate::traits::{CpuSlice, GpuPhase, PhaseCost, UtilClass, Workload, WorkloadProfile};
 use greengpu_hw::calib::geforce_8800_gtx;
 use greengpu_sim::Pcg32;
+use std::cell::OnceCell;
 
 /// Pathfinder workload instance.
 pub struct Pathfinder {
     profile: WorkloadProfile,
+    seed: u64,
     rows: usize,
     cols: usize,
-    wall: Vec<u32>,
-    dp: Vec<u64>,
-    initial_dp: Vec<u64>,
+    /// Generated on first use; the cost model never reads it.
+    grid: OnceCell<Grid>,
     cost_cells: f64,
     repeat: f64,
     iters: usize,
+}
+
+/// The wall costs and the DP frontier over them.
+struct Grid {
+    wall: Vec<u32>,
+    dp: Vec<u64>,
 }
 
 impl Pathfinder {
@@ -45,9 +52,6 @@ impl Pathfinder {
     pub fn with_params(seed: u64, rows: usize, cols: usize, cost_cells: f64, repeat: f64, iters: usize) -> Self {
         assert!(rows.is_multiple_of(iters), "rows must divide into iteration bands");
         assert!(cols >= 2);
-        let mut rng = Pcg32::new(seed, 0x7066); // "pf"
-        let wall: Vec<u32> = (0..rows * cols).map(|_| rng.below(10)).collect();
-        let dp: Vec<u64> = wall[..cols].iter().map(|&w| u64::from(w)).collect();
         Pathfinder {
             profile: WorkloadProfile {
                 name: "PF",
@@ -57,25 +61,42 @@ impl Pathfinder {
                 mem_class: UtilClass::Low,
                 divisible: false,
             },
+            seed,
             rows,
             cols,
-            wall,
-            initial_dp: dp.clone(),
-            dp,
+            grid: OnceCell::new(),
             cost_cells,
             repeat,
             iters,
         }
     }
 
+    /// Draws the wall costs from the seeded stream; the frontier starts
+    /// at the first row.
+    fn generate(&self) -> Grid {
+        let mut rng = Pcg32::new(self.seed, 0x7066); // "pf"
+        let wall: Vec<u32> = (0..self.rows * self.cols).map(|_| rng.below(10)).collect();
+        let dp: Vec<u64> = wall[..self.cols].iter().map(|&w| u64::from(w)).collect();
+        Grid { wall, dp }
+    }
+
+    fn grid(&self) -> &Grid {
+        self.grid.get_or_init(|| self.generate())
+    }
+
+    fn grid_mut(&mut self) -> &mut Grid {
+        self.grid();
+        self.grid.get_mut().expect("generated by grid()")
+    }
+
     /// The DP frontier (minimum cumulative cost per column so far).
     pub fn frontier(&self) -> &[u64] {
-        &self.dp
+        &self.grid().dp
     }
 
     /// Minimum path cost over the processed rows.
     pub fn best_cost(&self) -> u64 {
-        *self.dp.iter().min().expect("non-empty frontier")
+        *self.frontier().iter().min().expect("non-empty frontier")
     }
 }
 
@@ -106,28 +127,30 @@ impl Workload for Pathfinder {
         let band = self.rows / self.iters;
         let lo = (iter * band).max(1).min(self.rows);
         let hi = ((iter + 1) * band).min(self.rows);
+        let cols = self.cols;
+        let Grid { wall, dp } = self.grid_mut();
         for i in lo..hi {
-            let prev = self.dp.clone();
-            for j in 0..self.cols {
+            let prev = dp.clone();
+            for j in 0..cols {
                 let mut best = prev[j];
                 if j > 0 {
                     best = best.min(prev[j - 1]);
                 }
-                if j + 1 < self.cols {
+                if j + 1 < cols {
                     best = best.min(prev[j + 1]);
                 }
-                self.dp[j] = best + u64::from(self.wall[i * self.cols + j]);
+                dp[j] = best + u64::from(wall[i * cols + j]);
             }
         }
         self.best_cost() as f64
     }
 
     fn digest(&self) -> f64 {
-        self.dp.iter().map(|&x| x as f64).sum()
+        self.frontier().iter().map(|&x| x as f64).sum()
     }
 
     fn reset(&mut self) {
-        self.dp.copy_from_slice(&self.initial_dp);
+        self.grid = OnceCell::new();
     }
 }
 
@@ -135,19 +158,19 @@ impl Workload for Pathfinder {
 mod tests {
     use super::*;
     use crate::model::iteration_utilization;
-    use crate::traits::check_phase;
+    use crate::traits::{check_phase, sweep_calls};
 
     #[test]
     fn dp_matches_bruteforce_on_tiny_grid() {
         // 3×3 grid with known walls.
         let mut pf = Pathfinder::with_params(1, 3, 3, 9.0, 1.0, 3);
-        pf.wall = vec![
+        let grid = pf.grid_mut();
+        grid.wall = vec![
             1, 9, 2, //
             3, 1, 9, //
             9, 1, 4,
         ];
-        pf.dp = vec![1, 9, 2];
-        pf.initial_dp = pf.dp.clone();
+        grid.dp = vec![1, 9, 2];
         for i in 0..pf.iterations() {
             pf.execute(i, 0.0);
         }
@@ -175,6 +198,15 @@ mod tests {
         pf.reset();
         pf.execute(0, 0.0);
         assert_eq!(d, pf.digest());
+    }
+
+    #[test]
+    fn sweep_calls_never_generate_inputs() {
+        let mut pf = Pathfinder::paper(1);
+        sweep_calls(&pf);
+        assert!(pf.grid.get().is_none());
+        pf.reset();
+        assert!(pf.grid.get().is_none());
     }
 
     #[test]

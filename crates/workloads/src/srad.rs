@@ -13,20 +13,27 @@ use crate::model::host_floor_for_gap_fraction;
 use crate::traits::{CpuSlice, GpuPhase, PhaseCost, UtilClass, Workload, WorkloadProfile};
 use greengpu_hw::calib::geforce_8800_gtx;
 use greengpu_sim::Pcg32;
+use std::cell::OnceCell;
 
 const LAMBDA: f64 = 0.5;
 
 /// SRAD workload instance.
 pub struct Srad {
     profile: WorkloadProfile,
+    seed: u64,
     rows: usize,
     cols: usize,
-    img: Vec<f64>,
-    coeff: Vec<f64>,
-    initial_img: Vec<f64>,
+    /// Generated on first use; the cost model never reads it.
+    image: OnceCell<Image>,
     cost_cells: f64,
     repeat: f64,
     iters: usize,
+}
+
+/// The speckled image and the diffusion coefficients computed from it.
+struct Image {
+    img: Vec<f64>,
+    coeff: Vec<f64>,
 }
 
 impl Srad {
@@ -43,10 +50,6 @@ impl Srad {
     /// Fully parameterized constructor.
     pub fn with_params(seed: u64, rows: usize, cols: usize, cost_cells: f64, repeat: f64, iters: usize) -> Self {
         assert!(rows >= 4 && cols >= 4);
-        let mut rng = Pcg32::new(seed, 0x73726164); // "srad"
-                                                    // Multiplicative speckle over a smooth reflectivity field — the
-                                                    // noise model SRAD is designed to remove.
-        let img = speckled_image(&mut rng, rows, cols, 0.22);
         Srad {
             profile: WorkloadProfile {
                 name: "srad_v2",
@@ -56,22 +59,42 @@ impl Srad {
                 mem_class: UtilClass::Medium,
                 divisible: true,
             },
+            seed,
             rows,
             cols,
-            coeff: vec![0.0; rows * cols],
-            initial_img: img.clone(),
-            img,
+            image: OnceCell::new(),
             cost_cells,
             repeat,
             iters,
         }
     }
 
+    /// Draws the image from the seeded stream.
+    fn generate(&self) -> Image {
+        // Multiplicative speckle over a smooth reflectivity field — the
+        // noise model SRAD is designed to remove.
+        let mut rng = Pcg32::new(self.seed, 0x73726164); // "srad"
+        Image {
+            img: speckled_image(&mut rng, self.rows, self.cols, 0.22),
+            coeff: vec![0.0; self.rows * self.cols],
+        }
+    }
+
+    fn image(&self) -> &Image {
+        self.image.get_or_init(|| self.generate())
+    }
+
+    fn image_mut(&mut self) -> &mut Image {
+        self.image();
+        self.image.get_mut().expect("generated by image()")
+    }
+
     /// Image variance / mean² — the speckle statistic SRAD reduces.
     pub fn speckle_q0_sqr(&self) -> f64 {
-        let n = self.img.len() as f64;
-        let mean = self.img.iter().sum::<f64>() / n;
-        let var = self.img.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        let img = &self.image().img;
+        let n = img.len() as f64;
+        let mean = img.iter().sum::<f64>() / n;
+        let var = img.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
         var / (mean * mean)
     }
 
@@ -79,14 +102,15 @@ impl Srad {
     /// gradients (Rodinia srad_v2 kernel 1).
     fn coeff_rows(&mut self, lo: usize, hi: usize, q0_sqr: f64) {
         let (r, c) = (self.rows, self.cols);
+        let Image { img, coeff } = self.image_mut();
         for i in lo..hi {
             for j in 0..c {
                 let idx = i * c + j;
-                let jc = self.img[idx];
-                let jn = self.img[if i > 0 { idx - c } else { idx }];
-                let js = self.img[if i + 1 < r { idx + c } else { idx }];
-                let jw = self.img[if j > 0 { idx - 1 } else { idx }];
-                let je = self.img[if j + 1 < c { idx + 1 } else { idx }];
+                let jc = img[idx];
+                let jn = img[if i > 0 { idx - c } else { idx }];
+                let js = img[if i + 1 < r { idx + c } else { idx }];
+                let jw = img[if j > 0 { idx - 1 } else { idx }];
+                let je = img[if j + 1 < c { idx + 1 } else { idx }];
                 let dn = jn - jc;
                 let ds = js - jc;
                 let dw = jw - jc;
@@ -97,7 +121,7 @@ impl Srad {
                 let den = 1.0 + 0.25 * l;
                 let q_sqr = num / (den * den);
                 let cden = 1.0 + (q_sqr - q0_sqr) / (q0_sqr * (1.0 + q0_sqr));
-                self.coeff[idx] = (1.0 / cden).clamp(0.0, 1.0);
+                coeff[idx] = (1.0 / cden).clamp(0.0, 1.0);
             }
         }
     }
@@ -105,22 +129,23 @@ impl Srad {
     /// Pass 2 over rows `[lo, hi)`: divergence update (kernel 2).
     fn update_rows(&mut self, lo: usize, hi: usize) {
         let (r, c) = (self.rows, self.cols);
+        let Image { img, coeff } = self.image_mut();
         for i in lo..hi {
             for j in 0..c {
                 let idx = i * c + j;
-                let cs = self.coeff[if i + 1 < r { idx + c } else { idx }];
-                let ce = self.coeff[if j + 1 < c { idx + 1 } else { idx }];
-                let jc = self.img[idx];
-                let js = self.img[if i + 1 < r { idx + c } else { idx }];
-                let je = self.img[if j + 1 < c { idx + 1 } else { idx }];
-                let jn = self.img[if i > 0 { idx - c } else { idx }];
-                let jw = self.img[if j > 0 { idx - 1 } else { idx }];
+                let cs = coeff[if i + 1 < r { idx + c } else { idx }];
+                let ce = coeff[if j + 1 < c { idx + 1 } else { idx }];
+                let jc = img[idx];
+                let js = img[if i + 1 < r { idx + c } else { idx }];
+                let je = img[if j + 1 < c { idx + 1 } else { idx }];
+                let jn = img[if i > 0 { idx - c } else { idx }];
+                let jw = img[if j > 0 { idx - 1 } else { idx }];
                 // Rodinia srad_v2 uses the center coefficient for the
                 // north and west fluxes.
-                let cn = self.coeff[idx];
-                let cw = self.coeff[idx];
+                let cn = coeff[idx];
+                let cw = coeff[idx];
                 let d = cs * (js - jc) + cn * (jn - jc) + ce * (je - jc) + cw * (jw - jc);
-                self.img[idx] = jc + 0.25 * LAMBDA * d;
+                img[idx] = jc + 0.25 * LAMBDA * d;
             }
         }
     }
@@ -163,12 +188,11 @@ impl Workload for Srad {
     }
 
     fn digest(&self) -> f64 {
-        self.img.iter().sum()
+        self.image().img.iter().sum()
     }
 
     fn reset(&mut self) {
-        self.img.copy_from_slice(&self.initial_img);
-        self.coeff.iter_mut().for_each(|c| *c = 0.0);
+        self.image = OnceCell::new();
     }
 }
 
@@ -176,7 +200,7 @@ impl Workload for Srad {
 mod tests {
     use super::*;
     use crate::model::iteration_utilization;
-    use crate::traits::check_phase;
+    use crate::traits::{check_phase, sweep_calls};
 
     #[test]
     fn split_is_invariant() {
@@ -210,14 +234,14 @@ mod tests {
         for i in 0..s.iterations() {
             s.execute(i, 0.5);
         }
-        assert!(s.img.iter().all(|&x| x.is_finite() && x > 0.0));
+        assert!(s.image().img.iter().all(|&x| x.is_finite() && x > 0.0));
     }
 
     #[test]
     fn coefficients_are_clamped() {
         let mut s = Srad::small(5);
         s.execute(0, 0.0);
-        assert!(s.coeff.iter().all(|&c| (0.0..=1.0).contains(&c)));
+        assert!(s.image().coeff.iter().all(|&c| (0.0..=1.0).contains(&c)));
     }
 
     #[test]
@@ -228,6 +252,15 @@ mod tests {
         s.reset();
         s.execute(0, 0.4);
         assert_eq!(d, s.digest());
+    }
+
+    #[test]
+    fn sweep_calls_never_generate_inputs() {
+        let mut s = Srad::paper(1);
+        sweep_calls(&s);
+        assert!(s.image.get().is_none());
+        s.reset();
+        assert!(s.image.get().is_none());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::model::host_floor_for_gap_fraction;
 use crate::traits::{CpuSlice, GpuPhase, PhaseCost, UtilClass, Workload, WorkloadProfile};
 use greengpu_hw::calib::geforce_8800_gtx;
 use greengpu_sim::Pcg32;
+use std::cell::OnceCell;
 
 /// Cost of opening a new center (facility-location opening cost).
 const OPEN_COST: f64 = 50.0;
@@ -23,7 +24,19 @@ const OPEN_COST: f64 = 50.0;
 /// Streamcluster workload instance.
 pub struct StreamCluster {
     profile: WorkloadProfile,
+    seed: u64,
     n_func: usize,
+    d: usize,
+    /// Generated on first use; the cost model never reads it.
+    data: OnceCell<Data>,
+    cost_points: f64,
+    cost_dims: f64,
+    repeat: f64,
+    iters: usize,
+}
+
+/// The generated points and weights, and the clustering built over them.
+struct Data {
     d: usize,
     points: Vec<f64>,
     weight: Vec<f64>,
@@ -31,10 +44,6 @@ pub struct StreamCluster {
     dist: Vec<f64>,
     /// Indices of open centers.
     centers: Vec<usize>,
-    cost_points: f64,
-    cost_dims: f64,
-    repeat: f64,
-    iters: usize,
 }
 
 impl StreamCluster {
@@ -60,13 +69,7 @@ impl StreamCluster {
         iters: usize,
     ) -> Self {
         assert!(n_func >= 8);
-        let mut rng = Pcg32::new(seed, 0x7363_6c75_7374); // "sclust"
-        let mut points = vec![0.0f64; n_func * d];
-        for p in points.iter_mut() {
-            *p = rng.uniform(0.0, 10.0);
-        }
-        let weight: Vec<f64> = (0..n_func).map(|_| rng.uniform(0.5, 2.0)).collect();
-        let mut sc = StreamCluster {
+        StreamCluster {
             profile: WorkloadProfile {
                 name: "streamcluster",
                 enlargement: format!("{} points with {} dimensions", cost_points as u64, cost_dims as u64),
@@ -75,21 +78,59 @@ impl StreamCluster {
                 mem_class: UtilClass::Fluctuating,
                 divisible: true,
             },
+            seed,
             n_func,
+            d,
+            data: OnceCell::new(),
+            cost_points,
+            cost_dims,
+            repeat,
+            iters,
+        }
+    }
+
+    /// Draws the points and weights from the seeded stream and assigns
+    /// every point to the first center.
+    fn generate(&self) -> Data {
+        let (n_func, d) = (self.n_func, self.d);
+        let mut rng = Pcg32::new(self.seed, 0x7363_6c75_7374); // "sclust"
+        let mut points = vec![0.0f64; n_func * d];
+        for p in points.iter_mut() {
+            *p = rng.uniform(0.0, 10.0);
+        }
+        let weight: Vec<f64> = (0..n_func).map(|_| rng.uniform(0.5, 2.0)).collect();
+        let mut data = Data {
             d,
             points,
             weight,
             dist: Vec::new(),
             centers: vec![0],
-            cost_points,
-            cost_dims,
-            repeat,
-            iters,
         };
-        sc.recompute_assignments();
-        sc
+        data.recompute_assignments();
+        data
     }
 
+    fn data(&self) -> &Data {
+        self.data.get_or_init(|| self.generate())
+    }
+
+    fn data_mut(&mut self) -> &mut Data {
+        self.data();
+        self.data.get_mut().expect("generated by data()")
+    }
+
+    /// Total weighted clustering cost (sum of weighted distances).
+    pub fn clustering_cost(&self) -> f64 {
+        self.data().clustering_cost()
+    }
+
+    /// Number of currently open centers.
+    pub fn open_centers(&self) -> usize {
+        self.data().centers.len()
+    }
+}
+
+impl Data {
     fn d2(&self, a: usize, b: usize) -> f64 {
         let pa = &self.points[a * self.d..(a + 1) * self.d];
         let pb = &self.points[b * self.d..(b + 1) * self.d];
@@ -97,7 +138,7 @@ impl StreamCluster {
     }
 
     fn recompute_assignments(&mut self) {
-        self.dist = (0..self.n_func)
+        self.dist = (0..self.weight.len())
             .map(|p| {
                 self.centers
                     .iter()
@@ -118,14 +159,8 @@ impl StreamCluster {
             .sum()
     }
 
-    /// Total weighted clustering cost (sum of weighted distances).
-    pub fn clustering_cost(&self) -> f64 {
+    fn clustering_cost(&self) -> f64 {
         self.dist.iter().zip(&self.weight).map(|(d, w)| d * w).sum()
-    }
-
-    /// Number of currently open centers.
-    pub fn open_centers(&self) -> usize {
-        self.centers.len()
     }
 }
 
@@ -175,24 +210,26 @@ impl Workload for StreamCluster {
     }
 
     fn execute(&mut self, iter: usize, cpu_share: f64) -> f64 {
-        let candidate = (iter * 97 + 13) % self.n_func;
-        let split = ((self.n_func as f64) * cpu_share.clamp(0.0, 1.0)).round() as usize;
+        let n_func = self.n_func;
+        let candidate = (iter * 97 + 13) % n_func;
+        let split = ((n_func as f64) * cpu_share.clamp(0.0, 1.0)).round() as usize;
+        let data = self.data_mut();
         // CPU and GPU sides accumulate partial gains, merged here.
-        let gain = self.gain_range(candidate, 0, split) + self.gain_range(candidate, split, self.n_func);
-        if gain > OPEN_COST && !self.centers.contains(&candidate) {
-            self.centers.push(candidate);
-            self.recompute_assignments();
+        let gain = data.gain_range(candidate, 0, split) + data.gain_range(candidate, split, n_func);
+        if gain > OPEN_COST && !data.centers.contains(&candidate) {
+            data.centers.push(candidate);
+            data.recompute_assignments();
         }
-        self.clustering_cost()
+        data.clustering_cost()
     }
 
     fn digest(&self) -> f64 {
-        self.clustering_cost() + self.centers.len() as f64
+        let data = self.data();
+        data.clustering_cost() + data.centers.len() as f64
     }
 
     fn reset(&mut self) {
-        self.centers = vec![0];
-        self.recompute_assignments();
+        self.data = OnceCell::new();
     }
 }
 
@@ -200,7 +237,7 @@ impl Workload for StreamCluster {
 mod tests {
     use super::*;
     use crate::model::{iteration_utilization, phase_gpu_timing};
-    use crate::traits::check_phase;
+    use crate::traits::{check_phase, sweep_calls};
 
     #[test]
     fn split_is_invariant() {
@@ -250,6 +287,15 @@ mod tests {
             sc.execute(i, 0.4);
         }
         assert_eq!(d, sc.digest());
+    }
+
+    #[test]
+    fn sweep_calls_never_generate_inputs() {
+        let mut sc = StreamCluster::paper(1);
+        sweep_calls(&sc);
+        assert!(sc.data.get().is_none());
+        sc.reset();
+        assert!(sc.data.get().is_none());
     }
 
     #[test]

@@ -168,6 +168,10 @@ pub trait Workload: Send {
 
     /// Hardware cost of the *full* iteration `iter` (before division). The
     /// runtime scales each phase by the division ratio.
+    ///
+    /// Reads scalar parameters only, never the functional inputs: sweep
+    /// runs call just `profile`, `iterations` and `phases`, so they never
+    /// generate inputs.
     fn phases(&self, iter: usize) -> Vec<PhaseCost>;
 
     /// Functionally executes iteration `iter` with `cpu_share` of the
@@ -196,6 +200,17 @@ pub fn check_phase(p: &PhaseCost) {
     assert!(p.gpu.mem_busy_factor >= 1.0, "mem_busy_factor must be >= 1");
     assert!(p.cpu.ops >= 0.0 && p.cpu.bytes >= 0.0, "negative CPU work");
     assert!(p.cpu.eff > 0.0 && p.cpu.eff <= 1.0, "cpu eff out of range");
+}
+
+/// Makes every call a sweep run makes — `profile`, `iterations`, and
+/// `phases(k)` for every `k` — so a workload test can check they leave
+/// its lazily generated inputs unbuilt.
+#[cfg(test)]
+pub(crate) fn sweep_calls(wl: &dyn Workload) {
+    assert!(!wl.profile().name.is_empty());
+    for k in 0..wl.iterations() {
+        wl.phases(k).iter().for_each(check_phase);
+    }
 }
 
 #[cfg(test)]
