@@ -3,15 +3,15 @@
 //! Every trace is a [`Trace`] of one [`TraceRecord`] row type: the fleet
 //! trace ([`TraceRow`]), the serving trace ([`ServingTraceRow`]) and the
 //! geo trace ([`GeoTraceRow`]). Each row type states its CSV columns once
-//! and prints its cells once; [`Trace`] renders them through
-//! [`greengpu_sim::Table`] (markdown and RFC-4180 CSV) or straight into a
-//! CSV buffer or writer, and both paths print the same cells, so they
-//! stay byte-identical (fixed decimal formatting, no floats straight
-//! through `Display`).
+//! and hands its cells once, as typed [`Cell`]s; [`Trace`] renders them
+//! through [`greengpu_sim::Table`] (markdown and RFC-4180 CSV) or straight
+//! into a CSV buffer or writer. One private writer prints every cell on
+//! all three paths, so they stay byte-identical. Floats only ever print
+//! with a fixed number of decimals, never through bare `Display`.
 
 use greengpu_sim::Table;
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::io;
 
 /// Rows rendered into the scratch buffer between flushes of
@@ -19,18 +19,88 @@ use std::io;
 /// few, big writes; small enough that the scratch stays cache-resident.
 const CSV_FLUSH_ROWS: usize = 512;
 
+/// One cell of a trace row, typed so the writers print it without
+/// `core::fmt` on the common path.
+#[derive(Debug, Clone, Copy)]
+pub enum Cell {
+    /// A count, printed as `{}` prints it.
+    Int(u64),
+    /// A float printed with a fixed number of decimals, exactly as
+    /// `{:.decimals$}` prints it.
+    Fixed(f64, usize),
+    /// A fixed bare word, printed raw.
+    Word(&'static str),
+}
+
+/// `10^d` for the decimals the fixed-point fast path handles.
+const POW10: [u64; 5] = [1, 10, 100, 1_000, 10_000];
+
+/// The fast path's ceiling on `x·10^d`. Below it a scaled value is
+/// within half an ulp, 2^-14, of the exact product, and `round(s)` fits
+/// a `u64`.
+const FIXED_FAST_MAX: f64 = (1u64 << 40) as f64;
+
+/// Appends `n`'s decimal digits to `buf`, zero-padded to `width` digits.
+fn push_digits(buf: &mut String, mut n: u64, width: usize) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    while n > 0 || digits.len() - i < width {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    buf.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `x` with `d` decimals, byte-identical to `{x:.d$}`.
+///
+/// When `x` is ≥ +0.0 and `s = x·10^d` is below 2^40, `s` is off from the
+/// exact product by at most 2^-14. If `s` is also more than 0.001 away
+/// from a tie, that error cannot carry the product across one, so
+/// `round(s)` is the integer `{:.d}`'s exact decimal expansion rounds to,
+/// and it prints with the decimal point inserted. Negative values, −0.0,
+/// NaN, infinities, large values and near-ties take `core::fmt`.
+fn push_fixed(buf: &mut String, x: f64, d: usize) {
+    if let Some(&scale) = POW10.get(d) {
+        let s = x * scale as f64;
+        let r = s.round();
+        if x.is_sign_positive() && s < FIXED_FAST_MAX && (s - r).abs() < 0.499 {
+            let r = r as u64;
+            push_digits(buf, r / scale, 1);
+            if d > 0 {
+                buf.push('.');
+                push_digits(buf, r % scale, d);
+            }
+            return;
+        }
+    }
+    let _ = write!(buf, "{x:.d$}");
+}
+
+/// Appends one cell: the only place a trace cell is printed.
+fn push_cell(buf: &mut String, cell: Cell) {
+    match cell {
+        Cell::Int(n) => push_digits(buf, n, 1),
+        Cell::Fixed(x, d) => push_fixed(buf, x, d),
+        Cell::Word(w) => buf.push_str(w),
+    }
+}
+
 /// One row type of a [`Trace`]: its CSV columns and its cells.
 ///
-/// Every cell must print without a comma, quote or line break (numbers
-/// and fixed bare words), so the CSV writers can skip the RFC-4180 escape
-/// path and still match the [`Table`] renderer byte for byte.
+/// A row hands typed [`Cell`]s, and the one private cell writer prints
+/// them: a float column is a [`Cell::Fixed`] with its decimals, never a
+/// float formatted into the row. Every cell prints without a comma,
+/// quote or line break (numbers and fixed bare words), so the CSV writers
+/// can skip the RFC-4180 escape path and still match the [`Table`]
+/// renderer byte for byte.
 pub trait TraceRecord {
     /// The CSV header, in cell order.
     const COLUMNS: &'static [&'static str];
 
-    /// Hands each cell to `cell`, formatted, in [`TraceRecord::COLUMNS`]
+    /// Hands each cell to `cell`, typed, in [`TraceRecord::COLUMNS`]
     /// order.
-    fn cells(&self, cell: &mut impl FnMut(fmt::Arguments<'_>));
+    fn cells(&self, cell: &mut impl FnMut(Cell));
 }
 
 /// The per-interval trace of one fleet run: rows of one [`TraceRecord`]
@@ -55,7 +125,11 @@ impl<R: TraceRecord> Trace<R> {
         let mut cells = Vec::with_capacity(R::COLUMNS.len());
         for r in &self.rows {
             cells.clear();
-            r.cells(&mut |c| cells.push(c.to_string()));
+            r.cells(&mut |c| {
+                let mut text = String::new();
+                push_cell(&mut text, c);
+                cells.push(text);
+            });
             t.row(&cells);
         }
         t
@@ -72,7 +146,7 @@ impl<R: TraceRecord> Trace<R> {
         let mut sep = "";
         r.cells(&mut |c| {
             buf.push_str(sep);
-            let _ = buf.write_fmt(c);
+            push_cell(buf, c);
             sep = ",";
         });
         buf.push('\n');
@@ -228,25 +302,25 @@ impl TraceRecord for TraceRow {
         "dead_lettered",
     ];
 
-    fn cells(&self, cell: &mut impl FnMut(fmt::Arguments<'_>)) {
-        cell(format_args!("{}", self.interval));
-        cell(format_args!("{:.2}", self.time_s));
-        cell(format_args!("{}", self.queue_depth));
-        cell(format_args!("{}", self.busy_nodes));
-        cell(format_args!("{}", self.healthy_nodes));
-        cell(format_args!("{:.3}", self.gpu_power_w));
-        cell(format_args!("{:.3}", self.total_power_w));
-        cell(format_args!("{:.3}", self.fleet_cap_w));
-        cell(format_args!("{:.3}", self.budget_w));
-        cell(format_args!("{}", self.completed));
-        cell(format_args!("{}", self.rejected));
-        cell(format_args!("{}", self.deadline_misses));
-        cell(format_args!("{}", self.cap_violations));
-        cell(format_args!("{:.3}", self.max_pair_over_cap_w));
-        cell(format_args!("{}", self.up_nodes));
-        cell(format_args!("{}", self.open_breakers));
-        cell(format_args!("{}", self.retry_depth));
-        cell(format_args!("{}", self.dead_lettered));
+    fn cells(&self, cell: &mut impl FnMut(Cell)) {
+        cell(Cell::Int(self.interval));
+        cell(Cell::Fixed(self.time_s, 2));
+        cell(Cell::Int(self.queue_depth as u64));
+        cell(Cell::Int(self.busy_nodes as u64));
+        cell(Cell::Int(self.healthy_nodes as u64));
+        cell(Cell::Fixed(self.gpu_power_w, 3));
+        cell(Cell::Fixed(self.total_power_w, 3));
+        cell(Cell::Fixed(self.fleet_cap_w, 3));
+        cell(Cell::Fixed(self.budget_w, 3));
+        cell(Cell::Int(self.completed));
+        cell(Cell::Int(self.rejected));
+        cell(Cell::Int(self.deadline_misses));
+        cell(Cell::Int(self.cap_violations));
+        cell(Cell::Fixed(self.max_pair_over_cap_w, 3));
+        cell(Cell::Int(self.up_nodes as u64));
+        cell(Cell::Int(self.open_breakers as u64));
+        cell(Cell::Int(self.retry_depth as u64));
+        cell(Cell::Int(self.dead_lettered));
     }
 }
 
@@ -302,14 +376,14 @@ impl TraceRecord for ServingTraceRow {
         "jobs_released",
     ];
 
-    fn cells(&self, cell: &mut impl FnMut(fmt::Arguments<'_>)) {
-        cell(format_args!("{}", self.interval));
-        cell(format_args!("{:.2}", self.time_s));
-        cell(format_args!("{:.4}", self.carbon_intensity));
-        cell(format_args!("{}", u8::from(self.green)));
-        cell(format_args!("{}", self.deferred_pending));
-        cell(format_args!("{}", self.jobs_deferred));
-        cell(format_args!("{}", self.jobs_released));
+    fn cells(&self, cell: &mut impl FnMut(Cell)) {
+        cell(Cell::Int(self.interval));
+        cell(Cell::Fixed(self.time_s, 2));
+        cell(Cell::Fixed(self.carbon_intensity, 4));
+        cell(Cell::Int(u64::from(self.green)));
+        cell(Cell::Int(self.deferred_pending as u64));
+        cell(Cell::Int(self.jobs_deferred));
+        cell(Cell::Int(self.jobs_released));
     }
 }
 
@@ -359,15 +433,15 @@ impl TraceRecord for GeoTraceRow {
 
     /// The `level` cell is one of three fixed bare words, so it prints
     /// raw.
-    fn cells(&self, cell: &mut impl FnMut(fmt::Arguments<'_>)) {
-        cell(format_args!("{}", self.interval));
-        cell(format_args!("{:.2}", self.time_s));
-        cell(format_args!("{}", self.level));
-        cell(format_args!("{}", self.domain));
-        cell(format_args!("{:.3}", self.cap_w));
-        cell(format_args!("{:.3}", self.demand_w));
-        cell(format_args!("{}", self.up_nodes));
-        cell(format_args!("{}", self.breaker_open));
+    fn cells(&self, cell: &mut impl FnMut(Cell)) {
+        cell(Cell::Int(self.interval));
+        cell(Cell::Fixed(self.time_s, 2));
+        cell(Cell::Word(self.level));
+        cell(Cell::Int(self.domain as u64));
+        cell(Cell::Fixed(self.cap_w, 3));
+        cell(Cell::Fixed(self.demand_w, 3));
+        cell(Cell::Int(self.up_nodes as u64));
+        cell(Cell::Int(self.breaker_open as u64));
     }
 }
 
@@ -377,9 +451,31 @@ mod tests {
 
     /// Values at the edges of the fixed-decimal formats: signed zero,
     /// exact halves at two, three and four decimals, binary values just
-    /// under a half, and negatives.
-    const EDGES: [f64; 10] = [
-        -0.0, 0.005, 0.0005, 0.00005, 2.675, 1.0005, 0.125, -1.005, 999.9995, 1234.5,
+    /// under a half, and negatives; then a negative that prints as −0, a
+    /// value just over a half, the smallest subnormal, NaN, ±∞, values
+    /// next to the fast path's 2^40 cutoff at three and four decimals,
+    /// and one far above it.
+    const EDGES: [f64; 20] = [
+        -0.0,
+        0.005,
+        0.0005,
+        0.00005,
+        2.675,
+        1.0005,
+        0.125,
+        -1.005,
+        999.9995,
+        1234.5,
+        -0.004,
+        0.004500000000000001,
+        0.0014999,
+        5e-324,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1_099_511_627.775_5,
+        109_951_162.777_6,
+        1e21,
     ];
 
     fn edge(k: u64) -> f64 {
@@ -535,6 +631,139 @@ mod tests {
             one(geo.to_table("g").to_csv()).as_deref(),
             Some("1,2.00,region,0,1234.500,999.125,8,0")
         );
+        let fleet = Trace {
+            rows: vec![TraceRow::synth(14)],
+        };
+        assert_eq!(
+            one(fleet.to_table("f").to_csv()).as_deref(),
+            Some("14,NaN,14,1,2,114.000,inf,400.000,-inf,14,0,0,0,1099511627.776,2,0,0,0")
+        );
+        let serving = Trace {
+            rows: vec![ServingTraceRow::synth(17)],
+        };
+        assert_eq!(
+            one(serving.to_table("s").to_csv()).as_deref(),
+            Some("17,1099511627.78,109951162.7776,0,17,34,17")
+        );
+        let geo = Trace {
+            rows: vec![GeoTraceRow::synth(18)],
+        };
+        assert_eq!(
+            one(geo.to_table("g").to_csv()).as_deref(),
+            Some("18,109951162.78,region,18,1000000000000000000000.000,-0.000,8,0")
+        );
+    }
+
+    /// What a cell prints.
+    fn printed(cell: Cell) -> String {
+        let mut text = String::new();
+        push_cell(&mut text, cell);
+        text
+    }
+
+    #[test]
+    fn int_cells_print_what_display_prints() {
+        for n in [0, 9, 10, 99, 100, 1_000_000_007, u64::MAX] {
+            assert_eq!(printed(Cell::Int(n)), n.to_string());
+        }
+    }
+
+    /// Checks `Cell::Fixed(x, d)` against `{x:.d$}` for every `x` in
+    /// `values`, reusing two buffers; returns how many were checked.
+    fn assert_fixed_parity(d: usize, values: impl Iterator<Item = f64>) -> usize {
+        let (mut got, mut want) = (String::new(), String::new());
+        let mut checked = 0;
+        for x in values {
+            got.clear();
+            want.clear();
+            push_cell(&mut got, Cell::Fixed(x, d));
+            let _ = write!(want, "{x:.d$}");
+            assert_eq!(got, want, "{x:e} ({:#018x}) at {d} decimals", x.to_bits());
+            checked += 1;
+        }
+        checked
+    }
+
+    /// `n` seeded values for the fixed-decimal parity checks, in and
+    /// around the fast path's range at `d` decimals: a few ulps off a
+    /// tie `(k + 0.5)/10^d` with k up to 2^44, random mantissas scaled
+    /// across the range, and the negatives of both.
+    fn seeded_fixed_inputs(seed: u64, d: usize, n: usize) -> impl Iterator<Item = f64> {
+        let mut rng = greengpu_sim::SplitMix64::new(seed);
+        let scale = POW10[d] as f64;
+        (0..n).map(move |i| {
+            let bits = rng.next_u64();
+            let x = if i % 2 == 0 {
+                let tie = ((bits >> (20 + bits % 44)) as f64 + 0.5) / scale;
+                f64::from_bits((tie.to_bits() + rng.next_u64() % 9).saturating_sub(4))
+            } else {
+                (bits >> (rng.next_u64() % 64)) as f64 / (1u64 << 20) as f64 / scale
+            };
+            if i % 8 < 6 {
+                x
+            } else {
+                -x
+            }
+        })
+    }
+
+    /// Random bit patterns: every exponent, both signs, NaN payloads.
+    fn random_bit_patterns(seed: u64, n: usize) -> impl Iterator<Item = f64> {
+        let mut rng = greengpu_sim::SplitMix64::new(seed);
+        (0..n).map(move |_| f64::from_bits(rng.next_u64()))
+    }
+
+    /// Values within ±4 ulps of every tie `(k + 0.5)/10^d` for k < `ties`,
+    /// and of the fast path's cutoff `x·10^d = 2^40`.
+    fn fixed_tie_inputs(d: usize, ties: u64) -> impl Iterator<Item = f64> {
+        let scale = POW10[d] as f64;
+        let near = |x: f64| (0..9).map(move |j| f64::from_bits(x.to_bits() + j - 4));
+        let cutoff = [0.0, -0.5, 0.5, -1.0, 1.0]
+            .into_iter()
+            .map(move |off| (FIXED_FAST_MAX + off) / scale);
+        (0..ties)
+            .map(move |k| (k as f64 + 0.5) / scale)
+            .chain(cutoff)
+            .flat_map(near)
+    }
+
+    #[test]
+    fn fixed_cells_print_what_core_fmt_prints() {
+        let specials = [
+            0.0,
+            -0.0,
+            -1e-9,
+            -2.5,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        for d in 2..=4 {
+            assert_fixed_parity(d, EDGES.into_iter().chain(specials));
+            assert_fixed_parity(d, fixed_tie_inputs(d, 10_000));
+            assert_fixed_parity(d, random_bit_patterns(d as u64, 2_000));
+            assert_fixed_parity(d, seeded_fixed_inputs(d as u64, d, 100_000));
+        }
+    }
+
+    /// The release-only sweep behind
+    /// [`fixed_cells_print_what_core_fmt_prints`]: every tie for
+    /// k < 10^6 and 10^7 seeded values per precision, about 40 s in
+    /// release. CI runs it by name with `--ignored`.
+    #[test]
+    #[ignore = "release-only: run with --release and --ignored"]
+    fn fixed_cell_parity_sweep() {
+        for d in 2..=4 {
+            assert_eq!(assert_fixed_parity(d, fixed_tie_inputs(d, 1_000_000)), 9 * 1_000_005);
+            assert_eq!(
+                assert_fixed_parity(d, seeded_fixed_inputs(1_000 + d as u64, d, 10_000_000)),
+                10_000_000
+            );
+        }
     }
 
     #[test]

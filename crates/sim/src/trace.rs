@@ -11,22 +11,31 @@ use crate::time::{SimDuration, SimTime};
 
 /// A right-continuous step signal: `(t_i, v_i)` means the signal equals
 /// `v_i` on `[t_i, t_{i+1})`.
+///
+/// The last breakpoint lives inline and only the earlier ones on the
+/// heap: a trace that never changes allocates nothing, and a query about
+/// the current segment — what every control-interval poll asks — never
+/// reads the heap.
 #[derive(Debug, Clone, Default)]
 pub struct StepTrace {
-    points: Vec<(SimTime, f64)>,
+    /// Every breakpoint before `last`, in time order.
+    head: Vec<(SimTime, f64)>,
+    /// The latest breakpoint (`None` until the first `set`).
+    last: Option<(SimTime, f64)>,
 }
 
 impl StepTrace {
     /// Creates an empty trace (value is undefined before the first `set`;
     /// queries there return 0).
     pub fn new() -> Self {
-        StepTrace { points: Vec::new() }
+        StepTrace::default()
     }
 
     /// Creates a trace with an initial value at t = 0.
     pub fn with_initial(value: f64) -> Self {
         StepTrace {
-            points: vec![(SimTime::ZERO, value)],
+            head: Vec::new(),
+            last: Some((SimTime::ZERO, value)),
         }
     }
 
@@ -34,58 +43,68 @@ impl StepTrace {
     /// time; setting at the same instant overwrites (last-writer-wins), and
     /// redundant sets (same value) are coalesced.
     pub fn set(&mut self, at: SimTime, value: f64) {
-        if let Some(&mut (t_last, ref mut v_last)) = self.points.last_mut() {
+        if let Some((t_last, ref mut v_last)) = self.last {
             assert!(at >= t_last, "trace updates must be time-ordered: {at} < {t_last}");
             if t_last == at {
                 *v_last = value;
                 // Coalesce if this overwrite makes the segment redundant.
-                if self.points.len() >= 2 && self.points[self.points.len() - 2].1 == value {
-                    self.points.pop();
+                if self.head.last().is_some_and(|&(_, v_prev)| v_prev == value) {
+                    self.last = self.head.pop();
                 }
                 return;
             }
             if *v_last == value {
                 return; // redundant
             }
+            self.head.push((t_last, *v_last));
         }
-        self.points.push((at, value));
+        self.last = Some((at, value));
     }
 
     /// The signal value at `at` (0 before the first point).
     pub fn value_at(&self, at: SimTime) -> f64 {
-        match self.points.binary_search_by(|&(t, _)| t.cmp(&at)) {
-            Ok(i) => self.points[i].1,
-            Err(0) => 0.0,
-            Err(i) => self.points[i - 1].1,
+        match self.last {
+            Some((t_last, v_last)) if at >= t_last => v_last,
+            _ => match self.head.binary_search_by(|&(t, _)| t.cmp(&at)) {
+                Ok(i) => self.head[i].1,
+                Err(0) => 0.0,
+                Err(i) => self.head[i - 1].1,
+            },
         }
     }
 
     /// The most recently set value (0 if empty).
     pub fn last_value(&self) -> f64 {
-        self.points.last().map_or(0.0, |&(_, v)| v)
+        self.last.map_or(0.0, |(_, v)| v)
     }
 
     /// Exact integral of the signal over `[from, to)`.
     ///
     /// For a power trace in watts this is energy in joules.
     pub fn integral(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from || self.points.is_empty() {
+        let Some((t_last, v_last)) = self.last else {
+            return 0.0;
+        };
+        if to <= from {
             return 0.0;
         }
-        // Segments ending at or before `from` contribute exactly nothing,
-        // so binary-search straight to the segment containing `from`
-        // instead of scanning from the start — repeated window queries on
-        // a long-lived trace stay O(log P) rather than O(P). The summed
-        // terms (and their order) are identical to a full scan, so the
-        // result is bit-for-bit unchanged.
-        let first = self.points.partition_point(|&(t, _)| t <= from).saturating_sub(1);
+        // A window inside the last segment is one term, in O(1) and
+        // without touching the heap: exactly the term a full scan would
+        // add to its 0.0 start, so `0.0 +` keeps a −0.0 value's sum +0.0.
+        if from >= t_last {
+            return 0.0 + v_last * (to - from).as_secs_f64();
+        }
+        // Otherwise segments ending at or before `from` contribute exactly
+        // nothing, so binary-search `head` straight to the segment
+        // containing `from` (O(log P + segments in the window)) and scan
+        // on through `last`. The summed terms and their order are those of
+        // a full scan, so the result is bit-for-bit unchanged.
+        let first = self.head.partition_point(|&(t, _)| t <= from).saturating_sub(1);
+        let mut segments = self.head[first..].iter().copied().chain(self.last).peekable();
         let mut acc = 0.0;
-        for (i, &(t_i, v_i)) in self.points.iter().enumerate().skip(first) {
+        while let Some((t_i, v_i)) = segments.next() {
             let seg_start = t_i.max(from);
-            let seg_end = match self.points.get(i + 1) {
-                Some(&(t_next, _)) => t_next.min(to),
-                None => to,
-            };
+            let seg_end = segments.peek().map_or(to, |&(t_next, _)| t_next.min(to));
             if seg_end > seg_start {
                 acc += v_i * (seg_end - seg_start).as_secs_f64();
             }
@@ -108,17 +127,17 @@ impl StepTrace {
 
     /// Iterator over the breakpoints.
     pub fn points(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.points.iter().copied()
+        self.head.iter().copied().chain(self.last)
     }
 
     /// Number of breakpoints stored.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.head.len() + usize::from(self.last.is_some())
     }
 
     /// True when no value has been set yet.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.last.is_none()
     }
 
     /// Samples the trace at a fixed period starting at `start`, producing

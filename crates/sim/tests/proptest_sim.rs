@@ -77,6 +77,189 @@ fn write(w: &mut JsonWriter<'_>, doc: &Doc) {
     };
 }
 
+/// The all-points [`StepTrace`] as it stood before it kept its last
+/// breakpoint inline, copied verbatim: the bit-exact oracle for the
+/// split layout.
+#[derive(Debug, Clone, Default)]
+struct RefTrace {
+    points: Vec<(SimTime, f64)>,
+}
+
+impl RefTrace {
+    fn new() -> Self {
+        RefTrace { points: Vec::new() }
+    }
+
+    fn with_initial(value: f64) -> Self {
+        RefTrace {
+            points: vec![(SimTime::ZERO, value)],
+        }
+    }
+
+    fn set(&mut self, at: SimTime, value: f64) {
+        if let Some(&mut (t_last, ref mut v_last)) = self.points.last_mut() {
+            assert!(at >= t_last, "trace updates must be time-ordered: {at} < {t_last}");
+            if t_last == at {
+                *v_last = value;
+                // Coalesce if this overwrite makes the segment redundant.
+                if self.points.len() >= 2 && self.points[self.points.len() - 2].1 == value {
+                    self.points.pop();
+                }
+                return;
+            }
+            if *v_last == value {
+                return; // redundant
+            }
+        }
+        self.points.push((at, value));
+    }
+
+    fn value_at(&self, at: SimTime) -> f64 {
+        match self.points.binary_search_by(|&(t, _)| t.cmp(&at)) {
+            Ok(i) => self.points[i].1,
+            Err(0) => 0.0,
+            Err(i) => self.points[i - 1].1,
+        }
+    }
+
+    fn last_value(&self) -> f64 {
+        self.points.last().map_or(0.0, |&(_, v)| v)
+    }
+
+    fn integral(&self, from: SimTime, to: SimTime) -> f64 {
+        if to <= from || self.points.is_empty() {
+            return 0.0;
+        }
+        let first = self.points.partition_point(|&(t, _)| t <= from).saturating_sub(1);
+        let mut acc = 0.0;
+        for (i, &(t_i, v_i)) in self.points.iter().enumerate().skip(first) {
+            let seg_start = t_i.max(from);
+            let seg_end = match self.points.get(i + 1) {
+                Some(&(t_next, _)) => t_next.min(to),
+                None => to,
+            };
+            if seg_end > seg_start {
+                acc += v_i * (seg_end - seg_start).as_secs_f64();
+            }
+            if t_i >= to {
+                break;
+            }
+        }
+        acc
+    }
+
+    fn mean(&self, from: SimTime, to: SimTime) -> f64 {
+        let span = to.saturating_since(from).as_secs_f64();
+        if span == 0.0 {
+            return 0.0;
+        }
+        self.integral(from, to) / span
+    }
+
+    fn points(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        self.points.iter().copied()
+    }
+
+    fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+}
+
+fn bits(points: impl Iterator<Item = (SimTime, f64)>) -> Vec<(SimTime, u64)> {
+    points.map(|(t, v)| (t, v.to_bits())).collect()
+}
+
+/// Asserts that `trace` answers every query exactly as `oracle` does:
+/// the breakpoints, and `integral`, `mean` and `value_at` over windows
+/// built from instants around every breakpoint — before the first, at
+/// one, inside the last segment, across many, zero-length and reversed.
+fn assert_matches_reference(trace: &StepTrace, oracle: &RefTrace, rng: &mut SplitMix64) {
+    assert_eq!(bits(trace.points()), bits(oracle.points()));
+    assert_eq!(trace.len(), oracle.len());
+    assert_eq!(trace.is_empty(), oracle.is_empty());
+    assert_eq!(trace.last_value().to_bits(), oracle.last_value().to_bits());
+    let last = oracle.points().last().map_or(0, |(t, _)| t.as_micros());
+    let mut instants = vec![0, 1, last + 1 + rng.next_u64() % 3_000_000];
+    for (t, _) in oracle.points() {
+        let t = t.as_micros();
+        instants.extend([t.saturating_sub(1), t, t + 1, t + rng.next_u64() % 700_000]);
+    }
+    for &at in &instants {
+        let at = SimTime::from_micros(at);
+        assert_eq!(
+            trace.value_at(at).to_bits(),
+            oracle.value_at(at).to_bits(),
+            "value_at({at})"
+        );
+    }
+    let mut windows = vec![(0, last + 2_000_000), (last, last + 1), (last + 1, last + 2), (last, 0)];
+    for _ in 0..48 {
+        let a = instants[(rng.next_u64() % instants.len() as u64) as usize];
+        let b = instants[(rng.next_u64() % instants.len() as u64) as usize];
+        windows.extend([(a, b), (b, a), (a, a)]);
+    }
+    for (from, to) in windows {
+        let (from, to) = (SimTime::from_micros(from), SimTime::from_micros(to));
+        assert_eq!(
+            trace.integral(from, to).to_bits(),
+            oracle.integral(from, to).to_bits(),
+            "integral over [{from}, {to})"
+        );
+        assert_eq!(
+            trace.mean(from, to).to_bits(),
+            oracle.mean(from, to).to_bits(),
+            "mean over [{from}, {to})"
+        );
+    }
+}
+
+/// Drives a [`StepTrace`] and the [`RefTrace`] oracle through the same
+/// random history — increasing and repeated instants, overwrites back to
+/// the previous value, redundant values and `±0.0` — and compares them
+/// after every update.
+fn step_trace_follows_the_reference(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let (mut trace, mut oracle) = match rng.next_u64() % 3 {
+        0 => (StepTrace::new(), RefTrace::new()),
+        1 => (StepTrace::with_initial(-0.0), RefTrace::with_initial(-0.0)),
+        _ => (StepTrace::with_initial(2.5), RefTrace::with_initial(2.5)),
+    };
+    assert_matches_reference(&trace, &oracle, &mut rng);
+    let mut now = rng.next_u64() % 1_000;
+    for _ in 0..rng.next_u64() % 40 {
+        if !rng.next_u64().is_multiple_of(3) {
+            now += 1 + rng.next_u64() % 1_000_000;
+        }
+        let n = oracle.len();
+        let value = match rng.next_u64() % 8 {
+            // Back to the value before the last breakpoint: an overwrite
+            // at the same instant coalesces the segment away.
+            0 if n >= 2 => oracle.points().nth(n - 2).map_or(1.0, |(_, v)| v),
+            1 => oracle.last_value(),
+            2 => 0.0,
+            3 => -0.0,
+            4 => -3.75,
+            5 => 1.0 / 3.0,
+            _ => (rng.next_u64() % 500_000) as f64 / 1_000.0,
+        };
+        let at = SimTime::from_micros(now);
+        trace.set(at, value);
+        oracle.set(at, value);
+        assert_matches_reference(&trace, &oracle, &mut rng);
+    }
+}
+
+#[test]
+fn step_trace_is_bit_exact_against_the_all_points_reference() {
+    for seed in 0..400 {
+        step_trace_follows_the_reference(seed);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -228,5 +411,10 @@ proptest! {
         let doc = random_doc(&mut SplitMix64::new(seed), 4);
         let tree = to_tree(&doc);
         prop_assert_eq!(JsonWriter::render(|w| write(w, &doc)), tree.to_string());
+    }
+
+    #[test]
+    fn step_trace_matches_the_reference_on_random_histories(seed in any::<u64>()) {
+        step_trace_follows_the_reference(seed);
     }
 }
