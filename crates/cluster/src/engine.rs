@@ -14,8 +14,9 @@
 //!   interval, and the flat apportionment reruns every interval. Simple,
 //!   obviously correct, `O(nodes)` work per event.
 //! * [`EngineKind::EventDriven`] — idle nodes cost (nearly) nothing: job
-//!   service advances over a **busy list** instead of the whole fleet,
-//!   dead (`Crashed`/`Restarting`) nodes sleep on a min-heap **wake
+//!   service advances over a **busy list** instead of the whole fleet, in
+//!   one pass over the windows since the last event that may touch a
+//!   node, dead (`Crashed`/`Restarting`) nodes sleep on a min-heap **wake
 //!   agenda** keyed by `(state_until, node_id)` until their next
 //!   lifecycle transition is actually due, and idle healthy nodes whose
 //!   controller state is provably a fixed point are **parked**
@@ -37,10 +38,15 @@
 //! skip work that is provably an identity:
 //!
 //! * an idle node's [`crate::Node::advance`] returns without touching
-//!   any state, so advancing only the busy list is exact — and every
-//!   busy node still advances at *every* spine event, because job
-//!   progress accumulates per-window (`progress += dt / full_s` is not
-//!   associative over window splits);
+//!   any state, so advancing only the busy list is exact;
+//! * busy nodes serve Serial's windows, split at *every* spine event
+//!   (job progress accumulates per window, and `progress += dt / full_s`
+//!   is not associative over window splits), but **lazily**: an arrival
+//!   only enqueues, and clocks and jobs change only at other events, so
+//!   an arrival just records a window boundary. At the next other event,
+//!   and at the horizon, each busy node replays the pending windows in
+//!   one pass, and completions commit by window, then node id: Serial's
+//!   order;
 //! * a dead node's [`crate::Node::lifecycle_tick`] is an identity before
 //!   `state_until` (the only divergence, a stale thermal flag, is
 //!   unreadable in those states and refreshed on wake);
@@ -254,7 +260,10 @@ pub(crate) fn drive(
     run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo)
 }
 
-/// The completion stream, in the node-id order every engine reproduces.
+/// The completion stream, sorted by service window (the span between two
+/// consecutive spine events) and in node-id order within one: the order
+/// advancing every node at every event emits, which every schedule
+/// reproduces.
 #[derive(Default)]
 struct Completions {
     records: Vec<JobRecord>,
@@ -276,8 +285,12 @@ impl Completions {
 /// thing the engines differ in. Everything fleet-level lives once in
 /// [`run_spine`].
 trait Schedule {
-    /// Advances job service from `from` to `to`, recording completions
-    /// in node-id order.
+    /// Job service runs from `from` to an arrival at `to`, which cannot
+    /// change any node's job or pair: a schedule may leave the window to
+    /// the next [`Schedule::advance`].
+    fn split(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions);
+    /// Advances job service over the windows `split` left, then from
+    /// `from` to `to`, recording completions in [`Completions`] order.
     fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions);
     /// The nodes in `ids` just crashed.
     fn went_dark(&mut self, nodes: &[Node], ids: &[usize]);
@@ -306,6 +319,10 @@ fn lifecycle_step(node: &mut Node, breaker: &mut CircuitBreaker, t: SimTime) {
 struct Serial;
 
 impl Schedule for Serial {
+    fn split(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions) {
+        self.advance(nodes, from, to, done);
+    }
+
     fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions) {
         for node in nodes.iter_mut() {
             done.record(node.advance(from, to));
@@ -348,6 +365,11 @@ struct EventDriven {
     /// `advance` can do anything to. Rebuilt in id order after every
     /// dispatch; completions drop out as they land.
     busy: Vec<usize>,
+    /// Service windows `split` left pending, as (start, length in
+    /// seconds), ascending; each ends where the next starts.
+    windows: Vec<(SimTime, f64)>,
+    /// Scratch for one replay: completions with the window each landed in.
+    finished: Vec<(usize, JobRecord)>,
     /// Wake agenda for dead nodes: `lifecycle_tick` is an identity on a
     /// `Crashed`/`Restarting` node before its `state_until`, so such
     /// nodes sleep here and are woken at the first tick at/after it.
@@ -360,6 +382,8 @@ impl EventDriven {
         EventDriven {
             workers,
             busy: Vec::new(),
+            windows: Vec::new(),
+            finished: Vec::new(),
             agenda: BinaryHeap::new(),
             dormant: vec![false; n],
         }
@@ -373,13 +397,25 @@ impl EventDriven {
 }
 
 impl Schedule for EventDriven {
+    fn split(&mut self, _nodes: &mut [Node], from: SimTime, to: SimTime, _done: &mut Completions) {
+        self.windows.push((from, to.saturating_since(from).as_secs_f64()));
+    }
+
     fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions) {
-        // `busy` is ascending, so completions stream out in node-id
-        // order exactly as the advance-everyone loop would emit them.
+        self.split(nodes, from, to, done);
+        // Each busy node replays every pending window in one pass. Only
+        // dispatch hands a node a job, so it finishes at most one here;
+        // `busy` is ascending and the sort stable, so completions commit
+        // by window, then node id.
         self.busy.retain(|&i| {
-            done.record(nodes[i].advance(from, to));
+            self.finished.extend(nodes[i].advance_windows(&self.windows));
             !nodes[i].is_idle()
         });
+        self.finished.sort_by_key(|&(w, _)| w);
+        for (_, record) in self.finished.drain(..) {
+            done.record(Some(record));
+        }
+        self.windows.clear();
     }
 
     fn went_dark(&mut self, nodes: &[Node], ids: &[usize]) {
@@ -767,7 +803,11 @@ fn run_spine<S: Schedule>(
     let mut tick_no = 0u64;
 
     while let Some((at, event)) = spine.pop() {
-        engine.advance(nodes, t, at, &mut done);
+        if matches!(event, Event::Arrival(_)) {
+            engine.split(nodes, t, at, &mut done);
+        } else {
+            engine.advance(nodes, t, at, &mut done);
+        }
         t = at;
         match event {
             Event::Arrival(i) => {
@@ -895,34 +935,37 @@ fn trace_row(
 ) -> TraceRow {
     let window_start = SimTime::ZERO + cfg.control_period.mul_f64((interval - 1) as f64);
     let dt = t.saturating_since(window_start).as_secs_f64().max(1e-12);
-    // One pass integrates each GPU meter once for both sums. The terms,
-    // their order and the -0.0 start are `Iterator::sum`'s, and each
-    // total term is `Platform::total_energy_j`'s `gpu + cpu`.
-    let (gpu_j, total_j) = nodes.iter().fold((-0.0, -0.0), |(gpu_j, total_j), n| {
+    // One pass over the fleet: it integrates each GPU meter once for both
+    // sums and counts alongside. The energy terms, their order and the
+    // -0.0 start are `Iterator::sum`'s, and each total term is
+    // `Platform::total_energy_j`'s `gpu + cpu`.
+    let (mut gpu_j, mut total_j) = (-0.0, -0.0);
+    let (mut busy_nodes, mut healthy_nodes, mut up_nodes, mut cap_violations) = (0, 0, 0, 0);
+    for n in nodes {
         let gpu = n.platform().gpu_energy_j(window_start, t);
-        (
-            gpu_j + gpu,
-            total_j + (gpu + n.platform().cpu_energy_j(window_start, t)),
-        )
-    });
-    let gpu_power_w = gpu_j / dt;
-    let total_power_w = total_j / dt;
+        gpu_j += gpu;
+        total_j += gpu + n.platform().cpu_energy_j(window_start, t);
+        busy_nodes += usize::from(!n.is_idle());
+        healthy_nodes += usize::from(n.healthy());
+        up_nodes += usize::from(n.is_alive());
+        cap_violations += n.cap_violations();
+    }
     TraceRow {
         interval,
         time_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),
         queue_depth: scheduler.depth(),
-        busy_nodes: nodes.iter().filter(|n| !n.is_idle()).count(),
-        healthy_nodes: nodes.iter().filter(|n| n.healthy()).count(),
-        gpu_power_w,
-        total_power_w,
+        busy_nodes,
+        healthy_nodes,
+        gpu_power_w: gpu_j / dt,
+        total_power_w: total_j / dt,
         fleet_cap_w: caps.iter().sum::<u64>() as f64 / 1000.0,
         budget_w: cfg.budget_w,
         completed: done.records.len() as u64,
         rejected: scheduler.rejected(),
         deadline_misses: done.deadline_misses,
-        cap_violations: nodes.iter().map(Node::cap_violations).sum(),
+        cap_violations,
         max_pair_over_cap_w: max_over_w,
-        up_nodes: nodes.iter().filter(|n| n.is_alive()).count(),
+        up_nodes,
         open_breakers: breakers.iter().filter(|b| b.state() == BreakerState::Open).count(),
         retry_depth: retry.pending_len(),
         dead_lettered: retry.dead_letter_total(),

@@ -855,9 +855,17 @@ impl Node {
     /// the window.
     pub fn advance(&mut self, from: SimTime, to: SimTime) -> Option<JobRecord> {
         let dt = to.saturating_since(from).as_secs_f64();
-        if dt <= 0.0 {
-            return None;
-        }
+        self.advance_windows(&[(from, dt)]).map(|(_, record)| record)
+    }
+
+    /// Advances job service over consecutive windows at the current
+    /// frequency pair, each given as its start and its length in seconds
+    /// (computed as in [`Node::advance`]). Returns the window the job
+    /// finishes in, with its record. Bit for bit what `advance` called
+    /// window by window leaves behind: nothing between the windows can
+    /// move the job or the pair, so the whole-run time and energy at the
+    /// pair are read once.
+    pub(crate) fn advance_windows(&mut self, windows: &[(SimTime, f64)]) -> Option<(usize, JobRecord)> {
         let run = self.job.as_mut()?;
         let (c, m) = (
             self.platform.gpu().core().current_level(),
@@ -865,34 +873,38 @@ impl Node {
         );
         let prof = self.profiles.by_id(run.profile)?;
         let full_s = prof.time_s(c, m) * run.spec.size;
-        // The whole-run energy at this window's pair; progress made here
+        // The whole-run energy at this pair; progress made in a window
         // attributes a proportional slice of it to the job.
         let full_e = prof.energy_j(self.platform.gpu().spec(), c, m, run.spec.size);
-        let need_s = (1.0 - run.progress) * full_s;
-        if need_s <= dt * (1.0 + 1e-12) {
-            // Completes inside this window, at the exact instant.
-            let finished = from + SimDuration::from_secs_f64(need_s.max(0.0));
-            self.busy_s += need_s.max(0.0);
-            let mut run = self.job.take()?;
-            run.energy_j += (1.0 - run.progress) * full_e;
-            let missed_deadline = run.spec.deadline.is_some_and(|d| finished > d);
-            let record = JobRecord {
-                node: self.id,
-                started: run.started,
-                finished,
-                missed_deadline,
-                gpu_energy_j: run.energy_j,
-                spec: run.spec,
-            };
-            self.completed += 1;
-            self.refresh_activity(finished);
-            Some(record)
-        } else {
+        for (w, &(from, dt)) in windows.iter().enumerate() {
+            if dt <= 0.0 {
+                continue;
+            }
+            let need_s = (1.0 - run.progress) * full_s;
+            if need_s <= dt * (1.0 + 1e-12) {
+                // Completes inside this window, at the exact instant.
+                let finished = from + SimDuration::from_secs_f64(need_s.max(0.0));
+                self.busy_s += need_s.max(0.0);
+                let mut run = self.job.take()?;
+                run.energy_j += (1.0 - run.progress) * full_e;
+                let missed_deadline = run.spec.deadline.is_some_and(|d| finished > d);
+                let record = JobRecord {
+                    node: self.id,
+                    started: run.started,
+                    finished,
+                    missed_deadline,
+                    gpu_energy_j: run.energy_j,
+                    spec: run.spec,
+                };
+                self.completed += 1;
+                self.refresh_activity(finished);
+                return Some((w, record));
+            }
             run.progress += dt / full_s;
             run.energy_j += (dt / full_s) * full_e;
             self.busy_s += dt;
-            None
         }
+        None
     }
 
     /// One control interval: install the cap, run the hardened controller
@@ -1514,5 +1526,121 @@ mod tests {
         node.lifecycle_tick(now);
         assert!(!node.thermal_active());
         assert_eq!(node.thermal_events(), 1);
+    }
+
+    /// A flush of the window-replay oracle: its windows' lengths in µs
+    /// (0 for a duplicate instant), the cap of the control tick at its end
+    /// as a fraction of peak power, and the size of the job an idle node
+    /// takes at its start.
+    type Flush = (Vec<u64>, f64, f64);
+
+    /// Drives an eager node, advanced window by window as the Serial
+    /// engine does, and a twin that replays each flush's windows in one
+    /// [`Node::advance_windows`] call, through `flushes` with a control
+    /// tick between flushes. Compares everything the replay can leave
+    /// behind, bit for bit, after every flush, and returns the window
+    /// each flush's job finished in.
+    fn replay_twins(flushes: &[Flush]) -> Vec<Option<usize>> {
+        let cfg = NodeConfig::default_node();
+        let mut eager = Node::new(0, &cfg, &mix(), 5);
+        let mut lazy = Node::new(0, &cfg, &mix(), 5);
+        let peak = cfg.gpu.peak_power_w();
+        let (mut t, mut found) = (SimTime::ZERO, Vec::new());
+        for (k, (windows, cap, size)) in flushes.iter().enumerate() {
+            let workload = if k % 2 == 0 { "hotspot" } else { "kmeans" };
+            for node in [&mut eager, &mut lazy] {
+                if node.is_idle() {
+                    node.dispatch(
+                        JobSpec {
+                            id: k as u64,
+                            ..job(workload, *size)
+                        },
+                        t,
+                    );
+                }
+            }
+            let (mut replay, mut end, mut by_window) = (Vec::new(), t, None);
+            for (w, &us) in windows.iter().enumerate() {
+                let from = end;
+                end += SimDuration::from_micros(us);
+                replay.push((from, end.saturating_since(from).as_secs_f64()));
+                if let Some(record) = eager.advance(from, end) {
+                    assert!(by_window.is_none(), "a second completion in flush {k}");
+                    by_window = Some((w, record));
+                }
+            }
+            let replayed = lazy.advance_windows(&replay);
+            assert_eq!(format!("{replayed:?}"), format!("{by_window:?}"), "flush {k}");
+            let energy = |hit: &Option<(usize, JobRecord)>| hit.as_ref().map(|(_, r)| r.gpu_energy_j.to_bits());
+            assert_eq!(energy(&replayed), energy(&by_window), "flush {k}");
+            let state = |n: &Node| {
+                (
+                    n.busy_s().to_bits(),
+                    n.completed(),
+                    n.job.as_ref().map(|r| (r.progress.to_bits(), r.energy_j.to_bits())),
+                    n.platform().gpu_energy_j(SimTime::ZERO, end).to_bits(),
+                    n.platform().cpu_energy_j(SimTime::ZERO, end).to_bits(),
+                )
+            };
+            assert_eq!(state(&lazy), state(&eager), "flush {k}");
+            found.push(by_window.map(|(w, _)| w));
+            for node in [&mut eager, &mut lazy] {
+                node.lifecycle_tick(end);
+                node.control_tick(end, mw(cap * peak));
+            }
+            t = end;
+        }
+        found
+    }
+
+    #[test]
+    fn replayed_windows_match_window_by_window_advance_at_the_edges() {
+        // The first job's finish instant, from a probe twin.
+        let mut probe = Node::new(0, &NodeConfig::default_node(), &mix(), 5);
+        probe.dispatch(job("hotspot", 1.0), SimTime::ZERO);
+        let finish = probe
+            .advance(SimTime::ZERO, SimTime::from_secs(100_000))
+            .expect("finishes")
+            .finished
+            .as_micros();
+        let long = 100_000_000_000;
+        let found = replay_twins(&[
+            // A window boundary exactly on the completion, among
+            // duplicate instants.
+            (vec![finish / 2, 0, finish - finish / 2, 0, 500_000], 0.8, 1.0),
+            // Completion in the first window, then in the last one.
+            (vec![long, 1, 0, 7], 0.7, 1.5),
+            (vec![3, 0, 5, 0, 0, long], 0.9, 0.4),
+            // No completion, and no service time at all.
+            (vec![1, 2, 0, 3], 0.6, 1.0),
+            (vec![0, 0], 0.6, 1.0),
+            (vec![long], 0.5, 1.0),
+        ]);
+        assert!(matches!(found[0], Some(2..=4)), "{found:?}");
+        assert_eq!(&found[1..], &[Some(0), Some(5), None, None, Some(0)]);
+    }
+
+    use proptest::prelude::*;
+
+    /// A window length in µs: a duplicate instant one time in four.
+    fn window_us() -> impl Strategy<Value = u64> {
+        (0u64..4, 1u64..4_000_000).prop_map(|(zero, us)| if zero == 0 { 0 } else { us })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random flushes of random windows, caps and job sizes: the
+        /// one-pass replay leaves exactly what advancing window by window
+        /// leaves.
+        #[test]
+        fn replayed_windows_match_window_by_window_advance(
+            flushes in proptest::collection::vec(
+                (proptest::collection::vec(window_us(), 1..10), 0.3f64..1.0, 0.05f64..2.0),
+                1..8,
+            ),
+        ) {
+            replay_twins(&flushes);
+        }
     }
 }

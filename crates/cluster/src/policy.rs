@@ -43,6 +43,12 @@ impl Policy {
     }
 }
 
+/// Whether node `n` can take a job now: idle, healthy, alive, and let
+/// through by the breaker mask `allowed` (empty allows all).
+pub(crate) fn available(n: &Node, allowed: &[bool]) -> bool {
+    allowed.get(n.id()).copied().unwrap_or(true) && n.is_idle() && n.healthy() && n.is_alive()
+}
+
 /// Picks a node for `job` among idle, healthy, alive nodes; `None` when
 /// no node can take work. `rr_cursor` carries the round-robin position
 /// across calls. `allowed` is the scheduler's circuit-breaker mask —
@@ -55,14 +61,13 @@ pub fn pick_node(
     rr_cursor: &mut usize,
     now: SimTime,
 ) -> Option<usize> {
-    let available =
-        |n: &Node| allowed.get(n.id()).copied().unwrap_or(true) && n.is_idle() && n.healthy() && n.is_alive();
+    let free = |n: &Node| available(n, allowed);
     match policy {
         Policy::RoundRobin => {
             let n = nodes.len();
             for k in 0..n {
                 let i = (*rr_cursor + k) % n;
-                if available(&nodes[i]) {
+                if free(&nodes[i]) {
                     *rr_cursor = i + 1;
                     return Some(i);
                 }
@@ -71,13 +76,13 @@ pub fn pick_node(
         }
         Policy::LeastLoaded => nodes
             .iter()
-            .filter(|n| available(n))
+            .filter(|n| free(n))
             .min_by(|a, b| a.busy_s().total_cmp(&b.busy_s()))
             .map(Node::id),
         Policy::EnergyAware => {
             let candidates: Vec<(usize, f64, f64)> = nodes
                 .iter()
-                .filter(|n| available(n))
+                .filter(|n| free(n))
                 .filter_map(|n| n.estimate(&job.workload, job.size).map(|(t, e)| (n.id(), t, e)))
                 .collect();
             if candidates.is_empty() {

@@ -61,10 +61,20 @@ fn grant_proportional(caps: &mut [MilliWatts], wants: &[MilliWatts], remaining: 
     }
     let pool = *remaining;
     for (cap, &want) in caps.iter_mut().zip(wants) {
-        let share = (u128::from(pool) * u128::from(want) / total) as MilliWatts;
+        let share = proportional_share(pool, want, total);
         let grant = share.min(want).min(*remaining);
         *cap += grant;
         *remaining -= grant;
+    }
+}
+
+/// `pool · want / total`, rounded down, for `want <= total`: in `u64`
+/// when the product and `total` fit, which gives the same quotient, and
+/// in `u128` otherwise.
+fn proportional_share(pool: MilliWatts, want: MilliWatts, total: u128) -> MilliWatts {
+    match (pool.checked_mul(want), u64::try_from(total)) {
+        (Some(product), Ok(total)) => product / total,
+        _ => (u128::from(pool) * u128::from(want) / total) as MilliWatts,
     }
 }
 
@@ -409,6 +419,55 @@ mod tests {
             peak_mw: peak,
             busy,
         }
+    }
+
+    #[test]
+    fn proportional_shares_match_the_u128_quotient_on_both_paths() {
+        let wide = |pool: u64, want: u64, total: u128| (u128::from(pool) * u128::from(want) / total) as MilliWatts;
+        let cases: [(u64, u64, u128); 7] = [
+            (0, 5, 7),
+            (1_000, 0, 3),
+            (1_000, 3, 3),
+            (600_000, 123_456, 987_654),
+            // Product exactly u64::MAX.
+            (u64::MAX, 1, u128::from(u64::MAX)),
+            // Product overflows u64; total fits.
+            (1 << 40, 1 << 30, 1 << 31),
+            // Total past u64 (a sum of many wants).
+            (u64::MAX, u64::MAX - 1, u128::from(u64::MAX) * 3),
+        ];
+        for (pool, want, total) in cases {
+            assert_eq!(
+                proportional_share(pool, want, total),
+                wide(pool, want, total),
+                "{pool}·{want}/{total}"
+            );
+        }
+        assert!(
+            (1u64 << 40).checked_mul(1 << 30).is_none(),
+            "a case takes the u128 path"
+        );
+        let mut state = 0x5EED_u64;
+        for _ in 0..10_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (pool, want) = (state >> (state % 64), (state >> 17) >> (state % 61));
+            let total = u128::from(want) + u128::from(state % 1_000_003);
+            if total > 0 {
+                assert_eq!(proportional_share(pool, want, total), wide(pool, want, total));
+            }
+        }
+        // Through the pass: wants whose products with the pool overflow
+        // u64 split exactly as the u128 arithmetic did.
+        let wants = [u64::MAX / 4, u64::MAX / 8, 3];
+        let total: u128 = wants.iter().map(|&w| u128::from(w)).sum();
+        let (mut caps, mut remaining) = ([0; 3], u64::MAX / 2);
+        grant_proportional(&mut caps, &wants, &mut remaining);
+        let pool = u64::MAX / 2;
+        let want_caps = wants.map(|w| wide(pool, w, total).min(w));
+        assert_eq!(caps, want_caps);
+        assert_eq!(remaining, pool - want_caps.iter().sum::<u64>());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::job::JobSpec;
 use crate::node::Node;
-use crate::policy::{pick_node, Policy};
+use crate::policy::{available, pick_node, Policy};
 use greengpu_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -17,6 +17,18 @@ use std::collections::VecDeque;
 struct QueuedJob {
     job: JobSpec,
     avoid_rack: Option<usize>,
+}
+
+/// Removes and returns the candidate `LeastLoaded` picks among those
+/// `eligible` accepts: the least `busy_s` (by `total_cmp`), ties to the
+/// lowest id, as [`pick_node`]'s first minimum in node order.
+fn take_least_loaded(free: &mut Vec<(f64, usize)>, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+    let (at, _) = free
+        .iter()
+        .enumerate()
+        .filter(|(_, &(_, id))| eligible(id))
+        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))?;
+    Some(free.swap_remove(at).1)
 }
 
 /// Bounded admission queue plus dispatch state.
@@ -112,10 +124,30 @@ impl Scheduler {
     /// the rack can take it — anti-affinity is a preference, not a second
     /// way to lose the job.
     pub fn dispatch(&mut self, nodes: &mut [Node], allowed: &[bool], rack_of: &[usize], now: SimTime) -> usize {
+        // LeastLoaded's candidates as (`busy_s`, id), scanned once on the
+        // first pick: a placement takes only the picked node out, and
+        // moves no node's `busy_s`, so the list stays exact for the call.
+        let mut least_loaded: Option<Vec<(f64, usize)>> = None;
         let mut placed = 0;
         while let Some(entry) = self.queue.front() {
-            let pick = match entry.avoid_rack {
-                Some(rack) if !rack_of.is_empty() => {
+            let pick = match (entry.avoid_rack, self.policy) {
+                (avoid, Policy::LeastLoaded) => {
+                    let free = least_loaded.get_or_insert_with(|| {
+                        let mut free = Vec::with_capacity(nodes.len());
+                        free.extend(
+                            nodes
+                                .iter()
+                                .filter(|n| available(n, allowed))
+                                .map(|n| (n.busy_s(), n.id())),
+                        );
+                        free
+                    });
+                    avoid
+                        .filter(|_| !rack_of.is_empty())
+                        .and_then(|rack| take_least_loaded(free, |id| rack_of[id] != rack))
+                        .or_else(|| take_least_loaded(free, |_| true))
+                }
+                (Some(rack), _) if !rack_of.is_empty() => {
                     let filtered: Vec<bool> = (0..nodes.len())
                         .map(|i| allowed.get(i).copied().unwrap_or(true) && rack_of[i] != rack)
                         .collect();
@@ -182,6 +214,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::node::NodeConfig;
+    use greengpu_sim::SimDuration;
 
     fn mix() -> Vec<String> {
         vec!["hotspot".to_string()]
@@ -292,5 +325,104 @@ mod tests {
         s.requeue_front(job(9), Some(0));
         assert_eq!(s.dispatch(&mut nodes, &[], &[], SimTime::ZERO), 1);
         assert!(!nodes[0].is_idle());
+    }
+
+    /// When the dispatch under test runs: after every history.
+    fn now() -> SimTime {
+        SimTime::from_secs(200_000)
+    }
+
+    /// Twelve nodes in four racks of three: equal service histories on
+    /// nodes 1, 4, 7 and 10, longer ones on 5 and 2, none on the rest;
+    /// node 3 crashed and node 8 busy.
+    fn loaded_fleet() -> Vec<Node> {
+        let mut nodes: Vec<Node> = (0..12)
+            .map(|i| Node::new(i, &NodeConfig::default_node(), &mix(), 1))
+            .collect();
+        for (i, size) in [(1, 1.0), (4, 1.0), (7, 1.0), (10, 1.0), (2, 3.0), (5, 2.0)] {
+            nodes[i].dispatch(JobSpec { size, ..job(100) }, SimTime::ZERO);
+            nodes[i]
+                .advance(SimTime::ZERO, SimTime::from_secs(100_000))
+                .expect("finishes");
+        }
+        nodes[3].crash(SimTime::ZERO, 5.0);
+        nodes[8].dispatch(job(101), SimTime::ZERO);
+        nodes
+    }
+
+    /// The nodes `LeastLoaded` dispatch hands jobs 0, 1, … to, one
+    /// `avoid` tag per job, read back from what each node serves.
+    fn least_loaded_picks(allowed: &[bool], rack_of: &[usize], avoid: &[Option<usize>]) -> Vec<usize> {
+        let mut nodes = loaded_fleet();
+        let mut s = Scheduler::new(Policy::LeastLoaded, 64);
+        for (id, &rack) in avoid.iter().enumerate().rev() {
+            s.requeue_front(job(id as u64), rack);
+        }
+        let placed = s.dispatch(&mut nodes, allowed, rack_of, now());
+        assert_eq!(s.depth(), avoid.len() - placed);
+        let mut by_job = vec![usize::MAX; placed];
+        for (i, node) in nodes.iter_mut().enumerate() {
+            if let Some(rec) = node.advance(now(), now() + SimDuration::from_secs(100_000)) {
+                if let Some(slot) = by_job.get_mut(rec.spec.id as usize) {
+                    *slot = i;
+                }
+            }
+        }
+        by_job
+    }
+
+    /// The same placements asked of `pick_node` afresh each time, with a
+    /// rack-filtered mask first on a tagged job.
+    fn repeated_pick_node(allowed: &[bool], rack_of: &[usize], avoid: &[Option<usize>]) -> Vec<usize> {
+        let mut nodes = loaded_fleet();
+        let (mut cursor, mut picks) = (0, Vec::new());
+        for (id, &rack) in avoid.iter().enumerate() {
+            let job = job(id as u64);
+            let pick = match rack {
+                Some(rack) if !rack_of.is_empty() => {
+                    let filtered: Vec<bool> = (0..nodes.len())
+                        .map(|i| allowed.get(i).copied().unwrap_or(true) && rack_of[i] != rack)
+                        .collect();
+                    pick_node(Policy::LeastLoaded, &job, &nodes, &filtered, &mut cursor, now())
+                        .or_else(|| pick_node(Policy::LeastLoaded, &job, &nodes, allowed, &mut cursor, now()))
+                }
+                _ => pick_node(Policy::LeastLoaded, &job, &nodes, allowed, &mut cursor, now()),
+            };
+            let Some(i) = pick else { break };
+            nodes[i].dispatch(job, now());
+            picks.push(i);
+        }
+        picks
+    }
+
+    #[test]
+    fn least_loaded_dispatch_picks_as_repeated_pick_node() {
+        let agree = |allowed: &[bool], rack_of: &[usize], avoid: &[Option<usize>]| {
+            let want = repeated_pick_node(allowed, rack_of, avoid);
+            assert_eq!(
+                least_loaded_picks(allowed, rack_of, avoid),
+                want,
+                "{allowed:?} {avoid:?}"
+            );
+            want
+        };
+        let racks: Vec<usize> = (0..12).map(|i| i / 3).collect();
+        let mut masked = vec![true; 12];
+        masked[0] = false;
+        masked[6] = false;
+        let only_rack_1: Vec<bool> = racks.iter().map(|&r| r == 1).collect();
+        let (r0, r1, r3) = (Some(0), Some(1), Some(3));
+        // Ties at zero and at equal histories; runs out of nodes.
+        let picks = agree(&[], &[], &[None; 14]);
+        assert_eq!(picks, [0, 6, 9, 11, 1, 4, 7, 10, 5, 2], "ties break to the lowest id");
+        // A breaker mask, and retries avoiding racks until only the
+        // avoided rack has a node left (the fallback).
+        agree(&masked, &racks, &[r0, None, r1, r3, None, r0, r3, r3, None, r1, r1]);
+        agree(&only_rack_1, &racks, &[r1, r1, None]);
+        // A flat fleet ignores the tags.
+        agree(&masked, &[], &[r0, r1, None, r0]);
+        // No candidate at all, and nothing queued.
+        assert!(agree(&[false; 12], &racks, &[None, r0]).is_empty());
+        agree(&[], &racks, &[]);
     }
 }

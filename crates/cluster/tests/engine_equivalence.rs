@@ -302,6 +302,42 @@ fn long_geo_runs_past_the_idle_fixed_point_agree() {
     }
 }
 
+/// Twelve times the default offered load on 24 nodes: every control
+/// interval holds dozens of arrivals, so a job's service is split into
+/// many windows and nodes finish in different ones. The event engines
+/// replay the arrival-split windows at the next node event; their
+/// completions must still come out window by window, as Serial's do
+/// advancing every node at every arrival.
+#[test]
+fn arrival_dense_fleets_agree() {
+    for (seed, chaos) in [
+        (0xA11_0001, false),
+        (0xA11_0002, true),
+        (0xA11_0003, false),
+        (0xA11_0004, true),
+    ] {
+        let mut cfg = fleet_cfg(24, &PolicySpec::default(), chaos, 30, seed);
+        cfg.arrivals.rate_per_s *= 12.0;
+        let oracle = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
+        // Within one control interval, a node finished before a node with
+        // a lower id: the stream is in (window, node) order, not node
+        // order. Without chaos only ticks end a replay, so this is the
+        // order one replay commits.
+        let period = cfg.control_period.as_micros();
+        let interval = |r: &greengpu_cluster::JobRecord| r.finished.as_micros().div_ceil(period);
+        let out_of_node_order = oracle
+            .completed
+            .windows(2)
+            .any(|w| interval(&w[0]) == interval(&w[1]) && w[0].node > w[1].node);
+        assert!(
+            out_of_node_order,
+            "seed {seed:#x}: no interval's completions left node order ({} completions)",
+            oracle.completed.len()
+        );
+        assert_engines_agree(&cfg);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

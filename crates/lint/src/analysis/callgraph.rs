@@ -68,6 +68,10 @@ pub const ROOTS: &[RootSpec] = &[
         why: "per-tick node state advance",
     },
     RootSpec {
+        matcher: RootMatch::Named(Some("Node"), "advance_windows"),
+        why: "per-event replay of deferred service windows",
+    },
+    RootSpec {
         matcher: RootMatch::Named(Some("Node"), "lifecycle_tick"),
         why: "per-tick failure lifecycle",
     },
