@@ -56,8 +56,9 @@
 //!   utilization traces are constant zero, so the sense the skip drops
 //!   would read bitwise `0.0` over any window — the only state left
 //!   behind is the sensors' poll cursor, which the node catches up to
-//!   the last control interval it saw (its latest lifecycle tick) while
-//!   the traces are still flat, before a job ([`crate::Node::dispatch`])
+//!   the last control interval it saw (its latest lifecycle tick, or the
+//!   instant recorded at wake, below) while the traces are still flat,
+//!   before a job ([`crate::Node::dispatch`])
 //!   or a throttle window ([`crate::Node::thermal_emergency`], inside
 //!   which a job may be dispatched) can move them;
 //! * an idle node whose WMA learner is on its idle orbit at or past the
@@ -75,7 +76,16 @@
 //!   of state the park fingerprint freezes;
 //! * a continuously-parked node's periodic checkpoint skips the
 //!   re-recording: the learner state it would snapshot is bit-frozen
-//!   while parked, so the stored checkpoint is already identical.
+//!   while parked, so the stored checkpoint is already identical;
+//! * a **resting** node (coasting or parked, so `Up`, idle, healthy and
+//!   unthrottled) is read through its packed slot, not swept, until a
+//!   full tick, a new cap, dispatch, a crash or a thermal emergency wakes
+//!   it. Its lifecycle tick would only record the parked sensor catch-up
+//!   instant, which the wake records instead (a dispatch its own, a chaos
+//!   event the latest tick), and it has no completion due. From the next
+//!   interval its demand entry and its meters are frozen, so the row
+//!   folds `StepTrace`'s one-segment term `0.0 + v·dt` from the slot, in
+//!   node order from −0.0.
 //!
 //! The skipped work that is *not* bit-preserved is confined to
 //! unobservable telemetry. For coasted and parked ticks alike: the
@@ -227,10 +237,12 @@ pub(crate) struct DriveOutcome {
     pub stray_blackout_events: u64,
 }
 
-/// Read-only inputs shared by every engine.
+/// The inputs every engine drives from.
 pub(crate) struct DriveInputs<'a> {
     pub cfg: &'a FleetConfig,
-    pub jobs: &'a [JobSpec],
+    /// The arrivals `Event::Arrival` indexes; the spine moves each job
+    /// out as it arrives.
+    pub jobs: Vec<JobSpec>,
     pub chaos_events: &'a [ChaosEvent],
     pub budget_mw: MilliWatts,
 }
@@ -242,7 +254,7 @@ const PAR_MIN_BATCH: usize = 32;
 /// Runs the configured engine over the spine to the horizon.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive(
-    inp: &DriveInputs,
+    inp: DriveInputs,
     spine: EventQueue<Event>,
     nodes: &mut [Node],
     scheduler: &mut Scheduler,
@@ -292,10 +304,14 @@ trait Schedule {
     /// Advances job service over the windows `split` left, then from
     /// `from` to `to`, recording completions in [`Completions`] order.
     fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions);
-    /// The nodes in `ids` just crashed.
-    fn went_dark(&mut self, nodes: &[Node], ids: &[usize]);
+    /// A chaos event just crashed or throttled the nodes in `ids`.
+    fn touched(&mut self, nodes: &[Node], ids: &[usize]);
     /// Failure FSMs: a cleared probation closes the node's breaker.
     fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime);
+    /// Node `i`'s place in the schedule (Serial's are all awake).
+    fn slot(&self, _i: usize) -> Slot {
+        Slot::Awake
+    }
     /// Refreshes `demands` (one entry per node) in place; true when any
     /// entry moved.
     fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool;
@@ -329,7 +345,7 @@ impl Schedule for Serial {
         }
     }
 
-    fn went_dark(&mut self, _nodes: &[Node], _ids: &[usize]) {}
+    fn touched(&mut self, _nodes: &[Node], _ids: &[usize]) {}
 
     fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
         for (node, breaker) in nodes.iter_mut().zip(breakers.iter_mut()) {
@@ -374,7 +390,34 @@ struct EventDriven {
     /// `Crashed`/`Restarting` node before its `state_until`, so such
     /// nodes sleep here and are woken at the first tick at/after it.
     agenda: BinaryHeap<Reverse<(SimTime, usize)>>,
-    dormant: Vec<bool>,
+    /// One packed slot per node, so a sweep passes a resting node by.
+    slots: Vec<Slot>,
+}
+
+/// A node's place in the event-driven schedule.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Swept in full.
+    Awake,
+    /// `Crashed` or `Restarting`, asleep on the wake agenda.
+    Dark,
+    /// Began resting at the latest control sweep; the next demand sweep
+    /// reads it once more and settles it.
+    Fresh,
+    /// Rested untouched since an earlier interval.
+    Settled(Frozen),
+}
+
+// A resting node costs one slot in every sweep but control.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
+
+/// What the telemetry row reads of a settled node: its GPU and CPU
+/// meters' watts since it began resting, and its cap violations.
+#[derive(Debug, Clone, Copy)]
+struct Frozen {
+    gpu_w: f64,
+    cpu_w: f64,
+    cap_violations: u64,
 }
 
 impl EventDriven {
@@ -385,13 +428,13 @@ impl EventDriven {
             windows: Vec::new(),
             finished: Vec::new(),
             agenda: BinaryHeap::new(),
-            dormant: vec![false; n],
+            slots: vec![Slot::Awake; n],
         }
     }
 
     /// Sleeps a dark node until its next lifecycle transition is due.
     fn sleep(&mut self, node: &Node, id: usize) {
-        self.dormant[id] = true;
+        self.slots[id] = Slot::Dark;
         self.agenda.push(Reverse((node.state_until(), id)));
     }
 }
@@ -418,11 +461,15 @@ impl Schedule for EventDriven {
         self.windows.clear();
     }
 
-    fn went_dark(&mut self, nodes: &[Node], ids: &[usize]) {
+    fn touched(&mut self, nodes: &[Node], ids: &[usize]) {
         // A crashed node's stale busy-list entry (job already taken)
         // drops out on the next advance.
         for &id in ids {
-            self.sleep(&nodes[id], id);
+            if nodes[id].is_alive() {
+                self.slots[id] = Slot::Awake;
+            } else {
+                self.sleep(&nodes[id], id);
+            }
         }
     }
 
@@ -432,10 +479,12 @@ impl Schedule for EventDriven {
                 break;
             }
             self.agenda.pop();
-            self.dormant[id] = false;
+            self.slots[id] = Slot::Awake;
         }
+        // A resting node's tick would only record the instant, which
+        // `Books::touch` and `Node::dispatch` record before it is read.
         for i in 0..nodes.len() {
-            if self.dormant[i] {
+            if !matches!(self.slots[i], Slot::Awake) {
                 continue;
             }
             lifecycle_step(&mut nodes[i], &mut breakers[i], t);
@@ -446,21 +495,35 @@ impl Schedule for EventDriven {
         }
     }
 
+    fn slot(&self, i: usize) -> Slot {
+        self.slots[i]
+    }
+
     fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool {
         if demands.len() != nodes.len() {
             demands.clear();
             demands.extend(nodes.iter().map(Node::demand));
             return true;
         }
-        // A parked node's demand is frozen by the park fingerprint, so
-        // its entry from last tick is still exact.
         let mut moved = false;
-        for (entry, node) in demands.iter_mut().zip(nodes) {
-            if !node.is_parked() {
-                let fresh = node.demand();
-                moved |= fresh != *entry;
-                *entry = fresh;
+        for ((entry, node), slot) in demands.iter_mut().zip(nodes).zip(&mut self.slots) {
+            match slot {
+                // Frozen by the park fingerprint, or cached when coasting
+                // began, and read after that.
+                Slot::Settled(_) => continue,
+                // Nothing has written its meters since it began resting.
+                Slot::Fresh => {
+                    *slot = Slot::Settled(Frozen {
+                        gpu_w: node.platform().gpu_meter().trace().last_value(),
+                        cpu_w: node.platform().cpu_meter().trace().last_value(),
+                        cap_violations: node.cap_violations(),
+                    })
+                }
+                Slot::Awake | Slot::Dark => {}
             }
+            let fresh = node.demand();
+            moved |= fresh != *entry;
+            *entry = fresh;
         }
         moved
     }
@@ -470,32 +533,54 @@ impl Schedule for EventDriven {
         // outright (deep park): the fast path would only re-read
         // constant-zero idle utilizations and rewrite every field with
         // the same bits, and returns 0.0 overage by the park invariant.
-        let tick = |node: &mut Node, cap: MilliWatts| {
-            (node.is_alive() && node.parked_under() != Some(cap)).then(|| node.control_tick_parkable(t, cap))
+        // Any tick but a counted one leaves the node fresh or awake.
+        let tick = |node: &mut Node, cap: MilliWatts, slot: Slot| match slot {
+            Slot::Dark => (None, slot),
+            _ if node.parked_under() == Some(cap) => (None, slot),
+            _ => {
+                let counted = node.coasts_under(cap);
+                let over = node.control_tick_parkable(t, cap);
+                let slot = match (counted, node.is_resting()) {
+                    (true, _) => slot,
+                    (false, true) => Slot::Fresh,
+                    (false, false) => Slot::Awake,
+                };
+                (Some(over), slot)
+            }
         };
         if self.workers > 1 && nodes.len() >= PAR_MIN_BATCH {
-            fan_out(self.workers, nodes, |i, node| tick(node, caps[i]))
+            let slots = &self.slots;
+            fan_out(self.workers, nodes, |i, node| tick(node, caps[i], slots[i]))
                 .into_iter()
-                .flatten()
+                .zip(&mut self.slots)
+                .filter_map(|((over, ticked), slot)| {
+                    *slot = ticked;
+                    over
+                })
                 .fold(0.0, f64::max)
         } else {
             nodes
                 .iter_mut()
                 .zip(caps)
-                .filter_map(|(node, &cap)| tick(node, cap))
+                .zip(&mut self.slots)
+                .filter_map(|((node, &cap), slot)| {
+                    let (over, ticked) = tick(node, cap, *slot);
+                    *slot = ticked;
+                    over
+                })
                 .fold(0.0, f64::max)
         }
     }
 
     fn dispatched(&mut self, nodes: &[Node]) {
         self.busy.clear();
-        self.busy.extend(
-            nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, node)| !node.is_idle())
-                .map(|(i, _)| i),
-        );
+        for (i, node) in nodes.iter().enumerate() {
+            if !node.is_idle() {
+                // Resting nodes are idle: a busy one is awake.
+                self.busy.push(i);
+                self.slots[i] = Slot::Awake;
+            }
+        }
     }
 }
 
@@ -540,8 +625,10 @@ struct Books {
     crash_records: Vec<CrashRecord>,
     jobs_lost: u64,
     stray_blackout_events: u64,
-    /// Nodes the latest chaos event crashed.
-    crashed: Vec<usize>,
+    /// The spine's latest tick instant.
+    last_tick: SimTime,
+    /// Nodes the latest chaos event crashed or throttled.
+    touched: Vec<usize>,
 }
 
 impl Books {
@@ -552,6 +639,13 @@ impl Books {
             rec.cap_after_mw = Some(caps[rec.node]);
         }
         self.last_caps.copy_from_slice(caps);
+    }
+
+    /// A chaos event is about to crash or throttle live node `id`, which
+    /// saw the latest tick even if its lifecycle sweep was skipped.
+    fn touch(&mut self, node: &mut Node, id: usize) {
+        node.saw_tick(self.last_tick);
+        self.touched.push(id);
     }
 
     /// Node `id` crashes: it loses its job to the retry queue (which
@@ -566,6 +660,7 @@ impl Books {
         outage_s: f64,
         retry: &mut RetryQueue,
     ) {
+        self.touch(&mut nodes[id], id);
         if let Some(job) = nodes[id].crash(t, outage_s) {
             self.jobs_lost += 1;
             retry.job_lost(job, t, self.rack_of.get(id).copied());
@@ -577,12 +672,11 @@ impl Books {
             cap_before_mw: self.last_caps[id],
             cap_after_mw: None,
         });
-        self.crashed.push(id);
     }
 }
 
-/// Applies one spine chaos event; a node it crashes lands in
-/// `books.crashed`.
+/// Applies one spine chaos event; a node it crashes or throttles lands in
+/// `books.touched`.
 fn apply_chaos(
     nodes: &mut [Node],
     ev: &ChaosEvent,
@@ -591,7 +685,7 @@ fn apply_chaos(
     retry: &mut RetryQueue,
     breakers: &mut [CircuitBreaker],
 ) {
-    books.crashed.clear();
+    books.touched.clear();
     match ev.kind {
         ChaosKind::Crash { outage_s } => {
             if nodes[ev.node].is_alive() {
@@ -600,6 +694,7 @@ fn apply_chaos(
         }
         ChaosKind::ThermalEmergency { duration_s } => {
             if nodes[ev.node].is_alive() {
+                books.touch(&mut nodes[ev.node], ev.node);
                 nodes[ev.node].thermal_emergency(t, duration_s);
             }
         }
@@ -612,8 +707,8 @@ fn apply_chaos(
     }
 }
 
-/// Applies one correlated domain event; nodes it crashes land in
-/// `books.crashed`.
+/// Applies one correlated domain event; nodes it crashes or throttles
+/// land in `books.touched`.
 fn apply_domain_event(
     nodes: &mut [Node],
     i: usize,
@@ -623,7 +718,7 @@ fn apply_domain_event(
     retry: &mut RetryQueue,
     breakers: &mut [CircuitBreaker],
 ) {
-    books.crashed.clear();
+    books.touched.clear();
     let ev = g.domain_events[i];
     match ev.kind {
         DomainChaosKind::RackPowerLoss { outage_s } => {
@@ -665,6 +760,7 @@ fn apply_domain_event(
         DomainChaosKind::ZoneThermal { duration_s } => {
             for &n in &g.index.zone_nodes[ev.domain] {
                 if nodes[n].is_alive() {
+                    books.touch(&mut nodes[n], n);
                     nodes[n].thermal_emergency(t, duration_s);
                 }
             }
@@ -704,14 +800,19 @@ fn fill_domain_records(g: &mut GeoState, leaf_caps: &[MilliWatts]) {
 /// Appends one control interval's interior-node telemetry: a row per
 /// region, then per zone, then per rack — caps and the demand each split
 /// saw from the budget tree, live-node counts, breaker states.
-fn push_geo_rows(g: &mut GeoState, nodes: &[Node], t: SimTime, interval: u64) {
+fn push_geo_rows<S: Schedule>(g: &mut GeoState, engine: &S, nodes: &[Node], t: SimTime, interval: u64) {
     let index = g.index;
     let time_s = t.saturating_since(SimTime::ZERO).as_secs_f64();
     let mut rack_up = vec![0usize; index.n_racks()];
     let mut zone_up = vec![0usize; index.n_zones()];
     let mut region_up = vec![0usize; index.n_regions()];
-    for (n, node) in nodes.iter().enumerate() {
-        if node.is_alive() {
+    for n in 0..nodes.len() {
+        let alive = match engine.slot(n) {
+            Slot::Awake => nodes[n].is_alive(),
+            Slot::Dark => false,
+            Slot::Fresh | Slot::Settled(_) => true,
+        };
+        if alive {
             rack_up[index.rack_of[n]] += 1;
             zone_up[index.zone_of[n]] += 1;
             region_up[index.region_of[n]] += 1;
@@ -773,7 +874,7 @@ fn mask_domains(allowed: &mut [bool], g: &GeoState) {
 #[allow(clippy::too_many_arguments)]
 fn run_spine<S: Schedule>(
     mut engine: S,
-    inp: &DriveInputs,
+    inp: DriveInputs,
     mut spine: EventQueue<Event>,
     nodes: &mut [Node],
     scheduler: &mut Scheduler,
@@ -782,7 +883,12 @@ fn run_spine<S: Schedule>(
     dispatcher: &mut TenantDispatcher,
     mut geo: Option<&mut GeoState>,
 ) -> DriveOutcome {
-    let cfg = inp.cfg;
+    let DriveInputs {
+        cfg,
+        jobs,
+        chaos_events,
+        budget_mw,
+    } = inp;
     let n = nodes.len();
     let mut books = Books {
         rack_of: geo.as_deref().map_or_else(Vec::new, |g| g.index.rack_of.clone()),
@@ -790,8 +896,10 @@ fn run_spine<S: Schedule>(
         crash_records: Vec::new(),
         jobs_lost: 0,
         stray_blackout_events: 0,
-        crashed: Vec::new(),
+        last_tick: SimTime::ZERO,
+        touched: Vec::new(),
     };
+    let mut jobs: Vec<Option<JobSpec>> = jobs.into_iter().map(Some).collect();
     let mut done = Completions::default();
     let mut last_completed: Vec<u64> = vec![0; n];
     let mut demands: Vec<NodeDemand> = Vec::with_capacity(n);
@@ -811,19 +919,22 @@ fn run_spine<S: Schedule>(
         t = at;
         match event {
             Event::Arrival(i) => {
-                dispatcher.on_arrival(inp.jobs[i].clone(), scheduler, t);
+                if let Some(job) = jobs[i].take() {
+                    dispatcher.on_arrival(job, scheduler, t);
+                }
             }
             Event::Chaos(i) => {
-                apply_chaos(nodes, &inp.chaos_events[i], t, &mut books, retry, breakers);
-                engine.went_dark(nodes, &books.crashed);
+                apply_chaos(nodes, &chaos_events[i], t, &mut books, retry, breakers);
+                engine.touched(nodes, &books.touched);
             }
             Event::Domain(i) => {
                 if let Some(g) = geo.as_deref_mut() {
                     apply_domain_event(nodes, i, t, g, &mut books, retry, breakers);
-                    engine.went_dark(nodes, &books.crashed);
+                    engine.touched(nodes, &books.touched);
                 }
             }
             Event::Tick => {
+                books.last_tick = t;
                 // 1. Failure FSMs and breaker clocks. A cleared probation
                 // or a completion since the last tick closes the breaker
                 // (and, on hierarchical runs, its rack's and zone's).
@@ -837,7 +948,8 @@ fn run_spine<S: Schedule>(
                     }
                 }
                 for (i, node) in nodes.iter().enumerate() {
-                    if node.completed() > last_completed[i] {
+                    let resting = matches!(engine.slot(i), Slot::Fresh | Slot::Settled(_));
+                    if !resting && node.completed() > last_completed[i] {
                         breakers[i].record_success();
                         if let Some(g) = geo.as_deref_mut() {
                             g.rack_breakers[g.index.rack_of[i]].record_success();
@@ -856,11 +968,11 @@ fn run_spine<S: Schedule>(
                 // of budget and demands, so it reruns only when one moved.
                 let moved = engine.demands(nodes, &mut demands);
                 if let Some(g) = geo.as_deref_mut() {
-                    caps = g.tree.tick(inp.budget_mw, &demands);
-                    g.interior_cap_violations += g.tree.cap_violations(inp.budget_mw, &caps);
+                    caps = g.tree.tick(budget_mw, &demands);
+                    g.interior_cap_violations += g.tree.cap_violations(budget_mw, &caps);
                     fill_domain_records(g, &caps);
                 } else if moved || caps.is_empty() {
-                    caps = apportion(inp.budget_mw, &demands);
+                    caps = apportion(budget_mw, &demands);
                 }
                 books.settle(&caps);
                 // 3. Control ticks on live nodes.
@@ -895,10 +1007,10 @@ fn run_spine<S: Schedule>(
                 if t > SimTime::ZERO {
                     interval += 1;
                     rows.push(trace_row(
-                        cfg, nodes, scheduler, breakers, retry, &caps, t, interval, &done, max_over_w,
+                        cfg, &engine, nodes, scheduler, breakers, retry, &caps, t, interval, &done, max_over_w,
                     ));
                     if let Some(g) = geo.as_deref_mut() {
-                        push_geo_rows(g, nodes, t, interval);
+                        push_geo_rows(g, &engine, nodes, t, interval);
                     }
                     dispatcher.note_interval(t, interval);
                 }
@@ -921,8 +1033,9 @@ fn run_spine<S: Schedule>(
 /// One per-interval telemetry row — built once by the spine, so the CSV
 /// bytes cannot drift between engines.
 #[allow(clippy::too_many_arguments)]
-fn trace_row(
+fn trace_row<S: Schedule>(
     cfg: &FleetConfig,
+    engine: &S,
     nodes: &[Node],
     scheduler: &Scheduler,
     breakers: &[CircuitBreaker],
@@ -934,21 +1047,35 @@ fn trace_row(
     max_over_w: f64,
 ) -> TraceRow {
     let window_start = SimTime::ZERO + cfg.control_period.mul_f64((interval - 1) as f64);
-    let dt = t.saturating_since(window_start).as_secs_f64().max(1e-12);
+    let span_s = t.saturating_since(window_start).as_secs_f64();
+    let dt = span_s.max(1e-12);
     // One pass over the fleet: it integrates each GPU meter once for both
     // sums and counts alongside. The energy terms, their order and the
     // -0.0 start are `Iterator::sum`'s, and each total term is
-    // `Platform::total_energy_j`'s `gpu + cpu`.
+    // `Platform::total_energy_j`'s `gpu + cpu`. A settled node's meters
+    // hold one segment across the window (`StepTrace::integral`'s one
+    // term), and it is idle, healthy and `Up`.
     let (mut gpu_j, mut total_j) = (-0.0, -0.0);
     let (mut busy_nodes, mut healthy_nodes, mut up_nodes, mut cap_violations) = (0, 0, 0, 0);
-    for n in nodes {
-        let gpu = n.platform().gpu_energy_j(window_start, t);
+    for (i, n) in nodes.iter().enumerate() {
+        let (gpu, cpu) = match engine.slot(i) {
+            Slot::Settled(f) => {
+                healthy_nodes += 1;
+                up_nodes += 1;
+                cap_violations += f.cap_violations;
+                (0.0 + f.gpu_w * span_s, 0.0 + f.cpu_w * span_s)
+            }
+            _ => {
+                busy_nodes += usize::from(!n.is_idle());
+                healthy_nodes += usize::from(n.healthy());
+                up_nodes += usize::from(n.is_alive());
+                cap_violations += n.cap_violations();
+                let p = n.platform();
+                (p.gpu_energy_j(window_start, t), p.cpu_energy_j(window_start, t))
+            }
+        };
         gpu_j += gpu;
-        total_j += gpu + n.platform().cpu_energy_j(window_start, t);
-        busy_nodes += usize::from(!n.is_idle());
-        healthy_nodes += usize::from(n.healthy());
-        up_nodes += usize::from(n.is_alive());
-        cap_violations += n.cap_violations();
+        total_j += gpu + cpu;
     }
     TraceRow {
         interval,
@@ -1025,12 +1152,12 @@ mod tests {
             let mut dispatcher = TenantDispatcher::passthrough();
             let inputs = DriveInputs {
                 cfg: &cfg,
-                jobs: &[],
+                jobs: Vec::new(),
                 chaos_events: &chaos_events,
                 budget_mw: 1_000_000,
             };
             let outcome = drive(
-                &inputs,
+                inputs,
                 spine,
                 &mut nodes,
                 &mut scheduler,

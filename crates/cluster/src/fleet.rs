@@ -681,12 +681,12 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 
     let inputs = DriveInputs {
         cfg,
-        jobs: &jobs,
+        jobs,
         chaos_events: &chaos_events,
         budget_mw,
     };
     let outcome = drive(
-        &inputs,
+        inputs,
         spine,
         &mut nodes,
         &mut scheduler,

@@ -204,8 +204,8 @@ enum Rest {
         /// has run, so the learner state is bit-frozen and
         /// [`Node::take_checkpoint`] can skip the re-recording.
         checkpoint_fresh: bool,
-        /// The last control interval the node saw: its latest
-        /// [`Node::lifecycle_tick`].
+        /// The last control interval the node saw (see
+        /// [`Node::saw_tick`]).
         last: SimTime,
     },
 }
@@ -456,6 +456,29 @@ impl Node {
         }
     }
 
+    /// Whether the node is coasting or parked.
+    pub(crate) fn is_resting(&self) -> bool {
+        !matches!(self.rest, Rest::Awake)
+    }
+
+    /// Whether a control tick under `cap` only counts itself: the node
+    /// coasts under `cap` with orbit rows left to count, or a fixed point
+    /// to park on (see [`Node::control_tick_parkable`]).
+    pub(crate) fn coasts_under(&self, cap: MilliWatts) -> bool {
+        matches!(self.rest, Rest::Coasting { cap: held, skipped, left, parks, .. }
+            if held == cap && (skipped < left || parks))
+    }
+
+    /// Records `tick` as the last control interval a parked node saw, its
+    /// sensors' catch-up instant at wake. Lifecycle ticks record theirs;
+    /// the event-driven engine, which skips them on resting nodes, records
+    /// the latest tick before a chaos event wakes the node.
+    pub(crate) fn saw_tick(&mut self, tick: SimTime) {
+        if let Rest::Parked { last, .. } = &mut self.rest {
+            *last = tick;
+        }
+    }
+
     /// Whether the node is controllable this interval (`Up` or
     /// `Probation`). Dead nodes take no control ticks and no work.
     pub fn is_alive(&self) -> bool {
@@ -590,9 +613,7 @@ impl Node {
     /// intervals) and refreshes the thermal-throttle flag. Returns the
     /// transitions that fired, for the fleet's breaker and counters.
     pub fn lifecycle_tick(&mut self, now: SimTime) -> Vec<LifecycleEvent> {
-        if let Rest::Parked { last, .. } = &mut self.rest {
-            *last = now;
-        }
+        self.saw_tick(now);
         self.thermal_active = now < self.thermal_until;
         let mut events = Vec::new();
         match self.state {
@@ -835,7 +856,9 @@ impl Node {
     pub fn dispatch(&mut self, job: JobSpec, now: SimTime) {
         assert!(self.job.is_none(), "node {} is busy", self.id);
         // The job is about to move the utilization traces: a parked or
-        // coasting node catches its sensors up while they are still flat.
+        // coasting node catches its sensors up while they are still flat,
+        // to this control interval.
+        self.saw_tick(now);
         self.wake();
         // Resolve the interned profile id once; `advance` and
         // `refresh_activity` index by it from here on.
@@ -1025,16 +1048,11 @@ impl Node {
     ///   this cap would enforce the same pair, so the node starts
     ///   coasting.
     pub fn control_tick_parkable(&mut self, now: SimTime, cap: MilliWatts) -> f64 {
-        if let Rest::Coasting {
-            cap: held,
-            skipped,
-            left,
-            parks,
-            last,
-            ..
-        } = &mut self.rest
-        {
-            if *held == cap && (*skipped < *left || *parks) {
+        if self.coasts_under(cap) {
+            if let Rest::Coasting {
+                skipped, left, last, ..
+            } = &mut self.rest
+            {
                 debug_assert!(self.job.is_none() && self.state == NodeState::Up && !self.thermal_active);
                 *skipped += 1;
                 *last = now;
@@ -1048,8 +1066,8 @@ impl Node {
                         last: now,
                     };
                 }
-                return 0.0;
             }
+            return 0.0;
         }
         self.sync();
         self.rest = Rest::Awake;

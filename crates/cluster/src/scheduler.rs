@@ -128,6 +128,9 @@ impl Scheduler {
         // first pick: a placement takes only the picked node out, and
         // moves no node's `busy_s`, so the list stays exact for the call.
         let mut least_loaded: Option<Vec<(f64, usize)>> = None;
+        // The other policies' avoid-rack mask, rebuilt in place for each
+        // tagged placement.
+        let mut avoiding: Vec<bool> = Vec::new();
         let mut placed = 0;
         while let Some(entry) = self.queue.front() {
             let pick = match (entry.avoid_rack, self.policy) {
@@ -148,12 +151,13 @@ impl Scheduler {
                         .or_else(|| take_least_loaded(free, |_| true))
                 }
                 (Some(rack), _) if !rack_of.is_empty() => {
-                    let filtered: Vec<bool> = (0..nodes.len())
-                        .map(|i| allowed.get(i).copied().unwrap_or(true) && rack_of[i] != rack)
-                        .collect();
+                    avoiding.clear();
+                    avoiding.extend(
+                        (0..nodes.len()).map(|i| allowed.get(i).copied().unwrap_or(true) && rack_of[i] != rack),
+                    );
                     // `pick_node` only moves the round-robin cursor on a
                     // successful pick, so the fallback sees it unchanged.
-                    pick_node(self.policy, &entry.job, nodes, &filtered, &mut self.rr_cursor, now)
+                    pick_node(self.policy, &entry.job, nodes, &avoiding, &mut self.rr_cursor, now)
                         .or_else(|| pick_node(self.policy, &entry.job, nodes, allowed, &mut self.rr_cursor, now))
                 }
                 _ => pick_node(self.policy, &entry.job, nodes, allowed, &mut self.rr_cursor, now),
@@ -350,11 +354,11 @@ mod tests {
         nodes
     }
 
-    /// The nodes `LeastLoaded` dispatch hands jobs 0, 1, … to, one
-    /// `avoid` tag per job, read back from what each node serves.
-    fn least_loaded_picks(allowed: &[bool], rack_of: &[usize], avoid: &[Option<usize>]) -> Vec<usize> {
+    /// The nodes `policy`'s dispatch hands jobs 0, 1, … to, one `avoid`
+    /// tag per job, read back from what each node serves.
+    fn dispatch_picks(policy: Policy, allowed: &[bool], rack_of: &[usize], avoid: &[Option<usize>]) -> Vec<usize> {
         let mut nodes = loaded_fleet();
-        let mut s = Scheduler::new(Policy::LeastLoaded, 64);
+        let mut s = Scheduler::new(policy, 64);
         for (id, &rack) in avoid.iter().enumerate().rev() {
             s.requeue_front(job(id as u64), rack);
         }
@@ -373,7 +377,7 @@ mod tests {
 
     /// The same placements asked of `pick_node` afresh each time, with a
     /// rack-filtered mask first on a tagged job.
-    fn repeated_pick_node(allowed: &[bool], rack_of: &[usize], avoid: &[Option<usize>]) -> Vec<usize> {
+    fn repeated_pick_node(policy: Policy, allowed: &[bool], rack_of: &[usize], avoid: &[Option<usize>]) -> Vec<usize> {
         let mut nodes = loaded_fleet();
         let (mut cursor, mut picks) = (0, Vec::new());
         for (id, &rack) in avoid.iter().enumerate() {
@@ -383,10 +387,10 @@ mod tests {
                     let filtered: Vec<bool> = (0..nodes.len())
                         .map(|i| allowed.get(i).copied().unwrap_or(true) && rack_of[i] != rack)
                         .collect();
-                    pick_node(Policy::LeastLoaded, &job, &nodes, &filtered, &mut cursor, now())
-                        .or_else(|| pick_node(Policy::LeastLoaded, &job, &nodes, allowed, &mut cursor, now()))
+                    pick_node(policy, &job, &nodes, &filtered, &mut cursor, now())
+                        .or_else(|| pick_node(policy, &job, &nodes, allowed, &mut cursor, now()))
                 }
-                _ => pick_node(Policy::LeastLoaded, &job, &nodes, allowed, &mut cursor, now()),
+                _ => pick_node(policy, &job, &nodes, allowed, &mut cursor, now()),
             };
             let Some(i) = pick else { break };
             nodes[i].dispatch(job, now());
@@ -395,16 +399,22 @@ mod tests {
         picks
     }
 
+    /// Asserts `policy`'s dispatch places jobs as `repeated_pick_node`
+    /// does, and returns the picks.
+    fn agree(policy: Policy, allowed: &[bool], rack_of: &[usize], avoid: &[Option<usize>]) -> Vec<usize> {
+        let want = repeated_pick_node(policy, allowed, rack_of, avoid);
+        assert_eq!(
+            dispatch_picks(policy, allowed, rack_of, avoid),
+            want,
+            "{policy:?} {allowed:?} {avoid:?}"
+        );
+        want
+    }
+
     #[test]
     fn least_loaded_dispatch_picks_as_repeated_pick_node() {
         let agree = |allowed: &[bool], rack_of: &[usize], avoid: &[Option<usize>]| {
-            let want = repeated_pick_node(allowed, rack_of, avoid);
-            assert_eq!(
-                least_loaded_picks(allowed, rack_of, avoid),
-                want,
-                "{allowed:?} {avoid:?}"
-            );
-            want
+            agree(Policy::LeastLoaded, allowed, rack_of, avoid)
         };
         let racks: Vec<usize> = (0..12).map(|i| i / 3).collect();
         let mut masked = vec![true; 12];
@@ -424,5 +434,32 @@ mod tests {
         // No candidate at all, and nothing queued.
         assert!(agree(&[false; 12], &racks, &[None, r0]).is_empty());
         agree(&[], &racks, &[]);
+    }
+
+    /// Round-robin and energy-aware placements that avoid a rack reuse
+    /// one mask for the whole dispatch call, and still pick as a mask
+    /// built afresh for each placement does.
+    #[test]
+    fn avoid_rack_dispatch_picks_as_repeated_pick_node() {
+        let racks: Vec<usize> = (0..12).map(|i| i / 3).collect();
+        let mut masked = vec![true; 12];
+        masked[0] = false;
+        masked[6] = false;
+        let only_rack_1: Vec<bool> = racks.iter().map(|&r| r == 1).collect();
+        let (r0, r1, r3) = (Some(0), Some(1), Some(3));
+        for policy in [Policy::RoundRobin, Policy::EnergyAware] {
+            // Tagged and untagged jobs interleaved until the nodes run out.
+            let avoid = [r0, None, r1, r3, None, r0, r3, r3, None, r1, r1];
+            let picks = agree(policy, &masked, &racks, &avoid);
+            assert_eq!(picks.len(), 8, "{policy:?}: every free node placed");
+            for (pick, rack) in picks.iter().zip(avoid).take(4) {
+                assert_ne!(Some(racks[*pick]), rack, "{policy:?}: {picks:?} left the avoided rack");
+            }
+            // Only the avoided rack has nodes: the fallback places there.
+            assert_eq!(agree(policy, &only_rack_1, &racks, &[r1, r1, None]).len(), 2);
+            // A flat fleet ignores the tags; no candidate at all.
+            agree(policy, &masked, &[], &[r0, r1, None, r0]);
+            assert!(agree(policy, &[false; 12], &racks, &[r0, None]).is_empty());
+        }
     }
 }

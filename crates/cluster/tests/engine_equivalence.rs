@@ -384,3 +384,227 @@ proptest! {
         }
     }
 }
+
+/// The resting-node wake matrix. On a trickle of jobs, idle WMA nodes
+/// coast from their first intervals and park near 160 s, and most of
+/// them are never dispatched. The event engines pass a resting node by in
+/// the lifecycle, completion, demand and telemetry-row sweeps until
+/// something touches it, so each scenario below plants touches on nodes
+/// that nothing had touched before, in both phases, and every engine
+/// must still agree with the serial oracle. Periodic checkpoints (every
+/// 10 ticks) land on coasting nodes throughout the coasting phase, and on
+/// the geo fleet each restart after a crash hands the parked nodes
+/// around it a new cap for a tick, as the budget tree's lagged reports
+/// catch up.
+mod wake_matrix {
+    use super::*;
+    use greengpu_cluster::FleetReport;
+    use greengpu_hw::{ChaosKind, DomainChaosKind};
+    use greengpu_sim::SimTime;
+    use std::collections::BTreeSet;
+
+    const HORIZON_S: u64 = 300;
+    /// Where a node nothing has touched is coasting, and where it is
+    /// parked, in seconds (with a margin on each side).
+    const COASTING: (f64, f64) = (20.0, 140.0);
+    const PARKED: (f64, f64) = (180.0, 290.0);
+
+    /// A node's chaos plan on the flat fleets; `seed` picks where its
+    /// events land.
+    fn node_chaos(seed: u64, thermal_s: (f64, f64)) -> ChaosPlan {
+        ChaosPlan::crashes_only(seed, 0.002, (2.0, 6.0)).with_thermal(0.004, thermal_s)
+    }
+
+    /// The geo fleets' plan: node crashes, rack power losses and zone
+    /// thermal events.
+    fn domain_chaos(seed: u64) -> ChaosPlan {
+        ChaosPlan::crashes_only(seed, 0.002, (2.0, 6.0))
+            .with_rack_loss(0.002, (3.0, 8.0))
+            .with_zone_thermal(0.002, (4.0, 10.0))
+    }
+
+    /// `n` flat nodes at 0.01 jobs/s per six nodes.
+    fn trickle(n: usize, plan: ChaosPlan, seed: u64) -> FleetConfig {
+        let mut cfg = FleetConfig::homogeneous(n, 0.8, Policy::LeastLoaded, SimDuration::from_secs(HORIZON_S), seed)
+            .with_chaos(plan);
+        cfg.arrivals.rate_per_s = 0.01 * n as f64 / 6.0;
+        cfg
+    }
+
+    /// A 1×2×2×3 geo fleet at the same rate per node.
+    fn geo_trickle(plan: ChaosPlan, seed: u64) -> FleetConfig {
+        let topo = Topology::uniform(1, 2, 2, 3);
+        trickle(topo.n_nodes(), plan, seed).with_topology(topo)
+    }
+
+    /// Every touch of every node, as (seconds, node, what), sorted: job
+    /// starts from the oracle's completions, and chaos from the plan's
+    /// schedules, each named with its timing against the 1 s ticks.
+    fn touches(cfg: &FleetConfig, oracle: &FleetReport) -> Vec<(f64, usize, String)> {
+        let n = cfg.nodes.len();
+        let horizon = cfg.horizon.as_secs_f64();
+        let secs = |t: SimTime| t.as_secs_f64();
+        let timing = |t: SimTime, d: f64| {
+            let next_tick = (t.as_micros() / 1_000_000 + 1) as f64;
+            match t.as_micros() % 1_000_000 {
+                0 => "at a tick",
+                _ if secs(t) + d < next_tick => "inside one interval",
+                _ => "mid-interval",
+            }
+        };
+        let mut out: Vec<(f64, usize, String)> = oracle
+            .completed
+            .iter()
+            .map(|r| (secs(r.started), r.node, "dispatch".to_string()))
+            .collect();
+        let plan = cfg.chaos.as_ref().expect("chaos armed");
+        for ev in plan.schedule(n, horizon) {
+            let what = match ev.kind {
+                ChaosKind::Crash { .. } => format!("crash {}", timing(ev.at, f64::INFINITY)),
+                ChaosKind::ThermalEmergency { duration_s } => format!("thermal {}", timing(ev.at, duration_s)),
+                ChaosKind::TelemetryBlackout { .. } => continue,
+            };
+            out.push((secs(ev.at), ev.node, what));
+        }
+        if let Some(topo) = &cfg.topology {
+            let idx = topo.index();
+            for ev in plan.schedule_domains(idx.n_racks(), idx.n_zones(), horizon) {
+                let (members, what) = match ev.kind {
+                    DomainChaosKind::RackPowerLoss { .. } => (&idx.rack_nodes[ev.domain], "rack loss"),
+                    DomainChaosKind::ZoneThermal { .. } => (&idx.zone_nodes[ev.domain], "zone thermal"),
+                    DomainChaosKind::ZonePartition { .. } => continue,
+                };
+                let what = format!("{what} {}", timing(ev.at, f64::INFINITY));
+                out.extend(members.iter().map(|&node| (secs(ev.at), node, what.clone())));
+            }
+        }
+        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        out
+    }
+
+    /// The kinds of wake `cfg` plants on resting nodes: each node's first
+    /// touch, when it lands in the coasting or the parked phase.
+    fn wakes_at_rest(cfg: &FleetConfig, oracle: &FleetReport) -> BTreeSet<String> {
+        let mut seen = vec![false; cfg.nodes.len()];
+        let mut wakes = BTreeSet::new();
+        for (at, node, what) in touches(cfg, oracle) {
+            if std::mem::replace(&mut seen[node], true) {
+                continue;
+            }
+            let within = |(lo, hi): (f64, f64)| (lo..=hi).contains(&at);
+            if within(COASTING) {
+                wakes.insert(format!("{what}, coasting"));
+            } else if within(PARKED) {
+                wakes.insert(format!("{what}, parked"));
+            }
+        }
+        wakes
+    }
+
+    #[test]
+    fn every_wake_of_a_resting_node_agrees() {
+        // Chaos seeds picked so that a node's first touch is each kind of
+        // wake: on the flat fleets node 5 crashes exactly on a tick while
+        // coasting (138 s) and while parked (226 s), and a thermal
+        // emergency hits it on a tick while coasting (53 s) and parked
+        // (202 s); short windows (seed 3) end before the next tick. On
+        // the geo fleets a rack power loss lands on a tick (278 s) and
+        // mid-interval (231.4 s) on parked nodes, and zone thermal events
+        // on ticks while coasting (108 s) and parked (202 s). The fleet
+        // seeds place dispatches in both phases. The 40-node fleet is
+        // large enough for the parallel engines to fan its ticks out.
+        let scenarios = [
+            trickle(6, node_chaos(3_157_577, (0.2, 12.0)), 0x3A7E_0001),
+            trickle(6, node_chaos(1_815_696, (0.2, 12.0)), 0x3A7E_0002),
+            trickle(6, node_chaos(3_065_307, (0.2, 12.0)), 0x3A7E_0003),
+            trickle(6, node_chaos(8_851_898, (0.2, 12.0)), 0x3A7E_0004),
+            trickle(6, node_chaos(3, (0.05, 0.5)), 0x3A7E_0005),
+            trickle(40, node_chaos(0x3A7E_000A, (0.2, 12.0)), 0x3A7E_000A),
+            geo_trickle(domain_chaos(4_903_890), 0x3A7E_0006),
+            geo_trickle(domain_chaos(5), 0x3A7E_0007),
+            geo_trickle(domain_chaos(1_776_061), 0x3A7E_0008),
+            geo_trickle(domain_chaos(23_895_162), 0x3A7E_0009),
+        ];
+        let mut covered = BTreeSet::new();
+        for cfg in &scenarios {
+            let oracle = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
+            covered.extend(wakes_at_rest(cfg, &oracle));
+            let oracle = digest(&oracle);
+            for engine in [
+                EngineKind::EventDriven,
+                EngineKind::Parallel { workers: 2 },
+                EngineKind::Parallel { workers: 4 },
+            ] {
+                let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
+                assert_eq!(got, oracle, "engine {engine:?} diverged (seed {:#x})", cfg.seed);
+            }
+        }
+        for want in [
+            "dispatch, coasting",
+            "dispatch, parked",
+            "crash at a tick, coasting",
+            "crash at a tick, parked",
+            "crash mid-interval, coasting",
+            "crash mid-interval, parked",
+            "thermal at a tick, coasting",
+            "thermal at a tick, parked",
+            "thermal mid-interval, coasting",
+            "thermal mid-interval, parked",
+            "thermal inside one interval, coasting",
+            "thermal inside one interval, parked",
+            "rack loss at a tick, parked",
+            "rack loss mid-interval, parked",
+            "zone thermal at a tick, coasting",
+            "zone thermal at a tick, parked",
+        ] {
+            assert!(
+                covered.contains(want),
+                "no scenario wakes a resting node by {want}: {covered:?}"
+            );
+        }
+    }
+
+    /// A thermal event wakes parked node 0 at 181.662 s, 0.662 s into an
+    /// interval, for 1.99 s, and the fleet's first job lands on it at the
+    /// 182 s tick, inside the throttle. The first tick after the throttle
+    /// senses from the node's catch-up instant: the 181 s tick, where an
+    /// every-tick node last polled, not the wake time.
+    #[test]
+    fn a_job_inside_a_throttle_that_woke_a_parked_node_agrees() {
+        let plan = ChaosPlan::crashes_only(1146, 1e-9, (2.0, 6.0)).with_thermal(0.003, (1.2, 3.0));
+        let mut cfg = FleetConfig::homogeneous(
+            3,
+            0.8,
+            Policy::LeastLoaded,
+            SimDuration::from_secs(HORIZON_S),
+            0x4A11_2498,
+        )
+        .with_chaos(plan);
+        cfg.arrivals.rate_per_s = 0.004;
+        let oracle = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
+        let wake = touches(&cfg, &oracle);
+        let node_0: Vec<(f64, &str)> = wake
+            .iter()
+            .filter(|(_, node, _)| *node == 0)
+            .take(2)
+            .map(|(at, _, what)| (*at, what.as_str()))
+            .collect();
+        assert!(
+            matches!(node_0[..], [(woke, "thermal mid-interval"), (job, "dispatch")]
+                if (181.0..182.0).contains(&woke) && job.to_bits() == 182.0_f64.to_bits()),
+            "node 0 must be woken by a throttle, then take a job inside it: {node_0:?}"
+        );
+        let oracle = digest(&oracle);
+        for engine in [
+            EngineKind::EventDriven,
+            EngineKind::Parallel { workers: 2 },
+            EngineKind::Parallel { workers: 4 },
+        ] {
+            assert_eq!(
+                digest(&run_fleet(&cfg.clone().with_engine(engine))),
+                oracle,
+                "engine {engine:?}"
+            );
+        }
+    }
+}
