@@ -235,8 +235,8 @@ impl FleetConfig {
         if self.queue_capacity == 0 {
             return Err("queue_capacity must be at least 1".to_string());
         }
-        if self.serving.is_none() && self.arrivals.mix.is_empty() {
-            return Err("arrivals.mix must not be empty".to_string());
+        if self.serving.is_none() {
+            self.arrivals.try_validate().map_err(|msg| format!("arrivals: {msg}"))?;
         }
         if let Some(serving) = &self.serving {
             serving.try_validate().map_err(|msg| format!("serving: {msg}"))?;

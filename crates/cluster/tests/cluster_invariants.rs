@@ -166,6 +166,43 @@ fn malformed_level_tables_are_refused_by_both_entry_points() {
     assert!(Node::try_new(0, &ok, &mix, 1).is_ok());
 }
 
+/// Malformed arrival streams used to pass validation and then panic in
+/// the arrival generator or node construction, or, with an infinite
+/// rate, generate jobs until memory ran out. Each is now refused by
+/// `try_validate` with `arrivals` and the field named; none is run.
+#[test]
+fn malformed_arrival_streams_are_refused_before_the_run() {
+    type Break = fn(&mut FleetConfig);
+    let cases: [(Break, &str); 12] = [
+        (|c| c.arrivals.rate_per_s = 0.0, "rate_per_s must be finite and > 0"),
+        (|c| c.arrivals.rate_per_s = -1.0, "rate_per_s must be finite and > 0"),
+        (|c| c.arrivals.rate_per_s = f64::INFINITY, "rate_per_s must be finite"),
+        (|c| c.arrivals.mix.clear(), "mix must not be empty"),
+        (
+            |c| c.arrivals.mix[1].0 = "warpdrive".to_string(),
+            "mix names a workload the fleet cannot profile: \"warpdrive\"",
+        ),
+        (|c| c.arrivals.mix[0].1 = -1.0, "mix weight for \"hotspot\" must be"),
+        (|c| c.arrivals.mix[1].1 = f64::NAN, "mix weight for \"kmeans\" must be"),
+        (|c| c.arrivals.size_range.0 = f64::NAN, "size_range must satisfy"),
+        (|c| c.arrivals.size_range = (2.0, 1.0), "size_range must satisfy"),
+        (|c| c.arrivals.deadline_frac = 1.5, "deadline_frac must be in [0, 1]"),
+        (|c| c.arrivals.deadline_frac = f64::NAN, "deadline_frac must be in"),
+        (|c| c.arrivals.deadline_slack = (0.0, 6.0), "deadline_slack must"),
+    ];
+    for (k, (break_it, want)) in cases.into_iter().enumerate() {
+        let mut cfg = small_fleet(2, 0.8, Policy::RoundRobin, 1);
+        break_it(&mut cfg);
+        let err = cfg.try_validate().unwrap_err();
+        assert!(err.starts_with(&format!("arrivals: {want}")), "case {k}: {err}");
+    }
+    // `training` is profiled like any Table II workload, so it stays a
+    // valid mix name.
+    let mut cfg = small_fleet(2, 0.8, Policy::RoundRobin, 1);
+    cfg.arrivals.mix = vec![("training".to_string(), 1.0)];
+    assert!(cfg.try_validate().is_ok());
+}
+
 #[test]
 fn fleet_traces_are_byte_deterministic() {
     let make = || {

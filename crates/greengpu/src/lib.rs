@@ -44,7 +44,6 @@ pub mod baselines;
 pub mod coordinator;
 pub mod division;
 pub mod governors;
-pub mod onchip;
 pub mod ondemand;
 pub mod oracle;
 pub mod policy;

@@ -30,9 +30,6 @@
 //!   ([`ChaosPlan`]: seeded crash, thermal-emergency, and
 //!   telemetry-blackout events) plus the [`BlackoutSensors`] decorator
 //!   that blanks polls inside blackout windows.
-//! * [`nvml`] — an NVML-vocabulary compatibility facade over the same
-//!   sensors/actuators (utilization percentages, clock tables,
-//!   application-clock setting, power/energy in NVML units).
 //! * [`platform`] — [`Platform`]: the assembled two-meter testbed.
 //! * [`calib`] — the default 8800 GTX + Phenom II X2 calibration constants.
 
@@ -44,7 +41,6 @@ pub mod faults;
 pub mod freq;
 pub mod gpu;
 pub mod meter;
-pub mod nvml;
 pub mod perf;
 pub mod platform;
 pub mod smi;

@@ -88,12 +88,6 @@ impl Platform {
         self.refresh_meters(at);
     }
 
-    /// Pins the GPU to peak clocks.
-    pub fn set_gpu_peak(&mut self, at: SimTime) {
-        self.gpu.set_peak(at);
-        self.refresh_meters(at);
-    }
-
     /// Sets the CPU P-state (the cpufreq actuation path).
     pub fn set_cpu_level(&mut self, at: SimTime, idx: usize) {
         self.cpu.set_level(at, idx);

@@ -356,14 +356,6 @@ impl CallGraph {
         Vec::new()
     }
 
-    /// Functions whose names mark them as validated-construction
-    /// boundaries — see [`CallGraph::from_roots`].
-    pub fn construction_fns(parsed: &[ParsedFile], sym: &Symbols) -> Vec<FnId> {
-        (0..sym.len())
-            .filter(|&id| construction_boundary(&sym.item(parsed, id).name))
-            .collect()
-    }
-
     /// Functions whose names mark them as deterministic-output sinks
     /// (CSV writers, digests, fingerprints, trace rows).
     pub fn sink_fns(parsed: &[ParsedFile], sym: &Symbols) -> Vec<FnId> {

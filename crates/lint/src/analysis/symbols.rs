@@ -82,11 +82,6 @@ impl Symbols {
         &parsed[fi].fns[ii]
     }
 
-    /// True when `name` is a workspace-declared type.
-    pub fn is_workspace_type(&self, name: &str) -> bool {
-        self.types.contains(name)
-    }
-
     /// All candidate callees for a call made from `caller`.
     ///
     /// - `Bare(f)` → free functions named `f`, same file first, then

@@ -164,12 +164,6 @@ impl Exp3Policy {
         }
     }
 
-    /// Overrides the display name (builder style).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Weight of pair `(i, j)` (inspection/tests).
     pub fn weight(&self, i: usize, j: usize) -> f64 {
         self.weights[i * self.n_mem + j]
@@ -378,12 +372,6 @@ impl UcbPolicy {
             t: 0,
             current: None,
         }
-    }
-
-    /// Overrides the display name (builder style).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
     }
 
     /// Times pair `(i, j)` has been pulled (inspection/tests).

@@ -114,12 +114,6 @@ impl<P: FreqPolicy + Clone + 'static> Contextual<P> {
         })
     }
 
-    /// Overrides the display name (builder style).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Enables clock-invariant phase detection (builder style).
     ///
     /// Utilization is *measured at the applied clocks* (`u = t_busy /

@@ -188,12 +188,6 @@ impl DeadlinePolicy {
         }
     }
 
-    /// Overrides the display name (builder style).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// The effective budget after slack, seconds.
     pub fn effective_budget_s(&self) -> f64 {
         self.params.time_budget_s * self.params.slack

@@ -6,7 +6,7 @@
 //! execution time normalized to the peak-frequency run and energy relative
 //! to the peak-frequency run (GPU card meter).
 
-use super::{ExperimentOutput, DEFAULT_SEED};
+use super::ExperimentOutput;
 use greengpu::baselines::run_pinned;
 use greengpu_hw::calib::{GPU_CORE_LEVELS_MHZ, GPU_MEM_LEVELS_MHZ};
 use greengpu_runtime::{RunConfig, RunReport};
@@ -120,11 +120,6 @@ pub fn run(seed: u64) -> ExperimentOutput {
         tables: vec![t_mem, t_core],
         notes,
     }
-}
-
-/// Convenience entry with the default seed (used by benches).
-pub fn run_default() -> ExperimentOutput {
-    run(DEFAULT_SEED)
 }
 
 #[cfg(test)]

@@ -1,7 +1,5 @@
 //! Run configuration.
 
-use greengpu_sim::SimDuration;
-
 /// How the CPU side waits for the GPU (paper §VII-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommMode {
@@ -68,12 +66,6 @@ impl RunConfig {
         self.comm_mode = CommMode::Async;
         self
     }
-}
-
-/// The paper's utilization/meter sampling period (nvidia-smi poll and
-/// Wattsup report at 1 Hz).
-pub fn sample_period() -> SimDuration {
-    SimDuration::from_secs(1)
 }
 
 #[cfg(test)]

@@ -20,9 +20,7 @@
 //! * the functional kernel actually executes with the same split, so the
 //!   numerical results are real.
 //!
-//! [`multi`] extends the division tier across several (possibly
-//! heterogeneous) GPUs — the "one pthread for one GPU" structure §VI
-//! anticipates. [`clock`] is the one sanctioned wall-clock seam.
+//! [`clock`] is the one sanctioned wall-clock seam.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +28,6 @@ pub mod clock;
 pub mod config;
 pub mod controller;
 pub mod engine;
-pub mod multi;
 pub mod report;
 
 pub use clock::{Clock, ManualClock, WallClock};

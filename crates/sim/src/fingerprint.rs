@@ -61,17 +61,6 @@ impl Fnv64 {
         self.push_u64(v.to_bits());
     }
 
-    /// Folds a `usize` (widened to `u64` so 32- and 64-bit targets
-    /// agree).
-    pub fn push_usize(&mut self, v: usize) {
-        self.push_u64(v as u64);
-    }
-
-    /// Folds a `bool` as one byte.
-    pub fn push_bool(&mut self, v: bool) {
-        self.push_byte(v as u8);
-    }
-
     /// Folds a whole 64-bit word in one xor-multiply step — FNV-1a over
     /// words instead of bytes, eight times fewer multiplies than
     /// [`Fnv64::push_u64`]. It yields a *different* digest than the

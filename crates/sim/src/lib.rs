@@ -27,15 +27,12 @@
 //!   integrals, and [`SampledSeries`] for fixed-rate samples.
 //! * [`stats`] — [`OnlineStats`] (Welford) and slice summaries.
 //! * [`table`] — [`Table`] markdown/CSV rendering for experiment output.
-//! * [`plot`] — ASCII sparklines and band charts for terminal trace
-//!   exploration.
 
 #![forbid(unsafe_code)]
 
 pub mod event;
 pub mod fingerprint;
 pub mod json;
-pub mod plot;
 pub mod rng;
 pub mod stats;
 pub mod table;

@@ -39,12 +39,6 @@ impl PhaseTiming {
         self.wall_s
     }
 
-    /// Core utilization averaged over the whole phase (alias of `u_core`;
-    /// utilization is uniform over the pipelined phase).
-    pub fn u_core_avg(&self) -> f64 {
-        self.u_core
-    }
-
     /// Memory utilization averaged over the whole phase.
     pub fn u_mem_avg(&self) -> f64 {
         self.u_mem
