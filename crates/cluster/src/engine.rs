@@ -83,9 +83,26 @@
 //!   it. Its lifecycle tick would only record the parked sensor catch-up
 //!   instant, which the wake records instead (a dispatch its own, a chaos
 //!   event the latest tick), and it has no completion due. From the next
-//!   interval its demand entry and its meters are frozen, so the row
-//!   folds `StepTrace`'s one-segment term `0.0 + v·dt` from the slot, in
-//!   node order from −0.0.
+//!   interval it is **settled**: its demand entry and its meters are
+//!   frozen, so the row folds `StepTrace`'s one-segment term `0.0 + v·dt`
+//!   from the slot, in node order from −0.0, and the slot carries the rest
+//!   of what the sweeps read. A control tick under its resting cap only
+//!   counts itself in the slot (a parked node's is skipped), a checkpoint
+//!   only stamps the slot with the count it fell due at, and LeastLoaded
+//!   reads its `busy_s` there;
+//! * before anything touches a settled node — a tick that has to run (a
+//!   new cap, the park transition, the end of a cut-off orbit), dispatch,
+//!   a crash, a thermal, rack or zone event — its slot is **credited**:
+//!   the node gets the ticks counted up to the stamp, the checkpoint, then
+//!   the rest of the counted ticks, the calls an every-tick sweep makes,
+//!   with the same arguments, only later. A later stamp replaces an
+//!   earlier one, because only the newest checkpoint can ever be read. A
+//!   slot stops counting one tick short of the park transition, which
+//!   must run on the node;
+//! * dispatch lists LeastLoaded's candidates from the slots, checking each
+//!   candidate's node, rack and zone breakers, builds the whole mask only
+//!   for a policy that reads it and nothing when the queue is empty, and
+//!   merges the nodes it placed into the busy list.
 //!
 //! The skipped work that is *not* bit-preserved is confined to
 //! unobservable telemetry. For coasted and parked ticks alike: the
@@ -96,7 +113,10 @@
 //! node's counted steps). None of these reach the trace CSV or the
 //! report. A coasting node's [`crate::Node::controller`] and
 //! [`crate::Node::park_fingerprint`] show its learner as of its last
-//! sync.
+//! sync. A settled node's counted ticks and pending checkpoint wait in
+//! its slot until it is credited, and a checkpoint a later stamp replaced
+//! is never recorded; nothing is flushed at the horizon, because
+//! [`crate::run_fleet`] reads no learner or checkpoint after the drive.
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::dispatch::TenantDispatcher;
@@ -104,9 +124,10 @@ use crate::fleet::{CrashRecord, DomainOutageRecord, FleetConfig};
 use crate::job::{JobRecord, JobSpec};
 use crate::lifecycle::{LifecycleParams, NodeState};
 use crate::node::{LifecycleEvent, Node};
+use crate::policy::available;
 use crate::power::{apportion, BudgetTree, MilliWatts, NodeDemand};
 use crate::retry::RetryQueue;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Placement, Scheduler};
 use crate::telemetry::{GeoTraceRow, TraceRow};
 use crate::topology::TopologyIndex;
 use greengpu_hw::{ChaosEvent, ChaosKind, DomainChaosEvent, DomainChaosKind};
@@ -264,7 +285,10 @@ pub(crate) fn drive(
     geo: Option<&mut GeoState>,
 ) -> DriveOutcome {
     let workers = match inp.cfg.engine {
-        EngineKind::Serial => return run_spine(Serial, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo),
+        EngineKind::Serial => {
+            let engine = Serial::default();
+            return run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo);
+        }
         EngineKind::EventDriven => 1,
         EngineKind::Parallel { workers } => workers,
     };
@@ -304,13 +328,16 @@ trait Schedule {
     /// Advances job service over the windows `split` left, then from
     /// `from` to `to`, recording completions in [`Completions`] order.
     fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions);
+    /// A chaos event is about to crash or throttle live node `i`: work
+    /// the schedule deferred on it happens first.
+    fn credit(&mut self, node: &mut Node, i: usize);
     /// A chaos event just crashed or throttled the nodes in `ids`.
     fn touched(&mut self, nodes: &[Node], ids: &[usize]);
     /// Failure FSMs: a cleared probation closes the node's breaker.
     fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime);
     /// Node `i`'s place in the schedule (Serial's are all awake).
-    fn slot(&self, _i: usize) -> Slot {
-        Slot::Awake
+    fn slot(&self, _i: usize) -> &Slot {
+        &Slot::Awake
     }
     /// Refreshes `demands` (one entry per node) in place; true when any
     /// entry moved.
@@ -318,8 +345,35 @@ trait Schedule {
     /// Control ticks on live nodes under `caps`; returns the largest
     /// pair-over-cap overage (watts), folded in node order from 0.0.
     fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64;
-    /// Dispatch may have put jobs on idle nodes.
-    fn dispatched(&mut self, nodes: &[Node]);
+    /// Places queued jobs on the nodes `gate` lets through.
+    fn dispatch(&mut self, scheduler: &mut Scheduler, nodes: &mut [Node], gate: &Gate, rack_of: &[usize], t: SimTime);
+    /// The periodic learner checkpoint of every `Up` node, due at `t`.
+    fn checkpoint(&mut self, nodes: &mut [Node], t: SimTime);
+}
+
+/// The breakers dispatch routes around: a node takes work only when its
+/// own breaker *and*, on hierarchical runs, its rack's and its zone's
+/// allow it — dispatch routes around an open zone exactly like an open
+/// node.
+struct Gate<'a> {
+    breakers: &'a [CircuitBreaker],
+    geo: Option<&'a GeoState<'a>>,
+}
+
+impl Gate<'_> {
+    fn allows(&self, i: usize) -> bool {
+        self.breakers[i].allows_dispatch()
+            && self.geo.is_none_or(|g| {
+                g.rack_breakers[g.index.rack_of[i]].allows_dispatch()
+                    && g.zone_breakers[g.index.zone_of[i]].allows_dispatch()
+            })
+    }
+
+    /// Refills `allowed` with one entry per node.
+    fn mask(&self, allowed: &mut Vec<bool>) {
+        allowed.clear();
+        allowed.extend((0..self.breakers.len()).map(|i| self.allows(i)));
+    }
 }
 
 /// One node's failure-FSM step; a cleared probation closes its breaker.
@@ -332,7 +386,11 @@ fn lifecycle_step(node: &mut Node, breaker: &mut CircuitBreaker, t: SimTime) {
 }
 
 /// The reference schedule: every batch touches every node.
-struct Serial;
+#[derive(Default)]
+struct Serial {
+    /// The dispatch mask, refilled every tick.
+    allowed: Vec<bool>,
+}
 
 impl Schedule for Serial {
     fn split(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions) {
@@ -344,6 +402,8 @@ impl Schedule for Serial {
             done.record(node.advance(from, to));
         }
     }
+
+    fn credit(&mut self, _node: &mut Node, _i: usize) {}
 
     fn touched(&mut self, _nodes: &[Node], _ids: &[usize]) {}
 
@@ -368,7 +428,16 @@ impl Schedule for Serial {
             .fold(0.0, f64::max)
     }
 
-    fn dispatched(&mut self, _nodes: &[Node]) {}
+    fn dispatch(&mut self, scheduler: &mut Scheduler, nodes: &mut [Node], gate: &Gate, rack_of: &[usize], t: SimTime) {
+        gate.mask(&mut self.allowed);
+        scheduler.dispatch(nodes, &self.allowed, rack_of, t);
+    }
+
+    fn checkpoint(&mut self, nodes: &mut [Node], _t: SimTime) {
+        for node in nodes.iter_mut().filter(|node| node.state() == NodeState::Up) {
+            node.take_checkpoint();
+        }
+    }
 }
 
 /// The event-driven schedule (and, with `workers > 1`, the parallel
@@ -378,8 +447,8 @@ struct EventDriven {
     /// Threads for the control-tick fan-out (1 runs it inline).
     workers: usize,
     /// Ids of nodes with a job in service, ascending — the only nodes
-    /// `advance` can do anything to. Rebuilt in id order after every
-    /// dispatch; completions drop out as they land.
+    /// `advance` can do anything to. Dispatch merges in the nodes it
+    /// placed; completions drop out as they land.
     busy: Vec<usize>,
     /// Service windows `split` left pending, as (start, length in
     /// seconds), ascending; each ends where the next starts.
@@ -392,6 +461,15 @@ struct EventDriven {
     agenda: BinaryHeap<Reverse<(SimTime, usize)>>,
     /// One packed slot per node, so a sweep passes a resting node by.
     slots: Vec<Slot>,
+    /// The latest control sweep. A settled coasting node counts a tick in
+    /// every sweep, so the last tick its slot counted is this one.
+    swept: SimTime,
+    /// The latest checkpoint sweep. It stamps every settled slot, so a
+    /// pending stamp fell due here.
+    checkpointed: SimTime,
+    /// The dispatch mask, built in a dispatch call only if its policy
+    /// reads it.
+    mask: Vec<bool>,
 }
 
 /// A node's place in the event-driven schedule.
@@ -404,20 +482,107 @@ enum Slot {
     /// Began resting at the latest control sweep; the next demand sweep
     /// reads it once more and settles it.
     Fresh,
-    /// Rested untouched since an earlier interval.
+    /// Rested untouched since an earlier interval: the sweeps read the
+    /// slot, and the node only after the slot is credited.
     Settled(Frozen),
 }
 
-// A resting node costs one slot in every sweep but control.
-const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
+// A resting node costs one slot read in each sweep, and its node is read
+// only when something touches it, so a slot stays within a cache line.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
 
-/// What the telemetry row reads of a settled node: its GPU and CPU
-/// meters' watts since it began resting, and its cap violations.
+/// Everything the sweeps read of a settled node, and the work they defer
+/// on it: its GPU and CPU meters' watts since it began resting, its cap
+/// violations and `busy_s`, the cap it rests under, and the control ticks
+/// and checkpoint it has not been handed yet (see [`credit`]).
 #[derive(Debug, Clone, Copy)]
 struct Frozen {
     gpu_w: f64,
     cpu_w: f64,
     cap_violations: u64,
+    busy_s: f64,
+    /// The cap it is parked or coasting under.
+    cap: MilliWatts,
+    /// Ticks under `cap` counted here since it settled.
+    counted: u32,
+    /// How many more ticks under `cap` may be counted here; the next one
+    /// parks the node or ticks it in full, so it must touch the node.
+    budget: u32,
+    /// `counted` when the newest checkpoint fell due; only that
+    /// checkpoint can ever be read, so it replaces any earlier one.
+    stamp: Option<u32>,
+    /// Parked: ticks under `cap` are skipped, not counted.
+    parked: bool,
+}
+
+impl Frozen {
+    /// The slot of a node that began resting at the latest control sweep
+    /// and has not been touched since, or `None` if it is not resting.
+    fn settle(node: &Node) -> Option<Frozen> {
+        let (cap, budget) = node.rest_under()?;
+        Some(Frozen {
+            gpu_w: node.platform().gpu_meter().trace().last_value(),
+            cpu_w: node.platform().cpu_meter().trace().last_value(),
+            cap_violations: node.cap_violations(),
+            busy_s: node.busy_s(),
+            cap,
+            counted: 0,
+            budget: budget.map_or(0, |b| u32::try_from(b).unwrap_or(u32::MAX)),
+            stamp: None,
+            parked: budget.is_none(),
+        })
+    }
+}
+
+/// Hands a settled node what its slot deferred, in every-tick order: the
+/// ticks counted up to the checkpoint stamp (the last of them at
+/// `checkpointed`, the stamp's sweep), that checkpoint, then the rest of
+/// the counted ticks (the last at `swept`, the latest control sweep).
+fn credit(node: &mut Node, f: &Frozen, swept: SimTime, checkpointed: SimTime) {
+    let counted = u64::from(f.counted);
+    match f.stamp.map(u64::from) {
+        Some(stamp) => {
+            node.coast(stamp, checkpointed);
+            node.take_checkpoint();
+            node.coast(counted - stamp, swept);
+        }
+        None => node.coast(counted, swept),
+    }
+}
+
+/// One node's control tick in the event-driven sweep, with `swept` the
+/// previous sweep's instant; `None` when the tick is skipped outright.
+///
+/// A node parked under exactly the cap it is handed is skipped (deep
+/// park): the fast path would only re-read constant-zero idle
+/// utilizations and rewrite every field with the same bits, and returns
+/// 0.0 overage by the park invariant. A settled node coasting under its
+/// cap with budget left counts the tick in its slot. Any other tick on a
+/// settled node credits it first, and every tick that runs on the node
+/// leaves the slot fresh or awake.
+fn control_step(
+    node: &mut Node,
+    slot: &mut Slot,
+    cap: MilliWatts,
+    t: SimTime,
+    swept: SimTime,
+    checkpointed: SimTime,
+) -> Option<f64> {
+    match slot {
+        Slot::Dark => return None,
+        Slot::Settled(f) if f.cap == cap && f.parked => return None,
+        Slot::Settled(f) if f.cap == cap && f.budget > 0 => {
+            f.budget -= 1;
+            f.counted += 1;
+            return Some(0.0);
+        }
+        Slot::Settled(f) => credit(node, f, swept, checkpointed),
+        Slot::Awake | Slot::Fresh if node.parked_under() == Some(cap) => return None,
+        Slot::Awake | Slot::Fresh => {}
+    }
+    let over = node.control_tick_parkable(t, cap);
+    *slot = if node.is_resting() { Slot::Fresh } else { Slot::Awake };
+    Some(over)
 }
 
 impl EventDriven {
@@ -429,6 +594,9 @@ impl EventDriven {
             finished: Vec::new(),
             agenda: BinaryHeap::new(),
             slots: vec![Slot::Awake; n],
+            swept: SimTime::ZERO,
+            checkpointed: SimTime::ZERO,
+            mask: Vec::new(),
         }
     }
 
@@ -459,6 +627,13 @@ impl Schedule for EventDriven {
             done.record(Some(record));
         }
         self.windows.clear();
+    }
+
+    fn credit(&mut self, node: &mut Node, i: usize) {
+        if let Slot::Settled(f) = &self.slots[i] {
+            credit(node, f, self.swept, self.checkpointed);
+            self.slots[i] = Slot::Awake;
+        }
     }
 
     fn touched(&mut self, nodes: &[Node], ids: &[usize]) {
@@ -495,8 +670,8 @@ impl Schedule for EventDriven {
         }
     }
 
-    fn slot(&self, i: usize) -> Slot {
-        self.slots[i]
+    fn slot(&self, i: usize) -> &Slot {
+        &self.slots[i]
     }
 
     fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool {
@@ -512,13 +687,7 @@ impl Schedule for EventDriven {
                 // began, and read after that.
                 Slot::Settled(_) => continue,
                 // Nothing has written its meters since it began resting.
-                Slot::Fresh => {
-                    *slot = Slot::Settled(Frozen {
-                        gpu_w: node.platform().gpu_meter().trace().last_value(),
-                        cpu_w: node.platform().cpu_meter().trace().last_value(),
-                        cap_violations: node.cap_violations(),
-                    })
-                }
+                Slot::Fresh => *slot = Frozen::settle(node).map_or(Slot::Awake, Slot::Settled),
                 Slot::Awake | Slot::Dark => {}
             }
             let fresh = node.demand();
@@ -529,58 +698,102 @@ impl Schedule for EventDriven {
     }
 
     fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64 {
-        // A node parked under exactly the cap it is handed is skipped
-        // outright (deep park): the fast path would only re-read
-        // constant-zero idle utilizations and rewrite every field with
-        // the same bits, and returns 0.0 overage by the park invariant.
-        // Any tick but a counted one leaves the node fresh or awake.
-        let tick = |node: &mut Node, cap: MilliWatts, slot: Slot| match slot {
-            Slot::Dark => (None, slot),
-            _ if node.parked_under() == Some(cap) => (None, slot),
-            _ => {
-                let counted = node.coasts_under(cap);
-                let over = node.control_tick_parkable(t, cap);
-                let slot = match (counted, node.is_resting()) {
-                    (true, _) => slot,
-                    (false, true) => Slot::Fresh,
-                    (false, false) => Slot::Awake,
-                };
-                (Some(over), slot)
-            }
-        };
-        if self.workers > 1 && nodes.len() >= PAR_MIN_BATCH {
-            let slots = &self.slots;
-            fan_out(self.workers, nodes, |i, node| tick(node, caps[i], slots[i]))
-                .into_iter()
-                .zip(&mut self.slots)
-                .filter_map(|((over, ticked), slot)| {
-                    *slot = ticked;
-                    over
-                })
-                .fold(0.0, f64::max)
-        } else {
+        let (swept, checkpointed) = (self.swept, self.checkpointed);
+        let control_slice = |nodes: &mut [Node], slots: &mut [Slot], caps: &[MilliWatts]| {
             nodes
                 .iter_mut()
+                .zip(slots)
                 .zip(caps)
-                .zip(&mut self.slots)
-                .filter_map(|((node, &cap), slot)| {
-                    let (over, ticked) = tick(node, cap, *slot);
-                    *slot = ticked;
-                    over
-                })
+                .filter_map(|((node, slot), &cap)| control_step(node, slot, cap, t, swept, checkpointed))
                 .fold(0.0, f64::max)
+        };
+        let over = if self.workers > 1 && nodes.len() >= PAR_MIN_BATCH {
+            let chunk = nodes.len().div_ceil(self.workers);
+            let mut parts: Vec<_> = nodes
+                .chunks_mut(chunk)
+                .zip(self.slots.chunks_mut(chunk))
+                .zip(caps.chunks(chunk))
+                .collect();
+            // An overage is never NaN or −0.0, so the slices' maxima, folded
+            // in node order, are the inline fold's bits.
+            fan_out(self.workers, &mut parts, |_, ((nodes, slots), caps)| {
+                control_slice(nodes, slots, caps)
+            })
+            .into_iter()
+            .fold(0.0, f64::max)
+        } else {
+            control_slice(nodes, &mut self.slots, caps)
+        };
+        self.swept = t;
+        over
+    }
+
+    fn dispatch(&mut self, scheduler: &mut Scheduler, nodes: &mut [Node], gate: &Gate, rack_of: &[usize], t: SimTime) {
+        if scheduler.depth() == 0 {
+            return;
+        }
+        let before = self.busy.len();
+        self.mask.clear();
+        scheduler.place(nodes, &mut Placing { engine: self, gate }, rack_of, t);
+        if self.busy.len() > before {
+            // Placed nodes were idle, so none is listed yet: merge the
+            // new tail into the ascending list.
+            self.busy.sort();
         }
     }
 
-    fn dispatched(&mut self, nodes: &[Node]) {
-        self.busy.clear();
-        for (i, node) in nodes.iter().enumerate() {
-            if !node.is_idle() {
-                // Resting nodes are idle: a busy one is awake.
-                self.busy.push(i);
-                self.slots[i] = Slot::Awake;
+    fn checkpoint(&mut self, nodes: &mut [Node], t: SimTime) {
+        for (node, slot) in nodes.iter_mut().zip(&mut self.slots) {
+            match slot {
+                Slot::Settled(f) => f.stamp = Some(f.counted),
+                Slot::Dark => {}
+                Slot::Awake | Slot::Fresh => {
+                    if node.state() == NodeState::Up {
+                        node.take_checkpoint();
+                    }
+                }
             }
         }
+        self.checkpointed = t;
+    }
+}
+
+/// One event-driven dispatch call: LeastLoaded's candidates come from the
+/// slots, with each breaker checked per candidate; a policy that reads the
+/// whole mask gets it built once; and each node placed is credited, woken
+/// and listed busy before it takes its job.
+struct Placing<'a, 'g> {
+    engine: &'a mut EventDriven,
+    gate: &'a Gate<'g>,
+}
+
+impl Placement for Placing<'_, '_> {
+    fn mask(&mut self) -> &[bool] {
+        if self.engine.mask.is_empty() {
+            self.gate.mask(&mut self.engine.mask);
+        }
+        &self.engine.mask
+    }
+
+    fn least_loaded(&mut self, nodes: &[Node], free: &mut Vec<(f64, usize)>) {
+        for (i, slot) in self.engine.slots.iter().enumerate() {
+            let busy_s = match slot {
+                Slot::Dark => continue,
+                // Resting: idle, healthy and `Up`.
+                Slot::Settled(f) => f.busy_s,
+                Slot::Awake | Slot::Fresh if available(&nodes[i], &[]) => nodes[i].busy_s(),
+                Slot::Awake | Slot::Fresh => continue,
+            };
+            if self.gate.allows(i) {
+                free.push((busy_s, i));
+            }
+        }
+    }
+
+    fn placing(&mut self, node: &mut Node, i: usize) {
+        self.engine.credit(node, i);
+        self.engine.slots[i] = Slot::Awake;
+        self.engine.busy.push(i);
     }
 }
 
@@ -641,9 +854,11 @@ impl Books {
         self.last_caps.copy_from_slice(caps);
     }
 
-    /// A chaos event is about to crash or throttle live node `id`, which
-    /// saw the latest tick even if its lifecycle sweep was skipped.
-    fn touch(&mut self, node: &mut Node, id: usize) {
+    /// A chaos event is about to crash or throttle live node `id`: the
+    /// schedule first hands it the work it deferred, and the node saw the
+    /// latest tick even if its lifecycle sweep was skipped.
+    fn touch(&mut self, engine: &mut impl Schedule, node: &mut Node, id: usize) {
+        engine.credit(node, id);
         node.saw_tick(self.last_tick);
         self.touched.push(id);
     }
@@ -651,8 +866,10 @@ impl Books {
     /// Node `id` crashes: it loses its job to the retry queue (which
     /// remembers the rack it died in, to soft-avoid it), trips its
     /// breaker, and opens a crash-audit record.
+    #[allow(clippy::too_many_arguments)]
     fn crash(
         &mut self,
+        engine: &mut impl Schedule,
         nodes: &mut [Node],
         breakers: &mut [CircuitBreaker],
         id: usize,
@@ -660,7 +877,7 @@ impl Books {
         outage_s: f64,
         retry: &mut RetryQueue,
     ) {
-        self.touch(&mut nodes[id], id);
+        self.touch(engine, &mut nodes[id], id);
         if let Some(job) = nodes[id].crash(t, outage_s) {
             self.jobs_lost += 1;
             retry.job_lost(job, t, self.rack_of.get(id).copied());
@@ -678,6 +895,7 @@ impl Books {
 /// Applies one spine chaos event; a node it crashes or throttles lands in
 /// `books.touched`.
 fn apply_chaos(
+    engine: &mut impl Schedule,
     nodes: &mut [Node],
     ev: &ChaosEvent,
     t: SimTime,
@@ -689,12 +907,12 @@ fn apply_chaos(
     match ev.kind {
         ChaosKind::Crash { outage_s } => {
             if nodes[ev.node].is_alive() {
-                books.crash(nodes, breakers, ev.node, t, outage_s, retry);
+                books.crash(engine, nodes, breakers, ev.node, t, outage_s, retry);
             }
         }
         ChaosKind::ThermalEmergency { duration_s } => {
             if nodes[ev.node].is_alive() {
-                books.touch(&mut nodes[ev.node], ev.node);
+                books.touch(engine, &mut nodes[ev.node], ev.node);
                 nodes[ev.node].thermal_emergency(t, duration_s);
             }
         }
@@ -709,7 +927,9 @@ fn apply_chaos(
 
 /// Applies one correlated domain event; nodes it crashes or throttles
 /// land in `books.touched`.
+#[allow(clippy::too_many_arguments)]
 fn apply_domain_event(
+    engine: &mut impl Schedule,
     nodes: &mut [Node],
     i: usize,
     t: SimTime,
@@ -733,7 +953,7 @@ fn apply_domain_event(
                 .sum();
             for &n in &g.index.rack_nodes[rack] {
                 if nodes[n].is_alive() {
-                    books.crash(nodes, breakers, n, t, outage_s, retry);
+                    books.crash(engine, nodes, breakers, n, t, outage_s, retry);
                 } else {
                     // A node already down (independent crash, or an
                     // earlier loss of the same rack) loses its restart
@@ -760,7 +980,7 @@ fn apply_domain_event(
         DomainChaosKind::ZoneThermal { duration_s } => {
             for &n in &g.index.zone_nodes[ev.domain] {
                 if nodes[n].is_alive() {
-                    books.touch(&mut nodes[n], n);
+                    books.touch(engine, &mut nodes[n], n);
                     nodes[n].thermal_emergency(t, duration_s);
                 }
             }
@@ -857,17 +1077,6 @@ fn push_geo_rows<S: Schedule>(g: &mut GeoState, engine: &S, nodes: &[Node], t: S
     }
 }
 
-/// The dispatch mask on a hierarchical run: a node takes work only when
-/// its own breaker *and* its rack's *and* its zone's allow it — dispatch
-/// routes around an open zone exactly like an open node.
-fn mask_domains(allowed: &mut [bool], g: &GeoState) {
-    for (n, a) in allowed.iter_mut().enumerate() {
-        *a = *a
-            && g.rack_breakers[g.index.rack_of[n]].allows_dispatch()
-            && g.zone_breakers[g.index.zone_of[n]].allows_dispatch();
-    }
-}
-
 /// The fleet loop every engine runs: pops the spine to the horizon and
 /// performs each fleet-level step once, leaving to `engine` only which
 /// nodes each per-node batch touches.
@@ -904,7 +1113,6 @@ fn run_spine<S: Schedule>(
     let mut last_completed: Vec<u64> = vec![0; n];
     let mut demands: Vec<NodeDemand> = Vec::with_capacity(n);
     let mut caps: Vec<MilliWatts> = Vec::new();
-    let mut allowed: Vec<bool> = Vec::with_capacity(n);
     let mut rows = Vec::new();
     let mut t = SimTime::ZERO;
     let mut interval = 0u64;
@@ -924,12 +1132,12 @@ fn run_spine<S: Schedule>(
                 }
             }
             Event::Chaos(i) => {
-                apply_chaos(nodes, &chaos_events[i], t, &mut books, retry, breakers);
+                apply_chaos(&mut engine, nodes, &chaos_events[i], t, &mut books, retry, breakers);
                 engine.touched(nodes, &books.touched);
             }
             Event::Domain(i) => {
                 if let Some(g) = geo.as_deref_mut() {
-                    apply_domain_event(nodes, i, t, g, &mut books, retry, breakers);
+                    apply_domain_event(&mut engine, nodes, i, t, g, &mut books, retry, breakers);
                     engine.touched(nodes, &books.touched);
                 }
             }
@@ -986,21 +1194,15 @@ fn run_spine<S: Schedule>(
                 for r in retry.drain_ready(t).into_iter().rev() {
                     scheduler.requeue_front(r.job, r.avoid_rack);
                 }
-                allowed.clear();
-                allowed.extend(breakers.iter().map(CircuitBreaker::allows_dispatch));
-                if let Some(g) = geo.as_deref() {
-                    mask_domains(&mut allowed, g);
-                }
-                scheduler.dispatch(nodes, &allowed, &books.rack_of, t);
-                engine.dispatched(nodes);
+                let gate = Gate {
+                    breakers,
+                    geo: geo.as_deref(),
+                };
+                engine.dispatch(scheduler, nodes, &gate, &books.rack_of, t);
                 // 5. Periodic learner checkpoints on fully-Up nodes.
                 if let Some(k) = cfg.lifecycle.checkpoint_period {
                     if tick_no > 0 && tick_no.is_multiple_of(k) {
-                        for node in nodes.iter_mut() {
-                            if node.state() == NodeState::Up {
-                                node.take_checkpoint();
-                            }
-                        }
+                        engine.checkpoint(nodes, t);
                     }
                 }
                 tick_no += 1;
@@ -1194,6 +1396,395 @@ mod tests {
                     "every item mutated exactly once (n={n}, workers={workers})"
                 );
             }
+        }
+    }
+
+    /// Twelve nodes in a 1×2×2×3 tree with unequal service histories
+    /// (nodes 1, 4, 7 and 10 tie), node 3 crashed and node 8 busy, and
+    /// the event-driven schedule after `ticks` control intervals.
+    fn resting_fleet(ticks: u64) -> (Vec<Node>, EventDriven) {
+        use crate::node::NodeConfig;
+        let mix = vec!["hotspot".to_string()];
+        let cfg = NodeConfig::default_node();
+        let mut nodes: Vec<Node> = (0..12).map(|i| Node::new(i, &cfg, &mix, 1)).collect();
+        let job = |id, size| JobSpec {
+            id,
+            workload: "hotspot".to_string(),
+            arrival: SimTime::ZERO,
+            size,
+            deadline: None,
+            tenant: 0,
+        };
+        for (i, size) in [(1, 1.0), (4, 1.0), (7, 1.0), (10, 1.0), (2, 3.0), (5, 2.0)] {
+            nodes[i].dispatch(job(100, size), SimTime::ZERO);
+            assert!(nodes[i].advance(SimTime::ZERO, SimTime::from_secs(1000)).is_some());
+        }
+        let mut engine = EventDriven::new(12, 1);
+        nodes[3].crash(SimTime::ZERO, 1e6);
+        engine.touched(&nodes, &[3]);
+        nodes[8].dispatch(job(101, 1e6), SimTime::ZERO);
+        let caps = [crate::power::mw(0.8 * cfg.gpu.peak_power_w()); 12];
+        let mut breakers: Vec<CircuitBreaker> = (0..12).map(|_| CircuitBreaker::new(1.0, 3)).collect();
+        let mut demands = Vec::new();
+        for k in 1001..=1000 + ticks {
+            let t = SimTime::from_secs(k);
+            engine.lifecycle(&mut nodes, &mut breakers, t);
+            engine.demands(&nodes, &mut demands);
+            engine.control(&mut nodes, &caps, t);
+        }
+        (nodes, engine)
+    }
+
+    /// LeastLoaded dispatch through the event-driven schedule lists its
+    /// candidates from the slots, reading a settled node's `busy_s` there
+    /// and checking its node, rack and zone breakers one by one. It must
+    /// pick exactly what `pick_node` picks, asked afresh for each job
+    /// under the whole mask (with a rack-filtered mask first for a tagged
+    /// job), and merge the placed nodes into the busy list in id order.
+    #[test]
+    fn slot_built_least_loaded_dispatch_picks_as_repeated_pick_node() {
+        use crate::policy::{pick_node, Policy};
+        use crate::topology::Topology;
+        let index = Topology::uniform(1, 2, 2, 3).index();
+        let job = |id: usize, now: SimTime| JobSpec {
+            id: id as u64,
+            workload: "hotspot".to_string(),
+            arrival: now,
+            size: 1.0,
+            deadline: None,
+            tenant: 0,
+        };
+        let (r0, r1, r3) = (Some(0), Some(1), Some(3));
+        /// Open node, rack and zone breakers, and each queued job's rack to
+        /// avoid.
+        type Case = (&'static [usize], &'static [usize], &'static [usize], Vec<Option<usize>>);
+        let cases: [Case; 5] = [
+            (&[], &[], &[], vec![None; 14]),
+            (
+                &[0, 6],
+                &[],
+                &[],
+                vec![r0, None, r1, r3, None, r0, r3, r3, None, r1, r1],
+            ),
+            (&[11], &[3], &[], vec![r1, None, r1, r0, None, None, None, None]),
+            (&[], &[], &[0], vec![r3, r3, None, None, None]),
+            (&[], &[], &[], vec![]),
+        ];
+        // After 6 ticks the nodes without a history coast in settled slots
+        // and the others are awake; after 200 every idle node is parked.
+        for ((ticks, coasting, parked), (open_nodes, open_racks, open_zones, avoid)) in [(6, 4, 0), (200, 0, 10)]
+            .into_iter()
+            .flat_map(|at| cases.iter().map(move |case| (at, case)))
+        {
+            let (mut nodes, mut engine) = resting_fleet(ticks);
+            let now = SimTime::from_secs(1001 + ticks);
+            let settled = |parked: bool| {
+                let kind = |s: &&Slot| matches!(s, Slot::Settled(f) if f.parked == parked);
+                engine.slots.iter().filter(kind).count()
+            };
+            assert_eq!(
+                (settled(false), settled(true)),
+                (coasting, parked),
+                "after {ticks} ticks"
+            );
+            let mut breakers: Vec<CircuitBreaker> = (0..12).map(|_| CircuitBreaker::new(1.0, 3)).collect();
+            let mut geo = GeoState::new(&index, &[], &LifecycleParams::default());
+            for &i in *open_nodes {
+                breakers[i].record_failure(now);
+            }
+            for &r in *open_racks {
+                geo.rack_breakers[r].record_failure(now);
+            }
+            for &z in *open_zones {
+                geo.zone_breakers[z].record_failure(now);
+            }
+            let gate = Gate {
+                breakers: &breakers,
+                geo: Some(&geo),
+            };
+            let mut scheduler = Scheduler::new(Policy::LeastLoaded, 64);
+            for (id, &rack) in avoid.iter().enumerate().rev() {
+                scheduler.requeue_front(job(id, now), rack);
+            }
+            engine.dispatch(&mut scheduler, &mut nodes, &gate, &index.rack_of, now);
+            assert!(engine.mask.is_empty(), "LeastLoaded builds no fleet-sized mask");
+            let mut by_job = vec![usize::MAX; avoid.len() - scheduler.depth()];
+            for (i, node) in nodes.iter_mut().enumerate() {
+                if let Some(rec) = node.advance(now, now + SimDuration::from_secs(100_000)) {
+                    by_job[rec.spec.id as usize] = i;
+                }
+            }
+
+            let (mut twins, _) = resting_fleet(ticks);
+            let mut allowed = Vec::new();
+            gate.mask(&mut allowed);
+            let (mut cursor, mut want) = (0, Vec::new());
+            for (id, &rack) in avoid.iter().enumerate() {
+                let job = job(id, now);
+                let avoiding: Vec<bool> = (0..12).map(|i| allowed[i] && Some(index.rack_of[i]) != rack).collect();
+                let pick = rack
+                    .and_then(|_| pick_node(Policy::LeastLoaded, &job, &twins, &avoiding, &mut cursor, now))
+                    .or_else(|| pick_node(Policy::LeastLoaded, &job, &twins, &allowed, &mut cursor, now));
+                let Some(i) = pick else { break };
+                twins[i].dispatch(job, now);
+                want.push(i);
+            }
+            assert_eq!(
+                by_job, want,
+                "open {open_nodes:?} {open_racks:?} {open_zones:?}, avoid {avoid:?}"
+            );
+            want.sort_unstable();
+            assert_eq!(engine.busy, want, "the busy list holds the placed nodes, ascending");
+        }
+    }
+
+    /// What a spy saw when a node was woken by a chaos event or by
+    /// dispatch.
+    #[derive(Debug, Clone)]
+    struct Wake {
+        node: usize,
+        /// Its slot was settled, coasting, with a checkpoint stamp
+        /// pending.
+        stamped_coasting: bool,
+        /// It held a checkpoint before the wake.
+        had_checkpoint: bool,
+        /// Its checkpoint's text after the wake's credit.
+        checkpoint: Option<String>,
+    }
+
+    /// A schedule wrapped to log every wake of a node by a chaos event
+    /// (through `credit`) or by dispatch.
+    struct Spy<'a, S> {
+        inner: S,
+        log: &'a mut Vec<Wake>,
+    }
+
+    impl<S: Schedule> Spy<'_, S> {
+        fn stamped_coasting(&self, i: usize) -> bool {
+            matches!(self.inner.slot(i), Slot::Settled(f) if !f.parked && f.stamp.is_some())
+        }
+    }
+
+    impl<S: Schedule> Schedule for Spy<'_, S> {
+        fn split(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions) {
+            self.inner.split(nodes, from, to, done);
+        }
+
+        fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions) {
+            self.inner.advance(nodes, from, to, done);
+        }
+
+        fn credit(&mut self, node: &mut Node, i: usize) {
+            let stamped_coasting = self.stamped_coasting(i);
+            let had_checkpoint = node.checkpoint_data().is_some();
+            self.inner.credit(node, i);
+            self.log.push(Wake {
+                node: i,
+                stamped_coasting,
+                had_checkpoint,
+                checkpoint: node.checkpoint_data(),
+            });
+        }
+
+        fn touched(&mut self, nodes: &[Node], ids: &[usize]) {
+            self.inner.touched(nodes, ids);
+        }
+
+        fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
+            self.inner.lifecycle(nodes, breakers, t);
+        }
+
+        fn slot(&self, i: usize) -> &Slot {
+            self.inner.slot(i)
+        }
+
+        fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool {
+            self.inner.demands(nodes, demands)
+        }
+
+        fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64 {
+            self.inner.control(nodes, caps, t)
+        }
+
+        fn dispatch(
+            &mut self,
+            scheduler: &mut Scheduler,
+            nodes: &mut [Node],
+            gate: &Gate,
+            rack_of: &[usize],
+            t: SimTime,
+        ) {
+            let idle: Vec<(usize, bool, bool)> = (0..nodes.len())
+                .filter(|&i| nodes[i].is_idle())
+                .map(|i| (i, self.stamped_coasting(i), nodes[i].checkpoint_data().is_some()))
+                .collect();
+            self.inner.dispatch(scheduler, nodes, gate, rack_of, t);
+            for (i, stamped_coasting, had_checkpoint) in idle {
+                if !nodes[i].is_idle() {
+                    self.log.push(Wake {
+                        node: i,
+                        stamped_coasting,
+                        had_checkpoint,
+                        checkpoint: nodes[i].checkpoint_data(),
+                    });
+                }
+            }
+        }
+
+        fn checkpoint(&mut self, nodes: &mut [Node], t: SimTime) {
+            self.inner.checkpoint(nodes, t);
+        }
+    }
+
+    /// Drives `engine` over a 1×5×2×3 geo fleet (30 idle nodes, zone `z`
+    /// holding nodes `6z..6z+6`, rack `r` nodes `3r..3r+3`) through a
+    /// planted spine: a tick each second to 100 s, one job arriving at
+    /// 33.3 s, and the `chaos` and `domain` events. Returns everything the
+    /// run reports, and the nodes.
+    fn run_planted<S: Schedule>(engine: S, chaos: &[ChaosEvent], domain: &[DomainChaosEvent]) -> (String, Vec<Node>) {
+        use crate::topology::Topology;
+        let cfg = crate::FleetConfig::homogeneous(30, 0.8, Policy::LeastLoaded, SimDuration::from_secs(100), 0x57A4)
+            .with_topology(Topology::uniform(1, 5, 2, 3));
+        let mix: Vec<String> = cfg.arrivals.mix.iter().map(|(n, _)| n.clone()).collect();
+        let mut nodes: Vec<Node> = cfg
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, nc)| {
+                let mut node = Node::new(i, nc, &mix, 1234);
+                node.set_lifecycle(cfg.lifecycle.restart_s, cfg.lifecycle.probation_intervals);
+                node
+            })
+            .collect();
+        let index = cfg.topology.as_ref().map(|t| t.index()).expect("a geo fleet");
+        let mut geo = GeoState::new(&index, domain, &cfg.lifecycle);
+        let job = JobSpec {
+            id: 0,
+            workload: mix[0].clone(),
+            arrival: SimTime::from_micros(33_300_000),
+            size: 1.0,
+            deadline: None,
+            tenant: 0,
+        };
+        let mut spine: EventQueue<Event> = EventQueue::new();
+        let mut tick_at = SimTime::ZERO;
+        while tick_at <= SimTime::ZERO + cfg.horizon {
+            spine.schedule(tick_at, Event::Tick);
+            tick_at += cfg.control_period;
+        }
+        spine.schedule(job.arrival, Event::Arrival(0));
+        for (i, ev) in chaos.iter().enumerate() {
+            spine.schedule(ev.at, Event::Chaos(i));
+        }
+        for (i, ev) in domain.iter().enumerate() {
+            spine.schedule(ev.at, Event::Domain(i));
+        }
+        let lc = &cfg.lifecycle;
+        let mut scheduler = Scheduler::new(cfg.policy, cfg.queue_capacity);
+        let mut breakers: Vec<CircuitBreaker> = (0..nodes.len())
+            .map(|_| CircuitBreaker::new(lc.breaker_cooldown_s, lc.breaker_max_backoff_exp))
+            .collect();
+        let mut retry = RetryQueue::new(lc.max_retries, lc.retry_backoff_s, lc.dead_letter_capacity);
+        let inputs = DriveInputs {
+            cfg: &cfg,
+            jobs: vec![job],
+            chaos_events: chaos,
+            budget_mw: crate::power::mw_floor(cfg.budget_w),
+        };
+        let out = run_spine(
+            engine,
+            inputs,
+            spine,
+            &mut nodes,
+            &mut scheduler,
+            &mut breakers,
+            &mut retry,
+            &mut TenantDispatcher::passthrough(),
+            Some(&mut geo),
+        );
+        let counters: Vec<_> = nodes
+            .iter()
+            .map(|n| {
+                (
+                    n.completed(),
+                    n.crashes(),
+                    n.warm_restarts(),
+                    n.cold_restarts(),
+                    n.thermal_events(),
+                )
+            })
+            .collect();
+        let report = format!(
+            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+            out.rows, out.completed, out.crash_records, geo.rows, geo.domain_records, counters
+        );
+        (report, nodes)
+    }
+
+    /// Every kind of wake lands on a settled coasting node with a
+    /// checkpoint stamp pending, each node's first: dispatch (node 0), a
+    /// crash exactly on a tick (1) and mid-interval (2), a thermal
+    /// emergency on a tick (3), mid-interval (4) and inside one interval
+    /// (5), rack power losses on a tick (rack 2, nodes 6–8) and
+    /// mid-interval (rack 9, nodes 27–29), and zone thermal events on a
+    /// tick (zone 2, nodes 12–17) and mid-interval (zone 3, nodes 18–23).
+    /// Each rack loss has a zone to itself, since a restart may hand the
+    /// zone's other nodes a new cap. Each wake leaves the checkpoint the
+    /// serial schedule recorded at its latest checkpoint tick; each
+    /// crashed node held none until its crash was credited, and restarts
+    /// warm from that one. The runs report the same.
+    #[test]
+    fn each_wake_credits_a_stamped_coasting_node_and_a_crash_restores_its_checkpoint() {
+        let at = |s: f64| SimTime::from_secs_f64(s);
+        let node = |at: SimTime, node: usize, kind: ChaosKind| ChaosEvent { at, node, kind };
+        let chaos = [
+            node(at(41.0), 1, ChaosKind::Crash { outage_s: 3.0 }),
+            node(at(47.5), 2, ChaosKind::Crash { outage_s: 3.0 }),
+            node(at(52.0), 3, ChaosKind::ThermalEmergency { duration_s: 4.0 }),
+            node(at(58.4), 4, ChaosKind::ThermalEmergency { duration_s: 3.0 }),
+            node(at(63.2), 5, ChaosKind::ThermalEmergency { duration_s: 0.3 }),
+        ];
+        let domain = |at: SimTime, domain: usize, kind: DomainChaosKind| DomainChaosEvent { at, domain, kind };
+        let domains = [
+            domain(at(66.0), 2, DomainChaosKind::ZoneThermal { duration_s: 5.0 }),
+            domain(at(71.0), 2, DomainChaosKind::RackPowerLoss { outage_s: 4.0 }),
+            domain(at(77.3), 3, DomainChaosKind::ZoneThermal { duration_s: 5.0 }),
+            domain(at(83.6), 9, DomainChaosKind::RackPowerLoss { outage_s: 4.0 }),
+        ];
+        let first_wakes = |log: &[Wake]| {
+            let mut first: Vec<Option<Wake>> = vec![None; 30];
+            for wake in log {
+                first[wake.node].get_or_insert_with(|| wake.clone());
+            }
+            first
+        };
+        let (mut log, mut eager_log) = (Vec::new(), Vec::new());
+        let spy = Spy {
+            inner: EventDriven::new(30, 1),
+            log: &mut log,
+        };
+        let (got, nodes) = run_planted(spy, &chaos, &domains);
+        let eager = Spy {
+            inner: Serial::default(),
+            log: &mut eager_log,
+        };
+        let (want, _) = run_planted(eager, &chaos, &domains);
+        assert_eq!(got, want, "the event-driven run diverged from the serial one");
+        let (first, eager_first) = (first_wakes(&log), first_wakes(&eager_log));
+        for i in (0..9).chain(12..24).chain(27..30) {
+            let (Some(wake), Some(eager)) = (&first[i], &eager_first[i]) else {
+                panic!(
+                    "node {i} was not woken under both schedules: {:?} {:?}",
+                    first[i], eager_first[i]
+                );
+            };
+            assert!(wake.stamped_coasting, "node {i}: {wake:?}");
+            assert!(wake.checkpoint.is_some(), "node {i}: no checkpoint after its wake");
+            assert_eq!(wake.checkpoint, eager.checkpoint, "node {i}");
+        }
+        for i in [1, 2, 6, 7, 8, 27, 28, 29] {
+            assert!(first[i].as_ref().is_some_and(|w| !w.had_checkpoint), "node {i}");
+            assert_eq!((nodes[i].warm_restarts(), nodes[i].cold_restarts()), (1, 0), "node {i}");
         }
     }
 

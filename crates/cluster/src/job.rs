@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 pub struct JobSpec {
     /// Monotone submission id.
     pub id: u64,
-    /// Table II registry name (`hotspot`, `kmeans`, …).
+    /// Workload registry name (`hotspot`, `kmeans`, `training`, …).
     pub workload: String,
     /// Submission time.
     pub arrival: SimTime,

@@ -469,6 +469,18 @@ impl Node {
             if held == cap && (skipped < left || parks))
     }
 
+    /// A resting node's cap, with how many more control ticks under it
+    /// only count themselves ([`Node::coast`]); the tick after those parks
+    /// the node or ticks it in full. `None` in place of the count on a
+    /// parked node, whose ticks under its cap are skipped outright.
+    pub(crate) fn rest_under(&self) -> Option<(MilliWatts, Option<u64>)> {
+        match self.rest {
+            Rest::Awake => None,
+            Rest::Coasting { cap, skipped, left, .. } => Some((cap, Some(left.saturating_sub(skipped)))),
+            Rest::Parked { cap, .. } => Some((cap, None)),
+        }
+    }
+
     /// Records `tick` as the last control interval a parked node saw, its
     /// sensors' catch-up instant at wake. Lifecycle ticks record theirs;
     /// the event-driven engine, which skips them on resting nodes, records
@@ -508,7 +520,9 @@ impl Node {
     }
 
     /// Snapshots the controller's learner state as the node's current
-    /// checkpoint (the fleet calls this every checkpoint period). A
+    /// checkpoint (the fleet calls this every checkpoint period; the
+    /// event-driven engine, on a settled node, when it next touches it,
+    /// with the node's counted ticks replayed up to the period's tick). A
     /// coasting node syncs first, so the snapshot is the every-tick one.
     ///
     /// The snapshot is recorded as a [`JsonTape`], re-recorded in place
@@ -1049,24 +1063,7 @@ impl Node {
     ///   coasting.
     pub fn control_tick_parkable(&mut self, now: SimTime, cap: MilliWatts) -> f64 {
         if self.coasts_under(cap) {
-            if let Rest::Coasting {
-                skipped, left, last, ..
-            } = &mut self.rest
-            {
-                debug_assert!(self.job.is_none() && self.state == NodeState::Up && !self.thermal_active);
-                *skipped += 1;
-                *last = now;
-                if *skipped > *left {
-                    // The learner already sat at its fixed point, so this
-                    // is the tick that proves it.
-                    self.sync();
-                    self.rest = Rest::Parked {
-                        cap,
-                        checkpoint_fresh: false,
-                        last: now,
-                    };
-                }
-            }
+            self.coast(1, now);
             return 0.0;
         }
         self.sync();
@@ -1100,6 +1097,42 @@ impl Node {
             }
         }
         over
+    }
+
+    /// Counts `ticks` control ticks under the cap a coasting node coasts
+    /// under, the last of them at `at`, as that many coasting calls of
+    /// [`Node::control_tick_parkable`] would; a no-op on a node that is not
+    /// coasting. Only a single tick may park the node: a batch holds at
+    /// most [`Node::rest_under`]'s count. The event-driven engine counts a
+    /// settled node's ticks in its slot and hands them over here at once.
+    pub(crate) fn coast(&mut self, ticks: u64, at: SimTime) {
+        if ticks == 0 {
+            return;
+        }
+        if let Rest::Coasting {
+            cap,
+            skipped,
+            left,
+            last,
+            ..
+        } = &mut self.rest
+        {
+            debug_assert!(self.job.is_none() && self.state == NodeState::Up && !self.thermal_active);
+            *skipped += ticks;
+            debug_assert!(ticks == 1 || *skipped <= *left, "a batch crossed the park transition");
+            *last = at;
+            if *skipped > *left {
+                // The learner already sat at its fixed point, so this is
+                // the tick that proves it.
+                let cap = *cap;
+                self.sync();
+                self.rest = Rest::Parked {
+                    cap,
+                    checkpoint_fresh: false,
+                    last: at,
+                };
+            }
+        }
     }
 
     /// Brings a coasting node's controller up to its last counted tick:
@@ -1510,6 +1543,74 @@ mod tests {
         // A job dispatched while coasting.
         let (_, found) = drive_twins(0.8, 80, |_| 0.8, &[(40, Touch::Dispatch(0.2))]);
         assert_eq!(found, "c");
+    }
+
+    /// Two identical nodes, idle under one cap from the start, ticked as
+    /// the event-driven engine ticks them until they coast; returns them
+    /// with the cap, the last tick and the ticks they may still count.
+    fn coasting_pair() -> (Node, Node, MilliWatts, u64, u64) {
+        let cfg = NodeConfig::default_node();
+        let cap = mw(0.8 * cfg.gpu.peak_power_w());
+        let mut pair = [Node::new(0, &cfg, &mix(), 7), Node::new(0, &cfg, &mix(), 7)];
+        for k in 1..=4 {
+            for node in &mut pair {
+                node.lifecycle_tick(SimTime::from_secs(k));
+                node.control_tick_parkable(SimTime::from_secs(k), cap);
+            }
+        }
+        let [eager, batched] = pair;
+        let Some((held, Some(budget))) = batched.rest_under() else {
+            panic!("coasting by tick 4: {:?}", batched.rest);
+        };
+        assert_eq!(held, cap);
+        (eager, batched, cap, 4, budget)
+    }
+
+    #[test]
+    fn counted_ticks_credited_at_once_match_an_every_tick_twin() {
+        let (.., budget) = coasting_pair();
+        assert!(budget > 100, "budget {budget}");
+        // `k` ticks handed over at once, with the checkpoint that fell due
+        // at the `s`-th of them replayed between the two counts; up to the
+        // whole budget, after which the next tick parks both.
+        for (k, s) in [
+            (1, 1),
+            (2, 1),
+            (9, 4),
+            (40, 40),
+            (budget - 1, 30),
+            (budget, 1),
+            (budget, budget),
+        ] {
+            let (mut eager, mut batched, cap, last, _) = coasting_pair();
+            let at = |j: u64| SimTime::from_secs(last + j);
+            for j in 1..=k {
+                eager.lifecycle_tick(at(j));
+                assert_eq!(eager.control_tick_parkable(at(j), cap), 0.0);
+                if j == s {
+                    eager.take_checkpoint();
+                }
+            }
+            batched.coast(s, at(s));
+            batched.take_checkpoint();
+            batched.coast(k - s, at(k));
+            let state = |n: &Node| (format!("{:?}", n.rest), n.checkpoint_data(), n.park_fingerprint());
+            assert_eq!(state(&batched), state(&eager), "k={k} s={s}");
+            assert!(batched.checkpoint_data().is_some());
+            // The next tick: the park transition once the budget is spent.
+            for node in [&mut eager, &mut batched] {
+                node.lifecycle_tick(at(k + 1));
+                node.control_tick_parkable(at(k + 1), cap);
+            }
+            assert_eq!(batched.is_parked(), k == budget, "k={k}");
+            // Synced, the learners agree, and so do their next snapshots.
+            for node in [&mut eager, &mut batched] {
+                node.sync();
+                node.take_checkpoint();
+            }
+            assert_eq!(state(&batched), state(&eager), "k={k} s={s}, synced");
+            assert_eq!(batched.controller().desired_pair(), eager.controller().desired_pair());
+        }
     }
 
     #[test]

@@ -31,6 +31,35 @@ fn take_least_loaded(free: &mut Vec<(f64, usize)>, eligible: impl Fn(usize) -> b
     Some(free.swap_remove(at).1)
 }
 
+/// What one dispatch call reads of which nodes may take work, and whom it
+/// tells of each placement. A plain mask is the scan-built case
+/// [`Scheduler::dispatch`] runs; the event-driven engine reads its packed
+/// slots.
+pub(crate) trait Placement {
+    /// The breaker mask [`pick_node`] reads (`false` = blocked; empty =
+    /// all allowed).
+    fn mask(&mut self) -> &[bool];
+    /// Appends LeastLoaded's candidates, as (`busy_s`, id) in id order:
+    /// every available node the mask lets through.
+    fn least_loaded(&mut self, nodes: &[Node], free: &mut Vec<(f64, usize)>) {
+        let allowed = self.mask();
+        free.extend(
+            nodes
+                .iter()
+                .filter(|n| available(n, allowed))
+                .map(|n| (n.busy_s(), n.id())),
+        );
+    }
+    /// Node `i` is about to take a job.
+    fn placing(&mut self, _node: &mut Node, _i: usize) {}
+}
+
+impl Placement for &[bool] {
+    fn mask(&mut self) -> &[bool] {
+        self
+    }
+}
+
 /// Bounded admission queue plus dispatch state.
 pub struct Scheduler {
     queue: VecDeque<QueuedJob>,
@@ -124,7 +153,21 @@ impl Scheduler {
     /// the rack can take it — anti-affinity is a preference, not a second
     /// way to lose the job.
     pub fn dispatch(&mut self, nodes: &mut [Node], allowed: &[bool], rack_of: &[usize], now: SimTime) -> usize {
-        // LeastLoaded's candidates as (`busy_s`, id), scanned once on the
+        let mut scan = allowed;
+        self.place(nodes, &mut scan, rack_of, now)
+    }
+
+    /// The dispatch loop: [`Scheduler::dispatch`] with the mask and
+    /// LeastLoaded's candidates read through `via`, which also hears of
+    /// each node picked before the node takes its job.
+    pub(crate) fn place(
+        &mut self,
+        nodes: &mut [Node],
+        via: &mut impl Placement,
+        rack_of: &[usize],
+        now: SimTime,
+    ) -> usize {
+        // LeastLoaded's candidates as (`busy_s`, id), listed once on the
         // first pick: a placement takes only the picked node out, and
         // moves no node's `busy_s`, so the list stays exact for the call.
         let mut least_loaded: Option<Vec<(f64, usize)>> = None;
@@ -137,12 +180,7 @@ impl Scheduler {
                 (avoid, Policy::LeastLoaded) => {
                     let free = least_loaded.get_or_insert_with(|| {
                         let mut free = Vec::with_capacity(nodes.len());
-                        free.extend(
-                            nodes
-                                .iter()
-                                .filter(|n| available(n, allowed))
-                                .map(|n| (n.busy_s(), n.id())),
-                        );
+                        via.least_loaded(nodes, &mut free);
                         free
                     });
                     avoid
@@ -151,6 +189,7 @@ impl Scheduler {
                         .or_else(|| take_least_loaded(free, |_| true))
                 }
                 (Some(rack), _) if !rack_of.is_empty() => {
+                    let allowed = via.mask();
                     avoiding.clear();
                     avoiding.extend(
                         (0..nodes.len()).map(|i| allowed.get(i).copied().unwrap_or(true) && rack_of[i] != rack),
@@ -160,11 +199,12 @@ impl Scheduler {
                     pick_node(self.policy, &entry.job, nodes, &avoiding, &mut self.rr_cursor, now)
                         .or_else(|| pick_node(self.policy, &entry.job, nodes, allowed, &mut self.rr_cursor, now))
                 }
-                _ => pick_node(self.policy, &entry.job, nodes, allowed, &mut self.rr_cursor, now),
+                _ => pick_node(self.policy, &entry.job, nodes, via.mask(), &mut self.rr_cursor, now),
             };
             match pick {
                 Some(i) => {
                     let Some(entry) = self.queue.pop_front() else { break };
+                    via.placing(&mut nodes[i], i);
                     nodes[i].dispatch(entry.job, now);
                     placed += 1;
                 }

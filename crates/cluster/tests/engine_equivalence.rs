@@ -564,6 +564,34 @@ mod wake_matrix {
         }
     }
 
+    /// The wake matrix's fleets at forty seeds each: 24 flat nodes and a
+    /// 1×2×2×3 geo fleet over 260 s, past the idle fixed point, so that
+    /// nodes coast, park, take deferred checkpoints and are woken at
+    /// seeded times. A debug build takes three times as long for it as for
+    /// the rest of this file, so it is `#[ignore]`d and run by name in
+    /// release CI.
+    #[test]
+    #[ignore]
+    fn seed_sweep_engines_agree() {
+        for seed in 0..40u64 {
+            let flat = trickle(24, node_chaos(seed ^ 0x5EED, (0.2, 12.0)), seed);
+            let geo = geo_trickle(domain_chaos(seed ^ 0x5EED), seed);
+            for mut cfg in [flat, geo] {
+                cfg.horizon = SimDuration::from_secs(260);
+                let oracle = digest(&run_fleet(&cfg.clone().with_engine(EngineKind::Serial)));
+                for engine in [EngineKind::EventDriven, EngineKind::Parallel { workers: 2 }] {
+                    let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
+                    assert_eq!(
+                        got,
+                        oracle,
+                        "engine {engine:?} diverged (seed {seed}, {} nodes)",
+                        cfg.nodes.len()
+                    );
+                }
+            }
+        }
+    }
+
     /// A thermal event wakes parked node 0 at 181.662 s, 0.662 s into an
     /// interval, for 1.99 s, and the fleet's first job lands on it at the
     /// 182 s tick, inside the throttle. The first tick after the throttle

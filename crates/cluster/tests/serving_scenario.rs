@@ -181,6 +181,40 @@ fn fleet_validation_names_serving_tenant_and_field() {
     assert!(serving_fleet(SEED, true, false).try_validate().is_ok());
 }
 
+/// A serving tenant may name any workload the fleet can profile, as the
+/// single-stream arrival mix may: `training` validates and runs with the
+/// conservation ledger intact, and an unknown name is still refused,
+/// naming the mix.
+#[test]
+fn tenant_mixes_take_every_workload_the_fleet_profiles() {
+    let with_first_mix = |name: &str| {
+        let mut cfg = serving_fleet(SEED, true, false);
+        if let Some(s) = cfg.serving.as_mut() {
+            s.tenants[0].mix = vec![(name.to_string(), 1.0)];
+        }
+        cfg
+    };
+    let cfg = with_first_mix("training");
+    assert_eq!(cfg.try_validate(), Ok(()));
+    let report = run_fleet(&cfg);
+    assert!(
+        report.completed.iter().any(|r| r.spec.workload == "training"),
+        "the interactive tenant's training jobs must complete"
+    );
+    assert_eq!(
+        report.admitted,
+        report.completed.len() as u64
+            + report.dead_letter.len() as u64
+            + report.deferred_pending_at_end
+            + report.in_flight_at_end
+    );
+
+    let err = with_first_mix("warpdrive")
+        .try_validate()
+        .expect_err("unknown workload must be refused");
+    assert!(err.contains("mix") && err.contains("warpdrive"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -3,8 +3,8 @@
 //! [`Platform`] wires the GPU and CPU models to the two power meters exactly
 //! like the paper's Figure 4: Meter 1 on the box (CPU side), Meter 2 on the
 //! GPU card's dedicated supply. Every state change (frequency level,
-//! activity) is followed by a meter refresh so the power traces are exact
-//! step functions of the model state.
+//! activity) is followed by a refresh of the meters that device drives, so
+//! the power traces are exact step functions of the model state.
 
 use crate::cpu::{CpuModel, CpuSpec};
 use crate::gpu::{GpuModel, GpuSpec};
@@ -75,42 +75,55 @@ impl Platform {
         &self.cpu_meter
     }
 
-    /// Re-reads both device powers into the meters at `at`.
+    /// Re-reads every device power into the meters at `at`.
     fn refresh_meters(&mut self, at: SimTime) {
         self.gpu_meter.record(at, self.gpu.current_power_w());
         self.cpu_meter.record(at, self.cpu.current_power_w());
         self.gpu_idle_meter.record(at, self.gpu.idle_power_w());
     }
 
+    // A setter records only the meters its device drives: the GPU's power
+    // moves with its levels and activity, its idle reference with its
+    // levels, the box's with the CPU. A meter's last value is always its
+    // device's current power, and `StepTrace::set` drops a repeated value,
+    // so the traces are the ones refreshing every meter after every setter
+    // leaves.
+
     /// Sets GPU core/memory levels (the `nvidia-settings` actuation path).
     pub fn set_gpu_levels(&mut self, at: SimTime, core_idx: usize, mem_idx: usize) {
+        if (self.gpu.core().current_level(), self.gpu.mem().current_level()) == (core_idx, mem_idx) {
+            return;
+        }
         self.gpu.set_levels(at, core_idx, mem_idx);
-        self.refresh_meters(at);
+        self.gpu_meter.record(at, self.gpu.current_power_w());
+        self.gpu_idle_meter.record(at, self.gpu.idle_power_w());
     }
 
     /// Sets the CPU P-state (the cpufreq actuation path).
     pub fn set_cpu_level(&mut self, at: SimTime, idx: usize) {
+        if self.cpu.domain().current_level() == idx {
+            return;
+        }
         self.cpu.set_level(at, idx);
-        self.refresh_meters(at);
+        self.cpu_meter.record(at, self.cpu.current_power_w());
     }
 
     /// Records GPU activity (busy fractions) from `at` onward.
     pub fn set_gpu_activity(&mut self, at: SimTime, core_activity: f64, mem_activity: f64) {
         self.gpu.set_activity(at, core_activity, mem_activity);
-        self.refresh_meters(at);
+        self.gpu_meter.record(at, self.gpu.current_power_w());
     }
 
     /// Records CPU activity from `at` onward.
     pub fn set_cpu_activity(&mut self, at: SimTime, util: f64, active_cores: usize) {
-        self.cpu.set_activity(at, util, active_cores);
-        self.refresh_meters(at);
+        self.set_cpu_activity_split(at, util, util, active_cores);
     }
 
     /// Records CPU activity with separate sensor and power components
     /// (spin-wait: 100 % busy to the governor, reduced power draw).
     pub fn set_cpu_activity_split(&mut self, at: SimTime, sensor_util: f64, power_util: f64, active_cores: usize) {
         self.cpu.set_activity_split(at, sensor_util, power_util, active_cores);
-        self.refresh_meters(at);
+        self.cpu_meter.record(at, self.cpu.current_power_w());
     }
 
     /// GPU-side energy (Meter 2) over a window, joules.
@@ -222,5 +235,57 @@ mod tests {
         let log = p.gpu_meter().sample_log(SimTime::ZERO, SimDuration::from_secs(1), 5);
         assert_eq!(log.len(), 5);
         assert!(log.values().iter().all(|&w| w > 0.0));
+    }
+
+    use greengpu_sim::StepTrace;
+    use proptest::prelude::*;
+
+    /// An activity drawn from four values, so that repeats are common.
+    fn activity() -> impl Strategy<Value = f64> {
+        (0u64..4).prop_map(|k| k as f64 / 3.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random setter sequences, with repeated levels and activities and
+        /// several setters at one instant: each meter's points are, bit for
+        /// bit, those of a shadow trace that records all three device
+        /// powers after every setter.
+        #[test]
+        fn setters_leave_the_traces_of_recording_every_meter(
+            calls in proptest::collection::vec(
+                (0u64..5, (0usize..8, 0usize..8), (activity(), activity()), 0usize..4, 0u64..3),
+                1..40,
+            ),
+        ) {
+            let mut p = Platform::default_testbed();
+            let mut shadow = [StepTrace::new(), StepTrace::new(), StepTrace::new()];
+            let record = |shadow: &mut [StepTrace; 3], p: &Platform, at: SimTime| {
+                shadow[0].set(at, p.gpu().current_power_w());
+                shadow[1].set(at, p.cpu().current_power_w());
+                shadow[2].set(at, p.gpu().idle_power_w());
+            };
+            record(&mut shadow, &p, SimTime::ZERO);
+            let spec = p.gpu().spec();
+            let (n_core, n_mem) = (spec.core_levels_mhz.len(), spec.mem_levels_mhz.len());
+            let n_cpu = p.cpu().spec().levels_mhz.len();
+            let mut at = SimTime::ZERO;
+            for (setter, (a, b), (u, v), cores, half_secs) in calls {
+                at += SimDuration::from_millis(500 * half_secs);
+                match setter {
+                    0 => p.set_gpu_levels(at, a % n_core, b % n_mem),
+                    1 => p.set_cpu_level(at, a % n_cpu),
+                    2 => p.set_gpu_activity(at, u, v),
+                    3 => p.set_cpu_activity(at, u, cores),
+                    _ => p.set_cpu_activity_split(at, u, v, cores),
+                }
+                record(&mut shadow, &p, at);
+            }
+            let bits = |t: &StepTrace| t.points().map(|(at, w)| (at, w.to_bits())).collect::<Vec<_>>();
+            for (meter, shadow) in [&p.gpu_meter, &p.cpu_meter, &p.gpu_idle_meter].into_iter().zip(&shadow) {
+                prop_assert_eq!(bits(meter.trace()), bits(shadow), "{}", meter.name());
+            }
+        }
     }
 }

@@ -26,8 +26,9 @@
 //!   ([`CarbonSignal::mean_over`]) and green-window queries the
 //!   dispatcher uses to shift best-effort work into cheap windows.
 //! * [`TenantConfig`] / [`generate_tenant_arrivals`] — tenants bundled
-//!   with a workload mix (validated against the Table II registry) and
-//!   merged into one deterministic fleet-wide arrival stream.
+//!   with a workload mix (validated against the workloads the fleet can
+//!   profile) and merged into one deterministic fleet-wide arrival
+//!   stream.
 //!
 //! The cluster tier (`greengpu-cluster`) composes these with its
 //! scheduler, retry/dead-letter machinery, and circuit breakers in

@@ -18,7 +18,8 @@ pub struct TenantConfig {
     pub name: String,
     /// Traffic shape.
     pub arrival: ArrivalProcess,
-    /// Workload mix as `(Table II registry name, weight)`; weights need
+    /// Workload mix as `(workload registry name, weight)`: a Table II
+    /// name or `training`, any name the fleet can profile. Weights need
     /// not sum to 1.
     pub mix: Vec<(String, f64)>,
     /// Uniform size-multiplier range.
@@ -29,7 +30,9 @@ pub struct TenantConfig {
 
 impl TenantConfig {
     /// Non-panicking configuration check naming the offending field.
-    /// Mix names are validated against the Table II workload registry.
+    /// Mix names are validated as the fleet's own arrival mix is: against
+    /// the workloads [`greengpu_workloads::registry::by_name_small`]
+    /// builds.
     pub fn try_validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("name must not be empty".to_string());
@@ -39,8 +42,8 @@ impl TenantConfig {
             return Err("mix must not be empty".to_string());
         }
         for (name, weight) in &self.mix {
-            if !greengpu_workloads::registry::TABLE2_NAMES.contains(&name.as_str()) {
-                return Err(format!("mix names a workload not in the Table II registry: {name:?}"));
+            if greengpu_workloads::registry::by_name_small(name, 0).is_none() {
+                return Err(format!("mix names a workload the fleet cannot profile: {name:?}"));
             }
             if !(weight.is_finite() && *weight > 0.0) {
                 return Err(format!("mix weight for {name:?} must be finite and > 0, got {weight}"));
@@ -62,7 +65,7 @@ pub struct TenantArrival {
     pub tenant: usize,
     /// Arrival instant, seconds.
     pub at_s: f64,
-    /// Table II registry name.
+    /// Workload registry name (see [`TenantConfig::mix`]).
     pub workload: String,
     /// Service-time multiplier.
     pub size: f64,
