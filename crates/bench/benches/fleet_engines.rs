@@ -1,4 +1,4 @@
-//! Bench: fleet-engine throughput — serial vs event-driven vs parallel.
+//! Bench: fleet-engine throughput — serial vs event-driven.
 //!
 //! Measures node-ticks per wall second (fleet size × control intervals
 //! simulated, divided by wall time) at 100 / 1 000 / 10 000 nodes, and
@@ -48,15 +48,11 @@ fn timed(nodes: usize, horizon_s: u64, engine: EngineKind) -> (f64, f64, usize) 
 }
 
 fn main() {
-    // (fleet size, virtual horizon for event/parallel, for serial).
+    // (fleet size, virtual horizon for event, for serial).
     // Serial is O(fleet × ticks) regardless of load, so at 10k nodes it
     // gets a 360 s slice of the hour and is compared by rate.
     let scales: &[(usize, u64, u64)] = &[(100, 3600, 3600), (1_000, 3600, 3600), (10_000, 3600, 360)];
-    let engines = [
-        EngineKind::Serial,
-        EngineKind::EventDriven,
-        EngineKind::Parallel { workers: 4 },
-    ];
+    let engines = [EngineKind::Serial, EngineKind::EventDriven];
     let mut rows: Vec<JsonValue> = Vec::new();
     for &(nodes, horizon, serial_horizon) in scales {
         let mut serial_rate = 0.0;
@@ -104,7 +100,6 @@ fn main() {
                  outputs proven byte-identical by crates/cluster/tests/engine_equivalence.rs",
             ),
         ),
-        ("workers_parallel".to_string(), JsonValue::usize(4)),
         ("rows".to_string(), JsonValue::Arr(rows)),
     ]);
     let out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_6.json");

@@ -22,16 +22,11 @@
 //!   controller state is provably a fixed point are **parked**
 //!   ([`crate::Node::park_fingerprint`]) so their control ticks are
 //!   skipped while their cap holds.
-//! * [`EngineKind::Parallel`] — the event-driven schedule with its control
-//!   ticks fanned out over `workers` scoped threads once the fleet has
-//!   `PAR_MIN_BATCH` nodes. Each thread owns one contiguous slice of
-//!   nodes and the results come back in node order, so the overage folds
-//!   exactly as inline; every node owns its seeded random streams, so node
-//!   order is the only guarantee the fan-out needs. Job advance stays on
-//!   the calling thread: handing the fleet to threads at every spine event
-//!   cost more than it saved on every busy fleet measured (DESIGN.md §12).
 //!
-//! **Equivalence contract.** All three engines produce byte-identical
+//! Both schedules run on the calling thread: fanning the control ticks
+//! out over threads did not pay for itself (DESIGN.md §12).
+//!
+//! **Equivalence contract.** Both engines produce byte-identical
 //! telemetry (trace CSV, [`crate::FleetReport`] counters,
 //! [`crate::CrashRecord`]s) for the same config and seed — pinned by
 //! `tests/engine_equivalence.rs`. The event-driven optimizations only
@@ -135,7 +130,7 @@ use greengpu_sim::{EventQueue, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Which fleet engine executes the run. All three are equivalent —
+/// Which fleet engine executes the run. Both are equivalent —
 /// byte-identical outputs per seed — and stay selectable so the serial
 /// reference remains available as the differential-testing oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -147,28 +142,15 @@ pub enum EngineKind {
     /// Discrete-event engine: busy-list advance, wake agenda for dead
     /// nodes, quiescent parking for idle fixed-point nodes.
     EventDriven,
-    /// The event-driven engine with the per-interval control ticks
-    /// fanned out across worker threads in contiguous node slices.
-    Parallel {
-        /// Worker thread count (>= 1; 1 behaves like `EventDriven`).
-        workers: usize,
-    },
 }
 
 impl EngineKind {
-    /// Parses a CLI flag value (`serial` | `event` | `parallel`);
-    /// `workers` only applies to `parallel`.
-    pub fn from_flag(name: &str, workers: usize) -> Result<EngineKind, String> {
+    /// Parses a CLI flag value (`serial` | `event`).
+    pub fn from_flag(name: &str) -> Result<EngineKind, String> {
         match name {
             "serial" => Ok(EngineKind::Serial),
             "event" => Ok(EngineKind::EventDriven),
-            "parallel" => {
-                if workers == 0 {
-                    return Err("--workers must be at least 1".to_string());
-                }
-                Ok(EngineKind::Parallel { workers })
-            }
-            other => Err(format!("unknown engine {other:?} (serial | event | parallel)")),
+            other => Err(format!("unknown engine {other:?} (serial | event)")),
         }
     }
 
@@ -177,7 +159,6 @@ impl EngineKind {
         match self {
             EngineKind::Serial => "serial",
             EngineKind::EventDriven => "event",
-            EngineKind::Parallel { .. } => "parallel",
         }
     }
 }
@@ -268,10 +249,6 @@ pub(crate) struct DriveInputs<'a> {
     pub budget_mw: MilliWatts,
 }
 
-/// Smallest fleet worth fanning the control ticks out to worker threads;
-/// below this the scoped-thread setup costs more than the work.
-const PAR_MIN_BATCH: usize = 32;
-
 /// Runs the configured engine over the spine to the horizon.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive(
@@ -284,16 +261,16 @@ pub(crate) fn drive(
     dispatcher: &mut TenantDispatcher,
     geo: Option<&mut GeoState>,
 ) -> DriveOutcome {
-    let workers = match inp.cfg.engine {
+    match inp.cfg.engine {
         EngineKind::Serial => {
             let engine = Serial::default();
-            return run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo);
+            run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo)
         }
-        EngineKind::EventDriven => 1,
-        EngineKind::Parallel { workers } => workers,
-    };
-    let engine = EventDriven::new(nodes.len(), workers);
-    run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo)
+        EngineKind::EventDriven => {
+            let engine = EventDriven::new(nodes.len());
+            run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo)
+        }
+    }
 }
 
 /// The completion stream, sorted by service window (the span between two
@@ -440,12 +417,9 @@ impl Schedule for Serial {
     }
 }
 
-/// The event-driven schedule (and, with `workers > 1`, the parallel
-/// one). See the module docs for the equivalence argument behind each
-/// skipped batch of work.
+/// The event-driven schedule. See the module docs for the equivalence
+/// argument behind each skipped batch of work.
 struct EventDriven {
-    /// Threads for the control-tick fan-out (1 runs it inline).
-    workers: usize,
     /// Ids of nodes with a job in service, ascending — the only nodes
     /// `advance` can do anything to. Dispatch merges in the nodes it
     /// placed; completions drop out as they land.
@@ -586,9 +560,8 @@ fn control_step(
 }
 
 impl EventDriven {
-    fn new(n: usize, workers: usize) -> Self {
+    fn new(n: usize) -> Self {
         EventDriven {
-            workers,
             busy: Vec::new(),
             windows: Vec::new(),
             finished: Vec::new(),
@@ -699,31 +672,12 @@ impl Schedule for EventDriven {
 
     fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64 {
         let (swept, checkpointed) = (self.swept, self.checkpointed);
-        let control_slice = |nodes: &mut [Node], slots: &mut [Slot], caps: &[MilliWatts]| {
-            nodes
-                .iter_mut()
-                .zip(slots)
-                .zip(caps)
-                .filter_map(|((node, slot), &cap)| control_step(node, slot, cap, t, swept, checkpointed))
-                .fold(0.0, f64::max)
-        };
-        let over = if self.workers > 1 && nodes.len() >= PAR_MIN_BATCH {
-            let chunk = nodes.len().div_ceil(self.workers);
-            let mut parts: Vec<_> = nodes
-                .chunks_mut(chunk)
-                .zip(self.slots.chunks_mut(chunk))
-                .zip(caps.chunks(chunk))
-                .collect();
-            // An overage is never NaN or −0.0, so the slices' maxima, folded
-            // in node order, are the inline fold's bits.
-            fan_out(self.workers, &mut parts, |_, ((nodes, slots), caps)| {
-                control_slice(nodes, slots, caps)
-            })
-            .into_iter()
-            .fold(0.0, f64::max)
-        } else {
-            control_slice(nodes, &mut self.slots, caps)
-        };
+        let over = nodes
+            .iter_mut()
+            .zip(&mut self.slots)
+            .zip(caps)
+            .filter_map(|((node, slot), &cap)| control_step(node, slot, cap, t, swept, checkpointed))
+            .fold(0.0, f64::max);
         self.swept = t;
         over
     }
@@ -795,37 +749,6 @@ impl Placement for Placing<'_, '_> {
         self.engine.slots[i] = Slot::Awake;
         self.engine.busy.push(i);
     }
-}
-
-/// Runs `f(i, &mut items[i])` for every item on up to `workers` scoped
-/// threads, each owning one contiguous chunk (the calling thread takes
-/// the first), and returns the results in item order.
-fn fan_out<T: Send, R: Send>(workers: usize, items: &mut [T], f: impl Fn(usize, &mut T) -> R + Sync) -> Vec<R> {
-    let chunk = items.len().div_ceil(workers.max(1)).max(1);
-    let run_part = |start: usize, part: &mut [T]| -> Vec<R> {
-        part.iter_mut()
-            .enumerate()
-            .map(|(j, item)| f(start + j, item))
-            .collect()
-    };
-    std::thread::scope(|scope| {
-        let mut parts = items.chunks_mut(chunk);
-        let first = parts.next();
-        let lanes: Vec<_> = parts
-            .enumerate()
-            .map(|(k, part)| scope.spawn(move || run_part((k + 1) * chunk, part)))
-            .collect();
-        let mut out = first.map_or_else(Vec::new, |part| run_part(0, part));
-        for lane in lanes {
-            match lane.join() {
-                Ok(part) => out.extend(part),
-                // Re-raise the worker's own panic payload instead of
-                // replacing it with a second panic message.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
 }
 
 /// Per-run bookkeeping the chaos handlers and the cap step share.
@@ -1311,15 +1234,11 @@ mod tests {
     /// setup")` panic: a telemetry-blackout event that reaches the
     /// runtime spine (a schedule bug by construction — `run_fleet`
     /// filters them out) must be counted and ignored, never abort the
-    /// fleet. Exercised on all three engines by driving the loop
-    /// directly with a hand-built spine.
+    /// fleet. Exercised on both engines by driving the loop directly
+    /// with a hand-built spine.
     #[test]
     fn stray_blackout_event_is_a_counted_noop() {
-        for engine in [
-            EngineKind::Serial,
-            EngineKind::EventDriven,
-            EngineKind::Parallel { workers: 2 },
-        ] {
+        for engine in [EngineKind::Serial, EngineKind::EventDriven] {
             let cfg = crate::FleetConfig::homogeneous(2, 0.9, Policy::LeastLoaded, SimDuration::from_secs(3), 11)
                 .with_engine(engine);
             let mix: Vec<String> = cfg.arrivals.mix.iter().map(|(n, _)| n.clone()).collect();
@@ -1373,32 +1292,6 @@ mod tests {
         }
     }
 
-    /// The control-tick fan-out must touch every node exactly once and
-    /// hand the results back in node order, whatever the worker count —
-    /// including more workers than nodes, and node counts on both sides
-    /// of `PAR_MIN_BATCH`.
-    #[test]
-    fn fan_out_visits_each_item_once_and_returns_in_order() {
-        for n in [0usize, 1, 31, 32, 33, 100] {
-            for workers in 1..=8 {
-                let mut items: Vec<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
-                let out = fan_out(workers, &mut items, |i, item| {
-                    item.1 += 1;
-                    (i, item.0 * 3)
-                });
-                let want: Vec<(usize, usize)> = (0..n).map(|i| (i, i * 3)).collect();
-                assert_eq!(out, want, "results in node order (n={n}, workers={workers})");
-                assert!(
-                    items
-                        .iter()
-                        .enumerate()
-                        .all(|(i, &(id, visits))| id == i && visits == 1),
-                    "every item mutated exactly once (n={n}, workers={workers})"
-                );
-            }
-        }
-    }
-
     /// Twelve nodes in a 1×2×2×3 tree with unequal service histories
     /// (nodes 1, 4, 7 and 10 tie), node 3 crashed and node 8 busy, and
     /// the event-driven schedule after `ticks` control intervals.
@@ -1419,7 +1312,7 @@ mod tests {
             nodes[i].dispatch(job(100, size), SimTime::ZERO);
             assert!(nodes[i].advance(SimTime::ZERO, SimTime::from_secs(1000)).is_some());
         }
-        let mut engine = EventDriven::new(12, 1);
+        let mut engine = EventDriven::new(12);
         nodes[3].crash(SimTime::ZERO, 1e6);
         engine.touched(&nodes, &[3]);
         nodes[8].dispatch(job(101, 1e6), SimTime::ZERO);
@@ -1760,7 +1653,7 @@ mod tests {
         };
         let (mut log, mut eager_log) = (Vec::new(), Vec::new());
         let spy = Spy {
-            inner: EventDriven::new(30, 1),
+            inner: EventDriven::new(30),
             log: &mut log,
         };
         let (got, nodes) = run_planted(spy, &chaos, &domains);
@@ -1790,15 +1683,13 @@ mod tests {
 
     #[test]
     fn engine_flag_parsing_round_trips() {
-        assert_eq!(EngineKind::from_flag("serial", 1), Ok(EngineKind::Serial));
-        assert_eq!(EngineKind::from_flag("event", 4), Ok(EngineKind::EventDriven));
-        assert_eq!(
-            EngineKind::from_flag("parallel", 4),
-            Ok(EngineKind::Parallel { workers: 4 })
-        );
-        assert!(EngineKind::from_flag("parallel", 0).is_err());
-        assert!(EngineKind::from_flag("turbo", 1).is_err());
-        assert_eq!(EngineKind::Parallel { workers: 4 }.label(), "parallel");
+        for engine in [EngineKind::Serial, EngineKind::EventDriven] {
+            assert_eq!(EngineKind::from_flag(engine.label()), Ok(engine));
+        }
+        for name in ["parallel", "turbo"] {
+            let err = EngineKind::from_flag(name).expect_err("only serial and event parse");
+            assert!(err.contains("serial | event"), "{name}: {err}");
+        }
         assert_eq!(EngineKind::default(), EngineKind::Serial);
     }
 }

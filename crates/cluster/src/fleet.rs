@@ -89,7 +89,7 @@ pub struct FleetConfig {
     /// Failure-lifecycle tuning (restart/probation durations, checkpoint
     /// period, retry budget, breaker cooldowns).
     pub lifecycle: LifecycleParams,
-    /// Which execution engine drives the run. All engines produce
+    /// Which execution engine drives the run. Both engines produce
     /// byte-identical outputs per seed (see [`crate::engine`]); the
     /// serial default is the differential-testing oracle.
     pub engine: EngineKind,
@@ -240,11 +240,6 @@ impl FleetConfig {
         }
         if let Some(serving) = &self.serving {
             serving.try_validate().map_err(|msg| format!("serving: {msg}"))?;
-        }
-        if let EngineKind::Parallel { workers } = self.engine {
-            if workers == 0 {
-                return Err("engine: parallel workers must be at least 1".to_string());
-            }
         }
         if let Some(plan) = &self.chaos {
             plan.try_validate().map_err(|msg| format!("chaos: {msg}"))?;

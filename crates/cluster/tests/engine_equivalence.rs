@@ -1,13 +1,12 @@
-//! Differential harness for the fleet engines: serial ≡ event-driven ≡
-//! parallel (1/2/4/8 workers), byte-for-byte.
+//! Differential harness for the fleet engines: serial ≡ event-driven,
+//! byte-for-byte.
 //!
 //! The serial engine is the oracle — the advance-everything schedule
 //! on the shared spine. The event-driven engine skips work (idle advance,
 //! dormant lifecycle ticks, quiescent control ticks) only where the
-//! skip is provably an identity, and the parallel engine fans its
-//! control ticks out over worker threads on top; if any of those
-//! arguments is wrong, the trace CSV, the completion stream, the crash
-//! audit, or a conservation counter diverges and these tests catch it.
+//! skip is provably an identity; if any of those arguments is wrong, the
+//! trace CSV, the completion stream, the crash audit, or a conservation
+//! counter diverges and these tests catch it.
 
 use greengpu::{DeadlineParams, Exp3Params, UcbParams};
 use greengpu_cluster::{run_fleet, EngineKind, FleetConfig, FleetReport, NodeConfig, Policy, PolicySpec, Topology};
@@ -122,25 +121,21 @@ fn digest(report: &FleetReport) -> String {
     )
 }
 
-/// Runs one config under every engine and asserts all digests equal the
-/// serial oracle's.
+/// The digest of `cfg` under the event-driven engine.
+fn event_digest(cfg: &FleetConfig) -> String {
+    digest(&run_fleet(&cfg.clone().with_engine(EngineKind::EventDriven)))
+}
+
+/// Runs one config under both engines and asserts the event-driven
+/// digest equals the serial oracle's.
 fn assert_engines_agree(cfg: &FleetConfig) {
     let oracle = digest(&run_fleet(&cfg.clone().with_engine(EngineKind::Serial)));
-    let engines = [
-        EngineKind::EventDriven,
-        EngineKind::Parallel { workers: 1 },
-        EngineKind::Parallel { workers: 2 },
-        EngineKind::Parallel { workers: 4 },
-        EngineKind::Parallel { workers: 8 },
-    ];
-    for engine in engines {
-        let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
-        assert_eq!(
-            got, oracle,
-            "engine {engine:?} diverged from serial (seed {})",
-            cfg.seed
-        );
-    }
+    assert_eq!(
+        event_digest(cfg),
+        oracle,
+        "event engine diverged from serial (seed {})",
+        cfg.seed
+    );
 }
 
 #[test]
@@ -175,19 +170,13 @@ fn tight_deadlines_agree_and_actually_miss() {
 }
 
 #[test]
-fn big_fleet_exercises_the_threaded_fanout() {
-    // 40 nodes crosses the engine's fan-out threshold (32), so the
-    // parallel engine actually spawns worker threads for its control
-    // ticks here; doubling the arrival rate keeps most nodes busy, so
-    // the fanned-out ticks run full controller decisions, not just
-    // deep-park skips.
+fn forty_node_busy_fleet_agrees() {
+    // Doubling the arrival rate keeps most of the 40 nodes busy under
+    // chaos, so the event engine's control ticks run full controller
+    // decisions, not just deep-park skips.
     let mut cfg = fleet_cfg(40, &PolicySpec::default(), true, 12, 4242);
     cfg.arrivals.rate_per_s *= 2.0;
-    let oracle = digest(&run_fleet(&cfg.clone().with_engine(EngineKind::Serial)));
-    for engine in [EngineKind::EventDriven, EngineKind::Parallel { workers: 4 }] {
-        let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
-        assert_eq!(got, oracle, "engine {engine:?} diverged on the big fleet");
-    }
+    assert_engines_agree(&cfg);
 }
 
 #[test]
@@ -217,26 +206,21 @@ fn geo_hierarchy_engines_agree_under_correlated_chaos() {
 }
 
 #[test]
-fn big_geo_fleet_exercises_the_threaded_fanout() {
-    // Every other geo shape here stays under the fan-out threshold (32
-    // nodes); 1×2×4×5 = 40 nodes runs the parallel engines' threaded
-    // control ticks under the budget tree and correlated chaos.
+fn forty_node_geo_fleet_agrees() {
+    // The largest geo shape here: 1×2×4×5 = 40 nodes under the budget
+    // tree and correlated chaos; every other shape has at most 16.
     let cfg = geo_cfg((1, 2, 4, 5), &PolicySpec::default(), 20, 0x6E0_0040);
     let oracle = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
     assert!(
         oracle.rack_losses > 0,
-        "the big geo scenario must lose a rack (rack_losses={})",
+        "the 40-node geo scenario must lose a rack (rack_losses={})",
         oracle.rack_losses
     );
-    let oracle = digest(&oracle);
-    for engine in [
-        EngineKind::EventDriven,
-        EngineKind::Parallel { workers: 2 },
-        EngineKind::Parallel { workers: 4 },
-    ] {
-        let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
-        assert_eq!(got, oracle, "engine {engine:?} diverged on the big geo fleet");
-    }
+    assert_eq!(
+        event_digest(&cfg),
+        digest(&oracle),
+        "event engine diverged on the 40-node geo fleet"
+    );
 }
 
 /// A 400 s flat fleet whose idle WMA nodes settle and park long before
@@ -304,8 +288,8 @@ fn long_geo_runs_past_the_idle_fixed_point_agree() {
 
 /// Twelve times the default offered load on 24 nodes: every control
 /// interval holds dozens of arrivals, so a job's service is split into
-/// many windows and nodes finish in different ones. The event engines
-/// replay the arrival-split windows at the next node event; their
+/// many windows and nodes finish in different ones. The event engine
+/// replays the arrival-split windows at the next node event; its
 /// completions must still come out window by window, as Serial's do
 /// advancing every node at every arrival.
 #[test]
@@ -342,7 +326,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The headline differential property: random fleet shapes, random
-    /// seeds, every policy family, chaos on or off — all engines emit
+    /// seeds, every policy family, chaos on or off — both engines emit
     /// byte-identical telemetry.
     #[test]
     fn engines_agree_on_random_fleets(
@@ -354,20 +338,13 @@ proptest! {
         let spec = &freq_policy_specs()[policy_idx];
         let cfg = fleet_cfg(n, spec, chaos, 25, seed);
         let oracle = digest(&run_fleet(&cfg.clone().with_engine(EngineKind::Serial)));
-        for engine in [
-            EngineKind::EventDriven,
-            EngineKind::Parallel { workers: 2 },
-            EngineKind::Parallel { workers: 8 },
-        ] {
-            let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
-            prop_assert_eq!(&got, &oracle, "engine {:?} diverged", engine);
-        }
+        prop_assert_eq!(event_digest(&cfg), oracle, "event engine diverged");
     }
 
     /// Geo variant: random topology shapes (1–2 regions × 1–2 zones ×
     /// 1–2 racks × 1–2 nodes) with every correlated channel armed — the
     /// lagged budget cascade and domain events must replay identically
-    /// under every engine for any tree shape.
+    /// under both engines for any tree shape.
     #[test]
     fn geo_engines_agree_on_random_shapes(
         regions in 1usize..3,
@@ -378,19 +355,16 @@ proptest! {
     ) {
         let cfg = geo_cfg((regions, zones, racks, per_rack), &PolicySpec::default(), 20, seed);
         let oracle = digest(&run_fleet(&cfg.clone().with_engine(EngineKind::Serial)));
-        for engine in [EngineKind::EventDriven, EngineKind::Parallel { workers: 4 }] {
-            let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
-            prop_assert_eq!(&got, &oracle, "engine {:?} diverged on geo shape", engine);
-        }
+        prop_assert_eq!(event_digest(&cfg), oracle, "event engine diverged on geo shape");
     }
 }
 
 /// The resting-node wake matrix. On a trickle of jobs, idle WMA nodes
 /// coast from their first intervals and park near 160 s, and most of
-/// them are never dispatched. The event engines pass a resting node by in
+/// them are never dispatched. The event engine passes a resting node by in
 /// the lifecycle, completion, demand and telemetry-row sweeps until
 /// something touches it, so each scenario below plants touches on nodes
-/// that nothing had touched before, in both phases, and every engine
+/// that nothing had touched before, in both phases, and the event engine
 /// must still agree with the serial oracle. Periodic checkpoints (every
 /// 10 ticks) land on coasting nodes throughout the coasting phase, and on
 /// the geo fleet each restart after a crash hands the parked nodes
@@ -511,8 +485,7 @@ mod wake_matrix {
         // the geo fleets a rack power loss lands on a tick (278 s) and
         // mid-interval (231.4 s) on parked nodes, and zone thermal events
         // on ticks while coasting (108 s) and parked (202 s). The fleet
-        // seeds place dispatches in both phases. The 40-node fleet is
-        // large enough for the parallel engines to fan its ticks out.
+        // seeds place dispatches in both phases.
         let scenarios = [
             trickle(6, node_chaos(3_157_577, (0.2, 12.0)), 0x3A7E_0001),
             trickle(6, node_chaos(1_815_696, (0.2, 12.0)), 0x3A7E_0002),
@@ -529,15 +502,12 @@ mod wake_matrix {
         for cfg in &scenarios {
             let oracle = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
             covered.extend(wakes_at_rest(cfg, &oracle));
-            let oracle = digest(&oracle);
-            for engine in [
-                EngineKind::EventDriven,
-                EngineKind::Parallel { workers: 2 },
-                EngineKind::Parallel { workers: 4 },
-            ] {
-                let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
-                assert_eq!(got, oracle, "engine {engine:?} diverged (seed {:#x})", cfg.seed);
-            }
+            assert_eq!(
+                event_digest(cfg),
+                digest(&oracle),
+                "event engine diverged (seed {:#x})",
+                cfg.seed
+            );
         }
         for want in [
             "dispatch, coasting",
@@ -567,9 +537,9 @@ mod wake_matrix {
     /// The wake matrix's fleets at forty seeds each: 24 flat nodes and a
     /// 1×2×2×3 geo fleet over 260 s, past the idle fixed point, so that
     /// nodes coast, park, take deferred checkpoints and are woken at
-    /// seeded times. A debug build takes three times as long for it as for
-    /// the rest of this file, so it is `#[ignore]`d and run by name in
-    /// release CI.
+    /// seeded times. A debug build takes about five times as long for it
+    /// as for the rest of this file, so it is `#[ignore]`d and run by name
+    /// in release CI.
     #[test]
     #[ignore]
     fn seed_sweep_engines_agree() {
@@ -579,15 +549,12 @@ mod wake_matrix {
             for mut cfg in [flat, geo] {
                 cfg.horizon = SimDuration::from_secs(260);
                 let oracle = digest(&run_fleet(&cfg.clone().with_engine(EngineKind::Serial)));
-                for engine in [EngineKind::EventDriven, EngineKind::Parallel { workers: 2 }] {
-                    let got = digest(&run_fleet(&cfg.clone().with_engine(engine)));
-                    assert_eq!(
-                        got,
-                        oracle,
-                        "engine {engine:?} diverged (seed {seed}, {} nodes)",
-                        cfg.nodes.len()
-                    );
-                }
+                assert_eq!(
+                    event_digest(&cfg),
+                    oracle,
+                    "event engine diverged (seed {seed}, {} nodes)",
+                    cfg.nodes.len()
+                );
             }
         }
     }
@@ -622,17 +589,6 @@ mod wake_matrix {
                 if (181.0..182.0).contains(&woke) && job.to_bits() == 182.0_f64.to_bits()),
             "node 0 must be woken by a throttle, then take a job inside it: {node_0:?}"
         );
-        let oracle = digest(&oracle);
-        for engine in [
-            EngineKind::EventDriven,
-            EngineKind::Parallel { workers: 2 },
-            EngineKind::Parallel { workers: 4 },
-        ] {
-            assert_eq!(
-                digest(&run_fleet(&cfg.clone().with_engine(engine))),
-                oracle,
-                "engine {engine:?}"
-            );
-        }
+        assert_eq!(event_digest(&cfg), digest(&oracle), "event engine diverged");
     }
 }

@@ -32,11 +32,7 @@ use greengpu_sim::SimTime;
 ///
 /// `observe_iteration` sits on the division tier's measurement path; the
 /// default implementation passes the true iteration times through.
-///
-/// `Send` because the cluster tier's parallel engine moves whole nodes
-/// (and therefore their boxed providers) across worker threads; every
-/// provider here is plain data.
-pub trait SensorSource: Send {
+pub trait SensorSource {
     /// Windowed GPU utilizations at `now` (the `nvidia-smi` path).
     fn poll_gpu(&mut self, gpu: &GpuModel, now: SimTime) -> SmiReading;
 
@@ -55,8 +51,7 @@ pub trait SensorSource: Send {
 }
 
 /// A sink for frequency commands (the `nvidia-settings` / cpufreq path).
-/// `Send` for the same reason as [`SensorSource`].
-pub trait FreqActuator: Send {
+pub trait FreqActuator {
     /// Requests the GPU core/memory levels `(core, mem)` at `at`.
     fn set_gpu_levels(&mut self, platform: &mut Platform, at: SimTime, core: usize, mem: usize);
 

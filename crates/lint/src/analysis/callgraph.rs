@@ -477,6 +477,26 @@ mod tests {
     }
 
     #[test]
+    fn a_let_bound_closure_shadows_a_workspace_fn() {
+        let (_f, parsed, sym, g) = build(&[
+            (
+                "crates/cluster/src/engine.rs",
+                "pub fn drive() { let sweep = |x: u64| x + 1; sweep(2); }\n",
+            ),
+            (
+                "crates/repro/src/experiments/policies.rs",
+                "pub fn sweep(x: u64) -> u64 { x }\n",
+            ),
+        ]);
+        let reach = g.from_roots(&parsed, &sym);
+        assert!(reach.contains(id_of(&sym, "drive")));
+        assert!(
+            !reach.contains(id_of(&sym, "sweep")),
+            "the call is to drive's local closure"
+        );
+    }
+
+    #[test]
     fn reaching_finds_sink_feeders() {
         let (files, parsed, sym, g) = build(&[(
             "crates/tools/src/lib.rs",

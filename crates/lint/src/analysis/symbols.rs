@@ -85,7 +85,9 @@ impl Symbols {
     /// All candidate callees for a call made from `caller`.
     ///
     /// - `Bare(f)` → free functions named `f`, same file first, then
-    ///   same crate, then anywhere (imports are not tracked).
+    ///   same crate, then anywhere (imports are not tracked); nothing
+    ///   when the caller binds `f` with `let`, since the local (a closure
+    ///   or fn pointer) shadows every `fn` of that name.
     /// - `Ty::f` → associated functions of the workspace type `Ty`
     ///   (through `Self`); unknown types resolve to nothing, so calls
     ///   into `std` never create edges.
@@ -93,6 +95,9 @@ impl Symbols {
     pub fn resolve(&self, parsed: &[ParsedFile], caller: FnId, callee: &Callee) -> Vec<FnId> {
         match callee {
             Callee::Bare(name) => {
+                if self.item(parsed, caller).lets.iter().any(|b| &b.name == name) {
+                    return Vec::new();
+                }
                 let free: Vec<FnId> = self
                     .by_name
                     .get(name)

@@ -69,7 +69,7 @@ pub use wma::{WmaParams, WmaScaler};
 /// 4. **Garbage-tolerant**: non-finite utilizations never corrupt
 ///    learner state; the previous decision is held (restricted to the
 ///    mask) and the rejection is counted.
-pub trait FreqPolicy: Send {
+pub trait FreqPolicy {
     /// Stable policy name used in experiment tables and CSV columns.
     fn name(&self) -> &str;
 

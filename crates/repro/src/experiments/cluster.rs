@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn smoke_configuration_is_deterministic_and_sane() {
         let a = run_custom(7, 3, 30, EngineKind::Serial);
-        let b = run_custom(7, 3, 30, EngineKind::Parallel { workers: 2 });
+        let b = run_custom(7, 3, 30, EngineKind::EventDriven);
         let csv = |o: &ExperimentOutput| o.tables.iter().map(Table::to_csv).collect::<Vec<_>>();
         assert_eq!(
             csv(&a),

@@ -171,7 +171,7 @@ pub fn run_by_id(id: &str, seed: u64) -> Option<ExperimentOutput> {
 /// Runs fleet experiment `id` in its custom (smoke) form: `nodes` nodes
 /// for `seconds` simulated seconds, driven by `engine` — what `repro
 /// --nodes/--seconds/--engine` selects, and what CI byte-compares across
-/// the three engines. A missing size takes the experiment's default:
+/// both engines. A missing size takes the experiment's default:
 /// 30 s, and 3 nodes (4 for `geo`, whose smallest tree is 2 × 2 racks).
 /// `None` for an experiment without a custom form.
 pub fn run_custom(

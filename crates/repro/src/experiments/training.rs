@@ -26,7 +26,7 @@
 //!
 //! `run_custom` (the CI smoke behind `--nodes/--seconds/--engine`)
 //! drives a training-only job mix through the fleet tier so the
-//! serial/event/parallel engines can be byte-compared on training
+//! serial and event engines can be byte-compared on training
 //! output.
 
 use super::{signed_pct, ExperimentOutput};
@@ -361,7 +361,7 @@ mod tests {
     #[test]
     fn fleet_smoke_is_engine_invariant() {
         let a = run_custom(7, 2, 30, EngineKind::Serial);
-        let b = run_custom(7, 2, 30, EngineKind::Parallel { workers: 2 });
+        let b = run_custom(7, 2, 30, EngineKind::EventDriven);
         let csv = |o: &ExperimentOutput| o.tables.iter().map(|t| t.to_csv()).collect::<Vec<_>>();
         assert_eq!(csv(&a), csv(&b), "engines must be byte-identical");
         assert!(!a.tables[0].to_csv().is_empty());

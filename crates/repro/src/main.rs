@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! repro [--experiment <id>|all] [--seed <u64>] [--csv <dir>]
-//!       [--nodes <n>] [--seconds <s>] [--engine serial|event|parallel]
-//!       [--workers <n>] [--list-experiments]
+//!       [--nodes <n>] [--seconds <s>] [--engine serial|event]
+//!       [--list-experiments]
 //! ```
 //!
 //! Prints markdown to stdout; `--csv <dir>` additionally writes each table
@@ -11,10 +11,10 @@
 //! `<dir>/MANIFEST.csv`. `--nodes`/`--seconds` select a custom
 //! small-fleet configuration for the fleet experiments (`cluster`,
 //! `chaos`, `serving`, `training`, `geo`; see
-//! [`greengpu_repro::experiments::run_custom`]); `--engine`/`--workers`
-//! select which fleet engine drives it (all engines are byte-identical
-//! per seed — see `crates/cluster/tests/engine_equivalence.rs` — so this
-//! is a seam for CI to prove exactly that on real experiment output).
+//! [`greengpu_repro::experiments::run_custom`]); `--engine` selects which
+//! fleet engine drives it (both engines are byte-identical per seed — see
+//! `crates/cluster/tests/engine_equivalence.rs` — so this is a seam for CI
+//! to prove exactly that on real experiment output).
 
 use greengpu_cluster::EngineKind;
 use greengpu_repro::experiments::{run_by_id, run_custom, ALL_IDS, DEFAULT_SEED};
@@ -27,8 +27,7 @@ struct Args {
     csv_dir: Option<PathBuf>,
     nodes: Option<usize>,
     seconds: Option<u64>,
-    engine: Option<String>,
-    workers: Option<usize>,
+    engine: Option<EngineKind>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -39,7 +38,6 @@ fn parse_args() -> Result<Args, String> {
         nodes: None,
         seconds: None,
         engine: None,
-        workers: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -74,15 +72,7 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--engine" => {
-                args.engine = Some(it.next().ok_or("--engine needs a value")?);
-            }
-            "--workers" => {
-                args.workers = Some(
-                    it.next()
-                        .ok_or("--workers needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad worker count: {e}"))?,
-                );
+                args.engine = Some(EngineKind::from_flag(&it.next().ok_or("--engine needs a value")?)?);
             }
             "--list-experiments" => {
                 for id in ALL_IDS {
@@ -94,8 +84,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: repro [--experiment <id>|all] [--seed <u64>] [--csv <dir>]\n\
                      \x20            [--nodes <n>] [--seconds <s>]\n\
-                     \x20            [--engine serial|event|parallel] [--workers <n>]\n\
-                     \x20            [--list-experiments]"
+                     \x20            [--engine serial|event] [--list-experiments]"
                 );
                 println!("experiments: {}", ALL_IDS.join(" "));
                 std::process::exit(0);
@@ -106,31 +95,12 @@ fn parse_args() -> Result<Args, String> {
     if args.nodes == Some(0) {
         return Err("--nodes must be at least 1".to_string());
     }
-    if args.workers.is_some() && args.engine.as_deref() != Some("parallel") {
-        return Err("--workers only applies to --engine parallel".to_string());
-    }
     Ok(args)
-}
-
-/// Resolves the `--engine`/`--workers` flags into an [`EngineKind`]
-/// (serial — the reference — when neither was given).
-fn engine_kind(args: &Args) -> Result<EngineKind, String> {
-    match &args.engine {
-        None => Ok(EngineKind::Serial),
-        Some(name) => EngineKind::from_flag(name, args.workers.unwrap_or(4)),
-    }
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let engine = match engine_kind(&args) {
-        Ok(k) => k,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -144,17 +114,17 @@ fn main() -> ExitCode {
     };
 
     println!("# GreenGPU reproduction — experiment output (seed {})\n", args.seed);
-    // `--workers` only comes with `--engine parallel`, checked above.
     let custom = args.nodes.is_some() || args.seconds.is_some() || args.engine.is_some();
     for id in ids {
         let output = if custom {
-            run_custom(id, args.seed, args.nodes, args.seconds, engine)
+            // Serial, the reference, when no `--engine` was given.
+            run_custom(id, args.seed, args.nodes, args.seconds, args.engine.unwrap_or_default())
         } else {
             run_by_id(id, args.seed)
         };
         let Some(output) = output else {
             if custom && ALL_IDS.contains(&id) {
-                eprintln!("error: --nodes/--seconds/--engine/--workers only apply to a fleet experiment, not '{id}'");
+                eprintln!("error: --nodes/--seconds/--engine only apply to a fleet experiment, not '{id}'");
             } else {
                 eprintln!(
                     "error: unknown experiment '{id}'\nvalid experiments:\n  {}",

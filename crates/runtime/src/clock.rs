@@ -9,12 +9,10 @@
 //!
 //! [`SimTime`]: greengpu_sim::SimTime
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// A monotonic time source, seconds from an arbitrary epoch.
-///
-/// `Sync` so one clock can be shared across worker threads.
-pub trait Clock: Sync {
+pub trait Clock {
     /// Seconds elapsed since this clock's epoch.
     fn now_s(&self) -> f64;
 }
@@ -50,44 +48,31 @@ impl Clock for WallClock {
     }
 }
 
-/// A deterministic clock that only moves when told to. Thread-safe so
-/// worker threads can advance it mid-run; stores the reading as `f64`
-/// bits in an atomic.
+/// A deterministic clock that only moves when told to; code holding a
+/// shared reference can advance it mid-run.
 #[derive(Debug, Default)]
 pub struct ManualClock {
-    bits: AtomicU64,
+    now_s: Cell<f64>,
 }
 
 impl ManualClock {
     /// A clock reading `start_s`.
     pub fn new(start_s: f64) -> Self {
         ManualClock {
-            bits: AtomicU64::new(start_s.to_bits()),
+            now_s: Cell::new(start_s),
         }
     }
 
     /// Moves the clock forward by `ds` seconds (negative deltas are
     /// clamped to zero — the clock is monotonic).
     pub fn advance_s(&self, ds: f64) {
-        let ds = ds.max(0.0);
-        // A compare-exchange loop keeps concurrent advances lossless.
-        let mut cur = self.bits.load(Ordering::SeqCst);
-        loop {
-            let next = (f64::from_bits(cur) + ds).to_bits();
-            match self
-                .bits
-                .compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.now_s.set(self.now_s.get() + ds.max(0.0));
     }
 }
 
 impl Clock for ManualClock {
     fn now_s(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::SeqCst))
+        self.now_s.get()
     }
 }
 
@@ -103,17 +88,6 @@ mod tests {
         assert_eq!(c.now_s(), 12.5);
         c.advance_s(-1.0); // clamped
         assert_eq!(c.now_s(), 12.5);
-    }
-
-    #[test]
-    fn manual_clock_advances_are_lossless_across_threads() {
-        let c = ManualClock::new(0.0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| (0..1000).for_each(|_| c.advance_s(0.5)));
-            }
-        });
-        assert_eq!(c.now_s(), 2000.0);
     }
 
     #[test]

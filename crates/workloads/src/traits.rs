@@ -159,7 +159,7 @@ pub struct PhaseCost {
 /// An *iteration* is the paper's division quantum — "the execution of a
 /// fixed amount of work" (§IV): a reduction point (kmeans), a barrier batch
 /// (hotspot steps), or a chunk of an embarrassingly parallel sweep.
-pub trait Workload: Send {
+pub trait Workload {
     /// The workload's Table II row.
     fn profile(&self) -> &WorkloadProfile;
 
