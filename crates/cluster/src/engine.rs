@@ -60,7 +60,7 @@
 //!   orbit's settle row, where one pair is the strict maximum of every
 //!   later row, **coasts** until it parks: its control ticks under the
 //!   cap it settled under only count themselves and return 0.0, and its
-//!   demand is the one cached when coasting began. Every other touch
+//!   demand is its settled pair's throughout. Every other touch
 //!   first **syncs** it — a new cap, dispatch, a checkpoint, a thermal
 //!   emergency, a crash: the learner jumps the counted steps along the
 //!   orbit (interval counter included) and the sensors catch up to the
@@ -69,9 +69,9 @@
 //! * a parked node's power demand, and the whole `apportion` call when
 //!   no demand moved, reuse last tick's values — both are pure functions
 //!   of state the park fingerprint freezes;
-//! * a continuously-parked node's periodic checkpoint skips the
-//!   re-recording: the learner state it would snapshot is bit-frozen
-//!   while parked, so the stored checkpoint is already identical;
+//! * a resting node's periodic checkpoint waits in its slot (below) for
+//!   the node's next credit; a parked learner is bit-frozen, so a
+//!   checkpoint re-recorded while parked writes the same tape;
 //! * a **resting** node (coasting or parked, so `Up`, idle, healthy and
 //!   unthrottled) is read through its packed slot, not swept, until a
 //!   full tick, a new cap, dispatch, a crash or a thermal emergency wakes
@@ -551,7 +551,6 @@ fn control_step(
             return Some(0.0);
         }
         Slot::Settled(f) => credit(node, f, swept, checkpointed),
-        Slot::Awake | Slot::Fresh if node.parked_under() == Some(cap) => return None,
         Slot::Awake | Slot::Fresh => {}
     }
     let over = node.control_tick_parkable(t, cap);
@@ -656,8 +655,8 @@ impl Schedule for EventDriven {
         let mut moved = false;
         for ((entry, node), slot) in demands.iter_mut().zip(nodes).zip(&mut self.slots) {
             match slot {
-                // Frozen by the park fingerprint, or cached when coasting
-                // began, and read after that.
+                // Frozen by the park fingerprint, or the settled pair's
+                // while coasting: read when the slot settled.
                 Slot::Settled(_) => continue,
                 // Nothing has written its meters since it began resting.
                 Slot::Fresh => *slot = Frozen::settle(node).map_or(Slot::Awake, Slot::Settled),

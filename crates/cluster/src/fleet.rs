@@ -265,9 +265,9 @@ impl FleetConfig {
 }
 
 /// The power-capping audit of one crash: the dark node's cap before the
-/// crash and at the first re-apportionment after it. The reclamation
-/// criterion is `cap_after_mw == Some(0)` — the crashed node's milliwatts
-/// are back in the pool within one interval.
+/// crash and at the first re-apportionment after it. Reclamation holds
+/// when `cap_after_mw == Some(0)`: the crashed node's milliwatts are back
+/// in the pool within one interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashRecord {
     /// The crashed node's id.
@@ -282,7 +282,7 @@ pub struct CrashRecord {
 }
 
 /// The power-capping audit of one correlated rack power loss — the
-/// hierarchical analog of [`CrashRecord`]. The reclamation criterion:
+/// hierarchical analog of [`CrashRecord`]. Reclamation holds when
 /// `rack_cap_after_mw == Some(0)` (every node in the failed domain holds
 /// nothing at the next tick) while `sibling_caps_after_mw` has absorbed
 /// the freed budget *inside the same zone* — the zone's own cap
@@ -646,7 +646,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     }
     // Chaos last, so a crash at a tick/arrival instant lands after them:
     // the crashed node's cap is reclaimed at the *next* tick — within one
-    // interval, the reclamation criterion.
+    // interval, as reclamation requires.
     for (i, ev) in chaos_events.iter().enumerate() {
         spine.schedule(ev.at, Event::Chaos(i));
     }

@@ -7,7 +7,7 @@
 //! clients, absorbs overload.
 
 use greengpu_sim::{Pcg32, SimDuration, SimTime, SplitMix64};
-use greengpu_workloads::registry::by_name_small;
+use greengpu_tenancy::{validate_mix, validate_range};
 use std::collections::BTreeMap;
 
 /// One submitted job.
@@ -88,37 +88,18 @@ impl ArrivalConfig {
         }
     }
 
-    /// Non-panicking configuration check naming the offending field —
-    /// the rules `TenantConfig::try_validate` applies to serving
-    /// tenants. A mix name must be one the fleet can profile (a Table II
-    /// name or `training`).
+    /// Non-panicking configuration check naming the offending field. The
+    /// mix and sizes follow [`greengpu_tenancy::validate_mix`], the rules
+    /// serving tenants follow.
     pub fn try_validate(&self) -> Result<(), String> {
         if !(self.rate_per_s.is_finite() && self.rate_per_s > 0.0) {
             return Err(format!("rate_per_s must be finite and > 0, got {}", self.rate_per_s));
         }
-        if self.mix.is_empty() {
-            return Err("mix must not be empty".to_string());
-        }
-        for (name, weight) in &self.mix {
-            if by_name_small(name, 0).is_none() {
-                return Err(format!("mix names a workload the fleet cannot profile: {name:?}"));
-            }
-            if !(weight.is_finite() && *weight > 0.0) {
-                return Err(format!("mix weight for {name:?} must be finite and > 0, got {weight}"));
-            }
-        }
-        let (lo, hi) = self.size_range;
-        if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && hi >= lo) {
-            return Err(format!("size_range must satisfy 0 < lo <= hi, got ({lo}, {hi})"));
-        }
+        validate_mix(&self.mix, self.size_range)?;
         if !(0.0..=1.0).contains(&self.deadline_frac) {
             return Err(format!("deadline_frac must be in [0, 1], got {}", self.deadline_frac));
         }
-        let (lo, hi) = self.deadline_slack;
-        if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && hi >= lo) {
-            return Err(format!("deadline_slack must satisfy 0 < lo <= hi, got ({lo}, {hi})"));
-        }
-        Ok(())
+        validate_range("deadline_slack", self.deadline_slack)
     }
 
     /// The arrival rate that drives `n_nodes` nodes at `load` utilization

@@ -14,7 +14,7 @@
 //!
 //! * **Crashed** — the node is dark: learner state and the in-flight job
 //!   are gone, its power demand is zero, and the fleet reclaims its
-//!   milliwatts the *same* interval (the acceptance criterion).
+//!   milliwatts the *same* interval.
 //! * **Restarting** — the supervisor is rebuilding the controller; the
 //!   node draws only its floor power and accepts no work.
 //! * **Probation** — the node is back up and controllable but the

@@ -181,9 +181,6 @@ enum Rest {
     /// counts itself, and the learner catches up at the next sync.
     Coasting {
         cap: MilliWatts,
-        /// The demanded milliwatts when coasting began (the settled
-        /// pair's).
-        desired_mw: MilliWatts,
         /// Ticks counted since the last sync.
         skipped: u64,
         /// Idle steps the learner had left along its orbit at the last
@@ -199,11 +196,6 @@ enum Rest {
     /// handing it this cap.
     Parked {
         cap: MilliWatts,
-        /// Whether the stored checkpoint was taken while parked and the
-        /// node has stayed parked since. While that holds no control tick
-        /// has run, so the learner state is bit-frozen and
-        /// [`Node::take_checkpoint`] can skip the re-recording.
-        checkpoint_fresh: bool,
         /// The last control interval the node saw (see
         /// [`Node::saw_tick`]).
         last: SimTime,
@@ -532,15 +524,6 @@ impl Node {
     /// so after the first period this allocates nothing. The text is
     /// printed only when a restart or [`Node::checkpoint_data`] reads it.
     pub fn take_checkpoint(&mut self) {
-        // A continuously-parked node's learner state is bit-frozen, so
-        // the checkpoint taken last period is still identical — skip
-        // the re-recording.
-        if let Rest::Parked {
-            checkpoint_fresh: true, ..
-        } = self.rest
-        {
-            return;
-        }
         self.sync();
         let mut tape = match self.checkpoint.take() {
             Some(Checkpoint::Tape(tape)) => tape,
@@ -548,9 +531,6 @@ impl Node {
         };
         tape.record(|w| self.ctl.snapshot(w));
         self.checkpoint = Some(Checkpoint::Tape(tape));
-        if let Rest::Parked { checkpoint_fresh, .. } = &mut self.rest {
-            *checkpoint_fresh = true;
-        }
     }
 
     /// Replaces the stored checkpoint verbatim — the corruption-injection
@@ -787,22 +767,11 @@ impl Node {
 
     /// What this node asks of the apportioner right now. A crashed node
     /// demands *nothing* — its milliwatts flow back to the live nodes the
-    /// same interval the crash lands (the reclamation criterion). A
-    /// restarting node holds only its floor; a thermally throttled node
-    /// desires its floor but keeps its real peak (the throttle could lift
-    /// mid-interval). A coasting node returns the demand cached when it
-    /// began coasting: it is idle, `Up` and unthrottled, and its desired
-    /// pair has settled.
+    /// same interval the crash lands. A restarting node holds only its
+    /// floor; a thermally throttled node desires its floor but keeps its
+    /// real peak (the throttle could lift mid-interval).
     pub fn demand(&self) -> NodeDemand {
         let (floor_mw, peak_mw) = self.floor_peak;
-        if let Rest::Coasting { desired_mw, .. } = self.rest {
-            return NodeDemand {
-                floor_mw,
-                desired_mw,
-                peak_mw,
-                busy: false,
-            };
-        }
         match self.state {
             NodeState::Crashed => {
                 return NodeDemand {
@@ -1073,18 +1042,13 @@ impl Node {
         if let Some(before) = before.filter(|_| over <= 0.0) {
             match self.fingerprint_parts() {
                 Some(after) if after == before => {
-                    self.rest = Rest::Parked {
-                        cap,
-                        checkpoint_fresh: false,
-                        last: now,
-                    };
+                    self.rest = Rest::Parked { cap, last: now };
                 }
                 Some((_, rest_fp)) if rest_fp == before.1 => {
                     if let Some(settle) = self.ctl.idle_settled(&self.platform) {
                         if settle.steps_left > 0 || settle.fixed_point {
                             self.rest = Rest::Coasting {
                                 cap,
-                                desired_mw: self.demand().desired_mw,
                                 skipped: 0,
                                 left: settle.steps_left,
                                 parks: settle.fixed_point,
@@ -1126,11 +1090,7 @@ impl Node {
                 // the tick that proves it.
                 let cap = *cap;
                 self.sync();
-                self.rest = Rest::Parked {
-                    cap,
-                    checkpoint_fresh: false,
-                    last: at,
-                };
+                self.rest = Rest::Parked { cap, last: at };
             }
         }
     }
@@ -1427,11 +1387,7 @@ mod tests {
         let before = node.park_fingerprint();
         let over = node.control_tick(now, cap);
         if before.is_some() && over <= 0.0 && before == node.park_fingerprint() {
-            node.rest = Rest::Parked {
-                cap,
-                checkpoint_fresh: false,
-                last: now,
-            };
+            node.rest = Rest::Parked { cap, last: now };
         }
     }
 

@@ -5,19 +5,13 @@
 //! geo trace ([`GeoTraceRow`]). Each row type states its CSV columns once
 //! and hands its cells once, as typed [`Cell`]s; [`Trace`] renders them
 //! through [`greengpu_sim::Table`] (markdown and RFC-4180 CSV) or straight
-//! into a CSV buffer or writer. One private writer prints every cell on
-//! all three paths, so they stay byte-identical. Floats only ever print
-//! with a fixed number of decimals, never through bare `Display`.
+//! into a CSV buffer. One private writer prints every cell on both paths,
+//! so they stay byte-identical. Floats only ever print with a fixed number
+//! of decimals, never through bare `Display`.
 
 use greengpu_sim::Table;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io;
-
-/// Rows rendered into the scratch buffer between flushes of
-/// [`Trace::write_csv_to`]: large enough that the underlying writer sees
-/// few, big writes; small enough that the scratch stays cache-resident.
-const CSV_FLUSH_ROWS: usize = 512;
 
 /// One cell of a trace row, typed so the writers print it without
 /// `core::fmt` on the common path.
@@ -162,26 +156,6 @@ impl<R: TraceRecord> Trace<R> {
         for r in &self.rows {
             Self::push_row(buf, r);
         }
-    }
-
-    /// Streams the trace's CSV into `w` in batches: rows render into one
-    /// reused scratch `String`, which is handed to the writer every
-    /// `CSV_FLUSH_ROWS` rows — so the writer sees a few large writes
-    /// instead of one giant accumulated string or thousands of tiny ones,
-    /// and peak memory stays bounded by the flush cadence, not the trace
-    /// length. Bytes are identical to [`Trace::write_csv_into`].
-    pub fn write_csv_to<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut scratch = String::new();
-        Self::push_header(&mut scratch);
-        for (i, r) in self.rows.iter().enumerate() {
-            Self::push_row(&mut scratch, r);
-            if (i + 1).is_multiple_of(CSV_FLUSH_ROWS) {
-                w.write_all(scratch.as_bytes())?;
-                scratch.clear();
-            }
-        }
-        w.write_all(scratch.as_bytes())?;
-        w.flush()
     }
 }
 
@@ -541,32 +515,14 @@ mod tests {
         }
     }
 
-    /// A sink that records every write it is handed.
-    #[derive(Default)]
-    struct Sink {
-        bytes: Vec<u8>,
-        writes: usize,
-    }
-
-    impl io::Write for Sink {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.bytes.extend_from_slice(buf);
-            self.writes += 1;
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// Both CSV writers print what the `Table` renderer prints — golden
+    /// The CSV writer prints what the `Table` renderer prints — golden
     /// traces pin the Table output, so any skew here is silent
-    /// corruption — for a header-only trace, a short one, one that ends
-    /// on a flush boundary and one that crosses two. The scratch buffer
-    /// is reused across traces the way batched writers hold it.
+    /// corruption — for a header-only trace, a short one and two long
+    /// ones. The scratch buffer is reused across traces the way batched
+    /// writers hold it.
     fn writers_match_the_table<R: Synth>() {
         let mut buf = String::new();
-        for (len, writes) in [(0, 1), (3, 1), (2 * CSV_FLUSH_ROWS, 2), (2 * CSV_FLUSH_ROWS + 7, 3)] {
+        for len in [0, 3, 1024, 1031] {
             let trace = Trace {
                 rows: (1..=len as u64).map(R::synth).collect(),
             };
@@ -576,10 +532,6 @@ mod tests {
             buf.clear();
             trace.write_csv_into(&mut buf);
             assert_eq!(buf, table, "{len} rows");
-            let mut sink = Sink::default();
-            trace.write_csv_to(&mut sink).unwrap();
-            assert_eq!(sink.bytes, table.as_bytes(), "{len} rows");
-            assert_eq!(sink.writes, writes, "{len} rows: full batches plus the tail");
         }
     }
 

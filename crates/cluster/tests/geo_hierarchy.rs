@@ -6,7 +6,7 @@
 //!   of the original O(racks × nodes) one at every level, tick by tick.
 //! * The reclamation schedule: freed budget crosses exactly one tree
 //!   edge per control interval on its way up.
-//! * The correlated-failure audit (the PR's acceptance criterion): a
+//! * The correlated-failure audit (the geo tier's headline check): a
 //!   rack power loss zeroes the rack's cap at the next apportionment and
 //!   its budget lands on the sibling racks inside the same zone.
 //! * The bounded dead-letter ledger: overflowed specs are counted, not

@@ -62,26 +62,13 @@ impl GovernorKind {
     }
 }
 
-/// Hardening knobs: how the controller reacts to sensor garbage and
-/// failed actuations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RobustnessParams {
-    /// Read-back verification retries per actuation before it counts as
-    /// failed.
-    pub max_retries: u32,
-    /// Consecutive failed actuations before the controller falls back to
-    /// best-performance (peak clocks, division frozen).
-    pub fallback_after: u32,
-}
+/// Read-back verification retries per actuation before it counts as
+/// failed.
+const ACTUATION_RETRIES: u32 = 2;
 
-impl Default for RobustnessParams {
-    fn default() -> Self {
-        RobustnessParams {
-            max_retries: 2,
-            fallback_after: 5,
-        }
-    }
-}
+/// Consecutive failed actuations before the controller falls back to
+/// best-performance (peak clocks, division frozen).
+const FALLBACK_AFTER: u32 = 5;
 
 /// Which tiers are enabled — the axes of the paper's §VII comparisons.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,8 +91,6 @@ pub struct GreenGpuConfig {
     pub division_algo: DivisionAlgo,
     /// CPU governor (the paper uses ondemand).
     pub governor: GovernorKind,
-    /// Sensor/actuation hardening knobs.
-    pub robustness: RobustnessParams,
 }
 
 impl Default for GreenGpuConfig {
@@ -120,7 +105,6 @@ impl Default for GreenGpuConfig {
             wma_params: WmaParams::default(),
             division_algo: DivisionAlgo::Stepwise,
             governor: GovernorKind::Ondemand,
-            robustness: RobustnessParams::default(),
         }
     }
 }
@@ -217,11 +201,11 @@ impl DivisionImpl {
 /// non-finite utilizations are rejected (holding the last-known-good
 /// sample), out-of-range ones are clamped, division updates ignore
 /// degenerate iteration times, and every actuation is verified by
-/// read-back with bounded retry — after
-/// [`RobustnessParams::fallback_after`] consecutive verification failures
-/// the controller permanently falls back to best-performance (peak
-/// clocks, division frozen) so a broken actuation path degrades to the
-/// paper's default baseline instead of stranding low clocks.
+/// read-back with bounded retry — after `FALLBACK_AFTER` (5) consecutive
+/// verification failures the controller permanently falls back to
+/// best-performance (peak clocks, division frozen) so a broken actuation
+/// path degrades to the paper's default baseline instead of stranding low
+/// clocks.
 pub struct GreenGpuController {
     config: GreenGpuConfig,
     /// The pluggable Tier-2 GPU frequency policy. Defaults to the
@@ -519,7 +503,7 @@ impl GreenGpuController {
                 self.consecutive_failures = 0;
                 return;
             }
-            if attempts >= self.config.robustness.max_retries {
+            if attempts >= ACTUATION_RETRIES {
                 break;
             }
             attempts += 1;
@@ -538,7 +522,7 @@ impl GreenGpuController {
                 self.consecutive_failures = 0;
                 return;
             }
-            if attempts >= self.config.robustness.max_retries {
+            if attempts >= ACTUATION_RETRIES {
                 break;
             }
             attempts += 1;
@@ -550,7 +534,7 @@ impl GreenGpuController {
     fn record_actuation_failure(&mut self) {
         self.actuation_failures += 1;
         self.consecutive_failures += 1;
-        if self.consecutive_failures >= self.config.robustness.fallback_after {
+        if self.consecutive_failures >= FALLBACK_AFTER {
             self.fallback = true;
         }
     }

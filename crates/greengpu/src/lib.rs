@@ -51,9 +51,7 @@ pub mod quantized;
 pub mod wma;
 
 pub use baselines::{run_greengpu_faulted, run_with_policy, FaultedOutcome};
-pub use coordinator::{
-    DivisionAlgo, GovernorKind, GreenGpuConfig, GreenGpuController, RobustnessParams, CHECKPOINT_VERSION,
-};
+pub use coordinator::{DivisionAlgo, GovernorKind, GreenGpuConfig, GreenGpuController, CHECKPOINT_VERSION};
 pub use division::{DivisionController, DivisionParams, ModelBasedDivision};
 pub use governors::CpuGovernor;
 pub use ondemand::OndemandGovernor;

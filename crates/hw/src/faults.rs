@@ -858,70 +858,32 @@ impl ChaosPlan {
     /// `[0, horizon_s)`, sorted by `(time, node, kind)`. Deterministic:
     /// same plan, node count, and horizon ⇒ identical schedule.
     pub fn schedule(&self, n_nodes: usize, horizon_s: f64) -> Vec<ChaosEvent> {
+        let channels: [Channel<ChaosKind>; 3] = [
+            (STREAM_CHAOS_CRASH, self.crash_rate_per_s, self.outage_s, |d| {
+                ChaosKind::Crash { outage_s: d }
+            }),
+            (STREAM_CHAOS_THERMAL, self.thermal_rate_per_s, self.thermal_s, |d| {
+                ChaosKind::ThermalEmergency { duration_s: d }
+            }),
+            (STREAM_CHAOS_BLACKOUT, self.blackout_rate_per_s, self.blackout_s, |d| {
+                ChaosKind::TelemetryBlackout { duration_s: d }
+            }),
+        ];
         let mut events = Vec::new();
         for node in 0..n_nodes {
             let node_seed = SplitMix64::new(self.seed.wrapping_add(node as u64)).next_u64();
-            self.channel(
-                &mut events,
-                node,
-                horizon_s,
-                Pcg32::new(node_seed, STREAM_CHAOS_CRASH),
-                self.crash_rate_per_s,
-                self.outage_s,
-                |d| ChaosKind::Crash { outage_s: d },
-            );
-            self.channel(
-                &mut events,
-                node,
-                horizon_s,
-                Pcg32::new(node_seed, STREAM_CHAOS_THERMAL),
-                self.thermal_rate_per_s,
-                self.thermal_s,
-                |d| ChaosKind::ThermalEmergency { duration_s: d },
-            );
-            self.channel(
-                &mut events,
-                node,
-                horizon_s,
-                Pcg32::new(node_seed, STREAM_CHAOS_BLACKOUT),
-                self.blackout_rate_per_s,
-                self.blackout_s,
-                |d| ChaosKind::TelemetryBlackout { duration_s: d },
-            );
+            for (stream, rate, duration_s, kind) in channels {
+                poisson_channel(Pcg32::new(node_seed, stream), rate, duration_s, horizon_s, |at, d| {
+                    events.push(ChaosEvent {
+                        at,
+                        node,
+                        kind: kind(d),
+                    });
+                });
+            }
         }
         events.sort_by_key(|e| (e.at, e.node, e.kind.rank()));
         events
-    }
-
-    /// Draws one channel's Poisson arrivals and uniform durations.
-    #[allow(clippy::too_many_arguments)]
-    fn channel(
-        &self,
-        events: &mut Vec<ChaosEvent>,
-        node: usize,
-        horizon_s: f64,
-        mut rng: Pcg32,
-        rate: f64,
-        duration_s: (f64, f64),
-        make: impl Fn(f64) -> ChaosKind,
-    ) {
-        if rate <= 0.0 {
-            return;
-        }
-        let mut t = 0.0;
-        loop {
-            let u = rng.next_f64();
-            t += -(1.0 - u).ln() / rate;
-            if t >= horizon_s {
-                return;
-            }
-            let d = rng.uniform(duration_s.0, duration_s.1);
-            events.push(ChaosEvent {
-                at: SimTime::from_secs_f64(t),
-                node,
-                kind: make(d),
-            });
-        }
     }
 
     /// Materializes the correlated-domain schedule for `n_racks` racks
@@ -932,74 +894,72 @@ impl ChaosPlan {
     /// correlated channels draw nothing — the per-node schedules from
     /// [`ChaosPlan::schedule`] are untouched either way.
     pub fn schedule_domains(&self, n_racks: usize, n_zones: usize, horizon_s: f64) -> Vec<DomainChaosEvent> {
-        let mut events = Vec::new();
-        for rack in 0..n_racks {
-            let rack_seed = SplitMix64::new(self.seed.wrapping_add(rack as u64)).next_u64();
-            self.domain_channel(
-                &mut events,
-                rack,
-                horizon_s,
-                Pcg32::new(rack_seed, STREAM_CHAOS_RACK_LOSS),
-                self.rack_loss_rate_per_s,
-                self.rack_outage_s,
-                |d| DomainChaosKind::RackPowerLoss { outage_s: d },
-            );
-        }
-        for zone in 0..n_zones {
-            let zone_seed = SplitMix64::new(self.seed.wrapping_add(zone as u64)).next_u64();
-            self.domain_channel(
-                &mut events,
-                zone,
-                horizon_s,
-                Pcg32::new(zone_seed, STREAM_CHAOS_ZONE_THERMAL),
+        let racks: [Channel<DomainChaosKind>; 1] = [(
+            STREAM_CHAOS_RACK_LOSS,
+            self.rack_loss_rate_per_s,
+            self.rack_outage_s,
+            |d| DomainChaosKind::RackPowerLoss { outage_s: d },
+        )];
+        let zones: [Channel<DomainChaosKind>; 2] = [
+            (
+                STREAM_CHAOS_ZONE_THERMAL,
                 self.zone_thermal_rate_per_s,
                 self.zone_thermal_s,
                 |d| DomainChaosKind::ZoneThermal { duration_s: d },
-            );
-            self.domain_channel(
-                &mut events,
-                zone,
-                horizon_s,
-                Pcg32::new(zone_seed, STREAM_CHAOS_PARTITION),
+            ),
+            (
+                STREAM_CHAOS_PARTITION,
                 self.partition_rate_per_s,
                 self.partition_s,
                 |d| DomainChaosKind::ZonePartition { duration_s: d },
-            );
+            ),
+        ];
+        let mut events = Vec::new();
+        for (n_domains, channels) in [(n_racks, &racks[..]), (n_zones, &zones[..])] {
+            for domain in 0..n_domains {
+                let domain_seed = SplitMix64::new(self.seed.wrapping_add(domain as u64)).next_u64();
+                for &(stream, rate, duration_s, kind) in channels {
+                    poisson_channel(Pcg32::new(domain_seed, stream), rate, duration_s, horizon_s, |at, d| {
+                        events.push(DomainChaosEvent {
+                            at,
+                            domain,
+                            kind: kind(d),
+                        });
+                    });
+                }
+            }
         }
         events.sort_by_key(|e| (e.at, e.kind.rank(), e.domain));
         events
     }
+}
 
-    /// Draws one correlated channel's Poisson arrivals and durations —
-    /// the domain counterpart of [`ChaosPlan::channel`].
-    #[allow(clippy::too_many_arguments)]
-    fn domain_channel(
-        &self,
-        events: &mut Vec<DomainChaosEvent>,
-        domain: usize,
-        horizon_s: f64,
-        mut rng: Pcg32,
-        rate: f64,
-        duration_s: (f64, f64),
-        make: impl Fn(f64) -> DomainChaosKind,
-    ) {
-        if rate <= 0.0 {
+/// One chaos channel: its stream selector, its rate per second, its
+/// duration range, and the event kind a drawn duration makes.
+type Channel<K> = (u64, f64, (f64, f64), fn(f64) -> K);
+
+/// Draws one chaos channel: Poisson arrivals at `rate` per second over
+/// `[0, horizon_s)` from `rng`, each followed by its uniform duration
+/// from `duration_s`, handed to `push` in time order. A channel with a
+/// zero rate draws nothing.
+fn poisson_channel(
+    mut rng: Pcg32,
+    rate: f64,
+    duration_s: (f64, f64),
+    horizon_s: f64,
+    mut push: impl FnMut(SimTime, f64),
+) {
+    if rate <= 0.0 {
+        return;
+    }
+    let mut t = 0.0;
+    loop {
+        let u = rng.next_f64();
+        t += -(1.0 - u).ln() / rate;
+        if t >= horizon_s {
             return;
         }
-        let mut t = 0.0;
-        loop {
-            let u = rng.next_f64();
-            t += -(1.0 - u).ln() / rate;
-            if t >= horizon_s {
-                return;
-            }
-            let d = rng.uniform(duration_s.0, duration_s.1);
-            events.push(DomainChaosEvent {
-                at: SimTime::from_secs_f64(t),
-                domain,
-                kind: make(d),
-            });
-        }
+        push(SimTime::from_secs_f64(t), rng.uniform(duration_s.0, duration_s.1));
     }
 }
 

@@ -1,6 +1,5 @@
 //! Ablations over the design choices DESIGN.md calls out, as result
-//! tables (the `ablations` Criterion bench measures the same paths for
-//! speed; this experiment reports the *outcomes*).
+//! tables: this experiment reports their *outcomes*.
 
 use super::{pct, signed_pct, ExperimentOutput};
 use greengpu::autotune::{tune, TuneGrid};

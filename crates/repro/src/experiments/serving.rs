@@ -206,7 +206,7 @@ fn fairness(stats: &[TenantStats]) -> f64 {
     }
 }
 
-/// The metrics the acceptance criterion is stated over.
+/// The metrics the serving acceptance check is stated over.
 pub struct CellMetrics {
     /// Latency tenant's deadline-miss rate over completed jobs.
     pub latency_miss_rate: f64,

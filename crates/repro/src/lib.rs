@@ -3,29 +3,24 @@
 //! One function per table/figure of the GreenGPU paper's evaluation,
 //! producing the same rows/series the paper reports from the simulated
 //! testbed. The `repro` binary prints them as markdown and can write CSVs
-//! for plotting; `greengpu-bench` reuses the same functions under
-//! Criterion.
+//! for plotting.
 //!
 //! | Experiment | Paper content |
 //! |---|---|
-//! | [`fig1`] | normalized time & relative energy vs GPU memory/core frequency (nbody, streamcluster) |
-//! | [`fig2`] | system energy vs CPU work share for kmeans |
-//! | [`fig5`] | frequency-scaling trace for streamcluster (utils, clocks, power) |
-//! | [`fig6`] | per-workload energy savings of the scaling tier (GPU, dynamic, CPU+GPU emulated) |
-//! | [`fig7`] | workload-division traces for kmeans & hotspot |
-//! | [`fig8`] | holistic vs single-tier per-iteration energy + headline savings |
-//! | [`tables::table1`] | the WMA loss function |
-//! | [`tables::table2`] | the workload inventory |
-//! | [`static_search`] | the §VII-B exhaustive static-division search |
-//! | [`ablations`] | design-choice ablations (step size, safeguard, λ, 8-bit table, oracle regret, governors) |
-//! | [`scorecard`] | every quantitative claim, measured and judged against its acceptance band |
+//! | [`experiments::fig1`] | normalized time & relative energy vs GPU memory/core frequency (nbody, streamcluster) |
+//! | [`experiments::fig2`] | system energy vs CPU work share for kmeans |
+//! | [`experiments::fig5`] | frequency-scaling trace for streamcluster (utils, clocks, power) |
+//! | [`experiments::fig6`] | per-workload energy savings of the scaling tier (GPU, dynamic, CPU+GPU emulated) |
+//! | [`experiments::fig7`] | workload-division traces for kmeans & hotspot |
+//! | [`experiments::fig8`] | holistic vs single-tier per-iteration energy + headline savings |
+//! | [`experiments::tables::table1`] | the WMA loss function |
+//! | [`experiments::tables::table2`] | the workload inventory |
+//! | [`experiments::static_search`] | the §VII-B exhaustive static-division search |
+//! | [`experiments::ablations`] | design-choice ablations (step size, safeguard, λ, 8-bit table, oracle regret, governors) |
+//! | [`experiments::scorecard`] | every quantitative claim, measured and judged against its acceptance band |
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod policies;
 pub mod summary;
-
-pub use experiments::{
-    ablations, fig1, fig2, fig5, fig6, fig7, fig8, scorecard, static_search, tables, ExperimentOutput,
-};

@@ -21,21 +21,12 @@ pub struct RunConfig {
     /// Whether to execute the functional kernels (real results) alongside
     /// the timing simulation. Disable for pure cost-model sweeps.
     pub functional: bool,
-    /// Residual CPU utilization while idle in [`CommMode::Async`].
-    pub idle_cpu_util: f64,
-    /// Power-relevant activity of the spin-wait loop in
-    /// [`CommMode::SynchronizedSpin`]: the loop keeps all cores 100 % busy
-    /// to the sensor but executes no FP work, so it draws somewhat less
-    /// than real computation (0.75 of the dynamic component).
-    pub spin_power_util: f64,
     /// GPU reclock stall: seconds the GPU pipeline stalls whenever the
     /// controller actually changes a frequency level (the
     /// `nvidia-settings` actuation is not free on real cards). Default 0
     /// (the paper's traces show no visible stall at its 3 s interval);
-    /// the `ablations` bench sweeps it.
+    /// the `ablations` experiment sweeps it.
     pub reclock_stall_s: f64,
-    /// Safety cap on simulation events per run.
-    pub max_events: u64,
 }
 
 impl Default for RunConfig {
@@ -43,10 +34,7 @@ impl Default for RunConfig {
         RunConfig {
             comm_mode: CommMode::SynchronizedSpin,
             functional: true,
-            idle_cpu_util: 0.05,
-            spin_power_util: 0.75,
             reclock_stall_s: 0.0,
-            max_events: 10_000_000,
         }
     }
 }

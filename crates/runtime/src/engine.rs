@@ -17,6 +17,18 @@ use greengpu_workloads::{phase_cpu_time_s, phase_gpu_timing, CpuSlice, GpuPhase,
 /// treated as complete, keeping the µs-quantized clock from stalling.
 const EPS_S: f64 = 1e-7;
 
+/// Residual CPU utilization while idle in [`CommMode::Async`].
+const IDLE_CPU_UTIL: f64 = 0.05;
+
+/// Power-relevant activity of the spin-wait loop in
+/// [`CommMode::SynchronizedSpin`]: the loop keeps all cores 100 % busy to
+/// the sensor but executes no FP work, so it draws somewhat less than real
+/// computation (0.75 of the dynamic component).
+const SPIN_POWER_UTIL: f64 = 0.75;
+
+/// Safety cap on simulation events per run.
+const MAX_EVENTS: u64 = 10_000_000;
+
 /// Progress through a sequence of segments. `frac` is the completed
 /// fraction of the current segment.
 struct SideExec<S> {
@@ -212,10 +224,7 @@ impl HeteroRuntime {
                 }
                 t += dt_q;
                 events += 1;
-                assert!(
-                    events < self.config.max_events,
-                    "event cap exceeded — runaway simulation"
-                );
+                assert!(events < MAX_EVENTS, "event cap exceeded — runaway simulation");
             }
 
             // Close any open spin interval at the barrier.
@@ -346,11 +355,10 @@ impl HeteroRuntime {
                     }
                     // The polling loop saturates the sensor but draws less
                     // than real computation.
-                    self.platform
-                        .set_cpu_activity_split(t, 1.0, self.config.spin_power_util, n_cores);
+                    self.platform.set_cpu_activity_split(t, 1.0, SPIN_POWER_UTIL, n_cores);
                 }
                 CommMode::Async => {
-                    self.platform.set_cpu_activity(t, self.config.idle_cpu_util, n_cores);
+                    self.platform.set_cpu_activity(t, IDLE_CPU_UTIL, n_cores);
                 }
             }
         } else {

@@ -45,4 +45,6 @@ pub mod tenant;
 pub use arrival::ArrivalProcess;
 pub use carbon::CarbonSignal;
 pub use slo::SloClass;
-pub use tenant::{generate_tenant_arrivals, mix_union, tenant_stream_seed, TenantArrival, TenantConfig};
+pub use tenant::{
+    generate_tenant_arrivals, mix_union, tenant_stream_seed, validate_mix, validate_range, TenantArrival, TenantConfig,
+};

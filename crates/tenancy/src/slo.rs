@@ -1,6 +1,7 @@
 //! Service-level-objective classes and their mapping onto the
 //! deadline-aware frequency selector.
 
+use crate::tenant::validate_range;
 use greengpu_policy::{DeadlineParams, LossParams};
 
 /// What a tenant is promised. The class decides both how jobs are
@@ -43,14 +44,8 @@ impl SloClass {
     /// Non-panicking parameter check naming the offending field.
     pub fn try_validate(&self) -> Result<(), String> {
         match self {
-            SloClass::LatencyBound {
-                deadline_slack: (lo, hi),
-            } => {
-                if !(lo.is_finite() && hi.is_finite() && *lo > 0.0 && hi >= lo) {
-                    return Err(format!(
-                        "slo.deadline_slack must satisfy 0 < lo <= hi, got ({lo}, {hi})"
-                    ));
-                }
+            SloClass::LatencyBound { deadline_slack } => {
+                validate_range("slo.deadline_slack", *deadline_slack)?;
             }
             SloClass::ThroughputBound { target_completion_rate } => {
                 if !(target_completion_rate.is_finite()

@@ -30,30 +30,46 @@ pub struct TenantConfig {
 
 impl TenantConfig {
     /// Non-panicking configuration check naming the offending field.
-    /// Mix names are validated as the fleet's own arrival mix is: against
-    /// the workloads [`greengpu_workloads::registry::by_name_small`]
-    /// builds.
+    /// The mix and sizes follow [`validate_mix`], as the fleet's own
+    /// arrival mix does.
     pub fn try_validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("name must not be empty".to_string());
         }
         self.arrival.try_validate()?;
-        if self.mix.is_empty() {
-            return Err("mix must not be empty".to_string());
-        }
-        for (name, weight) in &self.mix {
-            if greengpu_workloads::registry::by_name_small(name, 0).is_none() {
-                return Err(format!("mix names a workload the fleet cannot profile: {name:?}"));
-            }
-            if !(weight.is_finite() && *weight > 0.0) {
-                return Err(format!("mix weight for {name:?} must be finite and > 0, got {weight}"));
-            }
-        }
-        let (lo, hi) = self.size_range;
-        if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && hi >= lo) {
-            return Err(format!("size_range must satisfy 0 < lo <= hi, got ({lo}, {hi})"));
-        }
+        validate_mix(&self.mix, self.size_range)?;
         self.slo.try_validate()
+    }
+}
+
+/// The rules every arrival stream's workload mix and sizes follow, a
+/// tenant's and the fleet's anonymous stream alike: a non-empty mix of
+/// names the fleet can profile (the workloads
+/// [`greengpu_workloads::registry::by_name_small`] builds), each with a
+/// finite weight above 0, and a `size_range` that passes
+/// [`validate_range`].
+pub fn validate_mix(mix: &[(String, f64)], size_range: (f64, f64)) -> Result<(), String> {
+    if mix.is_empty() {
+        return Err("mix must not be empty".to_string());
+    }
+    for (name, weight) in mix {
+        if greengpu_workloads::registry::by_name_small(name, 0).is_none() {
+            return Err(format!("mix names a workload the fleet cannot profile: {name:?}"));
+        }
+        if !(weight.is_finite() && *weight > 0.0) {
+            return Err(format!("mix weight for {name:?} must be finite and > 0, got {weight}"));
+        }
+    }
+    validate_range("size_range", size_range)
+}
+
+/// Checks a uniform multiplier range `(lo, hi)`: both finite and
+/// `0 < lo <= hi`. The error names `field`.
+pub fn validate_range(field: &str, (lo, hi): (f64, f64)) -> Result<(), String> {
+    if lo.is_finite() && hi.is_finite() && lo > 0.0 && hi >= lo {
+        Ok(())
+    } else {
+        Err(format!("{field} must satisfy 0 < lo <= hi, got ({lo}, {hi})"))
     }
 }
 
@@ -262,6 +278,18 @@ mod tests {
         let mut t = three_tenants().remove(0);
         t.size_range = (0.0, 1.0);
         assert!(t.try_validate().unwrap_err().contains("size_range"));
+        let mut t = three_tenants().remove(0);
+        t.size_range = (2.0, 1.0);
+        assert!(t.try_validate().unwrap_err().contains("size_range"));
+        let mut t = three_tenants().remove(0);
+        t.mix.clear();
+        assert_eq!(t.try_validate().unwrap_err(), "mix must not be empty");
+        for weight in [0.0, f64::NAN] {
+            let mut t = three_tenants().remove(0);
+            t.mix[0].1 = weight;
+            let err = t.try_validate().unwrap_err();
+            assert!(err.starts_with("mix weight for"), "{weight}: {err}");
+        }
         let mut t = three_tenants().remove(0);
         t.name = String::new();
         assert!(t.try_validate().unwrap_err().contains("name"));
