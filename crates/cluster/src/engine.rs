@@ -56,19 +56,29 @@
 //!   before a job ([`crate::Node::dispatch`])
 //!   or a throttle window ([`crate::Node::thermal_emergency`], inside
 //!   which a job may be dispatched) can move them;
-//! * an idle node whose WMA learner is on its idle orbit at or past the
-//!   orbit's settle row, where one pair is the strict maximum of every
-//!   later row, **coasts** until it parks: its control ticks under the
-//!   cap it settled under only count themselves and return 0.0, and its
-//!   demand is its settled pair's throughout. Every other touch
-//!   first **syncs** it — a new cap, dispatch, a checkpoint, a thermal
-//!   emergency, a crash: the learner jumps the counted steps along the
-//!   orbit (interval counter included) and the sensors catch up to the
-//!   last counted tick. It parks on exactly the tick a full tick would
-//!   have parked it (see [`crate::Node::control_tick_parkable`]);
+//! * an idle node whose WMA learner has settled **coasts**: on its idle
+//!   orbit at or past the orbit's settle row, where one pair is the
+//!   strict maximum of every later row, or off the orbit once its lowest
+//!   pair weighs exactly 1.0, which every later idle step keeps as the
+//!   table's first maximum. Its control ticks under the cap it settled
+//!   under only count themselves and return 0.0, and its demand is its
+//!   settled pair's throughout. Every other touch first **syncs** it — a
+//!   new cap, dispatch, a checkpoint, a thermal emergency, a crash: the
+//!   learner takes the counted steps at once (along the orbit, or Eq. 4
+//!   up to its bit-exact fixed point; the interval counter counts every
+//!   one) and the sensors catch up to the last counted tick. On the orbit
+//!   it parks on exactly the tick a full tick would have parked it (see
+//!   [`crate::Node::control_tick_parkable`]); off the orbit it never
+//!   parks through coasting, and coasts until something touches it;
 //! * a parked node's power demand, and the whole `apportion` call when
 //!   no demand moved, reuse last tick's values — both are pure functions
-//!   of state the park fingerprint freezes;
+//!   of state the park fingerprint freezes. The budget tree takes again
+//!   only the aggregates and splits whose inputs moved (see
+//!   [`crate::BudgetTree`]), and the flat apportion and the tree report
+//!   the leaves whose cap moved;
+//! * a completion closes its node's breaker at the next tick; the
+//!   records committed since the last tick name those nodes, so no sweep
+//!   looks for them;
 //! * a resting node's periodic checkpoint waits in its slot (below) for
 //!   the node's next credit; a parked learner is bit-frozen, so a
 //!   checkpoint re-recorded while parked writes the same tape;
@@ -78,22 +88,30 @@
 //!   it. Its lifecycle tick would only record the parked sensor catch-up
 //!   instant, which the wake records instead (a dispatch its own, a chaos
 //!   event the latest tick), and it has no completion due. From the next
-//!   interval it is **settled**: its demand entry and its meters are
-//!   frozen, so the row folds `StepTrace`'s one-segment term `0.0 + v·dt`
-//!   from the slot, in node order from −0.0, and the slot carries the rest
-//!   of what the sweeps read. A control tick under its resting cap only
-//!   counts itself in the slot (a parked node's is skipped), a checkpoint
-//!   only stamps the slot with the count it fell due at, and LeastLoaded
-//!   reads its `busy_s` there;
-//! * before anything touches a settled node — a tick that has to run (a
-//!   new cap, the park transition, the end of a cut-off orbit), dispatch,
-//!   a crash, a thermal, rack or zone event — its slot is **credited**:
-//!   the node gets the ticks counted up to the stamp, the checkpoint, then
-//!   the rest of the counted ticks, the calls an every-tick sweep makes,
-//!   with the same arguments, only later. A later stamp replaces an
-//!   earlier one, because only the newest checkpoint can ever be read. A
-//!   slot stops counting one tick short of the park transition, which
-//!   must run on the node;
+//!   interval it is **settled** and leaves the list of unsettled nodes,
+//!   the only nodes the lifecycle, demand, control and checkpoint sweeps
+//!   and the geo up-counts visit (a per-rack count stands for its rack's
+//!   settled nodes). Its demand entry and its meters are frozen, so the
+//!   row folds `StepTrace`'s one-segment term `0.0 + v·dt` from the slot,
+//!   in node order from −0.0, and LeastLoaded reads its `busy_s` there.
+//!   No sweep writes the slot: the ticks it counted under its resting cap
+//!   are the control sweeps run since it settled, the checkpoint it owes
+//!   is the latest checkpoint sweep's (only the newest can ever be read),
+//!   and a parked node's ticks are skipped;
+//! * a settled slot whose count runs out on a park transition turns
+//!   **parked in place**: no sweep touches it, and every later tick under
+//!   its cap is a deep park. A coast that ends on a tick that must run on
+//!   the node (the end of an orbit cut off before its fixed point) is
+//!   woken for that tick by a due agenda keyed by sweep;
+//! * before anything touches a settled node — a new cap (the leaves the
+//!   cap step reports), the end of a cut-off orbit, dispatch, a crash, a
+//!   thermal, rack or zone event — its slot is **credited**: the node
+//!   gets the ticks counted up to the latest checkpoint sweep, that
+//!   checkpoint, then the rest of the counted ticks, each batch with its
+//!   last tick's instant: the calls an every-tick sweep makes, with the
+//!   same arguments, only later. A count that ran out on a park
+//!   transition ends on the transition tick, at its own instant, and the
+//!   node syncs and parks there (`Node::coast`);
 //! * dispatch lists LeastLoaded's candidates from the slots, checking each
 //!   candidate's node, rack and zone breakers, builds the whole mask only
 //!   for a policy that reads it and nothing when the queue is empty, and
@@ -105,8 +123,11 @@
 //! the controller's `cap_masked_intervals`, and the sensors' last-poll
 //! cursor between skipped ticks. For parked nodes only: the WMA scaler's
 //! interval count inside checkpoint payloads (a sync adds a coasting
-//! node's counted steps). None of these reach the trace CSV or the
-//! report. A coasting node's [`crate::Node::controller`] and
+//! node's counted steps). Coasting off the orbit adds to the first set
+//! every idle tick of a node that served a job, from the tick its lowest
+//! pair leads again; such a node never parks, so it has no parked
+//! interval count either. None of these reach the trace CSV, the report
+//! or any digest (ROADMAP item 3 decides what fleet nodes keep of them). A coasting node's [`crate::Node::controller`] and
 //! [`crate::Node::park_fingerprint`] show its learner as of its last
 //! sync. A settled node's counted ticks and pending checkpoint wait in
 //! its slot until it is credited, and a checkpoint a later stamp replaced
@@ -120,7 +141,7 @@ use crate::job::{JobRecord, JobSpec};
 use crate::lifecycle::{LifecycleParams, NodeState};
 use crate::node::{LifecycleEvent, Node};
 use crate::policy::available;
-use crate::power::{apportion, BudgetTree, MilliWatts, NodeDemand};
+use crate::power::{BudgetTree, FlatCaps, MilliWatts, NodeDemand};
 use crate::retry::RetryQueue;
 use crate::scheduler::{Placement, Scheduler};
 use crate::telemetry::{GeoTraceRow, TraceRow};
@@ -310,22 +331,39 @@ trait Schedule {
     fn credit(&mut self, node: &mut Node, i: usize);
     /// A chaos event just crashed or throttled the nodes in `ids`.
     fn touched(&mut self, nodes: &[Node], ids: &[usize]);
+    /// The topology of a hierarchical run, before its first event.
+    fn attach(&mut self, _index: &TopologyIndex) {}
     /// Failure FSMs: a cleared probation closes the node's breaker.
     fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime);
     /// Node `i`'s place in the schedule (Serial's are all awake).
     fn slot(&self, _i: usize) -> &Slot {
         &Slot::Awake
     }
-    /// Refreshes `demands` (one entry per node) in place; true when any
-    /// entry moved.
-    fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool;
-    /// Control ticks on live nodes under `caps`; returns the largest
+    /// Refreshes `demands` (one entry per node) in place. Returns the ids
+    /// of the entries that moved, ascending, collected in `moved`, or
+    /// `None` when any entry may have.
+    fn demands<'m>(
+        &mut self,
+        nodes: &[Node],
+        demands: &mut Vec<NodeDemand>,
+        moved: &'m mut Vec<usize>,
+    ) -> Option<&'m [usize]>;
+    /// Control ticks on live nodes under `caps`, of which only the nodes
+    /// in `recapped` changed since the last tick; returns the largest
     /// pair-over-cap overage (watts), folded in node order from 0.0.
-    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64;
+    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], recapped: &[usize], t: SimTime) -> f64;
     /// Places queued jobs on the nodes `gate` lets through.
     fn dispatch(&mut self, scheduler: &mut Scheduler, nodes: &mut [Node], gate: &Gate, rack_of: &[usize], t: SimTime);
     /// The periodic learner checkpoint of every `Up` node, due at `t`.
     fn checkpoint(&mut self, nodes: &mut [Node], t: SimTime);
+    /// Adds one to `up[rack_of[i]]` for every live node `i`.
+    fn count_up(&mut self, nodes: &[Node], rack_of: &[usize], up: &mut [usize]);
+    /// Whether node `i` rests in a settled coasting slot that owes its node
+    /// a checkpoint.
+    #[cfg(test)]
+    fn owes_checkpoint_coasting(&self, _i: usize) -> bool {
+        false
+    }
 }
 
 /// The breakers dispatch routes around: a node takes work only when its
@@ -390,13 +428,18 @@ impl Schedule for Serial {
         }
     }
 
-    fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool {
+    fn demands<'m>(
+        &mut self,
+        nodes: &[Node],
+        demands: &mut Vec<NodeDemand>,
+        _moved: &'m mut Vec<usize>,
+    ) -> Option<&'m [usize]> {
         demands.clear();
         demands.extend(nodes.iter().map(Node::demand));
-        true
+        None
     }
 
-    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64 {
+    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], _recapped: &[usize], t: SimTime) -> f64 {
         nodes
             .iter_mut()
             .zip(caps)
@@ -413,6 +456,12 @@ impl Schedule for Serial {
     fn checkpoint(&mut self, nodes: &mut [Node], _t: SimTime) {
         for node in nodes.iter_mut().filter(|node| node.state() == NodeState::Up) {
             node.take_checkpoint();
+        }
+    }
+
+    fn count_up(&mut self, nodes: &[Node], rack_of: &[usize], up: &mut [usize]) {
+        for (node, &rack) in nodes.iter().zip(rack_of) {
+            up[rack] += usize::from(node.is_alive());
         }
     }
 }
@@ -435,12 +484,30 @@ struct EventDriven {
     agenda: BinaryHeap<Reverse<(SimTime, usize)>>,
     /// One packed slot per node, so a sweep passes a resting node by.
     slots: Vec<Slot>,
-    /// The latest control sweep. A settled coasting node counts a tick in
-    /// every sweep, so the last tick its slot counted is this one.
-    swept: SimTime,
-    /// The latest checkpoint sweep. It stamps every settled slot, so a
-    /// pending stamp fell due here.
-    checkpointed: SimTime,
+    /// Ids of the nodes whose slot is not settled (awake, fresh or dark),
+    /// ascending: the only nodes the lifecycle, demand, control and
+    /// checkpoint sweeps and the up-counts visit.
+    unsettled: Vec<usize>,
+    /// Nodes whose settled slot was credited since the last sweep, still
+    /// to merge into `unsettled`, and the buffer the merge fills.
+    woken: Vec<usize>,
+    merged: Vec<usize>,
+    /// Node → rack on hierarchical runs (empty on flat ones), and how many
+    /// of each rack's slots are settled; a settled node is live.
+    rack_of: Vec<usize>,
+    settled_in_rack: Vec<usize>,
+    /// The instant of every control sweep so far: sweep `k` (from 1) ran
+    /// at `sweep_at[k - 1]`. A settled coasting slot counts every sweep
+    /// after the one it settled behind, so its count follows from here.
+    sweep_at: Vec<SimTime>,
+    /// Control sweeps run before the latest checkpoint sweep (0 before
+    /// the first). Every slot settled behind an earlier sweep owes its
+    /// node that checkpoint.
+    checkpoint_sweep: usize,
+    /// Settled slots whose coast ends on a tick that must run on the node
+    /// (see [`Frozen::due`]), keyed by that sweep; stale once the slot
+    /// was credited.
+    due: BinaryHeap<Reverse<(usize, usize)>>,
     /// The dispatch mask, built in a dispatch call only if its policy
     /// reads it.
     mask: Vec<bool>,
@@ -456,19 +523,23 @@ enum Slot {
     /// Began resting at the latest control sweep; the next demand sweep
     /// reads it once more and settles it.
     Fresh,
-    /// Rested untouched since an earlier interval: the sweeps read the
-    /// slot, and the node only after the slot is credited.
+    /// Rested untouched since an earlier interval: no sweep visits it,
+    /// the row reads the slot, and the node is read only after the slot
+    /// is credited.
     Settled(Frozen),
 }
 
-// A resting node costs one slot read in each sweep, and its node is read
+// A resting node costs one slot read in the row, and its node is read
 // only when something touches it, so a slot stays within a cache line.
 const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
 
-/// Everything the sweeps read of a settled node, and the work they defer
-/// on it: its GPU and CPU meters' watts since it began resting, its cap
-/// violations and `busy_s`, the cap it rests under, and the control ticks
-/// and checkpoint it has not been handed yet (see [`credit`]).
+/// Everything the row and dispatch read of a settled node, and what the
+/// sweeps defer on it: its GPU and CPU meters' watts since it began
+/// resting, its cap violations and `busy_s`, the cap it rests under, and
+/// where its count of control ticks starts and ends. Nothing writes it
+/// while it is settled: the ticks it counted and the checkpoint it owes
+/// follow from the engine's sweep counters (see
+/// [`EventDriven::credit_slot`]).
 #[derive(Debug, Clone, Copy)]
 struct Frozen {
     gpu_w: f64,
@@ -477,85 +548,63 @@ struct Frozen {
     busy_s: f64,
     /// The cap it is parked or coasting under.
     cap: MilliWatts,
-    /// Ticks under `cap` counted here since it settled.
-    counted: u32,
-    /// How many more ticks under `cap` may be counted here; the next one
-    /// parks the node or ticks it in full, so it must touch the node.
+    /// Control sweeps run before it settled; it counts every later one.
+    since: u32,
+    /// How many of those ticks only count themselves; `u32::MAX` when
+    /// its learner gives no end to its coast.
     budget: u32,
-    /// `counted` when the newest checkpoint fell due; only that
-    /// checkpoint can ever be read, so it replaces any earlier one.
-    stamp: Option<u32>,
-    /// Parked: ticks under `cap` are skipped, not counted.
+    /// What the tick after `budget` does: park the node in place, with
+    /// nothing to write (`true`), or run on the node (`false`).
+    parks: bool,
+    /// Parked when it settled: ticks under `cap` are skipped, not counted.
     parked: bool,
 }
 
 impl Frozen {
     /// The slot of a node that began resting at the latest control sweep
-    /// and has not been touched since, or `None` if it is not resting.
-    fn settle(node: &Node) -> Option<Frozen> {
-        let (cap, budget) = node.rest_under()?;
+    /// and has not been touched since, settling behind `since` sweeps, or
+    /// `None` if it is not resting.
+    fn settle(node: &Node, since: usize) -> Option<Frozen> {
+        let (cap, count) = node.rest_under()?;
+        let (budget, parks) = count.unwrap_or((0, true));
         Some(Frozen {
             gpu_w: node.platform().gpu_meter().trace().last_value(),
             cpu_w: node.platform().cpu_meter().trace().last_value(),
             cap_violations: node.cap_violations(),
             busy_s: node.busy_s(),
             cap,
-            counted: 0,
-            budget: budget.map_or(0, |b| u32::try_from(b).unwrap_or(u32::MAX)),
-            stamp: None,
-            parked: budget.is_none(),
+            since: u32::try_from(since).unwrap_or(u32::MAX),
+            budget: u32::try_from(budget).unwrap_or(u32::MAX),
+            parks,
+            parked: count.is_none(),
         })
     }
-}
 
-/// Hands a settled node what its slot deferred, in every-tick order: the
-/// ticks counted up to the checkpoint stamp (the last of them at
-/// `checkpointed`, the stamp's sweep), that checkpoint, then the rest of
-/// the counted ticks (the last at `swept`, the latest control sweep).
-fn credit(node: &mut Node, f: &Frozen, swept: SimTime, checkpointed: SimTime) {
-    let counted = u64::from(f.counted);
-    match f.stamp.map(u64::from) {
-        Some(stamp) => {
-            node.coast(stamp, checkpointed);
-            node.take_checkpoint();
-            node.coast(counted - stamp, swept);
+    /// The ticks a credit after `sweeps` control sweeps hands the node:
+    /// one per sweep since it settled, up to and including the park
+    /// transition, after which a parked node's ticks are skipped.
+    fn handed(&self, sweeps: usize) -> u64 {
+        if self.parked {
+            return 0;
         }
-        None => node.coast(counted, swept),
+        let counted = sweeps.saturating_sub(self.since as usize) as u64;
+        counted.min(u64::from(self.budget) + u64::from(self.parks))
     }
-}
 
-/// One node's control tick in the event-driven sweep, with `swept` the
-/// previous sweep's instant; `None` when the tick is skipped outright.
-///
-/// A node parked under exactly the cap it is handed is skipped (deep
-/// park): the fast path would only re-read constant-zero idle
-/// utilizations and rewrite every field with the same bits, and returns
-/// 0.0 overage by the park invariant. A settled node coasting under its
-/// cap with budget left counts the tick in its slot. Any other tick on a
-/// settled node credits it first, and every tick that runs on the node
-/// leaves the slot fresh or awake.
-fn control_step(
-    node: &mut Node,
-    slot: &mut Slot,
-    cap: MilliWatts,
-    t: SimTime,
-    swept: SimTime,
-    checkpointed: SimTime,
-) -> Option<f64> {
-    match slot {
-        Slot::Dark => return None,
-        Slot::Settled(f) if f.cap == cap && f.parked => return None,
-        Slot::Settled(f) if f.cap == cap && f.budget > 0 => {
-            f.budget -= 1;
-            f.counted += 1;
-            return Some(0.0);
-        }
-        Slot::Settled(f) => credit(node, f, swept, checkpointed),
-        Slot::Awake | Slot::Fresh => {}
+    /// Whether it rests parked after `sweeps` control sweeps: parked when
+    /// it settled, or past a park transition no sweep had to touch.
+    #[cfg(test)]
+    fn is_parked(&self, sweeps: usize) -> bool {
+        self.parked || (self.parks && self.handed(sweeps) > u64::from(self.budget))
     }
-    let over = node.control_tick_parkable(t, cap);
-    *slot = if node.is_resting() { Slot::Fresh } else { Slot::Awake };
-    Some(over)
+
+    /// The control sweep whose tick must run on the node: the one after
+    /// the last that only counts, for a coast that ends without parking.
+    /// `None` when its ticks are skipped, when the tick after them parks
+    /// it in place, or when its coast has no end.
+    fn due(&self) -> Option<usize> {
+        (!self.parked && !self.parks && self.budget < u32::MAX).then(|| self.since as usize + self.budget as usize + 1)
+    }
 }
 
 impl EventDriven {
@@ -566,8 +615,14 @@ impl EventDriven {
             finished: Vec::new(),
             agenda: BinaryHeap::new(),
             slots: vec![Slot::Awake; n],
-            swept: SimTime::ZERO,
-            checkpointed: SimTime::ZERO,
+            unsettled: (0..n).collect(),
+            woken: Vec::new(),
+            merged: Vec::new(),
+            rack_of: Vec::new(),
+            settled_in_rack: Vec::new(),
+            sweep_at: Vec::new(),
+            checkpoint_sweep: 0,
+            due: BinaryHeap::new(),
             mask: Vec::new(),
         }
     }
@@ -576,6 +631,70 @@ impl EventDriven {
     fn sleep(&mut self, node: &Node, id: usize) {
         self.slots[id] = Slot::Dark;
         self.agenda.push(Reverse((node.state_until(), id)));
+    }
+
+    /// The instant of the `k`-th tick a slot settled behind `since`
+    /// sweeps counted (its settle instant for `k = 0`).
+    fn counted_at(&self, since: u32, k: u64) -> SimTime {
+        let sweep = since as usize + k as usize;
+        self.sweep_at
+            .get(sweep.wrapping_sub(1))
+            .copied()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Hands a settled node what its slot deferred, in every-tick order:
+    /// the ticks counted up to the latest checkpoint sweep, that
+    /// checkpoint, then the rest of the counted ticks, each batch with
+    /// its last tick's instant. A node whose count ran out on the park
+    /// transition takes that tick last, at its own instant, and parks
+    /// there (see [`Node::coast`]); the checkpoint then records the
+    /// parked learner.
+    fn credit_slot(&self, node: &mut Node, f: &Frozen) {
+        let sweeps = self.sweep_at.len();
+        let handed = f.handed(sweeps);
+        if self.checkpoint_sweep > f.since as usize {
+            let stamp = ((self.checkpoint_sweep - f.since as usize) as u64).min(handed);
+            node.coast(stamp, self.counted_at(f.since, stamp));
+            node.take_checkpoint();
+            node.coast(handed - stamp, self.counted_at(f.since, handed));
+        } else {
+            node.coast(handed, self.counted_at(f.since, handed));
+        }
+    }
+
+    /// Credits node `i` if its slot is settled, and lists it awake.
+    fn unsettle(&mut self, node: &mut Node, i: usize) {
+        if let Slot::Settled(f) = self.slots[i] {
+            self.credit_slot(node, &f);
+            self.slots[i] = Slot::Awake;
+            self.woken.push(i);
+            if let Some(&rack) = self.rack_of.get(i) {
+                self.settled_in_rack[rack] -= 1;
+            }
+        }
+    }
+
+    /// Merges the nodes woken since the last sweep into `unsettled`, both
+    /// ascending, through a kept buffer.
+    fn merge_woken(&mut self) {
+        if self.woken.is_empty() {
+            return;
+        }
+        self.woken.sort_unstable();
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.clear();
+        let (mut listed, mut woken) = (self.unsettled.iter().peekable(), self.woken.iter().peekable());
+        while let Some(&next) = match (listed.peek(), woken.peek()) {
+            (Some(a), Some(b)) if a < b => listed.next(),
+            (_, Some(_)) => woken.next(),
+            (_, None) => listed.next(),
+        } {
+            merged.push(next);
+        }
+        self.merged = std::mem::replace(&mut self.unsettled, merged);
+        self.woken.clear();
+        debug_assert!(self.unsettled.windows(2).all(|w| w[0] < w[1]), "a node listed twice");
     }
 }
 
@@ -602,10 +721,7 @@ impl Schedule for EventDriven {
     }
 
     fn credit(&mut self, node: &mut Node, i: usize) {
-        if let Slot::Settled(f) = &self.slots[i] {
-            credit(node, f, self.swept, self.checkpointed);
-            self.slots[i] = Slot::Awake;
-        }
+        self.unsettle(node, i);
     }
 
     fn touched(&mut self, nodes: &[Node], ids: &[usize]) {
@@ -620,17 +736,26 @@ impl Schedule for EventDriven {
         }
     }
 
+    fn attach(&mut self, index: &TopologyIndex) {
+        self.rack_of.clone_from(&index.rack_of);
+        self.settled_in_rack = vec![0; index.n_racks()];
+    }
+
     fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
         while let Some(&Reverse((wake_at, id))) = self.agenda.peek() {
             if wake_at > t {
                 break;
             }
             self.agenda.pop();
-            self.slots[id] = Slot::Awake;
+            if matches!(self.slots[id], Slot::Dark) {
+                self.slots[id] = Slot::Awake;
+            }
         }
         // A resting node's tick would only record the instant, which
         // `Books::touch` and `Node::dispatch` record before it is read.
-        for i in 0..nodes.len() {
+        self.merge_woken();
+        for k in 0..self.unsettled.len() {
+            let i = self.unsettled[k];
             if !matches!(self.slots[i], Slot::Awake) {
                 continue;
             }
@@ -646,38 +771,85 @@ impl Schedule for EventDriven {
         &self.slots[i]
     }
 
-    fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool {
+    fn demands<'m>(
+        &mut self,
+        nodes: &[Node],
+        demands: &mut Vec<NodeDemand>,
+        moved: &'m mut Vec<usize>,
+    ) -> Option<&'m [usize]> {
+        moved.clear();
         if demands.len() != nodes.len() {
             demands.clear();
             demands.extend(nodes.iter().map(Node::demand));
-            return true;
+            return None;
         }
-        let mut moved = false;
-        for ((entry, node), slot) in demands.iter_mut().zip(nodes).zip(&mut self.slots) {
-            match slot {
-                // Frozen by the park fingerprint, or the settled pair's
-                // while coasting: read when the slot settled.
-                Slot::Settled(_) => continue,
+        self.merge_woken();
+        let since = self.sweep_at.len();
+        let mut unsettled = std::mem::take(&mut self.unsettled);
+        unsettled.retain(|&i| {
+            let slot = &mut self.slots[i];
+            let mut listed = true;
+            if let Slot::Fresh = slot {
                 // Nothing has written its meters since it began resting.
-                Slot::Fresh => *slot = Frozen::settle(node).map_or(Slot::Awake, Slot::Settled),
-                Slot::Awake | Slot::Dark => {}
+                *slot = match Frozen::settle(&nodes[i], since) {
+                    Some(f) => {
+                        if let Some(due) = f.due() {
+                            self.due.push(Reverse((due, i)));
+                        }
+                        if let Some(&rack) = self.rack_of.get(i) {
+                            self.settled_in_rack[rack] += 1;
+                        }
+                        listed = false;
+                        Slot::Settled(f)
+                    }
+                    None => Slot::Awake,
+                };
             }
-            let fresh = node.demand();
-            moved |= fresh != *entry;
-            *entry = fresh;
-        }
-        moved
+            // A settled entry is frozen by the park fingerprint, or the
+            // settled pair's while coasting: read once more as it settles.
+            let fresh = nodes[i].demand();
+            if fresh != demands[i] {
+                demands[i] = fresh;
+                moved.push(i);
+            }
+            listed
+        });
+        self.unsettled = unsettled;
+        Some(moved)
     }
 
-    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64 {
-        let (swept, checkpointed) = (self.swept, self.checkpointed);
-        let over = nodes
-            .iter_mut()
-            .zip(&mut self.slots)
-            .zip(caps)
-            .filter_map(|((node, slot), &cap)| control_step(node, slot, cap, t, swept, checkpointed))
-            .fold(0.0, f64::max);
-        self.swept = t;
+    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], recapped: &[usize], t: SimTime) -> f64 {
+        // A settled node is ticked on the node only when handed a new cap,
+        // or when its coast ends on a tick that cannot only count. Every
+        // other settled tick counts itself, or is skipped while parked
+        // under exactly the cap it is handed (deep park), without a write.
+        let sweep = self.sweep_at.len() + 1;
+        while let Some(&Reverse((due, i))) = self.due.peek() {
+            if due > sweep {
+                break;
+            }
+            self.due.pop();
+            if matches!(self.slots[i], Slot::Settled(f) if f.due() == Some(due)) {
+                self.unsettle(&mut nodes[i], i);
+            }
+        }
+        for &i in recapped {
+            if matches!(self.slots[i], Slot::Settled(f) if f.cap != caps[i]) {
+                self.unsettle(&mut nodes[i], i);
+            }
+        }
+        self.merge_woken();
+        let mut over = 0.0f64;
+        for &i in &self.unsettled {
+            let slot = &mut self.slots[i];
+            if !matches!(slot, Slot::Awake | Slot::Fresh) {
+                continue;
+            }
+            let node = &mut nodes[i];
+            over = over.max(node.control_tick_parkable(t, caps[i]));
+            *slot = if node.is_resting() { Slot::Fresh } else { Slot::Awake };
+        }
+        self.sweep_at.push(t);
         over
     }
 
@@ -695,19 +867,35 @@ impl Schedule for EventDriven {
         }
     }
 
-    fn checkpoint(&mut self, nodes: &mut [Node], t: SimTime) {
-        for (node, slot) in nodes.iter_mut().zip(&mut self.slots) {
-            match slot {
-                Slot::Settled(f) => f.stamp = Some(f.counted),
-                Slot::Dark => {}
-                Slot::Awake | Slot::Fresh => {
-                    if node.state() == NodeState::Up {
-                        node.take_checkpoint();
-                    }
-                }
+    fn checkpoint(&mut self, nodes: &mut [Node], _t: SimTime) {
+        self.merge_woken();
+        for &i in &self.unsettled {
+            if matches!(self.slots[i], Slot::Awake | Slot::Fresh) && nodes[i].state() == NodeState::Up {
+                nodes[i].take_checkpoint();
             }
         }
-        self.checkpointed = t;
+        self.checkpoint_sweep = self.sweep_at.len();
+    }
+
+    fn count_up(&mut self, nodes: &[Node], rack_of: &[usize], up: &mut [usize]) {
+        for (count, &settled) in up.iter_mut().zip(&self.settled_in_rack) {
+            *count += settled;
+        }
+        self.merge_woken();
+        for &i in &self.unsettled {
+            let alive = match self.slots[i] {
+                Slot::Awake => nodes[i].is_alive(),
+                Slot::Fresh => true,
+                Slot::Dark | Slot::Settled(_) => false,
+            };
+            up[rack_of[i]] += usize::from(alive);
+        }
+    }
+
+    #[cfg(test)]
+    fn owes_checkpoint_coasting(&self, i: usize) -> bool {
+        matches!(self.slots[i], Slot::Settled(f)
+            if !f.is_parked(self.sweep_at.len()) && self.checkpoint_sweep > f.since as usize)
     }
 }
 
@@ -744,7 +932,7 @@ impl Placement for Placing<'_, '_> {
     }
 
     fn placing(&mut self, node: &mut Node, i: usize) {
-        self.engine.credit(node, i);
+        self.engine.unsettle(node, i);
         self.engine.slots[i] = Slot::Awake;
         self.engine.busy.push(i);
     }
@@ -755,8 +943,6 @@ struct Books {
     /// Node → rack map (empty on flat runs — dispatch and the retry
     /// queue treat that as "no topology").
     rack_of: Vec<usize>,
-    /// Each node's cap from the latest tick.
-    last_caps: Vec<MilliWatts>,
     crash_records: Vec<CrashRecord>,
     jobs_lost: u64,
     stray_blackout_events: u64,
@@ -768,12 +954,11 @@ struct Books {
 
 impl Books {
     /// Fills the pending crash-audit halves from the first post-crash
-    /// caps and remembers `caps` for the next crash.
+    /// caps.
     fn settle(&mut self, caps: &[MilliWatts]) {
         for rec in self.crash_records.iter_mut().filter(|r| r.cap_after_mw.is_none()) {
             rec.cap_after_mw = Some(caps[rec.node]);
         }
-        self.last_caps.copy_from_slice(caps);
     }
 
     /// A chaos event is about to crash or throttle live node `id`: the
@@ -785,9 +970,10 @@ impl Books {
         self.touched.push(id);
     }
 
-    /// Node `id` crashes: it loses its job to the retry queue (which
-    /// remembers the rack it died in, to soft-avoid it), trips its
-    /// breaker, and opens a crash-audit record.
+    /// Node `id`, capped at `cap_before` by the latest tick, crashes: it
+    /// loses its job to the retry queue (which remembers the rack it died
+    /// in, to soft-avoid it), trips its breaker, and opens a crash-audit
+    /// record.
     #[allow(clippy::too_many_arguments)]
     fn crash(
         &mut self,
@@ -798,6 +984,7 @@ impl Books {
         t: SimTime,
         outage_s: f64,
         retry: &mut RetryQueue,
+        cap_before: MilliWatts,
     ) {
         self.touch(engine, &mut nodes[id], id);
         if let Some(job) = nodes[id].crash(t, outage_s) {
@@ -808,14 +995,15 @@ impl Books {
         self.crash_records.push(CrashRecord {
             node: id,
             at_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),
-            cap_before_mw: self.last_caps[id],
+            cap_before_mw: cap_before,
             cap_after_mw: None,
         });
     }
 }
 
-/// Applies one spine chaos event; a node it crashes or throttles lands in
-/// `books.touched`.
+/// Applies one spine chaos event under the latest tick's `caps`; a node
+/// it crashes or throttles lands in `books.touched`.
+#[allow(clippy::too_many_arguments)]
 fn apply_chaos(
     engine: &mut impl Schedule,
     nodes: &mut [Node],
@@ -824,12 +1012,13 @@ fn apply_chaos(
     books: &mut Books,
     retry: &mut RetryQueue,
     breakers: &mut [CircuitBreaker],
+    caps: &[MilliWatts],
 ) {
     books.touched.clear();
     match ev.kind {
         ChaosKind::Crash { outage_s } => {
             if nodes[ev.node].is_alive() {
-                books.crash(engine, nodes, breakers, ev.node, t, outage_s, retry);
+                books.crash(engine, nodes, breakers, ev.node, t, outage_s, retry, caps[ev.node]);
             }
         }
         ChaosKind::ThermalEmergency { duration_s } => {
@@ -867,15 +1056,16 @@ fn apply_domain_event(
             let rack = ev.domain;
             let zone = g.index.zone_of_rack[rack];
             let at_s = t.saturating_since(SimTime::ZERO).as_secs_f64();
-            let rack_cap_before: MilliWatts = g.index.rack_nodes[rack].iter().map(|&n| books.last_caps[n]).sum();
+            let caps = g.tree.leaf_caps();
+            let rack_cap_before: MilliWatts = g.index.rack_nodes[rack].iter().map(|&n| caps[n]).sum();
             let sibling_before: MilliWatts = g.index.zone_nodes[zone]
                 .iter()
                 .filter(|&&n| g.index.rack_of[n] != rack)
-                .map(|&n| books.last_caps[n])
+                .map(|&n| caps[n])
                 .sum();
             for &n in &g.index.rack_nodes[rack] {
                 if nodes[n].is_alive() {
-                    books.crash(engine, nodes, breakers, n, t, outage_s, retry);
+                    books.crash(engine, nodes, breakers, n, t, outage_s, retry, caps[n]);
                 } else {
                     // A node already down (independent crash, or an
                     // earlier loss of the same rack) loses its restart
@@ -923,8 +1113,9 @@ fn apply_domain_event(
 /// Fills the pending `*_after` halves of domain outage records from the
 /// caps the first post-event tree tick produced — the hierarchical
 /// counterpart of the per-node `CrashRecord` fill.
-fn fill_domain_records(g: &mut GeoState, leaf_caps: &[MilliWatts]) {
+fn fill_domain_records(g: &mut GeoState) {
     let index = g.index;
+    let leaf_caps = g.tree.leaf_caps();
     let zone_caps = g.tree.zone_caps();
     for rec in g.domain_records.iter_mut().filter(|r| r.rack_cap_after_mw.is_none()) {
         rec.rack_cap_after_mw = Some(index.rack_nodes[rec.rack].iter().map(|&n| leaf_caps[n]).sum());
@@ -942,23 +1133,18 @@ fn fill_domain_records(g: &mut GeoState, leaf_caps: &[MilliWatts]) {
 /// Appends one control interval's interior-node telemetry: a row per
 /// region, then per zone, then per rack — caps and the demand each split
 /// saw from the budget tree, live-node counts, breaker states.
-fn push_geo_rows<S: Schedule>(g: &mut GeoState, engine: &S, nodes: &[Node], t: SimTime, interval: u64) {
+fn push_geo_rows<S: Schedule>(g: &mut GeoState, engine: &mut S, nodes: &[Node], t: SimTime, interval: u64) {
     let index = g.index;
     let time_s = t.saturating_since(SimTime::ZERO).as_secs_f64();
     let mut rack_up = vec![0usize; index.n_racks()];
     let mut zone_up = vec![0usize; index.n_zones()];
     let mut region_up = vec![0usize; index.n_regions()];
-    for n in 0..nodes.len() {
-        let alive = match engine.slot(n) {
-            Slot::Awake => nodes[n].is_alive(),
-            Slot::Dark => false,
-            Slot::Fresh | Slot::Settled(_) => true,
-        };
-        if alive {
-            rack_up[index.rack_of[n]] += 1;
-            zone_up[index.zone_of[n]] += 1;
-            region_up[index.region_of[n]] += 1;
-        }
+    engine.count_up(nodes, &index.rack_of, &mut rack_up);
+    for (r, &up) in rack_up.iter().enumerate() {
+        zone_up[index.zone_of_rack[r]] += up;
+    }
+    for (z, &up) in zone_up.iter().enumerate() {
+        region_up[index.region_of_zone[z]] += up;
     }
     let to_w = |mw: MilliWatts| mw as f64 / 1000.0;
     for (d, &cap) in g.tree.region_caps().iter().enumerate() {
@@ -1023,18 +1209,23 @@ fn run_spine<S: Schedule>(
     let n = nodes.len();
     let mut books = Books {
         rack_of: geo.as_deref().map_or_else(Vec::new, |g| g.index.rack_of.clone()),
-        last_caps: vec![0; n],
         crash_records: Vec::new(),
         jobs_lost: 0,
         stray_blackout_events: 0,
         last_tick: SimTime::ZERO,
         touched: Vec::new(),
     };
+    if let Some(g) = geo.as_deref() {
+        engine.attach(g.index);
+    }
     let mut jobs: Vec<Option<JobSpec>> = jobs.into_iter().map(Some).collect();
     let mut done = Completions::default();
-    let mut last_completed: Vec<u64> = vec![0; n];
+    // Completion records the breaker step has seen.
+    let mut scanned = 0;
     let mut demands: Vec<NodeDemand> = Vec::with_capacity(n);
-    let mut caps: Vec<MilliWatts> = Vec::new();
+    let (mut moved, mut recapped) = (Vec::new(), Vec::new());
+    // The caps of the latest tick: the tree's leaves on hierarchical runs.
+    let mut flat = FlatCaps::new(if geo.is_some() { 0 } else { n });
     let mut rows = Vec::new();
     let mut t = SimTime::ZERO;
     let mut interval = 0u64;
@@ -1054,7 +1245,17 @@ fn run_spine<S: Schedule>(
                 }
             }
             Event::Chaos(i) => {
-                apply_chaos(&mut engine, nodes, &chaos_events[i], t, &mut books, retry, breakers);
+                let caps = geo.as_deref().map_or(flat.caps(), |g| g.tree.leaf_caps());
+                apply_chaos(
+                    &mut engine,
+                    nodes,
+                    &chaos_events[i],
+                    t,
+                    &mut books,
+                    retry,
+                    breakers,
+                    caps,
+                );
                 engine.touched(nodes, &books.touched);
             }
             Event::Domain(i) => {
@@ -1077,36 +1278,43 @@ fn run_spine<S: Schedule>(
                         b.tick(t);
                     }
                 }
-                for (i, node) in nodes.iter().enumerate() {
-                    let resting = matches!(engine.slot(i), Slot::Fresh | Slot::Settled(_));
-                    if !resting && node.completed() > last_completed[i] {
-                        breakers[i].record_success();
-                        if let Some(g) = geo.as_deref_mut() {
-                            g.rack_breakers[g.index.rack_of[i]].record_success();
-                            g.zone_breakers[g.index.zone_of[i]].record_success();
-                        }
-                        last_completed[i] = node.completed();
+                // A node completes at most one job between ticks, and each
+                // completion left one record, so the records since the
+                // last tick name exactly the nodes that completed since.
+                for rec in &done.records[scanned..] {
+                    breakers[rec.node].record_success();
+                    if let Some(g) = geo.as_deref_mut() {
+                        g.rack_breakers[g.index.rack_of[rec.node]].record_success();
+                        g.zone_breakers[g.index.zone_of[rec.node]].record_success();
                     }
                 }
+                scanned = done.records.len();
                 // 2. Caps from the *current* demands: a node crashed since
                 // the last tick demands nothing, so its budget is already
                 // back in the pool here — at the rack level on
                 // hierarchical runs (the zone and region splits lag one
                 // report each; see `BudgetTree`). The tree ticks every
                 // interval: its lagged upward reports advance even when
-                // no demand moved. The flat `apportion` is a pure function
-                // of budget and demands, so it reruns only when one moved.
-                let moved = engine.demands(nodes, &mut demands);
+                // no demand moved, and it splits again only where a demand,
+                // a report or a cap moved. The flat `apportion` is a pure
+                // function of budget and demands, so it reruns only when
+                // one moved.
+                // A schedule that reports which demands moved also reads
+                // which caps moved.
+                let moved = engine.demands(nodes, &mut demands, &mut moved);
+                recapped.clear();
+                let recap = moved.is_some().then_some(&mut recapped);
                 if let Some(g) = geo.as_deref_mut() {
-                    caps = g.tree.tick(budget_mw, &demands);
-                    g.interior_cap_violations += g.tree.cap_violations(budget_mw, &caps);
-                    fill_domain_records(g, &caps);
-                } else if moved || caps.is_empty() {
-                    caps = apportion(budget_mw, &demands);
+                    g.tree.cascade(budget_mw, &demands, moved, recap);
+                    g.interior_cap_violations += g.tree.violations(budget_mw);
+                    fill_domain_records(g);
+                } else if moved.is_none_or(|ids| !ids.is_empty()) {
+                    flat.apportion(budget_mw, &demands, recap);
                 }
-                books.settle(&caps);
+                let caps = geo.as_deref().map_or(flat.caps(), |g| g.tree.leaf_caps());
+                books.settle(caps);
                 // 3. Control ticks on live nodes.
-                let max_over_w = engine.control(nodes, &caps, t);
+                let max_over_w = engine.control(nodes, caps, &recapped, t);
                 // 4. Deferred best-effort jobs whose green window (or
                 // horizon) arrived re-enter first, then retries re-enter
                 // ahead of fresh arrivals (reversed so the earliest-ready
@@ -1131,10 +1339,10 @@ fn run_spine<S: Schedule>(
                 if t > SimTime::ZERO {
                     interval += 1;
                     rows.push(trace_row(
-                        cfg, &engine, nodes, scheduler, breakers, retry, &caps, t, interval, &done, max_over_w,
+                        cfg, &engine, nodes, scheduler, breakers, retry, caps, t, interval, &done, max_over_w,
                     ));
                     if let Some(g) = geo.as_deref_mut() {
-                        push_geo_rows(g, &engine, nodes, t, interval);
+                        push_geo_rows(g, &mut engine, nodes, t, interval);
                     }
                     dispatcher.note_interval(t, interval);
                 }
@@ -1317,12 +1525,12 @@ mod tests {
         nodes[8].dispatch(job(101, 1e6), SimTime::ZERO);
         let caps = [crate::power::mw(0.8 * cfg.gpu.peak_power_w()); 12];
         let mut breakers: Vec<CircuitBreaker> = (0..12).map(|_| CircuitBreaker::new(1.0, 3)).collect();
-        let mut demands = Vec::new();
+        let (mut demands, mut moved) = (Vec::new(), Vec::new());
         for k in 1001..=1000 + ticks {
             let t = SimTime::from_secs(k);
             engine.lifecycle(&mut nodes, &mut breakers, t);
-            engine.demands(&nodes, &mut demands);
-            engine.control(&mut nodes, &caps, t);
+            engine.demands(&nodes, &mut demands, &mut moved);
+            engine.control(&mut nodes, &caps, &[], t);
         }
         (nodes, engine)
     }
@@ -1362,16 +1570,21 @@ mod tests {
             (&[], &[], &[0], vec![r3, r3, None, None, None]),
             (&[], &[], &[], vec![]),
         ];
-        // After 6 ticks the nodes without a history coast in settled slots
-        // and the others are awake; after 200 every idle node is parked.
-        for ((ticks, coasting, parked), (open_nodes, open_racks, open_zones, avoid)) in [(6, 4, 0), (200, 0, 10)]
-            .into_iter()
-            .flat_map(|at| cases.iter().map(move |case| (at, case)))
+        // After 3 ticks every idle node is awake. After 6 each coasts in a
+        // settled slot: the four without a history on the idle orbit, the
+        // six that served a job off it, their lowest pair already at weight
+        // 1.0. After 200 the four on the orbit rest parked, past a park
+        // transition no sweep touched, and the six off it still coast.
+        for ((ticks, coasting, parked), (open_nodes, open_racks, open_zones, avoid)) in
+            [(3, 0, 0), (6, 10, 0), (200, 6, 4)]
+                .into_iter()
+                .flat_map(|at| cases.iter().map(move |case| (at, case)))
         {
             let (mut nodes, mut engine) = resting_fleet(ticks);
             let now = SimTime::from_secs(1001 + ticks);
+            let sweeps = engine.sweep_at.len();
             let settled = |parked: bool| {
-                let kind = |s: &&Slot| matches!(s, Slot::Settled(f) if f.parked == parked);
+                let kind = |s: &&Slot| matches!(s, Slot::Settled(f) if f.is_parked(sweeps) == parked);
                 engine.slots.iter().filter(kind).count()
             };
             assert_eq!(
@@ -1453,7 +1666,7 @@ mod tests {
 
     impl<S: Schedule> Spy<'_, S> {
         fn stamped_coasting(&self, i: usize) -> bool {
-            matches!(self.inner.slot(i), Slot::Settled(f) if !f.parked && f.stamp.is_some())
+            self.inner.owes_checkpoint_coasting(i)
         }
     }
 
@@ -1482,6 +1695,10 @@ mod tests {
             self.inner.touched(nodes, ids);
         }
 
+        fn attach(&mut self, index: &TopologyIndex) {
+            self.inner.attach(index);
+        }
+
         fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
             self.inner.lifecycle(nodes, breakers, t);
         }
@@ -1490,12 +1707,21 @@ mod tests {
             self.inner.slot(i)
         }
 
-        fn demands(&mut self, nodes: &[Node], demands: &mut Vec<NodeDemand>) -> bool {
-            self.inner.demands(nodes, demands)
+        fn demands<'m>(
+            &mut self,
+            nodes: &[Node],
+            demands: &mut Vec<NodeDemand>,
+            moved: &'m mut Vec<usize>,
+        ) -> Option<&'m [usize]> {
+            self.inner.demands(nodes, demands, moved)
         }
 
-        fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], t: SimTime) -> f64 {
-            self.inner.control(nodes, caps, t)
+        fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], recapped: &[usize], t: SimTime) -> f64 {
+            self.inner.control(nodes, caps, recapped, t)
+        }
+
+        fn count_up(&mut self, nodes: &[Node], rack_of: &[usize], up: &mut [usize]) {
+            self.inner.count_up(nodes, rack_of, up);
         }
 
         fn dispatch(

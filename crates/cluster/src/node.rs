@@ -462,13 +462,20 @@ impl Node {
     }
 
     /// A resting node's cap, with how many more control ticks under it
-    /// only count themselves ([`Node::coast`]); the tick after those parks
-    /// the node or ticks it in full. `None` in place of the count on a
-    /// parked node, whose ticks under its cap are skipped outright.
-    pub(crate) fn rest_under(&self) -> Option<(MilliWatts, Option<u64>)> {
+    /// only count themselves ([`Node::coast`]) and whether the tick after
+    /// those parks the node (`true`) or must tick it in full. `None` in
+    /// place of the count on a parked node, whose ticks under its cap are
+    /// skipped outright.
+    pub(crate) fn rest_under(&self) -> Option<(MilliWatts, Option<(u64, bool)>)> {
         match self.rest {
             Rest::Awake => None,
-            Rest::Coasting { cap, skipped, left, .. } => Some((cap, Some(left.saturating_sub(skipped)))),
+            Rest::Coasting {
+                cap,
+                skipped,
+                left,
+                parks,
+                ..
+            } => Some((cap, Some((left.saturating_sub(skipped), parks)))),
             Rest::Parked { cap, .. } => Some((cap, None)),
         }
     }
@@ -1020,7 +1027,10 @@ impl Node {
     ///   that would find the learner at its orbit's fixed point the node
     ///   syncs and parks, exactly as a full tick would; past the end of
     ///   an orbit cut off before its fixed point it syncs and ticks in
-    ///   full.
+    ///   full. A learner settled off the orbit gives no end to the coast:
+    ///   the node coasts until something touches it and never parks
+    ///   through coasting, where a full tick would park it at the bit-exact
+    ///   fixed point its learner reaches.
     /// * **Full tick.** Otherwise the tick runs in full. If it left the
     ///   fingerprint unchanged (two consecutive identical ticks — the
     ///   first idle tick after activity never qualifies, because the
@@ -1066,9 +1076,12 @@ impl Node {
     /// Counts `ticks` control ticks under the cap a coasting node coasts
     /// under, the last of them at `at`, as that many coasting calls of
     /// [`Node::control_tick_parkable`] would; a no-op on a node that is not
-    /// coasting. Only a single tick may park the node: a batch holds at
-    /// most [`Node::rest_under`]'s count. The event-driven engine counts a
-    /// settled node's ticks in its slot and hands them over here at once.
+    /// coasting. The event-driven engine hands a settled node the ticks its
+    /// sweeps passed it by at once. A batch may end on the park transition,
+    /// the tick after [`Node::rest_under`]'s count on a node that parks, and
+    /// `at` is then that tick's instant: the node syncs and parks there.
+    /// It never counts past the transition, nor past the count on a node
+    /// that does not park, whose next tick must run in full.
     pub(crate) fn coast(&mut self, ticks: u64, at: SimTime) {
         if ticks == 0 {
             return;
@@ -1077,13 +1090,16 @@ impl Node {
             cap,
             skipped,
             left,
+            parks,
             last,
-            ..
         } = &mut self.rest
         {
             debug_assert!(self.job.is_none() && self.state == NodeState::Up && !self.thermal_active);
             *skipped += ticks;
-            debug_assert!(ticks == 1 || *skipped <= *left, "a batch crossed the park transition");
+            debug_assert!(
+                *skipped <= *left || (*parks && *skipped == *left + 1),
+                "counted past the end of the coast"
+            );
             *last = at;
             if *skipped > *left {
                 // The learner already sat at its fixed point, so this is
@@ -1404,10 +1420,22 @@ mod tests {
     /// Drives a coasting node and its twin through `ticks` one-second
     /// intervals as the event-driven engine would (lifecycle, control
     /// unless parked under the cap, checkpoints every 25 ticks), applies
-    /// `touches`, and compares everything a tick can leave behind.
-    /// Returns how many ticks the coasting node ended coasting, and what
-    /// each touch found it doing (`'c'`oasting, `'p'`arked, `'a'`wake).
-    fn drive_twins(history: f64, ticks: u64, cap_at: impl Fn(u64) -> f64, touches: &[(u64, Touch)]) -> (u64, String) {
+    /// `touches`, and compares everything a tick can leave behind. Until
+    /// its first job the twin ticks in full with the parking protocol
+    /// ([`tick_without_coasting`]), which parks on the idle orbit's fixed
+    /// point exactly when the coasting node does. From its first job on it
+    /// is Serial's node, a full tick every interval that never parks: off
+    /// the orbit the coasting node coasts on past the fixed point a full
+    /// tick would park on. Returns what the coasting node was after each
+    /// tick and what each touch found it doing (`'c'`oasting, `'p'`arked,
+    /// `'a'`wake), and the ticks that ran in full on it (its policy
+    /// recorded a decision).
+    fn drive_twins(
+        history: f64,
+        ticks: u64,
+        cap_at: impl Fn(u64) -> f64,
+        touches: &[(u64, Touch)],
+    ) -> (String, String, Vec<u64>) {
         use greengpu::WmaParams;
         let cfg = NodeConfig::default_node().with_freq_policy(PolicySpec::Wma(WmaParams {
             history,
@@ -1416,11 +1444,18 @@ mod tests {
         let mut coasting = Node::new(0, &cfg, &mix(), 7);
         let mut twin = Node::new(0, &cfg, &mix(), 7);
         let peak = cfg.gpu.peak_power_w();
-        let (mut coasted, mut found) = (0, String::new());
+        let rest = |n: &Node| match n.rest {
+            Rest::Coasting { .. } => 'c',
+            Rest::Parked { .. } => 'p',
+            Rest::Awake => 'a',
+        };
+        let decisions = |n: &Node| n.controller().policy().telemetry().intervals;
+        let (mut rests, mut found, mut twin_parks, mut full) = (String::new(), String::new(), true, Vec::new());
         let mut t = SimTime::ZERO;
         for k in 1..=ticks {
             let now = SimTime::from_secs(k);
             let cap = mw(cap_at(k) * peak);
+            let decided = decisions(&coasting);
             for (node, coasts) in [(&mut coasting, true), (&mut twin, false)] {
                 node.set_lifecycle(2.0, 2);
                 node.advance(t, now);
@@ -1428,8 +1463,10 @@ mod tests {
                 if node.is_alive() && node.parked_under() != Some(cap) {
                     if coasts {
                         node.control_tick_parkable(now, cap);
-                    } else {
+                    } else if twin_parks {
                         tick_without_coasting(node, now, cap);
+                    } else {
+                        node.control_tick(now, cap);
                     }
                 }
                 if k % 25 == 0 && node.state() == NodeState::Up {
@@ -1437,22 +1474,24 @@ mod tests {
                 }
                 for &(at, touch) in touches.iter().filter(|(at, _)| *at == k) {
                     if coasts {
-                        found.push(match node.rest {
-                            Rest::Coasting { .. } => 'c',
-                            Rest::Parked { .. } => 'p',
-                            Rest::Awake => 'a',
-                        });
+                        found.push(rest(node));
                     }
                     let later = now + SimDuration::from_secs_f64(0.5);
                     match touch {
                         Touch::Checkpoint => node.take_checkpoint(),
                         Touch::Thermal(secs) => node.thermal_emergency(later, secs),
                         Touch::Crash(secs) => assert!(node.crash(now, secs).is_none(), "tick {at}: idle"),
-                        Touch::Dispatch(size) => node.dispatch(job("kmeans", size), now),
+                        Touch::Dispatch(size) => {
+                            node.dispatch(job("kmeans", size), now);
+                            twin_parks &= coasts;
+                        }
                     }
                 }
             }
-            coasted += u64::from(matches!(coasting.rest, Rest::Coasting { .. }));
+            rests.push(rest(&coasting));
+            if decisions(&coasting) > decided {
+                full.push(k);
+            }
             let energies = |n: &Node| {
                 let p = n.platform();
                 [p.gpu_energy_j(SimTime::ZERO, now), p.total_energy_j(SimTime::ZERO, now)].map(f64::to_bits)
@@ -1473,7 +1512,19 @@ mod tests {
         }
         assert_eq!(coasting.checkpoint_data(), twin.checkpoint_data());
         assert_eq!(coasting.recoveries(), twin.recoveries());
-        (coasted, found)
+        (rests, found, full)
+    }
+
+    /// `rests` as runs of one state each: `"a3 c20 p4"`.
+    fn runs(rests: &str) -> String {
+        let mut out: Vec<(char, usize)> = Vec::new();
+        for c in rests.chars() {
+            match out.last_mut() {
+                Some((last, n)) if *last == c => *n += 1,
+                _ => out.push((c, 1)),
+            }
+        }
+        out.iter().map(|(c, n)| format!("{c}{n}")).collect::<Vec<_>>().join(" ")
     }
 
     #[test]
@@ -1482,7 +1533,10 @@ mod tests {
         // and a crash while coasting; the crash warm-restores the tick-50
         // checkpoint back onto the orbit, and the node parks at the fixed
         // point. Then a checkpoint, a thermal emergency, and a job
-        // dispatched inside its throttle window while parked.
+        // dispatched inside its throttle window while parked. The job takes
+        // the learner off the orbit: once its lowest pair leads again the
+        // node coasts to the end, past the fixed point at tick 395 that a
+        // parking twin would park on.
         let touches = [
             (10, Touch::Checkpoint),
             (28, Touch::Checkpoint),
@@ -1493,14 +1547,36 @@ mod tests {
             (222, Touch::Dispatch(0.2)),
         ];
         let cap_at = |k| if (30..32).contains(&k) { 0.7 } else { 0.8 };
-        let (coasted, found) = drive_twins(0.8, 400, cap_at, &touches);
+        let (rests, found, _) = drive_twins(0.8, 400, cap_at, &touches);
         assert_eq!(found, "ccccppa");
-        assert!(coasted > 150, "coasted {coasted}");
+        assert!(rests.matches('c').count() > 150, "{}", runs(&rests));
+        assert!(rests[249..].chars().all(|c| c == 'c'), "{}", runs(&rests));
         // A job dispatched while coasting.
-        let (_, found) = drive_twins(0.8, 80, |_| 0.8, &[(40, Touch::Dispatch(0.2))]);
+        let (_, found, _) = drive_twins(0.8, 80, |_| 0.8, &[(40, Touch::Dispatch(0.2))]);
         assert_eq!(found, "c");
     }
 
+    #[test]
+    fn an_off_orbit_coasting_node_agrees_with_a_twin_that_never_parks() {
+        // A job at tick 5 takes the learner off the idle orbit for good.
+        // Coasting off it, the node meets every sync path: a checkpoint,
+        // the periodic checkpoints, a new cap for ticks 60-61, a thermal
+        // emergency, a crash that warm-restores an off-orbit checkpoint,
+        // and a second job; it coasts on past the bit-exact fixed point
+        // its learner reaches, where a parking twin would park.
+        let touches = [
+            (5, Touch::Dispatch(0.3)),
+            (40, Touch::Checkpoint),
+            (80, Touch::Thermal(5.0)),
+            (110, Touch::Crash(3.0)),
+            (160, Touch::Dispatch(0.2)),
+        ];
+        let cap_at = |k| if (60..62).contains(&k) { 0.7 } else { 0.8 };
+        let (rests, found, _) = drive_twins(0.8, 450, cap_at, &touches);
+        assert_eq!(found, "ccccc", "{}", runs(&rests));
+        assert!(!rests.contains('p'), "{}", runs(&rests));
+        assert!(rests[190..].chars().all(|c| c == 'c'), "{}", runs(&rests));
+    }
     /// Two identical nodes, idle under one cap from the start, ticked as
     /// the event-driven engine ticks them until they coast; returns them
     /// with the cap, the last tick and the ticks they may still count.
@@ -1515,7 +1591,7 @@ mod tests {
             }
         }
         let [eager, batched] = pair;
-        let Some((held, Some(budget))) = batched.rest_under() else {
+        let Some((held, Some((budget, true)))) = batched.rest_under() else {
             panic!("coasting by tick 4: {:?}", batched.rest);
         };
         assert_eq!(held, cap);
@@ -1570,11 +1646,17 @@ mod tests {
     }
 
     #[test]
-    fn a_cut_orbit_coasts_only_to_its_last_row() {
+    fn a_cut_orbit_coasts_to_its_last_row_then_ticks_once_past_it() {
         // λ = 0.95 is cut off at 512 rows: the node coasts to the last
-        // row, then ticks in full on the computed update.
-        let (coasted, _) = drive_twins(0.95, 560, |_| 0.8, &[]);
-        assert!((490..511).contains(&coasted), "coasted {coasted}");
+        // row, then ticks in full on the computed update. That step leaves
+        // the lowest pair at weight 1.0, so the node settles off the orbit
+        // and coasts on.
+        let (rests, _, full) = drive_twins(0.95, 560, |_| 0.8, &[]);
+        assert!(rests[4..].chars().all(|c| c == 'c'), "{}", runs(&rests));
+        // Four full ticks up to the first coasting one, then one past the
+        // cut.
+        assert_eq!((full.len(), &full[..4]), (5, &[1, 2, 3, 4][..]), "{full:?}");
+        assert!((490..511).contains(&(full[4] - 5)), "coasted {} ticks", full[4] - 5);
     }
 
     #[test]

@@ -157,28 +157,67 @@ fn aggregate<'a>(demands: impl Iterator<Item = &'a NodeDemand>) -> NodeDemand {
     agg
 }
 
-/// Runs `apportion` of `cap` over `children` (ids into `reports`) and
-/// writes each child's grant into `out`, through the tree's scratch.
-fn split(cap: MilliWatts, children: &[usize], reports: &[NodeDemand], out: &mut [MilliWatts], scratch: &mut Scratch) {
+/// Runs `apportion` of `cap` over `children` (ids into `reports`), writes
+/// each child's grant into `out`, through the tree's scratch, and calls
+/// `moved` with each child whose grant changed.
+fn split(
+    cap: MilliWatts,
+    children: &[usize],
+    reports: &[NodeDemand],
+    out: &mut [MilliWatts],
+    scratch: &mut Scratch,
+    mut moved: impl FnMut(usize),
+) {
     scratch.wants.clear();
     scratch.wants.extend(children.iter().map(|&c| reports[c]));
     apportion_into(cap, &scratch.wants, &mut scratch.caps, &mut scratch.grants);
     for (&c, &granted) in children.iter().zip(&scratch.caps) {
-        out[c] = granted;
+        if out[c] != granted {
+            out[c] = granted;
+            moved(c);
+        }
     }
 }
 
-/// The budget tree's reusable per-tick buffers.
+/// The budget tree's reusable per-split buffers.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// This tick's live rack aggregates.
-    cur_rack: Vec<NodeDemand>,
-    zone_report: Vec<NodeDemand>,
-    region_report: Vec<NodeDemand>,
     /// One split's children's demands, caps, and per-pass wants.
     wants: Vec<NodeDemand>,
     caps: Vec<MilliWatts>,
     grants: Vec<MilliWatts>,
+}
+
+/// What one tick of the tree has to redo, level by level; every flag is
+/// cleared as its work is done.
+#[derive(Debug, Clone, Default)]
+struct Marks {
+    /// Racks to split again (a leaf demand or the rack cap moved); a rack
+    /// marked before the aggregates are taken had a leaf demand move.
+    rack: Vec<bool>,
+    /// Zones to split again (a live rack aggregate or the zone cap moved).
+    zone: Vec<bool>,
+    /// Regions to split again (a zone report or the region cap moved).
+    region: Vec<bool>,
+    /// Whether the root split runs again (a region report moved).
+    root: bool,
+    /// Zones and regions whose report must be taken again: a child's
+    /// lagged report moved.
+    zone_report: Vec<bool>,
+    region_report: Vec<bool>,
+    /// Racks whose live aggregate, and zones whose report, moved this
+    /// tick: they move up one level at the next.
+    racks_moved: Vec<usize>,
+    zones_moved: Vec<usize>,
+}
+
+/// Whether `members`' caps in `leaf_caps` sum past `cap`.
+fn over(members: &[usize], cap: MilliWatts, leaf_caps: &[MilliWatts]) -> bool {
+    let sum: u128 = members
+        .iter()
+        .map(|&i| leaf_caps.get(i).map_or(0, |&c| u128::from(c)))
+        .sum();
+    sum > u128::from(cap)
 }
 
 /// The cascading hierarchical apportioner: the same floors→demand→headroom
@@ -205,23 +244,43 @@ struct Scratch {
 /// node by construction, and Σ leaf caps ≤ budget transitively. The first
 /// tick bootstraps the lagged reports from the current aggregates.
 ///
-/// A tick costs O(nodes + racks): each rack splits over its own member
-/// list instead of scanning the fleet for its leaves. Every split runs
-/// in buffers the tree keeps, so after the first tick the only
-/// allocation is the returned leaf caps.
+/// The tree keeps every level's reports and caps, and each rack's cap
+/// check, across ticks. [`BudgetTree::tick`] redoes every aggregate and
+/// every split: O(nodes + racks), each rack over its own member list. The
+/// event-driven engine's tick is told which leaf demands moved, and redoes
+/// only the aggregates whose inputs moved and the splits whose cap or
+/// child reports moved: every split is a pure function of those, so the
+/// splits it skips would write the caps they hold. With a few moved
+/// leaves that is a few racks' work plus one flag pass per level. Every
+/// split runs in buffers the tree keeps, so neither allocates after the
+/// first tick; `tick` alone returns a copy of the leaf caps.
 #[derive(Debug, Clone)]
 pub struct BudgetTree {
     rack_of: Vec<usize>,
+    zone_of_rack: Vec<usize>,
+    region_of_zone: Vec<usize>,
     /// Rack id → its node ids, ascending (the index's `rack_nodes`).
     rack_nodes: Vec<Vec<usize>>,
     zone_racks: Vec<Vec<usize>>,
     region_zones: Vec<Vec<usize>>,
-    /// Rack aggregates as of the previous tick (what the zones reported
-    /// upward); `None` before the first tick.
-    prev_rack: Option<Vec<NodeDemand>>,
-    /// Zone reports as of the previous tick (what the regions reported
+    /// Whether a tick has run; the first one bootstraps the lagged
+    /// reports.
+    started: bool,
+    /// The root budget of the last tick.
+    budget_mw: MilliWatts,
+    /// Live rack aggregates as of the last tick.
+    cur_rack: Vec<NodeDemand>,
+    /// Rack aggregates as of the tick before (what the zones report
     /// upward).
-    prev_zone: Option<Vec<NodeDemand>>,
+    prev_rack: Vec<NodeDemand>,
+    /// Zone reports as of the last tick: aggregates of `prev_rack`.
+    zone_report: Vec<NodeDemand>,
+    /// Zone reports as of the tick before (what the regions report
+    /// upward).
+    prev_zone: Vec<NodeDemand>,
+    /// Region reports as of the last tick: aggregates of `prev_zone`.
+    region_report: Vec<NodeDemand>,
+    leaf_caps: Vec<MilliWatts>,
     rack_caps: Vec<MilliWatts>,
     zone_caps: Vec<MilliWatts>,
     region_caps: Vec<MilliWatts>,
@@ -230,112 +289,226 @@ pub struct BudgetTree {
     rack_desired: Vec<MilliWatts>,
     zone_desired: Vec<MilliWatts>,
     region_desired: Vec<MilliWatts>,
+    /// Whether each rack's leaf caps sum past its cap, and how many do.
+    rack_over: Vec<bool>,
+    racks_over: u64,
+    marks: Marks,
     scratch: Scratch,
 }
 
 impl BudgetTree {
     /// A tree over the given topology, with no report history yet.
     pub fn new(idx: &crate::topology::TopologyIndex) -> Self {
+        let (n_racks, n_zones, n_regions) = (idx.n_racks(), idx.n_zones(), idx.n_regions());
         BudgetTree {
             rack_of: idx.rack_of.clone(),
+            zone_of_rack: idx.zone_of_rack.clone(),
+            region_of_zone: idx.region_of_zone.clone(),
             rack_nodes: idx.rack_nodes.clone(),
             zone_racks: idx.zone_racks.clone(),
             region_zones: idx.region_zones.clone(),
-            prev_rack: None,
-            prev_zone: None,
-            rack_caps: vec![0; idx.n_racks()],
-            zone_caps: vec![0; idx.n_zones()],
-            region_caps: vec![0; idx.n_regions()],
-            rack_desired: vec![0; idx.n_racks()],
-            zone_desired: vec![0; idx.n_zones()],
-            region_desired: vec![0; idx.n_regions()],
+            started: false,
+            budget_mw: 0,
+            cur_rack: vec![NO_DEMAND; n_racks],
+            prev_rack: vec![NO_DEMAND; n_racks],
+            zone_report: vec![NO_DEMAND; n_zones],
+            prev_zone: vec![NO_DEMAND; n_zones],
+            region_report: vec![NO_DEMAND; n_regions],
+            leaf_caps: vec![0; idx.n_nodes()],
+            rack_caps: vec![0; n_racks],
+            zone_caps: vec![0; n_zones],
+            region_caps: vec![0; n_regions],
+            rack_desired: vec![0; n_racks],
+            zone_desired: vec![0; n_zones],
+            region_desired: vec![0; n_regions],
+            rack_over: vec![false; n_racks],
+            racks_over: 0,
+            marks: Marks {
+                rack: vec![false; n_racks],
+                zone: vec![false; n_zones],
+                region: vec![false; n_regions],
+                root: false,
+                zone_report: vec![false; n_zones],
+                region_report: vec![false; n_regions],
+                racks_moved: Vec::new(),
+                zones_moved: Vec::new(),
+            },
             scratch: Scratch::default(),
         }
     }
 
     /// Runs one cascading apportionment: `budget_mw` at the root, one cap
-    /// per leaf out, interior caps stored for telemetry and audit.
+    /// per leaf out, interior caps stored for telemetry and audit. Every
+    /// aggregate and every split is taken afresh.
     pub fn tick(&mut self, budget_mw: MilliWatts, demands: &[NodeDemand]) -> Vec<MilliWatts> {
+        self.cascade(budget_mw, demands, None, None);
+        self.leaf_caps.clone()
+    }
+
+    /// One tick of [`BudgetTree::tick`] with `moved` the leaves whose
+    /// demand changed since the last tick (`None`: any may have), keeping
+    /// the leaf caps in the tree ([`BudgetTree::leaf_caps`]). Only the
+    /// aggregates and splits whose inputs moved are taken again (every
+    /// one while `moved` is `None`, and on the first tick); each leaf
+    /// whose cap changed is pushed onto `recapped`, if given.
+    pub(crate) fn cascade(
+        &mut self,
+        budget_mw: MilliWatts,
+        demands: &[NodeDemand],
+        moved: Option<&[usize]>,
+        mut recapped: Option<&mut Vec<usize>>,
+    ) {
         assert_eq!(
             demands.len(),
             self.rack_of.len(),
             "demand count must match the topology"
         );
+        let all = moved.is_none() || !self.started;
         let BudgetTree {
             rack_of,
+            zone_of_rack,
+            region_of_zone,
             rack_nodes,
             zone_racks,
             region_zones,
+            started,
+            budget_mw: last_budget,
+            cur_rack,
             prev_rack,
+            zone_report,
             prev_zone,
+            region_report,
+            leaf_caps,
             rack_caps,
             zone_caps,
             region_caps,
             rack_desired,
             zone_desired,
             region_desired,
+            rack_over,
+            racks_over,
+            marks,
             scratch,
         } = self;
-        let mut cur_rack = std::mem::take(&mut scratch.cur_rack);
-        let mut zone_report = std::mem::take(&mut scratch.zone_report);
-        let mut region_report = std::mem::take(&mut scratch.region_report);
+        let redo = |flag: &mut bool| std::mem::take(flag) || all;
+
+        // Last tick's live rack aggregates and zone reports move up one
+        // level: the zones' and regions' reports are one tick behind.
+        for r in marks.racks_moved.drain(..) {
+            prev_rack[r] = cur_rack[r];
+            marks.zone_report[zone_of_rack[r]] = true;
+        }
+        for z in marks.zones_moved.drain(..) {
+            prev_zone[z] = zone_report[z];
+            marks.region_report[region_of_zone[z]] = true;
+        }
 
         // Current rack aggregates — the only level that sees the leaves
         // live; everything above runs on last tick's reports.
-        cur_rack.clear();
-        cur_rack.resize(rack_caps.len(), NO_DEMAND);
-        for (d, &r) in demands.iter().zip(rack_of.iter()) {
-            add_demand(&mut cur_rack[r], d);
+        for &i in moved.unwrap_or_default() {
+            marks.rack[rack_of[i]] = true;
+        }
+        for (r, members) in rack_nodes.iter().enumerate() {
+            if !(marks.rack[r] || all) {
+                continue;
+            }
+            marks.rack[r] = true;
+            let agg = aggregate(members.iter().map(|&i| &demands[i]));
+            if agg != cur_rack[r] {
+                cur_rack[r] = agg;
+                rack_desired[r] = agg.desired_mw;
+                marks.zone[zone_of_rack[r]] = true;
+                marks.racks_moved.push(r);
+            }
+        }
+        if !*started {
+            // The first tick's lagged reports are its live ones.
+            prev_rack.clone_from(cur_rack);
         }
 
-        // One-tick-lagged upward reports (bootstrapped from the current
-        // aggregates on the first tick).
-        let rack_report = prev_rack.as_deref().unwrap_or(&cur_rack);
-        zone_report.clear();
-        zone_report.extend(
-            zone_racks
-                .iter()
-                .map(|racks| aggregate(racks.iter().map(|&r| &rack_report[r]))),
-        );
-        let region_input = prev_zone.as_deref().unwrap_or(&zone_report);
-        region_report.clear();
-        region_report.extend(
-            region_zones
-                .iter()
-                .map(|zones| aggregate(zones.iter().map(|&z| &region_input[z]))),
-        );
+        // One-tick-lagged upward reports.
+        for (z, racks) in zone_racks.iter().enumerate() {
+            if !redo(&mut marks.zone_report[z]) {
+                continue;
+            }
+            let report = aggregate(racks.iter().map(|&r| &prev_rack[r]));
+            if report != zone_report[z] {
+                zone_report[z] = report;
+                zone_desired[z] = report.desired_mw;
+                marks.region[region_of_zone[z]] = true;
+                marks.zones_moved.push(z);
+            }
+        }
+        if !*started {
+            prev_zone.clone_from(zone_report);
+        }
+        for (g, zones) in region_zones.iter().enumerate() {
+            if !redo(&mut marks.region_report[g]) {
+                continue;
+            }
+            let report = aggregate(zones.iter().map(|&z| &prev_zone[z]));
+            if report != region_report[g] {
+                region_report[g] = report;
+                region_desired[g] = report.desired_mw;
+                marks.root = true;
+            }
+        }
 
         // Cascade the caps down: root → regions → zones → racks → leaves.
         // Each split uses the freshest report its level has: the root
         // sees region reports (two ticks behind the leaves), a region
         // splits over its zones' one-tick-lagged reports, and a zone
-        // splits over its racks' live aggregates.
-        apportion_into(budget_mw, &region_report, region_caps, &mut scratch.grants);
-        for (zones, &cap) in region_zones.iter().zip(region_caps.iter()) {
-            split(cap, zones, &zone_report, zone_caps, scratch);
+        // splits over its racks' live aggregates. A split runs again only
+        // when its cap or a child's report moved.
+        let root_moved = *last_budget != budget_mw;
+        if redo(&mut marks.root) || root_moved {
+            scratch.caps.clear();
+            scratch.caps.extend_from_slice(region_caps);
+            apportion_into(budget_mw, region_report, region_caps, &mut scratch.grants);
+            for (g, (&was, &now)) in scratch.caps.iter().zip(region_caps.iter()).enumerate() {
+                marks.region[g] |= was != now;
+            }
         }
-        for (racks, &cap) in zone_racks.iter().zip(zone_caps.iter()) {
-            split(cap, racks, &cur_rack, rack_caps, scratch);
+        for (g, zones) in region_zones.iter().enumerate() {
+            if redo(&mut marks.region[g]) {
+                split(region_caps[g], zones, zone_report, zone_caps, scratch, |z| {
+                    marks.zone[z] = true
+                });
+            }
         }
-        let mut leaf_caps = vec![0; demands.len()];
-        for (members, &cap) in rack_nodes.iter().zip(rack_caps.iter()) {
-            split(cap, members, demands, &mut leaf_caps, scratch);
+        for (z, racks) in zone_racks.iter().enumerate() {
+            if redo(&mut marks.zone[z]) {
+                split(zone_caps[z], racks, cur_rack, rack_caps, scratch, |r| {
+                    marks.rack[r] = true
+                });
+            }
         }
+        for (r, members) in rack_nodes.iter().enumerate() {
+            if !redo(&mut marks.rack[r]) {
+                continue;
+            }
+            split(rack_caps[r], members, demands, leaf_caps, scratch, |i| {
+                if let Some(recapped) = recapped.as_deref_mut() {
+                    recapped.push(i);
+                }
+            });
+            let now_over = over(members, rack_caps[r], leaf_caps);
+            if now_over != rack_over[r] {
+                rack_over[r] = now_over;
+                if now_over {
+                    *racks_over += 1;
+                } else {
+                    *racks_over -= 1;
+                }
+            }
+        }
+        *started = true;
+        *last_budget = budget_mw;
+    }
 
-        for (out, levels) in [
-            (rack_desired, &cur_rack),
-            (zone_desired, &zone_report),
-            (region_desired, &region_report),
-        ] {
-            out.clear();
-            out.extend(levels.iter().map(|d| d.desired_mw));
-        }
-        // This tick's reports become the next tick's lagged ones; the
-        // buffers they replace are reused as next tick's scratch.
-        scratch.cur_rack = prev_rack.replace(cur_rack).unwrap_or_default();
-        scratch.zone_report = prev_zone.replace(zone_report).unwrap_or_default();
-        scratch.region_report = region_report;
-        leaf_caps
+    /// Per-leaf caps from the last tick.
+    pub(crate) fn leaf_caps(&self) -> &[MilliWatts] {
+        &self.leaf_caps
     }
 
     /// Per-rack caps from the last [`BudgetTree::tick`].
@@ -375,18 +548,26 @@ impl BudgetTree {
     /// and `leaf_caps` (Σ children > parent at any level). Exact integer
     /// milliwatts; expected 0 by construction — the engines count rather
     /// than assert so a violation surfaces in the report instead of
-    /// killing the run.
+    /// killing the run. Every rack is checked against `leaf_caps`.
     pub fn cap_violations(&self, budget_mw: MilliWatts, leaf_caps: &[MilliWatts]) -> u64 {
+        let racks = self
+            .rack_nodes
+            .iter()
+            .zip(&self.rack_caps)
+            .filter(|&(members, &cap)| over(members, cap, leaf_caps))
+            .count();
+        racks as u64 + self.interior_violations(budget_mw)
+    }
+
+    /// [`BudgetTree::cap_violations`] against the tree's own leaf caps,
+    /// from the rack checks the last tick kept.
+    pub(crate) fn violations(&self, budget_mw: MilliWatts) -> u64 {
+        self.racks_over + self.interior_violations(budget_mw)
+    }
+
+    /// The zone, region and root checks of [`BudgetTree::cap_violations`].
+    fn interior_violations(&self, budget_mw: MilliWatts) -> u64 {
         let mut violations = 0u64;
-        for (members, &cap) in self.rack_nodes.iter().zip(&self.rack_caps) {
-            let sum: u128 = members
-                .iter()
-                .map(|&i| leaf_caps.get(i).map_or(0, |&c| u128::from(c)))
-                .sum();
-            if sum > u128::from(cap) {
-                violations += 1;
-            }
-        }
         for (z, racks) in self.zone_racks.iter().enumerate() {
             let sum: u128 = racks.iter().map(|&r| u128::from(self.rack_caps[r])).sum();
             if sum > u128::from(self.zone_caps[z]) {
@@ -404,6 +585,52 @@ impl BudgetTree {
             violations += 1;
         }
         violations
+    }
+}
+
+/// [`apportion`] kept across ticks, for flat fleets: it reruns in place
+/// and reports which caps moved.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FlatCaps {
+    caps: Vec<MilliWatts>,
+    next: Vec<MilliWatts>,
+    wants: Vec<MilliWatts>,
+}
+
+impl FlatCaps {
+    /// `n` caps of 0 mW, until the first [`FlatCaps::apportion`].
+    pub(crate) fn new(n: usize) -> Self {
+        FlatCaps {
+            caps: vec![0; n],
+            ..FlatCaps::default()
+        }
+    }
+
+    /// The caps of the last apportionment.
+    pub(crate) fn caps(&self) -> &[MilliWatts] {
+        &self.caps
+    }
+
+    /// Apportions `budget_mw` over `demands` again, pushing each node
+    /// whose cap changed onto `recapped`, if given.
+    pub(crate) fn apportion(
+        &mut self,
+        budget_mw: MilliWatts,
+        demands: &[NodeDemand],
+        recapped: Option<&mut Vec<usize>>,
+    ) {
+        apportion_into(budget_mw, demands, &mut self.next, &mut self.wants);
+        if let Some(recapped) = recapped {
+            recapped.extend(
+                self.caps
+                    .iter()
+                    .zip(&self.next)
+                    .enumerate()
+                    .filter(|(_, (was, now))| was != now)
+                    .map(|(i, _)| i),
+            );
+        }
+        std::mem::swap(&mut self.caps, &mut self.next);
     }
 }
 
@@ -599,5 +826,116 @@ mod tests {
         let d = vec![demand(u64::MAX / 2, u64::MAX, u64::MAX, true); 8];
         let caps = tree.tick(u64::MAX, &d);
         assert_eq!(tree.cap_violations(u64::MAX, &caps), 0);
+    }
+
+    /// The incremental cascade, told which leaf demands moved, against a
+    /// twin that takes every aggregate and split afresh each tick
+    /// ([`BudgetTree::tick`]): random demand moves, rack power losses and
+    /// restores, budget changes that move every zone's cap, and ticks
+    /// with nothing moved (the lagged reports still climb), on an uneven
+    /// tree. Every level's caps and reports, the violation count and the
+    /// recapped leaves must match, tick by tick.
+    #[test]
+    fn the_incremental_cascade_matches_a_fresh_tick() {
+        let topology = Topology {
+            regions: vec![vec![vec![3, 2], vec![4]], vec![vec![1, 5, 2], vec![3, 3], vec![2]]],
+        };
+        let index = topology.index();
+        let n = index.n_nodes();
+        for seed in [1u64, 7, 0xC0FFEE] {
+            let mut state = seed;
+            let mut next = |bound: u64| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) % bound
+            };
+            let idle = demand(100, 100, 300, false);
+            let mut demands = vec![idle; n];
+            let (mut fresh, mut incremental) = (BudgetTree::new(&index), BudgetTree::new(&index));
+            let mut budget = 4_000;
+            let (mut moved, mut recapped, mut dark) = (Vec::new(), Vec::new(), None);
+            let mut last_caps = vec![0; n];
+            for step in 0..400 {
+                moved.clear();
+                match next(10) {
+                    // A few leaves change what they ask for.
+                    0..=4 => {
+                        for _ in 0..=next(3) {
+                            let i = next(n as u64) as usize;
+                            let floor = 80 + next(40);
+                            let peak = floor + next(400);
+                            demands[i] = demand(floor, floor + next(peak - floor + 1), peak, next(2) == 0);
+                            moved.push(i);
+                        }
+                    }
+                    // A rack loses power (its leaves demand nothing), or
+                    // the last lost one comes back.
+                    5 => {
+                        let rack = match dark.take() {
+                            Some(rack) => rack,
+                            None => {
+                                let rack = next(index.n_racks() as u64) as usize;
+                                dark = Some(rack);
+                                rack
+                            }
+                        };
+                        for &i in &index.rack_nodes[rack] {
+                            demands[i] = if dark.is_some() { NO_DEMAND } else { idle };
+                            moved.push(i);
+                        }
+                    }
+                    // The root budget moves, and with it every cap below.
+                    6 => budget = 1_500 + next(6_000),
+                    // Nothing moves.
+                    _ => {}
+                }
+                moved.sort_unstable();
+                moved.dedup();
+                let want = fresh.tick(budget, &demands);
+                recapped.clear();
+                incremental.cascade(budget, &demands, Some(&moved), Some(&mut recapped));
+                let case = format!("seed {seed}, step {step}");
+                assert_eq!(incremental.leaf_caps(), &want[..], "{case}");
+                assert_eq!(incremental.rack_caps(), fresh.rack_caps(), "{case}");
+                assert_eq!(incremental.zone_caps(), fresh.zone_caps(), "{case}");
+                assert_eq!(incremental.region_caps(), fresh.region_caps(), "{case}");
+                assert_eq!(incremental.rack_desired(), fresh.rack_desired(), "{case}");
+                assert_eq!(incremental.zone_desired(), fresh.zone_desired(), "{case}");
+                assert_eq!(incremental.region_desired(), fresh.region_desired(), "{case}");
+                assert_eq!(
+                    incremental.violations(budget),
+                    fresh.cap_violations(budget, &want),
+                    "{case}"
+                );
+                recapped.sort_unstable();
+                let changed: Vec<usize> = (0..n).filter(|&i| want[i] != last_caps[i]).collect();
+                assert_eq!(recapped, changed, "{case}");
+                last_caps = want;
+            }
+        }
+    }
+
+    #[test]
+    fn flat_caps_report_exactly_the_moved_caps() {
+        let mut flat = FlatCaps::new(3);
+        let mut recapped = Vec::new();
+        let d = vec![
+            demand(100, 300, 300, true),
+            demand(100, 100, 300, false),
+            demand(100, 100, 300, false),
+        ];
+        flat.apportion(600, &d, Some(&mut recapped));
+        assert_eq!(flat.caps(), &apportion(600, &d)[..]);
+        assert_eq!(recapped, vec![0, 1, 2]);
+        recapped.clear();
+        let mut moved = d.clone();
+        moved[1].busy = true;
+        flat.apportion(600, &moved, Some(&mut recapped));
+        assert_eq!(flat.caps(), &apportion(600, &moved)[..]);
+        let changed: Vec<usize> = (0..3)
+            .filter(|&i| apportion(600, &moved)[i] != apportion(600, &d)[i])
+            .collect();
+        assert_eq!(recapped, changed);
     }
 }

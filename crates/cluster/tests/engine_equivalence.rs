@@ -359,6 +359,41 @@ proptest! {
     }
 }
 
+/// The event engine against the serial oracle at the benchmark's regime:
+/// a 2,000-node `1×10×25×8` geo fleet for 200 s under `geo_idle_10k`'s
+/// 2 jobs/s trickle and chaos mix (node crashes every 4 h per node, rack
+/// power losses every 8 h per rack, zone thermal events every 2 h per
+/// zone), at the benchmark's seed and a held-out one. Nearly every node
+/// settles, on the idle orbit or, after a job, off it, and leaves every
+/// sweep but the telemetry row until something touches it. Fleet CSV,
+/// geo CSV, completion records and crash audits must be equal. A debug
+/// build takes minutes for it, so it is `#[ignore]`d and run by name in
+/// release CI.
+#[test]
+#[ignore]
+fn benchmark_regime_geo_fleet_agrees() {
+    for seed in [20_120_910u64, 101] {
+        let mut cfg = FleetConfig::homogeneous(2_000, 0.8, Policy::LeastLoaded, SimDuration::from_secs(200), seed)
+            .with_topology(Topology::uniform(1, 10, 25, 8))
+            .with_chaos(
+                ChaosPlan::crashes_only(seed ^ 0xC4A0_5EED, 1.0 / (4.0 * 3600.0), (30.0, 90.0))
+                    .with_rack_loss(1.0 / (8.0 * 3600.0), (30.0, 90.0))
+                    .with_zone_thermal(1.0 / (2.0 * 3600.0), (10.0, 30.0)),
+            );
+        cfg.arrivals.rate_per_s = 2.0;
+        let serial = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
+        assert!(
+            serial.crashes > 0 && !serial.completed.is_empty(),
+            "seed {seed}: chaos and jobs both land"
+        );
+        assert_eq!(
+            event_digest(&cfg),
+            digest(&serial),
+            "event engine diverged (seed {seed})"
+        );
+    }
+}
+
 /// The resting-node wake matrix. On a trickle of jobs, idle WMA nodes
 /// coast from their first intervals and park near 160 s, and most of
 /// them are never dispatched. The event engine passes a resting node by in
@@ -369,7 +404,9 @@ proptest! {
 /// 10 ticks) land on coasting nodes throughout the coasting phase, and on
 /// the geo fleet each restart after a crash hands the parked nodes
 /// around it a new cap for a tick, as the budget tree's lagged reports
-/// catch up.
+/// catch up. A node that served a job rests off the idle orbit: it never
+/// parks, and coasts until touched; a second matrix plants each kind of
+/// wake on such nodes.
 mod wake_matrix {
     use super::*;
     use greengpu_cluster::FleetReport;
@@ -382,6 +419,10 @@ mod wake_matrix {
     /// parked, in seconds (with a margin on each side).
     const COASTING: (f64, f64) = (20.0, 140.0);
     const PARKED: (f64, f64) = (180.0, 290.0);
+    /// How long after a job a node has surely settled off the idle orbit,
+    /// its learner's lowest pair back at weight 1.0: it coasts from there
+    /// until something touches it, and never parks.
+    const OFF_ORBIT_AFTER_S: f64 = 45.0;
 
     /// A node's chaos plan on the flat fleets; `seed` picks where its
     /// events land.
@@ -457,11 +498,27 @@ mod wake_matrix {
     }
 
     /// The kinds of wake `cfg` plants on resting nodes: each node's first
-    /// touch, when it lands in the coasting or the parked phase.
+    /// touch, when it lands in the coasting or the parked phase, and any
+    /// touch that finds the node off the idle orbit, at least
+    /// [`OFF_ORBIT_AFTER_S`] past the end of the job that was its last
+    /// touch.
     fn wakes_at_rest(cfg: &FleetConfig, oracle: &FleetReport) -> BTreeSet<String> {
         let mut seen = vec![false; cfg.nodes.len()];
+        let mut off_orbit_from: Vec<Option<f64>> = vec![None; cfg.nodes.len()];
         let mut wakes = BTreeSet::new();
         for (at, node, what) in touches(cfg, oracle) {
+            if off_orbit_from[node].is_some_and(|from| at >= from) {
+                wakes.insert(format!("{what}, off the orbit"));
+            }
+            off_orbit_from[node] = (what == "dispatch")
+                .then(|| {
+                    oracle
+                        .completed
+                        .iter()
+                        .find(|r| r.node == node && r.started.as_secs_f64() == at)
+                })
+                .flatten()
+                .map(|r| r.finished.as_secs_f64() + OFF_ORBIT_AFTER_S);
             if std::mem::replace(&mut seen[node], true) {
                 continue;
             }
@@ -530,6 +587,60 @@ mod wake_matrix {
             assert!(
                 covered.contains(want),
                 "no scenario wakes a resting node by {want}: {covered:?}"
+            );
+        }
+    }
+
+    /// `cfg` at `rate_per_s` jobs/s, so most nodes serve a job early.
+    fn at_rate(mut cfg: FleetConfig, rate_per_s: f64) -> FleetConfig {
+        cfg.arrivals.rate_per_s = rate_per_s;
+        cfg
+    }
+
+    #[test]
+    fn every_wake_of_an_off_orbit_node_agrees() {
+        // A job takes a node's learner off the idle orbit for good; once
+        // its lowest pair leads again it coasts, off the orbit, until
+        // something touches it. At these job rates most nodes have served
+        // one, and the chaos seeds of the matrix above then land each kind
+        // of wake on a node resting off the orbit: crashes and thermal
+        // emergencies on a tick (flat), a rack power loss and a zone
+        // thermal event on a tick (geo), and every mid-interval kind and
+        // dispatch at the faster rate.
+        let scenarios = [
+            at_rate(trickle(6, node_chaos(1_815_696, (0.2, 12.0)), 0x0FF0_0003), 0.03),
+            at_rate(trickle(6, node_chaos(8_851_898, (0.2, 12.0)), 0x0FF0_0003), 0.03),
+            at_rate(geo_trickle(domain_chaos(4_903_890), 0x0FF0_0006), 0.03),
+            at_rate(geo_trickle(domain_chaos(23_895_162), 0x0FF0_0003), 0.03),
+            at_rate(trickle(12, node_chaos(1, (0.05, 0.5)), 0x0FF0_0001), 0.12),
+            at_rate(geo_trickle(domain_chaos(4), 0x0FF0_1004), 0.12),
+        ];
+        let mut covered = BTreeSet::new();
+        for cfg in &scenarios {
+            let oracle = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
+            covered.extend(wakes_at_rest(cfg, &oracle));
+            assert_eq!(
+                event_digest(cfg),
+                digest(&oracle),
+                "event engine diverged (seed {:#x})",
+                cfg.seed
+            );
+        }
+        for want in [
+            "dispatch",
+            "crash at a tick",
+            "crash mid-interval",
+            "thermal at a tick",
+            "thermal mid-interval",
+            "thermal inside one interval",
+            "rack loss at a tick",
+            "rack loss mid-interval",
+            "zone thermal at a tick",
+            "zone thermal mid-interval",
+        ] {
+            assert!(
+                covered.contains(&format!("{want}, off the orbit")),
+                "no scenario wakes a node resting off the orbit by {want}: {covered:?}"
             );
         }
     }

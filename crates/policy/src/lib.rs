@@ -130,10 +130,10 @@ pub trait FreqPolicy {
     }
 
     /// Where the learner stands when every exactly-idle `(+0.0, +0.0)`
-    /// step it can still take along a precomputed path selects one pair,
-    /// or `None` (the default) when it cannot say. The fleet uses it to
-    /// stop ticking an idle node whose decision has settled (see
-    /// [`IdleSettle`]).
+    /// step it can still take selects one pair, along a precomputed path
+    /// or forever, or `None` (the default) when it cannot say. The fleet
+    /// uses it to stop ticking an idle node whose decision has settled
+    /// (see [`IdleSettle`]).
     fn idle_settled(&self) -> Option<IdleSettle> {
         None
     }
@@ -155,11 +155,14 @@ pub trait FreqPolicy {
 /// A learner's settled idle decision ([`FreqPolicy::idle_settled`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdleSettle {
-    /// The pair every remaining idle step selects: the strict maximum of
-    /// every table those steps pass through, so any mask that admits it
-    /// selects it too.
+    /// The pair every remaining idle step selects: the first maximum, in
+    /// the argmax's row-major order, of every table those steps pass
+    /// through, so any mask that admits it selects it too.
     pub pair: (usize, usize),
-    /// Idle steps left along the precomputed path (0 at its last table).
+    /// Idle steps left along the precomputed path (0 at its last table),
+    /// or `u64::MAX` when the pair holds for every idle step to come
+    /// without a precomputed path (WMA off its idle orbit, with the
+    /// lowest pair's weight at the table's maximum).
     pub steps_left: u64,
     /// Whether the path ends at a fixed point: a further idle step then
     /// changes nothing. Otherwise the step after the last one is computed

@@ -109,6 +109,9 @@ impl WmaParams {
     }
 }
 
+/// The bits of 1.0, the weight of a max-renormalized table's leader.
+const MAX_WEIGHT_BITS: u64 = 0x3FF0_0000_0000_0000;
+
 /// Rows an [`IdleOrbit`] holds at most. The default 6×6 orbit closes at
 /// 155 rows; a `λ = 1.0` orbit only decays geometrically toward its
 /// fixed point, so it is cut off here and a scaler idling past the cut
@@ -248,8 +251,11 @@ fn strict_argmax(weights: &[f64], n_mem: usize) -> Option<(usize, usize)> {
 
 /// Eq. 4 over the full table for one finite, clamped observation, then
 /// renormalized by the max: the update every step off the idle orbit
-/// takes, and the one the orbit is built with.
-fn eq4(weights: &mut [f64], model: &LossModel, params: &WmaParams, u_core: f64, u_mem: f64) {
+/// takes, and the one the orbit is built with. Returns whether it left
+/// every weight's bits as they were, when it can tell without a copy:
+/// with the new maximum at exactly 1.0 the renormalization changes no
+/// bit; under any other maximum it answers `false`.
+fn eq4(weights: &mut [f64], model: &LossModel, params: &WmaParams, u_core: f64, u_mem: f64) -> bool {
     let one_minus_beta = 1.0 - params.beta;
     // Eq. 3 is separable: each level's weighted domain loss is taken
     // once, and pair (i, j) adds the two terms as `LossModel::loss`
@@ -258,22 +264,27 @@ fn eq4(weights: &mut [f64], model: &LossModel, params: &WmaParams, u_core: f64, 
     let core = LevelTerms::new(n_core, |i| model.core_term(i, u_core));
     let mem = LevelTerms::new(n_mem, |j| model.mem_term(j, u_mem));
     let mut max_w = 0.0f64;
+    let mut unchanged = true;
     for (i, row) in weights.chunks_exact_mut(n_mem).enumerate() {
         let core_term = core.get(i);
         for (j, w) in row.iter_mut().enumerate() {
             let loss = core_term + mem.get(j);
             debug_assert!((0.0..=1.0 + 1e-12).contains(&loss), "loss out of [0,1]");
-            *w = w.powf(params.history) * (1.0 - one_minus_beta * loss);
-            max_w = max_w.max(*w);
+            let updated = w.powf(params.history) * (1.0 - one_minus_beta * loss);
+            unchanged &= updated.to_bits() == w.to_bits();
+            *w = updated;
+            max_w = max_w.max(updated);
         }
     }
     // Renormalize by the max so weights never underflow; the argmax is
     // unaffected.
-    if max_w > 0.0 {
+    if max_w > 0.0 && max_w.to_bits() != MAX_WEIGHT_BITS {
         for w in weights {
             *w /= max_w;
         }
+        return false;
     }
+    unchanged
 }
 
 /// The weight table's decision fingerprint: its exact bit patterns,
@@ -570,10 +581,27 @@ impl FreqPolicy for WmaScaler {
     }
 
     /// Settled once the scaler is on the idle orbit at or past its settle
-    /// row.
+    /// row, or off the orbit with pair `(0, 0)` at weight exactly 1.0.
+    ///
+    /// Off the orbit the claim rests on Eq. 4 itself: at exactly-idle
+    /// utilization the lowest pair's loss is exactly 0, so its factor is
+    /// exactly 1 and every other pair's is at most 1. A weight of 1.0 then
+    /// stays 1.0 (`1.0.powf(λ) · 1`), the table's maximum stays 1.0, the
+    /// renormalizing division by it changes no bit, and the argmax's
+    /// first-maximum rule keeps `(0, 0)` under every mask that admits it.
+    /// No step of that path is precomputed, so the count is unbounded and
+    /// the path claims no fixed point: such a node coasts until something
+    /// touches it.
     fn idle_settled(&self) -> Option<IdleSettle> {
+        let Some(row) = self.orbit_row else {
+            let first_is_one = self.weights.first().is_some_and(|w| w.to_bits() == MAX_WEIGHT_BITS);
+            return first_is_one.then_some(IdleSettle {
+                pair: (0, 0),
+                steps_left: u64::MAX,
+                fixed_point: false,
+            });
+        };
         let orbit = self.orbit.as_ref()?;
-        let row = self.orbit_row?;
         let (settle_row, pair) = orbit.settle?;
         (row >= settle_row).then(|| IdleSettle {
             pair,
@@ -586,7 +614,9 @@ impl FreqPolicy for WmaScaler {
     /// and the orbit position end where `steps` calls of
     /// `observe(0.0, 0.0)` leave them, with no telemetry recorded. Along
     /// the idle orbit the whole jump is one row copy; only steps past the
-    /// end of a cut-off orbit, or taken off the orbit, compute Eq. 4.
+    /// end of a cut-off orbit, or taken off the orbit, compute Eq. 4, and
+    /// only until one leaves the table bit for bit unchanged: every later
+    /// idle step is the same identity, so the rest are only counted.
     fn fast_forward_idle(&mut self, steps: u64) {
         let mut left = steps;
         while left > 0 {
@@ -611,8 +641,16 @@ impl FreqPolicy for WmaScaler {
                     continue;
                 }
             }
-            self.learn(0.0, 0.0);
+            // Off the orbit, or past the end of a cut one: the idle step
+            // `learn` computes.
+            self.orbit_row = None;
+            let fixed = eq4(&mut self.weights, self.tracker.model(), &self.params, 0.0, 0.0);
+            self.intervals += 1;
             left -= 1;
+            if fixed {
+                self.intervals += left;
+                left = 0;
+            }
         }
     }
 
@@ -1146,7 +1184,7 @@ mod tests {
     }
 
     #[test]
-    fn a_cut_orbit_never_settles_past_its_last_row() {
+    fn a_cut_orbit_counts_down_to_its_last_row_then_settles_off_it() {
         let p = WmaParams {
             history: 0.95,
             ..WmaParams::default()
@@ -1170,7 +1208,17 @@ mod tests {
             s.observe(0.0, 0.0);
         }
         assert_eq!(s.orbit_row, None, "the step past the last row is computed");
-        assert_eq!(s.idle_settled(), None);
+        // Off the orbit the lowest pair still holds weight 1.0, so the
+        // decision stays settled, with no precomputed path to count down.
+        assert_eq!(pair, (0, 0));
+        assert_eq!(s.weights[0].to_bits(), MAX_WEIGHT_BITS);
+        assert_eq!(MAX_WEIGHT_BITS, 1.0f64.to_bits());
+        let off = IdleSettle {
+            pair: (0, 0),
+            steps_left: u64::MAX,
+            fixed_point: false,
+        };
+        assert_eq!(s.idle_settled(), Some(off));
         // A fast-forward across the cut computes the same steps.
         let mut jumped = WmaScaler::new(6, 6, p);
         jumped.fast_forward_idle(last as u64 + 3);
@@ -1179,6 +1227,7 @@ mod tests {
         }
         assert_eq!(bits(&jumped.weights), bits(&s.weights));
         assert_eq!((jumped.intervals(), jumped.orbit_row), (s.intervals(), None));
+        assert_eq!(jumped.idle_settled(), Some(off));
     }
 
     #[test]

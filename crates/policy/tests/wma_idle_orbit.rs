@@ -10,9 +10,12 @@
 //! count and the snapshot text agree bit for bit, and the decision
 //! fingerprint changes on exactly the steps the reference's weights
 //! change. A restored snapshot taken on the orbit resumes on it (its
-//! idle decision can settle again); one taken off it stays off.
+//! idle decision can settle again); one taken off it stays off, and
+//! settles there only once its lowest pair weighs 1.0. Off the orbit, a
+//! table led by the lowest pair keeps it through every idle step, and an
+//! idle fast-forward equals its steps taken one by one.
 
-use greengpu_policy::{FreqPolicy, LossModel, WmaParams, WmaScaler};
+use greengpu_policy::{FreqPolicy, IdleSettle, LossModel, WmaParams, WmaScaler};
 use greengpu_sim::{JsonValue, JsonWriter};
 use proptest::prelude::*;
 
@@ -342,22 +345,42 @@ fn a_snapshot_taken_on_the_idle_orbit_resumes_on_it() {
     }
 }
 
+/// The settle a WMA table reports off the idle orbit once its lowest
+/// pair holds weight 1.0: that pair, with no path to count down.
+const OFF_ORBIT: IdleSettle = IdleSettle {
+    pair: (0, 0),
+    steps_left: u64::MAX,
+    fixed_point: false,
+};
+
 #[test]
 fn a_snapshot_taken_off_the_idle_orbit_stays_off_it() {
     let p = WmaParams::default();
-    // Busy first: the idle steps after it compute.
+    // Busy first: the idle steps after it compute. A restored copy is off
+    // the orbit too: it settles only once its lowest pair weighs 1.0, and
+    // then with the off-orbit count, never on an orbit row's.
     let mut busy = WmaScaler::new(6, 6, p);
     busy.observe(0.6, 0.1);
-    busy.fast_forward_idle(30);
     let text = JsonWriter::render(|w| busy.snapshot(w));
-    assert_eq!(restored(p, &text).idle_settled(), None);
+    assert!(busy.weight(0, 0) < 1.0);
+    assert_eq!(restored(p, &text).idle_settled(), None, "the busy pair still leads");
+    busy.fast_forward_idle(30);
+    assert_eq!(busy.idle_settled(), Some(OFF_ORBIT));
+    let text = JsonWriter::render(|w| busy.snapshot(w));
+    assert_eq!(restored(p, &text).idle_settled(), Some(OFF_ORBIT));
     // On-orbit weights under an interval count that names another row.
     let mut idle = WmaScaler::new(6, 6, p);
     idle.fast_forward_idle(30);
+    let on_orbit = idle.idle_settled().expect("past the settle row");
+    assert!(on_orbit.steps_left < u64::MAX, "{on_orbit:?}");
     let text = JsonWriter::render(|w| idle.snapshot(w)).replace("\"intervals\":30", "\"intervals\":31");
     assert!(text.contains("\"intervals\":31"), "{text}");
     let mut off = restored(p, &text);
-    assert_eq!(off.idle_settled(), None, "row 30's weights are not row 31");
+    assert_eq!(
+        off.idle_settled(),
+        Some(OFF_ORBIT),
+        "row 30's weights are not row 31: settled off the orbit"
+    );
     assert_eq!(off.decision_fingerprint(), idle.decision_fingerprint());
     // Both still learn the computed update exactly.
     let mut r = Reference::new(6, 6, p);
@@ -370,4 +393,126 @@ fn a_snapshot_taken_off_the_idle_orbit_stays_off_it() {
         r.learn(0.0, 0.0);
     }
     assert_eq!(JsonWriter::render(|w| off.snapshot(w)), r.snapshot());
+    assert_eq!(off.idle_settled(), Some(OFF_ORBIT));
+}
+
+/// A snapshot of `weights` after `intervals` intervals, as `snapshot`
+/// writes one.
+fn snapshot_text(weights: &[f64], intervals: u64) -> String {
+    JsonWriter::render(|w| {
+        w.obj(|w| {
+            w.key("weights").f64s(weights);
+            w.key("intervals").u64(intervals);
+            w.key("empty_mask_fallbacks").u64(0);
+        });
+    })
+}
+
+/// A weight in `[0, 1]`: exactly 1.0 (a tie with the lowest pair) one
+/// time in four.
+fn weight() -> impl Strategy<Value = f64> {
+    (0usize..4, 0.0f64..1.0).prop_map(|(k, w)| if k == 0 { 1.0 } else { w })
+}
+
+/// A learner off the idle orbit: random weights restored under a random
+/// interval count, or a random busy stream followed by idle steps.
+fn off_orbit() -> impl Strategy<Value = (WmaParams, Vec<f64>, u64, Vec<(f64, f64)>, usize)> {
+    (
+        (0usize..3).prop_map(|k| WmaParams {
+            history: [0.8, 0.5, 1.0][k],
+            ..WmaParams::default()
+        }),
+        proptest::collection::vec(weight(), 36..37),
+        0u64..400,
+        proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..6),
+        0usize..200,
+    )
+}
+
+/// Builds the learner `off_orbit` describes: the restored table when the
+/// busy stream is empty, else a fresh learner through the stream and
+/// `idle` idle steps.
+fn build_off_orbit(params: WmaParams, weights: &[f64], intervals: u64, busy: &[(f64, f64)], idle: usize) -> WmaScaler {
+    if busy.is_empty() {
+        return restored(params, &snapshot_text(weights, intervals));
+    }
+    let mut s = WmaScaler::new(6, 6, params);
+    for &(uc, um) in busy {
+        s.observe(uc, um);
+    }
+    for _ in 0..idle {
+        s.observe(0.0, 0.0);
+    }
+    s
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Off the orbit, a table whose lowest pair weighs exactly 1.0 keeps
+    /// that pair as the first maximum through every later idle step,
+    /// under every mask that admits it, and keeps reporting the off-orbit
+    /// settle; a table whose lowest pair weighs less reports none.
+    fn an_off_orbit_table_led_by_the_lowest_pair_keeps_it_under_every_idle_step(
+        (params, mut weights, intervals, busy, idle) in off_orbit(),
+        masks in proptest::collection::vec(mask(), 1..300),
+    ) {
+        weights[0] = 1.0;
+        let mut s = build_off_orbit(params, &weights, intervals, &busy, idle);
+        let lead = s.weight(0, 0).to_bits() == 1.0f64.to_bits();
+        prop_assert_eq!(s.idle_settled(), lead.then_some(OFF_ORBIT));
+        prop_assume!(lead);
+        for (k, mask) in masks.into_iter().enumerate() {
+            let admits = |i: usize, j: usize| (i, j) == (0, 0) || mask.admits(i, j);
+            let pair = if k % 2 == 0 {
+                s.decide(0.0, 0.0, &admits)
+            } else {
+                s.observe_masked(0.0, 0.0, admits)
+            };
+            prop_assert_eq!(pair, (0, 0), "idle step {}", k);
+            prop_assert_eq!(s.weight(0, 0).to_bits(), 1.0f64.to_bits(), "idle step {}", k);
+            prop_assert_eq!(s.idle_settled(), Some(OFF_ORBIT), "idle step {}", k);
+            for other in [Mask::Stripe(0), Mask::Stripe(3)] {
+                let admits = |i: usize, j: usize| (i, j) == (0, 0) || other.admits(i, j);
+                prop_assert_eq!(s.argmax_masked(admits), Some((0, 0)));
+            }
+        }
+    }
+
+    /// `fast_forward_idle(k)` leaves what `k` idle observations leave, bit
+    /// for bit, from on the orbit and off it, whether or not the computed
+    /// steps reach a fixed point before the `k`-th.
+    fn a_fast_forward_equals_that_many_idle_observations(
+        (params, weights, intervals, busy, idle) in off_orbit(),
+        on_orbit in any::<bool>(),
+        k in 0u64..600,
+    ) {
+        let start = |_: ()| if on_orbit {
+            let mut s = WmaScaler::new(6, 6, params);
+            s.fast_forward_idle(idle as u64);
+            s
+        } else {
+            build_off_orbit(params, &weights, intervals, &busy, idle)
+        };
+        let (mut jumped, mut stepped) = (start(()), start(()));
+        jumped.fast_forward_idle(k);
+        for _ in 0..k {
+            stepped.observe(0.0, 0.0);
+        }
+        for i in 0..6 {
+            for j in 0..6 {
+                prop_assert_eq!(jumped.weight(i, j).to_bits(), stepped.weight(i, j).to_bits());
+            }
+        }
+        prop_assert_eq!(jumped.intervals(), stepped.intervals());
+        prop_assert_eq!(jumped.idle_settled(), stepped.idle_settled());
+        prop_assert_eq!(jumped.decision_fingerprint(), stepped.decision_fingerprint());
+        prop_assert_eq!(
+            JsonWriter::render(|w| jumped.snapshot(w)),
+            JsonWriter::render(|w| stepped.snapshot(w))
+        );
+        // And from there one more idle step agrees too.
+        prop_assert_eq!(jumped.observe(0.0, 0.0), stepped.observe(0.0, 0.0));
+        prop_assert_eq!(jumped.decision_fingerprint(), stepped.decision_fingerprint());
+    }
 }
