@@ -112,10 +112,14 @@
 //!   same arguments, only later. A count that ran out on a park
 //!   transition ends on the transition tick, at its own instant, and the
 //!   node syncs and parks there (`Node::coast`);
-//! * dispatch lists LeastLoaded's candidates from the slots, checking each
-//!   candidate's node, rack and zone breakers, builds the whole mask only
-//!   for a policy that reads it and nothing when the queue is empty, and
-//!   merges the nodes it placed into the busy list.
+//! * LeastLoaded picks from an **ordered index** of the idle nodes, keyed
+//!   by (`busy_s` by `total_cmp`, id): an idle node's `busy_s` does not
+//!   move, so the index changes only when a node takes a job, or finishes
+//!   or loses one, and its first entry that is live, healthy, let through
+//!   by its node, rack and zone breakers and outside an avoided rack is
+//!   the walk's first minimum. Dispatch builds the whole mask only for a
+//!   policy that reads it, and nothing when the queue is empty, and merges
+//!   the nodes it placed into the busy list.
 //!
 //! The skipped work that is *not* bit-preserved is confined to
 //! unobservable telemetry. For coasted and parked ticks alike: the
@@ -149,7 +153,7 @@ use crate::topology::TopologyIndex;
 use greengpu_hw::{ChaosEvent, ChaosKind, DomainChaosEvent, DomainChaosKind};
 use greengpu_sim::{EventQueue, SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Which fleet engine executes the run. Both are equivalent —
 /// byte-identical outputs per seed — and stay selectable so the serial
@@ -186,8 +190,8 @@ impl EngineKind {
 
 /// Event payloads on the fleet spine.
 pub(crate) enum Event {
-    /// Index into the pre-generated arrival vector.
-    Arrival(usize),
+    /// A job, drawn from the arrival stream as the spine reaches it.
+    Arrival(JobSpec),
     /// A control tick.
     Tick,
     /// Index into the pre-generated chaos event vector (crashes and
@@ -197,6 +201,73 @@ pub(crate) enum Event {
     /// (rack power losses, zone thermal emergencies, zone partitions) —
     /// only present on hierarchical runs.
     Domain(usize),
+}
+
+/// The fleet's event spine: a control tick every period from zero
+/// through the horizon, the arrival stream, and the chaos and domain
+/// events. At one instant the tick comes first, so a job arriving then
+/// waits for the next tick; then the arrivals, by id; then node chaos,
+/// so a crash at a tick or arrival instant lands after them and the
+/// crashed node's cap is reclaimed at the next tick; then domain events,
+/// so a rack loss lands on top of whatever node chaos that instant
+/// applied. The spine holds the next tick's instant, the chaos and domain
+/// events, and the one arrival it drew ahead: a single-stream run's
+/// memory does not grow with its arrivals (a serving run's stream walks a
+/// list generated up front).
+pub(crate) struct Spine<'a> {
+    /// The next control tick; `None` past the horizon.
+    next_tick: Option<SimTime>,
+    period: SimDuration,
+    end: SimTime,
+    arrivals: std::iter::Peekable<Box<dyn Iterator<Item = JobSpec> + 'a>>,
+    /// Node chaos, then domain events, each in index order; the queue
+    /// breaks a tie at one instant by that order.
+    chaos: EventQueue<Event>,
+}
+
+impl<'a> Spine<'a> {
+    /// Ticks every `period` through `horizon`, the `arrivals` (in arrival
+    /// order), and the `chaos` and `domain` events.
+    pub fn new(
+        period: SimDuration,
+        horizon: SimDuration,
+        arrivals: Box<dyn Iterator<Item = JobSpec> + 'a>,
+        chaos: &[ChaosEvent],
+        domain: &[DomainChaosEvent],
+    ) -> Self {
+        let mut queue = EventQueue::new();
+        for (i, ev) in chaos.iter().enumerate() {
+            queue.schedule(ev.at, Event::Chaos(i));
+        }
+        for (i, ev) in domain.iter().enumerate() {
+            queue.schedule(ev.at, Event::Domain(i));
+        }
+        Spine {
+            next_tick: Some(SimTime::ZERO),
+            period,
+            end: SimTime::ZERO + horizon,
+            arrivals: arrivals.peekable(),
+            chaos: queue,
+        }
+    }
+
+    /// The next event and its instant, `None` past the last one.
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        let arrival = self.arrivals.peek().map(|job| job.arrival);
+        let other = self.chaos.peek_time();
+        // `at` pops before the next event of a class that comes later at
+        // one instant.
+        let first = |at: SimTime, later: Option<SimTime>| later.is_none_or(|l| at <= l);
+        if let Some(tick) = self.next_tick.filter(|&k| first(k, arrival) && first(k, other)) {
+            let next = tick + self.period;
+            self.next_tick = (next <= self.end).then_some(next);
+            return Some((tick, Event::Tick));
+        }
+        if arrival.is_some_and(|a| first(a, other)) {
+            return self.arrivals.next().map(|job| (job.arrival, Event::Arrival(job)));
+        }
+        self.chaos.pop()
+    }
 }
 
 /// Everything the hierarchy adds to a run: the cascading budget tree,
@@ -214,6 +285,9 @@ pub(crate) struct GeoState<'a> {
     pub zone_breakers: Vec<CircuitBreaker>,
     pub domain_records: Vec<DomainOutageRecord>,
     pub rows: Vec<GeoTraceRow>,
+    /// Live nodes per rack, zone and region, refilled for each interval's
+    /// rows.
+    up: [Vec<usize>; 3],
     pub rack_losses: u64,
     pub zone_thermal_emergencies: u64,
     pub zone_partitions: u64,
@@ -237,6 +311,11 @@ impl<'a> GeoState<'a> {
                 .collect(),
             domain_records: Vec::new(),
             rows: Vec::new(),
+            up: [
+                vec![0; index.n_racks()],
+                vec![0; index.n_zones()],
+                vec![0; index.n_regions()],
+            ],
             rack_losses: 0,
             zone_thermal_emergencies: 0,
             zone_partitions: 0,
@@ -260,12 +339,11 @@ pub(crate) struct DriveOutcome {
     pub stray_blackout_events: u64,
 }
 
-/// The inputs every engine drives from.
+/// The inputs every engine drives from, besides the [`Spine`], which
+/// carries the arrivals.
 pub(crate) struct DriveInputs<'a> {
     pub cfg: &'a FleetConfig,
-    /// The arrivals `Event::Arrival` indexes; the spine moves each job
-    /// out as it arrives.
-    pub jobs: Vec<JobSpec>,
+    /// The node chaos events `Event::Chaos` indexes.
     pub chaos_events: &'a [ChaosEvent],
     pub budget_mw: MilliWatts,
 }
@@ -274,7 +352,7 @@ pub(crate) struct DriveInputs<'a> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive(
     inp: DriveInputs,
-    spine: EventQueue<Event>,
+    spine: Spine,
     nodes: &mut [Node],
     scheduler: &mut Scheduler,
     breakers: &mut [CircuitBreaker],
@@ -511,6 +589,44 @@ struct EventDriven {
     /// The dispatch mask, built in a dispatch call only if its policy
     /// reads it.
     mask: Vec<bool>,
+    /// Every node without a job. An idle node's `busy_s` does not move,
+    /// so an entry changes only when its node takes a job (placement) or
+    /// finishes or loses one (its drop from `busy`). Built at the first
+    /// LeastLoaded pick, so no other policy keeps it.
+    idle: Option<IdleIndex>,
+}
+
+/// Nodes as (`busy_s`, id) in LeastLoaded's order: `busy_s` by
+/// [`f64::total_cmp`], ties to the lowest id.
+struct IdleIndex(BTreeSet<(i64, usize)>);
+
+impl IdleIndex {
+    /// `busy_s` as an integer whose order is [`f64::total_cmp`]'s: the
+    /// sign bit flips the rest of a negative value's bits.
+    fn key(busy_s: f64, i: usize) -> (i64, usize) {
+        let bits = busy_s.to_bits() as i64;
+        (bits ^ (((bits >> 63) as u64) >> 1) as i64, i)
+    }
+
+    fn insert(&mut self, busy_s: f64, i: usize) {
+        self.0.insert(Self::key(busy_s, i));
+    }
+
+    /// Takes node `i` out; whether it was listed.
+    fn remove(&mut self, busy_s: f64, i: usize) -> bool {
+        self.0.remove(&Self::key(busy_s, i))
+    }
+
+    /// The first node in that order that `ok` accepts.
+    fn first(&self, ok: impl Fn(usize) -> bool) -> Option<usize> {
+        self.0.iter().map(|&(_, i)| i).find(|&i| ok(i))
+    }
+}
+
+impl FromIterator<(f64, usize)> for IdleIndex {
+    fn from_iter<I: IntoIterator<Item = (f64, usize)>>(iter: I) -> Self {
+        IdleIndex(iter.into_iter().map(|(busy_s, i)| Self::key(busy_s, i)).collect())
+    }
 }
 
 /// A node's place in the event-driven schedule.
@@ -624,6 +740,7 @@ impl EventDriven {
             checkpoint_sweep: 0,
             due: BinaryHeap::new(),
             mask: Vec::new(),
+            idle: None,
         }
     }
 
@@ -711,7 +828,11 @@ impl Schedule for EventDriven {
         // by window, then node id.
         self.busy.retain(|&i| {
             self.finished.extend(nodes[i].advance_windows(&self.windows));
-            !nodes[i].is_idle()
+            let idle = nodes[i].is_idle();
+            if let Some(index) = self.idle.as_mut().filter(|_| idle) {
+                index.insert(nodes[i].busy_s(), i);
+            }
+            !idle
         });
         self.finished.sort_by_key(|&(w, _)| w);
         for (_, record) in self.finished.drain(..) {
@@ -899,10 +1020,11 @@ impl Schedule for EventDriven {
     }
 }
 
-/// One event-driven dispatch call: LeastLoaded's candidates come from the
-/// slots, with each breaker checked per candidate; a policy that reads the
-/// whole mask gets it built once; and each node placed is credited, woken
-/// and listed busy before it takes its job.
+/// One event-driven dispatch call: LeastLoaded picks from the index of
+/// idle nodes, checking each entry's slot and its node, rack and zone
+/// breakers; a policy that reads the whole mask gets it built once; and
+/// each node placed leaves the index and is credited, woken and listed
+/// busy before it takes its job.
 struct Placing<'a, 'g> {
     engine: &'a mut EventDriven,
     gate: &'a Gate<'g>,
@@ -916,22 +1038,33 @@ impl Placement for Placing<'_, '_> {
         &self.engine.mask
     }
 
-    fn least_loaded(&mut self, nodes: &[Node], free: &mut Vec<(f64, usize)>) {
-        for (i, slot) in self.engine.slots.iter().enumerate() {
-            let busy_s = match slot {
-                Slot::Dark => continue,
+    fn least_loaded(&mut self, nodes: &[Node], eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        let EventDriven { slots, idle, .. } = &mut *self.engine;
+        let index = idle.get_or_insert_with(|| {
+            (0..nodes.len())
+                .filter_map(|i| match slots[i] {
+                    // Resting: idle, with its `busy_s` in the slot.
+                    Slot::Settled(f) => Some((f.busy_s, i)),
+                    _ => nodes[i].is_idle().then(|| (nodes[i].busy_s(), i)),
+                })
+                .collect()
+        });
+        index.first(|i| {
+            let up = match slots[i] {
+                Slot::Dark => false,
                 // Resting: idle, healthy and `Up`.
-                Slot::Settled(f) => f.busy_s,
-                Slot::Awake | Slot::Fresh if available(&nodes[i], &[]) => nodes[i].busy_s(),
-                Slot::Awake | Slot::Fresh => continue,
+                Slot::Settled(_) => true,
+                Slot::Awake | Slot::Fresh => available(&nodes[i], &[]),
             };
-            if self.gate.allows(i) {
-                free.push((busy_s, i));
-            }
-        }
+            up && eligible(i) && self.gate.allows(i)
+        })
     }
 
     fn placing(&mut self, node: &mut Node, i: usize) {
+        if let Some(index) = self.engine.idle.as_mut() {
+            let listed = index.remove(node.busy_s(), i);
+            debug_assert!(listed, "node {i} took a job but was not indexed idle");
+        }
         self.engine.unsettle(node, i);
         self.engine.slots[i] = Slot::Awake;
         self.engine.busy.push(i);
@@ -1136,10 +1269,11 @@ fn fill_domain_records(g: &mut GeoState) {
 fn push_geo_rows<S: Schedule>(g: &mut GeoState, engine: &mut S, nodes: &[Node], t: SimTime, interval: u64) {
     let index = g.index;
     let time_s = t.saturating_since(SimTime::ZERO).as_secs_f64();
-    let mut rack_up = vec![0usize; index.n_racks()];
-    let mut zone_up = vec![0usize; index.n_zones()];
-    let mut region_up = vec![0usize; index.n_regions()];
-    engine.count_up(nodes, &index.rack_of, &mut rack_up);
+    for count in &mut g.up {
+        count.fill(0);
+    }
+    let [rack_up, zone_up, region_up] = &mut g.up;
+    engine.count_up(nodes, &index.rack_of, rack_up);
     for (r, &up) in rack_up.iter().enumerate() {
         zone_up[index.zone_of_rack[r]] += up;
     }
@@ -1192,7 +1326,7 @@ fn push_geo_rows<S: Schedule>(g: &mut GeoState, engine: &mut S, nodes: &[Node], 
 fn run_spine<S: Schedule>(
     mut engine: S,
     inp: DriveInputs,
-    mut spine: EventQueue<Event>,
+    mut spine: Spine,
     nodes: &mut [Node],
     scheduler: &mut Scheduler,
     breakers: &mut [CircuitBreaker],
@@ -1202,7 +1336,6 @@ fn run_spine<S: Schedule>(
 ) -> DriveOutcome {
     let DriveInputs {
         cfg,
-        jobs,
         chaos_events,
         budget_mw,
     } = inp;
@@ -1218,7 +1351,6 @@ fn run_spine<S: Schedule>(
     if let Some(g) = geo.as_deref() {
         engine.attach(g.index);
     }
-    let mut jobs: Vec<Option<JobSpec>> = jobs.into_iter().map(Some).collect();
     let mut done = Completions::default();
     // Completion records the breaker step has seen.
     let mut scanned = 0;
@@ -1239,11 +1371,7 @@ fn run_spine<S: Schedule>(
         }
         t = at;
         match event {
-            Event::Arrival(i) => {
-                if let Some(job) = jobs[i].take() {
-                    dispatcher.on_arrival(job, scheduler, t);
-                }
-            }
+            Event::Arrival(job) => dispatcher.on_arrival(job, scheduler, t),
             Event::Chaos(i) => {
                 let caps = geo.as_deref().map_or(flat.caps(), |g| g.tree.leaf_caps());
                 apply_chaos(
@@ -1460,14 +1588,13 @@ mod tests {
                 node: 0,
                 kind: ChaosKind::TelemetryBlackout { duration_s: 1.0 },
             }];
-            let mut spine: EventQueue<Event> = EventQueue::new();
-            let mut tick_at = SimTime::ZERO;
-            let end = SimTime::ZERO + cfg.horizon;
-            while tick_at <= end {
-                spine.schedule(tick_at, Event::Tick);
-                tick_at += cfg.control_period;
-            }
-            spine.schedule(chaos_events[0].at, Event::Chaos(0));
+            let spine = Spine::new(
+                cfg.control_period,
+                cfg.horizon,
+                Box::new(std::iter::empty()),
+                &chaos_events,
+                &[],
+            );
             let mut scheduler = Scheduler::new(cfg.policy, cfg.queue_capacity);
             let mut breakers: Vec<CircuitBreaker> = (0..nodes.len())
                 .map(|_| CircuitBreaker::new(cfg.lifecycle.breaker_cooldown_s, cfg.lifecycle.breaker_max_backoff_exp))
@@ -1480,7 +1607,6 @@ mod tests {
             let mut dispatcher = TenantDispatcher::passthrough();
             let inputs = DriveInputs {
                 cfg: &cfg,
-                jobs: Vec::new(),
                 chaos_events: &chaos_events,
                 budget_mw: 1_000_000,
             };
@@ -1535,9 +1661,10 @@ mod tests {
         (nodes, engine)
     }
 
-    /// LeastLoaded dispatch through the event-driven schedule lists its
-    /// candidates from the slots, reading a settled node's `busy_s` there
-    /// and checking its node, rack and zone breakers one by one. It must
+    /// LeastLoaded dispatch through the event-driven schedule picks from
+    /// its index of idle nodes, built from the slots (a settled node's
+    /// `busy_s` is read there), checking each entry's node, rack and zone
+    /// breakers one by one. It must
     /// pick exactly what `pick_node` picks, asked afresh for each job
     /// under the whole mask (with a rack-filtered mask first for a tagged
     /// job), and merge the placed nodes into the busy list in id order.
@@ -1754,12 +1881,30 @@ mod tests {
         }
     }
 
+    /// A planted job of `size` on workload `w` (0 hotspot, 1 kmeans)
+    /// arriving at `at`.
+    fn planted_job(id: u64, at: SimTime, w: usize, size: f64) -> JobSpec {
+        JobSpec {
+            id,
+            workload: ["hotspot", "kmeans"][w].to_string(),
+            arrival: at,
+            size,
+            deadline: None,
+            tenant: 0,
+        }
+    }
+
     /// Drives `engine` over a 1×5×2×3 geo fleet (30 idle nodes, zone `z`
     /// holding nodes `6z..6z+6`, rack `r` nodes `3r..3r+3`) through a
-    /// planted spine: a tick each second to 100 s, one job arriving at
-    /// 33.3 s, and the `chaos` and `domain` events. Returns everything the
+    /// planted spine: a tick each second to 100 s, the `jobs` (in arrival
+    /// order), and the `chaos` and `domain` events. Returns everything the
     /// run reports, and the nodes.
-    fn run_planted<S: Schedule>(engine: S, chaos: &[ChaosEvent], domain: &[DomainChaosEvent]) -> (String, Vec<Node>) {
+    fn run_planted<S: Schedule>(
+        engine: S,
+        jobs: &[JobSpec],
+        chaos: &[ChaosEvent],
+        domain: &[DomainChaosEvent],
+    ) -> (String, Vec<Node>) {
         use crate::topology::Topology;
         let cfg = crate::FleetConfig::homogeneous(30, 0.8, Policy::LeastLoaded, SimDuration::from_secs(100), 0x57A4)
             .with_topology(Topology::uniform(1, 5, 2, 3));
@@ -1776,27 +1921,13 @@ mod tests {
             .collect();
         let index = cfg.topology.as_ref().map(|t| t.index()).expect("a geo fleet");
         let mut geo = GeoState::new(&index, domain, &cfg.lifecycle);
-        let job = JobSpec {
-            id: 0,
-            workload: mix[0].clone(),
-            arrival: SimTime::from_micros(33_300_000),
-            size: 1.0,
-            deadline: None,
-            tenant: 0,
-        };
-        let mut spine: EventQueue<Event> = EventQueue::new();
-        let mut tick_at = SimTime::ZERO;
-        while tick_at <= SimTime::ZERO + cfg.horizon {
-            spine.schedule(tick_at, Event::Tick);
-            tick_at += cfg.control_period;
-        }
-        spine.schedule(job.arrival, Event::Arrival(0));
-        for (i, ev) in chaos.iter().enumerate() {
-            spine.schedule(ev.at, Event::Chaos(i));
-        }
-        for (i, ev) in domain.iter().enumerate() {
-            spine.schedule(ev.at, Event::Domain(i));
-        }
+        let spine = Spine::new(
+            cfg.control_period,
+            cfg.horizon,
+            Box::new(jobs.iter().cloned()),
+            chaos,
+            domain,
+        );
         let lc = &cfg.lifecycle;
         let mut scheduler = Scheduler::new(cfg.policy, cfg.queue_capacity);
         let mut breakers: Vec<CircuitBreaker> = (0..nodes.len())
@@ -1805,7 +1936,6 @@ mod tests {
         let mut retry = RetryQueue::new(lc.max_retries, lc.retry_backoff_s, lc.dead_letter_capacity);
         let inputs = DriveInputs {
             cfg: &cfg,
-            jobs: vec![job],
             chaos_events: chaos,
             budget_mw: crate::power::mw_floor(cfg.budget_w),
         };
@@ -1836,7 +1966,9 @@ mod tests {
             "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
             out.rows, out.completed, out.crash_records, geo.rows, geo.domain_records, counters
         );
-        (report, nodes)
+        let fleet_csv = crate::FleetTrace { rows: out.rows }.to_table("planted").to_csv();
+        let geo_csv = crate::GeoTrace { rows: geo.rows }.to_table("planted").to_csv();
+        (format!("{report}\n{fleet_csv}\n{geo_csv}"), nodes)
     }
 
     /// Every kind of wake lands on a settled coasting node with a
@@ -1881,12 +2013,13 @@ mod tests {
             inner: EventDriven::new(30),
             log: &mut log,
         };
-        let (got, nodes) = run_planted(spy, &chaos, &domains);
+        let job = [planted_job(0, SimTime::from_micros(33_300_000), 0, 1.0)];
+        let (got, nodes) = run_planted(spy, &job, &chaos, &domains);
         let eager = Spy {
             inner: Serial::default(),
             log: &mut eager_log,
         };
-        let (want, _) = run_planted(eager, &chaos, &domains);
+        let (want, _) = run_planted(eager, &job, &chaos, &domains);
         assert_eq!(got, want, "the event-driven run diverged from the serial one");
         let (first, eager_first) = (first_wakes(&log), first_wakes(&eager_log));
         for i in (0..9).chain(12..24).chain(27..30) {
@@ -1903,6 +2036,88 @@ mod tests {
         for i in [1, 2, 6, 7, 8, 27, 28, 29] {
             assert!(first[i].as_ref().is_some_and(|w| !w.had_checkpoint), "node {i}");
             assert_eq!((nodes[i].warm_restarts(), nodes[i].cold_restarts()), (1, 0), "node {i}");
+        }
+    }
+
+    /// Arrivals exactly at a tick (20 s), at a tick that a node crash
+    /// (41 s), a zone thermal event (66 s) or a rack power loss (71 s)
+    /// shares, at a mid-interval crash (47.5 s) and a mid-interval zone
+    /// thermal event (77.3 s), and two at one instant (55.55 s). At one
+    /// instant the spine runs the tick, then the arrivals by id, then
+    /// node chaos, then domain events, so each job waits for the tick
+    /// after it and the two at one instant queue in id order. Both
+    /// engines reproduce the digest the spine gave when it held every
+    /// arrival as an event.
+    #[test]
+    fn same_instant_arrivals_keep_the_spine_order() {
+        let at = |s: f64| SimTime::from_secs_f64(s);
+        let node = |at: SimTime, node: usize, kind: ChaosKind| ChaosEvent { at, node, kind };
+        let chaos = [
+            node(at(41.0), 1, ChaosKind::Crash { outage_s: 3.0 }),
+            node(at(47.5), 2, ChaosKind::Crash { outage_s: 3.0 }),
+        ];
+        let domain = |at: SimTime, domain: usize, kind: DomainChaosKind| DomainChaosEvent { at, domain, kind };
+        let domains = [
+            domain(at(66.0), 2, DomainChaosKind::ZoneThermal { duration_s: 5.0 }),
+            domain(at(71.0), 0, DomainChaosKind::RackPowerLoss { outage_s: 4.0 }),
+            domain(at(77.3), 0, DomainChaosKind::ZoneThermal { duration_s: 5.0 }),
+        ];
+        let jobs: Vec<JobSpec> = [
+            (20.0, 0, 0.2),
+            (33.3, 1, 0.4),
+            (41.0, 0, 0.15),
+            (47.5, 1, 0.1),
+            (55.55, 0, 0.3),
+            (55.55, 1, 0.12),
+            (66.0, 0, 0.1),
+            (71.0, 1, 0.1),
+            (77.3, 0, 0.1),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(id, (s, w, size))| planted_job(id as u64, at(s), w, size))
+        .collect();
+        let (serial, _) = run_planted(Serial::default(), &jobs, &chaos, &domains);
+        let (event, _) = run_planted(EventDriven::new(30), &jobs, &chaos, &domains);
+        assert_eq!(event, serial, "the event-driven run diverged from the serial one");
+        let mut h = greengpu_sim::Fnv64::new();
+        serial.bytes().for_each(|b| h.push_byte(b));
+        assert_eq!(h.finish(), 926_298_022_086_828_000, "the planted spine's digest moved");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The idle index picks as the scan-built list does, one pick
+        /// after another over one candidate set: `busy_s` drawn from a few
+        /// values, `0.0` and ties among them, some nodes not candidates,
+        /// and each pick asked first outside a random rack, as a tagged
+        /// retry asks.
+        #[test]
+        fn index_picks_as_take_least_loaded(
+            nodes in proptest::collection::vec((0usize..6, proptest::prelude::any::<bool>()), 1..48),
+            avoid in proptest::collection::vec(0usize..5, 1..60),
+        ) {
+            let values = [0.0, 0.0, 1.5, 1.5, 2.25, 1e9];
+            let rack_of = |i: usize| i / 4;
+            let mut free: Vec<(f64, usize)> = nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, &(_, candidate))| candidate)
+                .map(|(i, &(v, _))| (values[v], i))
+                .collect();
+            let mut index: IdleIndex = free.iter().copied().collect();
+            for rack in avoid {
+                // Rack 4 and up avoids nothing.
+                let outside = |i: usize| rack >= 4 || rack_of(i) != rack;
+                let want = crate::scheduler::take_least_loaded(&mut free, outside)
+                    .or_else(|| crate::scheduler::take_least_loaded(&mut free, |_| true));
+                let got = index.first(outside).or_else(|| index.first(|_| true));
+                proptest::prop_assert_eq!(got, want);
+                if let Some(i) = got {
+                    proptest::prop_assert!(index.remove(values[nodes[i].0], i));
+                }
+            }
         }
     }
 

@@ -1,9 +1,10 @@
 //! The fleet simulator: nodes + scheduler + power capping + failure
 //! lifecycle on one event spine.
 //!
-//! Three event kinds drive the run: job **arrivals** (pre-generated from
-//! the seed), **control ticks** (fixed period), and **chaos events**
-//! (crashes and thermal emergencies from an optional
+//! Three event kinds drive the run: job **arrivals** (drawn from the
+//! seeded stream as the spine reaches them; a serving run's tenant merge
+//! is generated up front), **control ticks** (fixed period), and **chaos
+//! events** (crashes and thermal emergencies from an optional
 //! [`greengpu_hw::ChaosPlan`]; telemetry blackouts are installed into the
 //! nodes' sensor stacks up front). Between consecutive events every
 //! node's frequency pair is constant, so job progress advances in closed
@@ -34,8 +35,8 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::dispatch::{ServingConfig, TenantDispatcher};
-use crate::engine::{drive, DriveInputs, EngineKind, Event, GeoState};
-use crate::job::{generate_arrivals, ArrivalConfig, JobRecord, JobSpec};
+use crate::engine::{drive, DriveInputs, EngineKind, GeoState, Spine};
+use crate::job::{ArrivalConfig, ArrivalStream, JobRecord, JobSpec};
 use crate::lifecycle::LifecycleParams;
 use crate::node::{Node, NodeConfig, RecoveryRecord};
 use crate::policy::Policy;
@@ -46,7 +47,7 @@ use crate::scheduler::Scheduler;
 use crate::telemetry::{FleetTrace, GeoTrace, ServingTrace};
 use crate::topology::Topology;
 use greengpu_hw::{ChaosEvent, ChaosKind, ChaosPlan, DomainChaosEvent, DomainChaosKind, GpuSpec};
-use greengpu_sim::{EventQueue, SimDuration, SimTime, SplitMix64};
+use greengpu_sim::{SimDuration, SimTime, SplitMix64};
 use greengpu_tenancy::{generate_tenant_arrivals, mix_union};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -608,54 +609,38 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         .collect();
     // Serving runs reuse `arrival_seed` for the tenant streams, so no
     // extra root draw happens and the single-stream golden traces are
-    // untouched.
-    let jobs: Vec<JobSpec> = match &cfg.serving {
-        Some(serving) => generate_tenant_arrivals(arrival_seed, &serving.tenants, cfg.horizon.as_secs_f64())
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let arrival = SimTime::ZERO + SimDuration::from_secs_f64(a.at_s);
-                let deadline = a.deadline_slack.map(|slack| {
-                    let reference = ref_time_s.get(&a.workload).copied().unwrap_or(1.0);
-                    arrival + SimDuration::from_secs_f64(reference * a.size * slack)
-                });
-                JobSpec {
-                    id: i as u64,
-                    workload: a.workload,
-                    arrival,
-                    size: a.size,
-                    deadline,
-                    tenant: a.tenant,
-                }
-            })
-            .collect(),
-        None => generate_arrivals(arrival_seed, &cfg.arrivals, cfg.horizon, &ref_time_s),
+    // untouched. The single stream's jobs are drawn as the spine reaches
+    // them; a serving run's tenant merge is generated up front.
+    let arrivals: Box<dyn Iterator<Item = JobSpec> + '_> = match &cfg.serving {
+        Some(serving) => Box::new(
+            generate_tenant_arrivals(arrival_seed, &serving.tenants, cfg.horizon.as_secs_f64())
+                .into_iter()
+                .enumerate()
+                .map(|(i, a)| {
+                    let arrival = SimTime::ZERO + SimDuration::from_secs_f64(a.at_s);
+                    let deadline = a.deadline_slack.map(|slack| {
+                        let reference = ref_time_s.get(&a.workload).copied().unwrap_or(1.0);
+                        arrival + SimDuration::from_secs_f64(reference * a.size * slack)
+                    });
+                    JobSpec {
+                        id: i as u64,
+                        workload: a.workload,
+                        arrival,
+                        size: a.size,
+                        deadline,
+                        tenant: a.tenant,
+                    }
+                }),
+        ),
+        None => Box::new(ArrivalStream::new(
+            arrival_seed,
+            &cfg.arrivals,
+            cfg.horizon,
+            &ref_time_s,
+        )),
     };
-
-    // Spine: ticks scheduled first so a same-instant arrival waits for
-    // the *next* tick (FIFO tie-break).
-    let mut spine: EventQueue<Event> = EventQueue::new();
-    let mut tick_at = SimTime::ZERO;
+    let spine = Spine::new(cfg.control_period, cfg.horizon, arrivals, &chaos_events, &domain_events);
     let end = SimTime::ZERO + cfg.horizon;
-    while tick_at <= end {
-        spine.schedule(tick_at, Event::Tick);
-        tick_at += cfg.control_period;
-    }
-    for (i, job) in jobs.iter().enumerate() {
-        spine.schedule(job.arrival, Event::Arrival(i));
-    }
-    // Chaos last, so a crash at a tick/arrival instant lands after them:
-    // the crashed node's cap is reclaimed at the *next* tick — within one
-    // interval, as reclamation requires.
-    for (i, ev) in chaos_events.iter().enumerate() {
-        spine.schedule(ev.at, Event::Chaos(i));
-    }
-    // Correlated domain events after per-node chaos at the same instant
-    // (FIFO tie-break), so a rack loss lands on top of whatever node-level
-    // chaos that instant already applied.
-    for (i, ev) in domain_events.iter().enumerate() {
-        spine.schedule(ev.at, Event::Domain(i));
-    }
 
     let mut scheduler = Scheduler::new(cfg.policy, cfg.queue_capacity);
     let mut breakers: Vec<CircuitBreaker> = (0..nodes.len())
@@ -676,7 +661,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 
     let inputs = DriveInputs {
         cfg,
-        jobs,
         chaos_events: &chaos_events,
         budget_mw,
     };

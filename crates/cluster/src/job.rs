@@ -129,28 +129,61 @@ pub fn generate_arrivals(
     horizon: SimDuration,
     ref_time_s: &BTreeMap<String, f64>,
 ) -> Vec<JobSpec> {
-    assert!(cfg.rate_per_s > 0.0, "arrival rate must be positive");
-    assert!(!cfg.mix.is_empty(), "empty workload mix");
-    let root = SplitMix64::new(seed).next_u64();
-    let mut r_gap = Pcg32::new(root, STREAM_INTERARRIVAL);
-    let mut r_mix = Pcg32::new(root, STREAM_MIX);
-    let mut r_size = Pcg32::new(root, STREAM_SIZE);
-    let mut r_dl = Pcg32::new(root, STREAM_DEADLINE);
-    let total_weight: f64 = cfg.mix.iter().map(|(_, w)| w).sum();
+    ArrivalStream::new(seed, cfg, horizon, ref_time_s).collect()
+}
 
-    let mut jobs = Vec::new();
-    let mut t = 0.0f64;
-    let horizon_s = horizon.as_secs_f64();
-    loop {
-        // Exponential interarrival; 1-u keeps the argument strictly
-        // positive.
-        let u = r_gap.next_f64();
-        t += -(1.0 - u).ln() / cfg.rate_per_s;
-        if t >= horizon_s {
-            break;
+/// The jobs [`generate_arrivals`] collects, drawn one per `next` in
+/// arrival order, so a run holds only the next job, not the whole run's.
+pub(crate) struct ArrivalStream<'a> {
+    cfg: &'a ArrivalConfig,
+    ref_time_s: &'a BTreeMap<String, f64>,
+    r_gap: Pcg32,
+    r_mix: Pcg32,
+    r_size: Pcg32,
+    r_dl: Pcg32,
+    total_weight: f64,
+    horizon_s: f64,
+    /// The latest arrival instant, seconds.
+    t: f64,
+    next_id: u64,
+}
+
+impl<'a> ArrivalStream<'a> {
+    /// The stream of `cfg` from `seed` inside `[0, horizon)` (see
+    /// [`generate_arrivals`]).
+    pub fn new(seed: u64, cfg: &'a ArrivalConfig, horizon: SimDuration, ref_time_s: &'a BTreeMap<String, f64>) -> Self {
+        assert!(cfg.rate_per_s > 0.0, "arrival rate must be positive");
+        assert!(!cfg.mix.is_empty(), "empty workload mix");
+        let root = SplitMix64::new(seed).next_u64();
+        ArrivalStream {
+            cfg,
+            ref_time_s,
+            r_gap: Pcg32::new(root, STREAM_INTERARRIVAL),
+            r_mix: Pcg32::new(root, STREAM_MIX),
+            r_size: Pcg32::new(root, STREAM_SIZE),
+            r_dl: Pcg32::new(root, STREAM_DEADLINE),
+            total_weight: cfg.mix.iter().map(|(_, w)| w).sum(),
+            horizon_s: horizon.as_secs_f64(),
+            t: 0.0,
+            next_id: 0,
         }
-        let mut pick = r_mix.next_f64() * total_weight;
-        let mut name = cfg.mix[0].0.as_str();
+    }
+}
+
+impl Iterator for ArrivalStream<'_> {
+    type Item = JobSpec;
+
+    fn next(&mut self) -> Option<JobSpec> {
+        let cfg = self.cfg;
+        // Exponential interarrival; 1-u keeps the argument strictly
+        // positive. Past the horizon every later draw stays past it.
+        let u = self.r_gap.next_f64();
+        self.t += -(1.0 - u).ln() / cfg.rate_per_s;
+        if self.t >= self.horizon_s {
+            return None;
+        }
+        let mut pick = self.r_mix.next_f64() * self.total_weight;
+        let mut name = cfg.mix.first().map_or("", |(n, _)| n.as_str());
         for (n, w) in &cfg.mix {
             name = n.as_str();
             pick -= w;
@@ -158,26 +191,27 @@ pub fn generate_arrivals(
                 break;
             }
         }
-        let size = r_size.uniform(cfg.size_range.0, cfg.size_range.1);
-        let arrival = SimTime::ZERO + SimDuration::from_secs_f64(t);
-        let with_deadline = r_dl.next_f64() < cfg.deadline_frac;
-        let slack = r_dl.uniform(cfg.deadline_slack.0, cfg.deadline_slack.1);
+        let size = self.r_size.uniform(cfg.size_range.0, cfg.size_range.1);
+        let arrival = SimTime::ZERO + SimDuration::from_secs_f64(self.t);
+        let with_deadline = self.r_dl.next_f64() < cfg.deadline_frac;
+        let slack = self.r_dl.uniform(cfg.deadline_slack.0, cfg.deadline_slack.1);
         let deadline = if with_deadline {
-            let reference = ref_time_s.get(name).copied().unwrap_or(1.0);
+            let reference = self.ref_time_s.get(name).copied().unwrap_or(1.0);
             Some(arrival + SimDuration::from_secs_f64(reference * size * slack))
         } else {
             None
         };
-        jobs.push(JobSpec {
-            id: jobs.len() as u64,
+        let id = self.next_id;
+        self.next_id += 1;
+        Some(JobSpec {
+            id,
             workload: name.to_string(),
             arrival,
             size,
             deadline,
             tenant: 0,
-        });
+        })
     }
-    jobs
 }
 
 #[cfg(test)]
@@ -240,5 +274,91 @@ mod tests {
     fn load_helper_inverts_littles_law() {
         let rate = ArrivalConfig::rate_for_load(0.7, 4, 2.0);
         assert!((rate - 1.4).abs() < 1e-12);
+    }
+
+    /// The generator as it was before the stream: every draw of the run in
+    /// one loop, collected. The oracle the stream is compared with.
+    fn eager_arrivals(
+        seed: u64,
+        cfg: &ArrivalConfig,
+        horizon: SimDuration,
+        ref_time_s: &BTreeMap<String, f64>,
+    ) -> Vec<JobSpec> {
+        let root = SplitMix64::new(seed).next_u64();
+        let mut r_gap = Pcg32::new(root, STREAM_INTERARRIVAL);
+        let mut r_mix = Pcg32::new(root, STREAM_MIX);
+        let mut r_size = Pcg32::new(root, STREAM_SIZE);
+        let mut r_dl = Pcg32::new(root, STREAM_DEADLINE);
+        let total_weight: f64 = cfg.mix.iter().map(|(_, w)| w).sum();
+        let mut jobs = Vec::new();
+        let mut t = 0.0f64;
+        let horizon_s = horizon.as_secs_f64();
+        loop {
+            let u = r_gap.next_f64();
+            t += -(1.0 - u).ln() / cfg.rate_per_s;
+            if t >= horizon_s {
+                break;
+            }
+            let mut pick = r_mix.next_f64() * total_weight;
+            let mut name = cfg.mix[0].0.as_str();
+            for (n, w) in &cfg.mix {
+                name = n.as_str();
+                pick -= w;
+                if pick <= 0.0 {
+                    break;
+                }
+            }
+            let size = r_size.uniform(cfg.size_range.0, cfg.size_range.1);
+            let arrival = SimTime::ZERO + SimDuration::from_secs_f64(t);
+            let with_deadline = r_dl.next_f64() < cfg.deadline_frac;
+            let slack = r_dl.uniform(cfg.deadline_slack.0, cfg.deadline_slack.1);
+            let deadline = with_deadline.then(|| {
+                let reference = ref_time_s.get(name).copied().unwrap_or(1.0);
+                arrival + SimDuration::from_secs_f64(reference * size * slack)
+            });
+            jobs.push(JobSpec {
+                id: jobs.len() as u64,
+                workload: name.to_string(),
+                arrival,
+                size,
+                deadline,
+                tenant: 0,
+            });
+        }
+        jobs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The stream, drawn one job at a time, yields exactly the eager
+        /// generator's jobs (ids, instants, workloads, sizes, deadlines),
+        /// and [`generate_arrivals`] collects the same.
+        #[test]
+        fn the_stream_yields_the_eager_generators_jobs(
+            seed in proptest::prelude::any::<u64>(),
+            rate in 0.01f64..50.0,
+            weights in proptest::collection::vec(0.1f64..4.0, 1..4),
+            deadline_tenths in 0u64..11,
+            horizon_s in 1u64..400,
+        ) {
+            let deadline_frac = deadline_tenths as f64 / 10.0;
+            let names = ["hotspot", "kmeans", "training"];
+            let cfg = ArrivalConfig {
+                rate_per_s: rate,
+                mix: weights.iter().enumerate().map(|(i, &w)| (names[i].to_string(), w)).collect(),
+                size_range: (0.5, 2.0),
+                deadline_frac,
+                deadline_slack: (2.0, 6.0),
+            };
+            let horizon = SimDuration::from_secs(horizon_s);
+            let refs = ref_times();
+            let want = eager_arrivals(seed, &cfg, horizon, &refs);
+            let mut stream = ArrivalStream::new(seed, &cfg, horizon, &refs);
+            let got: Vec<JobSpec> = stream.by_ref().collect();
+            proptest::prop_assert_eq!(stream.next(), None, "the stream stays ended");
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(generate_arrivals(seed, &cfg, horizon, &refs), want);
+        }
     }
 }

@@ -22,7 +22,7 @@ struct QueuedJob {
 /// Removes and returns the candidate `LeastLoaded` picks among those
 /// `eligible` accepts: the least `busy_s` (by `total_cmp`), ties to the
 /// lowest id, as [`pick_node`]'s first minimum in node order.
-fn take_least_loaded(free: &mut Vec<(f64, usize)>, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+pub(crate) fn take_least_loaded(free: &mut Vec<(f64, usize)>, eligible: impl Fn(usize) -> bool) -> Option<usize> {
     let (at, _) = free
         .iter()
         .enumerate()
@@ -32,31 +32,45 @@ fn take_least_loaded(free: &mut Vec<(f64, usize)>, eligible: impl Fn(usize) -> b
 }
 
 /// What one dispatch call reads of which nodes may take work, and whom it
-/// tells of each placement. A plain mask is the scan-built case
+/// tells of each placement. `Scan` is the scan-built case
 /// [`Scheduler::dispatch`] runs; the event-driven engine reads its packed
-/// slots.
+/// slots and its index of idle nodes.
 pub(crate) trait Placement {
     /// The breaker mask [`pick_node`] reads (`false` = blocked; empty =
     /// all allowed).
     fn mask(&mut self) -> &[bool];
-    /// Appends LeastLoaded's candidates, as (`busy_s`, id) in id order:
-    /// every available node the mask lets through.
-    fn least_loaded(&mut self, nodes: &[Node], free: &mut Vec<(f64, usize)>) {
-        let allowed = self.mask();
-        free.extend(
-            nodes
-                .iter()
-                .filter(|n| available(n, allowed))
-                .map(|n| (n.busy_s(), n.id())),
-        );
-    }
+    /// LeastLoaded's pick among the available nodes the mask lets through
+    /// and `eligible` accepts: the least `busy_s` (by `total_cmp`), ties
+    /// to the lowest id, as [`pick_node`]'s first minimum in node order.
+    fn least_loaded(&mut self, nodes: &[Node], eligible: impl Fn(usize) -> bool) -> Option<usize>;
     /// Node `i` is about to take a job.
     fn placing(&mut self, _node: &mut Node, _i: usize) {}
 }
 
-impl Placement for &[bool] {
+/// A plain breaker mask, with LeastLoaded's candidates as (`busy_s`, id)
+/// listed on the call's first pick: a placement takes only the picked
+/// node out, and moves no node's `busy_s`, so the list stays exact for
+/// the call. The walk the event-driven index is checked against.
+struct Scan<'a> {
+    allowed: &'a [bool],
+    free: Option<Vec<(f64, usize)>>,
+}
+
+impl Placement for Scan<'_> {
     fn mask(&mut self) -> &[bool] {
-        self
+        self.allowed
+    }
+
+    fn least_loaded(&mut self, nodes: &[Node], eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        let allowed = self.allowed;
+        let free = self.free.get_or_insert_with(|| {
+            nodes
+                .iter()
+                .filter(|n| available(n, allowed))
+                .map(|n| (n.busy_s(), n.id()))
+                .collect()
+        });
+        take_least_loaded(free, eligible)
     }
 }
 
@@ -153,13 +167,15 @@ impl Scheduler {
     /// the rack can take it — anti-affinity is a preference, not a second
     /// way to lose the job.
     pub fn dispatch(&mut self, nodes: &mut [Node], allowed: &[bool], rack_of: &[usize], now: SimTime) -> usize {
-        let mut scan = allowed;
-        self.place(nodes, &mut scan, rack_of, now)
+        self.place(nodes, &mut Scan { allowed, free: None }, rack_of, now)
     }
 
     /// The dispatch loop: [`Scheduler::dispatch`] with the mask and
-    /// LeastLoaded's candidates read through `via`, which also hears of
-    /// each node picked before the node takes its job.
+    /// LeastLoaded's picks read through `via`, which also hears of each
+    /// node picked before the node takes its job. `Scheduler::dispatch`
+    /// walks a candidate list it builds on the call's first pick; the
+    /// event-driven engine picks from its ordered index of idle nodes, the
+    /// same node in O(log n) plus the entries skipped.
     pub(crate) fn place(
         &mut self,
         nodes: &mut [Node],
@@ -167,27 +183,16 @@ impl Scheduler {
         rack_of: &[usize],
         now: SimTime,
     ) -> usize {
-        // LeastLoaded's candidates as (`busy_s`, id), listed once on the
-        // first pick: a placement takes only the picked node out, and
-        // moves no node's `busy_s`, so the list stays exact for the call.
-        let mut least_loaded: Option<Vec<(f64, usize)>> = None;
         // The other policies' avoid-rack mask, rebuilt in place for each
         // tagged placement.
         let mut avoiding: Vec<bool> = Vec::new();
         let mut placed = 0;
         while let Some(entry) = self.queue.front() {
             let pick = match (entry.avoid_rack, self.policy) {
-                (avoid, Policy::LeastLoaded) => {
-                    let free = least_loaded.get_or_insert_with(|| {
-                        let mut free = Vec::with_capacity(nodes.len());
-                        via.least_loaded(nodes, &mut free);
-                        free
-                    });
-                    avoid
-                        .filter(|_| !rack_of.is_empty())
-                        .and_then(|rack| take_least_loaded(free, |id| rack_of[id] != rack))
-                        .or_else(|| take_least_loaded(free, |_| true))
-                }
+                (avoid, Policy::LeastLoaded) => avoid
+                    .filter(|_| !rack_of.is_empty())
+                    .and_then(|rack| via.least_loaded(nodes, |id| rack_of[id] != rack))
+                    .or_else(|| via.least_loaded(nodes, |_| true)),
                 (Some(rack), _) if !rack_of.is_empty() => {
                     let allowed = via.mask();
                     avoiding.clear();

@@ -10,7 +10,7 @@
 
 use greengpu::{DeadlineParams, Exp3Params, UcbParams};
 use greengpu_cluster::{run_fleet, EngineKind, FleetConfig, FleetReport, NodeConfig, Policy, PolicySpec, Topology};
-use greengpu_hw::ChaosPlan;
+use greengpu_hw::{ChaosPlan, FaultPlan};
 use greengpu_sim::SimDuration;
 use proptest::prelude::*;
 
@@ -391,6 +391,68 @@ fn benchmark_regime_geo_fleet_agrees() {
             digest(&serial),
             "event engine diverged (seed {seed})"
         );
+    }
+}
+
+/// LeastLoaded's ordered index of idle nodes (EventDriven) against the
+/// walk over every node (Serial) where placement has work to do: a
+/// 400-node flat fleet and a `1×4×10×10` geo fleet at twice the default
+/// offered load for 150 s, at two seeds. Crashes open node breakers,
+/// rack power losses and zone partitions open rack and zone breakers, a
+/// geo crash's retry carries the rack to avoid, and node 7's actuation is
+/// broken, so it falls back and every later pick must pass it by. A
+/// debug build takes minutes for it, so it is `#[ignore]`d and run by
+/// name in release CI.
+#[test]
+#[ignore]
+fn least_loaded_index_agrees_with_the_walk() {
+    let mut broken = FaultPlan::with_intensity(555, 1.0);
+    broken.actuation = greengpu_hw::faults::ActuationFaults {
+        drop_prob: 1.0,
+        offset_prob: 0.0,
+        delay_prob: 0.0,
+    };
+    for seed in [0x1D_0001u64, 0x1D_0002] {
+        let crashes = ChaosPlan::crashes_only(seed ^ 0xC4A05, 0.002, (2.0, 6.0)).with_thermal(0.001, (3.0, 8.0));
+        let flat = FleetConfig::homogeneous(400, 0.8, Policy::LeastLoaded, SimDuration::from_secs(150), seed)
+            .with_chaos(crashes);
+        let geo = FleetConfig::homogeneous(400, 0.8, Policy::LeastLoaded, SimDuration::from_secs(150), seed)
+            .with_topology(Topology::uniform(1, 4, 10, 10))
+            .with_chaos(
+                crashes
+                    .with_rack_loss(0.002, (3.0, 8.0))
+                    .with_partitions(0.004, (3.0, 9.0)),
+            );
+        for mut cfg in [flat, geo] {
+            cfg.arrivals.rate_per_s *= 2.0;
+            cfg.nodes[7] = NodeConfig::default_node().with_fault(broken);
+            let serial = run_fleet(&cfg.clone().with_engine(EngineKind::Serial));
+            assert!(
+                serial.nodes_fallen_back == 1
+                    && serial.crashes > 0
+                    && serial.jobs_retried > 0
+                    && serial.breaker_trips > 0,
+                "seed {seed}: fallback {}, crashes {}, retries {}, trips {}",
+                serial.nodes_fallen_back,
+                serial.crashes,
+                serial.jobs_retried,
+                serial.breaker_trips
+            );
+            if cfg.topology.is_some() {
+                assert!(
+                    serial.rack_breaker_trips > 0 && serial.zone_breaker_trips > 0,
+                    "seed {seed}: rack trips {}, zone trips {}",
+                    serial.rack_breaker_trips,
+                    serial.zone_breaker_trips
+                );
+            }
+            assert_eq!(
+                event_digest(&cfg),
+                digest(&serial),
+                "event engine diverged (seed {seed}, {} nodes)",
+                cfg.nodes.len()
+            );
+        }
     }
 }
 
