@@ -16,12 +16,10 @@
 //! * [`EngineKind::EventDriven`] — idle nodes cost (nearly) nothing: job
 //!   service advances over a **busy list** instead of the whole fleet, in
 //!   one pass over the windows since the last event that may touch a
-//!   node, dead (`Crashed`/`Restarting`) nodes sleep on a min-heap **wake
-//!   agenda** keyed by `(state_until, node_id)` until their next
-//!   lifecycle transition is actually due, and idle healthy nodes whose
-//!   controller state is provably a fixed point are **parked**
-//!   ([`crate::Node::park_fingerprint`]) so their control ticks are
-//!   skipped while their cap holds.
+//!   node, and idle healthy nodes whose controller state is provably a
+//!   fixed point are **parked** ([`crate::Node::control_tick_parkable`])
+//!   so their control ticks are skipped while their cap holds. Dead
+//!   nodes are swept as Serial sweeps them.
 //!
 //! Both schedules run on the calling thread: fanning the control ticks
 //! out over threads did not pay for itself (DESIGN.md §12).
@@ -42,9 +40,6 @@
 //!   and at the horizon, each busy node replays the pending windows in
 //!   one pass, and completions commit by window, then node id: Serial's
 //!   order;
-//! * a dead node's [`crate::Node::lifecycle_tick`] is an identity before
-//!   `state_until` (the only divergence, a stale thermal flag, is
-//!   unreadable in those states and refreshed on wake);
 //! * a node parked under *exactly* the cap it is being handed skips the
 //!   whole control tick (**deep park**); handed any other cap it
 //!   un-parks and takes a full tick. The skip is exact: an idle node's
@@ -88,10 +83,11 @@
 //!   it. Its lifecycle tick would only record the parked sensor catch-up
 //!   instant, which the wake records instead (a dispatch its own, a chaos
 //!   event the latest tick), and it has no completion due. From the next
-//!   interval it is **settled** and leaves the list of unsettled nodes,
-//!   the only nodes the lifecycle, demand, control and checkpoint sweeps
-//!   and the geo up-counts visit (a per-rack count stands for its rack's
-//!   settled nodes). Its demand entry and its meters are frozen, so the
+//!   interval it is **settled** (unless its coast must end on a full
+//!   tick, below) and leaves the list of unsettled nodes, the only nodes
+//!   the lifecycle, demand, control and checkpoint sweeps and the geo
+//!   up-counts visit (a per-rack count stands for its rack's settled
+//!   nodes). Its demand entry and its meters are frozen, so the
 //!   row folds `StepTrace`'s one-segment term `0.0 + v·dt` from the slot,
 //!   in node order from −0.0, and LeastLoaded reads its `busy_s` there.
 //!   No sweep writes the slot: the ticks it counted under its resting cap
@@ -101,12 +97,12 @@
 //! * a settled slot whose count runs out on a park transition turns
 //!   **parked in place**: no sweep touches it, and every later tick under
 //!   its cap is a deep park. A coast that ends on a tick that must run on
-//!   the node (the end of an orbit cut off before its fixed point) is
-//!   woken for that tick by a due agenda keyed by sweep;
+//!   the node (the end of an orbit cut off before its fixed point) never
+//!   settles: its node stays unsettled and coasts on the node;
 //! * before anything touches a settled node — a new cap (the leaves the
-//!   cap step reports), the end of a cut-off orbit, dispatch, a crash, a
-//!   thermal, rack or zone event — its slot is **credited**: the node
-//!   gets the ticks counted up to the latest checkpoint sweep, that
+//!   cap step reports), dispatch, a crash, a thermal, rack or zone
+//!   event — its slot is **credited** and its node listed unsettled: the
+//!   node gets the ticks counted up to the latest checkpoint sweep, that
 //!   checkpoint, then the rest of the counted ticks, each batch with its
 //!   last tick's instant: the calls an every-tick sweep makes, with the
 //!   same arguments, only later. A count that ran out on a park
@@ -131,11 +127,11 @@
 //! every idle tick of a node that served a job, from the tick its lowest
 //! pair leads again; such a node never parks, so it has no parked
 //! interval count either. None of these reach the trace CSV, the report
-//! or any digest (ROADMAP item 3 decides what fleet nodes keep of them). A coasting node's [`crate::Node::controller`] and
-//! [`crate::Node::park_fingerprint`] show its learner as of its last
-//! sync. A settled node's counted ticks and pending checkpoint wait in
-//! its slot until it is credited, and a checkpoint a later stamp replaced
-//! is never recorded; nothing is flushed at the horizon, because
+//! or any digest (ROADMAP item 3 decides what fleet nodes keep of them).
+//! A coasting node's [`crate::Node::controller`] shows its learner as of
+//! its last sync. A settled node's counted ticks and pending checkpoint
+//! wait in its slot until it is credited, and a checkpoint a later stamp
+//! replaced is never recorded; nothing is flushed at the horizon, because
 //! [`crate::run_fleet`] reads no learner or checkpoint after the drive.
 
 use crate::breaker::{BreakerState, CircuitBreaker};
@@ -152,8 +148,7 @@ use crate::telemetry::{GeoTraceRow, TraceRow};
 use crate::topology::TopologyIndex;
 use greengpu_hw::{ChaosEvent, ChaosKind, DomainChaosEvent, DomainChaosKind};
 use greengpu_sim::{EventQueue, SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 
 /// Which fleet engine executes the run. Both are equivalent —
 /// byte-identical outputs per seed — and stay selectable so the serial
@@ -164,8 +159,8 @@ pub enum EngineKind {
     /// control ticks everywhere.
     #[default]
     Serial,
-    /// Discrete-event engine: busy-list advance, wake agenda for dead
-    /// nodes, quiescent parking for idle fixed-point nodes.
+    /// Discrete-event engine: busy-list advance, quiescent parking for
+    /// idle fixed-point nodes, and sweeps that pass resting nodes by.
     EventDriven,
 }
 
@@ -405,10 +400,9 @@ trait Schedule {
     /// `from` to `to`, recording completions in [`Completions`] order.
     fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions);
     /// A chaos event is about to crash or throttle live node `i`: work
-    /// the schedule deferred on it happens first.
+    /// the schedule deferred on it happens first, and every sweep visits
+    /// it from the next on.
     fn credit(&mut self, node: &mut Node, i: usize);
-    /// A chaos event just crashed or throttled the nodes in `ids`.
-    fn touched(&mut self, nodes: &[Node], ids: &[usize]);
     /// The topology of a hierarchical run, before its first event.
     fn attach(&mut self, _index: &TopologyIndex) {}
     /// Failure FSMs: a cleared probation closes the node's breaker.
@@ -498,8 +492,6 @@ impl Schedule for Serial {
 
     fn credit(&mut self, _node: &mut Node, _i: usize) {}
 
-    fn touched(&mut self, _nodes: &[Node], _ids: &[usize]) {}
-
     fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
         for (node, breaker) in nodes.iter_mut().zip(breakers.iter_mut()) {
             lifecycle_step(node, breaker, t);
@@ -556,20 +548,12 @@ struct EventDriven {
     windows: Vec<(SimTime, f64)>,
     /// Scratch for one replay: completions with the window each landed in.
     finished: Vec<(usize, JobRecord)>,
-    /// Wake agenda for dead nodes: `lifecycle_tick` is an identity on a
-    /// `Crashed`/`Restarting` node before its `state_until`, so such
-    /// nodes sleep here and are woken at the first tick at/after it.
-    agenda: BinaryHeap<Reverse<(SimTime, usize)>>,
     /// One packed slot per node, so a sweep passes a resting node by.
     slots: Vec<Slot>,
-    /// Ids of the nodes whose slot is not settled (awake, fresh or dark),
+    /// Ids of the nodes whose slot is not settled (awake or fresh),
     /// ascending: the only nodes the lifecycle, demand, control and
     /// checkpoint sweeps and the up-counts visit.
     unsettled: Vec<usize>,
-    /// Nodes whose settled slot was credited since the last sweep, still
-    /// to merge into `unsettled`, and the buffer the merge fills.
-    woken: Vec<usize>,
-    merged: Vec<usize>,
     /// Node → rack on hierarchical runs (empty on flat ones), and how many
     /// of each rack's slots are settled; a settled node is live.
     rack_of: Vec<usize>,
@@ -582,10 +566,6 @@ struct EventDriven {
     /// the first). Every slot settled behind an earlier sweep owes its
     /// node that checkpoint.
     checkpoint_sweep: usize,
-    /// Settled slots whose coast ends on a tick that must run on the node
-    /// (see [`Frozen::due`]), keyed by that sweep; stale once the slot
-    /// was credited.
-    due: BinaryHeap<Reverse<(usize, usize)>>,
     /// The dispatch mask, built in a dispatch call only if its policy
     /// reads it.
     mask: Vec<bool>,
@@ -634,8 +614,6 @@ impl FromIterator<(f64, usize)> for IdleIndex {
 enum Slot {
     /// Swept in full.
     Awake,
-    /// `Crashed` or `Restarting`, asleep on the wake agenda.
-    Dark,
     /// Began resting at the latest control sweep; the next demand sweep
     /// reads it once more and settles it.
     Fresh,
@@ -666,12 +644,10 @@ struct Frozen {
     cap: MilliWatts,
     /// Control sweeps run before it settled; it counts every later one.
     since: u32,
-    /// How many of those ticks only count themselves; `u32::MAX` when
-    /// its learner gives no end to its coast.
+    /// How many of those ticks only count themselves before the one that
+    /// parks the node in place; `u32::MAX` when its learner gives no end
+    /// to its coast.
     budget: u32,
-    /// What the tick after `budget` does: park the node in place, with
-    /// nothing to write (`true`), or run on the node (`false`).
-    parks: bool,
     /// Parked when it settled: ticks under `cap` are skipped, not counted.
     parked: bool,
 }
@@ -679,10 +655,16 @@ struct Frozen {
 impl Frozen {
     /// The slot of a node that began resting at the latest control sweep
     /// and has not been touched since, settling behind `since` sweeps, or
-    /// `None` if it is not resting.
+    /// `None` if it is not resting or its coast ends on a tick that must
+    /// run on the node (the end of an orbit cut off before its fixed
+    /// point): such a node coasts on the node, unsettled.
     fn settle(node: &Node, since: usize) -> Option<Frozen> {
         let (cap, count) = node.rest_under()?;
         let (budget, parks) = count.unwrap_or((0, true));
+        let budget = u32::try_from(budget).unwrap_or(u32::MAX);
+        if !parks && budget < u32::MAX {
+            return None;
+        }
         Some(Frozen {
             gpu_w: node.platform().gpu_meter().trace().last_value(),
             cpu_w: node.platform().cpu_meter().trace().last_value(),
@@ -690,8 +672,7 @@ impl Frozen {
             busy_s: node.busy_s(),
             cap,
             since: u32::try_from(since).unwrap_or(u32::MAX),
-            budget: u32::try_from(budget).unwrap_or(u32::MAX),
-            parks,
+            budget,
             parked: count.is_none(),
         })
     }
@@ -704,22 +685,14 @@ impl Frozen {
             return 0;
         }
         let counted = sweeps.saturating_sub(self.since as usize) as u64;
-        counted.min(u64::from(self.budget) + u64::from(self.parks))
+        counted.min(u64::from(self.budget) + 1)
     }
 
     /// Whether it rests parked after `sweeps` control sweeps: parked when
     /// it settled, or past a park transition no sweep had to touch.
     #[cfg(test)]
     fn is_parked(&self, sweeps: usize) -> bool {
-        self.parked || (self.parks && self.handed(sweeps) > u64::from(self.budget))
-    }
-
-    /// The control sweep whose tick must run on the node: the one after
-    /// the last that only counts, for a coast that ends without parking.
-    /// `None` when its ticks are skipped, when the tick after them parks
-    /// it in place, or when its coast has no end.
-    fn due(&self) -> Option<usize> {
-        (!self.parked && !self.parks && self.budget < u32::MAX).then(|| self.since as usize + self.budget as usize + 1)
+        self.parked || self.handed(sweeps) > u64::from(self.budget)
     }
 }
 
@@ -729,25 +702,15 @@ impl EventDriven {
             busy: Vec::new(),
             windows: Vec::new(),
             finished: Vec::new(),
-            agenda: BinaryHeap::new(),
             slots: vec![Slot::Awake; n],
             unsettled: (0..n).collect(),
-            woken: Vec::new(),
-            merged: Vec::new(),
             rack_of: Vec::new(),
             settled_in_rack: Vec::new(),
             sweep_at: Vec::new(),
             checkpoint_sweep: 0,
-            due: BinaryHeap::new(),
             mask: Vec::new(),
             idle: None,
         }
-    }
-
-    /// Sleeps a dark node until its next lifecycle transition is due.
-    fn sleep(&mut self, node: &Node, id: usize) {
-        self.slots[id] = Slot::Dark;
-        self.agenda.push(Reverse((node.state_until(), id)));
     }
 
     /// The instant of the `k`-th tick a slot settled behind `since`
@@ -780,38 +743,19 @@ impl EventDriven {
         }
     }
 
-    /// Credits node `i` if its slot is settled, and lists it awake.
+    /// Credits node `i` if its slot is settled, listing it in place in
+    /// `unsettled`, and marks it awake.
     fn unsettle(&mut self, node: &mut Node, i: usize) {
         if let Slot::Settled(f) = self.slots[i] {
             self.credit_slot(node, &f);
-            self.slots[i] = Slot::Awake;
-            self.woken.push(i);
+            let at = self.unsettled.partition_point(|&j| j < i);
+            debug_assert_ne!(self.unsettled.get(at), Some(&i), "a settled node was listed");
+            self.unsettled.insert(at, i);
             if let Some(&rack) = self.rack_of.get(i) {
                 self.settled_in_rack[rack] -= 1;
             }
         }
-    }
-
-    /// Merges the nodes woken since the last sweep into `unsettled`, both
-    /// ascending, through a kept buffer.
-    fn merge_woken(&mut self) {
-        if self.woken.is_empty() {
-            return;
-        }
-        self.woken.sort_unstable();
-        let mut merged = std::mem::take(&mut self.merged);
-        merged.clear();
-        let (mut listed, mut woken) = (self.unsettled.iter().peekable(), self.woken.iter().peekable());
-        while let Some(&next) = match (listed.peek(), woken.peek()) {
-            (Some(a), Some(b)) if a < b => listed.next(),
-            (_, Some(_)) => woken.next(),
-            (_, None) => listed.next(),
-        } {
-            merged.push(next);
-        }
-        self.merged = std::mem::replace(&mut self.unsettled, merged);
-        self.woken.clear();
-        debug_assert!(self.unsettled.windows(2).all(|w| w[0] < w[1]), "a node listed twice");
+        self.slots[i] = Slot::Awake;
     }
 }
 
@@ -842,19 +786,9 @@ impl Schedule for EventDriven {
     }
 
     fn credit(&mut self, node: &mut Node, i: usize) {
-        self.unsettle(node, i);
-    }
-
-    fn touched(&mut self, nodes: &[Node], ids: &[usize]) {
         // A crashed node's stale busy-list entry (job already taken)
         // drops out on the next advance.
-        for &id in ids {
-            if nodes[id].is_alive() {
-                self.slots[id] = Slot::Awake;
-            } else {
-                self.sleep(&nodes[id], id);
-            }
-        }
+        self.unsettle(node, i);
     }
 
     fn attach(&mut self, index: &TopologyIndex) {
@@ -863,27 +797,11 @@ impl Schedule for EventDriven {
     }
 
     fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
-        while let Some(&Reverse((wake_at, id))) = self.agenda.peek() {
-            if wake_at > t {
-                break;
-            }
-            self.agenda.pop();
-            if matches!(self.slots[id], Slot::Dark) {
-                self.slots[id] = Slot::Awake;
-            }
-        }
         // A resting node's tick would only record the instant, which
         // `Books::touch` and `Node::dispatch` record before it is read.
-        self.merge_woken();
-        for k in 0..self.unsettled.len() {
-            let i = self.unsettled[k];
-            if !matches!(self.slots[i], Slot::Awake) {
-                continue;
-            }
-            lifecycle_step(&mut nodes[i], &mut breakers[i], t);
-            if matches!(nodes[i].state(), NodeState::Crashed | NodeState::Restarting) {
-                // Still (or newly) dark: back to sleep.
-                self.sleep(&nodes[i], i);
+        for &i in &self.unsettled {
+            if matches!(self.slots[i], Slot::Awake) {
+                lifecycle_step(&mut nodes[i], &mut breakers[i], t);
             }
         }
     }
@@ -904,7 +822,6 @@ impl Schedule for EventDriven {
             demands.extend(nodes.iter().map(Node::demand));
             return None;
         }
-        self.merge_woken();
         let since = self.sweep_at.len();
         let mut unsettled = std::mem::take(&mut self.unsettled);
         unsettled.retain(|&i| {
@@ -914,9 +831,6 @@ impl Schedule for EventDriven {
                 // Nothing has written its meters since it began resting.
                 *slot = match Frozen::settle(&nodes[i], since) {
                     Some(f) => {
-                        if let Some(due) = f.due() {
-                            self.due.push(Reverse((due, i)));
-                        }
                         if let Some(&rack) = self.rack_of.get(i) {
                             self.settled_in_rack[rack] += 1;
                         }
@@ -940,35 +854,22 @@ impl Schedule for EventDriven {
     }
 
     fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], recapped: &[usize], t: SimTime) -> f64 {
-        // A settled node is ticked on the node only when handed a new cap,
-        // or when its coast ends on a tick that cannot only count. Every
-        // other settled tick counts itself, or is skipped while parked
-        // under exactly the cap it is handed (deep park), without a write.
-        let sweep = self.sweep_at.len() + 1;
-        while let Some(&Reverse((due, i))) = self.due.peek() {
-            if due > sweep {
-                break;
-            }
-            self.due.pop();
-            if matches!(self.slots[i], Slot::Settled(f) if f.due() == Some(due)) {
-                self.unsettle(&mut nodes[i], i);
-            }
-        }
+        // A settled node is ticked on the node only when handed a new cap.
+        // Every other settled tick counts itself, or is skipped while
+        // parked under exactly the cap it is handed (deep park), without a
+        // write.
         for &i in recapped {
             if matches!(self.slots[i], Slot::Settled(f) if f.cap != caps[i]) {
                 self.unsettle(&mut nodes[i], i);
             }
         }
-        self.merge_woken();
         let mut over = 0.0f64;
         for &i in &self.unsettled {
-            let slot = &mut self.slots[i];
-            if !matches!(slot, Slot::Awake | Slot::Fresh) {
-                continue;
-            }
             let node = &mut nodes[i];
-            over = over.max(node.control_tick_parkable(t, caps[i]));
-            *slot = if node.is_resting() { Slot::Fresh } else { Slot::Awake };
+            if node.is_alive() {
+                over = over.max(node.control_tick_parkable(t, caps[i]));
+                self.slots[i] = if node.is_resting() { Slot::Fresh } else { Slot::Awake };
+            }
         }
         self.sweep_at.push(t);
         over
@@ -989,9 +890,8 @@ impl Schedule for EventDriven {
     }
 
     fn checkpoint(&mut self, nodes: &mut [Node], _t: SimTime) {
-        self.merge_woken();
         for &i in &self.unsettled {
-            if matches!(self.slots[i], Slot::Awake | Slot::Fresh) && nodes[i].state() == NodeState::Up {
+            if nodes[i].state() == NodeState::Up {
                 nodes[i].take_checkpoint();
             }
         }
@@ -1002,14 +902,8 @@ impl Schedule for EventDriven {
         for (count, &settled) in up.iter_mut().zip(&self.settled_in_rack) {
             *count += settled;
         }
-        self.merge_woken();
         for &i in &self.unsettled {
-            let alive = match self.slots[i] {
-                Slot::Awake => nodes[i].is_alive(),
-                Slot::Fresh => true,
-                Slot::Dark | Slot::Settled(_) => false,
-            };
-            up[rack_of[i]] += usize::from(alive);
+            up[rack_of[i]] += usize::from(nodes[i].is_alive());
         }
     }
 
@@ -1050,12 +944,8 @@ impl Placement for Placing<'_, '_> {
                 .collect()
         });
         index.first(|i| {
-            let up = match slots[i] {
-                Slot::Dark => false,
-                // Resting: idle, healthy and `Up`.
-                Slot::Settled(_) => true,
-                Slot::Awake | Slot::Fresh => available(&nodes[i], &[]),
-            };
+            // Resting: idle, healthy and `Up`.
+            let up = matches!(slots[i], Slot::Settled(_)) || available(&nodes[i], &[]);
             up && eligible(i) && self.gate.allows(i)
         })
     }
@@ -1066,7 +956,6 @@ impl Placement for Placing<'_, '_> {
             debug_assert!(listed, "node {i} took a job but was not indexed idle");
         }
         self.engine.unsettle(node, i);
-        self.engine.slots[i] = Slot::Awake;
         self.engine.busy.push(i);
     }
 }
@@ -1081,8 +970,6 @@ struct Books {
     stray_blackout_events: u64,
     /// The spine's latest tick instant.
     last_tick: SimTime,
-    /// Nodes the latest chaos event crashed or throttled.
-    touched: Vec<usize>,
 }
 
 impl Books {
@@ -1100,7 +987,6 @@ impl Books {
     fn touch(&mut self, engine: &mut impl Schedule, node: &mut Node, id: usize) {
         engine.credit(node, id);
         node.saw_tick(self.last_tick);
-        self.touched.push(id);
     }
 
     /// Node `id`, capped at `cap_before` by the latest tick, crashes: it
@@ -1134,8 +1020,7 @@ impl Books {
     }
 }
 
-/// Applies one spine chaos event under the latest tick's `caps`; a node
-/// it crashes or throttles lands in `books.touched`.
+/// Applies one spine chaos event under the latest tick's `caps`.
 #[allow(clippy::too_many_arguments)]
 fn apply_chaos(
     engine: &mut impl Schedule,
@@ -1147,7 +1032,6 @@ fn apply_chaos(
     breakers: &mut [CircuitBreaker],
     caps: &[MilliWatts],
 ) {
-    books.touched.clear();
     match ev.kind {
         ChaosKind::Crash { outage_s } => {
             if nodes[ev.node].is_alive() {
@@ -1169,8 +1053,7 @@ fn apply_chaos(
     }
 }
 
-/// Applies one correlated domain event; nodes it crashes or throttles
-/// land in `books.touched`.
+/// Applies one correlated domain event.
 #[allow(clippy::too_many_arguments)]
 fn apply_domain_event(
     engine: &mut impl Schedule,
@@ -1182,7 +1065,6 @@ fn apply_domain_event(
     retry: &mut RetryQueue,
     breakers: &mut [CircuitBreaker],
 ) {
-    books.touched.clear();
     let ev = g.domain_events[i];
     match ev.kind {
         DomainChaosKind::RackPowerLoss { outage_s } => {
@@ -1346,7 +1228,6 @@ fn run_spine<S: Schedule>(
         jobs_lost: 0,
         stray_blackout_events: 0,
         last_tick: SimTime::ZERO,
-        touched: Vec::new(),
     };
     if let Some(g) = geo.as_deref() {
         engine.attach(g.index);
@@ -1384,12 +1265,10 @@ fn run_spine<S: Schedule>(
                     breakers,
                     caps,
                 );
-                engine.touched(nodes, &books.touched);
             }
             Event::Domain(i) => {
                 if let Some(g) = geo.as_deref_mut() {
                     apply_domain_event(&mut engine, nodes, i, t, g, &mut books, retry, breakers);
-                    engine.touched(nodes, &books.touched);
                 }
             }
             Event::Tick => {
@@ -1646,8 +1525,8 @@ mod tests {
             assert!(nodes[i].advance(SimTime::ZERO, SimTime::from_secs(1000)).is_some());
         }
         let mut engine = EventDriven::new(12);
+        engine.credit(&mut nodes[3], 3);
         nodes[3].crash(SimTime::ZERO, 1e6);
-        engine.touched(&nodes, &[3]);
         nodes[8].dispatch(job(101, 1e6), SimTime::ZERO);
         let caps = [crate::power::mw(0.8 * cfg.gpu.peak_power_w()); 12];
         let mut breakers: Vec<CircuitBreaker> = (0..12).map(|_| CircuitBreaker::new(1.0, 3)).collect();
@@ -1816,10 +1695,6 @@ mod tests {
                 had_checkpoint,
                 checkpoint: node.checkpoint_data(),
             });
-        }
-
-        fn touched(&mut self, nodes: &[Node], ids: &[usize]) {
-            self.inner.touched(nodes, ids);
         }
 
         fn attach(&mut self, index: &TopologyIndex) {

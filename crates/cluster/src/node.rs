@@ -423,9 +423,9 @@ impl Node {
         self.state
     }
 
-    /// When the current `Crashed`/`Restarting` phase ends — the instant
-    /// the event-driven engine's wake agenda must next run this node's
-    /// lifecycle FSM. Meaningless (stale) while `Up`/`Probation`.
+    /// When the current `Crashed`/`Restarting` phase ends: the first
+    /// lifecycle tick at or after it moves the node on. Meaningless
+    /// (stale) while `Up`/`Probation`.
     pub fn state_until(&self) -> SimTime {
         self.state_until
     }
@@ -970,27 +970,19 @@ impl Node {
     }
 
     /// A bit-exact fingerprint of everything a control tick on an idle,
-    /// healthy node can read or write, or `None` whenever the node is in
-    /// any configuration where ticks are not provably idempotent: busy,
-    /// fault-injected (the injectors hold RNG streams that must advance
-    /// on every actuation), blacked out, off-`Up`, throttled,
-    /// mid-recovery, or running a policy that declines to certify a
-    /// fixed point (see [`GreenGpuController::decision_fingerprint`]).
-    /// The event-driven engine parks a node only after two consecutive
-    /// ticks under the same cap return the same `Some(..)` — the second
-    /// tick *proves* the first one's decision was a fixed point. On a
-    /// coasting node it covers the learner as of its last sync.
-    pub fn park_fingerprint(&self) -> Option<u64> {
-        let (policy_fp, rest_fp) = self.fingerprint_parts()?;
-        let mut h = Fnv64::new();
-        h.push_word(policy_fp);
-        h.push_word(rest_fp);
-        Some(h.finish())
-    }
-
-    /// [`Node::park_fingerprint`] in two words: the policy's own
+    /// healthy node can read or write, in two words: the policy's own
     /// fingerprint, and one over everything else (the controller state
-    /// around the policy, the enforced GPU pair and the CPU level).
+    /// around the policy, the enforced GPU pair and the CPU level). `None`
+    /// whenever the node is in any configuration where ticks are not
+    /// provably idempotent: busy, fault-injected (the injectors hold RNG
+    /// streams that must advance on every actuation), blacked out,
+    /// off-`Up`, throttled, mid-recovery, or running a policy that
+    /// declines to certify a fixed point (see
+    /// [`GreenGpuController::decision_fingerprint_parts`]). The
+    /// event-driven engine parks a node only after two consecutive ticks
+    /// under the same cap return the same `Some(..)` — the second tick
+    /// *proves* the first one's decision was a fixed point. On a coasting
+    /// node it covers the learner as of its last sync.
     fn fingerprint_parts(&self) -> Option<(u64, u64)> {
         if self.recipe.fault.is_some()
             || !self.recipe.blackouts.is_empty()
@@ -1400,9 +1392,9 @@ mod tests {
     /// parking on two identical consecutive fingerprints.
     fn tick_without_coasting(node: &mut Node, now: SimTime, cap: MilliWatts) {
         node.rest = Rest::Awake;
-        let before = node.park_fingerprint();
+        let before = node.fingerprint_parts();
         let over = node.control_tick(now, cap);
-        if before.is_some() && over <= 0.0 && before == node.park_fingerprint() {
+        if before.is_some() && over <= 0.0 && before == node.fingerprint_parts() {
             node.rest = Rest::Parked { cap, last: now };
         }
     }
@@ -1505,7 +1497,7 @@ mod tests {
             t = now;
         }
         coasting.sync();
-        assert_eq!(coasting.park_fingerprint(), twin.park_fingerprint());
+        assert_eq!(coasting.fingerprint_parts(), twin.fingerprint_parts());
         for node in [&mut coasting, &mut twin] {
             node.wake();
             node.take_checkpoint();
@@ -1626,7 +1618,7 @@ mod tests {
             batched.coast(s, at(s));
             batched.take_checkpoint();
             batched.coast(k - s, at(k));
-            let state = |n: &Node| (format!("{:?}", n.rest), n.checkpoint_data(), n.park_fingerprint());
+            let state = |n: &Node| (format!("{:?}", n.rest), n.checkpoint_data(), n.fingerprint_parts());
             assert_eq!(state(&batched), state(&eager), "k={k} s={s}");
             assert!(batched.checkpoint_data().is_some());
             // The next tick: the park transition once the budget is spent.

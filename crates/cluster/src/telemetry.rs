@@ -705,7 +705,7 @@ mod tests {
     /// The release-only sweep behind
     /// [`fixed_cells_print_what_core_fmt_prints`]: every tie for
     /// k < 10^6 and 10^7 seeded values per precision, about 40 s in
-    /// release. CI runs it by name with `--ignored`.
+    /// release. Release CI runs it with `--ignored`.
     #[test]
     #[ignore = "release-only: run with --release and --ignored"]
     fn fixed_cell_parity_sweep() {

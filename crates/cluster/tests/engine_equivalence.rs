@@ -8,7 +8,7 @@
 //! trace CSV, the completion stream, the crash audit, or a conservation
 //! counter diverges and these tests catch it.
 
-use greengpu::{DeadlineParams, Exp3Params, UcbParams};
+use greengpu::{DeadlineParams, Exp3Params, UcbParams, WmaParams};
 use greengpu_cluster::{run_fleet, EngineKind, FleetConfig, FleetReport, NodeConfig, Policy, PolicySpec, Topology};
 use greengpu_hw::{ChaosPlan, FaultPlan};
 use greengpu_sim::SimDuration;
@@ -286,6 +286,32 @@ fn long_geo_runs_past_the_idle_fixed_point_agree() {
     }
 }
 
+/// `n` WMA nodes at λ = 0.95, whose idle orbit is cut off at 512 rows
+/// before its fixed point, under a chaos-free 0.005 jobs/s trickle for
+/// 700 s: an idle node coasts to the orbit's last row, and the tick after
+/// it must run on the node, not only count.
+fn cut_orbit_cfg(n: usize, seed: u64) -> FleetConfig {
+    let spec = PolicySpec::Wma(WmaParams {
+        history: 0.95,
+        ..WmaParams::default()
+    });
+    let nodes: Vec<NodeConfig> = (0..n)
+        .map(|_| NodeConfig::default_node().with_freq_policy(spec.clone()))
+        .collect();
+    let mut cfg = FleetConfig::from_nodes(nodes, 0.8, Policy::LeastLoaded, SimDuration::from_secs(700), seed);
+    cfg.arrivals.rate_per_s = 0.005;
+    cfg
+}
+
+#[test]
+fn cut_orbit_fleets_agree() {
+    for seed in [0xC07_0001, 0xC07_0002, 0xC07_0003] {
+        let topo = Topology::uniform(1, 2, 2, 3);
+        assert_engines_agree(&cut_orbit_cfg(12, seed));
+        assert_engines_agree(&cut_orbit_cfg(topo.n_nodes(), seed).with_topology(topo));
+    }
+}
+
 /// Twelve times the default offered load on 24 nodes: every control
 /// interval holds dozens of arrivals, so a job's service is split into
 /// many windows and nodes finish in different ones. The event engine
@@ -367,8 +393,8 @@ proptest! {
 /// settles, on the idle orbit or, after a job, off it, and leaves every
 /// sweep but the telemetry row until something touches it. Fleet CSV,
 /// geo CSV, completion records and crash audits must be equal. A debug
-/// build takes minutes for it, so it is `#[ignore]`d and run by name in
-/// release CI.
+/// build takes minutes for it, so it is `#[ignore]`d and run in release
+/// CI.
 #[test]
 #[ignore]
 fn benchmark_regime_geo_fleet_agrees() {
@@ -401,8 +427,8 @@ fn benchmark_regime_geo_fleet_agrees() {
 /// rack power losses and zone partitions open rack and zone breakers, a
 /// geo crash's retry carries the rack to avoid, and node 7's actuation is
 /// broken, so it falls back and every later pick must pass it by. A
-/// debug build takes minutes for it, so it is `#[ignore]`d and run by
-/// name in release CI.
+/// debug build takes minutes for it, so it is `#[ignore]`d and run in
+/// release CI.
 #[test]
 #[ignore]
 fn least_loaded_index_agrees_with_the_walk() {
@@ -711,8 +737,8 @@ mod wake_matrix {
     /// 1×2×2×3 geo fleet over 260 s, past the idle fixed point, so that
     /// nodes coast, park, take deferred checkpoints and are woken at
     /// seeded times. A debug build takes about five times as long for it
-    /// as for the rest of this file, so it is `#[ignore]`d and run by name
-    /// in release CI.
+    /// as for the rest of this file, so it is `#[ignore]`d and run in
+    /// release CI.
     #[test]
     #[ignore]
     fn seed_sweep_engines_agree() {

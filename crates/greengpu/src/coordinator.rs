@@ -617,7 +617,7 @@ impl GreenGpuController {
     /// decide/actuate half of each domain is skipped when the freshly
     /// resolved utilization is bit-equal to the previous tick's. With the
     /// policy at a decision fixed point (certified by the caller via
-    /// [`Self::decision_fingerprint`]) and an unchanged cap, the same
+    /// [`Self::decision_fingerprint_parts`]) and an unchanged cap, the same
     /// observation reproduces the same weights and the same (already
     /// enforced) levels, so the skip is an identity. A domain that
     /// resolves anything else runs its full half.
@@ -648,23 +648,14 @@ impl GreenGpuController {
     }
 
     /// A bit-exact fingerprint of every piece of controller state that
-    /// can influence a future decision, or `None` when no fixed point
-    /// can be certified (fallback engaged, or the policy declines — see
-    /// [`FreqPolicy::decision_fingerprint`]). The fleet's event-driven
-    /// engine parks a node only after two consecutive identical
-    /// fingerprints.
-    pub fn decision_fingerprint(&self) -> Option<u64> {
-        let (policy_fp, loop_fp) = self.decision_fingerprint_parts()?;
-        let mut h = greengpu_sim::Fnv64::new();
-        h.push_word(policy_fp);
-        h.push_word(loop_fp);
-        Some(h.finish())
-    }
-
-    /// [`Self::decision_fingerprint`] in two words: the policy's own
+    /// can influence a future decision, in two words: the policy's own
     /// fingerprint, and one over the controller state around it (last-good
-    /// readings, actuation failure streak, cap). A tick that moves only
-    /// the first word changed nothing but the learner.
+    /// readings, actuation failure streak, cap). `None` when no fixed
+    /// point can be certified (fallback engaged, or the policy declines —
+    /// see [`FreqPolicy::decision_fingerprint`]). The fleet's event-driven
+    /// engine parks a node only after two consecutive identical
+    /// fingerprints; a tick that moves only the first word changed nothing
+    /// but the learner.
     pub fn decision_fingerprint_parts(&self) -> Option<(u64, u64)> {
         if self.fallback {
             return None;

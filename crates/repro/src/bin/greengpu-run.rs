@@ -125,7 +125,7 @@ fn main() -> ExitCode {
     };
     let summary = ReportSummary::from_report(&args.workload, &args.policy, args.seed, &report);
     if args.json {
-        println!("{}", summary.to_json_pretty());
+        println!("{}", summary.to_json());
     } else {
         println!("workload   {}", summary.workload);
         println!(

@@ -1,7 +1,7 @@
 //! Serializable run summaries for the CLI's `--json` output.
 
 use greengpu_runtime::{IterationRecord, RunReport};
-use greengpu_sim::SimTime;
+use greengpu_sim::{JsonWriter, SimTime};
 
 /// A machine-readable snapshot of a run: totals, final clocks, and the
 /// per-iteration rows.
@@ -43,37 +43,6 @@ pub struct ReportSummary {
 /// Cap on exported 1 Hz samples (long runs stay manageable).
 pub const MAX_POWER_SAMPLES: usize = 3600;
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` so that parsing the text back yields the identical bit
-/// pattern (shortest round-trip repr; JSON has no NaN/Inf, so those become
-/// `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` on an f64 already round-trips in Rust, but bare integers
-        // (e.g. "3") are still valid JSON numbers — keep them as-is.
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
 impl ReportSummary {
     /// Builds a summary from a run report.
     pub fn from_report(workload: &str, policy: &str, seed: u64, report: &RunReport) -> Self {
@@ -102,63 +71,41 @@ impl ReportSummary {
         }
     }
 
-    /// Renders the summary as a pretty-printed JSON document.
-    ///
-    /// Hand-rolled (no serde): every number uses Rust's shortest
-    /// round-trip float formatting, so `parse::<f64>()` on the emitted
-    /// text recovers the exact bit pattern.
-    pub fn to_json_pretty(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"workload\": \"{}\",\n", json_escape(&self.workload)));
-        s.push_str(&format!("  \"policy\": \"{}\",\n", json_escape(&self.policy)));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"total_time_s\": {},\n", json_f64(self.total_time_s)));
-        s.push_str(&format!("  \"gpu_energy_j\": {},\n", json_f64(self.gpu_energy_j)));
-        s.push_str(&format!("  \"cpu_energy_j\": {},\n", json_f64(self.cpu_energy_j)));
-        s.push_str(&format!("  \"total_energy_j\": {},\n", json_f64(self.total_energy_j)));
-        s.push_str(&format!("  \"mean_power_w\": {},\n", json_f64(self.mean_power_w)));
-        s.push_str(&format!("  \"final_core_mhz\": {},\n", json_f64(self.final_core_mhz)));
-        s.push_str(&format!("  \"final_mem_mhz\": {},\n", json_f64(self.final_mem_mhz)));
-        s.push_str(&format!("  \"final_cpu_mhz\": {},\n", json_f64(self.final_cpu_mhz)));
-        s.push_str(&format!("  \"digest\": {},\n", json_f64(self.digest)));
-        s.push_str(&format!("  \"spin_s\": {},\n", json_f64(self.spin_s)));
-        s.push_str("  \"iterations\": [\n");
-        for (i, it) in self.iterations.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"index\": {}, \"cpu_share\": {}, \"tc_s\": {}, \"tg_s\": {}, \
-                 \"start_us\": {}, \"end_us\": {}, \"energy_j\": {}}}{}\n",
-                it.index,
-                json_f64(it.cpu_share),
-                json_f64(it.tc_s),
-                json_f64(it.tg_s),
-                it.start.0,
-                it.end.0,
-                json_f64(it.energy_j),
-                if i + 1 < self.iterations.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"gpu_power_1hz_w\": [");
-        for (i, w) in self.gpu_power_1hz_w.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&json_f64(*w));
-        }
-        s.push_str("]\n}");
-        s
-    }
-
-    /// Extracts the raw text of a top-level scalar field from JSON emitted
-    /// by [`ReportSummary::to_json_pretty`] (test/replay helper — not a
-    /// general JSON parser).
-    pub fn json_field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
-        let key = format!("\"{name}\":");
-        let at = json.find(&key)? + key.len();
-        let rest = json[at..].trim_start();
-        let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
+    /// Renders the summary as one JSON document on one line. Every float
+    /// prints as its shortest round-trip text, so parsing it back recovers
+    /// the exact bit pattern.
+    pub fn to_json(&self) -> String {
+        JsonWriter::render(|w| {
+            w.obj(|w| {
+                w.key("workload").str(&self.workload);
+                w.key("policy").str(&self.policy);
+                w.key("seed").u64(self.seed);
+                w.key("total_time_s").f64(self.total_time_s);
+                w.key("gpu_energy_j").f64(self.gpu_energy_j);
+                w.key("cpu_energy_j").f64(self.cpu_energy_j);
+                w.key("total_energy_j").f64(self.total_energy_j);
+                w.key("mean_power_w").f64(self.mean_power_w);
+                w.key("final_core_mhz").f64(self.final_core_mhz);
+                w.key("final_mem_mhz").f64(self.final_mem_mhz);
+                w.key("final_cpu_mhz").f64(self.final_cpu_mhz);
+                w.key("digest").f64(self.digest);
+                w.key("spin_s").f64(self.spin_s);
+                w.key("iterations").arr(|w| {
+                    for it in &self.iterations {
+                        w.obj(|w| {
+                            w.key("index").usize(it.index);
+                            w.key("cpu_share").f64(it.cpu_share);
+                            w.key("tc_s").f64(it.tc_s);
+                            w.key("tg_s").f64(it.tg_s);
+                            w.key("start_us").u64(it.start.0);
+                            w.key("end_us").u64(it.end.0);
+                            w.key("energy_j").f64(it.energy_j);
+                        });
+                    }
+                });
+                w.key("gpu_power_1hz_w").f64s(&self.gpu_power_1hz_w);
+            });
+        })
     }
 }
 
@@ -166,25 +113,28 @@ impl ReportSummary {
 mod tests {
     use super::*;
     use greengpu::baselines::run_best_performance;
+    use greengpu_sim::JsonValue;
     use greengpu_workloads::kmeans::KMeans;
 
     #[test]
     fn summary_round_trips_through_json() {
         let report = run_best_performance(&mut KMeans::small(1));
         let summary = ReportSummary::from_report("kmeans", "default", 1, &report);
-        let json = summary.to_json_pretty();
-        assert_eq!(ReportSummary::json_field(&json, "workload"), Some("kmeans"));
+        let json = JsonValue::parse(&summary.to_json()).expect("the summary is JSON");
+        assert_eq!(json.get("workload").and_then(JsonValue::as_str), Some("kmeans"));
+        assert_eq!(json.get("seed").and_then(JsonValue::as_u64), Some(1));
+        let iterations = json.get("iterations").and_then(JsonValue::as_arr).expect("an array");
+        assert_eq!(iterations.len(), summary.iterations.len());
+        // Shortest round-trip float text parses back to the same bits.
+        let back = json
+            .get("total_energy_j")
+            .and_then(JsonValue::as_f64)
+            .expect("a number");
         assert_eq!(
-            ReportSummary::json_field(&json, "seed").and_then(|s| s.parse::<u64>().ok()),
-            Some(1)
+            back.to_bits(),
+            summary.total_energy_j.to_bits(),
+            "energy must round-trip bit-exactly"
         );
-        assert_eq!(json.matches("\"index\":").count(), summary.iterations.len());
-        // Rust's shortest float formatting round-trips exactly.
-        let back: f64 = ReportSummary::json_field(&json, "total_energy_j")
-            .expect("field present")
-            .parse()
-            .expect("parses as f64");
-        assert_eq!(back, summary.total_energy_j, "energy must round-trip bit-exactly");
     }
 
     #[test]
