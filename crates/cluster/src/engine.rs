@@ -44,13 +44,14 @@
 //!   whole control tick (**deep park**); handed any other cap it
 //!   un-parks and takes a full tick. The skip is exact: an idle node's
 //!   utilization traces are constant zero, so the sense the skip drops
-//!   would read bitwise `0.0` over any window — the only state left
-//!   behind is the sensors' poll cursor, which the node catches up to
-//!   the last control interval it saw (its latest lifecycle tick, or the
-//!   instant recorded at wake, below) while the traces are still flat,
-//!   before a job ([`crate::Node::dispatch`])
-//!   or a throttle window ([`crate::Node::thermal_emergency`], inside
-//!   which a job may be dispatched) can move them;
+//!   would read bitwise `0.0` over any window, and a learner parked at a
+//!   fixed point only counts the interval, which the node's next credit
+//!   hands it (below). The sensors' poll cursor is caught up to the last
+//!   control interval the node saw (its latest lifecycle tick, or the
+//!   latest tick its credit hands it) while the traces are still flat,
+//!   before a job ([`crate::Node::dispatch`]) or a throttle window
+//!   ([`crate::Node::thermal_emergency`], inside which a job may be
+//!   dispatched) can move them;
 //! * an idle node whose WMA learner has settled **coasts**: on its idle
 //!   orbit at or past the orbit's settle row, where one pair is the
 //!   strict maximum of every later row, or off the orbit once its lowest
@@ -60,11 +61,12 @@
 //!   settled pair's throughout. Every other touch first **syncs** it — a
 //!   new cap, dispatch, a checkpoint, a thermal emergency, a crash: the
 //!   learner takes the counted steps at once (along the orbit, or Eq. 4
-//!   up to its bit-exact fixed point; the interval counter counts every
-//!   one) and the sensors catch up to the last counted tick. On the orbit
-//!   it parks on exactly the tick a full tick would have parked it (see
-//!   [`crate::Node::control_tick_parkable`]); off the orbit it never
-//!   parks through coasting, and coasts until something touches it;
+//!   up to its bit-exact fixed point; the interval counter and the
+//!   cap-mask count count every one) and the sensors catch up to the last
+//!   counted tick. On the orbit it parks on exactly the tick a full tick
+//!   would have parked it (see [`crate::Node::control_tick_parkable`]);
+//!   off the orbit it never parks through coasting, and coasts until
+//!   something touches it;
 //! * a parked node's power demand, and the whole `apportion` call when
 //!   no demand moved, reuse last tick's values — both are pure functions
 //!   of state the park fingerprint freezes. The budget tree takes again
@@ -75,39 +77,36 @@
 //!   records committed since the last tick name those nodes, so no sweep
 //!   looks for them;
 //! * a resting node's periodic checkpoint waits in its slot (below) for
-//!   the node's next credit; a parked learner is bit-frozen, so a
-//!   checkpoint re-recorded while parked writes the same tape;
+//!   the node's next credit, which records it after the ticks before it;
 //! * a **resting** node (coasting or parked, so `Up`, idle, healthy and
 //!   unthrottled) is read through its packed slot, not swept, until a
 //!   full tick, a new cap, dispatch, a crash or a thermal emergency wakes
 //!   it. Its lifecycle tick would only record the parked sensor catch-up
-//!   instant, which the wake records instead (a dispatch its own, a chaos
-//!   event the latest tick), and it has no completion due. From the next
-//!   interval it is **settled** (unless its coast must end on a full
-//!   tick, below) and leaves the list of unsettled nodes, the only nodes
-//!   the lifecycle, demand, control and checkpoint sweeps and the geo
-//!   up-counts visit (a per-rack count stands for its rack's settled
-//!   nodes). Its demand entry and its meters are frozen, so the
+//!   instant, which its credit hands it instead, and it has no completion
+//!   due. From the next interval it is **settled** (unless its coast must
+//!   end on a full tick, below) and leaves the list of unsettled nodes,
+//!   the only nodes the lifecycle, demand, control and checkpoint sweeps
+//!   and the geo up-counts visit (a per-rack count stands for its rack's
+//!   settled nodes). Its demand entry and its meters are frozen, so the
 //!   row folds `StepTrace`'s one-segment term `0.0 + v·dt` from the slot,
 //!   in node order from −0.0, and LeastLoaded reads its `busy_s` there.
-//!   No sweep writes the slot: the ticks it counted under its resting cap
-//!   are the control sweeps run since it settled, the checkpoint it owes
-//!   is the latest checkpoint sweep's (only the newest can ever be read),
-//!   and a parked node's ticks are skipped;
-//! * a settled slot whose count runs out on a park transition turns
-//!   **parked in place**: no sweep touches it, and every later tick under
-//!   its cap is a deep park. A coast that ends on a tick that must run on
-//!   the node (the end of an orbit cut off before its fixed point) never
-//!   settles: its node stays unsettled and coasts on the node;
+//!   No sweep writes the slot: the ticks it is owed under its resting cap
+//!   are the control sweeps run since it settled, and the checkpoint it
+//!   owes is the latest checkpoint sweep's (only the newest can ever be
+//!   read). Whether each owed tick is coasted or parked is the node's to
+//!   say, so a node may pass its park transition while settled. A coast
+//!   that ends on a tick that must run on the node (the end of an orbit
+//!   cut off before its fixed point) never settles: its node stays
+//!   unsettled and coasts on the node;
 //! * before anything touches a settled node — a new cap (the leaves the
 //!   cap step reports), dispatch, a crash, a thermal, rack or zone
 //!   event — its slot is **credited** and its node listed unsettled: the
-//!   node gets the ticks counted up to the latest checkpoint sweep, that
-//!   checkpoint, then the rest of the counted ticks, each batch with its
-//!   last tick's instant: the calls an every-tick sweep makes, with the
-//!   same arguments, only later. A count that ran out on a park
-//!   transition ends on the transition tick, at its own instant, and the
-//!   node syncs and parks there (`Node::coast`);
+//!   node gets every control sweep since it settled, those up to the
+//!   latest checkpoint sweep, that checkpoint, then the rest, each batch
+//!   with its last tick's instant (sweep `k` ran at `(k − 1)` periods).
+//!   Each tick reaches the learner and the cap-mask count as Serial's
+//!   full tick does; a batch that runs past the park transition parks the
+//!   node there, and its later ticks are parked ones (`Node::coast`);
 //! * LeastLoaded picks from an **ordered index** of the idle nodes, keyed
 //!   by (`busy_s` by `total_cmp`, id): an idle node's `busy_s` does not
 //!   move, so the index changes only when a node takes a job, or finishes
@@ -117,22 +116,24 @@
 //!   policy that reads it, and nothing when the queue is empty, and merges
 //!   the nodes it placed into the busy list.
 //!
-//! The skipped work that is *not* bit-preserved is confined to
-//! unobservable telemetry. For coasted and parked ticks alike: the
-//! per-policy decision-tracker records, CPU-governor transition tallies,
-//! the controller's `cap_masked_intervals`, and the sensors' last-poll
-//! cursor between skipped ticks. For parked nodes only: the WMA scaler's
-//! interval count inside checkpoint payloads (a sync adds a coasting
-//! node's counted steps). Coasting off the orbit adds to the first set
-//! every idle tick of a node that served a job, from the tick its lowest
-//! pair leads again; such a node never parks, so it has no parked
-//! interval count either. None of these reach the trace CSV, the report
-//! or any digest (ROADMAP item 3 decides what fleet nodes keep of them).
-//! A coasting node's [`crate::Node::controller`] shows its learner as of
-//! its last sync. A settled node's counted ticks and pending checkpoint
-//! wait in its slot until it is credited, and a checkpoint a later stamp
-//! replaced is never recorded; nothing is flushed at the horizon, because
+//! The skipped work that is *not* bit-preserved is confined to two pieces
+//! of unobservable telemetry: the per-policy decision-tracker records,
+//! and the sensors' last-poll cursor between skipped ticks, which catches
+//! up before anything reads it. Neither reaches the trace CSV, the report
+//! or any digest (ROADMAP item 5 moves the tracker records out of fleet
+//! nodes). Every other count a skipped tick moves reaches the node at its
+//! credit or sync: the WMA interval count written into checkpoints and
+//! `cap_masked_intervals` through
+//! [`greengpu::GreenGpuController::fast_forward_idle`]; a resting node's
+//! CPU sits where an idle governor sample leaves it, so the governor's
+//! tally and the domains' transition counts need nothing. A coasting
+//! node's [`crate::Node::controller`] shows its learner as of its last
+//! sync. A settled node's owed ticks and pending checkpoint wait in its
+//! slot until it is credited, and a checkpoint a later stamp replaced is
+//! never recorded; nothing is flushed at the horizon, because
 //! [`crate::run_fleet`] reads no learner or checkpoint after the drive.
+//! The engine's unit tests credit every settled slot there and compare
+//! each node's counts with Serial's.
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::dispatch::TenantDispatcher;
@@ -361,7 +362,7 @@ pub(crate) fn drive(
             run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo)
         }
         EngineKind::EventDriven => {
-            let engine = EventDriven::new(nodes.len());
+            let engine = EventDriven::new(nodes.len(), inp.cfg.control_period);
             run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo)
         }
     }
@@ -430,12 +431,17 @@ trait Schedule {
     fn checkpoint(&mut self, nodes: &mut [Node], t: SimTime);
     /// Adds one to `up[rack_of[i]]` for every live node `i`.
     fn count_up(&mut self, nodes: &[Node], rack_of: &[usize], up: &mut [usize]);
-    /// Whether node `i` rests in a settled coasting slot that owes its node
-    /// a checkpoint.
+    /// Whether node `i` rests in a settled slot that owes its node a
+    /// checkpoint.
     #[cfg(test)]
-    fn owes_checkpoint_coasting(&self, _i: usize) -> bool {
+    fn owes_checkpoint(&self, _i: usize) -> bool {
         false
     }
+    /// After the drive: hands every settled node what its slot deferred
+    /// and wakes every resting node, so each node's learner and counters
+    /// can be compared with Serial's.
+    #[cfg(test)]
+    fn credit_all(&mut self, _nodes: &mut [Node]) {}
 }
 
 /// The breakers dispatch routes around: a node takes work only when its
@@ -558,10 +564,12 @@ struct EventDriven {
     /// of each rack's slots are settled; a settled node is live.
     rack_of: Vec<usize>,
     settled_in_rack: Vec<usize>,
-    /// The instant of every control sweep so far: sweep `k` (from 1) ran
-    /// at `sweep_at[k - 1]`. A settled coasting slot counts every sweep
-    /// after the one it settled behind, so its count follows from here.
-    sweep_at: Vec<SimTime>,
+    /// The control period: sweep `k` (from 1) ran at `(k − 1) · period`,
+    /// as the spine ticks from zero.
+    period: SimDuration,
+    /// Control sweeps so far. A settled slot is owed every sweep after the
+    /// one it settled behind, so its count follows from here.
+    sweeps: usize,
     /// Control sweeps run before the latest checkpoint sweep (0 before
     /// the first). Every slot settled behind an earlier sweep owes its
     /// node that checkpoint.
@@ -630,10 +638,9 @@ const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
 /// Everything the row and dispatch read of a settled node, and what the
 /// sweeps defer on it: its GPU and CPU meters' watts since it began
 /// resting, its cap violations and `busy_s`, the cap it rests under, and
-/// where its count of control ticks starts and ends. Nothing writes it
-/// while it is settled: the ticks it counted and the checkpoint it owes
-/// follow from the engine's sweep counters (see
-/// [`EventDriven::credit_slot`]).
+/// where its count of control ticks starts. Nothing writes it while it
+/// is settled: the ticks it is owed and the checkpoint it owes follow
+/// from the engine's sweep counters (see [`EventDriven::credit_slot`]).
 #[derive(Debug, Clone, Copy)]
 struct Frozen {
     gpu_w: f64,
@@ -642,62 +649,30 @@ struct Frozen {
     busy_s: f64,
     /// The cap it is parked or coasting under.
     cap: MilliWatts,
-    /// Control sweeps run before it settled; it counts every later one.
+    /// Control sweeps run before it settled; it is owed every later one.
     since: u32,
-    /// How many of those ticks only count themselves before the one that
-    /// parks the node in place; `u32::MAX` when its learner gives no end
-    /// to its coast.
-    budget: u32,
-    /// Parked when it settled: ticks under `cap` are skipped, not counted.
-    parked: bool,
 }
 
 impl Frozen {
     /// The slot of a node that began resting at the latest control sweep
     /// and has not been touched since, settling behind `since` sweeps, or
-    /// `None` if it is not resting or its coast ends on a tick that must
-    /// run on the node (the end of an orbit cut off before its fixed
-    /// point): such a node coasts on the node, unsettled.
+    /// `None` if its rest cannot settle ([`Node::rest_under`]): a coast
+    /// that ends on a tick that must run on the node (the end of an orbit
+    /// cut off before its fixed point) coasts on the node, unsettled.
     fn settle(node: &Node, since: usize) -> Option<Frozen> {
-        let (cap, count) = node.rest_under()?;
-        let (budget, parks) = count.unwrap_or((0, true));
-        let budget = u32::try_from(budget).unwrap_or(u32::MAX);
-        if !parks && budget < u32::MAX {
-            return None;
-        }
         Some(Frozen {
+            cap: node.rest_under()?,
             gpu_w: node.platform().gpu_meter().trace().last_value(),
             cpu_w: node.platform().cpu_meter().trace().last_value(),
             cap_violations: node.cap_violations(),
             busy_s: node.busy_s(),
-            cap,
             since: u32::try_from(since).unwrap_or(u32::MAX),
-            budget,
-            parked: count.is_none(),
         })
-    }
-
-    /// The ticks a credit after `sweeps` control sweeps hands the node:
-    /// one per sweep since it settled, up to and including the park
-    /// transition, after which a parked node's ticks are skipped.
-    fn handed(&self, sweeps: usize) -> u64 {
-        if self.parked {
-            return 0;
-        }
-        let counted = sweeps.saturating_sub(self.since as usize) as u64;
-        counted.min(u64::from(self.budget) + 1)
-    }
-
-    /// Whether it rests parked after `sweeps` control sweeps: parked when
-    /// it settled, or past a park transition no sweep had to touch.
-    #[cfg(test)]
-    fn is_parked(&self, sweeps: usize) -> bool {
-        self.parked || self.handed(sweeps) > u64::from(self.budget)
     }
 }
 
 impl EventDriven {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, period: SimDuration) -> Self {
         EventDriven {
             busy: Vec::new(),
             windows: Vec::new(),
@@ -706,41 +681,35 @@ impl EventDriven {
             unsettled: (0..n).collect(),
             rack_of: Vec::new(),
             settled_in_rack: Vec::new(),
-            sweep_at: Vec::new(),
+            period,
+            sweeps: 0,
             checkpoint_sweep: 0,
             mask: Vec::new(),
             idle: None,
         }
     }
 
-    /// The instant of the `k`-th tick a slot settled behind `since`
-    /// sweeps counted (its settle instant for `k = 0`).
-    fn counted_at(&self, since: u32, k: u64) -> SimTime {
-        let sweep = since as usize + k as usize;
-        self.sweep_at
-            .get(sweep.wrapping_sub(1))
-            .copied()
-            .unwrap_or(SimTime::ZERO)
+    /// The instant control sweep `k` (from 1) ran at.
+    fn sweep_at(&self, k: usize) -> SimTime {
+        SimTime::ZERO + self.period.mul_f64(k.saturating_sub(1) as f64)
     }
 
     /// Hands a settled node what its slot deferred, in every-tick order:
-    /// the ticks counted up to the latest checkpoint sweep, that
-    /// checkpoint, then the rest of the counted ticks, each batch with
-    /// its last tick's instant. A node whose count ran out on the park
-    /// transition takes that tick last, at its own instant, and parks
-    /// there (see [`Node::coast`]); the checkpoint then records the
-    /// parked learner.
+    /// one tick per control sweep since it settled, those up to the latest
+    /// checkpoint sweep, that checkpoint, then the rest, each batch with
+    /// its last tick's instant. The node says whether each tick is coasted
+    /// or parked ([`Node::coast`]).
     fn credit_slot(&self, node: &mut Node, f: &Frozen) {
-        let sweeps = self.sweep_at.len();
-        let handed = f.handed(sweeps);
-        if self.checkpoint_sweep > f.since as usize {
-            let stamp = ((self.checkpoint_sweep - f.since as usize) as u64).min(handed);
-            node.coast(stamp, self.counted_at(f.since, stamp));
+        let mut from = f.since as usize;
+        if self.checkpoint_sweep > from {
+            node.coast(
+                (self.checkpoint_sweep - from) as u64,
+                self.sweep_at(self.checkpoint_sweep),
+            );
             node.take_checkpoint();
-            node.coast(handed - stamp, self.counted_at(f.since, handed));
-        } else {
-            node.coast(handed, self.counted_at(f.since, handed));
+            from = self.checkpoint_sweep;
         }
+        node.coast((self.sweeps - from) as u64, self.sweep_at(self.sweeps));
     }
 
     /// Credits node `i` if its slot is settled, listing it in place in
@@ -797,8 +766,8 @@ impl Schedule for EventDriven {
     }
 
     fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
-        // A resting node's tick would only record the instant, which
-        // `Books::touch` and `Node::dispatch` record before it is read.
+        // A resting node's tick would only record the instant, which its
+        // credit hands it before anything reads it.
         for &i in &self.unsettled {
             if matches!(self.slots[i], Slot::Awake) {
                 lifecycle_step(&mut nodes[i], &mut breakers[i], t);
@@ -822,7 +791,7 @@ impl Schedule for EventDriven {
             demands.extend(nodes.iter().map(Node::demand));
             return None;
         }
-        let since = self.sweep_at.len();
+        let since = self.sweeps;
         let mut unsettled = std::mem::take(&mut self.unsettled);
         unsettled.retain(|&i| {
             let slot = &mut self.slots[i];
@@ -855,9 +824,8 @@ impl Schedule for EventDriven {
 
     fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], recapped: &[usize], t: SimTime) -> f64 {
         // A settled node is ticked on the node only when handed a new cap.
-        // Every other settled tick counts itself, or is skipped while
-        // parked under exactly the cap it is handed (deep park), without a
-        // write.
+        // Every other settled tick, coasted or parked (deep park), is owed
+        // to it until its credit, without a write.
         for &i in recapped {
             if matches!(self.slots[i], Slot::Settled(f) if f.cap != caps[i]) {
                 self.unsettle(&mut nodes[i], i);
@@ -871,7 +839,8 @@ impl Schedule for EventDriven {
                 self.slots[i] = if node.is_resting() { Slot::Fresh } else { Slot::Awake };
             }
         }
-        self.sweep_at.push(t);
+        self.sweeps += 1;
+        debug_assert_eq!(t, self.sweep_at(self.sweeps), "ticks sit at multiples of the period");
         over
     }
 
@@ -895,7 +864,7 @@ impl Schedule for EventDriven {
                 nodes[i].take_checkpoint();
             }
         }
-        self.checkpoint_sweep = self.sweep_at.len();
+        self.checkpoint_sweep = self.sweeps;
     }
 
     fn count_up(&mut self, nodes: &[Node], rack_of: &[usize], up: &mut [usize]) {
@@ -908,9 +877,16 @@ impl Schedule for EventDriven {
     }
 
     #[cfg(test)]
-    fn owes_checkpoint_coasting(&self, i: usize) -> bool {
-        matches!(self.slots[i], Slot::Settled(f)
-            if !f.is_parked(self.sweep_at.len()) && self.checkpoint_sweep > f.since as usize)
+    fn owes_checkpoint(&self, i: usize) -> bool {
+        matches!(self.slots[i], Slot::Settled(f) if self.checkpoint_sweep > f.since as usize)
+    }
+
+    #[cfg(test)]
+    fn credit_all(&mut self, nodes: &mut [Node]) {
+        for (i, node) in nodes.iter_mut().enumerate() {
+            self.unsettle(node, i);
+            node.wake();
+        }
     }
 }
 
@@ -968,8 +944,6 @@ struct Books {
     crash_records: Vec<CrashRecord>,
     jobs_lost: u64,
     stray_blackout_events: u64,
-    /// The spine's latest tick instant.
-    last_tick: SimTime,
 }
 
 impl Books {
@@ -979,14 +953,6 @@ impl Books {
         for rec in self.crash_records.iter_mut().filter(|r| r.cap_after_mw.is_none()) {
             rec.cap_after_mw = Some(caps[rec.node]);
         }
-    }
-
-    /// A chaos event is about to crash or throttle live node `id`: the
-    /// schedule first hands it the work it deferred, and the node saw the
-    /// latest tick even if its lifecycle sweep was skipped.
-    fn touch(&mut self, engine: &mut impl Schedule, node: &mut Node, id: usize) {
-        engine.credit(node, id);
-        node.saw_tick(self.last_tick);
     }
 
     /// Node `id`, capped at `cap_before` by the latest tick, crashes: it
@@ -1005,7 +971,7 @@ impl Books {
         retry: &mut RetryQueue,
         cap_before: MilliWatts,
     ) {
-        self.touch(engine, &mut nodes[id], id);
+        engine.credit(&mut nodes[id], id);
         if let Some(job) = nodes[id].crash(t, outage_s) {
             self.jobs_lost += 1;
             retry.job_lost(job, t, self.rack_of.get(id).copied());
@@ -1040,7 +1006,7 @@ fn apply_chaos(
         }
         ChaosKind::ThermalEmergency { duration_s } => {
             if nodes[ev.node].is_alive() {
-                books.touch(engine, &mut nodes[ev.node], ev.node);
+                engine.credit(&mut nodes[ev.node], ev.node);
                 nodes[ev.node].thermal_emergency(t, duration_s);
             }
         }
@@ -1107,7 +1073,7 @@ fn apply_domain_event(
         DomainChaosKind::ZoneThermal { duration_s } => {
             for &n in &g.index.zone_nodes[ev.domain] {
                 if nodes[n].is_alive() {
-                    books.touch(engine, &mut nodes[n], n);
+                    engine.credit(&mut nodes[n], n);
                     nodes[n].thermal_emergency(t, duration_s);
                 }
             }
@@ -1227,7 +1193,6 @@ fn run_spine<S: Schedule>(
         crash_records: Vec::new(),
         jobs_lost: 0,
         stray_blackout_events: 0,
-        last_tick: SimTime::ZERO,
     };
     if let Some(g) = geo.as_deref() {
         engine.attach(g.index);
@@ -1272,7 +1237,6 @@ fn run_spine<S: Schedule>(
                 }
             }
             Event::Tick => {
-                books.last_tick = t;
                 // 1. Failure FSMs and breaker clocks. A cleared probation
                 // or a completion since the last tick closes the breaker
                 // (and, on hierarchical runs, its rack's and zone's).
@@ -1358,6 +1322,8 @@ fn run_spine<S: Schedule>(
     }
     // Account service up to the horizon.
     engine.advance(nodes, t, SimTime::ZERO + cfg.horizon, &mut done);
+    #[cfg(test)]
+    engine.credit_all(nodes);
 
     DriveOutcome {
         completed: done.records,
@@ -1524,7 +1490,10 @@ mod tests {
             nodes[i].dispatch(job(100, size), SimTime::ZERO);
             assert!(nodes[i].advance(SimTime::ZERO, SimTime::from_secs(1000)).is_some());
         }
-        let mut engine = EventDriven::new(12);
+        let mut engine = EventDriven::new(12, SimDuration::from_secs(1));
+        // As if the engine had swept every second from zero while the jobs
+        // ran: the first sweep below, at 1001 s, is the 1002nd.
+        engine.sweeps = 1001;
         engine.credit(&mut nodes[3], 3);
         nodes[3].crash(SimTime::ZERO, 1e6);
         nodes[8].dispatch(job(101, 1e6), SimTime::ZERO);
@@ -1588,14 +1557,20 @@ mod tests {
         {
             let (mut nodes, mut engine) = resting_fleet(ticks);
             let now = SimTime::from_secs(1001 + ticks);
-            let sweeps = engine.sweep_at.len();
-            let settled = |parked: bool| {
-                let kind = |s: &&Slot| matches!(s, Slot::Settled(f) if f.is_parked(sweeps) == parked);
-                engine.slots.iter().filter(kind).count()
+            // Where each settled node rests is the node's to say, once
+            // credited: read it from a credited copy.
+            let (mut credited, mut audit) = resting_fleet(ticks);
+            let settled = audit.slots.iter().filter(|s| matches!(s, Slot::Settled(_))).count();
+            for (i, node) in credited.iter_mut().enumerate() {
+                audit.unsettle(node, i);
+            }
+            let resting = |parked: bool| {
+                let kind = |n: &&Node| n.is_resting() && n.is_parked() == parked;
+                credited.iter().filter(kind).count()
             };
             assert_eq!(
-                (settled(false), settled(true)),
-                (coasting, parked),
+                (settled, resting(false), resting(true)),
+                (coasting + parked, coasting, parked),
                 "after {ticks} ticks"
             );
             let mut breakers: Vec<CircuitBreaker> = (0..12).map(|_| CircuitBreaker::new(1.0, 3)).collect();
@@ -1654,9 +1629,8 @@ mod tests {
     #[derive(Debug, Clone)]
     struct Wake {
         node: usize,
-        /// Its slot was settled, coasting, with a checkpoint stamp
-        /// pending.
-        stamped_coasting: bool,
+        /// Its slot was settled, with a checkpoint stamp pending.
+        stamped: bool,
         /// It held a checkpoint before the wake.
         had_checkpoint: bool,
         /// Its checkpoint's text after the wake's credit.
@@ -1670,12 +1644,6 @@ mod tests {
         log: &'a mut Vec<Wake>,
     }
 
-    impl<S: Schedule> Spy<'_, S> {
-        fn stamped_coasting(&self, i: usize) -> bool {
-            self.inner.owes_checkpoint_coasting(i)
-        }
-    }
-
     impl<S: Schedule> Schedule for Spy<'_, S> {
         fn split(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions) {
             self.inner.split(nodes, from, to, done);
@@ -1686,12 +1654,12 @@ mod tests {
         }
 
         fn credit(&mut self, node: &mut Node, i: usize) {
-            let stamped_coasting = self.stamped_coasting(i);
+            let stamped = self.inner.owes_checkpoint(i);
             let had_checkpoint = node.checkpoint_data().is_some();
             self.inner.credit(node, i);
             self.log.push(Wake {
                 node: i,
-                stamped_coasting,
+                stamped,
                 had_checkpoint,
                 checkpoint: node.checkpoint_data(),
             });
@@ -1736,14 +1704,14 @@ mod tests {
         ) {
             let idle: Vec<(usize, bool, bool)> = (0..nodes.len())
                 .filter(|&i| nodes[i].is_idle())
-                .map(|i| (i, self.stamped_coasting(i), nodes[i].checkpoint_data().is_some()))
+                .map(|i| (i, self.inner.owes_checkpoint(i), nodes[i].checkpoint_data().is_some()))
                 .collect();
             self.inner.dispatch(scheduler, nodes, gate, rack_of, t);
-            for (i, stamped_coasting, had_checkpoint) in idle {
+            for (i, stamped, had_checkpoint) in idle {
                 if !nodes[i].is_idle() {
                     self.log.push(Wake {
                         node: i,
-                        stamped_coasting,
+                        stamped,
                         had_checkpoint,
                         checkpoint: nodes[i].checkpoint_data(),
                     });
@@ -1846,8 +1814,9 @@ mod tests {
         (format!("{report}\n{fleet_csv}\n{geo_csv}"), nodes)
     }
 
-    /// Every kind of wake lands on a settled coasting node with a
-    /// checkpoint stamp pending, each node's first: dispatch (node 0), a
+    /// Every kind of wake lands on a settled node with a checkpoint stamp
+    /// pending (coasting: none rests the 155 ticks it takes to park),
+    /// each node's first: dispatch (node 0), a
     /// crash exactly on a tick (1) and mid-interval (2), a thermal
     /// emergency on a tick (3), mid-interval (4) and inside one interval
     /// (5), rack power losses on a tick (rack 2, nodes 6–8) and
@@ -1885,7 +1854,7 @@ mod tests {
         };
         let (mut log, mut eager_log) = (Vec::new(), Vec::new());
         let spy = Spy {
-            inner: EventDriven::new(30),
+            inner: EventDriven::new(30, SimDuration::from_secs(1)),
             log: &mut log,
         };
         let job = [planted_job(0, SimTime::from_micros(33_300_000), 0, 1.0)];
@@ -1904,7 +1873,7 @@ mod tests {
                     first[i], eager_first[i]
                 );
             };
-            assert!(wake.stamped_coasting, "node {i}: {wake:?}");
+            assert!(wake.stamped, "node {i}: {wake:?}");
             assert!(wake.checkpoint.is_some(), "node {i}: no checkpoint after its wake");
             assert_eq!(wake.checkpoint, eager.checkpoint, "node {i}");
         }
@@ -1953,11 +1922,109 @@ mod tests {
         .map(|(id, (s, w, size))| planted_job(id as u64, at(s), w, size))
         .collect();
         let (serial, _) = run_planted(Serial::default(), &jobs, &chaos, &domains);
-        let (event, _) = run_planted(EventDriven::new(30), &jobs, &chaos, &domains);
+        let (event, _) = run_planted(EventDriven::new(30, SimDuration::from_secs(1)), &jobs, &chaos, &domains);
         assert_eq!(event, serial, "the event-driven run diverged from the serial one");
         let mut h = greengpu_sim::Fnv64::new();
         serial.bytes().for_each(|b| h.push_byte(b));
         assert_eq!(h.finish(), 926_298_022_086_828_000, "the planted spine's digest moved");
+    }
+
+    /// [`Node::learner_counts`]: what a run leaves in a node that no
+    /// report or trace carries.
+    type NodeAudit = (Option<String>, Option<u64>, u64, u64, [u64; 3]);
+
+    /// Runs `cfg` under both engines, the event-driven one crediting every
+    /// settled slot after the drive ([`Schedule::credit_all`]), and
+    /// asserts that every node's [`NodeAudit`] and the trace equal
+    /// Serial's. Returns Serial's report and audits.
+    fn assert_nodes_agree(cfg: &crate::FleetConfig) -> (crate::FleetReport, Vec<NodeAudit>) {
+        let run = |engine| {
+            let (report, nodes) = crate::fleet::run_fleet_nodes(&cfg.clone().with_engine(engine));
+            (report, nodes.iter().map(Node::learner_counts).collect::<Vec<_>>())
+        };
+        let (serial, audits) = run(EngineKind::Serial);
+        let (event, event_audits) = run(EngineKind::EventDriven);
+        let csv = |r: &crate::FleetReport| r.trace.to_table("audit").to_csv();
+        assert_eq!(csv(&event), csv(&serial), "seed {:#x}: the traces diverged", cfg.seed);
+        for (i, (got, want)) in event_audits.iter().zip(&audits).enumerate() {
+            assert_eq!(got, want, "seed {:#x}: node {i}", cfg.seed);
+        }
+        (serial, audits)
+    }
+
+    /// A `n`-node WMA fleet at history `history` under a trickle of
+    /// arrivals for `secs` seconds: most nodes idle for long stretches, so
+    /// at λ = 0.8 they coast, park at the idle fixed point and are credited
+    /// parked ticks. A flat fleet caps an idle node at its floor, which
+    /// only the lowest pair fits, so the cap masks pairs on every resting
+    /// tick.
+    fn trickle_cfg(n: usize, history: f64, secs: u64, rate: f64, seed: u64) -> crate::FleetConfig {
+        use greengpu::{PolicySpec, WmaParams};
+        let spec = PolicySpec::Wma(WmaParams {
+            history,
+            ..WmaParams::default()
+        });
+        let nodes = vec![crate::NodeConfig::default_node().with_freq_policy(spec); n];
+        let mut cfg =
+            crate::FleetConfig::from_nodes(nodes, 0.8, Policy::LeastLoaded, SimDuration::from_secs(secs), seed);
+        cfg.arrivals.rate_per_s = rate;
+        cfg
+    }
+
+    #[test]
+    fn trickle_fleets_agree_node_by_node() {
+        use crate::topology::Topology;
+        use greengpu_hw::ChaosPlan;
+        for seed in [0xA0D1_0001, 0xA0D1_0002] {
+            let chaos = ChaosPlan::crashes_only(seed ^ 0xC4A05, 0.001, (2.0, 6.0)).with_thermal(0.001, (10.0, 30.0));
+            let flat = trickle_cfg(6, 0.8, 400, 0.01, seed).with_chaos(chaos);
+            let topo = Topology::uniform(1, 2, 2, 3);
+            let geo = trickle_cfg(topo.n_nodes(), 0.8, 400, 0.02, seed)
+                .with_chaos(
+                    chaos
+                        .with_rack_loss(0.003, (3.0, 8.0))
+                        .with_zone_thermal(0.003, (10.0, 30.0)),
+                )
+                .with_topology(topo);
+            for (cfg, masks) in [(flat, true), (geo, false)] {
+                let (report, audits) = assert_nodes_agree(&cfg);
+                // A node idle through the whole run parks at the idle
+                // fixed point, on the flat fleet under a cap that masks
+                // pairs on every tick.
+                let parked = |(i, (_, intervals, masked, ..)): (usize, &NodeAudit)| {
+                    report.per_node_completed[i] == 0 && *intervals > Some(300) && (!masks || *masked > 300)
+                };
+                assert!(audits.iter().enumerate().any(parked), "seed {seed:#x}: {audits:?}");
+            }
+        }
+    }
+
+    /// λ = 0.95 cuts the idle orbit off at 512 rows before its fixed
+    /// point: a node coasts to the last row on the node, unsettled, ticks
+    /// once in full past it, then coasts off the orbit with no end.
+    #[test]
+    fn cut_orbit_fleets_agree_node_by_node() {
+        use crate::topology::Topology;
+        for seed in [0xC07_0001, 0xC07_0002] {
+            let topo = Topology::uniform(1, 2, 2, 3);
+            assert_nodes_agree(&trickle_cfg(12, 0.95, 700, 0.005, seed));
+            assert_nodes_agree(&trickle_cfg(topo.n_nodes(), 0.95, 700, 0.005, seed).with_topology(topo));
+        }
+    }
+
+    /// A node that crashes after it parked restores the checkpoint the
+    /// engine recorded while it rested parked, with every parked tick in
+    /// its interval count, and every later checkpoint descends from it.
+    #[test]
+    fn a_checkpoint_taken_while_parked_restores_as_serial_recorded_it() {
+        use greengpu_hw::ChaosPlan;
+        let seed = 0xA0D1_0003;
+        let cfg =
+            trickle_cfg(6, 0.8, 400, 1e-4, seed).with_chaos(ChaosPlan::crashes_only(seed ^ 0xC4A05, 0.002, (2.0, 6.0)));
+        let (report, _) = assert_nodes_agree(&cfg);
+        let late = report.crash_records.iter().filter(|c| c.at_s > 170.0).count();
+        assert!(report.completed.is_empty() && late > 0, "{:?}", report.crash_records);
+        assert_eq!(report.cold_restarts, 0, "every restart restores a checkpoint");
     }
 
     proptest::proptest! {

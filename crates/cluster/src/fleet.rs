@@ -524,6 +524,11 @@ fn same_spec(a: &GpuSpec, b: &GpuSpec) -> bool {
 
 /// Runs one fleet to its horizon.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
+    run_fleet_nodes(cfg).0
+}
+
+/// [`run_fleet`], handing back the nodes as well, as the drive left them.
+pub(crate) fn run_fleet_nodes(cfg: &FleetConfig) -> (FleetReport, Vec<Node>) {
     if let Err(msg) = cfg.try_validate() {
         panic!("invalid fleet config: {msg}");
     }
@@ -676,7 +681,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     );
 
     let n_tenants = cfg.serving.as_ref().map_or(1, |s| s.tenants.len());
-    FleetReport {
+    let report = FleetReport {
         trace: FleetTrace { rows: outcome.rows },
         per_node_completed: nodes.iter().map(Node::completed).collect(),
         rejected: scheduler.rejected(),
@@ -737,7 +742,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             .map_or(0, |g| g.zone_breakers.iter().map(CircuitBreaker::trips).sum()),
         interior_cap_violations: geo.as_ref().map_or(0, |g| g.interior_cap_violations),
         completed: outcome.completed,
-    }
+    };
+    (report, nodes)
 }
 
 #[cfg(test)]

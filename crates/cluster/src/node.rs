@@ -297,15 +297,16 @@ impl Node {
         }
     }
 
-    /// [`Node::new`] with a prebuilt profile table (see
-    /// [`Node::try_new_with_profiles`] for the caller contract).
+    /// [`Node::new`] with a prebuilt profile table. The caller guarantees
+    /// the profiles were built for `cfg.gpu` with this fleet's
+    /// `profile_seed`.
     pub fn new_with_profiles(
         id: usize,
         cfg: &NodeConfig,
         profiles: BTreeMap<String, ServiceProfile>,
         profile_seed: u64,
     ) -> Self {
-        match Node::try_new_with_profiles(id, cfg, profiles, profile_seed) {
+        match Node::try_with_profiles(id, cfg, Arc::new(ProfileTable::from(profiles)), profile_seed) {
             Ok(node) => node,
             Err(msg) => panic!("node {id}: {msg}"),
         }
@@ -324,22 +325,10 @@ impl Node {
         Node::try_with_profiles(id, cfg, Arc::new(profiles), profile_seed)
     }
 
-    /// Like [`Node::try_new`], but takes a prebuilt profile table. The
-    /// caller guarantees the profiles were built for `cfg.gpu` with this
-    /// fleet's `profile_seed`.
-    pub fn try_new_with_profiles(
-        id: usize,
-        cfg: &NodeConfig,
-        profiles: BTreeMap<String, ServiceProfile>,
-        profile_seed: u64,
-    ) -> Result<Self, String> {
-        Node::try_with_profiles(id, cfg, Arc::new(ProfileTable::from(profiles)), profile_seed)
-    }
-
-    /// Like [`Node::try_new_with_profiles`], but shares `profiles`: the
-    /// fleet constructor builds one table per distinct GPU spec and hands
-    /// it to every node with that spec, so an N-node homogeneous fleet
-    /// profiles its mix once and holds it once.
+    /// Like [`Node::try_new`], but with a prebuilt profile table, shared:
+    /// the fleet constructor builds one table per distinct GPU spec and
+    /// hands it to every node with that spec, so an N-node homogeneous
+    /// fleet profiles its mix once and holds it once.
     pub(crate) fn try_with_profiles(
         id: usize,
         cfg: &NodeConfig,
@@ -461,30 +450,25 @@ impl Node {
             if held == cap && (skipped < left || parks))
     }
 
-    /// A resting node's cap, with how many more control ticks under it
-    /// only count themselves ([`Node::coast`]) and whether the tick after
-    /// those parks the node (`true`) or must tick it in full. `None` in
-    /// place of the count on a parked node, whose ticks under its cap are
-    /// skipped outright.
-    pub(crate) fn rest_under(&self) -> Option<(MilliWatts, Option<(u64, bool)>)> {
+    /// The cap of a rest that may settle: [`Node::coast`] takes any count
+    /// of ticks under it. That is a parked node, or a coasting one whose
+    /// coast parks at its end or has no end. A coast that ends on a tick
+    /// that must run in full (past an orbit cut off before its fixed
+    /// point) gives `None`, as an awake node does.
+    pub(crate) fn rest_under(&self) -> Option<MilliWatts> {
         match self.rest {
-            Rest::Awake => None,
-            Rest::Coasting {
-                cap,
-                skipped,
-                left,
-                parks,
-                ..
-            } => Some((cap, Some((left.saturating_sub(skipped), parks)))),
-            Rest::Parked { cap, .. } => Some((cap, None)),
+            Rest::Coasting { cap, left, parks, .. } if parks || left == u64::MAX => Some(cap),
+            Rest::Parked { cap, .. } => Some(cap),
+            _ => None,
         }
     }
 
     /// Records `tick` as the last control interval a parked node saw, its
     /// sensors' catch-up instant at wake. Lifecycle ticks record theirs;
-    /// the event-driven engine, which skips them on resting nodes, records
-    /// the latest tick before a chaos event wakes the node.
-    pub(crate) fn saw_tick(&mut self, tick: SimTime) {
+    /// the event-driven engine, which skips them on resting nodes, hands
+    /// the latest tick's instant with the ticks it credits
+    /// ([`Node::coast`]).
+    fn saw_tick(&mut self, tick: SimTime) {
         if let Rest::Parked { last, .. } = &mut self.rest {
             *last = tick;
         }
@@ -1065,40 +1049,54 @@ impl Node {
         over
     }
 
-    /// Counts `ticks` control ticks under the cap a coasting node coasts
-    /// under, the last of them at `at`, as that many coasting calls of
-    /// [`Node::control_tick_parkable`] would; a no-op on a node that is not
-    /// coasting. The event-driven engine hands a settled node the ticks its
-    /// sweeps passed it by at once. A batch may end on the park transition,
-    /// the tick after [`Node::rest_under`]'s count on a node that parks, and
-    /// `at` is then that tick's instant: the node syncs and parks there.
-    /// It never counts past the transition, nor past the count on a node
-    /// that does not park, whose next tick must run in full.
+    /// Hands a resting node `ticks` control ticks under the cap it rests
+    /// under, the last of them at `at`: the ticks the event-driven engine's
+    /// sweeps passed a settled node by, at once. Each one reaches the
+    /// learner and the cap-mask count as the full tick Serial runs would
+    /// ([`GreenGpuController::fast_forward_idle`]); a no-op on an awake
+    /// node. A coasting node counts them and catches up at its next sync,
+    /// as that many coasting calls of [`Node::control_tick_parkable`]
+    /// would. A batch may run past the park transition, the tick after the
+    /// count on a coast that parks: the node syncs the whole batch there
+    /// and parks, and the ticks after the transition are parked ones. On a
+    /// parked node every tick goes to the learner at once and `at` becomes
+    /// the sensors' catch-up instant. (Drivers that skip a parked node's
+    /// ticks without handing them over, as perfbench's replay does, keep
+    /// the tick-by-tick protocol of [`Node::control_tick_parkable`].)
     pub(crate) fn coast(&mut self, ticks: u64, at: SimTime) {
         if ticks == 0 {
             return;
         }
-        if let Rest::Coasting {
-            cap,
-            skipped,
-            left,
-            parks,
-            last,
-        } = &mut self.rest
-        {
-            debug_assert!(self.job.is_none() && self.state == NodeState::Up && !self.thermal_active);
-            *skipped += ticks;
-            debug_assert!(
-                *skipped <= *left || (*parks && *skipped == *left + 1),
-                "counted past the end of the coast"
-            );
-            *last = at;
-            if *skipped > *left {
-                // The learner already sat at its fixed point, so this is
-                // the tick that proves it.
-                let cap = *cap;
-                self.sync();
-                self.rest = Rest::Parked { cap, last: at };
+        debug_assert!(
+            !self.is_resting() || (self.job.is_none() && self.state == NodeState::Up && !self.thermal_active),
+            "a resting node is idle, `Up` and unthrottled"
+        );
+        match &mut self.rest {
+            Rest::Awake => {}
+            Rest::Coasting {
+                cap,
+                skipped,
+                left,
+                parks,
+                last,
+            } => {
+                *skipped += ticks;
+                debug_assert!(
+                    *parks || *skipped <= *left,
+                    "a coast that does not park counted past its end"
+                );
+                *last = at;
+                if *skipped > *left {
+                    // The learner sat at its fixed point from the tick
+                    // after the count on, which proves it and parks.
+                    let cap = *cap;
+                    self.sync();
+                    self.rest = Rest::Parked { cap, last: at };
+                }
+            }
+            Rest::Parked { last, .. } => {
+                *last = at;
+                self.ctl.fast_forward_idle(ticks);
             }
         }
     }
@@ -1106,7 +1104,8 @@ impl Node {
     /// Brings a coasting node's controller up to its last counted tick:
     /// the learner takes the counted idle steps at once, and the sensors
     /// poll the still-flat traces up to that tick, as its last full tick
-    /// would have. The node keeps coasting with nothing pending.
+    /// would have. The node keeps coasting with nothing pending; a coast
+    /// with no end (`left == u64::MAX`) stays endless.
     fn sync(&mut self) {
         if let Rest::Coasting {
             skipped, left, last, ..
@@ -1116,7 +1115,9 @@ impl Node {
             if steps == 0 {
                 return;
             }
-            *left = left.saturating_sub(steps);
+            if *left < u64::MAX {
+                *left = left.saturating_sub(steps);
+            }
             *skipped = 0;
             self.ctl.fast_forward_idle(steps);
             self.ctl.on_dvfs_tick_quiescent(&mut self.platform, at);
@@ -1129,13 +1130,37 @@ impl Node {
     /// intervals, polls its still-flat traces up to the last control
     /// interval it saw (where an every-tick node last polled; a no-op
     /// for a node ticked at that instant).
-    fn wake(&mut self) {
+    pub(crate) fn wake(&mut self) {
         match self.rest {
             Rest::Awake => return,
             Rest::Coasting { .. } => self.sync(),
             Rest::Parked { last, .. } => self.ctl.on_dvfs_tick_quiescent(&mut self.platform, last),
         }
         self.rest = Rest::Awake;
+    }
+
+    /// What a run leaves in the node besides its outputs, for the tests
+    /// that compare a resting node with Serial's: its checkpoint, its WMA
+    /// interval count, the cap-masked intervals, the ondemand governor's
+    /// tally, and the GPU core, memory and CPU domains' transition counts.
+    #[cfg(test)]
+    pub(crate) fn learner_counts(&self) -> (Option<String>, Option<u64>, u64, u64, [u64; 3]) {
+        let tally = match self.ctl.governor() {
+            greengpu::CpuGovernor::Ondemand(g) => g.transitions(),
+            _ => 0,
+        };
+        let p = &self.platform;
+        (
+            self.checkpoint_data(),
+            self.ctl.wma().map(|w| w.intervals()),
+            self.ctl.cap_masked_intervals(),
+            tally,
+            [
+                p.gpu().core().transition_count(),
+                p.gpu().mem().transition_count(),
+                p.cpu().domain().transition_count(),
+            ],
+        )
     }
 
     /// Oracle-style placement estimate: (service seconds, GPU joules) for
@@ -1583,11 +1608,18 @@ mod tests {
             }
         }
         let [eager, batched] = pair;
-        let Some((held, Some((budget, true)))) = batched.rest_under() else {
-            panic!("coasting by tick 4: {:?}", batched.rest);
+        let Rest::Coasting {
+            cap: held,
+            skipped,
+            left,
+            parks: true,
+            ..
+        } = batched.rest
+        else {
+            panic!("coasting toward a park by tick 4: {:?}", batched.rest);
         };
         assert_eq!(held, cap);
-        (eager, batched, cap, 4, budget)
+        (eager, batched, cap, 4, left - skipped)
     }
 
     #[test]
@@ -1635,6 +1667,127 @@ mod tests {
             assert_eq!(state(&batched), state(&eager), "k={k} s={s}, synced");
             assert_eq!(batched.controller().desired_pair(), eager.controller().desired_pair());
         }
+    }
+
+    /// The ticks a settled slot owes its node, handed over as the
+    /// event-driven engine's credit hands them: the node rested from the
+    /// tick after `since`, the latest checkpoint fell due at `stamp`, and
+    /// the credit comes at tick `now`.
+    fn credit(node: &mut Node, since: u64, stamp: Option<u64>, now: u64) {
+        let from = match stamp {
+            Some(stamp) => {
+                node.coast(stamp - since, SimTime::from_secs(stamp));
+                node.take_checkpoint();
+                stamp
+            }
+            None => since,
+        };
+        node.coast(now - from, SimTime::from_secs(now));
+    }
+
+    #[test]
+    fn a_node_credited_in_batches_agrees_with_a_serial_twin_through_each_wake() {
+        // The node idles from the start under a cap that masks the upper
+        // pairs, coasts, parks unseen at the fixed point and is credited at
+        // 200 across the park transition. Then, each a credit of a parked
+        // slot: a new cap for ticks 230-231 and the old one back, a thermal
+        // emergency, a crash that warm-restores the checkpoint taken while
+        // parked at tick 420, and a job. Off the orbit after the job it
+        // coasts with no end, through a thermal emergency and a crash, to
+        // the horizon.
+        let touches = [
+            (200, Touch::Checkpoint),
+            (300, Touch::Thermal(5.0)),
+            (425, Touch::Crash(3.0)),
+            (600, Touch::Dispatch(0.2)),
+            (700, Touch::Thermal(4.0)),
+            (800, Touch::Crash(3.0)),
+        ];
+        let cfg = NodeConfig::default_node();
+        // Caps at the power of pair (2, 2), and of (1, 1) for the new cap.
+        let level = |k: u64| if (230..232).contains(&k) { 1 } else { 2 };
+        let cap_at = |k: u64| mw(cfg.gpu.power_at_levels_w(level(k), level(k), 1.0, 1.0));
+        let mut batched = Node::new(0, &cfg, &mix(), 7);
+        let mut serial = Node::new(0, &cfg, &mix(), 7);
+        for node in [&mut batched, &mut serial] {
+            node.set_lifecycle(2.0, 2);
+        }
+        // The settled slot: the cap it rests under, the tick it settled
+        // behind, and the latest checkpoint stamp since.
+        let mut slot: Option<(MilliWatts, u64, Option<u64>)> = None;
+        let (mut parked_credits, mut crossings, mut masked, mut t) = (0, 0, Vec::new(), SimTime::ZERO);
+        for k in 1..=900 {
+            let (now, cap) = (SimTime::from_secs(k), cap_at(k));
+            serial.advance(t, now);
+            serial.lifecycle_tick(now);
+            if serial.is_alive() {
+                serial.control_tick(now, cap);
+            }
+            batched.advance(t, now);
+            if let Some((_, since, stamp)) = slot.filter(|&(held, ..)| held != cap) {
+                // A new cap credits the slot before the tick runs.
+                credit(&mut batched, since, stamp, k - 1);
+                parked_credits += u64::from(batched.is_parked());
+                slot = None;
+            }
+            if slot.is_none() {
+                batched.lifecycle_tick(now);
+                if batched.is_alive() {
+                    batched.control_tick_parkable(now, cap);
+                }
+                if batched.is_resting() {
+                    slot = Some((cap, k, None));
+                }
+            }
+            if k % 10 == 0 {
+                if serial.state() == NodeState::Up {
+                    serial.take_checkpoint();
+                }
+                match &mut slot {
+                    Some((_, since, stamp)) if *since < k => *stamp = Some(k),
+                    _ if batched.state() == NodeState::Up => batched.take_checkpoint(),
+                    _ => {}
+                }
+            }
+            for &(_, touch) in touches.iter().filter(|(at, _)| *at == k) {
+                if let Some((_, since, stamp)) = slot.take() {
+                    let was_coasting = !batched.is_parked();
+                    credit(&mut batched, since, stamp, k);
+                    parked_credits += u64::from(batched.is_parked());
+                    crossings += u64::from(was_coasting && batched.is_parked());
+                }
+                if let Touch::Crash(_) = touch {
+                    // A restart builds a fresh controller, counters and all.
+                    masked.push(serial.controller().cap_masked_intervals());
+                }
+                let later = now + SimDuration::from_secs_f64(0.5);
+                for node in [&mut batched, &mut serial] {
+                    match touch {
+                        Touch::Checkpoint => node.take_checkpoint(),
+                        Touch::Thermal(secs) => node.thermal_emergency(later, secs),
+                        Touch::Crash(secs) => assert!(node.crash(now, secs).is_none(), "tick {k}: idle"),
+                        Touch::Dispatch(size) => node.dispatch(job("kmeans", size), now),
+                    }
+                }
+                assert_eq!(batched.learner_counts(), serial.learner_counts(), "tick {k}");
+            }
+            assert_eq!(batched.current_pair(), serial.current_pair(), "tick {k}");
+            t = now;
+        }
+        if let Some((_, since, stamp)) = slot {
+            credit(&mut batched, since, stamp, 900);
+        }
+        batched.wake();
+        assert_eq!(batched.learner_counts(), serial.learner_counts(), "at the horizon");
+        assert_eq!((serial.warm_restarts(), serial.cold_restarts()), (2, 0));
+        // Every wake before the job found the node parked, the first across
+        // its park transition. The cap masked pairs on every tick the
+        // controller ran: 425 up to the first crash less 5 throttled, 371
+        // from the restart at 430 to the second less 4 throttled, and 96
+        // from the restart at 805.
+        assert_eq!((parked_credits, crossings), (6, 1));
+        masked.push(serial.controller().cap_masked_intervals());
+        assert_eq!(masked, [420, 367, 96]);
     }
 
     #[test]

@@ -154,10 +154,6 @@ fn malformed_level_tables_are_refused_by_both_entry_points() {
         assert!(err.starts_with(&format!("node 3: {want}")), "case {k}: {err}");
         let err = Node::try_new(3, &cfg.nodes[3], &mix, 1).err().expect("try_new refuses");
         assert!(err.starts_with(want), "case {k}: {err}");
-        let err = Node::try_new_with_profiles(3, &cfg.nodes[3], Default::default(), 1)
-            .err()
-            .expect("try_new_with_profiles refuses");
-        assert!(err.starts_with(want), "case {k}: {err}");
     }
     // The constructors still accept every well-formed variant.
     let mut ok = NodeConfig::default_node();

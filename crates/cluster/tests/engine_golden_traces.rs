@@ -225,7 +225,9 @@ fn pinned_long_idle_report() -> String {
 /// The learner state a long idle leaves behind, read where a fleet
 /// report cannot: two WMA nodes driven one second at a time through the
 /// public `Node` API, skipping a node's control tick while it is parked
-/// under the (fixed) cap as the event-driven engine does. Node 0 idles
+/// under the (fixed) cap without crediting it. (The event-driven engine
+/// hands a parked node those ticks at its next credit, so the interval
+/// counts pinned here are this driver's, below Serial's.) Node 0 idles
 /// from the start past the idle fixed point, parks, then serves a job at
 /// tick 200. Node 1 crashes at tick 53 while idle since the start and
 /// warm-restores the checkpoint recorded at tick 50. Pins one row per

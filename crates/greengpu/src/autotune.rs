@@ -58,27 +58,9 @@ pub struct TuneResult {
 }
 
 impl TuneResult {
-    /// The winning parameters.
-    pub fn best_params(&self) -> WmaParams {
-        self.points[self.best].params
-    }
-
     /// The winning score.
     pub fn best_score(&self) -> f64 {
         self.points[self.best].score_edp
-    }
-
-    /// Score of an explicit parameter set previously evaluated in the
-    /// grid, if present.
-    pub fn score_of(&self, params: &WmaParams) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| {
-                (p.params.alpha_core - params.alpha_core).abs() < 1e-12
-                    && (p.params.alpha_mem - params.alpha_mem).abs() < 1e-12
-                    && (p.params.phi - params.phi).abs() < 1e-12
-            })
-            .map(|p| p.score_edp)
     }
 }
 
@@ -161,8 +143,16 @@ mod tests {
         // and the default must not be far from the winner.
         let grid = TuneGrid::default();
         let result = tune(calibration_set, &grid);
+        let default = WmaParams::default();
         let default_score = result
-            .score_of(&WmaParams::default())
+            .points
+            .iter()
+            .find(|p| {
+                (p.params.alpha_core - default.alpha_core).abs() < 1e-12
+                    && (p.params.alpha_mem - default.alpha_mem).abs() < 1e-12
+                    && (p.params.phi - default.phi).abs() < 1e-12
+            })
+            .map(|p| p.score_edp)
             .expect("default params are on the grid");
         assert!(result.best_score() <= default_score + 1e-9);
         let gap = default_score / result.best_score() - 1.0;
@@ -184,7 +174,7 @@ mod tests {
             ..TuneGrid::default()
         };
         let result = tune(calibration_set, &grid);
-        let phi = result.best_params().phi;
+        let phi = result.points[result.best].params.phi;
         assert!(
             (phi - 0.30).abs() < 1e-9,
             "expected the interior φ to win over the degenerate extremes, got {phi}"

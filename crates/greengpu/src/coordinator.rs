@@ -136,9 +136,9 @@ impl GreenGpuConfig {
     }
 }
 
-/// A cap's feasible set over a grid of up to 128 pairs, one bit per
-/// pair: the policy's masked argmax and its empty-set check read bits,
-/// and the controller keeps the mask until the cap moves.
+/// A cap's feasible set, one bit per pair over the first 128 pairs: on a
+/// grid of up to 128 pairs the policy's masked argmax and its empty-set
+/// check read bits. The controller keeps the mask until the cap moves.
 #[derive(Debug, Clone, Copy)]
 struct CapMask {
     /// The cap it was built for, as `f64` bits.
@@ -152,16 +152,19 @@ struct CapMask {
 
 impl CapMask {
     fn new(cap: f64, n_core: usize, n_mem: usize, feasible: impl Fn(usize, usize) -> bool) -> Self {
-        let bits = (0..n_core)
-            .flat_map(|i| (0..n_mem).map(move |j| (i, j)))
-            .enumerate()
-            .filter(|&(_, (i, j))| feasible(i, j))
-            .fold(0u128, |bits, (k, _)| bits | 1 << k);
+        let (mut bits, mut full) = (0u128, true);
+        for (k, (i, j)) in (0..n_core).flat_map(|i| (0..n_mem).map(move |j| (i, j))).enumerate() {
+            let fits = feasible(i, j);
+            full &= fits;
+            if fits && k < 128 {
+                bits |= 1 << k;
+            }
+        }
         CapMask {
             cap: cap.to_bits(),
             n_mem,
             bits,
-            full: bits.count_ones() as usize == n_core * n_mem,
+            full,
         }
     }
 
@@ -229,7 +232,6 @@ pub struct GreenGpuController {
     fallback: bool,
     sensor_rejects: u64,
     actuation_failures: u64,
-    actuation_retries: u64,
 }
 
 impl GreenGpuController {
@@ -292,7 +294,6 @@ impl GreenGpuController {
             fallback: false,
             sensor_rejects: 0,
             actuation_failures: 0,
-            actuation_retries: 0,
             config,
         }
     }
@@ -448,11 +449,6 @@ impl GreenGpuController {
         self.actuation_failures
     }
 
-    /// Total read-back verification retries issued.
-    pub fn actuation_retries(&self) -> u64 {
-        self.actuation_retries
-    }
-
     /// Total faults injected by the providers (0 on clean providers).
     pub fn injection_count(&self) -> usize {
         self.sensors.injection_log().len() + self.actuator.injection_log().len()
@@ -507,7 +503,6 @@ impl GreenGpuController {
                 break;
             }
             attempts += 1;
-            self.actuation_retries += 1;
         }
         self.record_actuation_failure();
     }
@@ -526,7 +521,6 @@ impl GreenGpuController {
                 break;
             }
             attempts += 1;
-            self.actuation_retries += 1;
         }
         self.record_actuation_failure();
     }
@@ -557,29 +551,26 @@ impl GreenGpuController {
     }
 
     /// Decide/actuate half of the GPU tick: mask the grid by the cap,
-    /// consult the policy, and enforce the chosen pair. Grids of up to
-    /// 128 pairs reuse the last cap's mask while the cap is unchanged; a
-    /// larger grid (no modeled card has one) evaluates the power model on
-    /// each query.
+    /// consult the policy, and enforce the chosen pair. The last cap's
+    /// mask is kept while the cap is unchanged; a grid of more than 128
+    /// pairs (no modeled card has one) keeps only whether it is full and
+    /// evaluates the power model on each query.
     fn decide_actuate_gpu(&mut self, platform: &mut Platform, now: SimTime, u_core: f64, u_mem: f64) {
         let (core_lvl, mem_lvl) = match self.power_cap_w {
             Some(cap) => {
                 let spec = platform.gpu().spec();
                 let (n_core, n_mem) = (spec.core_levels_mhz.len(), spec.mem_levels_mhz.len());
                 let fits = |i, j| spec.power_at_levels_w(i, j, 1.0, 1.0) <= cap;
+                let mask = match self.cap_mask {
+                    Some(mask) if mask.cap == cap.to_bits() => mask,
+                    _ => *self.cap_mask.insert(CapMask::new(cap, n_core, n_mem, fits)),
+                };
+                if !mask.full {
+                    self.cap_masked_intervals += 1;
+                }
                 if n_core * n_mem <= 128 {
-                    let mask = match self.cap_mask {
-                        Some(mask) if mask.cap == cap.to_bits() => mask,
-                        _ => *self.cap_mask.insert(CapMask::new(cap, n_core, n_mem, fits)),
-                    };
-                    if !mask.full {
-                        self.cap_masked_intervals += 1;
-                    }
                     self.policy.decide(u_core, u_mem, &|i, j| mask.contains(i, j))
                 } else {
-                    if !(0..n_core).all(|i| (0..n_mem).all(|j| fits(i, j))) {
-                        self.cap_masked_intervals += 1;
-                    }
                     self.policy.decide(u_core, u_mem, &fits)
                 }
             }
@@ -706,12 +697,21 @@ impl GreenGpuController {
         fits.then_some(settle)
     }
 
-    /// Applies `steps` exactly-idle observations to the policy at once
-    /// ([`FreqPolicy::fast_forward_idle`]). Sensors, actuators and the
-    /// telemetry (the policy's tracker, `cap_masked_intervals`, governor
-    /// tallies) are untouched.
+    /// Applies `steps` exactly-idle control intervals at once, on a
+    /// controller whose learner rests (settled, or parked at a decision
+    /// fixed point) under the cap its last decision ran under: the policy
+    /// takes the steps ([`FreqPolicy::fast_forward_idle`]), and
+    /// `cap_masked_intervals` gains them when that cap masks pairs, as
+    /// `steps` full ticks would leave both. A resting node's CPU already
+    /// sits where an idle governor sample leaves it, so no governor tally
+    /// moves. Sensors, actuators and the policy's decision tracker are
+    /// untouched.
     pub fn fast_forward_idle(&mut self, steps: u64) {
         self.policy.fast_forward_idle(steps);
+        let cap = self.power_cap_w.map(f64::to_bits);
+        if self.cap_mask.is_some_and(|mask| !mask.full && Some(mask.cap) == cap) {
+            self.cap_masked_intervals += steps;
+        }
     }
 }
 
@@ -905,6 +905,37 @@ mod tests {
         );
         assert!((i, j) != (11, 11), "cap had no effect");
         assert_eq!(ctl.cap_masked_intervals(), 5);
+    }
+
+    #[test]
+    fn fast_forward_idle_counts_the_intervals_its_cap_masks() {
+        // The 6-level card keeps its mask's bits; a 12-level one keeps
+        // only whether the mask is full.
+        for levels in [6, 12] {
+            let mut spec = greengpu_hw::calib::geforce_8800_gtx();
+            let stretch = |v: &[f64]| -> Vec<f64> {
+                let (lo, hi) = (v[0], v[v.len() - 1]);
+                (0..levels)
+                    .map(|k| lo + (hi - lo) * k as f64 / (levels - 1) as f64)
+                    .collect()
+            };
+            spec.core_levels_mhz = stretch(&spec.core_levels_mhz);
+            spec.mem_levels_mhz = stretch(&spec.mem_levels_mhz);
+            let cpu = greengpu_hw::calib::phenom_ii_x2();
+            let cpu_peak = cpu.levels_mhz.len() - 1;
+            let mut platform = Platform::new(spec.clone(), cpu, 0, 0, cpu_peak);
+            let peak = spec.power_at_levels_w(levels - 1, levels - 1, 1.0, 1.0);
+            for (cap, masked) in [(0.7 * peak, 3 + 40), (peak, 0)] {
+                let mut ctl = GreenGpuController::new(GreenGpuConfig::scaling_only(), levels, levels);
+                ctl.set_power_cap_w(Some(cap));
+                for k in 1..=3 {
+                    ctl.on_dvfs_tick(&mut platform, SimTime::from_secs(3 * k));
+                }
+                ctl.fast_forward_idle(40);
+                assert_eq!(ctl.cap_masked_intervals(), masked, "{levels} levels under {cap} W");
+                assert_eq!(ctl.wma().map(|w| w.intervals()), Some(43));
+            }
+        }
     }
 
     #[test]

@@ -44,8 +44,10 @@ impl FrequencyOracle {
         &self.points[self.best]
     }
 
-    /// The peak-frequency reference point.
-    pub fn peak_point(&self) -> &OraclePoint {
+    /// The peak-frequency reference point the tests compare the optimum
+    /// with.
+    #[cfg(test)]
+    fn peak_point(&self) -> &OraclePoint {
         self.points
             .iter()
             .max_by_key(|p| (p.core, p.mem))

@@ -7,7 +7,6 @@
 //! measures the whole box (motherboard, disk, DRAM) plus the CPU package.
 
 use crate::freq::FrequencyDomain;
-use crate::perf::{cpu_time, WorkUnits};
 use greengpu_sim::{SimTime, StepTrace};
 
 /// Static description of the CPU and host box.
@@ -158,26 +157,6 @@ impl CpuModel {
         self.util_trace.set(at, self.util);
     }
 
-    /// Time to run `work` spread over all cores at the current P-state.
-    pub fn kernel_time_s(&self, work: &WorkUnits) -> f64 {
-        cpu_time(
-            work,
-            self.spec.n_cores,
-            self.spec.ops_per_core_sec(self.domain.current_mhz()),
-            self.spec.mem_bytes_per_sec,
-        )
-    }
-
-    /// Time to run `work` at an explicit P-state (for oracle baselines).
-    pub fn kernel_time_at_s(&self, work: &WorkUnits, level: usize) -> f64 {
-        cpu_time(
-            work,
-            self.spec.n_cores,
-            self.spec.ops_per_core_sec(self.spec.levels_mhz[level]),
-            self.spec.mem_bytes_per_sec,
-        )
-    }
-
     /// Instantaneous whole-box power.
     pub fn current_power_w(&self) -> f64 {
         self.spec
@@ -202,6 +181,7 @@ impl CpuModel {
 mod tests {
     use super::*;
     use crate::calib::phenom_ii_x2;
+    use crate::perf::{cpu_time, WorkUnits};
 
     #[test]
     fn dvfs_factor_is_one_at_peak_and_decreasing() {
@@ -228,19 +208,13 @@ mod tests {
 
     #[test]
     fn kernel_time_scales_with_pstate() {
-        let mut cpu = CpuModel::new(phenom_ii_x2(), 3);
+        let spec = phenom_ii_x2();
         let w = WorkUnits::new(28e9, 1e6);
-        let fast = cpu.kernel_time_s(&w);
-        cpu.set_level(SimTime::from_secs(1), 0);
-        let slow = cpu.kernel_time_s(&w);
-        assert!((slow / fast - 2800.0 / 800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kernel_time_at_matches_current() {
-        let cpu = CpuModel::new(phenom_ii_x2(), 2);
-        let w = WorkUnits::new(1e9, 1e3);
-        assert!((cpu.kernel_time_s(&w) - cpu.kernel_time_at_s(&w, 2)).abs() < 1e-15);
+        let time_at = |level: usize| {
+            let per_core = spec.ops_per_core_sec(spec.levels_mhz[level]);
+            cpu_time(&w, spec.n_cores, per_core, spec.mem_bytes_per_sec)
+        };
+        assert!((time_at(0) / time_at(3) - 2800.0 / 800.0).abs() < 1e-9);
     }
 
     #[test]

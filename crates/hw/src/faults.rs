@@ -210,11 +210,6 @@ impl MeterFaults {
     pub fn observed_w(&self, w: f64) -> f64 {
         (w * self.gain + self.bias_w).min(self.saturate_w)
     }
-
-    /// Distorts a sampled power series.
-    pub fn observed_series(&self, samples: &[f64]) -> Vec<f64> {
-        samples.iter().map(|&w| self.observed_w(w)).collect()
-    }
 }
 
 /// The full per-channel fault configuration for one run.
@@ -810,21 +805,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Whether the plan schedules nothing on any channel (rates are
-    /// validated non-negative, so ≤ 0 means never configured).
-    pub fn is_quiet(&self) -> bool {
-        [
-            self.crash_rate_per_s,
-            self.thermal_rate_per_s,
-            self.blackout_rate_per_s,
-            self.rack_loss_rate_per_s,
-            self.zone_thermal_rate_per_s,
-            self.partition_rate_per_s,
-        ]
-        .iter()
-        .all(|&r| r <= 0.0)
-    }
-
     /// Non-panicking parameter check, naming the offending field.
     pub fn try_validate(&self) -> Result<(), String> {
         let rate = |name: &str, v: f64| -> Result<(), String> {
@@ -1225,7 +1205,7 @@ mod tests {
         };
         assert!((m.observed_w(50.0) - 60.0).abs() < 1e-12);
         assert_eq!(m.observed_w(200.0), 100.0, "saturates at the ceiling");
-        assert_eq!(m.observed_series(&[10.0, 200.0]), vec![16.0, 100.0]);
+        assert_eq!(m.observed_w(10.0), 16.0);
         assert_eq!(MeterFaults::default().observed_w(42.0), 42.0);
     }
 
@@ -1239,7 +1219,6 @@ mod tests {
     #[test]
     fn quiet_chaos_plan_schedules_nothing() {
         let plan = ChaosPlan::quiet(9);
-        assert!(plan.is_quiet());
         assert!(plan.try_validate().is_ok());
         assert!(plan.schedule(8, 1000.0).is_empty());
     }

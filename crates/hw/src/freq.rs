@@ -83,11 +83,6 @@ impl FrequencyDomain {
         self.levels_mhz[self.current]
     }
 
-    /// Current frequency in Hz.
-    pub fn current_hz(&self) -> f64 {
-        self.current_mhz() * 1e6
-    }
-
     /// Frequency of level `i` in MHz.
     pub fn mhz(&self, i: usize) -> f64 {
         self.levels_mhz[i]
@@ -96,16 +91,6 @@ impl FrequencyDomain {
     /// Index of the peak (highest) level.
     pub fn peak_level(&self) -> usize {
         self.levels_mhz.len() - 1
-    }
-
-    /// Current frequency as a fraction of the peak, in `(0, 1]`.
-    pub fn fraction_of_peak(&self) -> f64 {
-        self.current_mhz() / self.levels_mhz[self.peak_level()]
-    }
-
-    /// Fraction of peak for an arbitrary level.
-    pub fn fraction_of_peak_at(&self, i: usize) -> f64 {
-        self.levels_mhz[i] / self.levels_mhz[self.peak_level()]
     }
 
     /// The "most suitable utilization" of level `i` under the linear map of
@@ -229,14 +214,6 @@ mod tests {
         let mut d = mem_domain();
         d.set_peak(SimTime::from_secs(1));
         assert_eq!(d.current_level(), 5);
-        assert!((d.fraction_of_peak() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_of_peak_scales() {
-        let d = mem_domain();
-        assert!((d.fraction_of_peak() - 500.0 / 900.0).abs() < 1e-12);
-        assert!((d.fraction_of_peak_at(4) - 820.0 / 900.0).abs() < 1e-12);
     }
 
     #[test]
@@ -255,11 +232,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_initial_panics() {
         FrequencyDomain::new("bad", MEM_LEVELS, 6);
-    }
-
-    #[test]
-    fn current_hz_conversion() {
-        let d = mem_domain();
-        assert!((d.current_hz() - 5e8).abs() < 1e-3);
     }
 }

@@ -235,17 +235,6 @@ impl GpuModel {
         gpu_timing(work, self.ops_per_sec(), self.bytes_per_sec(), self.spec.overlap)
     }
 
-    /// Roofline timing of `work` at explicit levels (used by sweep
-    /// experiments and the oracle baselines).
-    pub fn timing_at(&self, work: &WorkUnits, core_idx: usize, mem_idx: usize) -> GpuTiming {
-        gpu_timing(
-            work,
-            self.spec.ops_per_sec(self.spec.core_levels_mhz[core_idx]),
-            self.spec.bytes_per_sec(self.spec.mem_levels_mhz[mem_idx]),
-            self.spec.overlap,
-        )
-    }
-
     /// Records new instantaneous activity (busy fractions) starting at
     /// `at`. The runtime calls this at every segment boundary: kernel start,
     /// kernel end, phase change, frequency change.
@@ -352,15 +341,6 @@ mod tests {
         let mut gpu = GpuModel::new(geforce_8800_gtx(), 0, 0);
         gpu.set_activity(SimTime::ZERO, 1.0, 1.0);
         assert!(gpu.current_power_w() <= gpu.spec().peak_power_w() + 1e-9);
-    }
-
-    #[test]
-    fn timing_at_matches_timing_when_levels_agree() {
-        let gpu = GpuModel::new(geforce_8800_gtx(), 3, 2);
-        let w = WorkUnits::new(1e10, 5e8);
-        let a = gpu.timing(&w);
-        let b = gpu.timing_at(&w, 3, 2);
-        assert_eq!(a, b);
     }
 
     #[test]

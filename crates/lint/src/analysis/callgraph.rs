@@ -151,19 +151,6 @@ impl Reach {
     pub fn contains(&self, id: FnId) -> bool {
         self.step.get(id).copied().unwrap_or(Step::No) != Step::No
     }
-
-    /// The seed reason on the chain that reached `id`, when reached.
-    pub fn seed_reason(&self, id: FnId) -> Option<&'static str> {
-        let mut cur = id;
-        for _ in 0..=self.step.len() {
-            match self.step.get(cur)? {
-                Step::No => return None,
-                Step::Seed(why) => return Some(why),
-                Step::From(prev, _) => cur = *prev,
-            }
-        }
-        None
-    }
 }
 
 /// One hop of a call-path witness.

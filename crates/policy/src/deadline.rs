@@ -10,16 +10,15 @@
 //! When no feasible pair fits, it degrades to the *fastest* feasible
 //! pair (best effort) and counts the miss.
 //!
-//! The model comes from the same roofline-with-overlap machinery in
-//! `greengpu-hw` that drives the simulator ([`PairModel::from_work`]),
-//! or from externally measured grids ([`PairModel::from_grids`]) as the
-//! cluster tier's service profiles provide.
+//! The model comes from per-pair time and energy grids
+//! ([`PairModel::from_grids`]): predicted by the same roofline-with-overlap
+//! machinery in `greengpu-hw` that drives the simulator (the `greengpu`
+//! crate's `pair_model_for`), or measured, as the cluster tier's service
+//! profiles provide.
 
 use crate::loss::{LossModel, LossParams};
 use crate::telemetry::{DecisionTracker, PolicyTelemetry};
 use crate::{hold_masked, snap, FreqPolicy};
-use greengpu_hw::gpu::GpuSpec;
-use greengpu_hw::perf::{gpu_timing, WorkUnits};
 use greengpu_sim::{JsonValue, JsonWriter};
 
 /// Predicted per-pair execution time and energy of a representative work
@@ -67,36 +66,6 @@ impl PairModel {
             time_s,
             energy_j,
         })
-    }
-
-    /// Predicts the grid for `work` on `spec` with the same
-    /// roofline-with-overlap timing and activity-dependent power model
-    /// the simulator runs, so predictions and simulation agree by
-    /// construction.
-    pub fn from_work(spec: &GpuSpec, work: &WorkUnits) -> Self {
-        let n_core = spec.core_levels_mhz.len();
-        let n_mem = spec.mem_levels_mhz.len();
-        let mut time_s = Vec::with_capacity(n_core * n_mem);
-        let mut energy_j = Vec::with_capacity(n_core * n_mem);
-        for i in 0..n_core {
-            for j in 0..n_mem {
-                let t = gpu_timing(
-                    work,
-                    spec.ops_per_sec(spec.core_levels_mhz[i]),
-                    spec.bytes_per_sec(spec.mem_levels_mhz[j]),
-                    spec.overlap,
-                );
-                let p = spec.power_at_levels_w(i, j, t.u_core, t.u_mem);
-                time_s.push(t.total_s);
-                energy_j.push(p * t.total_s);
-            }
-        }
-        PairModel {
-            n_core,
-            n_mem,
-            time_s,
-            energy_j,
-        }
     }
 
     /// Grid shape `(n_core, n_mem)`.
@@ -337,12 +306,41 @@ impl FreqPolicy for DeadlinePolicy {
 mod tests {
     use super::*;
     use greengpu_hw::calib::geforce_8800_gtx;
+    use greengpu_hw::gpu::GpuSpec;
+    use greengpu_hw::perf::{gpu_timing, WorkUnits};
 
     const ALL: fn(usize, usize) -> bool = |_, _| true;
 
+    /// The grid for `work` on `spec`, predicted with the same
+    /// roofline-with-overlap timing and activity-dependent power model
+    /// the simulator runs.
+    fn from_work(spec: &GpuSpec, work: &WorkUnits) -> PairModel {
+        let (n_core, n_mem) = (spec.core_levels_mhz.len(), spec.mem_levels_mhz.len());
+        let (mut time_s, mut energy_j) = (Vec::new(), Vec::new());
+        for i in 0..n_core {
+            for j in 0..n_mem {
+                let t = gpu_timing(
+                    work,
+                    spec.ops_per_sec(spec.core_levels_mhz[i]),
+                    spec.bytes_per_sec(spec.mem_levels_mhz[j]),
+                    spec.overlap,
+                );
+                let p = spec.power_at_levels_w(i, j, t.u_core, t.u_mem);
+                time_s.push(t.total_s);
+                energy_j.push(p * t.total_s);
+            }
+        }
+        PairModel {
+            n_core,
+            n_mem,
+            time_s,
+            energy_j,
+        }
+    }
+
     fn model() -> PairModel {
         // A moderately compute-leaning kernel on the calibrated card.
-        PairModel::from_work(&geforce_8800_gtx(), &WorkUnits::new(4e11, 8e9))
+        from_work(&geforce_8800_gtx(), &WorkUnits::new(4e11, 8e9))
     }
 
     #[test]

@@ -140,9 +140,13 @@ pub trait FreqPolicy {
 
     /// Applies `steps` exactly-idle observations at once: the learner
     /// ends where `steps` calls of `decide(+0.0, +0.0, ..)` under a mask
-    /// admitting the settled pair would leave it, without recording
-    /// telemetry. Only called while [`FreqPolicy::idle_settled`] is
-    /// `Some`; the default does nothing.
+    /// admitting the settled pair would leave it, interval counters
+    /// included, without recording telemetry. Only called while
+    /// [`FreqPolicy::idle_settled`] is `Some`, or on a learner parked at a
+    /// fixed point: two consecutive idle decides left its
+    /// [`FreqPolicy::decision_fingerprint`] unchanged, so each step only
+    /// counts itself. The default does nothing, which is exact for a
+    /// policy that snapshots no interval count.
     fn fast_forward_idle(&mut self, steps: u64) {
         let _ = steps;
     }

@@ -112,11 +112,6 @@ impl DecisionTracker {
         self.telemetry.invalid_inputs += 1;
     }
 
-    /// The last recorded pair, if any.
-    pub fn last_pair(&self) -> Option<(usize, usize)> {
-        self.last
-    }
-
     /// The best static pair in hindsight and its cumulative base loss
     /// (ties toward lower levels).
     pub fn best_static(&self) -> ((usize, usize), f64) {
@@ -204,7 +199,7 @@ mod tests {
         assert_eq!(t.telemetry().invalid_inputs, 1);
         t.reset();
         assert_eq!(t.telemetry(), &PolicyTelemetry::default());
-        assert_eq!(t.last_pair(), None);
+        assert_eq!(t.last, None);
     }
 
     #[test]

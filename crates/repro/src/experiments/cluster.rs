@@ -207,9 +207,9 @@ pub fn run(seed: u64) -> ExperimentOutput {
 
 /// A single small fleet for the CI smoke: `nodes` default nodes at 0.80
 /// budget under the least-loaded policy for `seconds` simulated seconds,
-/// driven by `engine` (every engine is byte-identical per seed — the CI
-/// parallel-vs-serial byte-compare rides on this seam). Emits the
-/// summary and the full trace.
+/// driven by `engine` (both engines are byte-identical per seed — CI's
+/// serial-vs-event byte-compare of the engine smokes rides on this
+/// seam). Emits the summary and the full trace.
 pub fn run_custom(seed: u64, nodes: usize, seconds: u64, engine: EngineKind) -> ExperimentOutput {
     let horizon = SimDuration::from_secs(seconds);
     let cfg = FleetConfig::homogeneous(nodes, 0.80, Policy::LeastLoaded, horizon, seed).with_engine(engine);

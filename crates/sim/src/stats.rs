@@ -164,15 +164,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Geometric mean of strictly positive values (NaN if empty or any value
-/// is non-positive).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return f64::NAN;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,13 +250,5 @@ mod tests {
         let s = summarize(&[]);
         assert_eq!(s.n, 0);
         assert!(s.mean.is_nan());
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!(geomean(&[]).is_nan());
-        assert!(geomean(&[1.0, 0.0]).is_nan());
-        assert!(geomean(&[1.0, -2.0]).is_nan());
     }
 }

@@ -38,11 +38,6 @@ impl PhaseTiming {
     pub fn total_s(&self) -> f64 {
         self.wall_s
     }
-
-    /// Memory utilization averaged over the whole phase.
-    pub fn u_mem_avg(&self) -> f64 {
-        self.u_mem
-    }
 }
 
 /// Times a GPU phase at explicit core/memory clocks (MHz).
@@ -189,7 +184,7 @@ mod tests {
         let t = phase_gpu_timing(&phase(0.0, 0.0, 1.5), &spec, 576.0, 900.0);
         assert_eq!(t.wall_s, 1.5);
         assert_eq!(t.u_core, 0.0);
-        assert_eq!(t.u_mem_avg(), 0.0);
+        assert_eq!(t.u_mem, 0.0);
     }
 
     #[test]

@@ -72,23 +72,6 @@ pub fn all_workloads(seed: u64) -> Vec<Box<dyn Workload>> {
         .collect()
 }
 
-/// The full suite with fast test presets.
-pub fn all_workloads_small(seed: u64) -> Vec<Box<dyn Workload>> {
-    TABLE2_NAMES
-        .iter()
-        .map(|n| by_name_small(n, seed).expect("registered name"))
-        .collect()
-}
-
-/// The names of the workloads that support CPU/GPU division.
-pub fn divisible_names(seed: u64) -> Vec<&'static str> {
-    all_workloads(seed)
-        .iter()
-        .filter(|w| w.profile().divisible)
-        .map(|w| w.profile().name)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +136,12 @@ mod tests {
         // The paper's division experiments use kmeans and hotspot;
         // independent-thread workloads (nbody, QG, SC, srad) also divide;
         // bfs/lud/PF have cross-chunk dependencies.
-        let div = divisible_names(1);
+        let suite = all_workloads(1);
+        let div: Vec<&str> = suite
+            .iter()
+            .filter(|w| w.profile().divisible)
+            .map(|w| w.profile().name)
+            .collect();
         for required in ["kmeans", "hotspot", "nbody", "QG", "streamcluster", "srad_v2"] {
             assert!(div.contains(&required), "{required} should be divisible");
         }
@@ -164,8 +152,13 @@ mod tests {
 
     #[test]
     fn small_suite_executes_quickly_and_deterministically() {
-        let mut suite_a = all_workloads_small(9);
-        let mut suite_b = all_workloads_small(9);
+        let small = || -> Vec<Box<dyn Workload>> {
+            TABLE2_NAMES
+                .iter()
+                .map(|n| by_name_small(n, 9).expect("registered name"))
+                .collect()
+        };
+        let (mut suite_a, mut suite_b) = (small(), small());
         for (a, b) in suite_a.iter_mut().zip(suite_b.iter_mut()) {
             let iters = a.iterations().min(2);
             for i in 0..iters {
