@@ -1,8 +1,10 @@
 //! The fleet execution engines: one event spine, two schedules.
 //!
-//! [`crate::run_fleet`] builds the simulation state (nodes, arrival and
-//! chaos schedules, scheduler, breakers, retry queue) and hands it to
-//! `drive`, which runs a single spine loop to the horizon. The loop owns
+//! [`crate::run_fleet`] builds the nodes and the arrival and chaos
+//! schedules, and a `Fleet` that owns the run's state (scheduler,
+//! breakers, retry queue, dispatcher, hierarchy) and its outputs, and
+//! hands it to `drive`, which runs the spine loop `Fleet::run` to the
+//! horizon. The loop owns
 //! every fleet-level step exactly once — arrivals, chaos and domain
 //! events, breaker clocks, caps, the crash audit, dispatch, checkpoints
 //! and telemetry rows. A private per-engine *schedule* decides only which
@@ -52,21 +54,21 @@
 //!   before a job ([`crate::Node::dispatch`]) or a throttle window
 //!   ([`crate::Node::thermal_emergency`], inside which a job may be
 //!   dispatched) can move them;
-//! * an idle node whose WMA learner has settled **coasts**: on its idle
-//!   orbit at or past the orbit's settle row, where one pair is the
-//!   strict maximum of every later row, or off the orbit once its lowest
+//! * an idle node whose WMA learner has settled **coasts**: its lowest
 //!   pair weighs exactly 1.0, which every later idle step keeps as the
-//!   table's first maximum. Its control ticks under the cap it settled
-//!   under only count themselves and return 0.0, and its demand is its
-//!   settled pair's throughout. Every other touch first **syncs** it — a
-//!   new cap, dispatch, a checkpoint, a thermal emergency, a crash: the
-//!   learner takes the counted steps at once (along the orbit, or Eq. 4
-//!   up to its bit-exact fixed point; the interval counter and the
-//!   cap-mask count count every one) and the sensors catch up to the last
-//!   counted tick. On the orbit it parks on exactly the tick a full tick
-//!   would have parked it (see [`crate::Node::control_tick_parkable`]);
-//!   off the orbit it never parks through coasting, and coasts until
-//!   something touches it;
+//!   table's first maximum (every row of the idle orbit qualifies, and a
+//!   table off it once that pair leads again). Its control ticks under
+//!   the cap it settled under only count themselves and return 0.0, and
+//!   its demand is its settled pair's throughout. Every other touch first
+//!   **syncs** it — a new cap, dispatch, a checkpoint, a thermal
+//!   emergency, a crash: the learner takes the counted steps at once
+//!   (along the orbit, or Eq. 4 up to its bit-exact fixed point; the
+//!   interval counter and the cap-mask count count every one) and the
+//!   sensors catch up to the last counted tick. On a closed orbit it parks on exactly the tick a full
+//!   tick would have parked it (see
+//!   [`crate::Node::control_tick_parkable`]); on an orbit cut off before
+//!   its fixed point, or off the orbit, it never parks through coasting,
+//!   and coasts until something touches it;
 //! * a parked node's power demand, and the whole `apportion` call when
 //!   no demand moved, reuse last tick's values — both are pure functions
 //!   of state the park fingerprint freezes. The budget tree takes again
@@ -83,21 +85,17 @@
 //!   full tick, a new cap, dispatch, a crash or a thermal emergency wakes
 //!   it. Its lifecycle tick would only record the parked sensor catch-up
 //!   instant, which its credit hands it instead, and it has no completion
-//!   due. From the next interval it is **settled** (unless its coast must
-//!   end on a full tick, below) and leaves the list of unsettled nodes,
-//!   the only nodes the lifecycle, demand, control and checkpoint sweeps
-//!   and the geo up-counts visit (a per-rack count stands for its rack's
-//!   settled nodes). Its demand entry and its meters are frozen, so the
+//!   due. From the next interval it is **settled** and leaves the list of
+//!   unsettled nodes, the only nodes the lifecycle, demand, control and
+//!   checkpoint sweeps and the geo up-counts visit (a per-rack count
+//!   stands for its rack's settled nodes). Its demand entry and its meters are frozen, so the
 //!   row folds `StepTrace`'s one-segment term `0.0 + v·dt` from the slot,
 //!   in node order from −0.0, and LeastLoaded reads its `busy_s` there.
 //!   No sweep writes the slot: the ticks it is owed under its resting cap
 //!   are the control sweeps run since it settled, and the checkpoint it
 //!   owes is the latest checkpoint sweep's (only the newest can ever be
 //!   read). Whether each owed tick is coasted or parked is the node's to
-//!   say, so a node may pass its park transition while settled. A coast
-//!   that ends on a tick that must run on the node (the end of an orbit
-//!   cut off before its fixed point) never settles: its node stays
-//!   unsettled and coasts on the node;
+//!   say, so a node may pass its park transition while settled;
 //! * before anything touches a settled node — a new cap (the leaves the
 //!   cap step reports), dispatch, a crash, a thermal, rack or zone
 //!   event — its slot is **credited** and its node listed unsettled: the
@@ -320,11 +318,28 @@ impl<'a> GeoState<'a> {
     }
 }
 
-/// Everything `run_fleet` needs back from an engine to assemble the
-/// [`crate::FleetReport`].
-pub(crate) struct DriveOutcome {
-    pub completed: Vec<JobRecord>,
-    pub deadline_misses: u64,
+/// One fleet run: the state every step of the spine reads and writes,
+/// and the outputs it collects. `run_fleet` builds one, [`drive`]s it to
+/// the horizon and reads the [`crate::FleetReport`] out of it.
+pub(crate) struct Fleet<'a> {
+    cfg: &'a FleetConfig,
+    pub nodes: Vec<Node>,
+    pub scheduler: Scheduler,
+    pub breakers: Vec<CircuitBreaker>,
+    pub retry: RetryQueue,
+    pub dispatcher: TenantDispatcher,
+    /// The hierarchy of a geo run; `None` on a flat one.
+    pub geo: Option<GeoState<'a>>,
+    /// A flat run's caps of the latest tick (empty on geo runs, whose
+    /// caps are the budget tree's leaves).
+    flat: FlatCaps,
+    /// The node chaos events `Event::Chaos` indexes.
+    chaos_events: &'a [ChaosEvent],
+    budget_mw: MilliWatts,
+    /// Node → rack map (empty on flat runs — dispatch and the retry
+    /// queue treat that as "no topology").
+    rack_of: Vec<usize>,
+    pub done: Completions,
     pub rows: Vec<TraceRow>,
     pub crash_records: Vec<CrashRecord>,
     pub jobs_lost: u64,
@@ -335,35 +350,54 @@ pub(crate) struct DriveOutcome {
     pub stray_blackout_events: u64,
 }
 
-/// The inputs every engine drives from, besides the [`Spine`], which
-/// carries the arrivals.
-pub(crate) struct DriveInputs<'a> {
-    pub cfg: &'a FleetConfig,
-    /// The node chaos events `Event::Chaos` indexes.
-    pub chaos_events: &'a [ChaosEvent],
-    pub budget_mw: MilliWatts,
+impl<'a> Fleet<'a> {
+    /// A run of `nodes` under `cfg`, with the scheduler, breakers, retry
+    /// queue and dispatcher `cfg` describes, before its first event.
+    pub fn new(
+        cfg: &'a FleetConfig,
+        nodes: Vec<Node>,
+        chaos_events: &'a [ChaosEvent],
+        geo: Option<GeoState<'a>>,
+        budget_mw: MilliWatts,
+    ) -> Self {
+        let lc = &cfg.lifecycle;
+        Fleet {
+            cfg,
+            scheduler: Scheduler::new(cfg.policy, cfg.queue_capacity),
+            breakers: (0..nodes.len())
+                .map(|_| CircuitBreaker::new(lc.breaker_cooldown_s, lc.breaker_max_backoff_exp))
+                .collect(),
+            retry: RetryQueue::new(lc.max_retries, lc.retry_backoff_s, lc.dead_letter_capacity),
+            dispatcher: cfg
+                .serving
+                .as_ref()
+                .map_or_else(TenantDispatcher::passthrough, TenantDispatcher::from_serving),
+            flat: FlatCaps::new(if geo.is_some() { 0 } else { nodes.len() }),
+            rack_of: geo.as_ref().map_or_else(Vec::new, |g| g.index.rack_of.clone()),
+            nodes,
+            geo,
+            chaos_events,
+            budget_mw,
+            done: Completions::default(),
+            rows: Vec::new(),
+            crash_records: Vec::new(),
+            jobs_lost: 0,
+            stray_blackout_events: 0,
+        }
+    }
 }
 
 /// Runs the configured engine over the spine to the horizon.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive(
-    inp: DriveInputs,
-    spine: Spine,
-    nodes: &mut [Node],
-    scheduler: &mut Scheduler,
-    breakers: &mut [CircuitBreaker],
-    retry: &mut RetryQueue,
-    dispatcher: &mut TenantDispatcher,
-    geo: Option<&mut GeoState>,
-) -> DriveOutcome {
-    match inp.cfg.engine {
-        EngineKind::Serial => {
-            let engine = Serial::default();
-            run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo)
-        }
+///
+/// `Fleet::run` is called by its path: greengpu-lint resolves a method
+/// call by bare name, so `fleet.run(..)` would also put every other `run`
+/// method in the workspace on this control path.
+pub(crate) fn drive(fleet: &mut Fleet, spine: Spine) {
+    match fleet.cfg.engine {
+        EngineKind::Serial => Fleet::run(fleet, Serial::default(), spine),
         EngineKind::EventDriven => {
-            let engine = EventDriven::new(nodes.len(), inp.cfg.control_period);
-            run_spine(engine, inp, spine, nodes, scheduler, breakers, retry, dispatcher, geo)
+            let engine = EventDriven::new(fleet.nodes.len(), fleet.cfg.control_period);
+            Fleet::run(fleet, engine, spine);
         }
     }
 }
@@ -373,9 +407,9 @@ pub(crate) fn drive(
 /// advancing every node at every event emits, which every schedule
 /// reproduces.
 #[derive(Default)]
-struct Completions {
-    records: Vec<JobRecord>,
-    deadline_misses: u64,
+pub(crate) struct Completions {
+    pub records: Vec<JobRecord>,
+    pub deadline_misses: u64,
 }
 
 impl Completions {
@@ -391,7 +425,7 @@ impl Completions {
 
 /// Which nodes each per-node batch of the spine touches — the only
 /// thing the engines differ in. Everything fleet-level lives once in
-/// [`run_spine`].
+/// `Fleet::run`.
 trait Schedule {
     /// Job service runs from `from` to an arrival at `to`, which cannot
     /// change any node's job or pair: a schedule may leave the window to
@@ -654,11 +688,9 @@ struct Frozen {
 }
 
 impl Frozen {
-    /// The slot of a node that began resting at the latest control sweep
-    /// and has not been touched since, settling behind `since` sweeps, or
-    /// `None` if its rest cannot settle ([`Node::rest_under`]): a coast
-    /// that ends on a tick that must run on the node (the end of an orbit
-    /// cut off before its fixed point) coasts on the node, unsettled.
+    /// The slot of a node that began resting at the latest control sweep,
+    /// settling behind `since` sweeps, or `None` for a node that something
+    /// woke since ([`Node::rest_under`]).
     fn settle(node: &Node, since: usize) -> Option<Frozen> {
         Some(Frozen {
             cap: node.rest_under()?,
@@ -936,161 +968,6 @@ impl Placement for Placing<'_, '_> {
     }
 }
 
-/// Per-run bookkeeping the chaos handlers and the cap step share.
-struct Books {
-    /// Node → rack map (empty on flat runs — dispatch and the retry
-    /// queue treat that as "no topology").
-    rack_of: Vec<usize>,
-    crash_records: Vec<CrashRecord>,
-    jobs_lost: u64,
-    stray_blackout_events: u64,
-}
-
-impl Books {
-    /// Fills the pending crash-audit halves from the first post-crash
-    /// caps.
-    fn settle(&mut self, caps: &[MilliWatts]) {
-        for rec in self.crash_records.iter_mut().filter(|r| r.cap_after_mw.is_none()) {
-            rec.cap_after_mw = Some(caps[rec.node]);
-        }
-    }
-
-    /// Node `id`, capped at `cap_before` by the latest tick, crashes: it
-    /// loses its job to the retry queue (which remembers the rack it died
-    /// in, to soft-avoid it), trips its breaker, and opens a crash-audit
-    /// record.
-    #[allow(clippy::too_many_arguments)]
-    fn crash(
-        &mut self,
-        engine: &mut impl Schedule,
-        nodes: &mut [Node],
-        breakers: &mut [CircuitBreaker],
-        id: usize,
-        t: SimTime,
-        outage_s: f64,
-        retry: &mut RetryQueue,
-        cap_before: MilliWatts,
-    ) {
-        engine.credit(&mut nodes[id], id);
-        if let Some(job) = nodes[id].crash(t, outage_s) {
-            self.jobs_lost += 1;
-            retry.job_lost(job, t, self.rack_of.get(id).copied());
-        }
-        breakers[id].record_failure(t);
-        self.crash_records.push(CrashRecord {
-            node: id,
-            at_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),
-            cap_before_mw: cap_before,
-            cap_after_mw: None,
-        });
-    }
-}
-
-/// Applies one spine chaos event under the latest tick's `caps`.
-#[allow(clippy::too_many_arguments)]
-fn apply_chaos(
-    engine: &mut impl Schedule,
-    nodes: &mut [Node],
-    ev: &ChaosEvent,
-    t: SimTime,
-    books: &mut Books,
-    retry: &mut RetryQueue,
-    breakers: &mut [CircuitBreaker],
-    caps: &[MilliWatts],
-) {
-    match ev.kind {
-        ChaosKind::Crash { outage_s } => {
-            if nodes[ev.node].is_alive() {
-                books.crash(engine, nodes, breakers, ev.node, t, outage_s, retry, caps[ev.node]);
-            }
-        }
-        ChaosKind::ThermalEmergency { duration_s } => {
-            if nodes[ev.node].is_alive() {
-                engine.credit(&mut nodes[ev.node], ev.node);
-                nodes[ev.node].thermal_emergency(t, duration_s);
-            }
-        }
-        ChaosKind::TelemetryBlackout { .. } => {
-            // Blackouts are installed into the sensor stacks at setup; a
-            // stray runtime one is a schedule bug, not a reason to lose
-            // the whole fleet run — count it and carry on.
-            books.stray_blackout_events += 1;
-        }
-    }
-}
-
-/// Applies one correlated domain event.
-#[allow(clippy::too_many_arguments)]
-fn apply_domain_event(
-    engine: &mut impl Schedule,
-    nodes: &mut [Node],
-    i: usize,
-    t: SimTime,
-    g: &mut GeoState,
-    books: &mut Books,
-    retry: &mut RetryQueue,
-    breakers: &mut [CircuitBreaker],
-) {
-    let ev = g.domain_events[i];
-    match ev.kind {
-        DomainChaosKind::RackPowerLoss { outage_s } => {
-            let rack = ev.domain;
-            let zone = g.index.zone_of_rack[rack];
-            let at_s = t.saturating_since(SimTime::ZERO).as_secs_f64();
-            let caps = g.tree.leaf_caps();
-            let rack_cap_before: MilliWatts = g.index.rack_nodes[rack].iter().map(|&n| caps[n]).sum();
-            let sibling_before: MilliWatts = g.index.zone_nodes[zone]
-                .iter()
-                .filter(|&&n| g.index.rack_of[n] != rack)
-                .map(|&n| caps[n])
-                .sum();
-            for &n in &g.index.rack_nodes[rack] {
-                if nodes[n].is_alive() {
-                    books.crash(engine, nodes, breakers, n, t, outage_s, retry, caps[n]);
-                } else {
-                    // A node already down (independent crash, or an
-                    // earlier loss of the same rack) loses its restart
-                    // progress too — the whole rack is unpowered, so
-                    // *every* node in the domain stays at 0 mW demand
-                    // through the next apportionment.
-                    nodes[n].extend_outage(t, outage_s);
-                }
-            }
-            g.rack_breakers[rack].record_failure(t);
-            g.rack_losses += 1;
-            g.domain_records.push(DomainOutageRecord {
-                rack,
-                zone,
-                at_s,
-                rack_cap_before_mw: rack_cap_before,
-                rack_cap_after_mw: None,
-                zone_cap_before_mw: g.tree.zone_caps()[zone],
-                zone_cap_after_mw: None,
-                sibling_caps_before_mw: sibling_before,
-                sibling_caps_after_mw: None,
-            });
-        }
-        DomainChaosKind::ZoneThermal { duration_s } => {
-            for &n in &g.index.zone_nodes[ev.domain] {
-                if nodes[n].is_alive() {
-                    engine.credit(&mut nodes[n], n);
-                    nodes[n].thermal_emergency(t, duration_s);
-                }
-            }
-            g.zone_thermal_emergencies += 1;
-        }
-        DomainChaosKind::ZonePartition { duration_s } => {
-            // The zone is unreachable for a known window: its breaker
-            // opens for exactly that window (no backoff escalation —
-            // see `CircuitBreaker::force_open_until`). The nodes keep
-            // running; their sensor blackout windows were installed at
-            // setup from the same schedule.
-            g.zone_breakers[ev.domain].force_open_until(t + SimDuration::from_secs_f64(duration_s));
-            g.zone_partitions += 1;
-        }
-    }
-}
-
 /// Fills the pending `*_after` halves of domain outage records from the
 /// caps the first post-event tree tick produced — the hierarchical
 /// counterpart of the per-node `CrashRecord` fill.
@@ -1167,240 +1044,289 @@ fn push_geo_rows<S: Schedule>(g: &mut GeoState, engine: &mut S, nodes: &[Node], 
     }
 }
 
-/// The fleet loop every engine runs: pops the spine to the horizon and
-/// performs each fleet-level step once, leaving to `engine` only which
-/// nodes each per-node batch touches.
-#[allow(clippy::too_many_arguments)]
-fn run_spine<S: Schedule>(
-    mut engine: S,
-    inp: DriveInputs,
-    mut spine: Spine,
-    nodes: &mut [Node],
-    scheduler: &mut Scheduler,
-    breakers: &mut [CircuitBreaker],
-    retry: &mut RetryQueue,
-    dispatcher: &mut TenantDispatcher,
-    mut geo: Option<&mut GeoState>,
-) -> DriveOutcome {
-    let DriveInputs {
-        cfg,
-        chaos_events,
-        budget_mw,
-    } = inp;
-    let n = nodes.len();
-    let mut books = Books {
-        rack_of: geo.as_deref().map_or_else(Vec::new, |g| g.index.rack_of.clone()),
-        crash_records: Vec::new(),
-        jobs_lost: 0,
-        stray_blackout_events: 0,
-    };
-    if let Some(g) = geo.as_deref() {
-        engine.attach(g.index);
-    }
-    let mut done = Completions::default();
-    // Completion records the breaker step has seen.
-    let mut scanned = 0;
-    let mut demands: Vec<NodeDemand> = Vec::with_capacity(n);
-    let (mut moved, mut recapped) = (Vec::new(), Vec::new());
-    // The caps of the latest tick: the tree's leaves on hierarchical runs.
-    let mut flat = FlatCaps::new(if geo.is_some() { 0 } else { n });
-    let mut rows = Vec::new();
-    let mut t = SimTime::ZERO;
-    let mut interval = 0u64;
-    let mut tick_no = 0u64;
-
-    while let Some((at, event)) = spine.pop() {
-        if matches!(event, Event::Arrival(_)) {
-            engine.split(nodes, t, at, &mut done);
-        } else {
-            engine.advance(nodes, t, at, &mut done);
+impl Fleet<'_> {
+    /// The fleet loop every engine runs: pops the spine to the horizon and
+    /// performs each fleet-level step once, leaving to `engine` only which
+    /// nodes each per-node batch touches.
+    fn run<S: Schedule>(&mut self, mut engine: S, mut spine: Spine) {
+        if let Some(g) = &self.geo {
+            engine.attach(g.index);
         }
-        t = at;
-        match event {
-            Event::Arrival(job) => dispatcher.on_arrival(job, scheduler, t),
-            Event::Chaos(i) => {
-                let caps = geo.as_deref().map_or(flat.caps(), |g| g.tree.leaf_caps());
-                apply_chaos(
-                    &mut engine,
-                    nodes,
-                    &chaos_events[i],
-                    t,
-                    &mut books,
-                    retry,
-                    breakers,
-                    caps,
-                );
+        // Completion records the breaker step has seen.
+        let mut scanned = 0;
+        let mut demands: Vec<NodeDemand> = Vec::with_capacity(self.nodes.len());
+        let (mut moved, mut recapped) = (Vec::new(), Vec::new());
+        let mut t = SimTime::ZERO;
+        let mut interval = 0u64;
+        let mut tick_no = 0u64;
+
+        while let Some((at, event)) = spine.pop() {
+            if matches!(event, Event::Arrival(_)) {
+                engine.split(&mut self.nodes, t, at, &mut self.done);
+            } else {
+                engine.advance(&mut self.nodes, t, at, &mut self.done);
             }
-            Event::Domain(i) => {
-                if let Some(g) = geo.as_deref_mut() {
-                    apply_domain_event(&mut engine, nodes, i, t, g, &mut books, retry, breakers);
-                }
-            }
-            Event::Tick => {
-                // 1. Failure FSMs and breaker clocks. A cleared probation
-                // or a completion since the last tick closes the breaker
-                // (and, on hierarchical runs, its rack's and zone's).
-                engine.lifecycle(nodes, breakers, t);
-                for b in breakers.iter_mut() {
-                    b.tick(t);
-                }
-                if let Some(g) = geo.as_deref_mut() {
-                    for b in g.rack_breakers.iter_mut().chain(g.zone_breakers.iter_mut()) {
+            t = at;
+            match event {
+                Event::Arrival(job) => self.dispatcher.on_arrival(job, &mut self.scheduler, t),
+                Event::Chaos(i) => self.apply_chaos(&mut engine, i, t),
+                Event::Domain(i) => self.apply_domain_event(&mut engine, i, t),
+                Event::Tick => {
+                    // 1. Failure FSMs and breaker clocks. A cleared probation
+                    // or a completion since the last tick closes the breaker
+                    // (and, on hierarchical runs, its rack's and zone's).
+                    engine.lifecycle(&mut self.nodes, &mut self.breakers, t);
+                    for b in self.breakers.iter_mut() {
                         b.tick(t);
                     }
-                }
-                // A node completes at most one job between ticks, and each
-                // completion left one record, so the records since the
-                // last tick name exactly the nodes that completed since.
-                for rec in &done.records[scanned..] {
-                    breakers[rec.node].record_success();
-                    if let Some(g) = geo.as_deref_mut() {
-                        g.rack_breakers[g.index.rack_of[rec.node]].record_success();
-                        g.zone_breakers[g.index.zone_of[rec.node]].record_success();
+                    if let Some(g) = self.geo.as_mut() {
+                        for b in g.rack_breakers.iter_mut().chain(g.zone_breakers.iter_mut()) {
+                            b.tick(t);
+                        }
                     }
-                }
-                scanned = done.records.len();
-                // 2. Caps from the *current* demands: a node crashed since
-                // the last tick demands nothing, so its budget is already
-                // back in the pool here — at the rack level on
-                // hierarchical runs (the zone and region splits lag one
-                // report each; see `BudgetTree`). The tree ticks every
-                // interval: its lagged upward reports advance even when
-                // no demand moved, and it splits again only where a demand,
-                // a report or a cap moved. The flat `apportion` is a pure
-                // function of budget and demands, so it reruns only when
-                // one moved.
-                // A schedule that reports which demands moved also reads
-                // which caps moved.
-                let moved = engine.demands(nodes, &mut demands, &mut moved);
-                recapped.clear();
-                let recap = moved.is_some().then_some(&mut recapped);
-                if let Some(g) = geo.as_deref_mut() {
-                    g.tree.cascade(budget_mw, &demands, moved, recap);
-                    g.interior_cap_violations += g.tree.violations(budget_mw);
-                    fill_domain_records(g);
-                } else if moved.is_none_or(|ids| !ids.is_empty()) {
-                    flat.apportion(budget_mw, &demands, recap);
-                }
-                let caps = geo.as_deref().map_or(flat.caps(), |g| g.tree.leaf_caps());
-                books.settle(caps);
-                // 3. Control ticks on live nodes.
-                let max_over_w = engine.control(nodes, caps, &recapped, t);
-                // 4. Deferred best-effort jobs whose green window (or
-                // horizon) arrived re-enter first, then retries re-enter
-                // ahead of fresh arrivals (reversed so the earliest-ready
-                // job ends up frontmost), then dispatch behind the
-                // breaker mask (per-node ∧ rack ∧ zone).
-                dispatcher.release_due(scheduler, t);
-                for r in retry.drain_ready(t).into_iter().rev() {
-                    scheduler.requeue_front(r.job, r.avoid_rack);
-                }
-                let gate = Gate {
-                    breakers,
-                    geo: geo.as_deref(),
-                };
-                engine.dispatch(scheduler, nodes, &gate, &books.rack_of, t);
-                // 5. Periodic learner checkpoints on fully-Up nodes.
-                if let Some(k) = cfg.lifecycle.checkpoint_period {
-                    if tick_no > 0 && tick_no.is_multiple_of(k) {
-                        engine.checkpoint(nodes, t);
+                    // A node completes at most one job between ticks, and each
+                    // completion left one record, so the records since the
+                    // last tick name exactly the nodes that completed since.
+                    for rec in &self.done.records[scanned..] {
+                        self.breakers[rec.node].record_success();
+                        if let Some(g) = self.geo.as_mut() {
+                            g.rack_breakers[g.index.rack_of[rec.node]].record_success();
+                            g.zone_breakers[g.index.zone_of[rec.node]].record_success();
+                        }
                     }
-                }
-                tick_no += 1;
-                if t > SimTime::ZERO {
-                    interval += 1;
-                    rows.push(trace_row(
-                        cfg, &engine, nodes, scheduler, breakers, retry, caps, t, interval, &done, max_over_w,
-                    ));
-                    if let Some(g) = geo.as_deref_mut() {
-                        push_geo_rows(g, &mut engine, nodes, t, interval);
+                    scanned = self.done.records.len();
+                    // 2. Caps from the *current* demands: a node crashed since
+                    // the last tick demands nothing, so its budget is already
+                    // back in the pool here — at the rack level on
+                    // hierarchical runs (the zone and region splits lag one
+                    // report each; see `BudgetTree`). The tree ticks every
+                    // interval: its lagged upward reports advance even when
+                    // no demand moved, and it splits again only where a demand,
+                    // a report or a cap moved. The flat `apportion` is a pure
+                    // function of budget and demands, so it reruns only when
+                    // one moved.
+                    // A schedule that reports which demands moved also reads
+                    // which caps moved.
+                    let moved = engine.demands(&self.nodes, &mut demands, &mut moved);
+                    recapped.clear();
+                    let recap = moved.is_some().then_some(&mut recapped);
+                    if let Some(g) = self.geo.as_mut() {
+                        g.tree.cascade(self.budget_mw, &demands, moved, recap);
+                        g.interior_cap_violations += g.tree.violations(self.budget_mw);
+                        fill_domain_records(g);
+                    } else if moved.is_none_or(|ids| !ids.is_empty()) {
+                        self.flat.apportion(self.budget_mw, &demands, recap);
                     }
-                    dispatcher.note_interval(t, interval);
+                    // (`Fleet::caps`, borrowing only the fields it reads.)
+                    let caps = self.geo.as_ref().map_or(self.flat.caps(), |g| g.tree.leaf_caps());
+                    // The pending crash-audit halves take the first
+                    // post-crash caps.
+                    for rec in self.crash_records.iter_mut().filter(|r| r.cap_after_mw.is_none()) {
+                        rec.cap_after_mw = Some(caps[rec.node]);
+                    }
+                    // 3. Control ticks on live nodes.
+                    let max_over_w = engine.control(&mut self.nodes, caps, &recapped, t);
+                    // 4. Deferred best-effort jobs whose green window (or
+                    // horizon) arrived re-enter first, then retries re-enter
+                    // ahead of fresh arrivals (reversed so the earliest-ready
+                    // job ends up frontmost), then dispatch behind the
+                    // breaker mask (per-node ∧ rack ∧ zone).
+                    self.dispatcher.release_due(&mut self.scheduler, t);
+                    for r in self.retry.drain_ready(t).into_iter().rev() {
+                        self.scheduler.requeue_front(r.job, r.avoid_rack);
+                    }
+                    let gate = Gate {
+                        breakers: &self.breakers,
+                        geo: self.geo.as_ref(),
+                    };
+                    engine.dispatch(&mut self.scheduler, &mut self.nodes, &gate, &self.rack_of, t);
+                    // 5. Periodic learner checkpoints on fully-Up nodes.
+                    if let Some(k) = self.cfg.lifecycle.checkpoint_period {
+                        if tick_no > 0 && tick_no.is_multiple_of(k) {
+                            engine.checkpoint(&mut self.nodes, t);
+                        }
+                    }
+                    tick_no += 1;
+                    if t > SimTime::ZERO {
+                        interval += 1;
+                        let row = self.trace_row(&engine, t, interval, max_over_w);
+                        self.rows.push(row);
+                        if let Some(g) = self.geo.as_mut() {
+                            push_geo_rows(g, &mut engine, &self.nodes, t, interval);
+                        }
+                        self.dispatcher.note_interval(t, interval);
+                    }
                 }
             }
         }
+        // Account service up to the horizon.
+        engine.advance(&mut self.nodes, t, SimTime::ZERO + self.cfg.horizon, &mut self.done);
+        #[cfg(test)]
+        engine.credit_all(&mut self.nodes);
     }
-    // Account service up to the horizon.
-    engine.advance(nodes, t, SimTime::ZERO + cfg.horizon, &mut done);
-    #[cfg(test)]
-    engine.credit_all(nodes);
 
-    DriveOutcome {
-        completed: done.records,
-        deadline_misses: done.deadline_misses,
-        rows,
-        crash_records: books.crash_records,
-        jobs_lost: books.jobs_lost,
-        stray_blackout_events: books.stray_blackout_events,
+    /// The caps of the latest tick: the budget tree's leaves on geo runs.
+    fn caps(&self) -> &[MilliWatts] {
+        self.geo.as_ref().map_or(self.flat.caps(), |g| g.tree.leaf_caps())
     }
-}
 
-/// One per-interval telemetry row — built once by the spine, so the CSV
-/// bytes cannot drift between engines.
-#[allow(clippy::too_many_arguments)]
-fn trace_row<S: Schedule>(
-    cfg: &FleetConfig,
-    engine: &S,
-    nodes: &[Node],
-    scheduler: &Scheduler,
-    breakers: &[CircuitBreaker],
-    retry: &RetryQueue,
-    caps: &[MilliWatts],
-    t: SimTime,
-    interval: u64,
-    done: &Completions,
-    max_over_w: f64,
-) -> TraceRow {
-    let window_start = SimTime::ZERO + cfg.control_period.mul_f64((interval - 1) as f64);
-    let span_s = t.saturating_since(window_start).as_secs_f64();
-    let dt = span_s.max(1e-12);
-    // One pass over the fleet: it integrates each GPU meter once for both
-    // sums and counts alongside. The energy terms, their order and the
-    // -0.0 start are `Iterator::sum`'s, and each total term is
-    // `Platform::total_energy_j`'s `gpu + cpu`. A settled node's meters
-    // hold one segment across the window (`StepTrace::integral`'s one
-    // term), and it is idle, healthy and `Up`.
-    let (mut gpu_j, mut total_j) = (-0.0, -0.0);
-    let (mut busy_nodes, mut healthy_nodes, mut up_nodes, mut cap_violations) = (0, 0, 0, 0);
-    for (i, n) in nodes.iter().enumerate() {
-        let (gpu, cpu) = match engine.slot(i) {
-            Slot::Settled(f) => {
-                healthy_nodes += 1;
-                up_nodes += 1;
-                cap_violations += f.cap_violations;
-                (0.0 + f.gpu_w * span_s, 0.0 + f.cpu_w * span_s)
+    /// Applies node chaos event `i` at `t`.
+    fn apply_chaos(&mut self, engine: &mut impl Schedule, i: usize, t: SimTime) {
+        let ev = self.chaos_events[i];
+        match ev.kind {
+            ChaosKind::Crash { outage_s } => {
+                if self.nodes[ev.node].is_alive() {
+                    self.crash(engine, ev.node, t, outage_s);
+                }
             }
-            _ => {
-                busy_nodes += usize::from(!n.is_idle());
-                healthy_nodes += usize::from(n.healthy());
-                up_nodes += usize::from(n.is_alive());
-                cap_violations += n.cap_violations();
-                let p = n.platform();
-                (p.gpu_energy_j(window_start, t), p.cpu_energy_j(window_start, t))
+            ChaosKind::ThermalEmergency { duration_s } => {
+                if self.nodes[ev.node].is_alive() {
+                    engine.credit(&mut self.nodes[ev.node], ev.node);
+                    self.nodes[ev.node].thermal_emergency(t, duration_s);
+                }
             }
+            ChaosKind::TelemetryBlackout { .. } => {
+                // Blackouts are installed into the sensor stacks at setup; a
+                // stray runtime one is a schedule bug, not a reason to lose
+                // the whole fleet run — count it and carry on.
+                self.stray_blackout_events += 1;
+            }
+        }
+    }
+
+    /// Applies correlated domain event `i` at `t` (geo runs only).
+    fn apply_domain_event(&mut self, engine: &mut impl Schedule, i: usize, t: SimTime) {
+        let Some(g) = self.geo.as_mut() else {
+            return;
         };
-        gpu_j += gpu;
-        total_j += gpu + cpu;
+        let (index, ev) = (g.index, g.domain_events[i]);
+        match ev.kind {
+            DomainChaosKind::RackPowerLoss { outage_s } => {
+                let rack = ev.domain;
+                let zone = index.zone_of_rack[rack];
+                let caps = g.tree.leaf_caps();
+                let siblings = || index.zone_nodes[zone].iter().filter(|&&n| index.rack_of[n] != rack);
+                g.domain_records.push(DomainOutageRecord {
+                    rack,
+                    zone,
+                    at_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),
+                    rack_cap_before_mw: index.rack_nodes[rack].iter().map(|&n| caps[n]).sum(),
+                    rack_cap_after_mw: None,
+                    zone_cap_before_mw: g.tree.zone_caps()[zone],
+                    zone_cap_after_mw: None,
+                    sibling_caps_before_mw: siblings().map(|&n| caps[n]).sum(),
+                    sibling_caps_after_mw: None,
+                });
+                g.rack_breakers[rack].record_failure(t);
+                g.rack_losses += 1;
+                for &n in &index.rack_nodes[rack] {
+                    if self.nodes[n].is_alive() {
+                        self.crash(engine, n, t, outage_s);
+                    } else {
+                        // A node already down (independent crash, or an
+                        // earlier loss of the same rack) loses its restart
+                        // progress too — the whole rack is unpowered, so
+                        // *every* node in the domain stays at 0 mW demand
+                        // through the next apportionment.
+                        self.nodes[n].extend_outage(t, outage_s);
+                    }
+                }
+            }
+            DomainChaosKind::ZoneThermal { duration_s } => {
+                for &n in &index.zone_nodes[ev.domain] {
+                    if self.nodes[n].is_alive() {
+                        engine.credit(&mut self.nodes[n], n);
+                        self.nodes[n].thermal_emergency(t, duration_s);
+                    }
+                }
+                g.zone_thermal_emergencies += 1;
+            }
+            DomainChaosKind::ZonePartition { duration_s } => {
+                // The zone is unreachable for a known window: its breaker
+                // opens for exactly that window (no backoff escalation —
+                // see `CircuitBreaker::force_open_until`). The nodes keep
+                // running; their sensor blackout windows were installed at
+                // setup from the same schedule.
+                g.zone_breakers[ev.domain].force_open_until(t + SimDuration::from_secs_f64(duration_s));
+                g.zone_partitions += 1;
+            }
+        }
     }
-    TraceRow {
-        interval,
-        time_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),
-        queue_depth: scheduler.depth(),
-        busy_nodes,
-        healthy_nodes,
-        gpu_power_w: gpu_j / dt,
-        total_power_w: total_j / dt,
-        fleet_cap_w: caps.iter().sum::<u64>() as f64 / 1000.0,
-        budget_w: cfg.budget_w,
-        completed: done.records.len() as u64,
-        rejected: scheduler.rejected(),
-        deadline_misses: done.deadline_misses,
-        cap_violations,
-        max_pair_over_cap_w: max_over_w,
-        up_nodes,
-        open_breakers: breakers.iter().filter(|b| b.state() == BreakerState::Open).count(),
-        retry_depth: retry.pending_len(),
-        dead_lettered: retry.dead_letter_total(),
+
+    /// Node `id` crashes under the cap the latest tick gave it (caps move
+    /// only at ticks): it loses its job to the retry queue (which
+    /// remembers the rack it died in, to soft-avoid it), trips its
+    /// breaker, and opens a crash-audit record.
+    fn crash(&mut self, engine: &mut impl Schedule, id: usize, t: SimTime, outage_s: f64) {
+        let cap_before = self.caps()[id];
+        engine.credit(&mut self.nodes[id], id);
+        if let Some(job) = self.nodes[id].crash(t, outage_s) {
+            self.jobs_lost += 1;
+            self.retry.job_lost(job, t, self.rack_of.get(id).copied());
+        }
+        self.breakers[id].record_failure(t);
+        self.crash_records.push(CrashRecord {
+            node: id,
+            at_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),
+            cap_before_mw: cap_before,
+            cap_after_mw: None,
+        });
+    }
+
+    /// One per-interval telemetry row — built once by the spine, so the CSV
+    /// bytes cannot drift between engines.
+    fn trace_row<S: Schedule>(&self, engine: &S, t: SimTime, interval: u64, max_over_w: f64) -> TraceRow {
+        let window_start = SimTime::ZERO + self.cfg.control_period.mul_f64((interval - 1) as f64);
+        let span_s = t.saturating_since(window_start).as_secs_f64();
+        let dt = span_s.max(1e-12);
+        // One pass over the fleet: it integrates each GPU meter once for both
+        // sums and counts alongside. The energy terms, their order and the
+        // -0.0 start are `Iterator::sum`'s, and each total term is
+        // `Platform::total_energy_j`'s `gpu + cpu`. A settled node's meters
+        // hold one segment across the window (`StepTrace::integral`'s one
+        // term), and it is idle, healthy and `Up`.
+        let (mut gpu_j, mut total_j) = (-0.0, -0.0);
+        let (mut busy_nodes, mut healthy_nodes, mut up_nodes, mut cap_violations) = (0, 0, 0, 0);
+        for (i, n) in self.nodes.iter().enumerate() {
+            let (gpu, cpu) = match engine.slot(i) {
+                Slot::Settled(f) => {
+                    healthy_nodes += 1;
+                    up_nodes += 1;
+                    cap_violations += f.cap_violations;
+                    (0.0 + f.gpu_w * span_s, 0.0 + f.cpu_w * span_s)
+                }
+                _ => {
+                    busy_nodes += usize::from(!n.is_idle());
+                    healthy_nodes += usize::from(n.healthy());
+                    up_nodes += usize::from(n.is_alive());
+                    cap_violations += n.cap_violations();
+                    let p = n.platform();
+                    (p.gpu_energy_j(window_start, t), p.cpu_energy_j(window_start, t))
+                }
+            };
+            gpu_j += gpu;
+            total_j += gpu + cpu;
+        }
+        TraceRow {
+            interval,
+            time_s: t.saturating_since(SimTime::ZERO).as_secs_f64(),
+            queue_depth: self.scheduler.depth(),
+            busy_nodes,
+            healthy_nodes,
+            gpu_power_w: gpu_j / dt,
+            total_power_w: total_j / dt,
+            fleet_cap_w: self.caps().iter().sum::<u64>() as f64 / 1000.0,
+            budget_w: self.cfg.budget_w,
+            completed: self.done.records.len() as u64,
+            rejected: self.scheduler.rejected(),
+            deadline_misses: self.done.deadline_misses,
+            cap_violations,
+            max_pair_over_cap_w: max_over_w,
+            up_nodes,
+            open_breakers: self.breakers.iter().filter(|b| b.state() == BreakerState::Open).count(),
+            retry_depth: self.retry.pending_len(),
+            dead_lettered: self.retry.dead_letter_total(),
+        }
     }
 }
 
@@ -1408,6 +1334,7 @@ fn trace_row<S: Schedule>(
 mod tests {
     use super::*;
     use crate::policy::Policy;
+    use greengpu::WmaParams;
     use greengpu_sim::SimDuration;
 
     /// Regression for the old `unreachable!("blackouts are installed at
@@ -1422,7 +1349,7 @@ mod tests {
             let cfg = crate::FleetConfig::homogeneous(2, 0.9, Policy::LeastLoaded, SimDuration::from_secs(3), 11)
                 .with_engine(engine);
             let mix: Vec<String> = cfg.arrivals.mix.iter().map(|(n, _)| n.clone()).collect();
-            let mut nodes: Vec<Node> = cfg
+            let nodes: Vec<Node> = cfg
                 .nodes
                 .iter()
                 .enumerate()
@@ -1440,33 +1367,10 @@ mod tests {
                 &chaos_events,
                 &[],
             );
-            let mut scheduler = Scheduler::new(cfg.policy, cfg.queue_capacity);
-            let mut breakers: Vec<CircuitBreaker> = (0..nodes.len())
-                .map(|_| CircuitBreaker::new(cfg.lifecycle.breaker_cooldown_s, cfg.lifecycle.breaker_max_backoff_exp))
-                .collect();
-            let mut retry = RetryQueue::new(
-                cfg.lifecycle.max_retries,
-                cfg.lifecycle.retry_backoff_s,
-                cfg.lifecycle.dead_letter_capacity,
-            );
-            let mut dispatcher = TenantDispatcher::passthrough();
-            let inputs = DriveInputs {
-                cfg: &cfg,
-                chaos_events: &chaos_events,
-                budget_mw: 1_000_000,
-            };
-            let outcome = drive(
-                inputs,
-                spine,
-                &mut nodes,
-                &mut scheduler,
-                &mut breakers,
-                &mut retry,
-                &mut dispatcher,
-                None,
-            );
-            assert_eq!(outcome.stray_blackout_events, 1, "engine {engine:?}");
-            assert_eq!(outcome.rows.len(), 3, "engine {engine:?} still ran to the horizon");
+            let mut fleet = Fleet::new(&cfg, nodes, &chaos_events, None, 1_000_000);
+            drive(&mut fleet, spine);
+            assert_eq!(fleet.stray_blackout_events, 1, "engine {engine:?}");
+            assert_eq!(fleet.rows.len(), 3, "engine {engine:?} still ran to the horizon");
         }
     }
 
@@ -1752,7 +1656,7 @@ mod tests {
         let cfg = crate::FleetConfig::homogeneous(30, 0.8, Policy::LeastLoaded, SimDuration::from_secs(100), 0x57A4)
             .with_topology(Topology::uniform(1, 5, 2, 3));
         let mix: Vec<String> = cfg.arrivals.mix.iter().map(|(n, _)| n.clone()).collect();
-        let mut nodes: Vec<Node> = cfg
+        let nodes: Vec<Node> = cfg
             .nodes
             .iter()
             .enumerate()
@@ -1763,7 +1667,7 @@ mod tests {
             })
             .collect();
         let index = cfg.topology.as_ref().map(|t| t.index()).expect("a geo fleet");
-        let mut geo = GeoState::new(&index, domain, &cfg.lifecycle);
+        let geo = GeoState::new(&index, domain, &cfg.lifecycle);
         let spine = Spine::new(
             cfg.control_period,
             cfg.horizon,
@@ -1771,29 +1675,11 @@ mod tests {
             chaos,
             domain,
         );
-        let lc = &cfg.lifecycle;
-        let mut scheduler = Scheduler::new(cfg.policy, cfg.queue_capacity);
-        let mut breakers: Vec<CircuitBreaker> = (0..nodes.len())
-            .map(|_| CircuitBreaker::new(lc.breaker_cooldown_s, lc.breaker_max_backoff_exp))
-            .collect();
-        let mut retry = RetryQueue::new(lc.max_retries, lc.retry_backoff_s, lc.dead_letter_capacity);
-        let inputs = DriveInputs {
-            cfg: &cfg,
-            chaos_events: chaos,
-            budget_mw: crate::power::mw_floor(cfg.budget_w),
-        };
-        let out = run_spine(
-            engine,
-            inputs,
-            spine,
-            &mut nodes,
-            &mut scheduler,
-            &mut breakers,
-            &mut retry,
-            &mut TenantDispatcher::passthrough(),
-            Some(&mut geo),
-        );
-        let counters: Vec<_> = nodes
+        let mut fleet = Fleet::new(&cfg, nodes, chaos, Some(geo), crate::power::mw_floor(cfg.budget_w));
+        fleet.run(engine, spine);
+        let geo = fleet.geo.expect("a geo fleet keeps its hierarchy");
+        let counters: Vec<_> = fleet
+            .nodes
             .iter()
             .map(|n| {
                 (
@@ -1807,11 +1693,11 @@ mod tests {
             .collect();
         let report = format!(
             "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
-            out.rows, out.completed, out.crash_records, geo.rows, geo.domain_records, counters
+            fleet.rows, fleet.done.records, fleet.crash_records, geo.rows, geo.domain_records, counters
         );
-        let fleet_csv = crate::FleetTrace { rows: out.rows }.to_table("planted").to_csv();
+        let fleet_csv = crate::FleetTrace { rows: fleet.rows }.to_table("planted").to_csv();
         let geo_csv = crate::GeoTrace { rows: geo.rows }.to_table("planted").to_csv();
-        (format!("{report}\n{fleet_csv}\n{geo_csv}"), nodes)
+        (format!("{report}\n{fleet_csv}\n{geo_csv}"), fleet.nodes)
     }
 
     /// Every kind of wake lands on a settled node with a checkpoint stamp
@@ -1952,18 +1838,14 @@ mod tests {
         (serial, audits)
     }
 
-    /// A `n`-node WMA fleet at history `history` under a trickle of
+    /// A `n`-node fleet of WMA learners at `params` under a trickle of
     /// arrivals for `secs` seconds: most nodes idle for long stretches, so
     /// at λ = 0.8 they coast, park at the idle fixed point and are credited
     /// parked ticks. A flat fleet caps an idle node at its floor, which
     /// only the lowest pair fits, so the cap masks pairs on every resting
     /// tick.
-    fn trickle_cfg(n: usize, history: f64, secs: u64, rate: f64, seed: u64) -> crate::FleetConfig {
-        use greengpu::{PolicySpec, WmaParams};
-        let spec = PolicySpec::Wma(WmaParams {
-            history,
-            ..WmaParams::default()
-        });
+    fn trickle_cfg(n: usize, params: WmaParams, secs: u64, rate: f64, seed: u64) -> crate::FleetConfig {
+        let spec = greengpu::PolicySpec::Wma(params);
         let nodes = vec![crate::NodeConfig::default_node().with_freq_policy(spec); n];
         let mut cfg =
             crate::FleetConfig::from_nodes(nodes, 0.8, Policy::LeastLoaded, SimDuration::from_secs(secs), seed);
@@ -1971,15 +1853,28 @@ mod tests {
         cfg
     }
 
+    /// Default learners at two seeds, and at one seed learners whose idle
+    /// losses tie with the lowest pair's (α_core = 0, α_mem = 0 or φ = 1):
+    /// the lowest pair keeps its weight of 1.0 there too, so their idle
+    /// nodes coast and park as the default's do.
     #[test]
     fn trickle_fleets_agree_node_by_node() {
         use crate::topology::Topology;
         use greengpu_hw::ChaosPlan;
-        for seed in [0xA0D1_0001, 0xA0D1_0002] {
+        let d = WmaParams::default();
+        let tied = [
+            WmaParams { alpha_core: 0.0, ..d },
+            WmaParams { alpha_mem: 0.0, ..d },
+            WmaParams { phi: 1.0, ..d },
+        ];
+        for (seed, params) in [(0xA0D1_0001, d), (0xA0D1_0002, d)]
+            .into_iter()
+            .chain(tied.map(|p| (0xA0D1_0001, p)))
+        {
             let chaos = ChaosPlan::crashes_only(seed ^ 0xC4A05, 0.001, (2.0, 6.0)).with_thermal(0.001, (10.0, 30.0));
-            let flat = trickle_cfg(6, 0.8, 400, 0.01, seed).with_chaos(chaos);
+            let flat = trickle_cfg(6, params, 400, 0.01, seed).with_chaos(chaos);
             let topo = Topology::uniform(1, 2, 2, 3);
-            let geo = trickle_cfg(topo.n_nodes(), 0.8, 400, 0.02, seed)
+            let geo = trickle_cfg(topo.n_nodes(), params, 400, 0.02, seed)
                 .with_chaos(
                     chaos
                         .with_rack_loss(0.003, (3.0, 8.0))
@@ -1994,21 +1889,29 @@ mod tests {
                 let parked = |(i, (_, intervals, masked, ..)): (usize, &NodeAudit)| {
                     report.per_node_completed[i] == 0 && *intervals > Some(300) && (!masks || *masked > 300)
                 };
-                assert!(audits.iter().enumerate().any(parked), "seed {seed:#x}: {audits:?}");
+                assert!(
+                    audits.iter().enumerate().any(parked),
+                    "seed {seed:#x}, {params:?}: {audits:?}"
+                );
             }
         }
     }
 
     /// λ = 0.95 cuts the idle orbit off at 512 rows before its fixed
-    /// point: a node coasts to the last row on the node, unsettled, ticks
-    /// once in full past it, then coasts off the orbit with no end.
+    /// point, so a settled node has no count to a park: it coasts in a
+    /// settled slot through the last row and past it, and its credit
+    /// computes the idle updates past the cut.
     #[test]
     fn cut_orbit_fleets_agree_node_by_node() {
         use crate::topology::Topology;
+        let cut = WmaParams {
+            history: 0.95,
+            ..WmaParams::default()
+        };
         for seed in [0xC07_0001, 0xC07_0002] {
             let topo = Topology::uniform(1, 2, 2, 3);
-            assert_nodes_agree(&trickle_cfg(12, 0.95, 700, 0.005, seed));
-            assert_nodes_agree(&trickle_cfg(topo.n_nodes(), 0.95, 700, 0.005, seed).with_topology(topo));
+            assert_nodes_agree(&trickle_cfg(12, cut, 700, 0.005, seed));
+            assert_nodes_agree(&trickle_cfg(topo.n_nodes(), cut, 700, 0.005, seed).with_topology(topo));
         }
     }
 
@@ -2019,8 +1922,8 @@ mod tests {
     fn a_checkpoint_taken_while_parked_restores_as_serial_recorded_it() {
         use greengpu_hw::ChaosPlan;
         let seed = 0xA0D1_0003;
-        let cfg =
-            trickle_cfg(6, 0.8, 400, 1e-4, seed).with_chaos(ChaosPlan::crashes_only(seed ^ 0xC4A05, 0.002, (2.0, 6.0)));
+        let chaos = ChaosPlan::crashes_only(seed ^ 0xC4A05, 0.002, (2.0, 6.0));
+        let cfg = trickle_cfg(6, WmaParams::default(), 400, 1e-4, seed).with_chaos(chaos);
         let (report, _) = assert_nodes_agree(&cfg);
         let late = report.crash_records.iter().filter(|c| c.at_s > 170.0).count();
         assert!(report.completed.is_empty() && late > 0, "{:?}", report.crash_records);

@@ -34,16 +34,14 @@
 //! name is a `BTreeMap`. Same config and seed ⇒ byte-identical trace CSV.
 
 use crate::breaker::CircuitBreaker;
-use crate::dispatch::{ServingConfig, TenantDispatcher};
-use crate::engine::{drive, DriveInputs, EngineKind, GeoState, Spine};
+use crate::dispatch::ServingConfig;
+use crate::engine::{drive, EngineKind, Fleet, GeoState, Spine};
 use crate::job::{ArrivalConfig, ArrivalStream, JobRecord, JobSpec};
 use crate::lifecycle::LifecycleParams;
 use crate::node::{Node, NodeConfig, RecoveryRecord};
 use crate::policy::Policy;
 use crate::power::{mw_floor, MilliWatts};
 use crate::profile::{ProfileTable, ServiceProfile};
-use crate::retry::RetryQueue;
-use crate::scheduler::Scheduler;
 use crate::telemetry::{FleetTrace, GeoTrace, ServingTrace};
 use crate::topology::Topology;
 use greengpu_hw::{ChaosEvent, ChaosKind, ChaosPlan, DomainChaosEvent, DomainChaosKind, GpuSpec};
@@ -51,6 +49,23 @@ use greengpu_sim::{SimDuration, SimTime, SplitMix64};
 use greengpu_tenancy::{generate_tenant_arrivals, mix_union};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// The mean service time a size-1 job is normalized to. The registry's
+/// small presets run ~40-50 s at peak clocks; the cluster quantum should
+/// be a few seconds.
+const TARGET_JOB_S: f64 = 8.0;
+
+/// The mean peak-clock service time of the hotspot/kmeans reference mix on
+/// `gpu`, profiled at the profile seed `seed` derives; `None` if the card
+/// cannot profile it.
+fn reference_mean_peak_s(seed: u64, gpu: &GpuSpec) -> Option<f64> {
+    let profile_seed = SplitMix64::new(seed).next_u64();
+    let mut sum = 0.0;
+    for name in ["hotspot", "kmeans"] {
+        sum += ServiceProfile::build(name, profile_seed, gpu)?.peak_time_s();
+    }
+    Some(sum / 2.0)
+}
 
 /// Full description of one fleet run.
 #[derive(Debug, Clone)]
@@ -125,22 +140,9 @@ impl FleetConfig {
                 n.gpu.power_at_levels_w(nc - 1, nm - 1, 1.0, 1.0)
             })
             .sum();
-        // The registry's small presets run ~40-50 s at peak clocks; the
-        // cluster quantum should be a few seconds, so normalize the size
-        // multipliers to a target mean service time and derive the
-        // arrival rate from it.
-        const TARGET_JOB_S: f64 = 8.0;
-        let profile_seed = SplitMix64::new(seed).next_u64();
-        let mean_peak: f64 = ["hotspot", "kmeans"]
-            .iter()
-            .map(|name| {
-                crate::profile::ServiceProfile::build(name, profile_seed, &nodes[0].gpu)
-                    .expect("registry workload")
-                    .peak_time_s()
-            })
-            .sum::<f64>()
-            / 2.0;
-        let base_size = TARGET_JOB_S / mean_peak;
+        // Normalize the size multipliers to the target mean service time
+        // and derive the arrival rate from it.
+        let base_size = TARGET_JOB_S / reference_mean_peak_s(seed, &nodes[0].gpu).expect("registry workload");
         let rate = ArrivalConfig::rate_for_load(0.7, nodes.len(), TARGET_JOB_S);
         let mut arrivals = ArrivalConfig::hotspot_kmeans(rate);
         arrivals.size_range = (0.5 * base_size, 1.5 * base_size);
@@ -189,19 +191,10 @@ impl FleetConfig {
     /// profile times. Falls back to 1.0 if node 0's card cannot profile
     /// the reference mix.
     pub fn reference_size_scale(&self) -> f64 {
-        const TARGET_JOB_S: f64 = 8.0;
-        let Some(node0) = self.nodes.first() else {
-            return 1.0;
-        };
-        let profile_seed = SplitMix64::new(self.seed).next_u64();
-        let mut sum = 0.0f64;
-        for name in ["hotspot", "kmeans"] {
-            match ServiceProfile::build(name, profile_seed, &node0.gpu) {
-                Some(p) => sum += p.peak_time_s(),
-                None => return 1.0,
-            }
-        }
-        TARGET_JOB_S / (sum / 2.0)
+        self.nodes
+            .first()
+            .and_then(|node0| reference_mean_peak_s(self.seed, &node0.gpu))
+            .map_or(1.0, |mean| TARGET_JOB_S / mean)
     }
 
     /// Selects the execution engine (builder style).
@@ -646,46 +639,32 @@ pub(crate) fn run_fleet_nodes(cfg: &FleetConfig) -> (FleetReport, Vec<Node>) {
     };
     let spine = Spine::new(cfg.control_period, cfg.horizon, arrivals, &chaos_events, &domain_events);
     let end = SimTime::ZERO + cfg.horizon;
-
-    let mut scheduler = Scheduler::new(cfg.policy, cfg.queue_capacity);
-    let mut breakers: Vec<CircuitBreaker> = (0..nodes.len())
-        .map(|_| CircuitBreaker::new(cfg.lifecycle.breaker_cooldown_s, cfg.lifecycle.breaker_max_backoff_exp))
-        .collect();
-    let mut retry = RetryQueue::new(
-        cfg.lifecycle.max_retries,
-        cfg.lifecycle.retry_backoff_s,
-        cfg.lifecycle.dead_letter_capacity,
-    );
-    let mut dispatcher = match &cfg.serving {
-        Some(serving) => TenantDispatcher::from_serving(serving),
-        None => TenantDispatcher::passthrough(),
-    };
-    let mut geo = topo_index
+    let geo = topo_index
         .as_ref()
         .map(|idx| GeoState::new(idx, &domain_events, &cfg.lifecycle));
+    let mut fleet = Fleet::new(cfg, nodes, &chaos_events, geo, budget_mw);
+    drive(&mut fleet, spine);
 
-    let inputs = DriveInputs {
-        cfg,
-        chaos_events: &chaos_events,
-        budget_mw,
-    };
-    let outcome = drive(
-        inputs,
-        spine,
-        &mut nodes,
-        &mut scheduler,
-        &mut breakers,
-        &mut retry,
-        &mut dispatcher,
-        geo.as_mut(),
-    );
-
+    let Fleet {
+        nodes,
+        scheduler,
+        breakers,
+        retry,
+        mut dispatcher,
+        mut geo,
+        done,
+        rows,
+        crash_records,
+        jobs_lost,
+        stray_blackout_events,
+        ..
+    } = fleet;
     let n_tenants = cfg.serving.as_ref().map_or(1, |s| s.tenants.len());
     let report = FleetReport {
-        trace: FleetTrace { rows: outcome.rows },
+        trace: FleetTrace { rows },
         per_node_completed: nodes.iter().map(Node::completed).collect(),
         rejected: scheduler.rejected(),
-        deadline_misses: outcome.deadline_misses,
+        deadline_misses: done.deadline_misses,
         cap_violations: nodes.iter().map(Node::cap_violations).sum(),
         nodes_fallen_back: nodes.iter().filter(|n| !n.healthy()).count(),
         gpu_energy_j: nodes
@@ -707,14 +686,14 @@ pub(crate) fn run_fleet_nodes(cfg: &FleetConfig) -> (FleetReport, Vec<Node>) {
         restore_failures: nodes.iter().map(Node::restore_failures).sum(),
         thermal_events: nodes.iter().map(Node::thermal_events).sum(),
         blackout_windows,
-        stray_blackout_events: outcome.stray_blackout_events,
-        jobs_lost: outcome.jobs_lost,
+        stray_blackout_events,
+        jobs_lost,
         jobs_retried: retry.retried(),
         dead_letter: retry.dead_letter().to_vec(),
         dead_letter_overflow: retry.dead_letter_overflow(),
         breaker_trips: breakers.iter().map(CircuitBreaker::trips).sum(),
         recoveries: nodes.iter().flat_map(|n| n.recoveries().iter().copied()).collect(),
-        crash_records: outcome.crash_records,
+        crash_records,
         jobs_deferred: dispatcher.jobs_deferred(),
         jobs_released: dispatcher.jobs_released(),
         deferred_pending_at_end: dispatcher.pending_len() as u64,
@@ -741,7 +720,7 @@ pub(crate) fn run_fleet_nodes(cfg: &FleetConfig) -> (FleetReport, Vec<Node>) {
             .as_ref()
             .map_or(0, |g| g.zone_breakers.iter().map(CircuitBreaker::trips).sum()),
         interior_cap_violations: geo.as_ref().map_or(0, |g| g.interior_cap_violations),
-        completed: outcome.completed,
+        completed: done.records,
     };
     (report, nodes)
 }

@@ -183,11 +183,11 @@ enum Rest {
         cap: MilliWatts,
         /// Ticks counted since the last sync.
         skipped: u64,
-        /// Idle steps the learner had left along its orbit at the last
-        /// sync.
-        left: u64,
-        /// Whether the orbit ends at a fixed point, where the node parks.
-        parks: bool,
+        /// Idle steps the learner had left to its orbit's fixed point at
+        /// the last sync: the node parks on the tick after them. `None`
+        /// when no count leads to a fixed point, and the node coasts until
+        /// something touches it.
+        parks_after: Option<u64>,
         /// The last tick counted (or the full tick that began coasting).
         last: SimTime,
     },
@@ -443,23 +443,17 @@ impl Node {
     }
 
     /// Whether a control tick under `cap` only counts itself: the node
-    /// coasts under `cap` with orbit rows left to count, or a fixed point
-    /// to park on (see [`Node::control_tick_parkable`]).
+    /// coasts under that same cap (see [`Node::control_tick_parkable`]).
     pub(crate) fn coasts_under(&self, cap: MilliWatts) -> bool {
-        matches!(self.rest, Rest::Coasting { cap: held, skipped, left, parks, .. }
-            if held == cap && (skipped < left || parks))
+        matches!(self.rest, Rest::Coasting { cap: held, .. } if held == cap)
     }
 
-    /// The cap of a rest that may settle: [`Node::coast`] takes any count
-    /// of ticks under it. That is a parked node, or a coasting one whose
-    /// coast parks at its end or has no end. A coast that ends on a tick
-    /// that must run in full (past an orbit cut off before its fixed
-    /// point) gives `None`, as an awake node does.
+    /// The cap the node rests under, coasting or parked: [`Node::coast`]
+    /// takes any count of ticks under it. `None` only when it is awake.
     pub(crate) fn rest_under(&self) -> Option<MilliWatts> {
         match self.rest {
-            Rest::Coasting { cap, left, parks, .. } if parks || left == u64::MAX => Some(cap),
-            Rest::Parked { cap, .. } => Some(cap),
-            _ => None,
+            Rest::Coasting { cap, .. } | Rest::Parked { cap, .. } => Some(cap),
+            Rest::Awake => None,
         }
     }
 
@@ -1000,13 +994,13 @@ impl Node {
     ///   [`Node::dispatch`], [`Node::take_checkpoint`],
     ///   [`Node::thermal_emergency`], [`Node::crash`]), which also
     ///   catches the sensors up to the last counted tick. On the tick
-    ///   that would find the learner at its orbit's fixed point the node
-    ///   syncs and parks, exactly as a full tick would; past the end of
-    ///   an orbit cut off before its fixed point it syncs and ticks in
-    ///   full. A learner settled off the orbit gives no end to the coast:
-    ///   the node coasts until something touches it and never parks
-    ///   through coasting, where a full tick would park it at the bit-exact
-    ///   fixed point its learner reaches.
+    ///   that would find the learner at its closed orbit's fixed point the
+    ///   node syncs and parks, exactly as a full tick would. A learner
+    ///   settled with no count to a fixed point (on an orbit cut off
+    ///   before it, or off the orbit) gives no end to the coast: the node
+    ///   coasts until something touches it and never parks through
+    ///   coasting, where a full tick would park it at the bit-exact fixed
+    ///   point its learner reaches.
     /// * **Full tick.** Otherwise the tick runs in full. If it left the
     ///   fingerprint unchanged (two consecutive identical ticks — the
     ///   first idle tick after activity never qualifies, because the
@@ -1032,15 +1026,12 @@ impl Node {
                 }
                 Some((_, rest_fp)) if rest_fp == before.1 => {
                     if let Some(settle) = self.ctl.idle_settled(&self.platform) {
-                        if settle.steps_left > 0 || settle.fixed_point {
-                            self.rest = Rest::Coasting {
-                                cap,
-                                skipped: 0,
-                                left: settle.steps_left,
-                                parks: settle.fixed_point,
-                                last: now,
-                            };
-                        }
+                        self.rest = Rest::Coasting {
+                            cap,
+                            skipped: 0,
+                            parks_after: settle.parks_after,
+                            last: now,
+                        };
                     }
                 }
                 _ => {}
@@ -1056,9 +1047,9 @@ impl Node {
     /// ([`GreenGpuController::fast_forward_idle`]); a no-op on an awake
     /// node. A coasting node counts them and catches up at its next sync,
     /// as that many coasting calls of [`Node::control_tick_parkable`]
-    /// would. A batch may run past the park transition, the tick after the
-    /// count on a coast that parks: the node syncs the whole batch there
-    /// and parks, and the ticks after the transition are parked ones. On a
+    /// would. A batch may run past the park transition, the tick after
+    /// `parks_after`: the node syncs the whole batch there and parks, and
+    /// the ticks after the transition are parked ones. On a
     /// parked node every tick goes to the learner at once and `at` becomes
     /// the sensors' catch-up instant. (Drivers that skip a parked node's
     /// ticks without handing them over, as perfbench's replay does, keep
@@ -1076,17 +1067,12 @@ impl Node {
             Rest::Coasting {
                 cap,
                 skipped,
-                left,
-                parks,
+                parks_after,
                 last,
             } => {
                 *skipped += ticks;
-                debug_assert!(
-                    *parks || *skipped <= *left,
-                    "a coast that does not park counted past its end"
-                );
                 *last = at;
-                if *skipped > *left {
+                if parks_after.is_some_and(|n| *skipped > n) {
                     // The learner sat at its fixed point from the tick
                     // after the count on, which proves it and parks.
                     let cap = *cap;
@@ -1104,20 +1090,21 @@ impl Node {
     /// Brings a coasting node's controller up to its last counted tick:
     /// the learner takes the counted idle steps at once, and the sensors
     /// poll the still-flat traces up to that tick, as its last full tick
-    /// would have. The node keeps coasting with nothing pending; a coast
-    /// with no end (`left == u64::MAX`) stays endless.
+    /// would have. The node keeps coasting with nothing pending, the
+    /// synced steps taken off its count to the park.
     fn sync(&mut self) {
         if let Rest::Coasting {
-            skipped, left, last, ..
+            skipped,
+            parks_after,
+            last,
+            ..
         } = &mut self.rest
         {
             let (steps, at) = (*skipped, *last);
             if steps == 0 {
                 return;
             }
-            if *left < u64::MAX {
-                *left = left.saturating_sub(steps);
-            }
+            *parks_after = parks_after.map(|n| n.saturating_sub(steps));
             *skipped = 0;
             self.ctl.fast_forward_idle(steps);
             self.ctl.on_dvfs_tick_quiescent(&mut self.platform, at);
@@ -1174,6 +1161,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greengpu::WmaParams;
 
     fn mix() -> Vec<String> {
         vec!["hotspot".to_string(), "kmeans".to_string()]
@@ -1266,7 +1254,6 @@ mod tests {
 
     #[test]
     fn try_new_rejects_bad_specs_and_unknown_mixes() {
-        use greengpu::WmaParams;
         let bad = NodeConfig::default_node().with_freq_policy(PolicySpec::Wma(WmaParams {
             beta: 0.0,
             ..WmaParams::default()
@@ -1448,16 +1435,12 @@ mod tests {
     /// `'a'`wake), and the ticks that ran in full on it (its policy
     /// recorded a decision).
     fn drive_twins(
-        history: f64,
+        params: WmaParams,
         ticks: u64,
         cap_at: impl Fn(u64) -> f64,
         touches: &[(u64, Touch)],
     ) -> (String, String, Vec<u64>) {
-        use greengpu::WmaParams;
-        let cfg = NodeConfig::default_node().with_freq_policy(PolicySpec::Wma(WmaParams {
-            history,
-            ..WmaParams::default()
-        }));
+        let cfg = NodeConfig::default_node().with_freq_policy(PolicySpec::Wma(params));
         let mut coasting = Node::new(0, &cfg, &mix(), 7);
         let mut twin = Node::new(0, &cfg, &mix(), 7);
         let peak = cfg.gpu.peak_power_w();
@@ -1564,12 +1547,12 @@ mod tests {
             (222, Touch::Dispatch(0.2)),
         ];
         let cap_at = |k| if (30..32).contains(&k) { 0.7 } else { 0.8 };
-        let (rests, found, _) = drive_twins(0.8, 400, cap_at, &touches);
+        let (rests, found, _) = drive_twins(WmaParams::default(), 400, cap_at, &touches);
         assert_eq!(found, "ccccppa");
         assert!(rests.matches('c').count() > 150, "{}", runs(&rests));
         assert!(rests[249..].chars().all(|c| c == 'c'), "{}", runs(&rests));
         // A job dispatched while coasting.
-        let (_, found, _) = drive_twins(0.8, 80, |_| 0.8, &[(40, Touch::Dispatch(0.2))]);
+        let (_, found, _) = drive_twins(WmaParams::default(), 80, |_| 0.8, &[(40, Touch::Dispatch(0.2))]);
         assert_eq!(found, "c");
     }
 
@@ -1589,7 +1572,7 @@ mod tests {
             (160, Touch::Dispatch(0.2)),
         ];
         let cap_at = |k| if (60..62).contains(&k) { 0.7 } else { 0.8 };
-        let (rests, found, _) = drive_twins(0.8, 450, cap_at, &touches);
+        let (rests, found, _) = drive_twins(WmaParams::default(), 450, cap_at, &touches);
         assert_eq!(found, "ccccc", "{}", runs(&rests));
         assert!(!rests.contains('p'), "{}", runs(&rests));
         assert!(rests[190..].chars().all(|c| c == 'c'), "{}", runs(&rests));
@@ -1611,8 +1594,7 @@ mod tests {
         let Rest::Coasting {
             cap: held,
             skipped,
-            left,
-            parks: true,
+            parks_after: Some(left),
             ..
         } = batched.rest
         else {
@@ -1791,17 +1773,44 @@ mod tests {
     }
 
     #[test]
-    fn a_cut_orbit_coasts_to_its_last_row_then_ticks_once_past_it() {
-        // λ = 0.95 is cut off at 512 rows: the node coasts to the last
-        // row, then ticks in full on the computed update. That step leaves
-        // the lowest pair at weight 1.0, so the node settles off the orbit
-        // and coasts on.
-        let (rests, _, full) = drive_twins(0.95, 560, |_| 0.8, &[]);
+    fn a_cut_orbit_coasts_past_its_last_row_with_no_full_tick_after_the_fourth() {
+        // λ = 0.95 is cut off at 512 rows before its fixed point, so the
+        // settle has no count to a park: the node coasts through the last
+        // row and on past it, where its learner computes the idle update
+        // at its next sync, with the lowest pair still at weight 1.0.
+        let cut = WmaParams {
+            history: 0.95,
+            ..WmaParams::default()
+        };
+        let (rests, _, full) = drive_twins(cut, 560, |_| 0.8, &[]);
         assert!(rests[4..].chars().all(|c| c == 'c'), "{}", runs(&rests));
-        // Four full ticks up to the first coasting one, then one past the
-        // cut.
-        assert_eq!((full.len(), &full[..4]), (5, &[1, 2, 3, 4][..]), "{full:?}");
-        assert!((490..511).contains(&(full[4] - 5)), "coasted {} ticks", full[4] - 5);
+        // Four full ticks up to the first coasting one, and none after.
+        assert_eq!(full, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn tied_idle_losses_coast_and_park_where_a_full_tick_twin_parks() {
+        // α_core = 0, α_mem = 0 or φ = 1 gives other pairs the lowest
+        // pair's zero idle loss, so their weights stay tied with its 1.0;
+        // the first-maximum argmax still picks the lowest pair, and the
+        // learner is settled at every idle step. The node coasts from the
+        // fourth tick, through a checkpoint, to the end of its closed
+        // orbit, and parks on the tick its full-tick twin parks.
+        let d = WmaParams::default();
+        let tied = [
+            (WmaParams { alpha_core: 0.0, ..d }, 145),
+            (WmaParams { alpha_mem: 0.0, ..d }, 147),
+            (WmaParams { phi: 1.0, ..d }, 155),
+        ];
+        for (params, rows) in tied {
+            let (rests, found, full) = drive_twins(params, 300, |_| 0.8, &[(100, Touch::Checkpoint)]);
+            assert_eq!(runs(&rests), format!("a3 c{rows} p{}", 297 - rows), "{params:?}");
+            assert_eq!(
+                (found.as_str(), full.as_slice()),
+                ("c", &[1, 2, 3, 4][..]),
+                "{params:?}"
+            );
+        }
     }
 
     #[test]

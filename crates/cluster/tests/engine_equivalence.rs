@@ -288,8 +288,8 @@ fn long_geo_runs_past_the_idle_fixed_point_agree() {
 
 /// `n` WMA nodes at λ = 0.95, whose idle orbit is cut off at 512 rows
 /// before its fixed point, under a chaos-free 0.005 jobs/s trickle for
-/// 700 s: an idle node coasts to the orbit's last row, and the tick after
-/// it must run on the node, not only count.
+/// 700 s: an idle node coasts through the orbit's last row and on past
+/// it, where its learner computes each idle update when it is credited.
 fn cut_orbit_cfg(n: usize, seed: u64) -> FleetConfig {
     let spec = PolicySpec::Wma(WmaParams {
         history: 0.95,

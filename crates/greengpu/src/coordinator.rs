@@ -828,7 +828,7 @@ mod tests {
         for k in 1..=3 {
             ctl.on_dvfs_tick(&mut platform, SimTime::from_secs(3 * k));
         }
-        let settled = ctl.idle_settled(&platform).expect("idle past the settle row");
+        let settled = ctl.idle_settled(&platform).expect("idle, lowest pair at 1.0");
         assert_eq!(settled.pair, (0, 0));
         let lowest = gpu.power_at_levels_w(0, 0, 1.0, 1.0);
         let next = gpu.power_at_levels_w(1, 0, 1.0, 1.0);

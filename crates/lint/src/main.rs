@@ -128,6 +128,10 @@ fn real_main() -> Result<ExitCode, String> {
             report.findings.len(),
             report.suppressed
         );
+        println!(
+            "greengpu-lint: crates/*/src is {} lines, {} outside #[cfg(test)]",
+            report.src_lines.total, report.src_lines.outside_test
+        );
     }
 
     Ok(if report.findings.is_empty() {

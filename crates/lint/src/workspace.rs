@@ -23,6 +23,36 @@ pub struct RunReport {
     pub suppressed: usize,
     /// Baseline entries that matched nothing (stale — remove them).
     pub stale: Vec<String>,
+    /// The size of the workspace's crate sources.
+    pub src_lines: SrcLines,
+}
+
+/// Lines of the `.rs` files under `crates/*/src`, whole and outside test
+/// regions ([`SourceFile::is_test_region`]: `#[cfg(test)]` items and
+/// `#[test]` functions, the code the rules exempt). ROADMAP's "same
+/// bytes, less code" item is judged by these two counts.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct SrcLines {
+    /// Every line.
+    pub total: usize,
+    /// The lines outside test regions.
+    pub outside_test: usize,
+}
+
+/// Counts [`SrcLines`] over loaded workspace files.
+fn src_lines(files: &[SourceFile]) -> SrcLines {
+    let mut counts = SrcLines::default();
+    for f in files {
+        let mut dirs = f.rel_path.split('/');
+        if dirs.next() == Some("crates") && dirs.nth(1) == Some("src") {
+            counts.total += f.lines.len();
+            counts.outside_test += (1..)
+                .take(f.lines.len())
+                .filter(|&line| !f.is_test_region(line))
+                .count();
+        }
+    }
+    counts
 }
 
 /// Loads every scannable file under `root`.
@@ -76,7 +106,8 @@ pub fn load_baseline(path: &Path) -> Result<Baseline, String> {
     }
 }
 
-/// Runs every rule over `root` against `baseline`.
+/// Runs every rule over `root` against `baseline`, and counts the
+/// crate sources' [`SrcLines`].
 pub fn run(root: &Path, baseline: &Baseline) -> Result<RunReport, String> {
     let files = load_workspace(root)?;
     let ctx = Context::new(&files, baseline);
@@ -90,6 +121,7 @@ pub fn run(root: &Path, baseline: &Baseline) -> Result<RunReport, String> {
         findings,
         suppressed,
         stale,
+        src_lines: src_lines(&files),
     })
 }
 
@@ -119,4 +151,30 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
         cur = dir.parent().map(Path::to_path_buf);
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn src_lines_counts_crate_sources_outside_test_regions() {
+        let lib = "pub fn f() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+        let files = [
+            SourceFile::new("crates/a/src/lib.rs", lib),
+            SourceFile::new("crates/a/src/deep/mod.rs", "pub fn g() {}\n#[test]\nfn t() {}\n"),
+            SourceFile::new("crates/a/tests/t.rs", "fn h() {}\n"),
+            SourceFile::new("crates/a/examples/e.rs", "fn main() {}\n"),
+            SourceFile::new("src/lib.rs", "pub fn root() {}\n"),
+            SourceFile::new("DESIGN.md", "# Design\n"),
+        ];
+        let counts = src_lines(&files);
+        assert_eq!(
+            counts,
+            SrcLines {
+                total: 10,
+                outside_test: 3
+            }
+        );
+    }
 }

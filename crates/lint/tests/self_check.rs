@@ -7,10 +7,11 @@
 use std::path::Path;
 use std::time::Instant;
 
-use greengpu_lint::{load_baseline, run};
+use greengpu_lint::analysis::Analysis;
+use greengpu_lint::{load_baseline, load_workspace, run};
 
-#[test]
-fn workspace_lints_clean_against_committed_baseline() {
+/// The workspace root, two levels above this crate.
+fn workspace_root() -> &'static Path {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -20,6 +21,12 @@ fn workspace_lints_clean_against_committed_baseline() {
         "workspace root not found at {}",
         root.display()
     );
+    root
+}
+
+#[test]
+fn workspace_lints_clean_against_committed_baseline() {
+    let root = workspace_root();
 
     let baseline = load_baseline(&root.join("lint-baseline.toml")).expect("baseline parses");
     let started = Instant::now();
@@ -46,4 +53,38 @@ fn workspace_lints_clean_against_committed_baseline() {
         "the baseline has stale entries (fixed code — remove them):\n{}",
         report.stale.join("\n")
     );
+}
+
+/// The control-path reach covers the fleet spine. Its root is the free
+/// function `drive` (`RootMatch::Named(None, "drive")`), so a spine step
+/// that moved out of what `drive` reaches (for one, a `drive` turned into
+/// a method) would silently leave the panic-freedom and determinism
+/// passes; here it fails instead.
+#[test]
+fn the_control_path_reach_covers_the_fleet_spine() {
+    let files = load_workspace(workspace_root()).expect("workspace loads");
+    let analysis = Analysis::build(&files);
+    let spine = [
+        (None, "drive"),
+        (Some("Fleet"), "run"),
+        (Some("Fleet"), "apply_chaos"),
+        (Some("Fleet"), "apply_domain_event"),
+        (Some("Fleet"), "trace_row"),
+        (Some("Node"), "control_tick_parkable"),
+        (Some("Node"), "coast"),
+    ];
+    for (ty, name) in spine {
+        let ids: Vec<usize> = (0..analysis.symbols.len())
+            .filter(|&id| {
+                let item = analysis.item(id);
+                let file = &files[analysis.symbols.owner[id].0];
+                item.name == name && item.self_ty.as_deref() == ty && file.rel_path.starts_with("crates/cluster/src/")
+            })
+            .collect();
+        assert_eq!(ids.len(), 1, "{ty:?}::{name}: {ids:?}");
+        assert!(
+            analysis.root_reach.contains(ids[0]),
+            "{ty:?}::{name} is outside the control-path reach"
+        );
+    }
 }

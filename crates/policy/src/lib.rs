@@ -129,11 +129,11 @@ pub trait FreqPolicy {
         None
     }
 
-    /// Where the learner stands when every exactly-idle `(+0.0, +0.0)`
-    /// step it can still take selects one pair, along a precomputed path
-    /// or forever, or `None` (the default) when it cannot say. The fleet
-    /// uses it to stop ticking an idle node whose decision has settled
-    /// (see [`IdleSettle`]).
+    /// The pair every exactly-idle `(+0.0, +0.0)` step to come selects,
+    /// with the steps left to a fixed point when a precomputed path leads
+    /// to one, or `None` (the default) when the learner cannot say. The
+    /// fleet uses it to stop ticking an idle node whose decision has
+    /// settled (see [`IdleSettle`]).
     fn idle_settled(&self) -> Option<IdleSettle> {
         None
     }
@@ -159,19 +159,16 @@ pub trait FreqPolicy {
 /// A learner's settled idle decision ([`FreqPolicy::idle_settled`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdleSettle {
-    /// The pair every remaining idle step selects: the first maximum, in
+    /// The pair every idle step to come selects: the first maximum, in
     /// the argmax's row-major order, of every table those steps pass
     /// through, so any mask that admits it selects it too.
     pub pair: (usize, usize),
-    /// Idle steps left along the precomputed path (0 at its last table),
-    /// or `u64::MAX` when the pair holds for every idle step to come
-    /// without a precomputed path (WMA off its idle orbit, with the
-    /// lowest pair's weight at the table's maximum).
-    pub steps_left: u64,
-    /// Whether the path ends at a fixed point: a further idle step then
-    /// changes nothing. Otherwise the step after the last one is computed
-    /// and may decide anything.
-    pub fixed_point: bool,
+    /// Idle steps left along a precomputed path that ends at a fixed
+    /// point (0 at its last table): every step after them changes
+    /// nothing, and a fleet node parks there. `None` when no such path is
+    /// known (WMA on an orbit cut off before its fixed point, or off the
+    /// orbit): the pair still holds for every idle step to come.
+    pub parks_after: Option<u64>,
 }
 
 /// Shared checkpoint (de)serialization helpers used by every

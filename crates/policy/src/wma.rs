@@ -25,9 +25,11 @@
 //! then walks the same sequence of tables to the same fixed point. That
 //! sequence is computed once per process as an `IdleOrbit` by the
 //! update itself, and a scaler still on it copies its next row instead
-//! of recomputing Eq. 4. From the orbit's *settle row* on, one pair is
-//! the strict maximum of every later row, so the idle decision no longer
-//! moves and `k` idle steps are one jump of `k` rows (DESIGN.md §4.3).
+//! of recomputing Eq. 4, so `k` idle steps are one jump of `k` rows.
+//! On the orbit or off it, an idle learner whose lowest pair weighs
+//! exactly 1.0 has settled: Table I charges that pair nothing at zero
+//! utilization, so every idle step keeps it the table's first maximum
+//! and the idle decision no longer moves (DESIGN.md §4.3).
 
 use crate::loss::{LevelTerms, LossModel, LossParams};
 use crate::telemetry::{DecisionTracker, PolicyTelemetry};
@@ -131,11 +133,6 @@ struct IdleOrbit {
     fingerprints: Vec<u64>,
     /// Whether the last row is a fixed point of the idle update.
     closed: bool,
-    /// The settle row and its pair: the first row from which that pair
-    /// is the strict maximum of every later row (the rows a cut-off orbit
-    /// holds, or every row forever on a closed one). `None` when even the
-    /// last row has a tie for its maximum.
-    settle: Option<(usize, (usize, usize))>,
 }
 
 /// What an orbit depends on: the grid shape and the bits of every
@@ -184,7 +181,6 @@ impl IdleOrbit {
             rows: table.clone(),
             fingerprints: vec![weights_fingerprint(&table)],
             closed: false,
-            settle: None,
         };
         while orbit.fingerprints.len() < ORBIT_MAX_ROWS {
             let prev = orbit.rows.rchunks_exact(table.len()).next().unwrap_or_default();
@@ -196,15 +192,6 @@ impl IdleOrbit {
             orbit.rows.extend_from_slice(&table);
             orbit.fingerprints.push(weights_fingerprint(&table));
         }
-        let last = orbit.len() - 1;
-        orbit.settle = strict_argmax(orbit.row(last), n_mem).map(|pair| {
-            let first = (0..last)
-                .rev()
-                .take_while(|&k| strict_argmax(orbit.row(k), n_mem) == Some(pair))
-                .last()
-                .unwrap_or(last);
-            (first, pair)
-        });
         orbit
     }
 
@@ -231,22 +218,6 @@ impl IdleOrbit {
         let n = self.rows.len() / self.len().max(1);
         self.rows.get(row * n..(row + 1) * n).unwrap_or_default()
     }
-}
-
-/// The pair whose weight is strictly greater than every other in a
-/// row-major table `n_mem` wide, or `None` on a tie for the maximum.
-fn strict_argmax(weights: &[f64], n_mem: usize) -> Option<(usize, usize)> {
-    let mut best = None;
-    let mut best_w = f64::NEG_INFINITY;
-    let mut tied = false;
-    for (k, &w) in weights.iter().enumerate() {
-        if w > best_w {
-            (best, best_w, tied) = (Some((k / n_mem, k % n_mem)), w, false);
-        } else if w >= best_w {
-            tied = true;
-        }
-    }
-    best.filter(|_| !tied)
 }
 
 /// Eq. 4 over the full table for one finite, clamped observation, then
@@ -580,33 +551,31 @@ impl FreqPolicy for WmaScaler {
         Some(known.unwrap_or_else(|| weights_fingerprint(&self.weights)))
     }
 
-    /// Settled once the scaler is on the idle orbit at or past its settle
-    /// row, or off the orbit with pair `(0, 0)` at weight exactly 1.0.
-    ///
-    /// Off the orbit the claim rests on Eq. 4 itself: at exactly-idle
-    /// utilization the lowest pair's loss is exactly 0, so its factor is
-    /// exactly 1 and every other pair's is at most 1. A weight of 1.0 then
-    /// stays 1.0 (`1.0.powf(λ) · 1`), the table's maximum stays 1.0, the
+    /// Settled exactly when pair `(0, 0)` weighs 1.0, bit for bit, on the
+    /// idle orbit or off it. At exactly-idle utilization Table I charges
+    /// that pair loss exactly 0 ([`LossModel`] maps level 0 to
+    /// `umean = 0.0` in both domains), so its Eq. 4 factor is exactly 1
+    /// and every other pair's at most 1. A weight of 1.0 then stays 1.0
+    /// (`1.0.powf(λ) · 1`), the table's maximum stays 1.0, the
     /// renormalizing division by it changes no bit, and the argmax's
     /// first-maximum rule keeps `(0, 0)` under every mask that admits it.
-    /// No step of that path is precomputed, so the count is unbounded and
-    /// the path claims no fixed point: such a node coasts until something
-    /// touches it.
+    /// The uniform table starts there, so every orbit row qualifies. On a
+    /// closed orbit the count is the rows left to its fixed point; on an
+    /// orbit cut off before it, or off the orbit, no path to a fixed point
+    /// is precomputed and there is no count.
     fn idle_settled(&self) -> Option<IdleSettle> {
-        let Some(row) = self.orbit_row else {
-            let first_is_one = self.weights.first().is_some_and(|w| w.to_bits() == MAX_WEIGHT_BITS);
-            return first_is_one.then_some(IdleSettle {
-                pair: (0, 0),
-                steps_left: u64::MAX,
-                fixed_point: false,
-            });
-        };
-        let orbit = self.orbit.as_ref()?;
-        let (settle_row, pair) = orbit.settle?;
-        (row >= settle_row).then(|| IdleSettle {
-            pair,
-            steps_left: (orbit.len() - 1 - row) as u64,
-            fixed_point: orbit.closed,
+        if self.weights.first()?.to_bits() != MAX_WEIGHT_BITS {
+            return None;
+        }
+        let rows_left = |orbit: &IdleOrbit, row: usize| orbit.closed.then(|| (orbit.len() - 1 - row) as u64);
+        let parks_after = self.orbit_row.and_then(|row| match &self.orbit {
+            Some(orbit) => rows_left(orbit, row),
+            // Row 0 of a learner that has not idled yet.
+            None => rows_left(&IdleOrbit::shared(self.tracker.model(), &self.params), row),
+        });
+        Some(IdleSettle {
+            pair: (0, 0),
+            parks_after,
         })
     }
 
@@ -1124,29 +1093,29 @@ mod tests {
     }
 
     #[test]
-    fn the_default_orbit_settles_on_the_lowest_pair_at_row_one() {
-        let p = WmaParams::default();
-        let orbit = IdleOrbit::shared(&LossModel::new(6, 6, p.loss()), &p);
-        assert_eq!(orbit.settle, Some((1, (0, 0))));
-        assert_eq!(strict_argmax(orbit.row(0), 6), None, "the uniform row is all ties");
-        for k in 1..orbit.len() {
-            assert_eq!(strict_argmax(orbit.row(k), 6), Some((0, 0)), "row {k}");
-        }
-        // The scaler reports it from the settle row on, with the rows
-        // left to the fixed point.
+    fn the_default_orbit_counts_down_to_its_fixed_point_on_the_lowest_pair() {
+        // Every row keeps the lowest pair at weight 1.0, so the scaler is
+        // settled from the uniform table on, with the rows left to the
+        // fixed point.
+        let settled = |rows: u64| {
+            Some(IdleSettle {
+                pair: (0, 0),
+                parks_after: Some(rows),
+            })
+        };
         let mut s = scaler();
-        s.observe(0.0, 0.0);
-        let settled = s.idle_settled().expect("row 1 is the settle row");
-        assert_eq!(
-            (settled.pair, settled.steps_left, settled.fixed_point),
-            ((0, 0), 153, true)
-        );
-        for _ in 0..200 {
+        assert_eq!(s.idle_settled(), settled(154), "the uniform table");
+        for row in 1..=154 {
+            s.observe(0.0, 0.0);
+            assert_eq!(s.weights[0].to_bits(), MAX_WEIGHT_BITS, "row {row}");
+            assert_eq!(s.idle_settled(), settled(154 - row), "row {row}");
+        }
+        for _ in 0..50 {
             s.observe(0.0, 0.0);
         }
-        assert_eq!(s.idle_settled().map(|t| t.steps_left), Some(0), "at the fixed point");
+        assert_eq!(s.idle_settled(), settled(0), "at the fixed point");
         s.observe(0.6, 0.1);
-        assert_eq!(s.idle_settled(), None, "off the orbit");
+        assert_eq!(s.idle_settled(), None, "the busy pair leads");
     }
 
     #[test]
@@ -1184,50 +1153,35 @@ mod tests {
     }
 
     #[test]
-    fn a_cut_orbit_counts_down_to_its_last_row_then_settles_off_it() {
+    fn a_cut_orbit_settles_with_no_count_on_it_and_past_its_last_row() {
         let p = WmaParams {
             history: 0.95,
             ..WmaParams::default()
         };
+        let endless = Some(IdleSettle {
+            pair: (0, 0),
+            parks_after: None,
+        });
         let mut s = WmaScaler::new(6, 6, p);
         s.observe(0.0, 0.0);
         let orbit = Arc::clone(s.orbit.as_ref().expect("fetched on the first idle step"));
         assert!(!orbit.closed, "λ = 0.95 is cut off at the row cap");
-        let (settle_row, pair) = orbit.settle.expect("the idle decision settles");
-        let last = orbit.len() - 1;
-        for row in 1..=last {
-            let settled = s.idle_settled();
-            if row < settle_row {
-                assert_eq!(settled, None, "row {row}");
-            } else {
-                let settled = settled.expect("settled from the settle row");
-                assert_eq!(settled.pair, pair);
-                assert!(!settled.fixed_point);
-                assert_eq!(settled.steps_left, (last - row) as u64, "row {row}");
-            }
+        for row in 1..orbit.len() + 3 {
+            assert_eq!(s.idle_settled(), endless, "row {row}");
             s.observe(0.0, 0.0);
         }
-        assert_eq!(s.orbit_row, None, "the step past the last row is computed");
-        // Off the orbit the lowest pair still holds weight 1.0, so the
-        // decision stays settled, with no precomputed path to count down.
-        assert_eq!(pair, (0, 0));
+        // Past the last row the steps are computed, and the lowest pair
+        // still holds weight 1.0.
+        assert_eq!(s.orbit_row, None);
         assert_eq!(s.weights[0].to_bits(), MAX_WEIGHT_BITS);
         assert_eq!(MAX_WEIGHT_BITS, 1.0f64.to_bits());
-        let off = IdleSettle {
-            pair: (0, 0),
-            steps_left: u64::MAX,
-            fixed_point: false,
-        };
-        assert_eq!(s.idle_settled(), Some(off));
+        assert_eq!(s.idle_settled(), endless);
         // A fast-forward across the cut computes the same steps.
         let mut jumped = WmaScaler::new(6, 6, p);
-        jumped.fast_forward_idle(last as u64 + 3);
-        for _ in 0..2 {
-            s.observe(0.0, 0.0);
-        }
+        jumped.fast_forward_idle(s.intervals());
         assert_eq!(bits(&jumped.weights), bits(&s.weights));
         assert_eq!((jumped.intervals(), jumped.orbit_row), (s.intervals(), None));
-        assert_eq!(jumped.idle_settled(), Some(off));
+        assert_eq!(jumped.idle_settled(), endless);
     }
 
     #[test]

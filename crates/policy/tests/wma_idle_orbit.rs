@@ -13,7 +13,10 @@
 //! idle decision can settle again); one taken off it stays off, and
 //! settles there only once its lowest pair weighs 1.0. Off the orbit, a
 //! table led by the lowest pair keeps it through every idle step, and an
-//! idle fast-forward equals its steps taken one by one.
+//! idle fast-forward equals its steps taken one by one. On any grid and
+//! any parameters, every table of the idle orbit and every idle step past
+//! a cut keeps the lowest pair at weight 1.0, so the learner is settled
+//! there, and a closed orbit counts its rows down to its fixed point.
 
 use greengpu_policy::{FreqPolicy, IdleSettle, LossModel, WmaParams, WmaScaler};
 use greengpu_sim::{JsonValue, JsonWriter};
@@ -346,11 +349,10 @@ fn a_snapshot_taken_on_the_idle_orbit_resumes_on_it() {
 }
 
 /// The settle a WMA table reports off the idle orbit once its lowest
-/// pair holds weight 1.0: that pair, with no path to count down.
+/// pair holds weight 1.0: that pair, with no count to a park.
 const OFF_ORBIT: IdleSettle = IdleSettle {
     pair: (0, 0),
-    steps_left: u64::MAX,
-    fixed_point: false,
+    parks_after: None,
 };
 
 #[test]
@@ -371,8 +373,9 @@ fn a_snapshot_taken_off_the_idle_orbit_stays_off_it() {
     // On-orbit weights under an interval count that names another row.
     let mut idle = WmaScaler::new(6, 6, p);
     idle.fast_forward_idle(30);
-    let on_orbit = idle.idle_settled().expect("past the settle row");
-    assert!(on_orbit.steps_left < u64::MAX, "{on_orbit:?}");
+    // Row 30 of the default orbit's 155: 124 rows left to its fixed point.
+    let on_orbit = idle.idle_settled().expect("on the orbit");
+    assert_eq!(on_orbit.parks_after, Some(124), "{on_orbit:?}");
     let text = JsonWriter::render(|w| idle.snapshot(w)).replace("\"intervals\":30", "\"intervals\":31");
     assert!(text.contains("\"intervals\":31"), "{text}");
     let mut off = restored(p, &text);
@@ -514,5 +517,74 @@ proptest! {
         // And from there one more idle step agrees too.
         prop_assert_eq!(jumped.observe(0.0, 0.0), stepped.observe(0.0, 0.0));
         prop_assert_eq!(jumped.decision_fingerprint(), stepped.decision_fingerprint());
+    }
+}
+
+/// A Table-I constant in `[0, 1]`: each end one time in four.
+fn unit() -> impl Strategy<Value = f64> {
+    (0usize..4, 0.0f64..1.0).prop_map(|(k, v)| match k {
+        0 => 0.0,
+        1 => 1.0,
+        _ => v,
+    })
+}
+
+/// Any grid from 2×2 to 8×8 and valid parameters across their ranges:
+/// `α_core`, `α_mem` and `φ` with their ends, `β` inside `(0, 1)`, and
+/// `λ` from 0.05 up to 1.0, which (an orbit cut at its row cap) comes one
+/// time in four.
+fn any_setup() -> impl Strategy<Value = ((usize, usize), WmaParams)> {
+    (
+        (2usize..9, 2usize..9),
+        (unit(), unit(), unit()),
+        0.001f64..0.999,
+        (0usize..4, 0.05f64..1.0),
+    )
+        .prop_map(|(grid, (alpha_core, alpha_mem, phi), beta, (k, history))| {
+            let params = WmaParams {
+                alpha_core,
+                alpha_mem,
+                phi,
+                beta,
+                history: if k == 0 { 1.0 } else { history },
+            };
+            (grid, params)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Along the idle orbit from the uniform table, and past its end, the
+    /// lowest pair weighs exactly 1.0 at every step, the learner reports
+    /// it settled, and every mask that admits it selects it. A closed
+    /// orbit counts `parks_after` down by one a step to 0 at its last row,
+    /// where the next idle step changes no bit; a cut one reports no
+    /// count, on the orbit and past it.
+    fn every_idle_step_keeps_the_learner_settled_on_the_lowest_pair(
+        ((n_core, n_mem), params) in any_setup(),
+        salts in proptest::collection::vec(0usize..40, 4..5),
+    ) {
+        let mut s = WmaScaler::new(n_core, n_mem, params);
+        let first = s.idle_settled().map(|settle| settle.parks_after);
+        prop_assert!(first.is_some(), "the uniform table is settled");
+        let mut left = first.flatten();
+        for k in 0..600u64 {
+            let settle = s.idle_settled();
+            prop_assert_eq!(settle, Some(IdleSettle { pair: (0, 0), parks_after: left }), "idle step {}", k);
+            prop_assert_eq!(s.weight(0, 0).to_bits(), 1.0f64.to_bits(), "idle step {}", k);
+            for &salt in &salts {
+                let admits = |i: usize, j: usize| (i, j) == (0, 0) || Mask::Stripe(salt).admits(i, j);
+                prop_assert_eq!(s.argmax_masked(admits), Some((0, 0)), "idle step {}", k);
+            }
+            let before: Vec<u64> = (0..n_core * n_mem).map(|p| s.weight(p / n_mem, p % n_mem).to_bits()).collect();
+            let admits = |i: usize, j: usize| (i, j) == (0, 0) || Mask::Stripe(salts[0]).admits(i, j);
+            prop_assert_eq!(s.decide(0.0, 0.0, &admits), (0, 0), "idle step {}", k);
+            let after: Vec<u64> = (0..n_core * n_mem).map(|p| s.weight(p / n_mem, p % n_mem).to_bits()).collect();
+            if let Some(n) = left {
+                prop_assert_eq!(before == after, n == 0, "idle step {}: {} rows left", k, n);
+                left = Some(n.saturating_sub(1));
+            }
+        }
     }
 }

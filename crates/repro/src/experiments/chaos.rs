@@ -282,15 +282,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_configuration_is_deterministic_and_crashes() {
+    fn smoke_configuration_crashes() {
         let a = run_custom(7, 3, 40, EngineKind::Serial);
-        let b = run_custom(7, 3, 40, EngineKind::EventDriven);
-        let csv = |o: &ExperimentOutput| o.tables.iter().map(Table::to_csv).collect::<Vec<_>>();
-        assert_eq!(
-            csv(&a),
-            csv(&b),
-            "same seed must reproduce the smoke bytes, engine-independently"
-        );
         assert_eq!(a.tables.len(), 2);
         // The smoke's crash rate (0.05/node-s × 3 nodes × 40 s ≈ 6) must
         // actually exercise the lifecycle.

