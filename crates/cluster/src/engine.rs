@@ -336,9 +336,6 @@ pub(crate) struct Fleet<'a> {
     /// The node chaos events `Event::Chaos` indexes.
     chaos_events: &'a [ChaosEvent],
     budget_mw: MilliWatts,
-    /// Node → rack map (empty on flat runs — dispatch and the retry
-    /// queue treat that as "no topology").
-    rack_of: Vec<usize>,
     pub done: Completions,
     pub rows: Vec<TraceRow>,
     pub crash_records: Vec<CrashRecord>,
@@ -373,7 +370,6 @@ impl<'a> Fleet<'a> {
                 .as_ref()
                 .map_or_else(TenantDispatcher::passthrough, TenantDispatcher::from_serving),
             flat: FlatCaps::new(if geo.is_some() { 0 } else { nodes.len() }),
-            rack_of: geo.as_ref().map_or_else(Vec::new, |g| g.index.rack_of.clone()),
             nodes,
             geo,
             chaos_events,
@@ -384,6 +380,13 @@ impl<'a> Fleet<'a> {
             jobs_lost: 0,
             stray_blackout_events: 0,
         }
+    }
+
+    /// The topology index's node → rack map, empty on a flat run (which
+    /// dispatch, the retry queue and the settled per-rack counts treat as
+    /// "no topology").
+    fn rack_of(&self) -> &'a [usize] {
+        self.geo.as_ref().map_or(&[], |g| &g.index.rack_of)
     }
 }
 
@@ -436,8 +439,9 @@ trait Schedule {
     fn advance(&mut self, nodes: &mut [Node], from: SimTime, to: SimTime, done: &mut Completions);
     /// A chaos event is about to crash or throttle live node `i`: work
     /// the schedule deferred on it happens first, and every sweep visits
-    /// it from the next on.
-    fn credit(&mut self, node: &mut Node, i: usize);
+    /// it from the next on. `rack_of` is the node → rack map (empty on a
+    /// flat run), as in every call below that takes it.
+    fn credit(&mut self, node: &mut Node, i: usize, rack_of: &[usize]);
     /// The topology of a hierarchical run, before its first event.
     fn attach(&mut self, _index: &TopologyIndex) {}
     /// Failure FSMs: a cleared probation closes the node's breaker.
@@ -454,11 +458,19 @@ trait Schedule {
         nodes: &[Node],
         demands: &mut Vec<NodeDemand>,
         moved: &'m mut Vec<usize>,
+        rack_of: &[usize],
     ) -> Option<&'m [usize]>;
     /// Control ticks on live nodes under `caps`, of which only the nodes
     /// in `recapped` changed since the last tick; returns the largest
     /// pair-over-cap overage (watts), folded in node order from 0.0.
-    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], recapped: &[usize], t: SimTime) -> f64;
+    fn control(
+        &mut self,
+        nodes: &mut [Node],
+        caps: &[MilliWatts],
+        recapped: &[usize],
+        rack_of: &[usize],
+        t: SimTime,
+    ) -> f64;
     /// Places queued jobs on the nodes `gate` lets through.
     fn dispatch(&mut self, scheduler: &mut Scheduler, nodes: &mut [Node], gate: &Gate, rack_of: &[usize], t: SimTime);
     /// The periodic learner checkpoint of every `Up` node, due at `t`.
@@ -475,7 +487,7 @@ trait Schedule {
     /// and wakes every resting node, so each node's learner and counters
     /// can be compared with Serial's.
     #[cfg(test)]
-    fn credit_all(&mut self, _nodes: &mut [Node]) {}
+    fn credit_all(&mut self, _nodes: &mut [Node], _rack_of: &[usize]) {}
 }
 
 /// The breakers dispatch routes around: a node takes work only when its
@@ -530,7 +542,7 @@ impl Schedule for Serial {
         }
     }
 
-    fn credit(&mut self, _node: &mut Node, _i: usize) {}
+    fn credit(&mut self, _node: &mut Node, _i: usize, _rack_of: &[usize]) {}
 
     fn lifecycle(&mut self, nodes: &mut [Node], breakers: &mut [CircuitBreaker], t: SimTime) {
         for (node, breaker) in nodes.iter_mut().zip(breakers.iter_mut()) {
@@ -543,13 +555,21 @@ impl Schedule for Serial {
         nodes: &[Node],
         demands: &mut Vec<NodeDemand>,
         _moved: &'m mut Vec<usize>,
+        _rack_of: &[usize],
     ) -> Option<&'m [usize]> {
         demands.clear();
         demands.extend(nodes.iter().map(Node::demand));
         None
     }
 
-    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], _recapped: &[usize], t: SimTime) -> f64 {
+    fn control(
+        &mut self,
+        nodes: &mut [Node],
+        caps: &[MilliWatts],
+        _recapped: &[usize],
+        _rack_of: &[usize],
+        t: SimTime,
+    ) -> f64 {
         nodes
             .iter_mut()
             .zip(caps)
@@ -594,9 +614,9 @@ struct EventDriven {
     /// ascending: the only nodes the lifecycle, demand, control and
     /// checkpoint sweeps and the up-counts visit.
     unsettled: Vec<usize>,
-    /// Node → rack on hierarchical runs (empty on flat ones), and how many
-    /// of each rack's slots are settled; a settled node is live.
-    rack_of: Vec<usize>,
+    /// How many of each rack's slots are settled on hierarchical runs
+    /// (empty on flat ones, and on an engine no `attach` sized, which
+    /// counts nothing); a settled node is live.
     settled_in_rack: Vec<usize>,
     /// The control period: sweep `k` (from 1) ran at `(k − 1) · period`,
     /// as the spine ticks from zero.
@@ -711,7 +731,6 @@ impl EventDriven {
             finished: Vec::new(),
             slots: vec![Slot::Awake; n],
             unsettled: (0..n).collect(),
-            rack_of: Vec::new(),
             settled_in_rack: Vec::new(),
             period,
             sweeps: 0,
@@ -746,14 +765,14 @@ impl EventDriven {
 
     /// Credits node `i` if its slot is settled, listing it in place in
     /// `unsettled`, and marks it awake.
-    fn unsettle(&mut self, node: &mut Node, i: usize) {
+    fn unsettle(&mut self, node: &mut Node, i: usize, rack_of: &[usize]) {
         if let Slot::Settled(f) = self.slots[i] {
             self.credit_slot(node, &f);
             let at = self.unsettled.partition_point(|&j| j < i);
             debug_assert_ne!(self.unsettled.get(at), Some(&i), "a settled node was listed");
             self.unsettled.insert(at, i);
-            if let Some(&rack) = self.rack_of.get(i) {
-                self.settled_in_rack[rack] -= 1;
+            if let Some(count) = rack_of.get(i).and_then(|&r| self.settled_in_rack.get_mut(r)) {
+                *count -= 1;
             }
         }
         self.slots[i] = Slot::Awake;
@@ -786,14 +805,13 @@ impl Schedule for EventDriven {
         self.windows.clear();
     }
 
-    fn credit(&mut self, node: &mut Node, i: usize) {
+    fn credit(&mut self, node: &mut Node, i: usize, rack_of: &[usize]) {
         // A crashed node's stale busy-list entry (job already taken)
         // drops out on the next advance.
-        self.unsettle(node, i);
+        self.unsettle(node, i, rack_of);
     }
 
     fn attach(&mut self, index: &TopologyIndex) {
-        self.rack_of.clone_from(&index.rack_of);
         self.settled_in_rack = vec![0; index.n_racks()];
     }
 
@@ -816,6 +834,7 @@ impl Schedule for EventDriven {
         nodes: &[Node],
         demands: &mut Vec<NodeDemand>,
         moved: &'m mut Vec<usize>,
+        rack_of: &[usize],
     ) -> Option<&'m [usize]> {
         moved.clear();
         if demands.len() != nodes.len() {
@@ -832,8 +851,8 @@ impl Schedule for EventDriven {
                 // Nothing has written its meters since it began resting.
                 *slot = match Frozen::settle(&nodes[i], since) {
                     Some(f) => {
-                        if let Some(&rack) = self.rack_of.get(i) {
-                            self.settled_in_rack[rack] += 1;
+                        if let Some(count) = rack_of.get(i).and_then(|&r| self.settled_in_rack.get_mut(r)) {
+                            *count += 1;
                         }
                         listed = false;
                         Slot::Settled(f)
@@ -854,13 +873,20 @@ impl Schedule for EventDriven {
         Some(moved)
     }
 
-    fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], recapped: &[usize], t: SimTime) -> f64 {
+    fn control(
+        &mut self,
+        nodes: &mut [Node],
+        caps: &[MilliWatts],
+        recapped: &[usize],
+        rack_of: &[usize],
+        t: SimTime,
+    ) -> f64 {
         // A settled node is ticked on the node only when handed a new cap.
         // Every other settled tick, coasted or parked (deep park), is owed
         // to it until its credit, without a write.
         for &i in recapped {
             if matches!(self.slots[i], Slot::Settled(f) if f.cap != caps[i]) {
-                self.unsettle(&mut nodes[i], i);
+                self.unsettle(&mut nodes[i], i, rack_of);
             }
         }
         let mut over = 0.0f64;
@@ -882,7 +908,16 @@ impl Schedule for EventDriven {
         }
         let before = self.busy.len();
         self.mask.clear();
-        scheduler.place(nodes, &mut Placing { engine: self, gate }, rack_of, t);
+        scheduler.place(
+            nodes,
+            &mut Placing {
+                engine: self,
+                gate,
+                rack_of,
+            },
+            rack_of,
+            t,
+        );
         if self.busy.len() > before {
             // Placed nodes were idle, so none is listed yet: merge the
             // new tail into the ascending list.
@@ -914,9 +949,9 @@ impl Schedule for EventDriven {
     }
 
     #[cfg(test)]
-    fn credit_all(&mut self, nodes: &mut [Node]) {
+    fn credit_all(&mut self, nodes: &mut [Node], rack_of: &[usize]) {
         for (i, node) in nodes.iter_mut().enumerate() {
-            self.unsettle(node, i);
+            self.unsettle(node, i, rack_of);
             node.wake();
         }
     }
@@ -930,6 +965,7 @@ impl Schedule for EventDriven {
 struct Placing<'a, 'g> {
     engine: &'a mut EventDriven,
     gate: &'a Gate<'g>,
+    rack_of: &'a [usize],
 }
 
 impl Placement for Placing<'_, '_> {
@@ -963,7 +999,7 @@ impl Placement for Placing<'_, '_> {
             let listed = index.remove(node.busy_s(), i);
             debug_assert!(listed, "node {i} took a job but was not indexed idle");
         }
-        self.engine.unsettle(node, i);
+        self.engine.unsettle(node, i, self.rack_of);
         self.engine.busy.push(i);
     }
 }
@@ -1052,6 +1088,7 @@ impl Fleet<'_> {
         if let Some(g) = &self.geo {
             engine.attach(g.index);
         }
+        let rack_of = self.rack_of();
         // Completion records the breaker step has seen.
         let mut scanned = 0;
         let mut demands: Vec<NodeDemand> = Vec::with_capacity(self.nodes.len());
@@ -1107,7 +1144,7 @@ impl Fleet<'_> {
                     // one moved.
                     // A schedule that reports which demands moved also reads
                     // which caps moved.
-                    let moved = engine.demands(&self.nodes, &mut demands, &mut moved);
+                    let moved = engine.demands(&self.nodes, &mut demands, &mut moved, rack_of);
                     recapped.clear();
                     let recap = moved.is_some().then_some(&mut recapped);
                     if let Some(g) = self.geo.as_mut() {
@@ -1125,7 +1162,7 @@ impl Fleet<'_> {
                         rec.cap_after_mw = Some(caps[rec.node]);
                     }
                     // 3. Control ticks on live nodes.
-                    let max_over_w = engine.control(&mut self.nodes, caps, &recapped, t);
+                    let max_over_w = engine.control(&mut self.nodes, caps, &recapped, rack_of, t);
                     // 4. Deferred best-effort jobs whose green window (or
                     // horizon) arrived re-enter first, then retries re-enter
                     // ahead of fresh arrivals (reversed so the earliest-ready
@@ -1139,7 +1176,7 @@ impl Fleet<'_> {
                         breakers: &self.breakers,
                         geo: self.geo.as_ref(),
                     };
-                    engine.dispatch(&mut self.scheduler, &mut self.nodes, &gate, &self.rack_of, t);
+                    engine.dispatch(&mut self.scheduler, &mut self.nodes, &gate, rack_of, t);
                     // 5. Periodic learner checkpoints on fully-Up nodes.
                     if let Some(k) = self.cfg.lifecycle.checkpoint_period {
                         if tick_no > 0 && tick_no.is_multiple_of(k) {
@@ -1162,7 +1199,7 @@ impl Fleet<'_> {
         // Account service up to the horizon.
         engine.advance(&mut self.nodes, t, SimTime::ZERO + self.cfg.horizon, &mut self.done);
         #[cfg(test)]
-        engine.credit_all(&mut self.nodes);
+        engine.credit_all(&mut self.nodes, rack_of);
     }
 
     /// The caps of the latest tick: the budget tree's leaves on geo runs.
@@ -1181,7 +1218,8 @@ impl Fleet<'_> {
             }
             ChaosKind::ThermalEmergency { duration_s } => {
                 if self.nodes[ev.node].is_alive() {
-                    engine.credit(&mut self.nodes[ev.node], ev.node);
+                    let rack_of = self.rack_of();
+                    engine.credit(&mut self.nodes[ev.node], ev.node, rack_of);
                     self.nodes[ev.node].thermal_emergency(t, duration_s);
                 }
             }
@@ -1235,7 +1273,7 @@ impl Fleet<'_> {
             DomainChaosKind::ZoneThermal { duration_s } => {
                 for &n in &index.zone_nodes[ev.domain] {
                     if self.nodes[n].is_alive() {
-                        engine.credit(&mut self.nodes[n], n);
+                        engine.credit(&mut self.nodes[n], n, &index.rack_of);
                         self.nodes[n].thermal_emergency(t, duration_s);
                     }
                 }
@@ -1259,10 +1297,11 @@ impl Fleet<'_> {
     /// breaker, and opens a crash-audit record.
     fn crash(&mut self, engine: &mut impl Schedule, id: usize, t: SimTime, outage_s: f64) {
         let cap_before = self.caps()[id];
-        engine.credit(&mut self.nodes[id], id);
+        let rack_of = self.rack_of();
+        engine.credit(&mut self.nodes[id], id, rack_of);
         if let Some(job) = self.nodes[id].crash(t, outage_s) {
             self.jobs_lost += 1;
-            self.retry.job_lost(job, t, self.rack_of.get(id).copied());
+            self.retry.job_lost(job, t, rack_of.get(id).copied());
         }
         self.breakers[id].record_failure(t);
         self.crash_records.push(CrashRecord {
@@ -1398,7 +1437,7 @@ mod tests {
         // As if the engine had swept every second from zero while the jobs
         // ran: the first sweep below, at 1001 s, is the 1002nd.
         engine.sweeps = 1001;
-        engine.credit(&mut nodes[3], 3);
+        engine.credit(&mut nodes[3], 3, &[]);
         nodes[3].crash(SimTime::ZERO, 1e6);
         nodes[8].dispatch(job(101, 1e6), SimTime::ZERO);
         let caps = [crate::power::mw(0.8 * cfg.gpu.peak_power_w()); 12];
@@ -1407,8 +1446,8 @@ mod tests {
         for k in 1001..=1000 + ticks {
             let t = SimTime::from_secs(k);
             engine.lifecycle(&mut nodes, &mut breakers, t);
-            engine.demands(&nodes, &mut demands, &mut moved);
-            engine.control(&mut nodes, &caps, &[], t);
+            engine.demands(&nodes, &mut demands, &mut moved, &[]);
+            engine.control(&mut nodes, &caps, &[], &[], t);
         }
         (nodes, engine)
     }
@@ -1466,7 +1505,7 @@ mod tests {
             let (mut credited, mut audit) = resting_fleet(ticks);
             let settled = audit.slots.iter().filter(|s| matches!(s, Slot::Settled(_))).count();
             for (i, node) in credited.iter_mut().enumerate() {
-                audit.unsettle(node, i);
+                audit.unsettle(node, i, &[]);
             }
             let resting = |parked: bool| {
                 let kind = |n: &&Node| n.is_resting() && n.is_parked() == parked;
@@ -1557,10 +1596,10 @@ mod tests {
             self.inner.advance(nodes, from, to, done);
         }
 
-        fn credit(&mut self, node: &mut Node, i: usize) {
+        fn credit(&mut self, node: &mut Node, i: usize, rack_of: &[usize]) {
             let stamped = self.inner.owes_checkpoint(i);
             let had_checkpoint = node.checkpoint_data().is_some();
-            self.inner.credit(node, i);
+            self.inner.credit(node, i, rack_of);
             self.log.push(Wake {
                 node: i,
                 stamped,
@@ -1586,12 +1625,20 @@ mod tests {
             nodes: &[Node],
             demands: &mut Vec<NodeDemand>,
             moved: &'m mut Vec<usize>,
+            rack_of: &[usize],
         ) -> Option<&'m [usize]> {
-            self.inner.demands(nodes, demands, moved)
+            self.inner.demands(nodes, demands, moved, rack_of)
         }
 
-        fn control(&mut self, nodes: &mut [Node], caps: &[MilliWatts], recapped: &[usize], t: SimTime) -> f64 {
-            self.inner.control(nodes, caps, recapped, t)
+        fn control(
+            &mut self,
+            nodes: &mut [Node],
+            caps: &[MilliWatts],
+            recapped: &[usize],
+            rack_of: &[usize],
+            t: SimTime,
+        ) -> f64 {
+            self.inner.control(nodes, caps, recapped, rack_of, t)
         }
 
         fn count_up(&mut self, nodes: &[Node], rack_of: &[usize], up: &mut [usize]) {

@@ -762,9 +762,10 @@ mod tests {
         }
         // Specs that differ in one bit of one field never share a table.
         let mut nudged = NodeConfig::default_node();
-        nudged.gpu.p_mem_dyn_w = f64::from_bits(nudged.gpu.p_mem_dyn_w.to_bits() + 1);
+        let gpu = Arc::make_mut(&mut nudged.gpu);
+        gpu.p_mem_dyn_w = f64::from_bits(gpu.p_mem_dyn_w.to_bits() + 1);
         let mut volted = NodeConfig::default_node();
-        volted.gpu.mem_volts = Some(vec![1.8; 6]);
+        Arc::make_mut(&mut volted.gpu).mem_volts = Some(vec![1.8; 6]);
         let (nodes, _) = built(vec![
             NodeConfig::default_node(),
             nudged,

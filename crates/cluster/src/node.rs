@@ -28,13 +28,16 @@ use greengpu_sim::{Fnv64, JsonTape, SimDuration, SimTime, SplitMix64};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Static description of one node.
+/// Static description of one node. The specs sit behind `Arc`s, which
+/// every node built from the config shares with it: a fleet of clones of
+/// one config holds one card spec and one host spec. To change a spec,
+/// `Arc::make_mut` copies it out first.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// The node's card.
-    pub gpu: GpuSpec,
+    pub gpu: Arc<GpuSpec>,
     /// The node's host CPU.
-    pub cpu: CpuSpec,
+    pub cpu: Arc<CpuSpec>,
     /// Optional sensor/actuation fault plan (PR-1 seam).
     pub fault: Option<FaultPlan>,
     /// Tier-2 frequency policy the node's controller runs (the paper's
@@ -47,8 +50,8 @@ impl NodeConfig {
     /// The default paper testbed node.
     pub fn default_node() -> Self {
         NodeConfig {
-            gpu: calib::geforce_8800_gtx(),
-            cpu: calib::phenom_ii_x2(),
+            gpu: Arc::new(calib::geforce_8800_gtx()),
+            cpu: Arc::new(calib::phenom_ii_x2()),
             fault: None,
             freq_policy: PolicySpec::default(),
         }
@@ -61,8 +64,8 @@ impl NodeConfig {
         gpu.mem_levels_mhz = gpu.mem_levels_mhz.iter().map(|f| f * 0.7).collect();
         gpu.name = format!("{} (down-clocked)", gpu.name);
         NodeConfig {
-            gpu,
-            cpu: calib::phenom_ii_x2(),
+            gpu: Arc::new(gpu),
+            cpu: Arc::new(calib::phenom_ii_x2()),
             fault: None,
             freq_policy: PolicySpec::default(),
         }
@@ -353,8 +356,8 @@ impl Node {
         Ok(Node {
             id,
             platform: Platform::new(
-                cfg.gpu.clone(),
-                cfg.cpu.clone(),
+                Arc::clone(&cfg.gpu),
+                Arc::clone(&cfg.cpu),
                 n_core - 1,
                 n_mem - 1,
                 cfg.cpu.levels_mhz.len() - 1,
@@ -724,7 +727,12 @@ impl Node {
         self.profiles.get(workload)
     }
 
-    /// The underlying platform (meters, traces).
+    /// The underlying platform (meters, traces). A node's control tick
+    /// lets the platform forget what its sensors have read
+    /// ([`Platform::forget_before`]), so its traces keep only the history
+    /// from the last poll window on: the platform answers windows that
+    /// start at or after the last poll before the latest full control
+    /// tick, and windows from t = 0 (a whole-run total).
     pub fn platform(&self) -> &Platform {
         &self.platform
     }
@@ -919,7 +927,12 @@ impl Node {
             return over;
         }
         self.ctl.set_power_cap_w(Some(self.cap_w));
+        // Nothing reads the platform before the window this tick polls:
+        // later polls start after it, the trace row's window at or after
+        // it, and a whole-run total at t = 0 (DESIGN.md §6).
+        let cut = self.ctl.sensor_window_start();
         self.ctl.on_dvfs_tick(&mut self.platform, now);
+        self.platform.forget_before(cut);
         self.refresh_activity(now);
         if self.recovering.is_some() {
             // Count intervals until the learner's argmax matches the
@@ -1211,6 +1224,44 @@ mod tests {
         }
         assert_eq!(node.cap_violations(), 0);
         assert!(node.enforced_pair_power_w() <= cap as f64 / 1000.0);
+    }
+
+    /// A node's control tick lets its platform forget what the sensors
+    /// have read: a node kept busy for 3,600 one-second ticks by a stream
+    /// of jobs sized to finish within about an interval, dispatched at
+    /// the ticks and completing between them, under a cap that moves
+    /// every 50 ticks, never holds more than 8 breakpoints in any trace,
+    /// though it serves and reclocks throughout.
+    #[test]
+    fn a_busy_node_keeps_every_trace_short() {
+        let mut node = Node::new(0, &NodeConfig::default_node(), &mix(), 1);
+        let peak_w = node.platform().gpu().spec().peak_power_w();
+        let peak_s: Vec<f64> = mix()
+            .iter()
+            .map(|w| node.profile(w).map_or(1.0, ServiceProfile::peak_time_s))
+            .collect();
+        let (mut longest, mut reclocks) = (0, 0);
+        let mut pair = node.current_pair();
+        for k in 0..3_600u64 {
+            let (from, now) = (SimTime::from_secs(k), SimTime::from_secs(k + 1));
+            node.advance(from, now);
+            node.control_tick(now, mw(peak_w * [0.7, 0.85, 1.0][(k / 50 % 3) as usize]));
+            if node.is_idle() {
+                let w = (k % 2) as usize;
+                node.dispatch(job(&mix()[w], (0.3 + (k % 5) as f64 * 0.15) / peak_s[w]), now);
+            }
+            reclocks += usize::from(node.current_pair() != pair);
+            pair = node.current_pair();
+            longest = node
+                .platform()
+                .traces()
+                .iter()
+                .map(|t| t.len())
+                .fold(longest, usize::max);
+        }
+        assert!(node.completed() > 3_000, "{} jobs completed", node.completed());
+        assert!(reclocks > 500, "{reclocks} reclocks");
+        assert!(longest <= 8, "a trace reached {longest} breakpoints");
     }
 
     #[test]

@@ -6,6 +6,7 @@ use greengpu_cluster::{apportion, run_fleet, FleetConfig, Node, NodeConfig, Node
 use greengpu_hw::FaultPlan;
 use greengpu_sim::SimDuration;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn small_fleet(n: usize, budget_frac: f64, policy: Policy, seed: u64) -> FleetConfig {
     FleetConfig::homogeneous(n, budget_frac, policy, SimDuration::from_secs(30), seed)
@@ -116,35 +117,41 @@ fn malformed_level_tables_are_refused_by_both_entry_points() {
     type Break = fn(&mut NodeConfig);
     let cases: [(Break, &str); 9] = [
         (
-            |n| n.gpu.core_levels_mhz = vec![575.0],
+            |n| Arc::make_mut(&mut n.gpu).core_levels_mhz = vec![575.0],
             "gpu.core_levels_mhz: need at least two",
         ),
         (
-            |n| n.gpu.core_levels_mhz.clear(),
+            |n| Arc::make_mut(&mut n.gpu).core_levels_mhz.clear(),
             "gpu.core_levels_mhz: need at least two",
         ),
         (
-            |n| n.gpu.mem_levels_mhz.reverse(),
+            |n| Arc::make_mut(&mut n.gpu).mem_levels_mhz.reverse(),
             "gpu.mem_levels_mhz: levels must be strictly ascending",
         ),
         (
-            |n| n.gpu.mem_levels_mhz[0] = f64::NAN,
+            |n| Arc::make_mut(&mut n.gpu).mem_levels_mhz[0] = f64::NAN,
             "gpu.mem_levels_mhz: levels must be finite",
         ),
         (
-            |n| n.gpu.core_levels_mhz[0] = -1.0,
+            |n| Arc::make_mut(&mut n.gpu).core_levels_mhz[0] = -1.0,
             "gpu.core_levels_mhz: levels must be finite and positive",
         ),
         (
-            |n| n.gpu.core_volts = Some(vec![1.1; 5]),
+            |n| Arc::make_mut(&mut n.gpu).core_volts = Some(vec![1.1; 5]),
             "gpu.core_volts: need one entry per level (6), got 5",
         ),
         (
-            |n| n.gpu.mem_volts = Some(vec![1.8; 7]),
+            |n| Arc::make_mut(&mut n.gpu).mem_volts = Some(vec![1.8; 7]),
             "gpu.mem_volts: need one entry per level (6), got 7",
         ),
-        (|n| n.cpu.levels_mhz.truncate(1), "cpu.levels_mhz: need at least two"),
-        (|n| n.cpu.volts.truncate(1), "cpu.volts: need one entry per level"),
+        (
+            |n| Arc::make_mut(&mut n.cpu).levels_mhz.truncate(1),
+            "cpu.levels_mhz: need at least two",
+        ),
+        (
+            |n| Arc::make_mut(&mut n.cpu).volts.truncate(1),
+            "cpu.volts: need one entry per level",
+        ),
     ];
     let mix = vec!["hotspot".to_string(), "kmeans".to_string()];
     for (k, (break_it, want)) in cases.into_iter().enumerate() {
@@ -157,7 +164,7 @@ fn malformed_level_tables_are_refused_by_both_entry_points() {
     }
     // The constructors still accept every well-formed variant.
     let mut ok = NodeConfig::default_node();
-    ok.gpu.core_volts = Some(vec![1.1; 6]);
+    Arc::make_mut(&mut ok.gpu).core_volts = Some(vec![1.1; 6]);
     assert!(ok.try_validate().is_ok());
     assert!(Node::try_new(0, &ok, &mix, 1).is_ok());
 }

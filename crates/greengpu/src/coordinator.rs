@@ -449,6 +449,14 @@ impl GreenGpuController {
         self.actuation_failures
     }
 
+    /// The earliest instant the controller's next poll reads the traces
+    /// from ([`SensorSource::window_start`]): the platform's history
+    /// before it is one no later tick asks for. A fresh controller's is
+    /// t = 0.
+    pub fn sensor_window_start(&self) -> SimTime {
+        self.sensors.window_start()
+    }
+
     /// Total faults injected by the providers (0 on clean providers).
     pub fn injection_count(&self) -> usize {
         self.sensors.injection_log().len() + self.actuator.injection_log().len()

@@ -184,3 +184,100 @@ proptest! {
         prop_assert!(with.moves() <= without.moves() + updates.len() as u64);
     }
 }
+
+/// A platform that forgets the history before its controller's next poll
+/// window answers the control loop with the bits of a twin that keeps
+/// all of it. Two testbed platforms, each under a scaling-only
+/// controller, run one schedule: busy stretches whose activity moves
+/// twice per interval, idle stretches, thermal stretches at floor clocks
+/// (no control tick), and controller rebuilds (fresh sensors, whose first
+/// poll reads from t = 0). Only one platform forgets, after each tick, as
+/// a fleet node does. Every tick leaves both controllers with the same
+/// readings and learner state (the decision fingerprint), the same
+/// levels, and the same window and whole-run energies; the forgetting
+/// platform's traces stay short while its twin's grow.
+#[test]
+fn a_forgetting_platform_answers_the_control_loop_as_its_full_twin() {
+    let fresh = || GreenGpuController::for_testbed(GreenGpuConfig::scaling_only());
+    let (mut lean, mut full) = (
+        (Platform::default_testbed(), fresh()),
+        (Platform::default_testbed(), fresh()),
+    );
+    let mut rng = Pcg32::new(7, 11);
+    let (mut longest, mut rebuilds) = (0, 0);
+    for k in 1..=360u64 {
+        let (prev, now) = (SimTime::from_secs(3 * (k - 1)), SimTime::from_secs(3 * k));
+        let thermal = (100..106).contains(&(k % 120));
+        match k % 120 {
+            1..=59 => {
+                for at_ms in [700, 1_900] {
+                    let at = prev + SimDuration::from_millis(at_ms);
+                    let (uc, um, cpu) = (rng.next_f64(), rng.next_f64(), rng.next_f64());
+                    for p in [&mut lean.0, &mut full.0] {
+                        p.set_gpu_activity(at, uc, um);
+                        p.set_cpu_activity(at, cpu, 2);
+                    }
+                }
+            }
+            60 => {
+                for p in [&mut lean.0, &mut full.0] {
+                    p.set_gpu_activity(prev + SimDuration::from_millis(100), 0.0, 0.0);
+                    p.set_cpu_activity(prev + SimDuration::from_millis(100), 0.0, 0);
+                }
+            }
+            _ => {}
+        }
+        if k % 50 == 25 {
+            (lean.1, full.1) = (fresh(), fresh());
+            rebuilds += 1;
+        }
+        for ((p, ctl), forgets) in [(&mut lean, true), (&mut full, false)] {
+            if thermal {
+                p.set_gpu_levels(now, 0, 0);
+                p.set_cpu_level(now, 0);
+                continue;
+            }
+            let cut = ctl.sensor_window_start();
+            ctl.on_dvfs_tick(p, now);
+            if forgets {
+                p.forget_before(cut);
+            }
+        }
+        assert_eq!(
+            lean.1.decision_fingerprint_parts(),
+            full.1.decision_fingerprint_parts(),
+            "tick {k}: readings or learner differ"
+        );
+        let levels = |p: &Platform| {
+            (
+                p.gpu().core().current_level(),
+                p.gpu().mem().current_level(),
+                p.cpu().domain().current_level(),
+            )
+        };
+        assert_eq!(levels(&lean.0), levels(&full.0), "tick {k}");
+        for (from, to) in [(prev, now), (SimTime::ZERO, now)] {
+            let energies = |p: &Platform| {
+                [
+                    p.gpu_energy_j(from, to),
+                    p.cpu_energy_j(from, to),
+                    p.gpu_idle_energy_j(from, to),
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(
+                energies(&lean.0),
+                energies(&full.0),
+                "tick {k}: energies over [{from}, {to})"
+            );
+        }
+        longest = lean.0.traces().iter().map(|t| t.len()).fold(longest, usize::max);
+    }
+    assert_eq!(rebuilds, 7);
+    assert!(longest <= 8, "a forgetting trace reached {longest} breakpoints");
+    let grown = full.0.traces().iter().map(|t| t.len()).max().unwrap_or(0);
+    assert!(
+        grown > 100,
+        "the full twin's longest trace holds only {grown} breakpoints"
+    );
+}

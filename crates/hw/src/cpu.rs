@@ -8,6 +8,7 @@
 
 use crate::freq::FrequencyDomain;
 use greengpu_sim::{SimTime, StepTrace};
+use std::sync::Arc;
 
 /// Static description of the CPU and host box.
 #[derive(Debug, Clone)]
@@ -84,10 +85,11 @@ impl CpuSpec {
 }
 
 /// A live CPU: spec + current P-state + activity, with the utilization trace
-/// consumed by the ondemand governor.
+/// consumed by the ondemand governor. The spec is shared, as
+/// [`crate::GpuModel`]'s is.
 #[derive(Debug, Clone)]
 pub struct CpuModel {
-    spec: CpuSpec,
+    spec: Arc<CpuSpec>,
     domain: FrequencyDomain,
     /// Sensor-visible utilization (what /proc/stat and the governor see).
     util: f64,
@@ -100,7 +102,8 @@ pub struct CpuModel {
 
 impl CpuModel {
     /// Creates a CPU starting at P-state index `initial`.
-    pub fn new(spec: CpuSpec, initial: usize) -> Self {
+    pub fn new(spec: impl Into<Arc<CpuSpec>>, initial: usize) -> Self {
+        let spec = spec.into();
         assert_eq!(spec.levels_mhz.len(), spec.volts.len(), "V/f tables must align");
         let domain = FrequencyDomain::new("cpu", &spec.levels_mhz, initial);
         let active_cores = spec.n_cores;
@@ -174,6 +177,13 @@ impl CpuModel {
     /// The utilization trace the governor samples.
     pub fn util_trace(&self) -> &StepTrace {
         &self.util_trace
+    }
+
+    /// Forgets the domain's and the utilization's history before `cut`
+    /// ([`StepTrace::forget_before`]).
+    pub fn forget_before(&mut self, cut: SimTime) {
+        self.domain.forget_before(cut);
+        self.util_trace.forget_before(cut);
     }
 }
 

@@ -48,6 +48,15 @@ pub trait SensorSource {
     fn injection_log(&self) -> &[InjectionEvent] {
         &[]
     }
+
+    /// The earliest instant a later poll reads the traces from: the start
+    /// of the next window. A caller may let the platform forget the
+    /// history before it ([`Platform::forget_before`]). The default, t = 0,
+    /// claims nothing, so a source that does not report it lets nothing
+    /// be forgotten.
+    fn window_start(&self) -> SimTime {
+        SimTime::ZERO
+    }
 }
 
 /// A sink for frequency commands (the `nvidia-settings` / cpufreq path).
@@ -86,6 +95,11 @@ impl SensorSource for CleanSensors {
 
     fn poll_cpu(&mut self, cpu: &CpuModel, now: SimTime) -> CpuReading {
         self.cpu_smi.poll_cpu(cpu, now)
+    }
+
+    /// The earlier of the two windows' starts.
+    fn window_start(&self) -> SimTime {
+        self.gpu_smi.window_start().min(self.cpu_smi.window_start())
     }
 }
 
@@ -451,6 +465,12 @@ impl SensorSource for FaultySensor {
 
     fn injection_log(&self) -> &[InjectionEvent] {
         &self.log
+    }
+
+    /// The clean sensors' window start: they are polled on every call,
+    /// fault or not.
+    fn window_start(&self) -> SimTime {
+        self.inner.window_start()
     }
 }
 
@@ -1014,6 +1034,12 @@ impl SensorSource for BlackoutSensors {
     fn injection_log(&self) -> &[InjectionEvent] {
         &self.log
     }
+
+    /// The inner source's window start: it is polled on every call, dark
+    /// or not.
+    fn window_start(&self) -> SimTime {
+        self.inner.window_start()
+    }
 }
 
 #[cfg(test)]
@@ -1351,5 +1377,80 @@ mod tests {
         // 3 dark seconds × 2 channels.
         assert_eq!(dark.injection_log().len(), 6);
         assert!(dark.injection_log().iter().all(|e| e.kind == FaultKind::Drop));
+    }
+
+    /// `window_start` is the earliest cursor a later poll reads from: t = 0
+    /// on fresh sensors, the earlier of the GPU and CPU cursors after, and
+    /// moved only by polls. Stale and dropped polls, and polls inside a
+    /// dark window, poll the clean sensors all the same, so a faulty and a
+    /// blacked-out source report a clean twin's start at every step.
+    /// A source that does not report one claims t = 0 forever.
+    #[test]
+    fn window_start_is_the_earliest_cursor_through_faults_and_dark_windows() {
+        let gpu = gpu_at_half();
+        let cpu = CpuModel::new(phenom_ii_x2(), 3);
+        let lossy = ChannelFaults {
+            jitter_sigma: 0.0,
+            stale_prob: 0.4,
+            drop_prob: 0.4,
+        };
+        let plan = FaultPlan {
+            gpu_util: lossy,
+            cpu_util: lossy,
+            ..FaultPlan::clean(3)
+        };
+        let dark = vec![(SimTime::from_secs(4), SimTime::from_secs(9))];
+        let mut clean = CleanSensors::new();
+        let mut faulty = FaultySensor::new(&plan);
+        let mut blacked = BlackoutSensors::new(Box::new(CleanSensors::new()), dark);
+        let starts = |c: &CleanSensors, f: &FaultySensor, b: &BlackoutSensors| {
+            let start = c.window_start();
+            assert_eq!((f.window_start(), b.window_start()), (start, start));
+            start
+        };
+        assert_eq!(starts(&clean, &faulty, &blacked), SimTime::ZERO);
+        let sources: [&mut dyn SensorSource; 3] = [&mut clean, &mut faulty, &mut blacked];
+        for s in sources {
+            // The GPU cursor runs ahead; the CPU one holds the start back.
+            s.poll_gpu(&gpu, SimTime::from_secs(2));
+            assert_eq!(s.window_start(), SimTime::ZERO);
+            s.poll_cpu(&cpu, SimTime::from_secs(1));
+            assert_eq!(s.window_start(), SimTime::from_secs(1));
+            assert_eq!(s.observe_iteration(1.0, 2.0), (1.0, 2.0), "no iteration faults planned");
+            assert_eq!(s.window_start(), SimTime::from_secs(1), "only polls move it");
+        }
+        for t in 2..12 {
+            let now = SimTime::from_secs(t);
+            let sources: [&mut dyn SensorSource; 3] = [&mut clean, &mut faulty, &mut blacked];
+            for s in sources {
+                s.poll_cpu(&cpu, now);
+                s.poll_gpu(&gpu, now + greengpu_sim::SimDuration::from_millis(500));
+            }
+            assert_eq!(starts(&clean, &faulty, &blacked), now, "at {now}");
+        }
+        assert!(faulty.injection_log().len() > 4, "stale and dropped polls fired");
+        assert_eq!(blacked.injection_log().len(), 10, "5 dark seconds × 2 channels");
+
+        struct Fixed;
+        impl SensorSource for Fixed {
+            fn poll_gpu(&mut self, gpu: &GpuModel, _now: SimTime) -> SmiReading {
+                SmiReading {
+                    u_core: 0.5,
+                    u_mem: 0.5,
+                    core_mhz: gpu.core().current_mhz(),
+                    mem_mhz: gpu.mem().current_mhz(),
+                }
+            }
+            fn poll_cpu(&mut self, cpu: &CpuModel, _now: SimTime) -> CpuReading {
+                CpuReading {
+                    util: 0.5,
+                    mhz: cpu.domain().current_mhz(),
+                }
+            }
+        }
+        let mut fixed = Fixed;
+        fixed.poll_gpu(&gpu, SimTime::from_secs(5));
+        fixed.poll_cpu(&cpu, SimTime::from_secs(5));
+        assert_eq!(fixed.window_start(), SimTime::ZERO);
     }
 }

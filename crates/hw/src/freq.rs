@@ -30,7 +30,7 @@ pub(crate) fn check_levels(levels_mhz: &[f64]) -> Result<(), String> {
 /// {500, 580, 660, 740, 820, 900} MHz.
 #[derive(Debug, Clone)]
 pub struct FrequencyDomain {
-    name: String,
+    name: &'static str,
     /// Levels in MHz, strictly ascending; the last entry is the peak.
     levels_mhz: Vec<f64>,
     current: usize,
@@ -45,7 +45,7 @@ impl FrequencyDomain {
     /// # Panics
     /// If fewer than two levels are given, levels are not strictly
     /// ascending/positive, or `initial` is out of range.
-    pub fn new(name: impl Into<String>, levels_mhz: &[f64], initial: usize) -> Self {
+    pub fn new(name: &'static str, levels_mhz: &[f64], initial: usize) -> Self {
         assert!(levels_mhz.len() >= 2, "need at least two frequency levels");
         assert!(
             levels_mhz.windows(2).all(|w| w[0] < w[1]) && levels_mhz[0] > 0.0,
@@ -55,7 +55,7 @@ impl FrequencyDomain {
         let mut trace = StepTrace::new();
         trace.set(SimTime::ZERO, levels_mhz[initial]);
         FrequencyDomain {
-            name: name.into(),
+            name,
             levels_mhz: levels_mhz.to_vec(),
             current: initial,
             trace,
@@ -64,8 +64,8 @@ impl FrequencyDomain {
     }
 
     /// Domain name (for traces/reports).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Number of available levels (the paper's `N` or `M`).
@@ -132,9 +132,16 @@ impl FrequencyDomain {
         self.transitions
     }
 
-    /// Full frequency trace in MHz.
+    /// Frequency trace in MHz: the full history, unless
+    /// [`FrequencyDomain::forget_before`] let it go.
     pub fn trace(&self) -> &StepTrace {
         &self.trace
+    }
+
+    /// Forgets the frequency history before `cut`
+    /// ([`StepTrace::forget_before`]).
+    pub fn forget_before(&mut self, cut: SimTime) {
+        self.trace.forget_before(cut);
     }
 }
 

@@ -18,6 +18,7 @@
 use crate::freq::FrequencyDomain;
 use crate::perf::{gpu_timing, GpuTiming, WorkUnits};
 use greengpu_sim::{SimTime, StepTrace};
+use std::sync::Arc;
 
 /// Static description of a GPU.
 #[derive(Debug, Clone)]
@@ -159,10 +160,11 @@ impl GpuSpec {
 }
 
 /// A live GPU: spec + current frequency levels + activity, with utilization
-/// traces for the smi facade.
+/// traces for the smi facade. The spec sits behind an `Arc`: models built
+/// from clones of one `Arc` share one copy.
 #[derive(Debug, Clone)]
 pub struct GpuModel {
-    spec: GpuSpec,
+    spec: Arc<GpuSpec>,
     core: FrequencyDomain,
     mem: FrequencyDomain,
     /// Instantaneous core activity in `[0,1]` (fraction of cycles busy).
@@ -178,7 +180,8 @@ impl GpuModel {
     ///
     /// The paper notes the driver default is the *lowest* levels; the
     /// best-performance baseline pins both to the peak.
-    pub fn new(spec: GpuSpec, initial_core: usize, initial_mem: usize) -> Self {
+    pub fn new(spec: impl Into<Arc<GpuSpec>>, initial_core: usize, initial_mem: usize) -> Self {
+        let spec = spec.into();
         let core = FrequencyDomain::new("gpu-core", &spec.core_levels_mhz, initial_core);
         let mem = FrequencyDomain::new("gpu-mem", &spec.mem_levels_mhz, initial_mem);
         GpuModel {
@@ -273,6 +276,15 @@ impl GpuModel {
     /// Memory-utilization trace.
     pub fn u_mem_trace(&self) -> &StepTrace {
         &self.u_mem_trace
+    }
+
+    /// Forgets both domains' and both utilizations' history before `cut`
+    /// ([`StepTrace::forget_before`]).
+    pub fn forget_before(&mut self, cut: SimTime) {
+        self.core.forget_before(cut);
+        self.mem.forget_before(cut);
+        self.u_core_trace.forget_before(cut);
+        self.u_mem_trace.forget_before(cut);
     }
 }
 

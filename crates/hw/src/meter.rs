@@ -23,22 +23,22 @@ use greengpu_sim::{SampledSeries, SimDuration, SimTime, StepTrace};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PowerMeter {
-    name: String,
+    name: &'static str,
     trace: StepTrace,
 }
 
 impl PowerMeter {
     /// Creates a meter reading 0 W at t = 0.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: &'static str) -> Self {
         PowerMeter {
-            name: name.into(),
+            name,
             trace: StepTrace::with_initial(0.0),
         }
     }
 
     /// Meter label.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Records a new instantaneous power reading from `at` onward.
@@ -71,6 +71,12 @@ impl PowerMeter {
     /// The underlying step trace.
     pub fn trace(&self) -> &StepTrace {
         &self.trace
+    }
+
+    /// Forgets the power history before `cut`
+    /// ([`StepTrace::forget_before`]).
+    pub fn forget_before(&mut self, cut: SimTime) {
+        self.trace.forget_before(cut);
     }
 }
 

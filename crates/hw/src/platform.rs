@@ -9,7 +9,8 @@
 use crate::cpu::{CpuModel, CpuSpec};
 use crate::gpu::{GpuModel, GpuSpec};
 use crate::meter::PowerMeter;
-use greengpu_sim::SimTime;
+use greengpu_sim::{SimTime, StepTrace};
+use std::sync::Arc;
 
 /// A complete simulated testbed: GPU + CPU + two power meters.
 #[derive(Debug, Clone)]
@@ -26,8 +27,15 @@ pub struct Platform {
 
 impl Platform {
     /// Builds a platform with the given device specs and initial frequency
-    /// levels, and records the initial power draw at t = 0.
-    pub fn new(gpu_spec: GpuSpec, cpu_spec: CpuSpec, gpu_core_lvl: usize, gpu_mem_lvl: usize, cpu_lvl: usize) -> Self {
+    /// levels, and records the initial power draw at t = 0. A spec passed
+    /// as an `Arc` is shared, not copied.
+    pub fn new(
+        gpu_spec: impl Into<Arc<GpuSpec>>,
+        cpu_spec: impl Into<Arc<CpuSpec>>,
+        gpu_core_lvl: usize,
+        gpu_mem_lvl: usize,
+        cpu_lvl: usize,
+    ) -> Self {
         let gpu = GpuModel::new(gpu_spec, gpu_core_lvl, gpu_mem_lvl);
         let cpu = CpuModel::new(cpu_spec, cpu_lvl);
         let mut p = Platform {
@@ -73,6 +81,41 @@ impl Platform {
     /// Meter 1: box / CPU side.
     pub fn cpu_meter(&self) -> &PowerMeter {
         &self.cpu_meter
+    }
+
+    /// Every step trace the platform keeps: the GPU core, memory and CPU
+    /// frequencies, the GPU core, GPU memory and CPU utilizations, and the
+    /// GPU, CPU and GPU idle-reference meters.
+    pub fn traces(&self) -> [&StepTrace; 9] {
+        [
+            self.gpu.core().trace(),
+            self.gpu.mem().trace(),
+            self.cpu.domain().trace(),
+            self.gpu.u_core_trace(),
+            self.gpu.u_mem_trace(),
+            self.cpu.util_trace(),
+            self.gpu_meter.trace(),
+            self.cpu_meter.trace(),
+            self.gpu_idle_meter.trace(),
+        ]
+    }
+
+    /// Forgets every trace's history before `cut`: both device models'
+    /// frequency and utilization traces and all three meters
+    /// ([`greengpu_sim::StepTrace::forget_before`]). From then on the
+    /// platform answers windows that start at or after `cut`, windows from
+    /// t = 0 that end at or after it, and values at or after it, with the
+    /// bits it gave before; no setter may come before `cut`. Only fleet
+    /// nodes forget ([`SensorSource::window_start`] is their cut): the
+    /// single-node analyses read whole traces.
+    ///
+    /// [`SensorSource::window_start`]: crate::SensorSource::window_start
+    pub fn forget_before(&mut self, cut: SimTime) {
+        self.gpu.forget_before(cut);
+        self.cpu.forget_before(cut);
+        self.gpu_meter.forget_before(cut);
+        self.cpu_meter.forget_before(cut);
+        self.gpu_idle_meter.forget_before(cut);
     }
 
     /// Re-reads every device power into the meters at `at`.
@@ -237,7 +280,6 @@ mod tests {
         assert!(log.values().iter().all(|&w| w > 0.0));
     }
 
-    use greengpu_sim::StepTrace;
     use proptest::prelude::*;
 
     /// An activity drawn from four values, so that repeats are common.

@@ -37,6 +37,9 @@ pub enum Callee {
     /// against every workspace method (a sound over-approximation that
     /// also models `dyn FreqPolicy` dispatch).
     Method(String),
+    /// `self.method(...)` — the receiver is the caller's own `self`, so
+    /// its type is the caller's impl type when it has one.
+    SelfMethod(String),
 }
 
 /// One call expression inside a function body.
@@ -435,7 +438,9 @@ fn scan_body(toks: &[Tok], start: usize, end: usize, item: &mut FnItem) {
             continue;
         }
         if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            let callee = if i > 0 && toks[i - 1].is_punct('.') {
+            let callee = if i > 1 && toks[i - 1].is_punct('.') && toks[i - 2].is_ident("self") {
+                Callee::SelfMethod(t.text.clone())
+            } else if i > 0 && toks[i - 1].is_punct('.') {
                 Callee::Method(t.text.clone())
             } else if i > 2
                 && toks[i - 1].is_punct(':')
@@ -551,7 +556,7 @@ mod tests {
         assert!(f.has_self);
         assert_eq!(f.params.len(), 1);
         assert_eq!(f.calls.len(), 2);
-        assert_eq!(f.calls[0].callee, Callee::Method("step".into()));
+        assert_eq!(f.calls[0].callee, Callee::SelfMethod("step".into()));
         assert_eq!(f.calls[1].callee, Callee::Path("Other".into(), "build".into()));
     }
 

@@ -3,9 +3,10 @@
 //!
 //! Resolution is a deliberate over-approximation. Method calls resolve
 //! by bare name against every workspace method (this is what models
-//! `dyn FreqPolicy` dispatch without type inference); `Type::fn` path
-//! calls resolve only when `Type` is a *workspace* type, so `Vec::new`
-//! never aliases `Node::new`. Test-region functions are excluded
+//! `dyn FreqPolicy` dispatch without type inference), except that
+//! `self.f(..)` in an impl of `Ty` resolves to `Ty`'s own `f` when it has
+//! one; `Type::fn` path calls resolve only when `Type` is a *workspace*
+//! type, so `Vec::new` never aliases `Node::new`. Test-region functions are excluded
 //! entirely — a unit test constructing a policy must not make the
 //! constructor "reachable".
 
@@ -92,6 +93,10 @@ impl Symbols {
     ///   (through `Self`); unknown types resolve to nothing, so calls
     ///   into `std` never create edges.
     /// - `recv.f(..)` → every workspace method named `f`.
+    /// - `self.f(..)` → the methods `f` of the caller's impl type, when it
+    ///   has any; otherwise (a trait default method, whose `self` is any
+    ///   implementor, a method reached through `Deref` or a trait default,
+    ///   or a caller outside any impl) every workspace method named `f`.
     pub fn resolve(&self, parsed: &[ParsedFile], caller: FnId, callee: &Callee) -> Vec<FnId> {
         match callee {
             Callee::Bare(name) => {
@@ -144,6 +149,27 @@ impl Symbols {
                     return Vec::new();
                 }
                 self.by_ty_name.get(&(ty, name.clone())).cloned().unwrap_or_default()
+            }
+            Callee::SelfMethod(name) => {
+                let item = self.item(parsed, caller);
+                let own: Vec<FnId> = match &item.self_ty {
+                    Some(ty) if item.trait_impl.as_ref() != Some(ty) => self
+                        .by_ty_name
+                        .get(&(ty.clone(), name.clone()))
+                        .map(|ids| {
+                            ids.iter()
+                                .copied()
+                                .filter(|&id| self.item(parsed, id).has_self)
+                                .collect()
+                        })
+                        .unwrap_or_default(),
+                    _ => Vec::new(),
+                };
+                if own.is_empty() {
+                    self.resolve(parsed, caller, &Callee::Method(name.clone()))
+                } else {
+                    own
+                }
             }
             Callee::Method(name) => self
                 .by_name
@@ -215,6 +241,55 @@ mod tests {
         let drive = sym.keys.iter().position(|k| k.contains("::drive/")).unwrap();
         let call = &sym.item(&parsed, drive).calls[0];
         assert_eq!(sym.resolve(&parsed, drive, &call.callee).len(), 1);
+    }
+
+    /// `self.crash()` in `impl A` reaches only `A::crash`, while
+    /// `other.crash()` on an unknown receiver reaches both types'; a trait
+    /// default's `self.crash()` and a `self.f()` its impl type lacks fall
+    /// back to every method of the name.
+    #[test]
+    fn self_method_calls_resolve_to_the_callers_impl_first() {
+        let (_f, parsed, sym) = build(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub struct A;\nimpl A {\n  pub fn crash(&mut self) {}\n  pub fn go(&mut self, other: &mut B) { self.crash(); other.crash(); self.reset(); }\n}",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "pub struct B;\nimpl B { pub fn crash(&mut self) {} pub fn reset(&mut self) {} }\npub trait T {\n  fn crash(&mut self);\n  fn twice(&mut self) { self.crash(); }\n}",
+            ),
+        ]);
+        let id = |key: &str| sym.keys.iter().position(|k| k.contains(key)).unwrap();
+        let names = |caller: FnId, nth: usize| {
+            let call = &sym.item(&parsed, caller).calls[nth];
+            let mut keys: Vec<&str> = sym
+                .resolve(&parsed, caller, &call.callee)
+                .into_iter()
+                .map(|t| sym.keys[t].as_str())
+                .collect();
+            keys.sort_unstable();
+            keys
+        };
+        let go = id("::A::go/");
+        assert_eq!(
+            sym.item(&parsed, go).calls[0].callee,
+            Callee::SelfMethod("crash".into())
+        );
+        assert_eq!(names(go, 0), ["crates/a/src/lib.rs::A::crash/0"]);
+        assert_eq!(
+            names(go, 1),
+            [
+                "crates/a/src/lib.rs::A::crash/0",
+                "crates/b/src/lib.rs::B::crash/0",
+                "crates/b/src/lib.rs::T::crash/0"
+            ]
+        );
+        assert_eq!(names(go, 2), ["crates/b/src/lib.rs::B::reset/0"]);
+        assert_eq!(
+            names(id("::T::twice/"), 0).len(),
+            3,
+            "a trait default's self is any implementor"
+        );
     }
 
     #[test]

@@ -276,7 +276,7 @@ impl UnitSafety {
                     continue;
                 }
                 let callee_name = match &call.callee {
-                    Callee::Bare(n) | Callee::Path(_, n) | Callee::Method(n) => n.clone(),
+                    Callee::Bare(n) | Callee::Path(_, n) | Callee::Method(n) | Callee::SelfMethod(n) => n.clone(),
                 };
                 if converter_callee(&callee_name) {
                     continue;

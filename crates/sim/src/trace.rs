@@ -16,12 +16,31 @@ use crate::time::{SimDuration, SimTime};
 /// heap: a trace that never changes allocates nothing, and a query about
 /// the current segment — what every control-interval poll asks — never
 /// reads the heap.
+///
+/// A reader that will never again ask about the past before some instant
+/// can let the trace forget it ([`StepTrace::forget_before`]): the
+/// segments that ended before then leave the heap, folded into one exact
+/// running term, and the trace stops growing with the run. After
+/// forgetting before `cut`, a window must start at or after `cut`, or at
+/// t = 0 and end at or after `cut`; `value_at` must ask at or after
+/// `cut`; and a `set` must not come before `cut`. Debug builds assert all
+/// three.
 #[derive(Debug, Clone, Default)]
 pub struct StepTrace {
-    /// Every breakpoint before `last`, in time order.
+    /// The breakpoints before `last` that are still kept, in time order:
+    /// every one before it until the first [`StepTrace::forget_before`].
     head: Vec<(SimTime, f64)>,
     /// The latest breakpoint (`None` until the first `set`).
     last: Option<(SimTime, f64)>,
+    /// The fold, from `0.0` in time order, of the terms
+    /// `v_i · (t_{i+1} − t_i)` of every segment `forget_before` dropped:
+    /// where a scan from t = 0 stands when it reaches `head`.
+    origin: f64,
+    /// The latest instant forgotten before (debug builds only: it backs
+    /// the reader and writer assertions, and costs a release trace
+    /// nothing).
+    #[cfg(debug_assertions)]
+    cut: SimTime,
 }
 
 impl StepTrace {
@@ -34,8 +53,8 @@ impl StepTrace {
     /// Creates a trace with an initial value at t = 0.
     pub fn with_initial(value: f64) -> Self {
         StepTrace {
-            head: Vec::new(),
             last: Some((SimTime::ZERO, value)),
+            ..StepTrace::default()
         }
     }
 
@@ -43,6 +62,10 @@ impl StepTrace {
     /// time; setting at the same instant overwrites (last-writer-wins), and
     /// redundant sets (same value) are coalesced.
     pub fn set(&mut self, at: SimTime, value: f64) {
+        // An overwrite before the cut could coalesce with a segment
+        // `head` no longer holds.
+        #[cfg(debug_assertions)]
+        debug_assert!(at >= self.cut, "set at {at} writes before the cut {}", self.cut);
         if let Some((t_last, ref mut v_last)) = self.last {
             assert!(at >= t_last, "trace updates must be time-ordered: {at} < {t_last}");
             if t_last == at {
@@ -61,8 +84,11 @@ impl StepTrace {
         self.last = Some((at, value));
     }
 
-    /// The signal value at `at` (0 before the first point).
+    /// The signal value at `at` (0 before the first point). After
+    /// [`StepTrace::forget_before`], `at` must be at or after the cut.
     pub fn value_at(&self, at: SimTime) -> f64 {
+        #[cfg(debug_assertions)]
+        debug_assert!(at >= self.cut, "value_at({at}) asks before the cut {}", self.cut);
         match self.last {
             Some((t_last, v_last)) if at >= t_last => v_last,
             _ => match self.head.binary_search_by(|&(t, _)| t.cmp(&at)) {
@@ -80,7 +106,11 @@ impl StepTrace {
 
     /// Exact integral of the signal over `[from, to)`.
     ///
-    /// For a power trace in watts this is energy in joules.
+    /// For a power trace in watts this is energy in joules. After
+    /// [`StepTrace::forget_before`], the window must start at or after the
+    /// cut, or start at t = 0 and end at or after it: the forgotten
+    /// segments then lie wholly outside the window or wholly inside it,
+    /// and the answer has the bits of the trace that forgot nothing.
     pub fn integral(&self, from: SimTime, to: SimTime) -> f64 {
         let Some((t_last, v_last)) = self.last else {
             return 0.0;
@@ -88,6 +118,16 @@ impl StepTrace {
         if to <= from {
             return 0.0;
         }
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            if from == SimTime::ZERO {
+                to >= self.cut
+            } else {
+                from >= self.cut
+            },
+            "integral over [{from}, {to}) reads history forgotten before {}",
+            self.cut
+        );
         // A window inside the last segment is one term, in O(1) and
         // without touching the heap: exactly the term a full scan would
         // add to its 0.0 start, so `0.0 +` keeps a −0.0 value's sum +0.0.
@@ -98,10 +138,12 @@ impl StepTrace {
         // nothing, so binary-search `head` straight to the segment
         // containing `from` (O(log P + segments in the window)) and scan
         // on through `last`. The summed terms and their order are those of
-        // a full scan, so the result is bit-for-bit unchanged.
+        // a full scan, so the result is bit-for-bit unchanged. A scan from
+        // t = 0 would first add the forgotten segments' terms, in order,
+        // from 0.0: it starts from their fold instead, the same sum.
         let first = self.head.partition_point(|&(t, _)| t <= from).saturating_sub(1);
         let mut segments = self.head[first..].iter().copied().chain(self.last).peekable();
-        let mut acc = 0.0;
+        let mut acc = if from == SimTime::ZERO { self.origin } else { 0.0 };
         while let Some((t_i, v_i)) = segments.next() {
             let seg_start = t_i.max(from);
             let seg_end = segments.peek().map_or(to, |&(t_next, _)| t_next.min(to));
@@ -125,12 +167,47 @@ impl StepTrace {
         self.integral(from, to) / span
     }
 
-    /// Iterator over the breakpoints.
+    /// Drops from the heap every segment that ends before `cut`, adding
+    /// each one's term to the running fold the next scan from t = 0 starts
+    /// from. The last breakpoint always stays, and so does a segment that
+    /// ends exactly at `cut`: a `set` there may overwrite the breakpoint at
+    /// `cut` back to the value before it, which pops that segment. Call it
+    /// only when no reader will ask about a window that starts inside
+    /// `(0, cut)`, a window from t = 0 that ends before `cut`, or a value
+    /// before `cut`, and no writer will set before `cut` (see
+    /// [`StepTrace`]). A cut at or before an earlier one drops nothing.
+    pub fn forget_before(&mut self, cut: SimTime) {
+        #[cfg(debug_assertions)]
+        {
+            self.cut = self.cut.max(cut);
+        }
+        // Segment `i` ends where the next breakpoint starts. Each term is
+        // the one a scan from t = 0 adds for it, in the scan's order.
+        let ends = self
+            .head
+            .iter()
+            .skip(1)
+            .map(|&(t, _)| t)
+            .chain(self.last.map(|(t, _)| t));
+        let mut dropped = 0;
+        for (&(t_i, v_i), end) in self.head.iter().zip(ends) {
+            if end >= cut {
+                break;
+            }
+            self.origin += v_i * (end - t_i).as_secs_f64();
+            dropped += 1;
+        }
+        self.head.drain(..dropped);
+    }
+
+    /// Iterator over the breakpoints still kept: every one until the
+    /// first [`StepTrace::forget_before`], then those that start the
+    /// segments ending at or after the cut, and the last.
     pub fn points(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         self.head.iter().copied().chain(self.last)
     }
 
-    /// Number of breakpoints stored.
+    /// Number of breakpoints stored (those [`StepTrace::points`] yields).
     pub fn len(&self) -> usize {
         self.head.len() + usize::from(self.last.is_some())
     }
@@ -310,6 +387,115 @@ mod tests {
         tr.set(t(10), 1.0); // back to the previous value — segment vanishes
         assert_eq!(tr.len(), 1);
         assert_eq!(tr.value_at(t(20)), 1.0);
+    }
+
+    /// A trace stepping every 0.1 s: every query the cut allows reads the
+    /// bits of a twin that forgot nothing, and the segments that ended
+    /// before the cut left the heap.
+    #[test]
+    fn forgetting_keeps_every_answer_the_cut_allows() {
+        let mut full = StepTrace::with_initial(0.5);
+        for k in 1..=10u64 {
+            full.set(t(100_000 * k), k as f64 / 3.0);
+        }
+        let mut lean = full.clone();
+        lean.forget_before(t(650_000));
+        // The segments ending at 0.1 … 0.6 s are gone; the one holding the
+        // cut stays.
+        assert_eq!(lean.len(), 5);
+        assert_eq!(lean.points().next(), Some((t(600_000), 2.0)));
+        // A cut on a breakpoint keeps the segment ending there.
+        let mut on = full.clone();
+        on.forget_before(t(700_000));
+        assert_eq!(on.points().next(), Some((t(600_000), 2.0)));
+        let same = |lean: &StepTrace, full: &StepTrace, from: u64, to: u64| {
+            let (from, to) = (t(from), t(to));
+            assert_eq!(
+                lean.integral(from, to).to_bits(),
+                full.integral(from, to).to_bits(),
+                "[{from}, {to})"
+            );
+            assert_eq!(
+                lean.mean(from, to).to_bits(),
+                full.mean(from, to).to_bits(),
+                "[{from}, {to})"
+            );
+        };
+        for (from, to) in [
+            (0, 650_000),
+            (0, 700_000),
+            (0, 1_234_567),
+            (650_000, 700_000),
+            (700_000, 1_500_000),
+        ] {
+            same(&lean, &full, from, to);
+        }
+        for at in [650_000, 700_000, 2_000_000] {
+            assert_eq!(lean.value_at(t(at)).to_bits(), full.value_at(t(at)).to_bits());
+        }
+        // An earlier cut drops nothing more; a cut past the last
+        // breakpoint keeps it, and later sets extend the trace as before.
+        lean.forget_before(t(300_000));
+        assert_eq!(lean.len(), 5);
+        lean.forget_before(t(1_100_000));
+        assert_eq!(lean.len(), 1);
+        for tr in [&mut lean, &mut full] {
+            tr.set(t(1_200_000), 0.25);
+        }
+        same(&lean, &full, 0, 2_000_000);
+        same(&lean, &full, 1_100_000, 1_300_000);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reads history forgotten")]
+    fn a_window_into_the_forgotten_history_fails_in_debug_builds() {
+        let mut tr = StepTrace::with_initial(1.0);
+        tr.set(t(10), 2.0);
+        tr.set(t(20), 3.0);
+        tr.forget_before(t(15));
+        tr.integral(t(5), t(30));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "asks before the cut")]
+    fn a_value_before_the_cut_fails_in_debug_builds() {
+        let mut tr = StepTrace::with_initial(1.0);
+        tr.set(t(10), 2.0);
+        tr.forget_before(t(15));
+        tr.value_at(t(14));
+    }
+
+    /// Forgetting before 0.3 s keeps the segment `[0.1, 0.3)` s, so an
+    /// overwrite at 0.3 s back to 0.7 coalesces it away as on a trace that
+    /// forgot nothing, and the answers keep their bits.
+    #[test]
+    fn an_overwrite_at_the_cut_coalesces_as_without_forgetting() {
+        let mut full = StepTrace::with_initial(0.1);
+        full.set(t(100_000), 0.7);
+        full.set(t(300_000), 0.2);
+        let mut lean = full.clone();
+        lean.forget_before(t(300_000));
+        assert_eq!(lean.len(), 2);
+        for tr in [&mut lean, &mut full] {
+            tr.set(t(300_000), 0.7);
+        }
+        assert_eq!(lean.points().collect::<Vec<_>>(), [(t(100_000), 0.7)]);
+        for (from, to) in [(0, 600_000), (300_000, 600_000)] {
+            let (from, to) = (t(from), t(to));
+            assert_eq!(lean.integral(from, to).to_bits(), full.integral(from, to).to_bits());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "writes before the cut")]
+    fn a_set_before_the_cut_fails_in_debug_builds() {
+        let mut tr = StepTrace::with_initial(1.0);
+        tr.set(t(10), 2.0);
+        tr.forget_before(t(15));
+        tr.set(t(12), 3.0);
     }
 
     #[test]

@@ -217,6 +217,22 @@ fn assert_matches_reference(trace: &StepTrace, oracle: &RefTrace, rng: &mut Spli
     }
 }
 
+/// The next value of a random history: back to the value before the last
+/// breakpoint (an overwrite at the same instant coalesces the segment
+/// away), the current value (redundant), `±0.0`, or an arbitrary one.
+fn next_value(rng: &mut SplitMix64, oracle: &RefTrace) -> f64 {
+    let n = oracle.len();
+    match rng.next_u64() % 8 {
+        0 if n >= 2 => oracle.points().nth(n - 2).map_or(1.0, |(_, v)| v),
+        1 => oracle.last_value(),
+        2 => 0.0,
+        3 => -0.0,
+        4 => -3.75,
+        5 => 1.0 / 3.0,
+        _ => (rng.next_u64() % 500_000) as f64 / 1_000.0,
+    }
+}
+
 /// Drives a [`StepTrace`] and the [`RefTrace`] oracle through the same
 /// random history — increasing and repeated instants, overwrites back to
 /// the previous value, redundant values and `±0.0` — and compares them
@@ -234,18 +250,7 @@ fn step_trace_follows_the_reference(seed: u64) {
         if !rng.next_u64().is_multiple_of(3) {
             now += 1 + rng.next_u64() % 1_000_000;
         }
-        let n = oracle.len();
-        let value = match rng.next_u64() % 8 {
-            // Back to the value before the last breakpoint: an overwrite
-            // at the same instant coalesces the segment away.
-            0 if n >= 2 => oracle.points().nth(n - 2).map_or(1.0, |(_, v)| v),
-            1 => oracle.last_value(),
-            2 => 0.0,
-            3 => -0.0,
-            4 => -3.75,
-            5 => 1.0 / 3.0,
-            _ => (rng.next_u64() % 500_000) as f64 / 1_000.0,
-        };
+        let value = next_value(&mut rng, &oracle);
         let at = SimTime::from_micros(now);
         trace.set(at, value);
         oracle.set(at, value);
@@ -257,6 +262,123 @@ fn step_trace_follows_the_reference(seed: u64) {
 fn step_trace_is_bit_exact_against_the_all_points_reference() {
     for seed in 0..400 {
         step_trace_follows_the_reference(seed);
+    }
+}
+
+/// Asserts that `trace`, which forgot its history before `cut` (µs),
+/// answers every query the cut allows exactly as `oracle` does, and keeps
+/// exactly the segments that end at or after the cut: the oracle's points
+/// end with its points, no kept segment ends before the cut, and the last
+/// segment dropped, if any, did. The queries are the
+/// values at and after the cut, and `integral` and `mean` over windows
+/// that start at or after it, or start at t = 0 and end at or after it
+/// (zero-length and reversed ones included).
+fn assert_forgetting_matches(trace: &StepTrace, oracle: &RefTrace, cut: u64, rng: &mut SplitMix64) {
+    let (kept, all) = (bits(trace.points()), bits(oracle.points()));
+    assert!(all.ends_with(&kept), "kept {kept:?} of {all:?}");
+    assert_eq!(trace.len(), kept.len());
+    let cut_at = SimTime::from_micros(cut);
+    if let Some(&(end, _)) = kept.get(1) {
+        assert!(end >= cut_at, "a kept segment ends at {end}, before the cut {cut_at}");
+    }
+    if kept.len() < all.len() {
+        assert!(
+            kept[0].0 < cut_at,
+            "a segment ending at {} was dropped by the cut {cut_at}",
+            kept[0].0
+        );
+    }
+    assert_eq!(trace.is_empty(), oracle.is_empty());
+    assert_eq!(trace.last_value().to_bits(), oracle.last_value().to_bits());
+    let last = oracle.points().last().map_or(0, |(t, _)| t.as_micros());
+    let mut instants = vec![cut, cut + 1, last + 1 + rng.next_u64() % 3_000_000];
+    for (t, _) in oracle.points() {
+        let t = t.as_micros();
+        instants.extend([t.saturating_sub(1), t, t + 1, t + rng.next_u64() % 700_000]);
+    }
+    instants.retain(|&at| at >= cut);
+    for &at in &instants {
+        let at = SimTime::from_micros(at);
+        assert_eq!(
+            trace.value_at(at).to_bits(),
+            oracle.value_at(at).to_bits(),
+            "value_at({at})"
+        );
+    }
+    let mut windows = vec![(0, cut), (0, last.max(cut) + 2_000_000), (cut, last + 1)];
+    for _ in 0..48 {
+        let a = instants[(rng.next_u64() % instants.len() as u64) as usize];
+        let b = instants[(rng.next_u64() % instants.len() as u64) as usize];
+        windows.extend([(a, b), (b, a), (a, a), (0, a)]);
+    }
+    for (from, to) in windows {
+        let (from, to) = (SimTime::from_micros(from), SimTime::from_micros(to));
+        assert_eq!(
+            trace.integral(from, to).to_bits(),
+            oracle.integral(from, to).to_bits(),
+            "integral over [{from}, {to}) past the cut {cut_at}"
+        );
+        assert_eq!(
+            trace.mean(from, to).to_bits(),
+            oracle.mean(from, to).to_bits(),
+            "mean over [{from}, {to}) past the cut {cut_at}"
+        );
+    }
+}
+
+/// Drives a [`StepTrace`] and the [`RefTrace`] oracle through one random
+/// history, as `step_trace_follows_the_reference` does, with the trace
+/// alone forgetting at random non-decreasing cuts between the updates:
+/// at a breakpoint, just before or after one, at the latest update or
+/// past it. No later update comes before the cut. Now and then a cut
+/// at or before the latest one repeats, which must drop nothing.
+fn forgetting_trace_follows_the_reference(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let (mut trace, mut oracle) = match rng.next_u64() % 3 {
+        0 => (StepTrace::new(), RefTrace::new()),
+        1 => (StepTrace::with_initial(-0.0), RefTrace::with_initial(-0.0)),
+        _ => (StepTrace::with_initial(2.5), RefTrace::with_initial(2.5)),
+    };
+    let (mut now, mut cut) = (rng.next_u64() % 1_000, 0);
+    assert_forgetting_matches(&trace, &oracle, cut, &mut rng);
+    for _ in 0..rng.next_u64() % 60 {
+        if rng.next_u64().is_multiple_of(4) {
+            let points: Vec<u64> = oracle.points().map(|(t, _)| t.as_micros()).collect();
+            let near = points[(rng.next_u64() % points.len().max(1) as u64) as usize..]
+                .first()
+                .copied()
+                .unwrap_or(0);
+            let at = match rng.next_u64() % 6 {
+                0 => near,
+                1 => near.saturating_sub(1),
+                2 => near + 1,
+                3 => now,
+                4 => now + rng.next_u64() % 2_000_000,
+                _ => cut.saturating_sub(rng.next_u64() % 2),
+            };
+            let before = bits(trace.points());
+            trace.forget_before(SimTime::from_micros(at));
+            if at <= cut {
+                assert_eq!(bits(trace.points()), before, "a repeated cut at {at} dropped points");
+            }
+            cut = cut.max(at);
+        } else {
+            if now < cut || !rng.next_u64().is_multiple_of(3) {
+                now = now.max(cut) + 1 + rng.next_u64() % 1_000_000;
+            }
+            let value = next_value(&mut rng, &oracle);
+            let at = SimTime::from_micros(now);
+            trace.set(at, value);
+            oracle.set(at, value);
+        }
+        assert_forgetting_matches(&trace, &oracle, cut, &mut rng);
+    }
+}
+
+#[test]
+fn a_forgetting_trace_is_bit_exact_against_the_all_points_reference() {
+    for seed in 0..400 {
+        forgetting_trace_follows_the_reference(seed);
     }
 }
 
